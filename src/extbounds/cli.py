@@ -45,7 +45,6 @@ class ScenarioConfig:
     trace_degree: int = 8
     constants_variant: str = "eigen"
     constants_modes: int | None = None
-    constants_mesh: int = 512
     constants_cutoff: float | None = None
     boundary_mode: str = "extension_based"
     target: str = "v"
@@ -116,8 +115,16 @@ class ScenarioConfig:
         cfg.constants_variant = take(cst, "variant", str, cfg.constants_variant)
         if cfg.constants_variant not in ("eigen", "formula"):
             raise ConfigError(f"constants.variant: unknown {cfg.constants_variant!r}")
+        if "mesh" in cst:
+            raise ConfigError("constants.mesh: removed; the radial constants are "
+                              "closed forms and take no mesh")
         cfg.constants_modes = take(cst, "modes", int, cfg.constants_modes)
-        cfg.constants_mesh = take(cst, "mesh", int, cfg.constants_mesh, True)
+        min_modes = max(8, cfg.trace_degree)
+        if cfg.constants_modes is not None and cfg.constants_modes < min_modes:
+            raise ConfigError(
+                f"constants.modes: needs modes >= max(8, trace.L) = {min_modes} "
+                f"(got {cfg.constants_modes})"
+            )
         cfg.constants_cutoff = take(cst, "cutoff", float, cfg.constants_cutoff)
 
         pert = raw.get("perturbation", {})
@@ -130,8 +137,9 @@ class ScenarioConfig:
         eps = pert.get("epsilons", cfg.epsilons) if pert else cfg.epsilons
         if not isinstance(eps, list) or not all(
             isinstance(e, (int, float)) for e in eps
-        ):
-            raise ConfigError("perturbation.epsilons: expected a list of numbers")
+        ) or not eps:
+            raise ConfigError("perturbation.epsilons: expected a non-empty list "
+                              "of numbers")
         if any(e < 0 for e in eps):
             raise ConfigError("perturbation.epsilons: all entries must be >= 0")
         cfg.epsilons = [float(e) for e in eps]
@@ -211,8 +219,7 @@ def _build(cfg: ScenarioConfig) -> pb.ManufacturedProblem:
 
 def _bundle(cfg: ScenarioConfig, p: pb.Problem) -> mj.ConstantsBundle:
     return mj.constants_bundle(
-        p, modes=cfg.constants_modes, mesh=cfg.constants_mesh,
-        cutoff=cfg.constants_cutoff,
+        p, modes=cfg.constants_modes, cutoff=cfg.constants_cutoff
     )
 
 
@@ -413,7 +420,6 @@ def cmd_constants(cfg: ScenarioConfig, out: str) -> int:
     mp = _build(cfg)
     domain, A = mp.domain, mp.problem.A
     modes = cfg.constants_modes or max(8, cfg.trace_degree)
-    mesh = cfg.constants_mesh
     reports = [
         consts.ConstantReport(
             name="exterior_poincare",
@@ -431,11 +437,11 @@ def cmd_constants(cfg: ScenarioConfig, out: str) -> int:
             params={"c_A": A.c_A, "R": domain.R},
             rel_accuracy=0.0,
         ),
-        consts.interior_friedrichs_constant(domain, modes=modes, mesh=mesh),
+        consts.interior_friedrichs_constant(domain, modes=modes),
         consts.boundary_extension_constant(
-            domain, A, cutoff=cfg.constants_cutoff, modes=modes, mesh=mesh
+            domain, A, cutoff=cfg.constants_cutoff, modes=modes
         ),
-        consts.interface_trace_constant(domain, A, modes=modes, mesh=mesh),
+        consts.interface_trace_constant(domain, A, modes=modes),
     ]
     payload = {
         "command": "constants",

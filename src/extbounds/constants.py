@@ -3,12 +3,24 @@
 The unbounded-domain Poincare constant is a closed formula in the
 dimension.  The remaining constants (interior Friedrichs constant,
 boundary extension constant, interface trace constant) reduce to
-one-dimensional extremal problems per spherical-harmonic degree, because
-the coefficient enters them only through its ellipticity bounds.  Those
-1D problems are solved with piecewise-linear finite elements; each value
-is recomputed on a doubled mesh, required to agree to 1e-6 relative, and
-the reported value is inflated by the observed refinement delta so the
-"guaranteed" claim stays honest at working precision.
+one-dimensional radial problems per spherical-harmonic degree l, because
+the coefficient enters them only through its ellipticity bounds.  Each
+radial problem has explicit solutions: r^l and r^{-l-1} for N = 3,
+r^{+-l} for N = 2 and l >= 1, and 1 and ln r for N = 2 and l = 0.
+
+* The minimal-energy profile with prescribed endpoint values is
+  harmonic, so its Dirichlet energy is a boundary flux of these
+  solutions; the extension and trace constants are explicit per degree.
+* The Friedrichs eigenproblem is a Bessel (N = 2) or spherical Bessel
+  (N = 3) equation; its constant is 1/k at the first root of an explicit
+  transcendental function, bracketed by a sign-verified bisection down to
+  adjacent floats.  The conservative end of the bracket is reported.
+
+Every reported value, mode energies included, is rounded outward by the
+relative margin ``OUTWARD_RTOL`` (the reports' ``rel_accuracy``), which
+covers the floating-point error of evaluating the closed forms.  The
+extension and trace constants are maxima over degrees l <= ``modes``, so
+they cover traces band-limited to that degree.
 
 Reported constants are tied to the spectral H^{+-1/2} norms of
 :mod:`extbounds.traces`; an equivalent trace norm would rescale them.
@@ -18,21 +30,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .fields import Coefficient
-from .geometry import ExteriorDomain, _gauss_legendre
+from .geometry import ExteriorDomain
 
-REFINEMENT_RTOL = 1e-6
+# relative outward rounding of every reported closed-form value; the
+# evaluations below agree with 50-digit ones to 2e-14 relative on
+# annuli with R/a from 1.001 to 30
+OUTWARD_RTOL = 1e-12
+# steps of the scan for the first sign change of the Friedrichs root
+# function; only a bracket narrower than a step is bisected
+ROOT_SCAN_STEPS = 64
 
 
 class ConstantError(RuntimeError):
-    """Eigen-solve failure, non-converged refinement, or bad mode data."""
+    """Root bracketing failure or bad mode data."""
 
 
 @dataclass(frozen=True)
@@ -41,7 +55,7 @@ class ConstantReport:
 
     name: str
     value: float
-    method: str  # "formula" | "eigensolve" | "mode_minimization"
+    method: str  # "formula" | "closed_form"
     mode_values: tuple | None
     params: dict
     rel_accuracy: float
@@ -100,175 +114,126 @@ def interior_weight_constant(domain: ExteriorDomain, A: Coefficient) -> float:
 
 
 # ---------------------------------------------------------------------------
-# 1D radial finite elements on [a, b] with measure r^{N-1} dr
+# closed forms of the per-degree radial problems
 
 
-def _element_matrices(a: float, b: float, ell: int, dimension: int, n_el: int):
-    """Stiffness (with the angular l(l+N-2)/r^2 potential) and mass
-    matrices for P1 elements, assembled sparse tridiagonal."""
-    nodes = np.linspace(a, b, n_el + 1)
-    gx, gw = _gauss_legendre(6)
-    c_ell = float(ell * (ell + dimension - 2))
-    main_k = np.zeros(n_el + 1)
-    off_k = np.zeros(n_el)
-    main_m = np.zeros(n_el + 1)
-    off_m = np.zeros(n_el)
-    for e in range(n_el):
-        x0, x1 = nodes[e], nodes[e + 1]
-        h = x1 - x0
-        r = 0.5 * (x0 + x1) + 0.5 * h * gx
-        w = 0.5 * h * gw
-        rw = r ** (dimension - 1) * w
-        phi0 = (x1 - r) / h
-        phi1 = (r - x0) / h
-        pot = c_ell / r**2 * rw
-        k00 = np.sum(rw) / h**2 + np.sum(pot * phi0 * phi0)
-        k01 = -np.sum(rw) / h**2 + np.sum(pot * phi0 * phi1)
-        k11 = np.sum(rw) / h**2 + np.sum(pot * phi1 * phi1)
-        main_k[e] += k00
-        main_k[e + 1] += k11
-        off_k[e] += k01
-        main_m[e] += np.sum(rw * phi0 * phi0)
-        main_m[e + 1] += np.sum(rw * phi1 * phi1)
-        off_m[e] += np.sum(rw * phi0 * phi1)
-    K = scipy.sparse.diags([off_k, main_k, off_k], [-1, 0, 1], format="csc")
-    M = scipy.sparse.diags([off_m, main_m, off_m], [-1, 0, 1], format="csc")
-    return K, M, nodes
+def _outward(x: float) -> float:
+    return x * (1.0 + OUTWARD_RTOL)
 
 
-def _smallest_eigenvalue(K, M) -> float:
-    n = K.shape[0]
-    v0 = np.ones(n)
-    try:
-        if n <= 400:
-            vals = scipy.linalg.eigh(
-                K.toarray(), M.toarray(), eigvals_only=True, subset_by_index=[0, 0]
-            )
-            return float(vals[0])
-        vals = scipy.sparse.linalg.eigsh(
-            K, k=1, M=M, sigma=0.0, which="LM", v0=v0, tol=0
-        )[0]
-        return float(vals[0])
-    except Exception as exc:  # pragma: no cover - surfaced as ConstantError
-        raise ConstantError(f"eigen-solve failed: {exc}") from exc
+def _check_modes(domain: ExteriorDomain, modes: int, what: str) -> None:
+    if domain.dimension not in (2, 3):
+        raise ValueError(f"{what} requires dimension 2 or 3")
+    if modes < 8:
+        raise ValueError(f"need modes >= 8, got {modes}")
 
 
-def _mode_eigenvalue(
-    a: float, b: float, ell: int, dimension: int, n_el: int
-) -> float:
-    """Smallest Rayleigh quotient over profiles vanishing at ``a`` and
-    free at ``b`` (natural boundary condition)."""
-    K, M, _ = _element_matrices(a, b, ell, dimension, n_el)
-    return _smallest_eigenvalue(K[1:, 1:], M[1:, 1:])
+def _harmonic_flux(dimension: int, ell: int, inner: float, outer: float,
+                   at_inner: bool) -> float:
+    """Boundary flux of the degree-``ell`` radial harmonic profile on
+    [inner, outer], which equals its Dirichlet energy
+    int (psi'^2 + l(l+N-2) psi^2/r^2) r^{N-1} dr divided by the endpoint
+    area factor: -psi'(inner) for psi(inner) = 1, psi(outer) = 0
+    (``at_inner``), else psi'(outer) for psi(inner) = 0, psi(outer) = 1.
+
+    With s = ln(outer/inner), m = 2l + N - 2 and q = (inner/outer)^m the
+    flux is ((l+N-2) + l q)/(inner (1 - q)), resp. (l + (l+N-2) q)/(outer
+    (1 - q)); for m = 0 (N = 2, l = 0) it is 1/(inner s), resp.
+    1/(outer s).  All terms are positive and 1 - q is taken by expm1, so
+    there is no cancellation."""
+    s = math.log1p((outer - inner) / inner)
+    m = 2 * ell + dimension - 2
+    radius = inner if at_inner else outer
+    if m == 0:
+        return 1.0 / (radius * s)
+    q = math.exp(-m * s)
+    k = ell + dimension - 2
+    num = k + ell * q if at_inner else ell + k * q
+    return num / (radius * -math.expm1(-m * s))
 
 
-def _elements_for(mesh: int, a: float, b: float) -> int:
-    # mesh counts elements per unit length so accuracy does not degrade on
-    # wide annuli; never fewer than mesh elements overall
-    return int(math.ceil(mesh * max(1.0, b - a)))
+def _h_half_multiplier(ell: int, dimension: int, radius: float) -> float:
+    return math.sqrt(1.0 + ell * (ell + dimension - 2) / radius**2)
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Piecewise-linear minimizer of the per-mode Dirichlet energy."""
+def _friedrichs_function(dimension: int, a: float, R: float):
+    """g(k) whose first positive root k gives the degree-0 eigenvalue k^2
+    of -div grad on the annulus, zero at r = a and free at r = R:
+    sin(kL) - kR cos(kL) with L = R - a for N = 3 (the profile is
+    sin(k(r - a))/r), J1(kR) Y0(ka) - Y1(kR) J0(ka) for N = 2."""
+    if dimension == 3:
+        L = R - a
+        return lambda k: math.sin(k * L) - k * R * math.cos(k * L)
+    from scipy.special import j0, j1, y0, y1
 
-    nodes: np.ndarray
-    values: np.ndarray
-    energy: float
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        return np.interp(
-            np.asarray(r, dtype=float), self.nodes, self.values, left=0.0, right=0.0
-        )
-
-    def derivative(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        idx = np.clip(np.searchsorted(self.nodes, r, side="right") - 1, 0,
-                      len(self.nodes) - 2)
-        slope = (self.values[idx + 1] - self.values[idx]) / (
-            self.nodes[idx + 1] - self.nodes[idx]
-        )
-        inside = (r >= self.nodes[0]) & (r <= self.nodes[-1])
-        return np.where(inside, slope, 0.0)
+    return lambda k: float(j1(k * R) * y0(k * a) - y1(k * R) * j0(k * a))
 
 
-def _minimal_profile(
-    a: float,
-    b: float,
-    ell: int,
-    dimension: int,
-    n_el: int,
-    left: float,
-    right: float,
-) -> RadialProfile:
-    """Discrete minimizer of int (psi'^2 + l(l+N-2) psi^2/r^2) r^{N-1} dr
-    with prescribed endpoint values."""
-    K, _, nodes = _element_matrices(a, b, ell, dimension, n_el)
-    K = K.toarray()
-    vals = np.zeros(n_el + 1)
-    vals[0] = left
-    vals[-1] = right
-    rhs = -K[1:-1, 0] * left - K[1:-1, -1] * right
-    ab = np.zeros((2, n_el - 1))
-    inner = K[1:-1, 1:-1]
-    ab[0, 1:] = np.diag(inner, 1)
-    ab[1] = np.diag(inner)
-    vals[1:-1] = scipy.linalg.solveh_banded(ab, rhs)
-    energy = float(vals @ (K @ vals))
-    return RadialProfile(nodes=nodes, values=vals, energy=energy)
+def _first_root_below(g, lo: float, hi: float) -> float:
+    """Left end of a sign-verified bracket of the first root of g in
+    (lo, hi), bisected down to adjacent floats.  The bracket is the first
+    of ``ROOT_SCAN_STEPS`` equal steps from ``lo`` at whose right end g
+    has left the sign it has at ``lo``."""
+    neg = g(lo) < 0.0
 
+    def crossed(k):
+        value = g(k)
+        return value == 0.0 or (value < 0.0) != neg
 
-def _h_half_multiplier(ell: np.ndarray, dimension: int, radius: float) -> np.ndarray:
-    ell = np.asarray(ell, dtype=float)
-    return np.sqrt(1.0 + ell * (ell + dimension - 2) / radius**2)
+    if crossed(lo):
+        raise ConstantError(f"root bracket starts on a root at {lo!r}")
+    start, step = lo, (hi - lo) / ROOT_SCAN_STEPS
+    for i in range(1, ROOT_SCAN_STEPS + 1):
+        right = hi if i == ROOT_SCAN_STEPS else start + i * step
+        if crossed(right):
+            break
+        lo = right
+    else:
+        raise ConstantError(f"no sign change of the root function below {hi!r}")
+    while True:
+        mid = lo + 0.5 * (right - lo)
+        if not lo < mid < right:
+            return lo
+        if crossed(mid):
+            right = mid
+        else:
+            lo = mid
 
 
 def interior_friedrichs_constant(
-    domain: ExteriorDomain, modes: int = 12, mesh: int = 512
+    domain: ExteriorDomain, modes: int = 12
 ) -> ConstantReport:
     """Best constant in ||w|| <= c ||grad w|| over the annulus for
-    functions vanishing on the inner sphere only, via per-degree radial
-    eigenproblems (the minimum is at degree 0, asserted)."""
-    if domain.dimension not in (2, 3):
-        raise ValueError("interior Friedrichs constant requires dimension 2 or 3")
-    if modes < 8 or mesh < 64:
-        raise ValueError("need modes >= 8 and mesh >= 64")
-    base = _elements_for(mesh, domain.a, domain.R)
-    per_mode = {}
-    for n_el in (base, 2 * base):
-        lams = [
-            _mode_eigenvalue(domain.a, domain.R, ell, domain.dimension, n_el)
-            for ell in range(modes + 1)
-        ]
-        per_mode[n_el] = np.array(lams)
-    fine = per_mode[2 * base]
-    coarse = per_mode[base]
-    if np.any(np.diff(fine) <= 0.0):
-        raise ConstantError(
-            "per-degree eigenvalues are not increasing; mode resolution too low"
-        )
-    c_fine = 1.0 / math.sqrt(fine[0])
-    c_coarse = 1.0 / math.sqrt(coarse[0])
-    delta = abs(c_fine - c_coarse)
-    if delta > REFINEMENT_RTOL * c_fine:
-        raise ConstantError(
-            f"mesh refinement changed the Friedrichs constant by {delta / c_fine:.2e} "
-            f"relative (> {REFINEMENT_RTOL}); increase mesh"
-        )
-    mode_constants = tuple(1.0 / np.sqrt(fine))
+    functions vanishing on the inner sphere only.
+
+    Per degree l the constant is 1/sqrt(lambda_l) for the smallest
+    eigenvalue of the radial problem with potential l(l+N-2)/r^2.  That
+    potential is nonnegative and increasing in l, so lambda_l increases
+    with l and the constant is attained at l = 0 for every ``modes``; no
+    per-degree values are reported.  lambda_0 = k^2 at the first root of
+    :func:`_friedrichs_function`.  That root lies in
+    [(a/R) pi/(2(R - a)), pi/(2(R - a))): from below by the Rayleigh
+    quotient with the weight r^{N-1} frozen at its extremes; from above
+    exactly for N = 3, and for N = 2 by comparison after the substitution
+    w = sqrt(r) p, which gives -w'' - w/(4r^2) = k^2 w with w(a) = 0 and
+    w'(R) = w(R)/(2R), whose first eigenvalue lies below that of the same
+    problem without the negative potential, itself below (pi/(2(R - a)))^2."""
+    _check_modes(domain, modes, "interior Friedrichs constant")
+    n, a, R = domain.dimension, domain.a, domain.R
+    hi = math.pi / (2.0 * (R - a))
+    k = _first_root_below(_friedrichs_function(n, a, R), 0.5 * (a / R) * hi, hi)
     return ConstantReport(
         name="interior_friedrichs",
-        value=c_fine + delta,
-        method="eigensolve",
-        mode_values=mode_constants,
+        value=_outward(1.0 / k),
+        method="closed_form",
+        mode_values=None,
         params={
             "modes": modes,
-            "mesh": mesh,
             "extremum": "max",
             "extremum_index": 0,
-            "domain": [domain.dimension, domain.a, domain.R],
+            "domain": [n, a, R],
         },
-        rel_accuracy=delta / c_fine,
+        rel_accuracy=OUTWARD_RTOL,
     )
 
 
@@ -277,61 +242,41 @@ def boundary_extension_constant(
     A: Coefficient,
     cutoff: float | None = None,
     modes: int = 12,
-    mesh: int = 512,
 ) -> ConstantReport:
     """Constant of the concrete mode-wise extension operator from the
     inner sphere: a degree-l trace coefficient is extended by the
-    discrete minimal-energy radial profile with value 1 at ``a`` and 0 at
-    ``cutoff``.  The report's ``params["mode_energies"]`` holds the
-    Dirichlet energy per unit surface-L2 coefficient, which
+    minimal-energy (harmonic) radial profile with value 1 at ``a`` and 0
+    at ``cutoff``.  The report's ``params["mode_energies"]`` holds the
+    Dirichlet energy per unit surface-L2 coefficient, -psi'(a), which
     :func:`extbounds.majorant.boundary_term` reuses for the direct
     extension-energy bound."""
-    if domain.dimension not in (2, 3):
-        raise ValueError("extension constant requires dimension 2 or 3")
     cutoff = domain.R if cutoff is None else float(cutoff)
     if not domain.a < cutoff <= domain.R:
         raise ValueError(
             f"cutoff must lie in (a, R] = ({domain.a}, {domain.R}], got {cutoff}"
         )
-    if modes < 8 or mesh < 64:
-        raise ValueError("need modes >= 8 and mesh >= 64")
-    n = domain.dimension
-    base = _elements_for(mesh, domain.a, cutoff)
-    energies = {}
-    for n_el in (base, 2 * base):
-        es = [
-            _minimal_profile(domain.a, cutoff, ell, n, n_el, 1.0, 0.0).energy
-            for ell in range(modes + 1)
-        ]
-        # normalize per unit surface-L2 coefficient on the sphere radius a
-        energies[n_el] = np.array(es) / domain.a ** (n - 1)
-    mult = _h_half_multiplier(np.arange(modes + 1), n, domain.a)
-    ratios = {k: np.sqrt(v / mult) * math.sqrt(A.c_A_plus) for k, v in energies.items()}
-    c_fine = float(np.max(ratios[2 * base]))
-    c_coarse = float(np.max(ratios[base]))
-    delta = abs(c_fine - c_coarse)
-    if delta > REFINEMENT_RTOL * c_fine:
-        raise ConstantError(
-            f"mesh refinement changed the extension constant by {delta / c_fine:.2e} "
-            f"relative; increase mesh"
-        )
-    mode_vals = tuple(ratios[2 * base])
+    _check_modes(domain, modes, "extension constant")
+    n, a = domain.dimension, domain.a
+    energies = [_harmonic_flux(n, ell, a, cutoff, True) for ell in range(modes + 1)]
+    ratios = tuple(
+        _outward(math.sqrt(e / _h_half_multiplier(ell, n, a) * A.c_A_plus))
+        for ell, e in enumerate(energies)
+    )
     return ConstantReport(
         name="boundary_extension",
-        value=c_fine + delta,
-        method="mode_minimization",
-        mode_values=mode_vals,
+        value=max(ratios),
+        method="closed_form",
+        mode_values=ratios,
         params={
             "modes": modes,
-            "mesh": mesh,
             "cutoff": cutoff,
             "extremum": "max",
-            "extremum_index": int(np.argmax(ratios[2 * base])),
-            "mode_energies": tuple(energies[2 * base]),
+            "extremum_index": int(np.argmax(ratios)),
+            "mode_energies": tuple(_outward(e) for e in energies),
             "c_A_plus": A.c_A_plus,
-            "domain": [domain.dimension, domain.a, domain.R],
+            "domain": [n, a, domain.R],
         },
-        rel_accuracy=delta / c_fine,
+        rel_accuracy=OUTWARD_RTOL,
     )
 
 
@@ -339,69 +284,31 @@ def interface_trace_constant(
     domain: ExteriorDomain,
     A: Coefficient,
     modes: int = 12,
-    mesh: int = 512,
 ) -> ConstantReport:
     """Constant bounding the interface H^{1/2} trace norm by the global
     energy norm, computed through the annulus side: per degree, the
     minimal Dirichlet energy of a radial profile vanishing at ``a`` with
-    unit surface-L2 trace coefficient at ``R``; only the lower ellipticity
-    bound of the coefficient is used."""
-    if domain.dimension not in (2, 3):
-        raise ValueError("interface trace constant requires dimension 2 or 3")
-    if modes < 8 or mesh < 64:
-        raise ValueError("need modes >= 8 and mesh >= 64")
-    n = domain.dimension
-    base = _elements_for(mesh, domain.a, domain.R)
-    mins = {}
-    for n_el in (base, 2 * base):
-        ms = [
-            _minimal_profile(domain.a, domain.R, ell, n, n_el, 0.0, 1.0).energy
-            for ell in range(modes + 1)
-        ]
-        # unit surface-L2 coefficient at Gamma corresponds to endpoint
-        # value R^{-(N-1)/2}, scaling the energy by R^{-(N-1)}
-        mins[n_el] = np.array(ms) / domain.R ** (n - 1)
-    mult = _h_half_multiplier(np.arange(modes + 1), n, domain.R)
-    consts = {k: np.sqrt(mult / (A.c_A * v)) for k, v in mins.items()}
-    c_fine = float(np.max(consts[2 * base]))
-    c_coarse = float(np.max(consts[base]))
-    delta = abs(c_fine - c_coarse)
-    if delta > REFINEMENT_RTOL * c_fine:
-        raise ConstantError(
-            f"mesh refinement changed the trace constant by {delta / c_fine:.2e} "
-            f"relative; increase mesh"
-        )
+    unit surface-L2 trace coefficient at ``R`` is psi'(R) for the
+    harmonic profile with psi(a) = 0, psi(R) = 1; only the lower
+    ellipticity bound of the coefficient is used."""
+    _check_modes(domain, modes, "interface trace constant")
+    n, a, R = domain.dimension, domain.a, domain.R
+    energies = [_harmonic_flux(n, ell, a, R, False) for ell in range(modes + 1)]
+    consts = tuple(
+        _outward(math.sqrt(_h_half_multiplier(ell, n, R) / (A.c_A * e)))
+        for ell, e in enumerate(energies)
+    )
     return ConstantReport(
         name="interface_trace",
-        value=c_fine + delta,
-        method="mode_minimization",
-        mode_values=tuple(consts[2 * base]),
+        value=max(consts),
+        method="closed_form",
+        mode_values=consts,
         params={
             "modes": modes,
-            "mesh": mesh,
             "extremum": "max",
-            "extremum_index": int(np.argmax(consts[2 * base])),
+            "extremum_index": int(np.argmax(consts)),
             "c_A": A.c_A,
-            "domain": [domain.dimension, domain.a, domain.R],
+            "domain": [n, a, R],
         },
-        rel_accuracy=delta / c_fine,
-    )
-
-
-@lru_cache(maxsize=None)
-def _cached_friedrichs(dim, a, R, modes, mesh):
-    return interior_friedrichs_constant(
-        ExteriorDomain(dim, a, R), modes=modes, mesh=mesh
-    )
-
-
-def extension_profiles(
-    domain: ExteriorDomain, cutoff: float, modes: int, mesh: int
-) -> tuple[RadialProfile, ...]:
-    """The concrete per-degree extension profiles (fine mesh), for direct
-    quadrature of extension energies."""
-    base = _elements_for(mesh, domain.a, cutoff)
-    return tuple(
-        _minimal_profile(domain.a, cutoff, ell, domain.dimension, 2 * base, 1.0, 0.0)
-        for ell in range(modes + 1)
+        rel_accuracy=OUTWARD_RTOL,
     )

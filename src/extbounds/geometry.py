@@ -100,7 +100,7 @@ def _composite_interval(lo: float, hi: float, order: int, panels: int,
 def _tail_edges(panels: int) -> np.ndarray:
     # geometric grading toward t = 0: the mapped tail integrand may carry
     # ln(1/t) factors (2D log weights), which uniform panels resolve only
-    # algebraically while a graded mesh resolves them geometrically
+    # algebraically while graded panels resolve them geometrically
     return np.concatenate([[0.0], 0.5 ** np.arange(panels - 1, -1.0, -1.0)])
 
 

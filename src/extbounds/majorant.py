@@ -91,7 +91,6 @@ class ConstantsBundle:
     extension: consts.ConstantReport
     trace: consts.ConstantReport
     modes: int
-    mesh: int
     cutoff: float
 
     def c_o(self, variant: str) -> float:
@@ -108,24 +107,27 @@ _BUNDLE_CACHE: dict = {}
 def constants_bundle(
     p: Problem,
     modes: int | None = None,
-    mesh: int = 512,
     cutoff: float | None = None,
 ) -> ConstantsBundle:
-    """Compute (and cache) the constants for a problem.  The FEM-derived
+    """Compute (and cache) the constants for a problem.  The radial
     constants depend on the coefficient only through its ellipticity
-    bounds, so the cache key does too."""
+    bounds, so the cache key does too.  ``modes`` must cover the trace
+    degree, because :func:`boundary_term` reads one mode energy per
+    degree of the trace."""
     domain, A = p.domain, p.A
     modes = max(8, p.trace_degree) if modes is None else modes
+    if modes < p.trace_degree:
+        raise ValueError(
+            f"modes must be >= the trace degree {p.trace_degree}, got {modes}"
+        )
     cutoff = domain.R if cutoff is None else cutoff
-    key = (domain, A.c_A, A.c_A_plus, A.isotropic, modes, mesh, cutoff)
+    key = (domain, A.c_A, A.c_A_plus, A.isotropic, modes, cutoff)
     hit = _BUNDLE_CACHE.get(key)
     if hit is not None:
         return hit
-    fried = consts.interior_friedrichs_constant(domain, modes=modes, mesh=mesh)
-    ext = consts.boundary_extension_constant(
-        domain, A, cutoff=cutoff, modes=modes, mesh=mesh
-    )
-    trace = consts.interface_trace_constant(domain, A, modes=modes, mesh=mesh)
+    fried = consts.interior_friedrichs_constant(domain, modes=modes)
+    ext = consts.boundary_extension_constant(domain, A, cutoff=cutoff, modes=modes)
+    trace = consts.interface_trace_constant(domain, A, modes=modes)
     c_o_formula = consts.interior_weight_constant(domain, A)
     eigen = fried.value / math.sqrt(A.c_A)
     if domain.dimension == 2:
@@ -138,7 +140,6 @@ def constants_bundle(
         extension=ext,
         trace=trace,
         modes=modes,
-        mesh=mesh,
         cutoff=cutoff,
     )
     _BUNDLE_CACHE[key] = bundle

@@ -22,8 +22,8 @@ from extbounds import poincare as pc
 from extbounds.cli import main as cli_main
 
 from test_constants import (
+    extension_energy,
     mode_multiplier,
-    profile_energy_by_quadrature,
     shooting_friedrichs_constant,
 )
 
@@ -184,25 +184,26 @@ def verify_and_count(record):
 
 
 def test_acceptance_5_constants():
-    """Formula constants exact; eigensolve constant matches the shooting
-    oracle; both trace-side constants survive 50-sample verification."""
+    """Formula constants exact; the closed-form Friedrichs constant matches
+    the shooting oracle; both trace-side constants survive 50-sample
+    verification."""
     assert xb.exterior_poincare_constant(3) == 2.0
     assert xb.exterior_poincare_constant(4) == 1.0
 
     dom = xb.ExteriorDomain(3, 1.0, 2.0)
     A = xb.Coefficient.identity(3)
-    fried = xb.interior_friedrichs_constant(dom, modes=8, mesh=512)
+    fried = xb.interior_friedrichs_constant(dom, modes=8)
     oracle = shooting_friedrichs_constant()
-    assert fried.value == pytest.approx(oracle, rel=1e-4)
+    assert fried.value == pytest.approx(oracle, rel=1e-9)
     assert fried.value < xb.interior_weight_constant(dom, A)
 
-    # 50-sample direct verification of the extension constant
-    import extbounds.constants as cs
+    # 50-sample direct verification of the extension constant, with the
+    # per-degree energies integrated from the test's own harmonic profiles
     from extbounds.traces import degree_of_index
 
-    modes, mesh = 8, 512
-    ext = xb.boundary_extension_constant(dom, A, modes=modes, mesh=mesh)
-    profiles = cs.extension_profiles(dom, dom.R, modes, mesh)
+    modes = 8
+    ext = xb.boundary_extension_constant(dom, A, modes=modes)
+    per_degree = [extension_energy(3, ell, dom.a, dom.R) for ell in range(modes + 1)]
     ell_of = degree_of_index(3, modes)
     rng = np.random.default_rng(601)
     violations = 0
@@ -212,13 +213,7 @@ def test_acceptance_5_constants():
             sum(mode_multiplier(ell_of[i], 3, dom.a) * c[i] ** 2
                 for i in range(len(c)))
         )
-        energy = sum(
-            c[i] ** 2
-            * profile_energy_by_quadrature(profiles[ell_of[i]], dom.a, dom.R,
-                                           ell_of[i], 3)
-            / dom.a**2
-            for i in range(len(c))
-        )
+        energy = sum(c[i] ** 2 * per_degree[ell_of[i]] for i in range(len(c)))
         if math.sqrt(energy) > ext.value * h_half:
             violations += 1
     assert violations == 0
@@ -226,7 +221,7 @@ def test_acceptance_5_constants():
     # 50-sample direct verification of the interface trace constant
     from extbounds.geometry import _gauss_legendre
 
-    trace = xb.interface_trace_constant(dom, A, modes=modes, mesh=mesh)
+    trace = xb.interface_trace_constant(dom, A, modes=modes)
     gx, gw = _gauss_legendre(12)
     for k in range(50):
         rng_k = np.random.default_rng(700 + k)

@@ -22,7 +22,6 @@ BASE = {
     "estimate": "I",
     "quadrature": {"radial_order": 10, "angular_order": 10, "shells": 12},
     "trace": {"L": 6},
-    "constants": {"mesh": 512},
     "perturbation": {"target": "v", "mode": "interior_bump",
                      "epsilons": [0.1], "seed": 3},
     "sweep": {"kind": "epsilon", "values": [0.1, 0.05]},
@@ -57,6 +56,10 @@ class TestConfig:
                 {"quadrature": {"angular_order": 4}, "trace": {"L": 8}}
             )
 
+    def test_modes_below_trace_degree_named(self):
+        with pytest.raises(ConfigError, match="constants.modes"):
+            ScenarioConfig.from_dict({"constants": {"modes": 8}, "trace": {"L": 10}})
+
     def test_defaults_fill_in(self):
         cfg = ScenarioConfig.from_dict({})
         assert cfg.problem == "N3_harmonic" and cfg.estimate == "I"
@@ -73,6 +76,23 @@ class TestCommands:
         code = main(["majorant", "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,payload", [
+        ("perturbation.epsilons", {"perturbation": {"epsilons": []}}),
+        ("constants.modes", {"constants": {"modes": 8}, "trace": {"L": 10},
+                             "quadrature": {"angular_order": 12},
+                             "perturbation": {"mode": "boundary_mode"}}),
+        ("constants.modes", {"constants": {"modes": 4}}),
+        ("constants.mesh", {"constants": {"mesh": 512}}),
+    ])
+    def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, field, payload):
+        cfg = write_config(tmp_path, payload)
+        code = main(["majorant", "--config", cfg, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert field in err and "Traceback" not in err
+        if field == "constants.mesh":
+            assert "removed" in err
 
     def test_majorant_report_schema(self, tmp_path):
         cfg = write_config(tmp_path, BASE)

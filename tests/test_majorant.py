@@ -82,6 +82,11 @@ class TestBoundaryTerm:
         assert vals[0] == pytest.approx(10 * vals[1], rel=1e-9)
         assert vals[1] == pytest.approx(10 * vals[2], rel=1e-9)
 
+    def test_bundle_modes_cover_trace_degree(self, catalog):
+        p = catalog["N3_harmonic"].problem
+        with pytest.raises(ValueError, match="trace degree"):
+            xb.constants_bundle(p, modes=p.trace_degree - 1)
+
     def test_unknown_mode(self, catalog, bundles):
         mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
         with pytest.raises(ValueError, match="boundary term mode"):
