@@ -11,24 +11,8 @@ import argparse
 import pathlib
 
 import extbounds as xb
-from extbounds import traces
 from extbounds.majorant import constants_bundle, estimate_III
-from extbounds.problems import ManufacturedProblem, Problem, make_bundle, perturb
-
-
-def with_interface_radius(base: ManufacturedProblem, radius: float):
-    domain = xb.ExteriorDomain(base.domain.dimension, base.domain.a, radius)
-    quads = make_bundle(domain)
-    g = traces.analyze(base.exact_u, domain.a, base.problem.trace_degree,
-                       quads.gamma)
-    problem = Problem(
-        domain=domain, A=base.problem.A, f=base.problem.f, g=g, quads=quads,
-        trace_degree=base.problem.trace_degree,
-    )
-    return ManufacturedProblem(
-        problem=problem, exact_u=base.exact_u, exact_flux=base.exact_flux,
-        decay_class=base.decay_class,
-    )
+from extbounds.problems import perturb
 
 
 def main():
@@ -53,7 +37,7 @@ def main():
         fh.write("R,interior_friedrichs,interface_trace,interface_term,"
                  "total,true_error,efficiency\n")
         for radius in args.radii:
-            mp = with_interface_radius(base, radius)
+            mp = xb.with_interface_radius(base, radius)
             bundle = constants_bundle(mp.problem)
             v = perturb(mp, "v", args.epsilon, "interior_bump", args.seed)
             y_i, y_e = perturb(mp, "y_broken", args.epsilon, "interface_jump",

@@ -31,7 +31,6 @@ from .majorant import (
     estimate_I,
     estimate_II,
     estimate_III,
-    sweep,
 )
 from .minorant import TestBasis, default_basis, minorant, minorant_report, sandwich
 from .problems import (
@@ -42,6 +41,7 @@ from .problems import (
     make_bundle,
     perturb,
     true_error,
+    with_interface_radius,
 )
 from .traces import SphereTrace, analyze, jump, normal_trace, sobolev_norm
 
@@ -90,7 +90,7 @@ __all__ = [
     "residual_field",
     "sandwich",
     "sobolev_norm",
-    "sweep",
     "true_error",
     "weighted_norm",
+    "with_interface_radius",
 ]

@@ -65,16 +65,38 @@ class ScenarioConfig:
         if not isinstance(raw, dict):
             raise ConfigError("top level: expected a JSON object")
 
-        def take(section, key, kind, default, positive=False):
-            val = section.get(key, default) if section else default
-            if val is None:
-                return None
-            if kind is float and isinstance(val, int):
+        def section(name):
+            sec = raw.get(name)
+            if sec is None:
+                return {}
+            if not isinstance(sec, dict):
+                raise ConfigError(f"{name}: expected a JSON object, got {sec!r}")
+            return sec
+
+        def number(name, val):
+            """``val`` as a finite float; ints and floats only."""
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise ConfigError(f"{name}: expected a number, got {val!r}")
+            try:
                 val = float(val)
-            if not isinstance(val, kind):
-                raise ConfigError(f"{key}: expected {kind.__name__}, got {val!r}")
+            except OverflowError:
+                raise ConfigError(f"{name}: {val} is out of range") from None
+            if not math.isfinite(val):
+                raise ConfigError(f"{name}: expected a finite number, got {val!r}")
+            return val
+
+        def take(sec, name, kind, default, positive=False):
+            """Field ``name`` (dotted) from ``sec``; absent or null means
+            ``default``."""
+            val = sec.get(name.rpartition(".")[2])
+            if val is None:
+                return default
+            if kind is float:
+                val = number(name, val)
+            elif not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+                raise ConfigError(f"{name}: expected {kind.__name__}, got {val!r}")
             if positive and val <= 0:
-                raise ConfigError(f"{key}: must be positive, got {val!r}")
+                raise ConfigError(f"{name}: must be positive, got {val!r}")
             return val
 
         known = {
@@ -96,76 +118,80 @@ class ScenarioConfig:
         if cfg.boundary_mode not in ("extension_based", "constant_based"):
             raise ConfigError(f"boundary_mode: unknown {cfg.boundary_mode!r}")
 
-        quad = raw.get("quadrature", {})
-        cfg.radial_order = take(quad, "radial_order", int, cfg.radial_order, True)
-        cfg.angular_order = take(quad, "angular_order", int, cfg.angular_order, True)
-        cfg.shells = take(quad, "shells", int, cfg.shells, True)
+        quad = section("quadrature")
+        cfg.radial_order = take(quad, "quadrature.radial_order", int,
+                                cfg.radial_order, True)
+        cfg.angular_order = take(quad, "quadrature.angular_order", int,
+                                 cfg.angular_order, True)
+        cfg.shells = take(quad, "quadrature.shells", int, cfg.shells, True)
         if cfg.radial_order > 64 or cfg.angular_order > 64 or cfg.shells > 64:
             raise ConfigError("quadrature: orders and shells must be <= 64")
 
-        trace = raw.get("trace", {})
-        cfg.trace_degree = take(trace, "L", int, cfg.trace_degree, True)
+        cfg.trace_degree = take(section("trace"), "trace.L", int,
+                                cfg.trace_degree, True)
         if cfg.angular_order < cfg.trace_degree + 1:
             raise ConfigError(
                 "trace.L: needs quadrature.angular_order >= L + 1 "
                 f"(got L={cfg.trace_degree}, angular_order={cfg.angular_order})"
             )
 
-        cst = raw.get("constants", {})
-        cfg.constants_variant = take(cst, "variant", str, cfg.constants_variant)
+        cst = section("constants")
+        cfg.constants_variant = take(cst, "constants.variant", str,
+                                     cfg.constants_variant)
         if cfg.constants_variant not in ("eigen", "formula"):
             raise ConfigError(f"constants.variant: unknown {cfg.constants_variant!r}")
         if "mesh" in cst:
             raise ConfigError("constants.mesh: removed; the radial constants are "
                               "closed forms and take no mesh")
-        cfg.constants_modes = take(cst, "modes", int, cfg.constants_modes)
+        cfg.constants_modes = take(cst, "constants.modes", int, cfg.constants_modes)
         min_modes = max(8, cfg.trace_degree)
         if cfg.constants_modes is not None and cfg.constants_modes < min_modes:
             raise ConfigError(
                 f"constants.modes: needs modes >= max(8, trace.L) = {min_modes} "
                 f"(got {cfg.constants_modes})"
             )
-        cfg.constants_cutoff = take(cst, "cutoff", float, cfg.constants_cutoff)
+        # checked against the domain, which only the problem knows, in _bundle
+        cfg.constants_cutoff = take(cst, "constants.cutoff", float,
+                                    cfg.constants_cutoff)
 
-        pert = raw.get("perturbation", {})
-        cfg.target = take(pert, "target", str, cfg.target)
+        pert = section("perturbation")
+        cfg.target = take(pert, "perturbation.target", str, cfg.target)
         if cfg.target not in ("v", "y", "y_broken"):
             raise ConfigError(f"perturbation.target: unknown {cfg.target!r}")
-        cfg.pert_mode = take(pert, "mode", str, cfg.pert_mode)
+        cfg.pert_mode = take(pert, "perturbation.mode", str, cfg.pert_mode)
         if cfg.pert_mode not in pb.PERTURB_MODES:
             raise ConfigError(f"perturbation.mode: unknown {cfg.pert_mode!r}")
-        eps = pert.get("epsilons", cfg.epsilons) if pert else cfg.epsilons
-        if not isinstance(eps, list) or not all(
-            isinstance(e, (int, float)) for e in eps
-        ) or not eps:
+        eps = take(pert, "perturbation.epsilons", list, cfg.epsilons)
+        if not eps:
             raise ConfigError("perturbation.epsilons: expected a non-empty list "
                               "of numbers")
-        if any(e < 0 for e in eps):
+        cfg.epsilons = [number("perturbation.epsilons", e) for e in eps]
+        if any(e < 0 for e in cfg.epsilons):
             raise ConfigError("perturbation.epsilons: all entries must be >= 0")
-        cfg.epsilons = [float(e) for e in eps]
-        cfg.seed = take(pert, "seed", int, cfg.seed)
+        cfg.seed = take(pert, "perturbation.seed", int, cfg.seed)
+        if cfg.seed < 0:
+            raise ConfigError(f"perturbation.seed: must be >= 0, got {cfg.seed}")
 
-        sweep = raw.get("sweep", {})
-        cfg.sweep_kind = take(sweep, "kind", str, cfg.sweep_kind)
+        sweep = section("sweep")
+        cfg.sweep_kind = take(sweep, "sweep.kind", str, cfg.sweep_kind)
         if cfg.sweep_kind not in ("epsilon", "radius"):
             raise ConfigError(f"sweep.kind: expected epsilon or radius, got "
                               f"{cfg.sweep_kind!r}")
-        vals = sweep.get("values", cfg.sweep_values) if sweep else cfg.sweep_values
-        if not isinstance(vals, list) or not all(
-            isinstance(v, (int, float)) and v > 0 for v in vals
-        ):
+        vals = take(sweep, "sweep.values", list, cfg.sweep_values)
+        cfg.sweep_values = [number("sweep.values", v) for v in vals]
+        if any(v <= 0 for v in cfg.sweep_values):
             raise ConfigError("sweep.values: expected a list of positive numbers")
-        cfg.sweep_values = [float(v) for v in vals]
 
-        mnr = raw.get("minorant", {})
-        cfg.minorant_radial = take(mnr, "n_radial", int, cfg.minorant_radial, True)
-        cfg.minorant_degree = take(mnr, "degree", int, cfg.minorant_degree)
+        mnr = section("minorant")
+        cfg.minorant_radial = take(mnr, "minorant.n_radial", int,
+                                   cfg.minorant_radial, True)
+        cfg.minorant_degree = take(mnr, "minorant.degree", int, cfg.minorant_degree)
         cfg.minorant_include_error = take(
-            mnr, "include_error_in_basis", bool, cfg.minorant_include_error
+            mnr, "minorant.include_error_in_basis", bool, cfg.minorant_include_error
         )
 
-        poin = raw.get("poincare", {})
-        cfg.poincare_count = take(poin, "count", int, cfg.poincare_count, True)
+        cfg.poincare_count = take(section("poincare"), "poincare.count", int,
+                                  cfg.poincare_count, True)
         return cfg
 
 
@@ -180,6 +206,8 @@ def load_config(path: str) -> ScenarioConfig:
             f"config parse error in {path} at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # bad bytes, huge ints, deep nesting
+        raise ConfigError(f"config parse error in {path}: {exc}") from exc
     return ScenarioConfig.from_dict(raw)
 
 
@@ -195,12 +223,10 @@ def _write_sweep_csv(path, rows) -> None:
     lines = [header]
     for row in rows:
         rep = row.report
-        err = "" if row.true_error is None else f"{row.true_error:.17g}"
-        eff = "" if row.efficiency is None else f"{row.efficiency:.17g}"
         lines.append(
             f"{row.parameter:.17g},{rep.residual:.17g},{rep.flux:.17g},"
             f"{rep.interface:.17g},{rep.boundary:.17g},{rep.total:.17g},"
-            f"{err},{eff}"
+            f"{row.true_error:.17g},{row.efficiency:.17g}"
         )
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -218,9 +244,11 @@ def _build(cfg: ScenarioConfig) -> pb.ManufacturedProblem:
 
 
 def _bundle(cfg: ScenarioConfig, p: pb.Problem) -> mj.ConstantsBundle:
-    return mj.constants_bundle(
-        p, modes=cfg.constants_modes, cutoff=cfg.constants_cutoff
-    )
+    cutoff, dom = cfg.constants_cutoff, p.domain
+    if cutoff is not None and not dom.a < cutoff <= dom.R:
+        raise ConfigError(f"constants.cutoff: must lie in (a, R] = ({dom.a}, {dom.R}], "
+                          f"got {cutoff}")
+    return mj.constants_bundle(p, modes=cfg.constants_modes, cutoff=cutoff)
 
 
 def _scenario_inputs(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, eps: float):
@@ -239,9 +267,9 @@ def _scenario_inputs(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, eps: float
     return v, flux
 
 
-def _run_estimate(cfg, mp, bundle, v, flux):
+def _run_estimate(cfg, mp, bundle, v, flux, scale_hint):
     p = mp.problem
-    kw = dict(boundary_mode=cfg.boundary_mode, bundle=bundle)
+    kw = dict(boundary_mode=cfg.boundary_mode, bundle=bundle, scale_hint=scale_hint)
     if cfg.estimate == "I":
         if "y" not in flux:
             raise ConfigError("estimate: I needs an unbroken flux "
@@ -260,16 +288,31 @@ def _run_estimate(cfg, mp, bundle, v, flux):
     )
 
 
+@dataclass(frozen=True)
+class SweepRow:
+    parameter: float
+    report: mj.MajorantReport
+    true_error: float
+    efficiency: float
+
+
+def _row(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, eps: float,
+         parameter: float) -> SweepRow:
+    """One upper-bound scenario: perturb, measure the true error, bound it."""
+    v, flux = _scenario_inputs(cfg, mp, eps)
+    err = pb.true_error(mp, v)
+    report = _run_estimate(cfg, mp, _bundle(cfg, mp.problem), v, flux, scale_hint=err)
+    eff = math.inf if err == 0.0 else report.total / err
+    return SweepRow(parameter=parameter, report=report, true_error=err, efficiency=eff)
+
+
 GUARANTEE_SLACK = 1e-8
 
 
 def cmd_majorant(cfg: ScenarioConfig, out: str) -> int:
-    mp = _build(cfg)
-    bundle = _bundle(cfg, mp.problem)
     eps = cfg.epsilons[0]
-    v, flux = _scenario_inputs(cfg, mp, eps)
-    report = _run_estimate(cfg, mp, bundle, v, flux)
-    err = pb.true_error(mp, v)
+    row = _row(cfg, _build(cfg), eps, eps)
+    report, err = row.report, row.true_error
     ok = report.total + GUARANTEE_SLACK * max(report.scale, err) >= err
     payload = {
         "command": "majorant",
@@ -277,7 +320,7 @@ def cmd_majorant(cfg: ScenarioConfig, out: str) -> int:
         "epsilon": eps,
         "report": report.as_dict(),
         "true_error": err,
-        "efficiency_index": (report.total / err) if err > 0.0 else None,
+        "efficiency_index": row.efficiency if err > 0.0 else None,
         "guarantee_ok": ok,
     }
     _write_json(f"{out}/report.json", payload)
@@ -344,86 +387,37 @@ def cmd_sandwich(cfg: ScenarioConfig, out: str) -> int:
 
 
 def cmd_sweep(cfg: ScenarioConfig, out: str) -> int:
-    if cfg.sweep_kind == "epsilon":
-        mp = _build(cfg)
-        bundle = _bundle(cfg, mp.problem)
-
-        def inputs(eps):
-            v, flux = _scenario_inputs(cfg, mp, eps)
-            data = {"v": v}
-            data.update(flux)
-            if cfg.estimate == "III" and "y_i" not in data:
-                y = data.pop("y")
-                data["y_i"] = y
-                data["y_e"] = y
-            return data
-
-        def true_err(eps, data):
-            return pb.true_error(mp, data["v"])
-
-        kw = dict(boundary_mode=cfg.boundary_mode, bundle=bundle)
-        if cfg.estimate in ("II", "III"):
-            kw["c_o_variant"] = cfg.constants_variant
-        rows = mj.sweep(
-            mp.problem, cfg.sweep_values, inputs, estimate=cfg.estimate,
-            true_error_fn=true_err, **kw,
-        )
-    else:  # radius sweep: rebuild the problem and its constants per R
-        rows = []
-        for radius in cfg.sweep_values:
-            mp = _build(cfg)
-            if radius <= mp.domain.a:
+    mp = _build(cfg)
+    rows = []
+    for value in cfg.sweep_values:
+        if cfg.sweep_kind == "epsilon":
+            row_mp, eps = mp, value
+        else:
+            if value <= mp.domain.a:
                 raise ConfigError(
-                    f"sweep.values: interface radius {radius} must exceed the "
+                    f"sweep.values: interface radius {value} must exceed the "
                     f"inner radius {mp.domain.a}"
                 )
-            mp = _rebuilt_with_radius(cfg, radius)
-            bundle = _bundle(cfg, mp.problem)
-            v, flux = _scenario_inputs(cfg, mp, cfg.epsilons[0])
-            report = _run_estimate(cfg, mp, bundle, v, flux)
-            err = pb.true_error(mp, v)
-            eff = math.inf if err == 0.0 else report.total / err
-            rows.append(mj.SweepRow(parameter=radius, report=report,
-                                    true_error=err, efficiency=eff))
+            row_mp, eps = pb.with_interface_radius(mp, value), cfg.epsilons[0]
+        rows.append(_row(cfg, row_mp, eps, value))
 
     _write_sweep_csv(f"{out}/sweep.csv", rows)
     bad = [
         r for r in rows
-        if r.efficiency is not None
-        and (not math.isfinite(r.efficiency) or r.efficiency < 1.0 - GUARANTEE_SLACK)
+        if not math.isfinite(r.efficiency) or r.efficiency < 1.0 - GUARANTEE_SLACK
     ]
     print(f"sweep: {len(rows)} rows, {len(bad)} guarantee violations")
     return 0 if not bad else 1
 
 
-def _rebuilt_with_radius(cfg: ScenarioConfig, radius: float) -> pb.ManufacturedProblem:
-    """Rebuild a catalog problem with a different interface radius (the
-    exact solution does not depend on where the interface sits)."""
-    base = pb.builtin(cfg.problem)
-    domain = pb.ExteriorDomain(base.domain.dimension, base.domain.a, radius)
-    quads = pb.make_bundle(domain, cfg.radial_order, cfg.angular_order, cfg.shells)
-    from . import traces
-
-    g = traces.analyze(base.exact_u, domain.a, cfg.trace_degree, quads.gamma,
-                       strict=cfg.strict)
-    problem = pb.Problem(
-        domain=domain, A=base.problem.A, f=base.problem.f, g=g, quads=quads,
-        trace_degree=cfg.trace_degree, strict=cfg.strict,
-    )
-    return pb.ManufacturedProblem(
-        problem=problem, exact_u=base.exact_u, exact_flux=base.exact_flux,
-        decay_class=base.decay_class,
-    )
-
-
 def cmd_constants(cfg: ScenarioConfig, out: str) -> int:
     mp = _build(cfg)
     domain, A = mp.domain, mp.problem.A
-    modes = cfg.constants_modes or max(8, cfg.trace_degree)
+    bundle = _bundle(cfg, mp.problem)
     reports = [
         consts.ConstantReport(
             name="exterior_poincare",
-            value=consts.exterior_poincare_constant(domain.dimension),
+            value=bundle.poincare,
             method="formula",
             mode_values=None,
             params={"dimension": domain.dimension},
@@ -431,17 +425,15 @@ def cmd_constants(cfg: ScenarioConfig, out: str) -> int:
         ),
         consts.ConstantReport(
             name="interior_weight_formula",
-            value=consts.interior_weight_constant(domain, A),
+            value=bundle.c_o_formula,
             method="formula",
             mode_values=None,
             params={"c_A": A.c_A, "R": domain.R},
             rel_accuracy=0.0,
         ),
-        consts.interior_friedrichs_constant(domain, modes=modes),
-        consts.boundary_extension_constant(
-            domain, A, cutoff=cfg.constants_cutoff, modes=modes
-        ),
-        consts.interface_trace_constant(domain, A, modes=modes),
+        bundle.friedrichs,
+        bundle.extension,
+        bundle.trace,
     ]
     payload = {
         "command": "constants",
@@ -523,6 +515,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
+        if args.seed < 0:
+            print(f"config error: --seed: must be >= 0, got {args.seed}",
+                  file=sys.stderr)
+            return 2
         cfg.seed = args.seed
     cfg.strict = args.strict
 

@@ -101,18 +101,13 @@ class ConstantsBundle:
         raise ValueError(f"unknown c_o variant {variant!r}")
 
 
-_BUNDLE_CACHE: dict = {}
-
-
 def constants_bundle(
     p: Problem,
     modes: int | None = None,
     cutoff: float | None = None,
 ) -> ConstantsBundle:
-    """Compute (and cache) the constants for a problem.  The radial
-    constants depend on the coefficient only through its ellipticity
-    bounds, so the cache key does too.  ``modes`` must cover the trace
-    degree, because :func:`boundary_term` reads one mode energy per
+    """Compute the constants for a problem.  ``modes`` must cover the
+    trace degree, because :func:`boundary_term` reads one mode energy per
     degree of the trace."""
     domain, A = p.domain, p.A
     modes = max(8, p.trace_degree) if modes is None else modes
@@ -121,10 +116,6 @@ def constants_bundle(
             f"modes must be >= the trace degree {p.trace_degree}, got {modes}"
         )
     cutoff = domain.R if cutoff is None else cutoff
-    key = (domain, A.c_A, A.c_A_plus, A.isotropic, modes, cutoff)
-    hit = _BUNDLE_CACHE.get(key)
-    if hit is not None:
-        return hit
     fried = consts.interior_friedrichs_constant(domain, modes=modes)
     ext = consts.boundary_extension_constant(domain, A, cutoff=cutoff, modes=modes)
     trace = consts.interface_trace_constant(domain, A, modes=modes)
@@ -132,7 +123,7 @@ def constants_bundle(
     eigen = fried.value / math.sqrt(A.c_A)
     if domain.dimension == 2:
         eigen = min(c_o_formula, eigen)
-    bundle = ConstantsBundle(
+    return ConstantsBundle(
         poincare=consts.exterior_poincare_constant(domain.dimension),
         c_o_formula=c_o_formula,
         c_o_eigen=eigen,
@@ -142,8 +133,6 @@ def constants_bundle(
         modes=modes,
         cutoff=cutoff,
     )
-    _BUNDLE_CACHE[key] = bundle
-    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -381,49 +370,3 @@ def estimate_III(
         scale,
         {"boundary_mode": boundary_mode, "jump_h_minus_half": jump_norm},
     )
-
-
-# ---------------------------------------------------------------------------
-# parameter sweeps
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    parameter: float
-    report: MajorantReport
-    true_error: float | None
-    efficiency: float | None
-
-
-def sweep(
-    p: Problem,
-    values,
-    inputs,
-    estimate: str = "I",
-    true_error_fn=None,
-    **estimate_kwargs,
-) -> list[SweepRow]:
-    """Evaluate one estimate across a parameter list.
-
-    ``inputs(value)`` returns a dict with keys ``v`` and ``y`` (estimates
-    I/II) or ``v``, ``y_i``, ``y_e`` (estimate III); it may also carry a
-    ``problem`` key to swap the problem per value (used for interface
-    radius studies, where the constants are re-derived per radius).
-    """
-    fns = {"I": estimate_I, "II": estimate_II, "III": estimate_III}
-    if estimate not in fns:
-        raise ValueError(f"unknown estimate {estimate!r}")
-    rows = []
-    for value in values:
-        data = dict(inputs(value))
-        prob = data.pop("problem", p)
-        err = None
-        if true_error_fn is not None:
-            err = float(true_error_fn(value, data))
-        rep = fns[estimate](
-            prob, scale_hint=err, **data, **estimate_kwargs
-        )
-        eff = None if err is None else (math.inf if err == 0.0 else rep.total / err)
-        rows.append(SweepRow(parameter=float(value), report=rep,
-                             true_error=err, efficiency=eff))
-    return rows

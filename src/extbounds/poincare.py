@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import mollifier_profile
 from .geometry import ExteriorDomain, _gauss_legendre
 
 # sup (1+r)/sqrt(1+r^2) over r >= 0, attained at r = 1
@@ -44,20 +45,8 @@ def sphere_surface_area(dimension: int) -> float:
 # test functions
 
 
-def _mollifier(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0 - 1e-14
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti**2))
-    return out
-
-
-def _mollifier_deriv(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0 - 1e-14
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti**2)) * (-2.0 * ti / (1.0 - ti**2) ** 2)
-    return out
+# exp(-1/(1-t^2)) on |t| < 1 and its derivative
+_bump, _bump_deriv = mollifier_profile(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -142,8 +131,8 @@ def samples(
     if isinstance(u, HalfLineBump):
         x, w = _panel_nodes(0.0, u.width, panels, order)
         t = x / u.width
-        val = u.amplitude * _mollifier(t)
-        der = u.amplitude * _mollifier_deriv(t) / u.width
+        val = u.amplitude * _bump(t)
+        der = u.amplitude * _bump_deriv(t) / u.width
         return {
             "r": x,
             "u": val,
@@ -161,8 +150,8 @@ def samples(
             raise ValueError("radial bump support must stay at positive radius")
         r, wr = _panel_nodes(lo, hi, panels, order)
         t = (r - u.center_radius) / u.radius
-        val = u.amplitude * _mollifier(t)
-        der = u.amplitude * _mollifier_deriv(t) / u.radius
+        val = u.amplitude * _bump(t)
+        der = u.amplitude * _bump_deriv(t) / u.radius
         w = sphere_surface_area(u.dimension) * r ** (u.dimension - 1) * wr
         return {
             "r": r,
@@ -181,8 +170,8 @@ def samples(
     c = u.center_radius
     s, ws = _panel_nodes(0.0, u.radius, panels, order)
     t = s / u.radius
-    val_s = u.amplitude * _mollifier(t)
-    der_s = u.amplitude * _mollifier_deriv(t) / u.radius
+    val_s = u.amplitude * _bump(t)
+    der_s = u.amplitude * _bump_deriv(t) / u.radius
 
     if n == 1:
         x, wx = _panel_nodes(u.center[0] - u.radius, u.center[0] + u.radius,
@@ -190,8 +179,8 @@ def samples(
         if np.min(x) <= 0.0:
             raise ValueError("1D bump support must stay on the positive axis")
         t = (x - u.center[0]) / u.radius
-        val = u.amplitude * _mollifier(t)
-        der = u.amplitude * _mollifier_deriv(t) / u.radius
+        val = u.amplitude * _bump(t)
+        der = u.amplitude * _bump_deriv(t) / u.radius
         return {
             "r": x,
             "u": val,

@@ -10,7 +10,7 @@ modes (trace mismatch), and interface jumps (broken normal traces).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,6 +179,21 @@ def builtin(
     return ManufacturedProblem(
         problem=problem, exact_u=u, exact_flux=flux, decay_class=decay
     )
+
+
+def with_interface_radius(
+    mp: ManufacturedProblem, radius: float
+) -> ManufacturedProblem:
+    """The same problem with the artificial interface moved to ``radius``,
+    with rules rebuilt at the resolution of ``mp``'s own.  The exact
+    solution, flux and load do not depend on where the interface sits, and
+    neither does the Dirichlet trace ``g``: the inner-sphere rule depends
+    on the inner radius only."""
+    dom = mp.domain
+    domain = ExteriorDomain(dom.dimension, dom.a, radius)
+    rule = mp.problem.quads.omega_i
+    quads = make_bundle(domain, rule.radial_order, rule.angular_order, rule.shell_count)
+    return replace(mp, problem=replace(mp.problem, domain=domain, quads=quads))
 
 
 def true_error(mp: ManufacturedProblem, v: ScalarField) -> float:

@@ -1,9 +1,14 @@
+import csv
 import json
+import math
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import extbounds as xb
 from extbounds.cli import ConfigError, ScenarioConfig, load_config, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -29,11 +34,54 @@ BASE = {
 }
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+SECTION_KEYS = {
+    "quadrature": ("radial_order", "angular_order", "shells"),
+    "trace": ("L",),
+    "constants": ("variant", "modes", "cutoff", "mesh"),
+    "perturbation": ("target", "mode", "epsilons", "seed"),
+    "sweep": ("kind", "values"),
+    "minorant": ("n_radial", "degree", "include_error_in_basis"),
+    "poincare": ("count",),
+}
+CONFIGS = st.fixed_dictionaries({}, optional={
+    "problem": st.sampled_from(["N3_harmonic", "N2_log"]) | JSON_VALUES,
+    "estimate": st.sampled_from(["I", "III"]) | JSON_VALUES,
+    "boundary_mode": st.just("constant_based") | JSON_VALUES,
+    **{name: st.dictionaries(st.sampled_from(keys), JSON_VALUES) | JSON_VALUES
+       for name, keys in SECTION_KEYS.items()},
+})
+
+
 class TestConfig:
+    @settings(max_examples=200, deadline=None)
+    @given(CONFIGS)
+    def test_from_dict_raises_only_config_error(self, raw):
+        """Any JSON under the known sections parses or names a bad field."""
+        try:
+            cfg = ScenarioConfig.from_dict(raw)
+        except ConfigError:
+            return
+        assert cfg.seed >= 0 and cfg.epsilons
+        assert all(math.isfinite(e) and e >= 0 for e in cfg.epsilons)
+        assert all(math.isfinite(v) and v > 0 for v in cfg.sweep_values)
+
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"problem": "N3_harmonic",\n  "estimate": }')
         with pytest.raises(ConfigError, match="line 2"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100000])
+    def test_undecodable_config_named(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="config parse error"):
             load_config(str(path))
 
     def test_unknown_section_named(self):
@@ -63,6 +111,8 @@ class TestConfig:
     def test_defaults_fill_in(self):
         cfg = ScenarioConfig.from_dict({})
         assert cfg.problem == "N3_harmonic" and cfg.estimate == "I"
+        cfg = ScenarioConfig.from_dict({"quadrature": {"shells": None}, "sweep": None})
+        assert cfg.shells == 8 and cfg.sweep_kind == "epsilon"
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -84,10 +134,20 @@ class TestCommands:
                              "perturbation": {"mode": "boundary_mode"}}),
         ("constants.modes", {"constants": {"modes": 4}}),
         ("constants.mesh", {"constants": {"mesh": 512}}),
+        ("quadrature", {"quadrature": 5}),
+        ("perturbation", {"perturbation": [1]}),
+        ("perturbation.seed", {"perturbation": {"seed": -1}}),
+        ("--seed", {}),
+        ("constants.cutoff", {"constants": {"cutoff": 5.0}}),
+        ("constants.cutoff", {"constants": {"cutoff": 1.4},
+                              "sweep": {"kind": "radius", "values": [1.3]}}),
+        ("estimate", {"estimate": "IV", "sweep": {"kind": "epsilon"}}),
     ])
     def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, field, payload):
         cfg = write_config(tmp_path, payload)
-        code = main(["majorant", "--config", cfg, "--out", str(tmp_path)])
+        command = "sweep" if "sweep" in payload else "majorant"
+        seed = ["--seed", "-1"] if field == "--seed" else []
+        code = main([command, "--config", cfg, "--out", str(tmp_path)] + seed)
         err = capsys.readouterr().err
         assert code == 2
         assert field in err and "Traceback" not in err
@@ -128,17 +188,51 @@ class TestCommands:
         }
 
     def test_sweep_csv(self, tmp_path):
-        cfg = write_config(tmp_path, BASE)
+        payload = dict(BASE, sweep={"kind": "epsilon", "values": [0.1, 0.05, 0.025]})
+        cfg = write_config(tmp_path, payload)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == (
             "epsilon_or_R,residual,flux,interface,boundary,total,"
             "true_error,efficiency_index"
         )
-        assert len(lines) == 3
+        assert len(lines) == 4
         for line in lines[1:]:
             eff = float(line.split(",")[-1])
             assert eff >= 1 - 1e-8
+        totals = [float(line.split(",")[5]) for line in lines[1:]]
+        assert totals[0] > totals[1] > totals[2]
+
+    def test_empty_sweep_writes_header_only(self, tmp_path):
+        payload = dict(BASE, sweep={"kind": "epsilon", "values": []})
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1
+
+    def test_radius_sweep(self, tmp_path):
+        """Each row is the library's bound on the problem moved to that R.  A
+        boundary mismatch makes the bound read the extension constant, which
+        depends on R."""
+        radii = [1.5, 3.0]
+        pert = {"target": "v", "mode": "boundary_mode", "epsilons": [0.1], "seed": 3}
+        payload = dict(BASE, perturbation=pert,
+                       sweep={"kind": "radius", "values": radii})
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["epsilon_or_R"]) for r in rows] == radii
+        assert all(float(r["efficiency_index"]) >= 1.0 for r in rows)
+        base = xb.builtin("N3_harmonic", radial_order=10, angular_order=10, shells=12,
+                          trace_degree=6)
+        for radius, row in zip(radii, rows):
+            mp = xb.with_interface_radius(base, radius)
+            assert mp.domain.R == radius
+            v = xb.perturb(mp, "v", 0.1, "boundary_mode", 3)
+            err = xb.true_error(mp, v)
+            report = xb.estimate_I(mp.problem, v, mp.exact_flux, scale_hint=err)
+            assert float(row["total"]) == report.total
+            assert float(row["true_error"]) == err
 
     def test_verify_poincare_small(self, tmp_path):
         cfg = write_config(tmp_path, BASE)

@@ -11,7 +11,6 @@ from extbounds.majorant import (
     estimate_I,
     estimate_II,
     estimate_III,
-    sweep,
 )
 from extbounds.problems import perturb
 from extbounds.traces import BandLimitError
@@ -210,36 +209,6 @@ class TestInterfaceConsistency:
         rep = estimate_III(p, v, y_i, y_e, bundle=bundle, scale_hint=err)
         assert rep.interface > 0.0
         assert rep.total + 1e-8 * max(rep.scale, err) >= err
-
-
-class TestSweep:
-    def test_monotone_totals_under_epsilon_halving(self, catalog, bundles):
-        mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
-
-        def inputs(eps):
-            return {
-                "v": perturb(mp, "v", eps, "interior_bump", seed=10),
-                "y": mp.exact_flux,
-            }
-
-        rows = sweep(
-            mp.problem, [0.1, 0.05, 0.025], inputs, estimate="I",
-            true_error_fn=lambda eps, data: xb.true_error(mp, data["v"]),
-            bundle=bundle,
-        )
-        totals = [r.report.total for r in rows]
-        assert totals[0] > totals[1] > totals[2]
-        for r in rows:
-            assert r.efficiency is not None and r.efficiency >= 1 - 1e-8
-
-    def test_empty_values(self, catalog, bundles):
-        mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
-        assert sweep(mp.problem, [], lambda e: {}, bundle=bundle) == []
-
-    def test_unknown_estimate(self, catalog, bundles):
-        mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
-        with pytest.raises(ValueError, match="unknown estimate"):
-            sweep(mp.problem, [0.1], lambda e: {}, estimate="IV", bundle=bundle)
 
 
 class TestDeterminism:

@@ -86,6 +86,29 @@ class TestCatalog:
         assert np.all(np.asarray(n3_harmonic.exact_flux.divergence(pts)) == 0.0)
 
 
+class TestInterfaceRadius:
+    def test_moves_interface_at_same_resolution(self):
+        mp = xb.builtin("N3_decay", radial_order=6, angular_order=7, shells=3,
+                        trace_degree=5)
+        moved = xb.with_interface_radius(mp, 3.0)
+        assert moved.domain == xb.ExteriorDomain(3, 1.0, 3.0)
+        ref = xb.make_bundle(moved.domain, 6, 7, 3)
+        for region in ("omega_i", "omega_e", "whole", "gamma", "Gamma",
+                       "omega_e_refined"):
+            rule, want = getattr(moved.problem.quads, region), getattr(ref, region)
+            np.testing.assert_array_equal(rule.nodes, want.nodes)
+            np.testing.assert_array_equal(rule.weights, want.weights)
+        # the Dirichlet trace lives on the inner sphere, which R does not move
+        g = analyze(mp.exact_u, 1.0, 5, ref.gamma)
+        np.testing.assert_array_equal(moved.problem.g.coefficients, g.coefficients)
+        assert moved.problem.trace_degree == 5
+        assert moved.problem.A is mp.problem.A and moved.exact_u is mp.exact_u
+
+    def test_rejects_radius_inside_ball(self, n3_harmonic):
+        with pytest.raises(ValueError, match="radii"):
+            xb.with_interface_radius(n3_harmonic, 0.5)
+
+
 class TestTrueError:
     def test_zero_for_exact(self, n3_harmonic):
         assert xb.true_error(n3_harmonic, n3_harmonic.exact_u) == 0.0
