@@ -211,6 +211,19 @@ class TestInterfaceConsistency:
         assert rep.total + 1e-8 * max(rep.scale, err) >= err
 
 
+class TestSweep:
+    def test_monotone_totals_under_epsilon_halving(self, catalog, bundles):
+        mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
+        totals = []
+        for eps in [0.1, 0.05, 0.025]:
+            v = perturb(mp, "v", eps, "interior_bump", seed=10)
+            err = xb.true_error(mp, v)
+            rep = estimate_I(mp.problem, v, mp.exact_flux, bundle=bundle, scale_hint=err)
+            assert rep.total / err >= 1 - 1e-8
+            totals.append(rep.total)
+        assert totals[0] > totals[1] > totals[2]
+
+
 class TestDeterminism:
     def test_identical_reports_across_runs(self, catalog, bundles):
         mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
