@@ -186,6 +186,9 @@ class ScenarioConfig:
         cfg.minorant_radial = take(mnr, "minorant.n_radial", int,
                                    cfg.minorant_radial, True)
         cfg.minorant_degree = take(mnr, "minorant.degree", int, cfg.minorant_degree)
+        if cfg.minorant_degree not in (0, 1):
+            raise ConfigError(f"minorant.degree: expected 0 or 1, got "
+                              f"{cfg.minorant_degree}")
         cfg.minorant_include_error = take(
             mnr, "minorant.include_error_in_basis", bool, cfg.minorant_include_error
         )

@@ -183,14 +183,6 @@ def residual_field(f: ScalarField, y: VectorField) -> ScalarField:
     )
 
 
-def zero_scalar(label: str = "0") -> ScalarField:
-    return ScalarField(
-        value=lambda pts: np.zeros(len(pts)),
-        gradient=lambda pts: np.zeros_like(np.atleast_2d(pts), dtype=float),
-        label=label,
-    )
-
-
 def _squared_magnitude(f: ScalarField | VectorField, pts: np.ndarray) -> np.ndarray:
     vals = np.asarray(f.value(pts), dtype=float)
     if vals.ndim == 1:
@@ -408,23 +400,6 @@ def separable_field(p, dp, ang_value, ang_gradient, label: str = "separable") ->
         return radial_part + p(r)[:, None] * ang_gradient(pts)
 
     return ScalarField(value=value, gradient=gradient, label=label)
-
-
-def radial_vector_with_angle(p, dp, ang_value, dimension: int, label: str) -> VectorField:
-    """q(x) p(r) x/r with q homogeneous of degree zero; its divergence is
-    q (p' + (N-1) p / r) because x . grad q = 0."""
-
-    def value(pts):
-        pts = np.atleast_2d(pts)
-        r = node_radii(pts)
-        return (ang_value(pts) * p(r) / r)[:, None] * pts
-
-    def divergence(pts):
-        pts = np.atleast_2d(pts)
-        r = node_radii(pts)
-        return ang_value(pts) * (dp(r) + (dimension - 1) * p(r) / r)
-
-    return VectorField(value=value, divergence=divergence, label=label)
 
 
 # ---------------------------------------------------------------------------

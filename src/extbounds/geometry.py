@@ -69,8 +69,11 @@ class ExteriorDomain:
 
 
 def _unit_sphere_area(n: int) -> float:
-    # surface measure of S^{n-1}; the N = 1 "sphere" is a single point
-    return {1: 1.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[n]
+    # surface measure of S^{n-1}; the N = 1 "sphere" is a single point.  The
+    # formula gives 2*pi and 4*pi to the last bit for N = 2 and 3.
+    if n == 1:
+        return 1.0
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 @lru_cache(maxsize=None)
@@ -87,14 +90,10 @@ def _composite_interval(lo: float, hi: float, order: int, panels: int,
     x, w = _gauss_legendre(order)
     if edges is None:
         edges = np.linspace(lo, hi, panels + 1)
-    nodes = []
-    weights = []
-    for k in range(len(edges) - 1):
-        mid = 0.5 * (edges[k] + edges[k + 1])
-        half = 0.5 * (edges[k + 1] - edges[k])
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halfs = 0.5 * np.diff(edges)
+    return ((mids[:, None] + halfs[:, None] * x).ravel(),
+            (halfs[:, None] * w).ravel())
 
 
 def _tail_edges(panels: int) -> np.ndarray:

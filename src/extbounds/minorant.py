@@ -65,6 +65,8 @@ def default_basis(domain, n_radial: int = 4, degree: int = 1) -> TestBasis:
     angular factors of degree <= ``degree``."""
     if n_radial < 1:
         raise ValueError("n_radial must be >= 1")
+    if degree not in (0, 1):
+        raise ValueError(f"degree must be 0 or 1, got {degree}")
     edges = np.linspace(domain.a, domain.R, n_radial + 1)
     fields = []
     n_ang = 1 + (domain.dimension if degree >= 1 else 0)

@@ -23,22 +23,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import mollifier_profile
-from .geometry import ExteriorDomain, _gauss_legendre
+from .geometry import (
+    ExteriorDomain,
+    _composite_interval,
+    _gauss_legendre,
+    _unit_sphere_area,
+    _unit_sphere_rule,
+)
 
 # sup (1+r)/sqrt(1+r^2) over r >= 0, attained at r = 1
 WEIGHT_EQUIV = math.sqrt(2.0)
 PASS_RTOL = 1e-10
 IDENTITY_RTOL = 1e-9
+# sampling resolution: Gauss-Legendre panels and order along every radial
+# or distance interval, and angular nodes (polar cosines for N = 3, a ring
+# of twice as many points for N = 2)
+PANELS = 48
+ORDER = 12
+ANGULAR = 24
 
 
 class VerificationFailure(AssertionError):
     """An inequality that must hold was violated beyond tolerance."""
-
-
-def sphere_surface_area(dimension: int) -> float:
-    if dimension == 1:
-        return 1.0  # half-line: no angular factor
-    return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -108,19 +114,27 @@ class HalfLineBump:
         return self.amplitude * math.exp(-1.0)
 
 
-def _panel_nodes(lo: float, hi: float, panels: int, order: int):
-    x, w = _gauss_legendre(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-    weights = (halfs[:, None] * w[None, :]).ravel()
-    return nodes, weights
+def _radial_samples(dimension: int, center: float, width: float, lo: float,
+                    hi: float, amplitude: float, u0: float = 0.0) -> dict:
+    """amplitude * bump((r - center)/width) sampled on [lo, hi] with the
+    radial measure |S^{N-1}| r^{N-1} dr (plain dr for N = 1)."""
+    if lo < 0.0:
+        raise ValueError("bump support must stay at nonnegative radius")
+    r, wr = _composite_interval(lo, hi, ORDER, PANELS)
+    t = (r - center) / width
+    der = amplitude * _bump_deriv(t) / width
+    return {
+        "r": r,
+        "u": amplitude * _bump(t),
+        "du_r": der,
+        "grad": np.abs(der),
+        "w": _unit_sphere_area(dimension) * r ** (dimension - 1) * wr,
+        "u0": u0,
+        "dimension": dimension,
+    }
 
 
-def samples(
-    u, panels: int = 48, order: int = 12, angular: int = 24
-) -> dict:
+def samples(u) -> dict:
     """Quadrature samples of (r, u, radial derivative, gradient magnitude,
     weight) over the support of a test function.
 
@@ -129,87 +143,39 @@ def samples(
     one-dimensional cases reduce to 1D.
     """
     if isinstance(u, HalfLineBump):
-        x, w = _panel_nodes(0.0, u.width, panels, order)
-        t = x / u.width
-        val = u.amplitude * _bump(t)
-        der = u.amplitude * _bump_deriv(t) / u.width
-        return {
-            "r": x,
-            "u": val,
-            "du_r": der,
-            "grad": np.abs(der),
-            "w": w,
-            "u0": u.value_at_zero(),
-            "dimension": 1,
-        }
-
+        return _radial_samples(1, 0.0, u.width, 0.0, u.width, u.amplitude,
+                               u.value_at_zero())
     if isinstance(u, RadialBump):
-        lo = u.center_radius - u.radius
-        hi = u.center_radius + u.radius
-        if lo <= 0.0:
-            raise ValueError("radial bump support must stay at positive radius")
-        r, wr = _panel_nodes(lo, hi, panels, order)
-        t = (r - u.center_radius) / u.radius
-        val = u.amplitude * _bump(t)
-        der = u.amplitude * _bump_deriv(t) / u.radius
-        w = sphere_surface_area(u.dimension) * r ** (u.dimension - 1) * wr
-        return {
-            "r": r,
-            "u": val,
-            "du_r": der,
-            "grad": np.abs(der),
-            "w": w,
-            "u0": 0.0,
-            "dimension": u.dimension,
-        }
-
+        return _radial_samples(u.dimension, u.center_radius, u.radius,
+                               u.center_radius - u.radius,
+                               u.center_radius + u.radius, u.amplitude)
     if not isinstance(u, BumpFunction):
         raise TypeError(f"unsupported test function type {type(u).__name__}")
 
     n = u.dimension
-    c = u.center_radius
-    s, ws = _panel_nodes(0.0, u.radius, panels, order)
-    t = s / u.radius
-    val_s = u.amplitude * _bump(t)
-    der_s = u.amplitude * _bump_deriv(t) / u.radius
-
     if n == 1:
-        x, wx = _panel_nodes(u.center[0] - u.radius, u.center[0] + u.radius,
-                             panels, order)
-        if np.min(x) <= 0.0:
-            raise ValueError("1D bump support must stay on the positive axis")
-        t = (x - u.center[0]) / u.radius
-        val = u.amplitude * _bump(t)
-        der = u.amplitude * _bump_deriv(t) / u.radius
-        return {
-            "r": x,
-            "u": val,
-            "du_r": der,
-            "grad": np.abs(der),
-            "w": wx,
-            "u0": 0.0,
-            "dimension": 1,
-        }
-
+        c = u.center[0]
+        return _radial_samples(1, c, u.radius, c - u.radius, c + u.radius,
+                               u.amplitude)
     if n == 3:
-        mu, wmu = _gauss_legendre(angular)
-        cos = mu
+        cos, wmu = _gauss_legendre(ANGULAR)
         wang = 2.0 * math.pi * wmu
-        jac = s[:, None] ** 2
     elif n == 2:
-        m = 2 * angular
-        theta = 2.0 * math.pi * (np.arange(m) + 0.5) / m
-        cos = np.cos(theta)
-        wang = np.full(m, 2.0 * math.pi / m)
-        jac = s[:, None]
+        dirs, wang = _unit_sphere_rule(2, ANGULAR)
+        cos = dirs[:, 0]
     else:
         raise ValueError("off-center bumps support dimensions 1-3")
 
+    c = u.center_radius
+    s, ws = _composite_interval(0.0, u.radius, ORDER, PANELS)
+    t = s / u.radius
+    val_s = u.amplitude * _bump(t)
+    der_s = u.amplitude * _bump_deriv(t) / u.radius
     r = np.sqrt(c**2 + s[:, None] ** 2 + 2.0 * c * s[:, None] * cos[None, :])
     # radial derivative of u at x = center + s*omega:
     #   (x/r) . grad u = u'(s) * (s + c cos) / r
     du_r = der_s[:, None] * (s[:, None] + c * cos[None, :]) / r
-    weight = jac * ws[:, None] * wang[None, :]
+    weight = s[:, None] ** (n - 1) * ws[:, None] * wang[None, :]
     return {
         "r": r.ravel(),
         "u": np.broadcast_to(val_s[:, None], r.shape).ravel(),
@@ -225,24 +191,19 @@ def _norm(sm: dict, density: np.ndarray) -> float:
     return math.sqrt(max(math.fsum(density * sm["w"]), 0.0))
 
 
-def _gather(u_or_list, **kw):
+def _gather(u_or_list):
     """Samples for a single test function or a disjoint sum of them."""
-    if isinstance(u_or_list, (list, tuple)):
-        parts = [samples(b, **kw) for b in u_or_list]
-        dims = {p["dimension"] for p in parts}
-        if len(dims) != 1:
-            raise ValueError("summands live in different dimensions")
-        _check_disjoint(u_or_list)
-        return {
-            "r": np.concatenate([p["r"] for p in parts]),
-            "u": np.concatenate([p["u"] for p in parts]),
-            "du_r": np.concatenate([p["du_r"] for p in parts]),
-            "grad": np.concatenate([p["grad"] for p in parts]),
-            "w": np.concatenate([p["w"] for p in parts]),
-            "u0": math.fsum(p["u0"] for p in parts),
-            "dimension": dims.pop(),
-        }
-    return samples(u_or_list, **kw)
+    if not isinstance(u_or_list, (list, tuple)):
+        return samples(u_or_list)
+    parts = [samples(b) for b in u_or_list]
+    dims = {p["dimension"] for p in parts}
+    if len(dims) != 1:
+        raise ValueError("summands live in different dimensions")
+    _check_disjoint(u_or_list)
+    sm = {key: np.concatenate([p[key] for p in parts])
+          for key in ("r", "u", "du_r", "grad", "w")}
+    sm.update(u0=math.fsum(p["u0"] for p in parts), dimension=dims.pop())
+    return sm
 
 
 def _check_disjoint(bumps) -> None:
@@ -295,29 +256,10 @@ def records_to_csv(records, path) -> None:
 # the inequalities
 
 
-def radial_derivative(f):
-    """Pointwise x/|x| . grad f as a scalar field (no gradient closure)."""
-    from .fields import ScalarField
-    from .geometry import node_radii
-
-    if f.gradient is None:
-        raise ValueError(f"field {f.label!r} has no gradient closure")
-    grad = f.gradient
-
-    def value(pts):
-        pts = np.atleast_2d(pts)
-        r = node_radii(pts)
-        if np.any(r == 0.0):
-            raise ZeroDivisionError("radial derivative undefined at the origin")
-        return np.sum(pts * np.asarray(grad(pts)), axis=1) / r
-
-    return ScalarField(value=value, gradient=None, label=f"radial_d({f.label})")
-
-
-def verify_power_weight(domain: ExteriorDomain | None, u, beta: float,
-                        **sample_kw) -> VerificationRecord:
+def verify_power_weight(domain: ExteriorDomain | None, u,
+                        beta: float) -> VerificationRecord:
     """(2b + N - 2) ||r^{b-1} u|| <= 2 ||r^b du/dr|| for b > 1 - N/2."""
-    sm = _gather(u, **sample_kw)
+    sm = _gather(u)
     n = sm["dimension"]
     if beta <= 1.0 - n / 2.0:
         raise ValueError(f"beta must exceed 1 - N/2 = {1 - n / 2}, got {beta}")
@@ -329,11 +271,11 @@ def verify_power_weight(domain: ExteriorDomain | None, u, beta: float,
     return VerificationRecord("power_weight", n, beta, _describe(u), lhs, rhs)
 
 
-def verify_log_weight(domain: ExteriorDomain | None, u, beta: float,
-                      **sample_kw) -> VerificationRecord:
+def verify_log_weight(domain: ExteriorDomain | None, u,
+                      beta: float) -> VerificationRecord:
     """|2b + N - 3| ||r^{b-1} u / ln r|| <= 2 ||r^b du/dr|| for supports at
     radius > 1 and b outside the band (1 - N/2, (3 - N)/2)."""
-    sm = _gather(u, **sample_kw)
+    sm = _gather(u)
     n = sm["dimension"]
     lo, hi = 1.0 - n / 2.0, (3.0 - n) / 2.0
     if lo < beta < hi:
@@ -353,10 +295,10 @@ def verify_log_weight(domain: ExteriorDomain | None, u, beta: float,
     return VerificationRecord("log_weight", n, beta, _describe(u), lhs, rhs)
 
 
-def verify_halfline(u, beta: float, **sample_kw) -> VerificationRecord:
+def verify_halfline(u, beta: float) -> VerificationRecord:
     """|2b - 1| ||(1+r)^{b-1} u|| <= 2 ||(1+r)^b u'|| + |2 min(0, 2b-1)|^{1/2} |u(0)|
     on the half line, u extended by zero."""
-    sm = _gather(u, **sample_kw)
+    sm = _gather(u)
     if sm["dimension"] != 1:
         raise ValueError("half-line inequality is one-dimensional")
     gamma_hat = 2.0 * beta - 1.0
@@ -367,8 +309,8 @@ def verify_halfline(u, beta: float, **sample_kw) -> VerificationRecord:
     return VerificationRecord("halfline", 1, beta, _describe(u), lhs, rhs)
 
 
-def verify_corollary_chain(domain_or_dimension, u, case: str,
-                           **sample_kw) -> list[VerificationRecord]:
+def verify_corollary_chain(domain_or_dimension, u,
+                           case: str) -> list[VerificationRecord]:
     """Check every link of the norm chains implied by the inequalities at
     beta = 0, one record per link.
 
@@ -379,81 +321,48 @@ def verify_corollary_chain(domain_or_dimension, u, case: str,
     case "iii" (N = 1): rho-weighted <= sqrt(2) (1+r)-weighted
     <= 2 |u'| (+ sqrt(2)|u(0)| when the origin value is nonzero) <= ... .
     """
+    if case not in ("i", "ii", "iii"):
+        raise ValueError(f"unknown chain case {case!r}; expected 'i', 'ii' or 'iii'")
     if isinstance(domain_or_dimension, ExteriorDomain):
         _check_support(domain_or_dimension, u)
-    sm = _gather(u, **sample_kw)
+    sm = _gather(u)
     n = sm["dimension"]
     desc = _describe(u)
-    records = []
 
-    if case == "i":
-        if n < 3:
-            raise ValueError("chain case 'i' needs dimension >= 3")
-        c_n = 2.0 / (n - 2.0)
-        n_rho = _norm(sm, sm["u"] ** 2 / (1.0 + sm["r"] ** 2))
-        n_opr = _norm(sm, sm["u"] ** 2 / (1.0 + sm["r"]) ** 2)
-        n_r = _norm(sm, sm["u"] ** 2 / sm["r"] ** 2)
-        n_dr = _norm(sm, sm["du_r"] ** 2)
-        n_gr = _norm(sm, sm["grad"] ** 2)
-        records.append(
-            VerificationRecord("chain_i_rho_vs_1plusr", n, 0.0, desc,
-                               n_rho, WEIGHT_EQUIV * n_opr)
-        )
-        records.append(
-            VerificationRecord("chain_i_1plusr_vs_r", n, 0.0, desc, n_opr, n_r)
-        )
-        records.append(
-            VerificationRecord("chain_i_r_vs_radial", n, 0.0, desc,
-                               n_r, c_n * n_dr)
-        )
-        records.append(
-            VerificationRecord("chain_i_radial_vs_gradient", n, 0.0, desc,
-                               c_n * n_dr, c_n * n_gr)
-        )
-        return records
+    def link(name, lhs, rhs):
+        return VerificationRecord(f"chain_{case}_{name}", n, 0.0, desc, lhs, rhs)
+
+    if case == "i" and n < 3:
+        raise ValueError("chain case 'i' needs dimension >= 3")
+    if case == "ii" and n != 2:
+        raise ValueError("chain case 'ii' needs dimension 2")
+    if case == "iii" and n != 1:
+        raise ValueError("chain case 'iii' is one-dimensional")
+    n_dr = _norm(sm, sm["du_r"] ** 2)
+    n_gr = _norm(sm, sm["grad"] ** 2)
 
     if case == "ii":
-        if n != 2:
-            raise ValueError("chain case 'ii' needs dimension 2")
         if np.min(sm["r"]) <= 1.0:
             raise ValueError("chain case 'ii' needs support at radius > 1")
         logs = np.log(sm["r"])
         n_log = _norm(sm, sm["u"] ** 2 / (sm["r"] * logs) ** 2)
-        n_dr = _norm(sm, sm["du_r"] ** 2)
-        n_gr = _norm(sm, sm["grad"] ** 2)
-        records.append(
-            VerificationRecord("chain_ii_log_vs_radial", n, 0.0, desc,
-                               n_log, 2.0 * n_dr)
-        )
-        records.append(
-            VerificationRecord("chain_ii_radial_vs_gradient", n, 0.0, desc,
-                               2.0 * n_dr, 2.0 * n_gr)
-        )
-        return records
+        return [link("log_vs_radial", n_log, 2.0 * n_dr),
+                link("radial_vs_gradient", 2.0 * n_dr, 2.0 * n_gr)]
 
-    if case == "iii":
-        if n != 1:
-            raise ValueError("chain case 'iii' is one-dimensional")
-        n_rho = _norm(sm, sm["u"] ** 2 / (1.0 + sm["r"] ** 2))
-        n_opr = _norm(sm, sm["u"] ** 2 / (1.0 + sm["r"]) ** 2)
-        n_dr = _norm(sm, sm["du_r"] ** 2)
-        n_gr = _norm(sm, sm["grad"] ** 2)
-        origin = math.sqrt(2.0) * abs(sm["u0"])
-        records.append(
-            VerificationRecord("chain_iii_rho_vs_1plusr", n, 0.0, desc,
-                               n_rho, WEIGHT_EQUIV * n_opr)
-        )
-        records.append(
-            VerificationRecord("chain_iii_1plusr_vs_radial", n, 0.0, desc,
-                               n_opr, 2.0 * n_dr + origin)
-        )
-        records.append(
-            VerificationRecord("chain_iii_radial_vs_derivative", n, 0.0, desc,
-                               2.0 * n_dr, 2.0 * n_gr)
-        )
-        return records
-
-    raise ValueError(f"unknown chain case {case!r}; expected 'i', 'ii' or 'iii'")
+    n_rho = _norm(sm, sm["u"] ** 2 / (1.0 + sm["r"] ** 2))
+    n_opr = _norm(sm, sm["u"] ** 2 / (1.0 + sm["r"]) ** 2)
+    first = link("rho_vs_1plusr", n_rho, WEIGHT_EQUIV * n_opr)
+    if case == "i":
+        c_n = 2.0 / (n - 2.0)
+        n_r = _norm(sm, sm["u"] ** 2 / sm["r"] ** 2)
+        return [first,
+                link("1plusr_vs_r", n_opr, n_r),
+                link("r_vs_radial", n_r, c_n * n_dr),
+                link("radial_vs_gradient", c_n * n_dr, c_n * n_gr)]
+    origin = math.sqrt(2.0) * abs(sm["u0"])
+    return [first,
+            link("1plusr_vs_radial", n_opr, 2.0 * n_dr + origin),
+            link("radial_vs_derivative", 2.0 * n_dr, 2.0 * n_gr)]
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +388,12 @@ class IdentityRecord:
 
 
 def partial_integration_identity(
-    u, beta: float, variant: str, gamma_hat: float | None = None, **sample_kw
+    u, beta: float, variant: str, gamma_hat: float | None = None
 ) -> IdentityRecord:
     """Quadrature check of the exact expansion of
     ||w^b du/dr + gamma_hat w^{b-1} u||^2 used to prove each inequality
     (weight w = r, r with a log, or 1 + r)."""
-    sm = _gather(u, **sample_kw)
+    sm = _gather(u)
     n = sm["dimension"]
     r, uu, dur, w = sm["r"], sm["u"], sm["du_r"], sm["w"]
 
@@ -547,7 +456,6 @@ def rayleigh_scan(
     beta: float,
     center_radii,
     radii,
-    **sample_kw,
 ) -> ScanResult:
     """Probe the tightness of one inequality over a bump family; the best
     observed lhs/rhs ratio must stay below 1 (plus roundoff)."""
@@ -555,10 +463,7 @@ def rayleigh_scan(
     radii = list(radii)
     if not center_radii or not radii:
         raise ValueError("scan family must be nonempty")
-    verify = {
-        "power_weight": lambda u: verify_power_weight(domain, u, beta, **sample_kw),
-        "log_weight": lambda u: verify_log_weight(domain, u, beta, **sample_kw),
-    }
+    verify = {"power_weight": verify_power_weight, "log_weight": verify_log_weight}
     if inequality not in verify:
         raise ValueError(f"unknown inequality {inequality!r} for scans")
     records = []
@@ -568,8 +473,9 @@ def rayleigh_scan(
                 continue
             axis = np.zeros(domain.dimension)
             axis[0] = cr
-            rec = verify[inequality](BumpFunction(tuple(axis), rad))
-            records.append(rec)
+            records.append(
+                verify[inequality](domain, BumpFunction(tuple(axis), rad), beta)
+            )
     if not records:
         raise ValueError("scan family left no admissible bumps")
     ratios = [r.lhs / r.rhs if r.rhs > 0.0 else 0.0 for r in records]
@@ -585,17 +491,13 @@ def rayleigh_scan(
     )
 
 
-def random_bumps(
-    domain: ExteriorDomain,
-    count: int,
-    seed: int,
-    outer_factor: float = 2.5,
-) -> list[BumpFunction]:
+def random_bumps(domain: ExteriorDomain, count: int,
+                 seed: int) -> list[BumpFunction]:
     """Deterministic random bumps strictly inside the domain, with centers
-    up to ``outer_factor`` times the interface radius."""
+    up to 2.5 times the interface radius."""
     rng = np.random.default_rng(seed)
     out = []
-    r_hi = outer_factor * domain.R
+    r_hi = 2.5 * domain.R
     for _ in range(count):
         cr = rng.uniform(1.05 * domain.a + 0.05, r_hi)
         rad = rng.uniform(0.05, 0.45) * (cr - domain.a)

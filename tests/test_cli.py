@@ -142,6 +142,7 @@ class TestCommands:
         ("constants.cutoff", {"constants": {"cutoff": 1.4},
                               "sweep": {"kind": "radius", "values": [1.3]}}),
         ("estimate", {"estimate": "IV", "sweep": {"kind": "epsilon"}}),
+        ("minorant.degree", {"minorant": {"degree": 2}}),
     ])
     def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, field, payload):
         cfg = write_config(tmp_path, payload)

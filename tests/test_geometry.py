@@ -9,6 +9,9 @@ from extbounds.geometry import (
     ExteriorDomain,
     QuadratureError,
     QuadratureRule,
+    _composite_interval,
+    _tail_edges,
+    _unit_sphere_area,
     build_quadrature,
     integrate,
     node_radii,
@@ -43,8 +46,31 @@ class TestDomain:
         assert DOM2.shell_volume() == pytest.approx(3 * math.pi, rel=1e-15)
         assert DOM1.shell_volume() == pytest.approx(1.0, rel=1e-15)
 
+    def test_unit_sphere_area(self):
+        # the Gamma formula reproduces the literal constants to the last bit
+        assert [_unit_sphere_area(n) for n in (1, 2, 3)] == [
+            1.0, 2.0 * math.pi, 4.0 * math.pi
+        ]
+        assert _unit_sphere_area(4) == pytest.approx(2.0 * math.pi**2, rel=1e-15)
+
 
 class TestBuild:
+    @pytest.mark.parametrize("order,panels", [(5, 3), (12, 48), (24, 7)])
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_composite_interval_matches_panel_loop(self, order, panels, graded):
+        edges = _tail_edges(panels) if graded else np.linspace(0.3, 2.9, panels + 1)
+        x, w = np.polynomial.legendre.leggauss(order)
+        nodes, weights = [], []
+        for k in range(panels):
+            mid = 0.5 * (edges[k] + edges[k + 1])
+            half = 0.5 * (edges[k + 1] - edges[k])
+            nodes.append(mid + half * x)
+            weights.append(half * w)
+        got = _composite_interval(0.3, 2.9, order, panels,
+                                  edges=edges if graded else None)
+        assert np.array_equal(got[0], np.concatenate(nodes))
+        assert np.array_equal(got[1], np.concatenate(weights))
+
     def test_invalid_region(self):
         with pytest.raises(QuadratureError, match="unknown region"):
             build_quadrature(DOM3, 4, 4, 2, "nowhere")

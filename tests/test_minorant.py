@@ -24,6 +24,11 @@ class TestDefaultBasis:
         assert len(default_basis(n3_harmonic.domain, n_radial=3, degree=1)) == 12
         assert len(default_basis(n3_harmonic.domain, n_radial=2, degree=0)) == 2
 
+    @pytest.mark.parametrize("degree", [-3, 2, 5])
+    def test_degree_outside_zero_one_rejected(self, n3_harmonic, degree):
+        with pytest.raises(ValueError, match="degree must be 0 or 1"):
+            default_basis(n3_harmonic.domain, degree=degree)
+
     def test_gradients_valid(self, n3_harmonic):
         from extbounds.fields import check_gradient
         from conftest import random_points_in_annulus

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from extbounds.fields import radial_scalar
 from extbounds.geometry import ExteriorDomain
 from extbounds.poincare import (
     WEIGHT_EQUIV,
@@ -11,7 +10,6 @@ from extbounds.poincare import (
     HalfLineBump,
     RadialBump,
     partial_integration_identity,
-    radial_derivative,
     random_bumps,
     rayleigh_scan,
     records_to_csv,
@@ -24,36 +22,6 @@ from extbounds.poincare import (
 
 DOM3 = ExteriorDomain(3, 1.0, 2.0)
 DOM2 = ExteriorDomain(2, 1.0, 2.0)
-
-
-class TestRadialDerivative:
-    def test_linear_radius(self):
-        f = radial_scalar(lambda r: r, lambda r: np.ones_like(r), "r")
-        pts = np.array([[0.3, 0.4, 1.2], [1.0, -2.0, 0.5]])
-        vals = np.asarray(radial_derivative(f).value(pts))
-        assert np.allclose(vals, 1.0, atol=1e-14)
-
-    def test_inverse_radius(self):
-        f = radial_scalar(lambda r: 1.0 / r, lambda r: -1.0 / r**2, "1/r")
-        pts = np.array([[0.0, 0.0, 2.0], [1.5, 0.0, 0.0]])
-        vals = np.asarray(radial_derivative(f).value(pts))
-        r = np.array([2.0, 1.5])
-        assert np.allclose(vals, -1.0 / r**2, rtol=1e-14)
-
-    def test_angular_only_function(self):
-        from extbounds.fields import angular_monomial, separable_field
-
-        av, ag = angular_monomial(3, 3)
-        f = separable_field(lambda r: np.ones_like(r), lambda r: np.zeros_like(r),
-                            av, ag)
-        pts = np.array([[0.5, 0.5, 1.0], [0.0, 1.4, -0.3]])
-        vals = np.asarray(radial_derivative(f).value(pts))
-        assert np.max(np.abs(vals)) < 1e-13
-
-    def test_origin_rejected(self):
-        f = radial_scalar(lambda r: r, lambda r: np.ones_like(r), "r")
-        with pytest.raises(ZeroDivisionError):
-            radial_derivative(f).value(np.array([[0.0, 0.0, 0.0]]))
 
 
 class TestPowerWeight:
