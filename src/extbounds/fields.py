@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import QuadratureRule, exact_dot, node_radii
+from .geometry import QuadratureRule, exact_dot, node_radii, row_sum
 
 
 class CompositionError(TypeError):
@@ -187,17 +187,15 @@ def _squared_magnitude(f: ScalarField | VectorField, pts: np.ndarray) -> np.ndar
     vals = np.asarray(f.value(pts), dtype=float)
     if vals.ndim == 1:
         return vals**2
-    return np.sum(vals**2, axis=1)
+    return row_sum(vals**2)
 
 
 def weighted_norm(f: ScalarField | VectorField, s: float, rule: QuadratureRule) -> float:
     """(integral of rho^{2s} |f|^2)^{1/2} with rho = (1 + r^2)^{1/2}."""
     pts = rule.nodes
-    rho2 = 1.0 + np.sum(pts**2, axis=1)
+    rho2 = 1.0 + row_sum(pts**2)
     vals = _squared_magnitude(f, pts) * rho2**s
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise QuadratureErrorAt(bad, pts[bad], f.label, f"rho^{2 * s}")
+    require_finite(vals, pts, f.label, f"rho^{2 * s}")
     return math.sqrt(max(exact_dot(vals, rule.weights), 0.0))
 
 
@@ -220,9 +218,7 @@ def log_weighted_norm(
     else:
         raise ValueError(f"unknown log weight mode {mode!r}")
     vals = _squared_magnitude(f, rule.nodes) * w2
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise QuadratureErrorAt(bad, rule.nodes[bad], f.label, mode)
+    require_finite(vals, rule.nodes, f.label, mode)
     return math.sqrt(max(exact_dot(vals, rule.weights), 0.0))
 
 
@@ -248,10 +244,8 @@ def energy_norm(
             ) from exc
     else:
         raise ValueError(f"unknown energy norm mode {mode!r}")
-    dens = np.sum(prod * vals, axis=1)
-    if not np.all(np.isfinite(dens)):
-        bad = int(np.flatnonzero(~np.isfinite(dens))[0])
-        raise QuadratureErrorAt(bad, pts[bad], q.label, f"energy:{mode}")
+    dens = row_sum(prod * vals)
+    require_finite(dens, pts, q.label, f"energy:{mode}")
     return math.sqrt(max(exact_dot(dens, rule.weights), 0.0))
 
 
@@ -263,6 +257,17 @@ class QuadratureErrorAt(ArithmeticError):
         )
         self.index = index
         self.point = point
+
+
+def require_finite(vals: np.ndarray, pts: np.ndarray, label: str, weight: str) -> None:
+    """Raise ``QuadratureErrorAt`` at the first node where ``vals`` (one
+    value or one row per node) is not finite."""
+    ok = np.isfinite(vals)
+    if not ok.all():
+        if ok.ndim > 1:
+            ok = ok.all(axis=1)
+        bad = int(np.flatnonzero(~ok)[0])
+        raise QuadratureErrorAt(bad, pts[bad], label, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +343,7 @@ def ball_bump(center: np.ndarray, radius: float, amplitude: float = 1.0) -> Scal
 
     def value(pts):
         d = np.atleast_2d(pts) - center
-        t2 = np.sum(d**2, axis=1) / radius**2
+        t2 = row_sum(d**2) / radius**2
         out = np.zeros(len(d))
         inside = t2 < 1.0 - 1e-14
         out[inside] = amplitude * np.exp(-1.0 / (1.0 - t2[inside]))
@@ -346,7 +351,7 @@ def ball_bump(center: np.ndarray, radius: float, amplitude: float = 1.0) -> Scal
 
     def gradient(pts):
         d = np.atleast_2d(pts) - center
-        t2 = np.sum(d**2, axis=1) / radius**2
+        t2 = row_sum(d**2) / radius**2
         out = np.zeros_like(d)
         inside = t2 < 1.0 - 1e-14
         fac = (

@@ -169,8 +169,24 @@ class QuadratureRule:
         return self.nodes.shape[0]
 
 
+def row_sum(x: np.ndarray) -> np.ndarray:
+    """Row sums of an (M, n) array, bit-equal to ``np.sum(x, axis=1)``.
+
+    For fewer than 8 columns numpy adds a row left to right starting from
+    +0.0 (which turns a row of -0.0 into +0.0); adding whole columns in the
+    same order does the same arithmetic without the strided reduction."""
+    out = x[:, 0] + 0.0
+    for k in range(1, x.shape[1]):
+        out += x[:, k]
+    return out
+
+
 def node_radii(points: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.atleast_2d(points) ** 2, axis=1))
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = pts[:, 0] * pts[:, 0]
+    for k in range(1, pts.shape[1]):
+        out += pts[:, k] * pts[:, k]
+    return np.sqrt(out, out=out)
 
 
 def build_quadrature(

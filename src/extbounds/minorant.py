@@ -20,8 +20,14 @@ import numpy as np
 import scipy.linalg
 
 from . import traces
-from .fields import ScalarField, VectorField, angular_monomial, separable_field
-from .geometry import exact_dot
+from .fields import (
+    ScalarField,
+    VectorField,
+    angular_monomial,
+    require_finite,
+    separable_field,
+)
+from .geometry import exact_dot, row_sum
 from .problems import Problem
 from .majorant import MajorantReport, estimate_I
 
@@ -112,8 +118,21 @@ class MinorantReport:
         }
 
 
+def _span(val: np.ndarray, grad: np.ndarray) -> tuple[int, int]:
+    """[lo, hi): from the first to the last node where a basis function or
+    its gradient is nonzero (empty when it vanishes on the whole rule)."""
+    nz = np.flatnonzero((val != 0.0) | np.any(grad != 0.0, axis=1))
+    return (int(nz[0]), int(nz[-1]) + 1) if len(nz) else (0, 0)
+
+
 def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantReport:
-    """Maximize M over the span of the basis and report the details."""
+    """Maximize M over the span of the basis and report the details.
+
+    Every integral is an ``exact_dot`` over the nodes where its basis
+    functions can be nonzero: the products dropped elsewhere are exact
+    zeros, so each sum is the same correctly rounded value as over the
+    whole rule, and a pair of basis functions with disjoint node spans has
+    the Gram entry 0.0."""
     if len(basis) == 0:
         raise ValueError("basis must be nonempty")
     rule = p.quads.whole
@@ -123,21 +142,34 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     fvals = np.asarray(p.f.value(pts), dtype=float)
     gv = np.asarray(v.gradient(pts), dtype=float)
     a_gv = np.einsum("mij,mj->mi", mats, gv)
+    require_finite(fvals, pts, p.f.label, "minorant:f")
+    require_finite(a_gv, pts, v.label, "minorant:A grad")
 
     n = len(basis)
-    vals = [np.asarray(w.value(pts), dtype=float) for w in basis.fields]
-    grads = [np.asarray(w.gradient(pts), dtype=float) for w in basis.fields]
-    a_grads = [np.einsum("mij,mj->mi", mats, g) for g in grads]
+    spans, vals, grads, a_grads = [], [], [], []
+    for w in basis.fields:
+        val = np.asarray(w.value(pts), dtype=float)
+        grad = np.asarray(w.gradient(pts), dtype=float)
+        require_finite(val, pts, w.label, "minorant:value")
+        require_finite(grad, pts, w.label, "minorant:gradient")
+        lo, hi = _span(val, grad)
+        spans.append((lo, hi))
+        vals.append(val[lo:hi].copy())
+        grads.append(grad[lo:hi].copy())
+        a_grads.append(np.einsum("mij,mj->mi", mats[lo:hi], grads[-1]))
 
     gram = np.empty((n, n))
     rhs = np.empty(n)
-    for j in range(n):
+    for j, (lo_j, hi_j) in enumerate(spans):
         for k in range(j, n):
-            gram[j, k] = gram[k, j] = exact_dot(
-                np.sum(a_grads[j] * grads[k], axis=1), wts
+            lo_k, hi_k = spans[k]
+            lo, hi = max(lo_j, lo_k), min(hi_j, hi_k)
+            gram[j, k] = gram[k, j] = 0.0 if lo >= hi else exact_dot(
+                row_sum(a_grads[j][lo - lo_j:hi - lo_j] * grads[k][lo - lo_k:hi - lo_k]),
+                wts[lo:hi],
             )
-        rhs[j] = exact_dot(fvals * vals[j], wts) - exact_dot(
-            np.sum(a_gv * grads[j], axis=1), wts
+        rhs[j] = exact_dot(fvals[lo_j:hi_j] * vals[j], wts[lo_j:hi_j]) - exact_dot(
+            row_sum(a_gv[lo_j:hi_j] * grads[j]), wts[lo_j:hi_j]
         )
 
     eigs = scipy.linalg.eigvalsh(gram)
@@ -149,15 +181,18 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     coeff = scipy.linalg.solve(gram, rhs, assume_a="pos")
     value = float(rhs @ coeff)
 
-    # evaluate M(w*) directly by quadrature as a consistency cross-check
-    w_vals = np.zeros(len(pts))
-    w_grads = np.zeros_like(gv)
-    for c, val, grad in zip(coeff, vals, grads):
-        w_vals += c * val
-        w_grads += c * grad
-    a_mixed = np.einsum("mij,mj->mi", mats, 2.0 * gv + w_grads)
-    direct = 2.0 * exact_dot(fvals * w_vals, wts) - exact_dot(
-        np.sum(a_mixed * w_grads, axis=1), wts
+    # evaluate M(w*) directly by quadrature as a consistency cross-check,
+    # over the nodes from the first span to the last
+    lo = min(lo_j for lo_j, _ in spans)
+    hi = max(hi_j for _, hi_j in spans)
+    w_vals = np.zeros(hi - lo)
+    w_grads = np.zeros((hi - lo, gv.shape[1]))
+    for c, (lo_j, hi_j), val, grad in zip(coeff, spans, vals, grads):
+        w_vals[lo_j - lo:hi_j - lo] += c * val
+        w_grads[lo_j - lo:hi_j - lo] += c * grad
+    a_mixed = np.einsum("mij,mj->mi", mats[lo:hi], 2.0 * gv[lo:hi] + w_grads)
+    direct = 2.0 * exact_dot(fvals[lo:hi] * w_vals, wts[lo:hi]) - exact_dot(
+        row_sum(a_mixed * w_grads), wts[lo:hi]
     )
 
     tv = traces.analyze(v, p.domain.a, p.trace_degree, p.quads.gamma)

@@ -206,8 +206,16 @@ def _gather(u_or_list):
     return sm
 
 
+def _radial_interval(b) -> tuple[float, float]:
+    if isinstance(b, HalfLineBump):
+        return 0.0, b.width
+    return b.center_radius - b.radius, b.center_radius + b.radius
+
+
 def _check_disjoint(bumps) -> None:
-    # sums are integrated support-by-support, which needs disjoint supports
+    # sums are integrated support-by-support, which needs disjoint supports:
+    # ball bumps are compared by center distance, any pair with a shell or
+    # half-line bump by its closed radial interval [min r, max r]
     for i in range(len(bumps)):
         for j in range(i + 1, len(bumps)):
             bi, bj = bumps[i], bumps[j]
@@ -215,8 +223,12 @@ def _check_disjoint(bumps) -> None:
                 dist = float(
                     np.linalg.norm(np.asarray(bi.center) - np.asarray(bj.center))
                 )
-                if dist <= bi.radius + bj.radius:
-                    raise ValueError("summed bumps must have disjoint supports")
+                overlap = dist <= bi.radius + bj.radius
+            else:
+                (lo_i, hi_i), (lo_j, hi_j) = _radial_interval(bi), _radial_interval(bj)
+                overlap = max(lo_i, lo_j) <= min(hi_i, hi_j)
+            if overlap:
+                raise ValueError("summed bumps must have disjoint supports")
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +335,14 @@ def verify_corollary_chain(domain_or_dimension, u,
     """
     if case not in ("i", "ii", "iii"):
         raise ValueError(f"unknown chain case {case!r}; expected 'i', 'ii' or 'iii'")
+    dim = domain_or_dimension
     if isinstance(domain_or_dimension, ExteriorDomain):
         _check_support(domain_or_dimension, u)
+        dim = domain_or_dimension.dimension
     sm = _gather(u)
     n = sm["dimension"]
+    if dim != n:
+        raise ValueError(f"dimension {dim} does not match the test function's ({n})")
     desc = _describe(u)
 
     def link(name, lhs, rhs):

@@ -25,7 +25,13 @@ from .fields import (
     ramp_profile,
     separable_field,
 )
-from .geometry import ExteriorDomain, QuadratureRule, build_quadrature, node_radii
+from .geometry import (
+    ExteriorDomain,
+    QuadratureRule,
+    build_quadrature,
+    node_radii,
+    row_sum,
+)
 
 
 @dataclass(frozen=True)
@@ -124,11 +130,11 @@ def builtin(
 
         def flux_value(pts):
             pts = np.atleast_2d(pts)
-            r2 = np.sum(pts**2, axis=1)
+            r2 = row_sum(pts**2)
             return -4.0 * pts / (1.0 + r2)[:, None] ** 2
 
         def flux_div(pts):
-            r2 = np.sum(np.atleast_2d(pts) ** 2, axis=1)
+            r2 = row_sum(np.atleast_2d(pts) ** 2)
             return (4.0 * r2 - 12.0) / (1.0 + r2) ** 3
 
         flux = VectorField(value=flux_value, divergence=flux_div, label="2*grad u")
@@ -146,7 +152,7 @@ def builtin(
         def aniso_div(pts):
             pts = np.atleast_2d(pts)
             r = node_radii(pts)
-            quad = np.sum(diag * pts**2, axis=1)
+            quad = row_sum(diag * pts**2)
             return 3.0 * quad / r**5 - np.sum(diag) / r**3
 
         flux = VectorField(value=aniso_value, divergence=aniso_div, label="A grad(1/r)")

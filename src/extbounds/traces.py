@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import ScalarField, VectorField
-from .geometry import QuadratureRule, node_radii
+from .geometry import QuadratureRule, node_radii, row_sum
 
 
 class TraceError(ValueError):
@@ -192,7 +192,7 @@ def normal_trace(
     pts = rule.nodes
     vals = np.asarray(y.value(pts), dtype=float)
     normal = pts / node_radii(pts)[:, None]
-    scal = np.sum(vals * normal, axis=1) * rule.weights
+    scal = row_sum(vals * normal) * rule.weights
     basis = basis_matrix(rule.dimension, degree, radius, pts)
     coeffs = np.array([math.fsum(row * scal) for row in basis])
     return _finish(radius, rule.dimension, degree, coeffs, strict)

@@ -1,5 +1,7 @@
 """The benchmark's tracer wraps library functions by module and name; a
-deletion or rename in the library must fail here, not in a traced run."""
+deletion or rename in the library must fail here, not in a traced run.
+Likewise a reduction that bypasses the traced ``exact_dot``/``integrate``
+(or ``traces``' ``math.fsum``) would vanish from the reduction counts."""
 
 import ast
 import importlib
@@ -7,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE = ROOT / "src" / "extbounds"
+# modules that may call math.fsum directly: geometry defines the traced
+# reductions, the tracer proxies traces' module-level ``math``, and the
+# poincare suite is not a traced reduction layer
+FSUM_MODULES = {"geometry", "traces", "poincare"}
 
 
 def traced_layers():
@@ -27,3 +35,31 @@ def test_traced_functions_exist(span, module, names):
     mod = importlib.import_module(f"extbounds.{module}")
     for name in names:
         assert callable(getattr(mod, name, None)), f"{span}: extbounds.{module}.{name}"
+
+
+def fsum_uses(tree):
+    """Nodes naming fsum: ``x.fsum``, a bare ``fsum`` and ``import ... fsum``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "fsum":
+            yield node
+        elif isinstance(node, ast.Name) and node.id == "fsum":
+            yield node
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+            alias.name.split(".")[-1] == "fsum" for alias in node.names
+        ):
+            yield node
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_fsum_only_in_counted_modules(path):
+    tree = ast.parse(path.read_text())
+    uses = list(fsum_uses(tree))
+    if path.stem not in FSUM_MODULES:
+        assert not uses, f"{path.name}:{uses[0].lineno}: reduce through exact_dot"
+    elif path.stem == "traces":
+        assert any(isinstance(n, ast.Import)
+                   and any(a.name == "math" and a.asname is None for a in n.names)
+                   for n in tree.body), "traces.py must `import math`"
+        for node in uses:
+            assert (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "math"), f"traces.py:{node.lineno}: use math.fsum"

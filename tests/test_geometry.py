@@ -15,6 +15,7 @@ from extbounds.geometry import (
     build_quadrature,
     integrate,
     node_radii,
+    row_sum,
 )
 
 DOM3 = ExteriorDomain(3, 1.0, 2.0)
@@ -122,6 +123,42 @@ class TestBuild:
     def test_node_count_matches_tensor(self, ro, ao, sh):
         rule = build_quadrature(DOM3, ro, ao, sh, "omega_i")
         assert len(rule) == sh * ro * ao * 2 * ao
+
+
+def special_rows(cols: int, seed: int) -> np.ndarray:
+    """Random rows over a wide range, then rows of signed zeros,
+    subnormals, infinities and NaN in every column position, and a row of
+    -0.0 (which numpy's sum turns into +0.0)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((400, cols)) * 10.0 ** rng.integers(-300, 300, (400, cols))
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf,
+                         np.nan, 1.0, -1.0, 1e308])
+    picks = rng.integers(0, len(specials), (600, cols))
+    return np.vstack([x, specials[picks], np.full((1, cols), -0.0)])
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestRowSum:
+    @pytest.mark.parametrize("cols", [1, 2, 3])
+    def test_bit_equal_to_numpy_sum(self, cols):
+        x = special_rows(cols, seed=cols)
+        wide = np.hstack([x, x[:, ::-1]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            for arr in (x, np.asfortranarray(x), x[::3], wide[:, ::2], wide[::2, 1::2]):
+                assert_bits_equal(row_sum(arr), np.sum(arr, axis=1))
+
+    @pytest.mark.parametrize("cols", [1, 2, 3])
+    def test_node_radii_bit_equal(self, cols):
+        x = special_rows(cols, seed=10 + cols)
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            for arr in (x, np.asfortranarray(x), x[::3]):
+                assert_bits_equal(node_radii(arr), np.sqrt(np.sum(arr**2, axis=1)))
+        assert node_radii(np.array([3, 4])).tolist() == [5.0]  # one integer point
 
 
 class TestIntegrate:

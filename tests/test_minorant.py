@@ -1,8 +1,14 @@
+import dataclasses
 import math
+import sys
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 import extbounds as xb
+from extbounds.fields import QuadratureErrorAt, ScalarField
+from extbounds.geometry import exact_dot
 from extbounds.minorant import (
     SingularGramError,
     TestBasis,
@@ -132,3 +138,132 @@ class TestSandwich:
         lower, upper = sandwich(mp.problem, v, mp.exact_flux, basis)
         assert lower == pytest.approx(err, rel=1e-6)
         assert upper == pytest.approx(err, rel=1e-6)
+
+
+def dense_minorant(p, v, basis):
+    """Reference: every integral summed over the whole rule, as the
+    assembly did before it skipped the nodes where the basis vanishes.
+    Returns (value, direct_value, gram_min_eig, coefficients)."""
+    rule = p.quads.whole
+    pts, wts = rule.nodes, rule.weights
+    mats = np.asarray(p.A.matrix(pts), dtype=float)
+    fvals = np.asarray(p.f.value(pts), dtype=float)
+    gv = np.asarray(v.gradient(pts), dtype=float)
+    a_gv = np.einsum("mij,mj->mi", mats, gv)
+    n = len(basis)
+    vals = [np.asarray(w.value(pts), dtype=float) for w in basis.fields]
+    grads = [np.asarray(w.gradient(pts), dtype=float) for w in basis.fields]
+    a_grads = [np.einsum("mij,mj->mi", mats, g) for g in grads]
+    gram = np.empty((n, n))
+    rhs = np.empty(n)
+    for j in range(n):
+        for k in range(j, n):
+            gram[j, k] = gram[k, j] = exact_dot(np.sum(a_grads[j] * grads[k], axis=1), wts)
+        rhs[j] = exact_dot(fvals * vals[j], wts) - exact_dot(
+            np.sum(a_gv * grads[j], axis=1), wts)
+    eigs = scipy.linalg.eigvalsh(gram)
+    coeff = scipy.linalg.solve(gram, rhs, assume_a="pos")
+    w_vals = np.zeros(len(pts))
+    w_grads = np.zeros_like(gv)
+    for c, val, grad in zip(coeff, vals, grads):
+        w_vals += c * val
+        w_grads += c * grad
+    a_mixed = np.einsum("mij,mj->mi", mats, 2.0 * gv + w_grads)
+    direct = 2.0 * exact_dot(fvals * w_vals, wts) - exact_dot(
+        np.sum(a_mixed * w_grads, axis=1), wts)
+    return max(float(rhs @ coeff), 0.0), float(direct), float(eigs[0]), coeff
+
+
+@pytest.fixture(scope="module")
+def coarse():
+    return {name: xb.builtin(name, shells=8)
+            for name in ("N3_harmonic", "N3_anisotropic", "N2_log")}
+
+
+class TestSpanAssembly:
+    @pytest.mark.parametrize("name,n_radial,degree,with_error", [
+        ("N3_harmonic", 4, 1, False),
+        ("N3_harmonic", 6, 1, False),
+        ("N3_harmonic", 3, 0, False),
+        ("N3_harmonic", 4, 1, True),
+        ("N3_anisotropic", 4, 1, False),
+        ("N3_anisotropic", 4, 1, True),
+        ("N2_log", 4, 1, False),
+        ("N2_log", 3, 0, False),
+        ("N2_log", 4, 1, True),
+    ])
+    def test_bit_equal_to_dense_assembly(self, coarse, name, n_radial, degree,
+                                         with_error):
+        mp = coarse[name]
+        v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
+        basis = default_basis(mp.domain, n_radial, degree)
+        if with_error:
+            basis = basis.extended(mp.exact_u - v)  # nonzero on every node
+        self.assert_matches_dense(mp.problem, v, basis)
+
+    def test_bit_equal_when_spans_straddle_panels(self, n3_harmonic):
+        # 16 shells over 3 sub-annuli: the bump edges fall inside panels
+        v = perturb(n3_harmonic, "v", 0.1, "boundary_mode", seed=5)
+        self.assert_matches_dense(
+            n3_harmonic.problem, v, default_basis(n3_harmonic.domain, 3, 1))
+
+    @staticmethod
+    def assert_matches_dense(p, v, basis):
+        rep = minorant_report(p, v, basis)
+        value, direct, min_eig, coeff = dense_minorant(p, v, basis)
+        assert (rep.value, rep.direct_value, rep.gram_min_eig) == (value, direct, min_eig)
+        assert rep.coefficients.tobytes() == coeff.tobytes()
+
+    @pytest.mark.parametrize("name,calls", [("N3_harmonic", 74), ("N2_log", 50)])
+    def test_exact_dot_calls(self, coarse, monkeypatch, name, calls):
+        # 4 radial groups of 1 + N fields with disjoint node spans: the Gram
+        # pairs within a group, two sums per right-hand side, two direct sums
+        module = sys.modules["extbounds.minorant"]
+        seen = []
+
+        def counted(values, weights):
+            seen.append(len(values))
+            return exact_dot(values, weights)
+
+        monkeypatch.setattr(module, "exact_dot", counted)
+        mp = coarse[name]
+        v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
+        minorant_report(mp.problem, v, default_basis(mp.domain, 4, 1))
+        assert len(seen) == calls
+        assert max(seen) < len(mp.problem.quads.whole)
+
+
+class TestNonFinite:
+    @staticmethod
+    def poisoned(field, node, bad=np.inf, part="value"):
+        """``field`` with one non-finite value or gradient row at ``node``."""
+        def poison(fn):
+            def out(pts):
+                vals = np.array(fn(pts), dtype=float)
+                vals[node] = bad
+                return vals
+            return out
+        return dataclasses.replace(field, **{part: poison(getattr(field, part))})
+
+    @pytest.mark.parametrize("where", ["f", "grad v", "basis value", "basis gradient"])
+    def test_rejected_naming_node_and_field(self, coarse, where):
+        mp = coarse["N3_harmonic"]
+        p = mp.problem
+        v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
+        basis = default_basis(mp.domain, 2, 0)
+        node = len(p.quads.whole) - 1  # in the tail, where no basis function lives
+        if where == "f":
+            p = dataclasses.replace(p, f=self.poisoned(p.f, node, np.nan))
+            label = p.f.label
+        elif where == "grad v":
+            v = self.poisoned(v, node, part="gradient")
+            label = v.label
+        else:
+            part = where.split()[1]
+            w = self.poisoned(basis.fields[1], node, -np.inf, part)
+            basis = TestBasis(fields=(basis.fields[0], w))
+            label = w.label
+        with pytest.raises(QuadratureErrorAt, match=f"node {node}") as info:
+            minorant_report(p, v, basis)
+        assert repr(label) in str(info.value)
+        assert info.value.index == node

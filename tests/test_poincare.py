@@ -56,6 +56,25 @@ class TestPowerWeight:
         with pytest.raises(ValueError, match="disjoint"):
             verify_power_weight(DOM3, u, 0.0)
 
+    @pytest.mark.parametrize("u", [
+        [RadialBump(3, 2.0, 0.5), RadialBump(3, 2.2, 0.5)],
+        [RadialBump(3, 2.0, 0.5), RadialBump(3, 3.0, 0.5)],  # touching at r = 2.5
+        [RadialBump(3, 3.0, 0.5), BumpFunction((0.0, 0.0, 2.2), 0.5)],
+        [BumpFunction((0.0, 0.0, 2.2), 0.5), RadialBump(3, 3.0, 0.5)],
+    ])
+    def test_overlapping_shell_sum_rejected(self, u):
+        # a ball bump lies inside the radial interval |center| -+ radius,
+        # which a shell meets even where the ball does not
+        with pytest.raises(ValueError, match="disjoint"):
+            verify_power_weight(DOM3, u, 0.0)
+
+    def test_disjoint_shell_sum(self):
+        parts = [RadialBump(3, 2.0, 0.4), RadialBump(3, 3.0, 0.5)]
+        rec = verify_power_weight(DOM3, parts, 0.0)
+        assert rec.passed
+        singles = [verify_power_weight(DOM3, b, 0.0) for b in parts]
+        assert rec.rhs == pytest.approx(math.hypot(*(r.rhs for r in singles)), rel=1e-12)
+
 
 class TestLogWeight:
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
@@ -157,6 +176,11 @@ class TestChains:
     def test_unknown_case(self):
         with pytest.raises(ValueError, match="chain case"):
             verify_corollary_chain(DOM3, BumpFunction((0, 0, 2.0), 0.5), "iv")
+
+    @pytest.mark.parametrize("where", [4, 2, ExteriorDomain(2, 1.0, 2.0)])
+    def test_dimension_mismatch_rejected(self, where):
+        with pytest.raises(ValueError, match="does not match"):
+            verify_corollary_chain(where, RadialBump(3, 2.0, 0.5), "i")
 
 
 class TestIdentities:
