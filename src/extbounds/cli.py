@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -524,6 +525,10 @@ def main(argv=None) -> int:
             return 2
         cfg.seed = args.seed
     cfg.strict = args.strict
+    if not os.path.isdir(args.out):
+        print(f"config error: --out: {args.out!r} is not an existing directory",
+              file=sys.stderr)
+        return 2
 
     commands = {
         "verify-poincare": cmd_verify_poincare,

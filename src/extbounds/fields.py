@@ -11,17 +11,24 @@ Two radial weights coexist and are never interchanged silently:
 ``rho = (1 + r^2)^{1/2}`` in the norms (``weighted_norm``), and the plain
 radius r (with a logarithm in 2D) in the inequality machinery
 (``log_weighted_norm``).
+
+``gradient_on`` keeps the gradient of the last field it evaluated on the
+last rule, so that the estimates and the true error of one approximation
+share one evaluation.  Its contract: fields are immutable and their
+closures are pure (the same nodes give the same values), rules never
+change, and the package is used from one thread.  Fields and rules are
+matched by identity, so an equal but distinct field is evaluated anew.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .geometry import QuadratureRule, exact_dot, node_radii, row_sum
+from .geometry import LastValue, QuadratureRule, exact_dot, node_radii, row_sum
 
 
 class CompositionError(TypeError):
@@ -107,7 +114,9 @@ class Coefficient:
 
     ``isotropic`` is set when the matrix is a constant multiple of the
     identity; it lets extension energies be evaluated exactly instead of
-    through the upper bound ``c_A_plus``.
+    through the upper bound ``c_A_plus``.  ``Coefficient.constant`` sets
+    ``diagonal`` when the matrix is diagonal, with +0 off the diagonal;
+    ``apply`` and ``solve`` then work on the diagonal alone.
     """
 
     matrix: Callable[[np.ndarray], np.ndarray]  # (M,N)->(M,N,N)
@@ -115,6 +124,7 @@ class Coefficient:
     c_A_plus: float
     label: str = ""
     isotropic: float | None = None
+    diagonal: np.ndarray | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.c_A <= self.c_A_plus:
@@ -133,17 +143,76 @@ class Coefficient:
         eigs = np.linalg.eigvalsh(mat)
         iso = float(mat[0, 0]) if np.allclose(mat, mat[0, 0] * np.eye(len(mat))) else None
         mat.flags.writeable = False
-        return Coefficient(
+        coef = Coefficient(
             matrix=lambda pts: np.broadcast_to(mat, (len(pts), *mat.shape)),
             c_A=float(eigs[0]),
             c_A_plus=float(eigs[-1]),
             label=label or "const",
             isotropic=iso,
         )
+        diag = np.diag(mat).copy()
+        if np.array_equal(mat.view(np.int64), np.diag(diag).view(np.int64)):
+            diag.flags.writeable = False
+            object.__setattr__(coef, "diagonal", diag)
+        return coef
+
+    def apply(self, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """A(x) q(x) at every node, as ``einsum("mij,mj->mi")`` gives it.
+
+        For a diagonal matrix the products with the off-diagonal zeros
+        only turn a zero sum into +0 (and a non-finite entry makes its
+        whole row non-finite), so ``q * diag + 0.0`` has the same bits
+        wherever the row is finite."""
+        if self.diagonal is not None:
+            return vals * self.diagonal + 0.0
+        return np.einsum("mij,mj->mi", np.asarray(self.matrix(pts), dtype=float), vals)
+
+    def solve(self, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """A(x)^{-1} q(x) at every node, by a direct batched solve of the
+        N x N system (never an explicit inverse).  For a diagonal matrix
+        it does the arithmetic of LAPACK's LU solve directly: the factors
+        have +0 off the diagonal, whose products set only the sign of a
+        zero or spread a NaN, then each entry is divided by the diagonal."""
+        if self.diagonal is not None:
+            x = np.array(vals, dtype=float)
+            n = x.shape[1]
+            with np.errstate(all="ignore"):  # as silent as LAPACK
+                for i in range(n):
+                    for j in range(i):
+                        x[:, i] -= 0.0 * x[:, j]
+                for i in reversed(range(n)):
+                    for j in range(i + 1, n):
+                        x[:, i] -= 0.0 * x[:, j]
+                    x[:, i] /= self.diagonal[i]
+            return x
+        mats = np.asarray(self.matrix(pts), dtype=float)
+        try:
+            return np.linalg.solve(mats, vals[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(
+                "coefficient matrix singular at a quadrature node "
+                "(ellipticity bound violated)"
+            ) from exc
 
     @staticmethod
     def identity(dimension: int) -> "Coefficient":
         return Coefficient.constant(np.eye(dimension), label="identity")
+
+
+_GRADIENT = LastValue()
+
+
+def gradient_on(v: ScalarField, rule: QuadratureRule) -> np.ndarray:
+    """grad v at the nodes of ``rule``: the array the closure returns,
+    made read-only.  The result for the last (v, rule) pair is kept and
+    returned again for the same pair, so every user of one operation
+    shares a single evaluation (see the module docstring for the
+    contract)."""
+    if v.gradient is None:
+        raise CompositionError(f"field {v.label!r} has no gradient closure")
+    return _GRADIENT.get(
+        (v, rule), lambda: np.asarray(v.gradient(rule.nodes), dtype=float)
+    )
 
 
 def gradient_field(v: ScalarField) -> VectorField:
@@ -160,7 +229,7 @@ def flux_of(A: Coefficient, v: ScalarField) -> VectorField:
         raise CompositionError(f"field {v.label!r} has no gradient closure")
     grad = v.gradient
     return VectorField(
-        value=lambda pts: np.einsum("mij,mj->mi", A.matrix(pts), grad(pts)),
+        value=lambda pts: A.apply(pts, grad(pts)),
         divergence=None,
         label=f"A*grad({v.label})",
     )
@@ -223,29 +292,30 @@ def log_weighted_norm(
 
 
 def energy_norm(
-    A: Coefficient, q: VectorField, mode: str, rule: QuadratureRule
+    A: Coefficient,
+    q: VectorField | np.ndarray,
+    mode: str,
+    rule: QuadratureRule,
+    *,
+    label: str = "",
 ) -> float:
     """||q||_A = (int A q . q)^{1/2} or its dual ||q||_{A^{-1}}.
 
-    The inverse is applied by a direct batched solve of the N x N system
-    at every node, never by forming an explicit inverse."""
+    ``q`` is a vector field, or its values at the rule's nodes already
+    evaluated; ``label`` names it in errors (default: the field's label).
+    The inverse is applied by ``A.solve``, never by an explicit inverse."""
     pts = rule.nodes
-    vals = np.asarray(q.value(pts), dtype=float)
-    mats = np.asarray(A.matrix(pts), dtype=float)
+    if isinstance(q, VectorField):
+        label, q = label or q.label, q.value(pts)
+    vals = np.asarray(q, dtype=float)
     if mode == "A":
-        prod = np.einsum("mij,mj->mi", mats, vals)
+        prod = A.apply(pts, vals)
     elif mode == "A_inverse":
-        try:
-            prod = np.linalg.solve(mats, vals[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                "coefficient matrix singular at a quadrature node "
-                "(ellipticity bound violated)"
-            ) from exc
+        prod = A.solve(pts, vals)
     else:
         raise ValueError(f"unknown energy norm mode {mode!r}")
     dens = row_sum(prod * vals)
-    require_finite(dens, pts, q.label, f"energy:{mode}")
+    require_finite(dens, pts, label, f"energy:{mode}")
     return math.sqrt(max(exact_dot(dens, rule.weights), 0.0))
 
 

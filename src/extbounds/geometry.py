@@ -16,7 +16,7 @@ ordering or any parallel evaluation strategy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -181,12 +181,45 @@ def row_sum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def node_radii(points: np.ndarray) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+class LastValue:
+    """One-entry memo: the read-only array computed for the last key.
+
+    A key is a tuple of objects matched by identity.  The memo holds
+    strong references to them, so no object in the key can be freed and
+    its id reused while the entry lives.  Its callers take the objects of
+    a key to be immutable, and use it from one thread."""
+
+    def __init__(self):
+        self._key: tuple = ()
+        self._value = None
+
+    def get(self, key: tuple, compute) -> np.ndarray:
+        if len(key) == len(self._key) and all(a is b for a, b in zip(key, self._key)):
+            return self._value
+        value = compute()
+        value.flags.writeable = False
+        self._key, self._value = key, value
+        return value
+
+
+_RADII = LastValue()
+
+
+def _radii(pts: np.ndarray) -> np.ndarray:
     out = pts[:, 0] * pts[:, 0]
     for k in range(1, pts.shape[1]):
         out += pts[:, k] * pts[:, k]
     return np.sqrt(out, out=out)
+
+
+def node_radii(points: np.ndarray) -> np.ndarray:
+    """|x| per node.  A read-only array, such as a rule's nodes, is taken
+    to be immutable: the radii of the last one are kept and returned,
+    read-only, until another read-only array is passed."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.flags.writeable:
+        return _radii(pts)
+    return _RADII.get((pts,), lambda: _radii(pts))
 
 
 def build_quadrature(
@@ -212,17 +245,7 @@ def build_quadrature(
 
     n = domain.dimension
     if region == "whole":
-        inner = build_quadrature(domain, radial_order, angular_order, shells, "omega_i")
-        outer = build_quadrature(domain, radial_order, angular_order, shells, "omega_e")
-        return QuadratureRule(
-            region="whole",
-            nodes=np.vstack([inner.nodes, outer.nodes]),
-            weights=np.concatenate([inner.weights, outer.weights]),
-            radial_order=radial_order,
-            angular_order=angular_order,
-            shell_count=shells,
-            tail_map=outer.tail_map,
-        )
+        return whole_and_parts(domain, radial_order, angular_order, shells)[0]
 
     if region in ("sphere_gamma", "sphere_Gamma"):
         if n == 1:
@@ -265,6 +288,31 @@ def build_quadrature(
         angular_order=angular_order,
         shell_count=shells,
         tail_map=tail,
+    )
+
+
+def whole_and_parts(
+    domain: ExteriorDomain, radial_order: int, angular_order: int, shells: int
+) -> tuple[QuadratureRule, QuadratureRule, QuadratureRule]:
+    """The ``whole`` rule and its ``omega_i`` and ``omega_e`` rules, the
+    last two as row views of the first one's arrays: the whole rule lists
+    the omega_i nodes, then the omega_e nodes."""
+    inner = build_quadrature(domain, radial_order, angular_order, shells, "omega_i")
+    outer = build_quadrature(domain, radial_order, angular_order, shells, "omega_e")
+    whole = QuadratureRule(
+        region="whole",
+        nodes=np.vstack([inner.nodes, outer.nodes]),
+        weights=np.concatenate([inner.weights, outer.weights]),
+        radial_order=radial_order,
+        angular_order=angular_order,
+        shell_count=shells,
+        tail_map=outer.tail_map,
+    )
+    k = len(inner)
+    return (
+        whole,
+        replace(inner, nodes=whole.nodes[:k], weights=whole.weights[:k]),
+        replace(outer, nodes=whole.nodes[k:], weights=whole.weights[k:]),
     )
 
 

@@ -26,12 +26,12 @@ from .fields import (
     ScalarField,
     VectorField,
     energy_norm,
-    flux_gap,
-    gradient_field,
+    gradient_on,
     log_weighted_norm,
     residual_field,
     weighted_norm,
 )
+from .geometry import QuadratureRule
 from .problems import Problem
 
 EQUILIBRATION_RTOL = 1e-10
@@ -169,7 +169,8 @@ def _residual_norm_tail(p: Problem, res: ScalarField) -> float:
 
 
 def _scale(p: Problem, v: ScalarField, scale_hint: float | None) -> float:
-    base = energy_norm(p.A, gradient_field(v), "A", p.quads.whole)
+    rule = p.quads.whole
+    base = energy_norm(p.A, gradient_on(v, rule), "A", rule, label=f"grad({v.label})")
     return max(base, scale_hint or 0.0)
 
 
@@ -215,15 +216,26 @@ def _estimate_id(p: Problem, roman: str) -> str:
     return roman + ("-2D" if p.domain.dimension == 2 else "")
 
 
+def _flux_gap_norm(
+    p: Problem, v: ScalarField, y: VectorField, rule: QuadratureRule
+) -> float:
+    """||y - A grad v||_{A^{-1}} over ``rule``, the flux mismatch entering
+    every upper bound."""
+    pts = rule.nodes
+    gap = y.value(pts) - p.A.apply(pts, gradient_on(v, rule))
+    return energy_norm(p.A, gap, "A_inverse", rule,
+                       label=f"({y.label}-A*grad({v.label}))")
+
+
 def _flux_term(p: Problem, v: ScalarField, y: VectorField) -> float:
-    return energy_norm(p.A, flux_gap(y, p.A, v), "A_inverse", p.quads.whole)
+    return _flux_gap_norm(p, v, y, p.quads.whole)
 
 
 def _broken_flux_term(
     p: Problem, v: ScalarField, y_i: VectorField, y_e: VectorField
 ) -> float:
-    ni = energy_norm(p.A, flux_gap(y_i, p.A, v), "A_inverse", p.quads.omega_i)
-    ne = energy_norm(p.A, flux_gap(y_e, p.A, v), "A_inverse", p.quads.omega_e)
+    ni = _flux_gap_norm(p, v, y_i, p.quads.omega_i)
+    ne = _flux_gap_norm(p, v, y_e, p.quads.omega_e)
     return math.sqrt(ni**2 + ne**2)
 
 

@@ -17,13 +17,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import traces
 from .fields import (
     ScalarField,
     VectorField,
     angular_monomial,
+    gradient_on,
     require_finite,
     separable_field,
 )
@@ -133,15 +133,17 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     zeros, so each sum is the same correctly rounded value as over the
     whole rule, and a pair of basis functions with disjoint node spans has
     the Gram entry 0.0."""
+    import scipy.linalg  # deferred: importing the CLI should not load it
+
     if len(basis) == 0:
         raise ValueError("basis must be nonempty")
+    A = p.A
     rule = p.quads.whole
     pts = rule.nodes
     wts = rule.weights
-    mats = np.asarray(p.A.matrix(pts), dtype=float)
     fvals = np.asarray(p.f.value(pts), dtype=float)
-    gv = np.asarray(v.gradient(pts), dtype=float)
-    a_gv = np.einsum("mij,mj->mi", mats, gv)
+    gv = gradient_on(v, rule)
+    a_gv = A.apply(pts, gv)
     require_finite(fvals, pts, p.f.label, "minorant:f")
     require_finite(a_gv, pts, v.label, "minorant:A grad")
 
@@ -156,7 +158,7 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
         spans.append((lo, hi))
         vals.append(val[lo:hi].copy())
         grads.append(grad[lo:hi].copy())
-        a_grads.append(np.einsum("mij,mj->mi", mats[lo:hi], grads[-1]))
+        a_grads.append(A.apply(pts[lo:hi], grads[-1]))
 
     gram = np.empty((n, n))
     rhs = np.empty(n)
@@ -190,7 +192,7 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     for c, (lo_j, hi_j), val, grad in zip(coeff, spans, vals, grads):
         w_vals[lo_j - lo:hi_j - lo] += c * val
         w_grads[lo_j - lo:hi_j - lo] += c * grad
-    a_mixed = np.einsum("mij,mj->mi", mats[lo:hi], 2.0 * gv[lo:hi] + w_grads)
+    a_mixed = A.apply(pts[lo:hi], 2.0 * gv[lo:hi] + w_grads)
     direct = 2.0 * exact_dot(fvals[lo:hi] * w_vals, wts[lo:hi]) - exact_dot(
         row_sum(a_mixed * w_grads), wts[lo:hi]
     )

@@ -20,6 +20,8 @@ from .fields import (
     ScalarField,
     VectorField,
     angular_monomial,
+    energy_norm,
+    gradient_on,
     mollifier_profile,
     radial_scalar,
     ramp_profile,
@@ -31,6 +33,7 @@ from .geometry import (
     build_quadrature,
     node_radii,
     row_sum,
+    whole_and_parts,
 )
 
 
@@ -55,10 +58,11 @@ def make_bundle(
     def build(region, ro=radial_order):
         return build_quadrature(domain, ro, angular_order, shells, region)
 
+    whole, omega_i, omega_e = whole_and_parts(domain, radial_order, angular_order, shells)
     return QuadratureBundle(
-        omega_i=build("omega_i"),
-        omega_e=build("omega_e"),
-        whole=build("whole"),
+        omega_i=omega_i,
+        omega_e=omega_e,
+        whole=whole,
         gamma=build("sphere_gamma"),
         Gamma=build("sphere_Gamma"),
         omega_e_refined=build("omega_e", ro=2 * radial_order),
@@ -203,11 +207,11 @@ def with_interface_radius(
 
 
 def true_error(mp: ManufacturedProblem, v: ScalarField) -> float:
-    """Exact energy-norm error ||A^{1/2} grad(u - v)|| over the whole domain."""
-    from .fields import energy_norm, gradient_field
-
-    diff = gradient_field(mp.exact_u - v)
-    return energy_norm(mp.problem.A, diff, "A", mp.problem.quads.whole)
+    """Exact energy-norm error ||A^{1/2} grad(u - v)|| over the whole domain.
+    The gradient of v is the one the estimates evaluated on the same rule."""
+    u, rule = mp.exact_u, mp.problem.quads.whole
+    diff = np.subtract(u.gradient(rule.nodes), gradient_on(v, rule))
+    return energy_norm(mp.problem.A, diff, "A", rule, label=f"grad(({u.label}-{v.label}))")
 
 
 # ---------------------------------------------------------------------------

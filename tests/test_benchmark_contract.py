@@ -63,3 +63,13 @@ def test_fsum_only_in_counted_modules(path):
         for node in uses:
             assert (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id == "math"), f"traces.py:{node.lineno}: use math.fsum"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_module_caches_clear_without_arguments(path):
+    # the cli workload empties the program's caches before each command by
+    # calling cache_clear() on every module attribute that has one
+    module = importlib.import_module(f"extbounds.{path.stem}".replace(".__init__", ""))
+    for name, value in list(vars(module).items()):
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -264,6 +267,33 @@ class TestCommands:
         a = json.loads((out_a / "report.json").read_text())
         b = json.loads((out_b / "report.json").read_text())
         assert a["true_error"] != b["true_error"]
+
+
+class TestOutDirectory:
+    @pytest.mark.parametrize("command", ["verify-poincare", "constants", "majorant",
+                                         "minorant", "sandwich", "sweep"])
+    def test_missing_out_exits_2_before_work(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, BASE)
+        missing = tmp_path / "no" / "such" / "dir"
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        for out in (missing, afile):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert "config error: --out:" in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
+        assert not missing.exists()
+
+
+def test_cli_import_loads_no_scipy_linalg():
+    # the minorant imports scipy.linalg when it first runs, not at import
+    code = ("import sys, numpy, extbounds.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestDeterminism:

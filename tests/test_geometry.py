@@ -160,6 +160,25 @@ class TestRowSum:
                 assert_bits_equal(node_radii(arr), np.sqrt(np.sum(arr**2, axis=1)))
         assert node_radii(np.array([3, 4])).tolist() == [5.0]  # one integer point
 
+    def test_node_radii_kept_for_read_only_nodes(self):
+        rule = build_quadrature(DOM3, 4, 4, 2, "whole")
+        other = build_quadrature(DOM2, 4, 4, 2, "whole")
+        first = node_radii(rule.nodes)
+        assert not first.flags.writeable
+        assert node_radii(rule.nodes) is first
+        assert_bits_equal(first, np.sqrt(np.sum(rule.nodes**2, axis=1)))
+        assert_bits_equal(node_radii(other.nodes),
+                          np.sqrt(np.sum(other.nodes**2, axis=1)))
+        again = node_radii(rule.nodes)
+        assert again is not first
+        assert_bits_equal(again, first)
+        # a writable array may change between calls: always computed anew
+        pts = np.array(rule.nodes)
+        r = node_radii(pts)
+        assert r.flags.writeable and node_radii(pts) is not r
+        pts *= 2.0
+        assert_bits_equal(node_radii(pts), 2.0 * r)
+
 
 class TestIntegrate:
     def test_zero(self):

@@ -86,6 +86,30 @@ class TestCatalog:
         assert np.all(np.asarray(n3_harmonic.exact_flux.divergence(pts)) == 0.0)
 
 
+class TestQuadratureBundle:
+    @pytest.mark.parametrize("shells", [8, 16])
+    def test_rules_bit_equal_to_build_quadrature(self, shells):
+        regions = {"omega_i": "omega_i", "omega_e": "omega_e", "whole": "whole",
+                   "gamma": "sphere_gamma", "Gamma": "sphere_Gamma"}
+        for name in CATALOG:
+            domain = xb.builtin(name, shells=1).domain
+            quads = xb.make_bundle(domain, shells=shells)
+            for attr, region in regions.items():
+                rule = getattr(quads, attr)
+                want = xb.build_quadrature(domain, 12, 12, shells, region)
+                assert (rule.region, rule.tail_map) == (want.region, want.tail_map)
+                assert rule.nodes.tobytes() == want.nodes.tobytes()
+                assert rule.weights.tobytes() == want.weights.tobytes()
+            want = xb.build_quadrature(domain, 24, 12, shells, "omega_e")
+            assert quads.omega_e_refined.nodes.tobytes() == want.nodes.tobytes()
+            assert quads.omega_e_refined.weights.tobytes() == want.weights.tobytes()
+            # one copy of the nodes: both parts are row views of the whole rule
+            for part in (quads.omega_i, quads.omega_e):
+                assert np.shares_memory(part.nodes, quads.whole.nodes)
+                assert np.shares_memory(part.weights, quads.whole.weights)
+                assert not part.nodes.flags.writeable
+
+
 class TestInterfaceRadius:
     def test_moves_interface_at_same_resolution(self):
         mp = xb.builtin("N3_decay", radial_order=6, angular_order=7, shells=3,
