@@ -29,7 +29,9 @@ from . import constants as consts
 from . import majorant as mj
 from . import poincare as pc
 from . import problems as pb
-from .minorant import default_basis, minorant_report, sandwich
+from .fields import QuadratureErrorAt
+from .minorant import SingularGramError, default_basis, minorant_report, sandwich
+from .traces import BandLimitError
 
 
 class ConfigError(ValueError):
@@ -162,6 +164,10 @@ class ScenarioConfig:
         cfg.pert_mode = take(pert, "perturbation.mode", str, cfg.pert_mode)
         if cfg.pert_mode not in pb.PERTURB_MODES:
             raise ConfigError(f"perturbation.mode: unknown {cfg.pert_mode!r}")
+        if cfg.pert_mode not in pb.TARGET_MODES[cfg.target]:
+            raise ConfigError(
+                f"perturbation.mode: target {cfg.target!r} supports "
+                f"{' and '.join(pb.TARGET_MODES[cfg.target])} only, got {cfg.pert_mode!r}")
         eps = take(pert, "perturbation.epsilons", list, cfg.epsilons)
         if not eps:
             raise ConfigError("perturbation.epsilons: expected a non-empty list "
@@ -311,6 +317,11 @@ def _row(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, eps: float,
 
 
 GUARANTEE_SLACK = 1e-8
+# a valid config whose computation cannot establish a bound: exit 1, named
+NUMERICAL_FAILURES = (
+    mj.EquilibrationError, mj.DivergentNormError, QuadratureErrorAt,
+    SingularGramError, BandLimitError, FloatingPointError, OverflowError,
+)
 
 
 def cmd_majorant(cfg: ScenarioConfig, out: str) -> int:
@@ -543,7 +554,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (mj.EquilibrationError, mj.DivergentNormError) as exc:
+    except NUMERICAL_FAILURES as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 1
 

@@ -8,9 +8,11 @@ never depend on how a rule was built; the tail is mapped to a finite
 interval with the substitution r = R/t, which integrates finite Laurent
 series in 1/r exactly.
 
-All reductions use exact (error-free-transform) summation via
-``math.fsum``, so integrals are bit-reproducible and independent of node
-ordering or any parallel evaluation strategy.
+All reductions go through ``exact_sum``, which returns the correctly
+rounded sum of its values, bit-equal to ``math.fsum``: integrals are
+bit-reproducible and independent of node ordering or any parallel
+evaluation strategy.  It bins the values by binary exponent with numpy
+and rounds the exact total of the bins once (Neal, arXiv:1505.05571).
 """
 
 from __future__ import annotations
@@ -320,9 +322,9 @@ def integrate(rule: QuadratureRule, integrand) -> float:
     """Weighted sum of ``integrand`` over the rule's nodes.
 
     ``integrand`` is vectorized: it maps an (M, N) array of points to
-    an (M,) array of values.  The reduction is Shewchuk exact summation
-    (``math.fsum``), so the result is the correctly rounded sum of the
-    weighted values and does not depend on evaluation order.
+    an (M,) array of values.  The reduction is ``exact_sum``, so the
+    result is the correctly rounded sum of the weighted values and does
+    not depend on evaluation order.
     """
     values = np.asarray(integrand(rule.nodes), dtype=float)
     if values.shape != (len(rule),):
@@ -335,9 +337,67 @@ def integrate(rule: QuadratureRule, integrand) -> float:
             f"integrand non-finite at node {bad}: x={rule.nodes[bad]!r}, "
             f"value={values[bad]!r}"
         )
-    return math.fsum(values * rule.weights)
+    return exact_sum(values * rule.weights)
 
 
 def exact_dot(values: np.ndarray, weights: np.ndarray) -> float:
     """Exactly rounded weighted sum for pre-evaluated values."""
-    return math.fsum(np.asarray(values, dtype=float) * weights)
+    return exact_sum(np.asarray(values, dtype=float) * weights)
+
+
+# exact_sum hands arrays shorter than _SMALL to math.fsum, which is faster
+# there.  It reads longer ones in blocks of _BLOCK values, whose 64 KB
+# temporaries stay in cache and on malloc's heap, and rounds once per
+# _CHUNK values, the most whose bin sums stay below 2**53 (see exact_sum)
+_SMALL = 512
+_BLOCK = 1 << 13
+_CHUNK = 1 << 24
+_BINS = 960 + 1074 + 1  # bin q = e + 1074 for each frexp exponent e <= 960
+# every finite float64 is (integer multiple of 2**-26) * 2**(q - 1074 - 27)
+_SCALE = 1 << (1074 + 27 + 26)
+
+
+def _bin_sums(x: np.ndarray):
+    """For x = m * 2**e (0.5 <= |m| < 1) binned by q = e + 1074, the sums of
+    floor(m * 2**27) and of the fractions left, per bin; None when some
+    e > 960."""
+    hb = lb = 0.0
+    for start in range(0, x.size, _BLOCK):
+        m, e = np.frexp(x[start:start + _BLOCK])
+        if e.max() > 960:
+            return None
+        m *= 1 << 27
+        hi = np.floor(m)
+        m -= hi
+        q = np.add(e, 1074, dtype=np.intp)
+        hb = hb + np.bincount(q, hi, _BINS)
+        lb = lb + np.bincount(q, m, _BINS)
+    return hb, lb
+
+
+def exact_sum(values) -> float:
+    """The correctly rounded sum of a float64 array, bit-equal to
+    ``math.fsum`` (same zero sign, same exceptions).
+
+    Each value m * 2**e is split into the integer floor(m * 2**27), at
+    most 2**27 in magnitude, and the fraction left, a multiple of 2**-26
+    in [0, 1).  Summed per exponent over at most 2**24 values, neither
+    part leaves the integers or multiples of 2**-26 below 2**53, so every
+    float64 bin sum is exact.  The bins are then added as Python ints and
+    the total rounded once by int division, which rounds correctly,
+    subnormals included.  Values above 2**960, where fsum can overflow
+    on the way, and non-finite values go to ``math.fsum``."""
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1 or x.size < _SMALL:
+        return math.fsum(x)
+    total = 0
+    for start in range(0, x.size, _CHUNK):
+        with np.errstate(invalid="ignore"):  # inf - inf is nan: a non-finite bin
+            bins = _bin_sums(x[start:start + _CHUNK])
+        if bins is None or not np.isfinite(bins).all():
+            return math.fsum(x)
+        hb, lb = bins
+        nz = np.flatnonzero((hb != 0) | (lb != 0))
+        for k, h, f in zip(nz.tolist(), hb[nz].tolist(), (lb[nz] * (1 << 26)).tolist()):
+            total += ((int(h) << 26) + int(f)) << k
+    return total / _SCALE

@@ -217,25 +217,30 @@ def _estimate_id(p: Problem, roman: str) -> str:
 
 
 def _flux_gap_norm(
-    p: Problem, v: ScalarField, y: VectorField, rule: QuadratureRule
+    p: Problem, v: ScalarField, y: VectorField, rule: QuadratureRule,
+    grad_v: np.ndarray,
 ) -> float:
     """||y - A grad v||_{A^{-1}} over ``rule``, the flux mismatch entering
-    every upper bound."""
+    every upper bound; ``grad_v`` holds grad v at the rule's nodes."""
     pts = rule.nodes
-    gap = y.value(pts) - p.A.apply(pts, gradient_on(v, rule))
+    gap = y.value(pts) - p.A.apply(pts, grad_v)
     return energy_norm(p.A, gap, "A_inverse", rule,
                        label=f"({y.label}-A*grad({v.label}))")
 
 
 def _flux_term(p: Problem, v: ScalarField, y: VectorField) -> float:
-    return _flux_gap_norm(p, v, y, p.quads.whole)
+    rule = p.quads.whole
+    return _flux_gap_norm(p, v, y, rule, gradient_on(v, rule))
 
 
 def _broken_flux_term(
     p: Problem, v: ScalarField, y_i: VectorField, y_e: VectorField
 ) -> float:
-    ni = _flux_gap_norm(p, v, y_i, p.quads.omega_i)
-    ne = _flux_gap_norm(p, v, y_e, p.quads.omega_e)
+    # the omega_i and omega_e rules are the first and last rows of whole's
+    grad_v = gradient_on(v, p.quads.whole)
+    k = len(p.quads.omega_i)
+    ni = _flux_gap_norm(p, v, y_i, p.quads.omega_i, grad_v[:k])
+    ne = _flux_gap_norm(p, v, y_e, p.quads.omega_e, grad_v[k:])
     return math.sqrt(ni**2 + ne**2)
 
 

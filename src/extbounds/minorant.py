@@ -125,6 +125,7 @@ def _span(val: np.ndarray, grad: np.ndarray) -> tuple[int, int]:
     return (int(nz[0]), int(nz[-1]) + 1) if len(nz) else (0, 0)
 
 
+@np.errstate(over="raise")
 def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantReport:
     """Maximize M over the span of the basis and report the details.
 
@@ -132,7 +133,8 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     functions can be nonzero: the products dropped elsewhere are exact
     zeros, so each sum is the same correctly rounded value as over the
     whole rule, and a pair of basis functions with disjoint node spans has
-    the Gram entry 0.0."""
+    the Gram entry 0.0.  A product of finite values that overflows raises
+    ``FloatingPointError``."""
     import scipy.linalg  # deferred: importing the CLI should not load it
 
     if len(basis) == 0:

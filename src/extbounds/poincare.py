@@ -29,6 +29,7 @@ from .geometry import (
     _gauss_legendre,
     _unit_sphere_area,
     _unit_sphere_rule,
+    exact_sum,
 )
 
 # sup (1+r)/sqrt(1+r^2) over r >= 0, attained at r = 1
@@ -188,7 +189,7 @@ def samples(u) -> dict:
 
 
 def _norm(sm: dict, density: np.ndarray) -> float:
-    return math.sqrt(max(math.fsum(density * sm["w"]), 0.0))
+    return math.sqrt(max(exact_sum(density * sm["w"]), 0.0))
 
 
 def _gather(u_or_list):
@@ -202,7 +203,7 @@ def _gather(u_or_list):
     _check_disjoint(u_or_list)
     sm = {key: np.concatenate([p[key] for p in parts])
           for key in ("r", "u", "du_r", "grad", "w")}
-    sm.update(u0=math.fsum(p["u0"] for p in parts), dimension=dims.pop())
+    sm.update(u0=exact_sum([p["u0"] for p in parts]), dimension=dims.pop())
     return sm
 
 
@@ -416,23 +417,23 @@ def partial_integration_identity(
     if variant == "power":
         gh = 2.0 * beta + n - 2.0 if gamma_hat is None else gamma_hat
         combo = r**beta * dur + gh * r ** (beta - 1) * uu
-        lhs = math.fsum(combo**2 * w)
-        rhs = math.fsum(r ** (2 * beta) * dur**2 * w) + gh * (
+        lhs = exact_sum(combo**2 * w)
+        rhs = exact_sum(r ** (2 * beta) * dur**2 * w) + gh * (
             gh - 2.0 * beta - n + 2.0
-        ) * math.fsum(r ** (2 * beta - 2) * uu**2 * w)
+        ) * exact_sum(r ** (2 * beta - 2) * uu**2 * w)
     elif variant == "log":
         if np.min(r) <= 1.0:
             raise ValueError("log identity needs support at radius > 1")
         gh = 2.0 * beta + n - 3.0 if gamma_hat is None else gamma_hat
         logs = np.log(r)
         combo = r**beta * dur + gh * r ** (beta - 1) / logs * uu
-        lhs = math.fsum(combo**2 * w)
+        lhs = exact_sum(combo**2 * w)
         rhs = (
-            math.fsum(r ** (2 * beta) * dur**2 * w)
-            + gh * (gh + 1.0) * math.fsum(r ** (2 * beta - 2) / logs**2 * uu**2 * w)
+            exact_sum(r ** (2 * beta) * dur**2 * w)
+            + gh * (gh + 1.0) * exact_sum(r ** (2 * beta - 2) / logs**2 * uu**2 * w)
             - gh
             * (n + 2.0 * beta - 2.0)
-            * math.fsum(r ** (2 * beta - 2) / logs * uu**2 * w)
+            * exact_sum(r ** (2 * beta - 2) / logs * uu**2 * w)
         )
     elif variant == "halfline":
         if n != 1:
@@ -440,14 +441,14 @@ def partial_integration_identity(
         gh = 2.0 * beta - 1.0 if gamma_hat is None else gamma_hat
         opr = 1.0 + r
         combo = opr**beta * dur + gh * opr ** (beta - 1) * uu
-        lhs = math.fsum(combo**2 * w)
+        lhs = exact_sum(combo**2 * w)
         # the boundary coefficient is -gh |u(0)|^2 per half line; the
         # two-sided whole-line form doubles it, but our test functions
         # live on [0, inf) extended by zero
         rhs = (
-            math.fsum(opr ** (2 * beta) * dur**2 * w)
+            exact_sum(opr ** (2 * beta) * dur**2 * w)
             + gh * (gh - 2.0 * beta + 1.0)
-            * math.fsum(opr ** (2 * beta - 2) * uu**2 * w)
+            * exact_sum(opr ** (2 * beta - 2) * uu**2 * w)
             - gh * sm["u0"] ** 2
         )
     else:

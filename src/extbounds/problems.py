@@ -39,7 +39,8 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class QuadratureBundle:
-    """All rules one problem needs, built once and shared."""
+    """All rules one problem needs, built once and shared.  ``omega_i``
+    and ``omega_e`` are the first and last rows of ``whole``."""
 
     omega_i: QuadratureRule
     omega_e: QuadratureRule
@@ -218,6 +219,12 @@ def true_error(mp: ManufacturedProblem, v: ScalarField) -> float:
 # perturbation generators
 
 PERTURB_MODES = ("interior_bump", "boundary_mode", "interface_jump")
+# the modes each perturbation target supports
+TARGET_MODES = {
+    "v": ("interior_bump", "boundary_mode"),
+    "y": ("interior_bump",),
+    "y_broken": ("interface_jump",),
+}
 
 
 def _random_interior_bump(mp: ManufacturedProblem, rng) -> ScalarField:
@@ -311,6 +318,9 @@ def perturb(
         raise ValueError("eps must be >= 0")
     if mode not in PERTURB_MODES:
         raise ValueError(f"unknown perturbation mode {mode!r}")
+    if target in TARGET_MODES and mode not in TARGET_MODES[target]:
+        raise ValueError(f"target {target!r} supports "
+                         f"{' and '.join(TARGET_MODES[target])} only")
     rng = np.random.default_rng(seed)
     dom = mp.domain
 
@@ -319,16 +329,12 @@ def perturb(
             return mp.exact_u
         if mode == "interior_bump":
             return mp.exact_u + eps * _random_interior_bump(mp, rng)
-        if mode == "boundary_mode":
-            ang_v, ang_g = _random_angular(mp, rng)
-            p, dp = ramp_profile(dom.a, dom.a + 0.5 * (dom.R - dom.a))
-            ext = separable_field(p, dp, ang_v, ang_g, label="boundary-mode")
-            return mp.exact_u + eps * ext
-        raise ValueError("target 'v' supports interior_bump and boundary_mode")
+        ang_v, ang_g = _random_angular(mp, rng)
+        p, dp = ramp_profile(dom.a, dom.a + 0.5 * (dom.R - dom.a))
+        ext = separable_field(p, dp, ang_v, ang_g, label="boundary-mode")
+        return mp.exact_u + eps * ext
 
     if target == "y":
-        if mode != "interior_bump":
-            raise ValueError("target 'y' supports interior_bump only")
         if eps == 0.0:
             return mp.exact_flux
         bump = _random_interior_bump(mp, rng)
@@ -343,8 +349,6 @@ def perturb(
         return mp.exact_flux + eps * pert
 
     if target == "y_broken":
-        if mode != "interface_jump":
-            raise ValueError("target 'y_broken' supports interface_jump only")
         if eps == 0.0:
             return mp.exact_flux, mp.exact_flux
         # break the exterior side with a random combination of solenoidal

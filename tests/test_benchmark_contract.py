@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps library functions by module and name; a
 deletion or rename in the library must fail here, not in a traced run.
-Likewise a reduction that bypasses the traced ``exact_dot``/``integrate``
-(or ``traces``' ``math.fsum``) would vanish from the reduction counts."""
+Likewise a reduction that bypasses ``geometry.exact_sum``, which the traced
+``exact_dot``/``integrate`` call (or ``traces``' ``math.fsum``), would
+escape the exact-sum contract and the reduction counts."""
 
 import ast
 import importlib
@@ -12,10 +13,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 PACKAGE = ROOT / "src" / "extbounds"
-# modules that may call math.fsum directly: geometry defines the traced
-# reductions, the tracer proxies traces' module-level ``math``, and the
-# poincare suite is not a traced reduction layer
-FSUM_MODULES = {"geometry", "traces", "poincare"}
+# modules that may call math.fsum directly: geometry's exact_sum is the
+# reduction behind the traced ones, and the tracer proxies traces'
+# module-level ``math``
+FSUM_MODULES = {"geometry", "traces"}
 
 
 def traced_layers():
@@ -55,7 +56,13 @@ def test_fsum_only_in_counted_modules(path):
     tree = ast.parse(path.read_text())
     uses = list(fsum_uses(tree))
     if path.stem not in FSUM_MODULES:
-        assert not uses, f"{path.name}:{uses[0].lineno}: reduce through exact_dot"
+        assert not uses, f"{path.name}:{uses[0].lineno}: reduce through exact_sum"
+    elif path.stem == "geometry":
+        inside = {id(n) for f in tree.body
+                  if isinstance(f, ast.FunctionDef) and f.name == "exact_sum"
+                  for n in ast.walk(f)}
+        for node in uses:
+            assert id(node) in inside, f"geometry.py:{node.lineno}: fsum outside exact_sum"
     elif path.stem == "traces":
         assert any(isinstance(n, ast.Import)
                    and any(a.name == "math" and a.asname is None for a in n.names)

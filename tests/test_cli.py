@@ -1,9 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 import extbounds as xb
 from extbounds.cli import ConfigError, ScenarioConfig, load_config, main
+from extbounds.problems import TARGET_MODES
 
 REPO = Path(__file__).resolve().parent.parent
 REPORT_SCHEMA = json.loads((REPO / "schemas" / "report.schema.json").read_text())
@@ -120,6 +124,72 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/config.json")
+
+
+FINITE = st.floats(0.0, 10.0) | st.sampled_from([0.0, 1e-300, 1.0, 1e3, 1e150, 1e300])
+
+
+@st.composite
+def accepted_configs(draw):
+    """Configs ``from_dict`` accepts, at a resolution small enough for
+    one command to take milliseconds."""
+    L = draw(st.integers(1, 4))
+    target = draw(st.sampled_from(sorted(TARGET_MODES)))
+    return {
+        "problem": draw(st.sampled_from(xb.CATALOG)),
+        "estimate": draw(st.sampled_from(["I", "II", "III"])),
+        "boundary_mode": draw(st.sampled_from(["extension_based", "constant_based"])),
+        "quadrature": {"radial_order": draw(st.integers(1, 4)),
+                       "angular_order": draw(st.integers(L + 1, L + 3)),
+                       "shells": draw(st.integers(1, 3))},
+        "trace": {"L": L},
+        "constants": {"variant": draw(st.sampled_from(["eigen", "formula"])),
+                      "modes": draw(st.none() | st.integers(max(8, L), 12)),
+                      "cutoff": draw(st.none() | st.floats(0.5, 3.0))},
+        "perturbation": {"target": target,
+                         "mode": draw(st.sampled_from(TARGET_MODES[target])),
+                         "epsilons": draw(st.lists(FINITE, min_size=1, max_size=2)),
+                         "seed": draw(st.integers(0, 2**70))},
+        "sweep": {"kind": draw(st.sampled_from(["epsilon", "radius"])),
+                  "values": draw(st.lists(st.floats(1e-3, 1e3) | st.sampled_from([1.0, 1.5]),
+                                          min_size=1, max_size=2))},
+        "minorant": {"n_radial": draw(st.integers(1, 4)), "degree": draw(st.integers(0, 1)),
+                     "include_error_in_basis": draw(st.booleans())},
+        "poincare": {"count": draw(st.integers(1, 2))},
+    }
+
+
+class TestDispatchFuzz:
+    @pytest.mark.parametrize("command", [
+        "majorant", "minorant", "sandwich", "sweep", "constants", "verify-poincare"])
+    @settings(max_examples=40, deadline=None)
+    @given(raw=accepted_configs(), strict=st.booleans())
+    def test_exit_code_without_traceback(self, command, raw, strict):
+        """Every command on an accepted config ends in 0, 1 or 2 and names
+        what went wrong, never with an exception."""
+        ScenarioConfig.from_dict(raw)
+        with tempfile.TemporaryDirectory() as out:
+            path = os.path.join(out, "config.json")
+            with open(path, "w") as fh:
+                json.dump(raw, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", path, "--out", out]
+                            + ["--strict"] * strict)
+        message = err.getvalue()
+        assert "Traceback" not in message
+        assert code in (0, 1, 2)
+        last = message.splitlines()[-1] if message else ""
+        if code == 2:
+            assert last.startswith("config error: ")
+        elif last:
+            assert code == 1 and last.startswith("precondition violated: ")
+
+    def test_mode_must_suit_the_target(self):
+        for target, mode in [("v", "interface_jump"), ("y", "boundary_mode"),
+                             ("y_broken", "interior_bump")]:
+            with pytest.raises(ConfigError, match="perturbation.mode"):
+                ScenarioConfig.from_dict({"perturbation": {"target": target, "mode": mode}})
 
 
 class TestCommands:

@@ -160,6 +160,18 @@ class TestGradientOnce:
         xb.true_error(mp, v)
         assert calls == {"rule": 1, "all": 1}
 
+    @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
+    def test_broken_estimate_then_true_error(self, name, catalog, bundles):
+        # estimate III's two part rules are row blocks of the whole rule,
+        # whose one evaluation it slices
+        mp = catalog[name]
+        whole = mp.problem.quads.whole
+        v, calls = counting(perturb(mp, "v", 0.05, "interior_bump", seed=4), whole)
+        y_i, y_e = perturb(mp, "y_broken", 0.05, "interface_jump", seed=5)
+        xb.estimate_III(mp.problem, v, y_i, y_e, bundle=bundles[name])
+        xb.true_error(mp, v)
+        assert calls == {"rule": 1, "all": 1}
+
     def test_minorant_estimate_then_true_error(self, n2_log, bundles):
         mp = n2_log
         whole = mp.problem.quads.whole

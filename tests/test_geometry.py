@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extbounds import geometry
+
 from extbounds.geometry import (
     ExteriorDomain,
     QuadratureError,
@@ -12,7 +14,9 @@ from extbounds.geometry import (
     _composite_interval,
     _tail_edges,
     _unit_sphere_area,
+    _SMALL,
     build_quadrature,
+    exact_sum,
     integrate,
     node_radii,
     row_sum,
@@ -178,6 +182,136 @@ class TestRowSum:
         assert r.flags.writeable and node_radii(pts) is not r
         pts *= 2.0
         assert_bits_equal(node_radii(pts), 2.0 * r)
+
+
+def fsum_outcome(fn, x):
+    """The bits of ``fn(x)``, or the type of the exception it raises."""
+    try:
+        return np.float64(fn(x)).view(np.int64)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def assert_same_as_fsum(x):
+    assert fsum_outcome(exact_sum, x) == fsum_outcome(math.fsum, x)
+
+
+def pad(values, n=1000, seed=0):
+    """``values`` among cancelling pairs, shuffled: n values in all."""
+    rng = np.random.default_rng(seed)
+    fill = rng.standard_normal((n - len(values)) // 2)
+    x = np.concatenate([values, fill, -fill, np.zeros((n - len(values)) % 2)])
+    rng.shuffle(x)
+    return x
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cancellation(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(3000) * 10.0 ** rng.integers(-20, 20, 3000)
+        y = np.concatenate([x, -x[:2000], rng.standard_normal(50) * 1e-30])
+        assert_same_as_fsum(y)
+        rng.shuffle(y)
+        assert_same_as_fsum(y)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exponents_across_the_range(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.ldexp(rng.uniform(-1.0, 1.0, 5000), rng.integers(-1074, 951, 5000))
+        assert_same_as_fsum(x)
+        assert_same_as_fsum(np.concatenate([x, -x[::3]]))
+
+    def test_subnormals_only(self):
+        rng = np.random.default_rng(7)
+        x = np.ldexp(rng.integers(-(2**52) + 1, 2**52, 4000).astype(float), -1074)
+        assert np.all(np.abs(x) < np.finfo(float).tiny)
+        assert_same_as_fsum(x)
+        assert_same_as_fsum(np.abs(x))
+        assert_same_as_fsum(np.full(1000, 5e-324))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_signed_zeros_sum_to_plus_zero(self, zero):
+        x = np.full(2000, zero)
+        assert_same_as_fsum(x)
+        assert math.copysign(1.0, exact_sum(x)) == 1.0
+
+    @pytest.mark.parametrize("values", [
+        [2.0**53, 0.5, 0.5],          # 2**53 + 1: a tie, down to even
+        [2.0**53, 1.0],               # the same tie
+        [2.0**53 + 2.0, 1.0],         # 2**53 + 3: a tie, up to even
+        [2.0**53, 1.0, 5e-324],       # just above the tie
+        [2.0**53 + 2.0, 1.0, -5e-324],  # just below the tie
+        [1.0, 2.0**-53],              # a tie at 1
+        [1.0, 2.0**-53, 2.0**-105],
+    ])
+    def test_ties_to_even(self, values):
+        assert_same_as_fsum(pad(values))
+        assert_same_as_fsum(pad(values, n=_SMALL + 1, seed=1))
+
+    def test_bin_whose_integer_parts_cancel(self):
+        # 0.75 + 2**-40 and -0.75 share an exponent; their integer parts
+        # m * 2**27 cancel and only the fraction of the first is left
+        x = np.zeros(1000)
+        x[:2] = [0.75 + 2.0**-40, -0.75]
+        assert exact_sum(x) == 2.0**-40
+        assert_same_as_fsum(pad([0.75 + 2.0**-40, -0.75, 3.0 * 2.0**-60]))
+
+    @pytest.mark.parametrize("n", [_SMALL - 1, _SMALL, _SMALL + 1])
+    def test_lengths_around_the_cutoff(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-200, 200, n)
+        assert_same_as_fsum(x)
+        assert_same_as_fsum(pad([1e100, 1.0, -1e100], n=n))
+
+    def test_across_block_and_chunk_boundaries(self, monkeypatch):
+        # a chunk's bin sums stay exact: at most 2**27 per value
+        assert geometry._CHUNK * 2**27 <= 2**53
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(geometry._BLOCK + 3)
+        x[-3:] = [1e16, 1.0, -1e16]
+        assert_same_as_fsum(x)
+        y = np.ldexp(rng.uniform(-1.0, 1.0, 5500), rng.integers(-1074, 951, 5500))
+        for block, chunk in [(512, 1000), (700, 2100), (64, 5499)]:
+            monkeypatch.setattr(geometry, "_BLOCK", block)
+            monkeypatch.setattr(geometry, "_CHUNK", chunk)
+            assert_same_as_fsum(y)
+            assert_same_as_fsum(np.concatenate([y, -y[:-1]]))
+            assert_same_as_fsum(np.concatenate([y[:-1], [np.inf]]))
+            assert_same_as_fsum(np.concatenate([y[:-1], [1e300]]))
+
+    @pytest.mark.parametrize("values,expected", [
+        ([np.inf, -np.inf], ValueError),
+        ([np.nan], None),
+        ([np.inf], None),
+        ([-np.inf], None),
+        ([1e308] * 1000, OverflowError),
+        ([1e308, 1e308, -1e308], OverflowError),  # finite sum, overflow on the way
+        ([np.nan, np.inf, -np.inf], ValueError),
+    ])
+    def test_exceptions_and_non_finite(self, values, expected):
+        x = pad(values) if len(values) < _SMALL else np.array(values)
+        with np.errstate(all="raise"):
+            outcome = fsum_outcome(exact_sum, x)
+        assert outcome == fsum_outcome(math.fsum, x)
+        if expected is not None:
+            assert outcome is expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(pool=st.lists(st.floats(width=64), min_size=1, max_size=30),
+           n=st.integers(0, 3 * _SMALL), seed=st.integers(0, 2**32 - 1))
+    def test_same_as_fsum(self, pool, n, seed):
+        rng = np.random.default_rng(seed)
+        pool = np.array(pool + [-v for v in pool])
+        assert_same_as_fsum(pool[rng.integers(0, len(pool), n)])
+
+    def test_reductions_route_through_it(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(geometry, "exact_sum", lambda x: calls.append(len(x)) or 1.0)
+        rule = build_quadrature(DOM3, 4, 4, 2, "whole")
+        assert integrate(rule, ones) == 1.0
+        assert geometry.exact_dot(np.ones(len(rule)), rule.weights) == 1.0
+        assert calls == [len(rule), len(rule)]
 
 
 class TestIntegrate:
