@@ -254,16 +254,17 @@ def residual_field(f: ScalarField, y: VectorField) -> ScalarField:
 
 def _squared_magnitude(f: ScalarField | VectorField, pts: np.ndarray) -> np.ndarray:
     vals = np.asarray(f.value(pts), dtype=float)
-    if vals.ndim == 1:
-        return vals**2
-    return row_sum(vals**2)
+    with np.errstate(over="ignore"):  # the callers' require_finite catches inf
+        return vals**2 if vals.ndim == 1 else row_sum(vals**2)
 
 
 def weighted_norm(f: ScalarField | VectorField, s: float, rule: QuadratureRule) -> float:
     """(integral of rho^{2s} |f|^2)^{1/2} with rho = (1 + r^2)^{1/2}."""
     pts = rule.nodes
     rho2 = 1.0 + row_sum(pts**2)
-    vals = _squared_magnitude(f, pts) * rho2**s
+    sq = _squared_magnitude(f, pts)
+    with np.errstate(over="ignore"):  # inf is caught by require_finite
+        vals = sq * rho2**s
     require_finite(vals, pts, f.label, f"rho^{2 * s}")
     return math.sqrt(max(exact_dot(vals, rule.weights), 0.0))
 
@@ -286,7 +287,9 @@ def log_weighted_norm(
         w2 = w**-2
     else:
         raise ValueError(f"unknown log weight mode {mode!r}")
-    vals = _squared_magnitude(f, rule.nodes) * w2
+    sq = _squared_magnitude(f, rule.nodes)
+    with np.errstate(over="ignore"):  # inf is caught by require_finite
+        vals = sq * w2
     require_finite(vals, rule.nodes, f.label, mode)
     return math.sqrt(max(exact_dot(vals, rule.weights), 0.0))
 
@@ -314,7 +317,8 @@ def energy_norm(
         prod = A.solve(pts, vals)
     else:
         raise ValueError(f"unknown energy norm mode {mode!r}")
-    dens = row_sum(prod * vals)
+    with np.errstate(over="ignore"):  # inf is caught by require_finite
+        dens = row_sum(prod * vals)
     require_finite(dens, pts, label, f"energy:{mode}")
     return math.sqrt(max(exact_dot(dens, rule.weights), 0.0))
 
@@ -329,15 +333,19 @@ class QuadratureErrorAt(ArithmeticError):
         self.point = point
 
 
-def require_finite(vals: np.ndarray, pts: np.ndarray, label: str, weight: str) -> None:
+def require_finite(
+    vals: np.ndarray, pts: np.ndarray, label: str, weight: str, *, start: int = 0
+) -> None:
     """Raise ``QuadratureErrorAt`` at the first node where ``vals`` (one
-    value or one row per node) is not finite."""
+    value or one row per node) is not finite.  ``pts`` are the rule's
+    nodes from number ``start`` on, and the error names the rule's node
+    number."""
     ok = np.isfinite(vals)
     if not ok.all():
         if ok.ndim > 1:
             ok = ok.all(axis=1)
         bad = int(np.flatnonzero(~ok)[0])
-        raise QuadratureErrorAt(bad, pts[bad], label, weight)
+        raise QuadratureErrorAt(start + bad, pts[bad], label, weight)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .fields import (
     require_finite,
     separable_field,
 )
-from .geometry import exact_dot, row_sum
+from .geometry import exact_dot, node_radii, row_sum
 from .problems import Problem
 from .majorant import MajorantReport, estimate_I
 
@@ -41,17 +41,33 @@ class SingularGramError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class TestBasis:
-    """Test functions with zero trace on the inner boundary."""
+    """Test functions with zero trace on the inner boundary.
+
+    ``supports`` runs parallel to ``fields``: entry k is ``None`` or the
+    closed radial interval ``(r_lo, r_hi)`` outside which field k and its
+    gradient are exactly 0.  ``minorant_report`` evaluates a field with a
+    support only on the nodes whose radius lies in it, and a field
+    without one on the whole rule.  A basis built without ``supports``
+    has none."""
 
     __test__ = False  # not a pytest collection target
 
     fields: tuple[ScalarField, ...]
+    supports: tuple[tuple[float, float] | None, ...] = ()
+
+    def __post_init__(self):
+        if not self.supports:
+            object.__setattr__(self, "supports", (None,) * len(self.fields))
+        elif len(self.supports) != len(self.fields):
+            raise ValueError(
+                f"{len(self.supports)} supports for {len(self.fields)} fields"
+            )
 
     def __len__(self) -> int:
         return len(self.fields)
 
     def extended(self, extra: ScalarField) -> "TestBasis":
-        return TestBasis(fields=self.fields + (extra,))
+        return TestBasis(fields=self.fields + (extra,), supports=self.supports + (None,))
 
 
 def validate_zero_traces(p: Problem, basis: TestBasis) -> None:
@@ -68,13 +84,17 @@ def validate_zero_traces(p: Problem, basis: TestBasis) -> None:
 
 def default_basis(domain, n_radial: int = 4, degree: int = 1) -> TestBasis:
     """Radial C^2 bump profiles on sub-annuli of (a, R), tensored with
-    angular factors of degree <= ``degree``."""
+    angular factors of degree <= ``degree``.
+
+    The bump centred at c with half-width h, and each of its products,
+    has value and gradient exactly 0 for radii outside [c - h, c + h]:
+    that interval is the field's entry in ``supports``."""
     if n_radial < 1:
         raise ValueError("n_radial must be >= 1")
     if degree not in (0, 1):
         raise ValueError(f"degree must be 0 or 1, got {degree}")
     edges = np.linspace(domain.a, domain.R, n_radial + 1)
-    fields = []
+    fields, supports = [], []
     n_ang = 1 + (domain.dimension if degree >= 1 else 0)
     for k in range(n_radial):
         center = 0.5 * (edges[k] + edges[k + 1])
@@ -95,7 +115,8 @@ def default_basis(domain, n_radial: int = 4, degree: int = 1) -> TestBasis:
             fields.append(
                 separable_field(p, dp, ang_v, ang_g, label=f"basis[r{k},a{j}]")
             )
-    return TestBasis(fields=tuple(fields))
+            supports.append((float(center - half), float(center + half)))
+    return TestBasis(fields=tuple(fields), supports=tuple(supports))
 
 
 @dataclass(frozen=True)
@@ -118,23 +139,39 @@ class MinorantReport:
         }
 
 
-def _span(val: np.ndarray, grad: np.ndarray) -> tuple[int, int]:
+def _span(val: np.ndarray, grad: np.ndarray, start: int = 0) -> tuple[int, int]:
     """[lo, hi): from the first to the last node where a basis function or
-    its gradient is nonzero (empty when it vanishes on the whole rule)."""
+    its gradient is nonzero (empty when it vanishes on all of them).  The
+    arrays hold the rule's nodes from number ``start`` on."""
     nz = np.flatnonzero((val != 0.0) | np.any(grad != 0.0, axis=1))
-    return (int(nz[0]), int(nz[-1]) + 1) if len(nz) else (0, 0)
+    return (start + int(nz[0]), start + int(nz[-1]) + 1) if len(nz) else (0, 0)
+
+
+def _support_rows(radii: np.ndarray, support: tuple[float, float]) -> tuple[int, int]:
+    """[start, stop): the rows from the first to the last node whose radius
+    lies in ``support``, widened outward by 1e-12 of its outer radius.  A
+    bump on [c - h, c + h] evaluated at the computed radius r is nonzero
+    only where (r - c) / h rounds into (-1, 1), that is r within an
+    ulp-sized rounding of the interval, so no node where it or its
+    gradient is nonzero is left out.  The ``omega_i`` rows are ordered by
+    radial node, so the range holds few rows outside the support."""
+    pad = 1e-12 * abs(support[1])
+    rows = np.flatnonzero((radii >= support[0] - pad) & (radii <= support[1] + pad))
+    return (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
 
 
 @np.errstate(over="raise")
 def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantReport:
     """Maximize M over the span of the basis and report the details.
 
-    Every integral is an ``exact_dot`` over the nodes where its basis
-    functions can be nonzero: the products dropped elsewhere are exact
-    zeros, so each sum is the same correctly rounded value as over the
-    whole rule, and a pair of basis functions with disjoint node spans has
-    the Gram entry 0.0.  A product of finite values that overflows raises
-    ``FloatingPointError``."""
+    A basis function with a declared support is evaluated only on the
+    rows of the whole rule that its support covers; one without is
+    evaluated on the whole rule.  Every integral is an ``exact_dot`` over
+    the nodes where its basis functions can be nonzero: the products
+    dropped elsewhere are exact zeros, so each sum is the same correctly
+    rounded value as over the whole rule, and a pair of basis functions
+    with disjoint node spans has the Gram entry 0.0.  A product of finite
+    values that overflows raises ``FloatingPointError``."""
     import scipy.linalg  # deferred: importing the CLI should not load it
 
     if len(basis) == 0:
@@ -150,16 +187,22 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     require_finite(a_gv, pts, v.label, "minorant:A grad")
 
     n = len(basis)
+    radii = node_radii(pts)
     spans, vals, grads, a_grads = [], [], [], []
-    for w in basis.fields:
-        val = np.asarray(w.value(pts), dtype=float)
-        grad = np.asarray(w.gradient(pts), dtype=float)
-        require_finite(val, pts, w.label, "minorant:value")
-        require_finite(grad, pts, w.label, "minorant:gradient")
-        lo, hi = _span(val, grad)
+    for w, support in zip(basis.fields, basis.supports):
+        if support is None:
+            start, sub = 0, pts
+        else:
+            start, stop = _support_rows(radii, support)
+            sub = pts[start:stop]  # one view for all closures: they share its radii
+        val = np.asarray(w.value(sub), dtype=float)
+        grad = np.asarray(w.gradient(sub), dtype=float)
+        require_finite(val, sub, w.label, "minorant:value", start=start)
+        require_finite(grad, sub, w.label, "minorant:gradient", start=start)
+        lo, hi = _span(val, grad, start)
         spans.append((lo, hi))
-        vals.append(val[lo:hi].copy())
-        grads.append(grad[lo:hi].copy())
+        vals.append(val[lo - start:hi - start].copy())
+        grads.append(grad[lo - start:hi - start].copy())
         a_grads.append(A.apply(pts[lo:hi], grads[-1]))
 
     gram = np.empty((n, n))

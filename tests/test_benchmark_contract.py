@@ -5,6 +5,7 @@ Likewise a reduction that bypasses ``geometry.exact_sum``, which the traced
 escape the exact-sum contract and the reduction counts."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -80,3 +81,24 @@ def test_module_caches_clear_without_arguments(path):
     for name, value in list(vars(module).items()):
         if hasattr(value, "cache_clear"):
             value.cache_clear()
+
+
+def test_wrapped_basis_keeps_supports_and_bytes():
+    # the tracer counts basis nodes through ``dataclasses.replace(basis,
+    # fields=...)``: the wrapped basis must keep its supports, so the traced
+    # program evaluates the same rows and reports the same bytes
+    import extbounds as xb
+    from extbounds.minorant import default_basis, minorant_report
+    from extbounds.problems import perturb
+
+    mp = xb.builtin("N3_harmonic", shells=8)
+    v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
+    basis = default_basis(mp.domain, 4, 1)
+    wrapped = dataclasses.replace(basis, fields=tuple(
+        dataclasses.replace(f, value=lambda pts, f=f: f.value(pts),
+                            gradient=lambda pts, f=f: f.gradient(pts))
+        for f in basis.fields))
+    assert wrapped.supports == basis.supports and None not in wrapped.supports
+    plain, traced = (minorant_report(mp.problem, v, b) for b in (basis, wrapped))
+    assert plain.as_dict() == traced.as_dict()
+    assert plain.coefficients.tobytes() == traced.coefficients.tobytes()

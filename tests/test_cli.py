@@ -355,6 +355,21 @@ class TestOutDirectory:
         assert not missing.exists()
 
 
+@pytest.mark.parametrize("command", ["majorant", "minorant", "sandwich", "sweep"])
+def test_overflow_reported_without_numpy_warning(tmp_path, command):
+    # a huge epsilon overflows the integrands: stderr holds the one message
+    cfg = write_config(tmp_path, {"perturbation": {"epsilons": [1e300]},
+                                  "sweep": {"kind": "epsilon", "values": [1e300]}})
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "extbounds.cli", command, "--config", cfg,
+                          "--out", str(tmp_path)], capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("precondition violated: "), out.stderr
+
+
 def test_cli_import_loads_no_scipy_linalg():
     # the minorant imports scipy.linalg when it first runs, not at import
     code = ("import sys, numpy, extbounds.cli\n"

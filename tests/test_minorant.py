@@ -8,10 +8,12 @@ import scipy.linalg
 
 import extbounds as xb
 from extbounds.fields import QuadratureErrorAt, ScalarField
-from extbounds.geometry import exact_dot
+from extbounds.geometry import ExteriorDomain, exact_dot, node_radii, whole_and_parts
 from extbounds.minorant import (
     SingularGramError,
     TestBasis,
+    _span,
+    _support_rows,
     default_basis,
     minorant,
     minorant_report,
@@ -42,6 +44,17 @@ class TestDefaultBasis:
         pts = random_points_in_annulus(n3_harmonic.domain, 20, seed=31)
         for w in default_basis(n3_harmonic.domain, n_radial=2).fields:
             assert check_gradient(w, pts, step=1e-6, rtol=1e-5) < 1e-5
+
+    def test_supports_parallel_to_fields(self, n3_harmonic):
+        dom = n3_harmonic.domain
+        basis = default_basis(dom, 4, 1)
+        assert len(basis.supports) == len(basis.fields) == 16
+        assert basis.supports[0][0] == dom.a and basis.supports[-1][1] == dom.R
+        extra = basis.extended(n3_harmonic.exact_u)
+        assert extra.supports == basis.supports + (None,)
+        assert TestBasis(fields=basis.fields).supports == (None,) * 16
+        with pytest.raises(ValueError, match="3 supports for 16 fields"):
+            TestBasis(fields=basis.fields, supports=basis.supports[:3])
 
     def test_nonzero_trace_rejected(self, n3_harmonic):
         bad = TestBasis(fields=(n3_harmonic.exact_u,))
@@ -207,6 +220,13 @@ class TestSpanAssembly:
         self.assert_matches_dense(
             n3_harmonic.problem, v, default_basis(n3_harmonic.domain, 3, 1))
 
+    @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
+    @pytest.mark.parametrize("n_radial", [5, 7])
+    def test_bit_equal_when_bump_edges_fall_inside_panels(self, name, n_radial):
+        mp = xb.builtin(name, shells=3)
+        v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
+        self.assert_matches_dense(mp.problem, v, default_basis(mp.domain, n_radial, 1))
+
     @staticmethod
     def assert_matches_dense(p, v, basis):
         rep = minorant_report(p, v, basis)
@@ -231,6 +251,49 @@ class TestSpanAssembly:
         minorant_report(mp.problem, v, default_basis(mp.domain, 4, 1))
         assert len(seen) == calls
         assert max(seen) < len(mp.problem.quads.whole)
+
+
+class TestSupports:
+    @pytest.mark.parametrize("N,R", [(N, R) for N in (2, 3) for R in (1.05, 1.5, 2.0, 8.0)])
+    def test_rows_contain_every_nonzero_node(self, N, R):
+        # the span found on the support's rows is the span over the whole rule
+        dom = ExteriorDomain(N, 1.0, R)
+        for shells in (1, 3, 8, 16):
+            whole = whole_and_parts(dom, 12, 4, shells)[0]
+            pts = whole.nodes
+            for n_radial in range(1, 9):
+                for degree in (0, 1):
+                    basis = default_basis(dom, n_radial, degree)
+                    for w, support in zip(basis.fields, basis.supports):
+                        dense = _span(w.value(pts), w.gradient(pts))
+                        start, stop = _support_rows(node_radii(pts), support)
+                        sub = pts[start:stop]
+                        assert _span(w.value(sub), w.gradient(sub), start) == dense, (
+                            shells, n_radial, degree, w.label)
+                        assert dense == (0, 0) or start <= dense[0] < dense[1] <= stop
+
+    def test_closures_see_one_quarter_of_omega_i(self):
+        mp = xb.builtin("N3_harmonic", shells=8)
+        quarter = len(mp.problem.quads.omega_i) // 4
+        basis = default_basis(mp.domain, 4, 1)
+        seen = []
+
+        def counted(field):
+            def value(pts):
+                seen.append(len(pts))
+                return field.value(pts)
+
+            def gradient(pts):
+                seen.append(len(pts))
+                return field.gradient(pts)
+
+            return dataclasses.replace(field, value=value, gradient=gradient)
+
+        wrapped = dataclasses.replace(basis, fields=tuple(map(counted, basis.fields)))
+        assert wrapped.supports == basis.supports
+        v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
+        minorant_report(mp.problem, v, wrapped)
+        assert seen == [quarter] * (2 * len(basis))
 
 
 class TestNonFinite:
@@ -267,3 +330,29 @@ class TestNonFinite:
             minorant_report(p, v, basis)
         assert repr(label) in str(info.value)
         assert info.value.index == node
+
+    @pytest.mark.parametrize("part", ["value", "gradient"])
+    def test_inside_a_support_named_by_whole_rule_node(self, coarse, part):
+        mp = coarse["N3_harmonic"]
+        p = mp.problem
+        v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
+        basis = default_basis(mp.domain, 2, 0)
+        node = 3 * len(p.quads.omega_i) // 4  # inside the outer function's support
+        target = p.quads.whole.nodes[node]
+
+        def poison(fn):
+            # the closure sees only the support's rows: find the node by position
+            def out(pts):
+                vals = np.array(fn(pts), dtype=float)
+                vals[np.all(pts == target, axis=1)] = np.nan
+                return vals
+            return out
+
+        w = dataclasses.replace(basis.fields[1], **{part: poison(getattr(basis.fields[1], part))})
+        basis = dataclasses.replace(basis, fields=(basis.fields[0], w))
+        assert basis.supports[1] is not None
+        with pytest.raises(QuadratureErrorAt, match=f"node {node}:") as info:
+            minorant_report(p, v, basis)
+        assert repr(w.label) in str(info.value)
+        assert info.value.index == node
+        assert np.array_equal(info.value.point, target)
