@@ -38,6 +38,11 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
+# keys of the ``constants`` section that are gone, and why; any value is an error
+REMOVED_CONSTANTS = {"mesh": "the radial constants are closed forms and take no mesh",
+                     "cutoff": "the extension is cut off at R, its best radius"}
+
+
 @dataclass
 class ScenarioConfig:
     problem: str = "N3_harmonic"
@@ -48,7 +53,6 @@ class ScenarioConfig:
     trace_degree: int = 8
     constants_variant: str = "eigen"
     constants_modes: int | None = None
-    constants_cutoff: float | None = None
     boundary_mode: str = "extension_based"
     target: str = "v"
     pert_mode: str = "interior_bump"
@@ -143,9 +147,9 @@ class ScenarioConfig:
                                      cfg.constants_variant)
         if cfg.constants_variant not in ("eigen", "formula"):
             raise ConfigError(f"constants.variant: unknown {cfg.constants_variant!r}")
-        if "mesh" in cst:
-            raise ConfigError("constants.mesh: removed; the radial constants are "
-                              "closed forms and take no mesh")
+        for key, why in REMOVED_CONSTANTS.items():
+            if key in cst:
+                raise ConfigError(f"constants.{key}: removed; {why}")
         cfg.constants_modes = take(cst, "constants.modes", int, cfg.constants_modes)
         min_modes = max(8, cfg.trace_degree)
         if cfg.constants_modes is not None and cfg.constants_modes < min_modes:
@@ -153,9 +157,6 @@ class ScenarioConfig:
                 f"constants.modes: needs modes >= max(8, trace.L) = {min_modes} "
                 f"(got {cfg.constants_modes})"
             )
-        # checked against the domain, which only the problem knows, in _bundle
-        cfg.constants_cutoff = take(cst, "constants.cutoff", float,
-                                    cfg.constants_cutoff)
 
         pert = section("perturbation")
         cfg.target = take(pert, "perturbation.target", str, cfg.target)
@@ -253,14 +254,6 @@ def _build(cfg: ScenarioConfig) -> pb.ManufacturedProblem:
     )
 
 
-def _bundle(cfg: ScenarioConfig, p: pb.Problem) -> mj.ConstantsBundle:
-    cutoff, dom = cfg.constants_cutoff, p.domain
-    if cutoff is not None and not dom.a < cutoff <= dom.R:
-        raise ConfigError(f"constants.cutoff: must lie in (a, R] = ({dom.a}, {dom.R}], "
-                          f"got {cutoff}")
-    return mj.constants_bundle(p, modes=cfg.constants_modes, cutoff=cutoff)
-
-
 def _scenario_inputs(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, eps: float):
     """Perturbed (v, flux data) for one scenario.  The approximation v is
     always perturbed so the true error stays positive."""
@@ -311,7 +304,8 @@ def _row(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, eps: float,
     """One upper-bound scenario: perturb, measure the true error, bound it."""
     v, flux = _scenario_inputs(cfg, mp, eps)
     err = pb.true_error(mp, v)
-    report = _run_estimate(cfg, mp, _bundle(cfg, mp.problem), v, flux, scale_hint=err)
+    bundle = mj.constants_bundle(mp.problem, cfg.constants_modes)
+    report = _run_estimate(cfg, mp, bundle, v, flux, scale_hint=err)
     eff = math.inf if err == 0.0 else report.total / err
     return SweepRow(parameter=parameter, report=report, true_error=err, efficiency=eff)
 
@@ -371,7 +365,7 @@ def cmd_minorant(cfg: ScenarioConfig, out: str) -> int:
 
 def cmd_sandwich(cfg: ScenarioConfig, out: str) -> int:
     mp = _build(cfg)
-    bundle = _bundle(cfg, mp.problem)
+    bundle = mj.constants_bundle(mp.problem, cfg.constants_modes)
     eps = cfg.epsilons[0]
     v, flux = _scenario_inputs(cfg, mp, eps)
     if "y" not in flux:
@@ -428,7 +422,7 @@ def cmd_sweep(cfg: ScenarioConfig, out: str) -> int:
 def cmd_constants(cfg: ScenarioConfig, out: str) -> int:
     mp = _build(cfg)
     domain, A = mp.domain, mp.problem.A
-    bundle = _bundle(cfg, mp.problem)
+    bundle = mj.constants_bundle(mp.problem, cfg.constants_modes)
     reports = [
         consts.ConstantReport(
             name="exterior_poincare",

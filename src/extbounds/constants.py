@@ -11,6 +11,9 @@ r^{+-l} for N = 2 and l >= 1, and 1 and ln r for N = 2 and l = 0.
 * The minimal-energy profile with prescribed endpoint values is
   harmonic, so its Dirichlet energy is a boundary flux of these
   solutions; the extension and trace constants are explicit per degree.
+  The extension profile falls to 0 at the outer radius R: one that falls
+  to 0 further in, extended by 0 out to R, is admissible for R too, so R
+  gives the least energy, and the least constant, for every degree.
 * The Friedrichs eigenproblem is a Bessel (N = 2) or spherical Bessel
   (N = 3) equation; its constant is 1/k at the first root of an explicit
   transcendental function, bracketed by a sign-verified bisection down to
@@ -240,24 +243,18 @@ def interior_friedrichs_constant(
 def boundary_extension_constant(
     domain: ExteriorDomain,
     A: Coefficient,
-    cutoff: float | None = None,
     modes: int = 12,
 ) -> ConstantReport:
     """Constant of the concrete mode-wise extension operator from the
     inner sphere: a degree-l trace coefficient is extended by the
     minimal-energy (harmonic) radial profile with value 1 at ``a`` and 0
-    at ``cutoff``.  The report's ``params["mode_energies"]`` holds the
+    at ``R``.  The report's ``params["mode_energies"]`` holds the
     Dirichlet energy per unit surface-L2 coefficient, -psi'(a), which
-    :func:`extbounds.majorant.boundary_term` reuses for the direct
-    extension-energy bound."""
-    cutoff = domain.R if cutoff is None else float(cutoff)
-    if not domain.a < cutoff <= domain.R:
-        raise ValueError(
-            f"cutoff must lie in (a, R] = ({domain.a}, {domain.R}], got {cutoff}"
-        )
+    :func:`extbounds.majorant.boundary_term` reuses, weighted by
+    ``c_A_plus``, for the direct extension-energy bound."""
     _check_modes(domain, modes, "extension constant")
-    n, a = domain.dimension, domain.a
-    energies = [_harmonic_flux(n, ell, a, cutoff, True) for ell in range(modes + 1)]
+    n, a, R = domain.dimension, domain.a, domain.R
+    energies = [_harmonic_flux(n, ell, a, R, True) for ell in range(modes + 1)]
     ratios = tuple(
         _outward(math.sqrt(e / _h_half_multiplier(ell, n, a) * A.c_A_plus))
         for ell, e in enumerate(energies)
@@ -269,12 +266,12 @@ def boundary_extension_constant(
         mode_values=ratios,
         params={
             "modes": modes,
-            "cutoff": cutoff,
+            "cutoff": R,
             "extremum": "max",
             "extremum_index": int(np.argmax(ratios)),
             "mode_energies": tuple(_outward(e) for e in energies),
             "c_A_plus": A.c_A_plus,
-            "domain": [n, a, domain.R],
+            "domain": [n, a, R],
         },
         rel_accuracy=OUTWARD_RTOL,
     )

@@ -112,18 +112,14 @@ class Coefficient:
     """Symmetric matrix coefficient with two-sided ellipticity bounds
     ``0 < c_A <= c_A_plus``.
 
-    ``isotropic`` is set when the matrix is a constant multiple of the
-    identity; it lets extension energies be evaluated exactly instead of
-    through the upper bound ``c_A_plus``.  ``Coefficient.constant`` sets
-    ``diagonal`` when the matrix is diagonal, with +0 off the diagonal;
-    ``apply`` and ``solve`` then work on the diagonal alone.
+    ``Coefficient.constant`` sets ``diagonal`` when the matrix is
+    diagonal; ``apply`` and ``solve`` then work on the diagonal alone.
     """
 
     matrix: Callable[[np.ndarray], np.ndarray]  # (M,N)->(M,N,N)
     c_A: float
     c_A_plus: float
     label: str = ""
-    isotropic: float | None = None
     diagonal: np.ndarray | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
@@ -138,20 +134,18 @@ class Coefficient:
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("constant coefficient must be a square matrix")
-        if not np.allclose(mat, mat.T, atol=1e-14):
+        if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-14):
             raise ValueError("coefficient matrix must be symmetric")
         eigs = np.linalg.eigvalsh(mat)
-        iso = float(mat[0, 0]) if np.allclose(mat, mat[0, 0] * np.eye(len(mat))) else None
         mat.flags.writeable = False
         coef = Coefficient(
             matrix=lambda pts: np.broadcast_to(mat, (len(pts), *mat.shape)),
             c_A=float(eigs[0]),
             c_A_plus=float(eigs[-1]),
             label=label or "const",
-            isotropic=iso,
         )
         diag = np.diag(mat).copy()
-        if np.array_equal(mat.view(np.int64), np.diag(diag).view(np.int64)):
+        if np.array_equal(mat, np.diag(diag)):
             diag.flags.writeable = False
             object.__setattr__(coef, "diagonal", diag)
         return coef
@@ -159,32 +153,20 @@ class Coefficient:
     def apply(self, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """A(x) q(x) at every node, as ``einsum("mij,mj->mi")`` gives it.
 
-        For a diagonal matrix the products with the off-diagonal zeros
-        only turn a zero sum into +0 (and a non-finite entry makes its
-        whole row non-finite), so ``q * diag + 0.0`` has the same bits
-        wherever the row is finite."""
+        For a diagonal matrix it is ``q * diag``, which differs only in
+        the sign of zeros, which no row sum sees, and in rows that hold a
+        non-finite entry, which are rejected at the same node either way."""
         if self.diagonal is not None:
-            return vals * self.diagonal + 0.0
+            return vals * self.diagonal
         return np.einsum("mij,mj->mi", np.asarray(self.matrix(pts), dtype=float), vals)
 
     def solve(self, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """A(x)^{-1} q(x) at every node, by a direct batched solve of the
         N x N system (never an explicit inverse).  For a diagonal matrix
-        it does the arithmetic of LAPACK's LU solve directly: the factors
-        have +0 off the diagonal, whose products set only the sign of a
-        zero or spread a NaN, then each entry is divided by the diagonal."""
+        it is ``q / diag``, which differs only as for ``apply``."""
         if self.diagonal is not None:
-            x = np.array(vals, dtype=float)
-            n = x.shape[1]
-            with np.errstate(all="ignore"):  # as silent as LAPACK
-                for i in range(n):
-                    for j in range(i):
-                        x[:, i] -= 0.0 * x[:, j]
-                for i in reversed(range(n)):
-                    for j in range(i + 1, n):
-                        x[:, i] -= 0.0 * x[:, j]
-                    x[:, i] /= self.diagonal[i]
-            return x
+            with np.errstate(over="ignore"):  # as silent as the batched solve
+                return vals / self.diagonal
         mats = np.asarray(self.matrix(pts), dtype=float)
         try:
             return np.linalg.solve(mats, vals[:, :, None])[:, :, 0]

@@ -91,7 +91,7 @@ class ConstantsBundle:
     extension: consts.ConstantReport
     trace: consts.ConstantReport
     modes: int
-    cutoff: float
+    cutoff: float  # the extension's cutoff radius, always R (read by perfbench)
 
     def c_o(self, variant: str) -> float:
         if variant == "formula":
@@ -101,11 +101,7 @@ class ConstantsBundle:
         raise ValueError(f"unknown c_o variant {variant!r}")
 
 
-def constants_bundle(
-    p: Problem,
-    modes: int | None = None,
-    cutoff: float | None = None,
-) -> ConstantsBundle:
+def constants_bundle(p: Problem, modes: int | None = None) -> ConstantsBundle:
     """Compute the constants for a problem.  ``modes`` must cover the
     trace degree, because :func:`boundary_term` reads one mode energy per
     degree of the trace."""
@@ -115,9 +111,8 @@ def constants_bundle(
         raise ValueError(
             f"modes must be >= the trace degree {p.trace_degree}, got {modes}"
         )
-    cutoff = domain.R if cutoff is None else cutoff
     fried = consts.interior_friedrichs_constant(domain, modes=modes)
-    ext = consts.boundary_extension_constant(domain, A, cutoff=cutoff, modes=modes)
+    ext = consts.boundary_extension_constant(domain, A, modes=modes)
     trace = consts.interface_trace_constant(domain, A, modes=modes)
     c_o_formula = consts.interior_weight_constant(domain, A)
     eigen = fried.value / math.sqrt(A.c_A)
@@ -131,7 +126,7 @@ def constants_bundle(
         extension=ext,
         trace=trace,
         modes=modes,
-        cutoff=cutoff,
+        cutoff=domain.R,
     )
 
 
@@ -187,8 +182,9 @@ def boundary_term(
     """Penalty for a Dirichlet-data mismatch of the approximation.
 
     ``constant_based``: 2 c_gamma ||g - trace(v)||_{H^{1/2}}.
-    ``extension_based``: 2 ||A^{1/2} grad E(g - trace(v))|| for the
-    concrete mode-wise extension; never larger than the constant form.
+    ``extension_based``: 2 (c_A_plus ||grad E(g - trace(v))||^2)^{1/2} for
+    the concrete mode-wise extension E, a bound on 2 ||A^{1/2} grad E(..)||
+    exact for A = cI; never larger than the constant form.
     Returns 0 when the mismatch norm is below 1e-13.
     """
     if mode not in ("constant_based", "extension_based"):
@@ -204,8 +200,7 @@ def boundary_term(
     energies = np.asarray(bundle.extension.params["mode_energies"])
     ell = mismatch.degrees()
     dirichlet = float(np.sum(mismatch.coefficients**2 * energies[ell]))
-    factor = p.A.isotropic if p.A.isotropic is not None else p.A.c_A_plus
-    return 2.0 * math.sqrt(factor * dirichlet)
+    return 2.0 * math.sqrt(p.A.c_A_plus * dirichlet)
 
 
 # ---------------------------------------------------------------------------

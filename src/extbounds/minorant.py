@@ -139,14 +139,6 @@ class MinorantReport:
         }
 
 
-def _span(val: np.ndarray, grad: np.ndarray, start: int = 0) -> tuple[int, int]:
-    """[lo, hi): from the first to the last node where a basis function or
-    its gradient is nonzero (empty when it vanishes on all of them).  The
-    arrays hold the rule's nodes from number ``start`` on."""
-    nz = np.flatnonzero((val != 0.0) | np.any(grad != 0.0, axis=1))
-    return (start + int(nz[0]), start + int(nz[-1]) + 1) if len(nz) else (0, 0)
-
-
 def _support_rows(radii: np.ndarray, support: tuple[float, float]) -> tuple[int, int]:
     """[start, stop): the rows from the first to the last node whose radius
     lies in ``support``, widened outward by 1e-12 of its outer radius.  A
@@ -165,13 +157,12 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     """Maximize M over the span of the basis and report the details.
 
     A basis function with a declared support is evaluated only on the
-    rows of the whole rule that its support covers; one without is
-    evaluated on the whole rule.  Every integral is an ``exact_dot`` over
-    the nodes where its basis functions can be nonzero: the products
-    dropped elsewhere are exact zeros, so each sum is the same correctly
-    rounded value as over the whole rule, and a pair of basis functions
-    with disjoint node spans has the Gram entry 0.0.  A product of finite
-    values that overflows raises ``FloatingPointError``."""
+    rows of the whole rule that its support covers, one without on the
+    whole rule.  Every integral is an ``exact_dot`` over the rows its
+    basis functions share: the products skipped elsewhere are exact
+    zeros, so each sum is the correctly rounded value over the whole
+    rule, and a pair sharing no rows has the Gram entry 0.0.  A product
+    of finite values that overflows raises ``FloatingPointError``."""
     import scipy.linalg  # deferred: importing the CLI should not load it
 
     if len(basis) == 0:
@@ -188,10 +179,10 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
 
     n = len(basis)
     radii = node_radii(pts)
-    spans, vals, grads, a_grads = [], [], [], []
+    rows, vals, grads, a_grads = [], [], [], []
     for w, support in zip(basis.fields, basis.supports):
         if support is None:
-            start, sub = 0, pts
+            start, stop, sub = 0, len(pts), pts  # the rule's own array: its radii are memoized
         else:
             start, stop = _support_rows(radii, support)
             sub = pts[start:stop]  # one view for all closures: they share its radii
@@ -199,17 +190,16 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
         grad = np.asarray(w.gradient(sub), dtype=float)
         require_finite(val, sub, w.label, "minorant:value", start=start)
         require_finite(grad, sub, w.label, "minorant:gradient", start=start)
-        lo, hi = _span(val, grad, start)
-        spans.append((lo, hi))
-        vals.append(val[lo - start:hi - start].copy())
-        grads.append(grad[lo - start:hi - start].copy())
-        a_grads.append(A.apply(pts[lo:hi], grads[-1]))
+        rows.append((start, stop))
+        vals.append(val)
+        grads.append(grad)
+        a_grads.append(A.apply(sub, grad))
 
     gram = np.empty((n, n))
     rhs = np.empty(n)
-    for j, (lo_j, hi_j) in enumerate(spans):
+    for j, (lo_j, hi_j) in enumerate(rows):
         for k in range(j, n):
-            lo_k, hi_k = spans[k]
+            lo_k, hi_k = rows[k]
             lo, hi = max(lo_j, lo_k), min(hi_j, hi_k)
             gram[j, k] = gram[k, j] = 0.0 if lo >= hi else exact_dot(
                 row_sum(a_grads[j][lo - lo_j:hi - lo_j] * grads[k][lo - lo_k:hi - lo_k]),
@@ -229,12 +219,12 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     value = float(rhs @ coeff)
 
     # evaluate M(w*) directly by quadrature as a consistency cross-check,
-    # over the nodes from the first span to the last
-    lo = min(lo_j for lo_j, _ in spans)
-    hi = max(hi_j for _, hi_j in spans)
+    # over the rows from the first basis function's to the last
+    lo = min(lo_j for lo_j, _ in rows)
+    hi = max(hi_j for _, hi_j in rows)
     w_vals = np.zeros(hi - lo)
     w_grads = np.zeros((hi - lo, gv.shape[1]))
-    for c, (lo_j, hi_j), val, grad in zip(coeff, spans, vals, grads):
+    for c, (lo_j, hi_j), val, grad in zip(coeff, rows, vals, grads):
         w_vals[lo_j - lo:hi_j - lo] += c * val
         w_grads[lo_j - lo:hi_j - lo] += c * grad
     a_mixed = A.apply(pts[lo:hi], 2.0 * gv[lo:hi] + w_grads)

@@ -102,3 +102,23 @@ def test_wrapped_basis_keeps_supports_and_bytes():
     plain, traced = (minorant_report(mp.problem, v, b) for b in (basis, wrapped))
     assert plain.as_dict() == traced.as_dict()
     assert plain.coefficients.tobytes() == traced.coefficients.tobytes()
+
+
+def test_names_perfbench_reads_exist():
+    # the warm set-up and its closed-form checks read these names, so a
+    # deletion in the library must fail here, not in a benchmark run
+    import extbounds as xb
+
+    used = {node.attr
+            for path in sorted((ROOT / "perfbench").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "xb"}
+    assert {"builtin", "constants_bundle", "minorant_report"} <= used
+    assert [name for name in sorted(used) if not hasattr(xb, name)] == []
+
+    bundle = xb.constants_bundle(xb.builtin("N3_harmonic", shells=1).problem)
+    for name in ("poincare", "c_o_formula", "c_o_eigen", "friedrichs", "extension",
+                 "trace", "modes", "cutoff"):
+        assert hasattr(bundle, name), f"ConstantsBundle.{name}"
+    assert len(bundle.extension.params["mode_energies"]) == bundle.modes + 1

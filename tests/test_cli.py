@@ -115,6 +115,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="constants.modes"):
             ScenarioConfig.from_dict({"constants": {"modes": 8}, "trace": {"L": 10}})
 
+    def test_removed_keys_named(self):
+        # the extension's cutoff is R and the constants take no mesh: any
+        # value, null included, names the key as removed
+        for key in ("cutoff", "mesh"):
+            for value in (None, 1.3, 5.0, 512):
+                with pytest.raises(ConfigError, match=f"constants.{key}: removed"):
+                    ScenarioConfig.from_dict({"constants": {key: value}})
+
     def test_defaults_fill_in(self):
         cfg = ScenarioConfig.from_dict({})
         assert cfg.problem == "N3_harmonic" and cfg.estimate == "I"
@@ -144,8 +152,7 @@ def accepted_configs(draw):
                        "shells": draw(st.integers(1, 3))},
         "trace": {"L": L},
         "constants": {"variant": draw(st.sampled_from(["eigen", "formula"])),
-                      "modes": draw(st.none() | st.integers(max(8, L), 12)),
-                      "cutoff": draw(st.none() | st.floats(0.5, 3.0))},
+                      "modes": draw(st.none() | st.integers(max(8, L), 12))},
         "perturbation": {"target": target,
                          "mode": draw(st.sampled_from(TARGET_MODES[target])),
                          "epsilons": draw(st.lists(FINITE, min_size=1, max_size=2)),
@@ -225,7 +232,7 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert field in err and "Traceback" not in err
-        if field == "constants.mesh":
+        if field in ("constants.mesh", "constants.cutoff"):
             assert "removed" in err
 
     def test_majorant_report_schema(self, tmp_path):

@@ -184,15 +184,15 @@ class TestBoundaryExtension:
         assert 17.0 / 7.0 <= rep.params["mode_energies"][1] <= 17.0 / 7.0 * (1 + 1e-10)
 
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("cutoff", [None, 1.3])
-    def test_not_below_closed_form(self, dim, cutoff):
-        dom = ExteriorDomain(dim, 1.0, 2.0)
+    @pytest.mark.parametrize("R", [None, 1.3])  # None: the catalog's R = 2
+    def test_not_below_closed_form(self, dim, R):
+        dom = ExteriorDomain(dim, 1.0, R or 2.0)
         A = Coefficient.constant(np.diag([1.0, 3.0, 2.0][:dim]))
         modes = 12
-        rep = cs.boundary_extension_constant(dom, A, cutoff=cutoff, modes=modes)
-        c = dom.R if cutoff is None else cutoff
+        rep = cs.boundary_extension_constant(dom, A, modes=modes)
+        assert rep.params["cutoff"] == dom.R
         for ell in range(modes + 1):
-            energy = extension_energy(dim, ell, dom.a, c)
+            energy = extension_energy(dim, ell, dom.a, dom.R)
             ratio = math.sqrt(energy / mode_multiplier(ell, dim, dom.a) * A.c_A_plus)
             assert energy <= rep.params["mode_energies"][ell] <= energy * (1 + 1e-10)
             assert ratio <= rep.mode_values[ell] <= ratio * (1 + 1e-10)
@@ -232,12 +232,6 @@ class TestBoundaryExtension:
             math.sqrt(rep.params["mode_energies"][0]), rel=1e-12
         )
         assert rep.params["extremum_index"] == 0
-
-    def test_cutoff_validation(self):
-        with pytest.raises(ValueError, match="cutoff"):
-            cs.boundary_extension_constant(DOM3, A_ID3, cutoff=0.5)
-        with pytest.raises(ValueError, match="cutoff"):
-            cs.boundary_extension_constant(DOM3, A_ID3, cutoff=3.0)
 
 
 class TestInterfaceTrace:

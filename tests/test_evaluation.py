@@ -1,6 +1,8 @@
 """Each field is evaluated once per operation: the coefficient's diagonal
-fast path, the shared gradient of the approximation, and the estimates
-and true error that use it, all bit-equal to the formulas they replace."""
+fast path (equal in value to the formulas it replaces, which leaves every
+energy bit-equal), the shared gradient of the approximation, and the
+estimates and true error that use it, bit-equal to the formulas they
+replace."""
 
 import dataclasses
 import math
@@ -24,21 +26,21 @@ from extbounds.problems import perturb, with_interface_radius
 DIAGONALS = [np.ones(3), np.ones(2), 2.0 * np.ones(3), 2.0 * np.ones(2),
              np.array([1.0, 2.0, 4.0]), np.array([1.0, 2.0]),
              np.array([3.0, 5.0, 7.0]), np.array([3.0, 5.0])]
-SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e300, -1e300,
-                    1.0, -1.0, 3.0])
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.0, -1.0, 3.0])
 
 
 def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
-def node_values(n, m=4000, seed=0):
-    """Random node values over many magnitudes, a third of them replaced by
-    signed zeros, subnormals, +-1e300 and small integers."""
+def node_values(n, m=4000, seed=0, top=300):
+    """Random node values over magnitudes up to 10^top, a third of them
+    replaced by signed zeros, subnormals, +-10^top and small integers."""
     rng = np.random.default_rng(seed)
-    vals = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-300, 300, size=(m, n))
+    vals = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-top, top, size=(m, n))
     mask = rng.random((m, n)) < 0.35
-    vals[mask] = rng.choice(SPECIAL, size=(m, n))[mask]
+    special = np.append(SPECIAL, [10.0**top, -(10.0**top)])
+    vals[mask] = rng.choice(special, size=(m, n))[mask]
     return vals
 
 
@@ -46,18 +48,48 @@ def batched(A, pts):
     return np.asarray(A.matrix(pts), dtype=float)
 
 
+def assert_diagonal_path_matches(A, vals):
+    """The diagonal ``apply``/``solve`` against the einsum and the batched
+    solve, by value: the values are finite and not NaN, so == is bit
+    equality except that -0 equals +0, the one difference allowed."""
+    assert A.diagonal is not None
+    pts = np.ones_like(vals)
+    mats = batched(A, pts)
+    np.testing.assert_array_equal(A.apply(pts, vals), np.einsum("mij,mj->mi", mats, vals))
+    np.testing.assert_array_equal(
+        A.solve(pts, vals), np.linalg.solve(mats, vals[:, :, None])[:, :, 0])
+
+
 class TestApplySolve:
     @pytest.mark.parametrize("diag", DIAGONALS, ids=lambda d: str(d.tolist()))
     def test_diagonal_bit_equal_to_einsum_and_batched_solve(self, diag):
-        A = Coefficient.constant(np.diag(diag))
-        assert A.diagonal is not None
-        vals = node_values(len(diag))
-        pts = np.ones_like(vals)
-        mats = batched(A, pts)
-        want_apply = np.einsum("mij,mj->mi", mats, vals)
-        want_solve = np.linalg.solve(mats, vals[:, :, None])[:, :, 0]
-        np.testing.assert_array_equal(bits(A.apply(pts, vals)), bits(want_apply))
-        np.testing.assert_array_equal(bits(A.solve(pts, vals)), bits(want_solve))
+        assert_diagonal_path_matches(Coefficient.constant(np.diag(diag)),
+                                     node_values(len(diag)))
+
+    def test_negative_zero_off_the_diagonal_is_diagonal(self):
+        A = Coefficient.constant(np.array([[1.0, -0.0], [-0.0, 2.0]]))
+        np.testing.assert_array_equal(bits(A.diagonal), bits([1.0, 2.0]))
+        assert_diagonal_path_matches(A, node_values(2))
+
+    @pytest.mark.parametrize("mat", [np.eye(3), np.diag([3.0, 5.0, 7.0]),
+                                     np.diag([0.5, 2.0, 4.0]), np.diag([1.0, 2.0])])
+    @pytest.mark.parametrize("mode", ["A", "A_inverse"])
+    def test_energy_norm_bit_equal_to_batched(self, mat, mode):
+        # the signs of zero that the diagonal path does not reproduce never
+        # reach an energy, whose row sums start from +0; up to 1e140 the
+        # density stays finite (larger values raise before any sum)
+        A = Coefficient.constant(mat)
+        rule = build_quadrature(xb.ExteriorDomain(len(mat), 1.0, 2.0), 4, 4, 2, "omega_i")
+        mats = batched(A, rule.nodes)
+        for seed in range(3):
+            vals = node_values(len(mat), m=len(rule), seed=seed, top=140)
+            if mode == "A":
+                prod = np.einsum("mij,mj->mi", mats, vals)
+            else:
+                prod = np.linalg.solve(mats, vals[:, :, None])[:, :, 0]
+            old_energy = math.sqrt(max(exact_dot(row_sum(prod * vals), rule.weights), 0.0))
+            np.testing.assert_array_equal(
+                bits(energy_norm(A, vals, mode, rule)), bits(old_energy))
 
     def test_solve_leaves_input_alone(self):
         A = Coefficient.constant(np.diag([3.0, 5.0, 7.0]))
@@ -68,7 +100,7 @@ class TestApplySolve:
 
     @pytest.mark.parametrize("mat", [
         np.array([[2.0, 0.5, 0.0], [0.5, 3.0, 0.1], [0.0, 0.1, 1.0]]),
-        np.array([[1.0, -0.0], [-0.0, 2.0]]),  # -0 off the diagonal
+        np.array([[1.0, 5e-324], [5e-324, 2.0]]),  # off the diagonal by one subnormal
     ])
     def test_non_diagonal_constant_takes_batched_path(self, mat):
         A = Coefficient.constant(mat)

@@ -1,8 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 import extbounds as xb
-from extbounds.fields import VectorField, gradient_field, energy_norm
+from extbounds import traces
+from extbounds.fields import Coefficient, VectorField, gradient_field, energy_norm
 from extbounds.geometry import node_radii
 from extbounds.majorant import (
     DivergentNormError,
@@ -80,6 +84,22 @@ class TestBoundaryTerm:
             vals.append(boundary_term(mp.problem, v, "extension_based", bundle))
         assert vals[0] == pytest.approx(10 * vals[1], rel=1e-9)
         assert vals[1] == pytest.approx(10 * vals[2], rel=1e-9)
+
+    def test_extension_energy_weighted_by_upper_bound(self):
+        # diag(1, 1.000001, 1) is within allclose of the identity, but not a
+        # multiple of it: its energies take c_A_plus, never 1
+        mp = xb.builtin("N3_harmonic", shells=3)
+        A = Coefficient.constant(np.diag([1.0, 1.000001, 1.0]))
+        p = dataclasses.replace(mp.problem, A=A)
+        v = perturb(mp, "v", 0.1, "boundary_mode", seed=2)
+        bundle = xb.constants_bundle(p)
+        mismatch = traces.difference(
+            p.g, traces.analyze(v, p.domain.a, p.trace_degree, p.quads.gamma))
+        energies = np.asarray(bundle.extension.params["mode_energies"])
+        dirichlet = float(np.sum(mismatch.coefficients**2 * energies[mismatch.degrees()]))
+        assert A.c_A_plus > 1.0
+        assert boundary_term(p, v, "extension_based", bundle) == (
+            2.0 * math.sqrt(A.c_A_plus * dirichlet))
 
     def test_bundle_modes_cover_trace_degree(self, catalog):
         p = catalog["N3_harmonic"].problem

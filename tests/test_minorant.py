@@ -12,7 +12,6 @@ from extbounds.geometry import ExteriorDomain, exact_dot, node_radii, whole_and_
 from extbounds.minorant import (
     SingularGramError,
     TestBasis,
-    _span,
     _support_rows,
     default_basis,
     minorant,
@@ -236,7 +235,7 @@ class TestSpanAssembly:
 
     @pytest.mark.parametrize("name,calls", [("N3_harmonic", 74), ("N2_log", 50)])
     def test_exact_dot_calls(self, coarse, monkeypatch, name, calls):
-        # 4 radial groups of 1 + N fields with disjoint node spans: the Gram
+        # 4 radial groups of 1 + N fields with disjoint support rows: the Gram
         # pairs within a group, two sums per right-hand side, two direct sums
         module = sys.modules["extbounds.minorant"]
         seen = []
@@ -251,6 +250,14 @@ class TestSpanAssembly:
         minorant_report(mp.problem, v, default_basis(mp.domain, 4, 1))
         assert len(seen) == calls
         assert max(seen) < len(mp.problem.quads.whole)
+
+
+def _span(val, grad, start=0):
+    """[lo, hi): from the first to the last node where a basis function or
+    its gradient is nonzero (empty when it vanishes on all of them).  The
+    arrays hold the rule's nodes from number ``start`` on."""
+    nz = np.flatnonzero((val != 0.0) | np.any(grad != 0.0, axis=1))
+    return (start + int(nz[0]), start + int(nz[-1]) + 1) if len(nz) else (0, 0)
 
 
 class TestSupports:
