@@ -12,6 +12,12 @@ Two radial weights coexist and are never interchanged silently:
 radius r (with a logarithm in 2D) in the inequality machinery
 (``log_weighted_norm``).
 
+A scalar field may declare a radial ``support``: the closed interval of
+radii outside which its value and gradient are exactly 0.
+``separable_field`` evaluates its closures only on the rows of the nodes
+that ``support_rows`` finds for it and writes 0.0 on the others, and the
+minorant sums each basis function only over those rows.
+
 ``gradient_on`` keeps the gradient of the last field it evaluated on the
 last rule, so that the estimates and the true error of one approximation
 share one evaluation.  Its contract: fields are immutable and their
@@ -44,11 +50,16 @@ def _combine_maybe(fa, fb, op):
 @dataclass(frozen=True)
 class ScalarField:
     """Scalar field with vectorized ``value`` (M,N)->(M,) and optional
-    analytic ``gradient`` (M,N)->(M,N)."""
+    analytic ``gradient`` (M,N)->(M,N).
+
+    ``support`` is ``None`` or a closed radial interval ``(r_lo, r_hi)``
+    outside which the value and the gradient are exactly 0 (up to the
+    sign of zero).  ``c * w`` keeps it; ``+`` and ``-`` drop it."""
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
+    support: tuple[float, float] | None = None
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         return ScalarField(
@@ -71,6 +82,7 @@ class ScalarField:
             value=lambda pts: c * self.value(pts),
             gradient=None if grad is None else (lambda pts: c * grad(pts)),
             label=f"{c}*{self.label}",
+            support=self.support,
         )
 
 
@@ -107,13 +119,27 @@ class VectorField:
         )
 
 
+SYMMETRY_RTOL = 1e-14
+
+
+def _symmetric(mats: np.ndarray) -> bool:
+    """Whether each matrix (the last two axes) differs from its transpose
+    by at most ``SYMMETRY_RTOL`` times its largest entry, in every entry.
+    A matrix with a non-finite entry is not symmetric."""
+    gap = np.abs(mats - np.swapaxes(mats, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    scale = np.abs(mats).max(axis=(-2, -1), initial=0.0)
+    return bool(np.all(gap <= SYMMETRY_RTOL * scale))
+
+
 @dataclass(frozen=True)
 class Coefficient:
     """Symmetric matrix coefficient with two-sided ellipticity bounds
     ``0 < c_A <= c_A_plus``.
 
-    ``Coefficient.constant`` sets ``diagonal`` when the matrix is
-    diagonal; ``apply`` and ``solve`` then work on the diagonal alone.
+    ``Coefficient.constant`` keeps a read-only copy of its matrix, which
+    must be symmetric to ``SYMMETRY_RTOL`` of its largest entry.  It sets
+    ``diagonal`` when the matrix is diagonal; ``apply`` and ``solve``
+    then work on the diagonal alone.
     """
 
     matrix: Callable[[np.ndarray], np.ndarray]  # (M,N)->(M,N,N)
@@ -131,10 +157,10 @@ class Coefficient:
 
     @staticmethod
     def constant(mat: np.ndarray, label: str = "") -> "Coefficient":
-        mat = np.asarray(mat, dtype=float)
+        mat = np.array(mat, dtype=float)  # a copy: the caller's array stays writeable
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("constant coefficient must be a square matrix")
-        if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-14):
+        if not _symmetric(mat):
             raise ValueError("coefficient matrix must be symmetric")
         eigs = np.linalg.eigvalsh(mat)
         mat.flags.writeable = False
@@ -452,19 +478,62 @@ def angular_monomial(dimension: int, index: int):
     return value, gradient
 
 
-def separable_field(p, dp, ang_value, ang_gradient, label: str = "separable") -> ScalarField:
-    """p(r) * q(x) with q homogeneous of degree zero (so x . grad q = 0)."""
+def support_rows(radii: np.ndarray, support: tuple[float, float]) -> tuple[int, int]:
+    """[start, stop): the rows from the first to the last node whose radius
+    lies in ``support``, widened outward by 1e-12 of its outer radius.  A
+    profile vanishing outside [c - h, c + h], evaluated at the computed
+    radius r, is nonzero only where (r - c) / h rounds into (-1, 1), that
+    is r within an ulp-sized rounding of the interval, so no node where it
+    or its gradient is nonzero is left out.  The ``omega_i`` rows are
+    ordered by radial node, so the range holds few rows outside the
+    support."""
+    pad = 1e-12 * abs(support[1])
+    rows = np.flatnonzero((radii >= support[0] - pad) & (radii <= support[1] + pad))
+    return (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
+
+
+def separable_field(
+    p, dp, ang_value, ang_gradient, label: str = "separable",
+    support: tuple[float, float] | None = None,
+) -> ScalarField:
+    """p(r) * q(x) with q homogeneous of degree zero (so x . grad q = 0).
+
+    With a ``support``, p and dp must vanish at radii outside it.  The
+    closures then run only on the rows ``support_rows`` gives, all on one
+    read-only view of them (which shares its radii), and write 0.0 on
+    the other rows; on a range covering every row they run on the array
+    itself.  Each value is computed elementwise, so the rows of the range
+    keep their bits, and the skipped ones differ from the formula at most
+    in the sign of zero."""
+
+    def on_support(evaluate, pts, shape):
+        pts = np.atleast_2d(pts)
+        if support is None:
+            return evaluate(pts)
+        start, stop = support_rows(node_radii(pts), support)
+        if stop - start == len(pts):
+            return evaluate(pts)
+        out = np.zeros(shape(pts))
+        if start < stop:
+            sub = pts[start:stop]
+            sub.flags.writeable = False
+            out[start:stop] = evaluate(sub)
+        return out
 
     def value(pts):
         return p(node_radii(pts)) * ang_value(pts)
 
     def gradient(pts):
-        pts = np.atleast_2d(pts)
         r = node_radii(pts)
         radial_part = (dp(r) * ang_value(pts) / r)[:, None] * pts
         return radial_part + p(r)[:, None] * ang_gradient(pts)
 
-    return ScalarField(value=value, gradient=gradient, label=label)
+    return ScalarField(
+        value=lambda pts: on_support(value, pts, len),
+        gradient=lambda pts: on_support(gradient, pts, np.shape),
+        label=label,
+        support=support,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +599,7 @@ def check_divergence(
 def check_coefficient(A: Coefficient, points: np.ndarray) -> None:
     """Sampled symmetry and eigenvalue-range check for a coefficient."""
     mats = np.asarray(A.matrix(np.atleast_2d(points)), dtype=float)
-    if not np.allclose(mats, np.swapaxes(mats, 1, 2), atol=1e-14):
+    if not _symmetric(mats):
         raise AssertionError(f"coefficient {A.label!r} not symmetric at samples")
     eigs = np.linalg.eigvalsh(mats)
     if np.min(eigs) < A.c_A - 1e-12 or np.max(eigs) > A.c_A_plus + 1e-12:

@@ -26,6 +26,7 @@ from .fields import (
     gradient_on,
     require_finite,
     separable_field,
+    support_rows,
 )
 from .geometry import exact_dot, node_radii, row_sum
 from .problems import Problem
@@ -43,31 +44,19 @@ class SingularGramError(np.linalg.LinAlgError):
 class TestBasis:
     """Test functions with zero trace on the inner boundary.
 
-    ``supports`` runs parallel to ``fields``: entry k is ``None`` or the
-    closed radial interval ``(r_lo, r_hi)`` outside which field k and its
-    gradient are exactly 0.  ``minorant_report`` evaluates a field with a
-    support only on the nodes whose radius lies in it, and a field
-    without one on the whole rule.  A basis built without ``supports``
-    has none."""
+    ``minorant_report`` evaluates a field with a ``support`` only on the
+    nodes whose radius lies in it, and a field without one on the whole
+    rule."""
 
     __test__ = False  # not a pytest collection target
 
     fields: tuple[ScalarField, ...]
-    supports: tuple[tuple[float, float] | None, ...] = ()
-
-    def __post_init__(self):
-        if not self.supports:
-            object.__setattr__(self, "supports", (None,) * len(self.fields))
-        elif len(self.supports) != len(self.fields):
-            raise ValueError(
-                f"{len(self.supports)} supports for {len(self.fields)} fields"
-            )
 
     def __len__(self) -> int:
         return len(self.fields)
 
     def extended(self, extra: ScalarField) -> "TestBasis":
-        return TestBasis(fields=self.fields + (extra,), supports=self.supports + (None,))
+        return TestBasis(fields=self.fields + (extra,))
 
 
 def validate_zero_traces(p: Problem, basis: TestBasis) -> None:
@@ -88,13 +77,13 @@ def default_basis(domain, n_radial: int = 4, degree: int = 1) -> TestBasis:
 
     The bump centred at c with half-width h, and each of its products,
     has value and gradient exactly 0 for radii outside [c - h, c + h]:
-    that interval is the field's entry in ``supports``."""
+    that interval is the field's ``support``."""
     if n_radial < 1:
         raise ValueError("n_radial must be >= 1")
     if degree not in (0, 1):
         raise ValueError(f"degree must be 0 or 1, got {degree}")
     edges = np.linspace(domain.a, domain.R, n_radial + 1)
-    fields, supports = [], []
+    fields = []
     n_ang = 1 + (domain.dimension if degree >= 1 else 0)
     for k in range(n_radial):
         center = 0.5 * (edges[k] + edges[k + 1])
@@ -112,11 +101,11 @@ def default_basis(domain, n_radial: int = 4, degree: int = 1) -> TestBasis:
 
         for j in range(n_ang):
             ang_v, ang_g = angular_monomial(domain.dimension, j)
-            fields.append(
-                separable_field(p, dp, ang_v, ang_g, label=f"basis[r{k},a{j}]")
-            )
-            supports.append((float(center - half), float(center + half)))
-    return TestBasis(fields=tuple(fields), supports=tuple(supports))
+            fields.append(separable_field(
+                p, dp, ang_v, ang_g, label=f"basis[r{k},a{j}]",
+                support=(float(center - half), float(center + half)),
+            ))
+    return TestBasis(fields=tuple(fields))
 
 
 @dataclass(frozen=True)
@@ -139,26 +128,13 @@ class MinorantReport:
         }
 
 
-def _support_rows(radii: np.ndarray, support: tuple[float, float]) -> tuple[int, int]:
-    """[start, stop): the rows from the first to the last node whose radius
-    lies in ``support``, widened outward by 1e-12 of its outer radius.  A
-    bump on [c - h, c + h] evaluated at the computed radius r is nonzero
-    only where (r - c) / h rounds into (-1, 1), that is r within an
-    ulp-sized rounding of the interval, so no node where it or its
-    gradient is nonzero is left out.  The ``omega_i`` rows are ordered by
-    radial node, so the range holds few rows outside the support."""
-    pad = 1e-12 * abs(support[1])
-    rows = np.flatnonzero((radii >= support[0] - pad) & (radii <= support[1] + pad))
-    return (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
-
-
 @np.errstate(over="raise")
 def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantReport:
     """Maximize M over the span of the basis and report the details.
 
-    A basis function with a declared support is evaluated only on the
-    rows of the whole rule that its support covers, one without on the
-    whole rule.  Every integral is an ``exact_dot`` over the rows its
+    A basis function with a ``support`` is evaluated only on the rows of
+    the whole rule that ``fields.support_rows`` gives for it, one without
+    on the whole rule.  Every integral is an ``exact_dot`` over the rows its
     basis functions share: the products skipped elsewhere are exact
     zeros, so each sum is the correctly rounded value over the whole
     rule, and a pair sharing no rows has the Gram entry 0.0.  A product
@@ -180,11 +156,11 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     n = len(basis)
     radii = node_radii(pts)
     rows, vals, grads, a_grads = [], [], [], []
-    for w, support in zip(basis.fields, basis.supports):
-        if support is None:
+    for w in basis.fields:
+        if w.support is None:
             start, stop, sub = 0, len(pts), pts  # the rule's own array: its radii are memoized
         else:
-            start, stop = _support_rows(radii, support)
+            start, stop = support_rows(radii, w.support)
             sub = pts[start:stop]  # one view for all closures: they share its radii
         val = np.asarray(w.value(sub), dtype=float)
         grad = np.asarray(w.gradient(sub), dtype=float)

@@ -231,7 +231,8 @@ def _random_interior_bump(mp: ManufacturedProblem, rng) -> ScalarField:
     """Random smooth field with compact support strictly inside the
     annulus: radial mollifier times a random low-degree angular factor.
     The separable form keeps it fully resolved by the tensor quadrature
-    (small off-center balls would slip between angular nodes)."""
+    (small off-center balls would slip between angular nodes), and the
+    annulus (c - w, c + w) of the mollifier is its support."""
     dom = mp.domain
     gap = dom.R - dom.a
     center_r = dom.a + gap * rng.uniform(0.35, 0.65)
@@ -239,7 +240,8 @@ def _random_interior_bump(mp: ManufacturedProblem, rng) -> ScalarField:
     width = min(width, 0.95 * (center_r - dom.a), 0.95 * (dom.R - center_r))
     p, dp = mollifier_profile(center_r, width)
     ang_v, ang_g = _random_angular(mp, rng)
-    return separable_field(p, dp, ang_v, ang_g, label="interior-bump")
+    return separable_field(p, dp, ang_v, ang_g, label="interior-bump",
+                           support=(center_r - width, center_r + width))
 
 
 def _random_angular(mp: ManufacturedProblem, rng):
@@ -330,8 +332,10 @@ def perturb(
         if mode == "interior_bump":
             return mp.exact_u + eps * _random_interior_bump(mp, rng)
         ang_v, ang_g = _random_angular(mp, rng)
-        p, dp = ramp_profile(dom.a, dom.a + 0.5 * (dom.R - dom.a))
-        ext = separable_field(p, dp, ang_v, ang_g, label="boundary-mode")
+        r_zero = dom.a + 0.5 * (dom.R - dom.a)
+        p, dp = ramp_profile(dom.a, r_zero)
+        ext = separable_field(p, dp, ang_v, ang_g, label="boundary-mode",
+                              support=(0.0, r_zero))
         return mp.exact_u + eps * ext
 
     if target == "y":

@@ -1,7 +1,10 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 import extbounds as xb
+import extbounds.fields as fields_module
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +51,12 @@ def random_points_in_annulus(domain, count, seed):
     dirs = rng.normal(size=(count, domain.dimension))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     return radii[:, None] * dirs
+
+
+@contextmanager
+def unrestricted():
+    """Separable fields evaluated by their formula on every row, as if
+    ``fields.support_rows`` always gave the whole array."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fields_module, "support_rows", lambda radii, support: (0, len(radii)))
+        yield

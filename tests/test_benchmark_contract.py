@@ -84,9 +84,9 @@ def test_module_caches_clear_without_arguments(path):
 
 
 def test_wrapped_basis_keeps_supports_and_bytes():
-    # the tracer counts basis nodes through ``dataclasses.replace(basis,
-    # fields=...)``: the wrapped basis must keep its supports, so the traced
-    # program evaluates the same rows and reports the same bytes
+    # the tracer counts basis nodes through ``dataclasses.replace(field,
+    # value=..., gradient=...)``: each wrapped field must keep its support,
+    # so the traced program evaluates the same rows and reports the same bytes
     import extbounds as xb
     from extbounds.minorant import default_basis, minorant_report
     from extbounds.problems import perturb
@@ -98,7 +98,8 @@ def test_wrapped_basis_keeps_supports_and_bytes():
         dataclasses.replace(f, value=lambda pts, f=f: f.value(pts),
                             gradient=lambda pts, f=f: f.gradient(pts))
         for f in basis.fields))
-    assert wrapped.supports == basis.supports and None not in wrapped.supports
+    supports = [f.support for f in wrapped.fields]
+    assert supports == [f.support for f in basis.fields] and None not in supports
     plain, traced = (minorant_report(mp.problem, v, b) for b in (basis, wrapped))
     assert plain.as_dict() == traced.as_dict()
     assert plain.coefficients.tobytes() == traced.coefficients.tobytes()

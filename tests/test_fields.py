@@ -97,6 +97,33 @@ class TestCoefficient:
             with pytest.raises(ValueError, match="symmetric"):
                 Coefficient.constant(np.array(mat))
 
+    def test_symmetry_tolerance_relative_to_largest_entry(self):
+        pts = random_points_in_annulus(ExteriorDomain(2, 1.0, 2.0), 10, seed=6)
+        # tiny entries: the symmetric part has the eigenvalue -5.0e-17
+        tiny = np.array([[2e-15, 5e-15], [0.0, 3e-15]])
+        assert np.linalg.eigvalsh(0.5 * (tiny + tiny.T))[0] < 0.0
+        with pytest.raises(ValueError, match="symmetric"):
+            Coefficient.constant(tiny)
+        # entries near 1e3, one ulp off symmetric
+        big = np.array([[1e3, 999.0], [np.nextafter(999.0, np.inf), 2e3]])
+        assert big[1, 0] != big[0, 1]
+        A = Coefficient.constant(big)
+        check_coefficient(A, pts)
+        # check_coefficient applies the same tolerance, not numpy's rtol 1e-5
+        near = np.array([[2.0, 0.5], [0.500004, 3.0]])
+        B = Coefficient(matrix=lambda p: np.broadcast_to(near, (len(p), 2, 2)),
+                        c_A=1.0, c_A_plus=4.0, label="near")
+        with pytest.raises(AssertionError, match="not symmetric"):
+            check_coefficient(B, pts)
+
+    def test_constant_leaves_callers_array_writeable(self):
+        m = np.diag([1.0, 2.0, 4.0])
+        A = Coefficient.constant(m)
+        m[0, 0] = 5.0
+        pts = random_points_in_annulus(DOM3, 4, seed=7)
+        assert np.all(A.matrix(pts)[:, 0, 0] == 1.0)
+        assert A.c_A == 1.0 and A.diagonal[0] == 1.0
+
 
 class TestWeightedNorms:
     def test_zero_field(self):

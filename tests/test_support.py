@@ -1,0 +1,173 @@
+"""Fields with a radial support are evaluated only on the rows it covers:
+the same values as their formula there, and exact zeros elsewhere."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+import extbounds as xb
+import extbounds.problems as problems_module
+from extbounds.fields import ScalarField, VectorField, support_rows
+from extbounds.geometry import node_radii
+from extbounds.minorant import default_basis
+from extbounds.problems import perturb
+
+from conftest import unrestricted
+
+RULES = ("whole", "omega_i", "omega_e", "omega_e_refined", "gamma", "Gamma")
+SEEDS = range(5)
+MODES = ("interior_bump", "boundary_mode")
+
+
+@pytest.fixture(scope="module")
+def coarse():
+    return {name: xb.builtin(name, shells=8) for name in ("N3_harmonic", "N2_log")}
+
+
+def point_sets(mp):
+    """(name, nodes) for every rule of the bundle and for random points.
+    Their radii are uniform over [a, R], dense enough that some lie within
+    1e-3 of any radius, and sorted, as in a rule, so that a support's rows
+    leave the others out."""
+    quads = mp.problem.quads
+    for name in RULES:
+        yield name, getattr(quads, name).nodes
+    rng = np.random.default_rng(17)
+    dirs = rng.normal(size=(6000, mp.domain.dimension))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = np.sort(rng.uniform(mp.domain.a, mp.domain.R, size=6000))
+    yield "random", radii[:, None] * dirs
+
+
+def bare(mp):
+    """``mp`` with exact solution and flux 0, so that a perturbation is
+    eps times the perturbing field alone, with nothing to absorb it."""
+    def zeros(pts):
+        return np.zeros(len(pts))
+
+    return dataclasses.replace(
+        mp,
+        exact_u=ScalarField(value=zeros, gradient=lambda pts: np.zeros(np.shape(pts)), label="0"),
+        exact_flux=VectorField(value=lambda pts: np.zeros(np.shape(pts)), divergence=zeros,
+                               label="0"),
+    )
+
+
+def assert_matches_formula(value, derivative, pts, where):
+    """The closures as restricted give the values of the formula on every row."""
+    restricted = value(pts), derivative(pts)
+    with unrestricted():
+        formula = value(pts), derivative(pts)
+    for got, want in zip(restricted, formula):
+        assert_array_equal(got, want, err_msg=where)
+
+
+class TestMatchesFormula:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
+    def test_perturbed_approximation(self, coarse, name, mode):
+        mp = coarse[name]
+        for seed in SEEDS:
+            for data in (mp, bare(mp)):
+                v = perturb(data, "v", 0.1, mode, seed)
+                for where, pts in point_sets(mp):
+                    assert_matches_formula(v.value, v.gradient, pts, f"{seed} {where}")
+
+    @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
+    def test_perturbed_flux(self, coarse, name):
+        mp = coarse[name]
+        for seed in SEEDS:
+            for data in (mp, bare(mp)):
+                y = perturb(data, "y", 0.1, "interior_bump", seed)
+                for where, pts in point_sets(mp):
+                    assert_matches_formula(y.value, y.divergence, pts, f"{seed} {where}")
+
+    @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
+    def test_default_basis(self, coarse, name):
+        mp = coarse[name]
+        for n_radial, degree in ((3, 0), (4, 1)):
+            for w in default_basis(mp.domain, n_radial, degree).fields:
+                for where, pts in point_sets(mp):
+                    assert_matches_formula(w.value, w.gradient, pts, f"{w.label} {where}")
+
+
+class TestZerosOutside:
+    @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
+    def test_default_basis_is_zero_outside(self, coarse, name):
+        mp = coarse[name]
+        for w in default_basis(mp.domain, 4, 1).fields:
+            for where, pts in point_sets(mp):
+                start, stop = support_rows(node_radii(pts), w.support)
+                skipped = np.ones(len(pts), dtype=bool)
+                skipped[start:stop] = False
+                val, grad = w.value(pts), w.gradient(pts)
+                r = node_radii(pts)
+                off = (r < w.support[0]) | (r > w.support[1])
+                assert np.all(val[off] == 0.0) and np.all(grad[off] == 0.0), where
+                # the rows never evaluated hold +0.0
+                assert not np.signbit(val[skipped]).any(), where
+                assert not np.signbit(grad[skipped]).any(), where
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_approximation_is_exact_outside(self, coarse, mode):
+        # v = u + eps * bump: u itself, bit for bit, where the bump vanishes
+        mp = coarse["N3_harmonic"]
+        a, R = mp.domain.a, mp.domain.R
+        u = mp.exact_u
+        for seed in SEEDS:
+            v = perturb(mp, "v", 0.1, mode, seed)
+            for where, pts in point_sets(mp):
+                r = node_radii(pts)
+                if mode == "interior_bump":  # support strictly inside (a, R)
+                    off = (r <= a) | (r >= R)
+                else:  # the ramp is 0 from the middle of the annulus on
+                    off = r > (a + 0.5 * (R - a)) * (1 + 1e-9)
+                assert v.value(pts)[off].tobytes() == u.value(pts)[off].tobytes(), where
+                assert v.gradient(pts)[off].tobytes() == u.gradient(pts)[off].tobytes(), where
+
+
+class TestRowsSeen:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
+    def test_angular_closures_skip_the_exterior(self, coarse, monkeypatch, name, mode):
+        mp = coarse[name]
+        quads = mp.problem.quads
+        seen = []
+        original = problems_module.angular_monomial
+
+        def counted(dimension, index):
+            def count(fn):
+                def out(pts):
+                    seen.append(len(np.atleast_2d(pts)))
+                    return fn(pts)
+                return out
+            return tuple(map(count, original(dimension, index)))
+
+        monkeypatch.setattr(problems_module, "angular_monomial", counted)
+        for seed in SEEDS:
+            v = perturb(mp, "v", 0.1, mode, seed)
+            for rule in ("omega_e", "omega_e_refined"):
+                seen.clear()
+                v.gradient(getattr(quads, rule).nodes)
+                assert sum(seen) == 0, rule
+            seen.clear()
+            v.gradient(quads.omega_i.nodes)
+            rows = set(seen)
+            assert len(rows) == 1, rows  # one view for every angular closure
+            share = rows.pop() / len(quads.omega_i)
+            if mode == "boundary_mode":
+                assert share == 0.5
+            else:
+                assert 0.25 < share < 0.6
+
+
+class TestArithmetic:
+    def test_scaling_keeps_support_and_sums_drop_it(self, coarse):
+        mp = coarse["N3_harmonic"]
+        w = default_basis(mp.domain, 4, 1).fields[5]
+        assert w.support is not None
+        assert (2.0 * w).support == w.support
+        assert (w + w).support is None and (w - w).support is None
+        assert (mp.exact_u + 0.1 * w).support is None
