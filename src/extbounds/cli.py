@@ -38,9 +38,14 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-# keys of the ``constants`` section that are gone, and why; any value is an error
-REMOVED_CONSTANTS = {"mesh": "the radial constants are closed forms and take no mesh",
-                     "cutoff": "the extension is cut off at R, its best radius"}
+# fields that are gone (dotted names), and why; any value, null included, is an error
+REMOVED = {
+    "boundary_mode": "the boundary term is the mode-wise extension energy, "
+                     "never above the constant form",
+    "constants.variant": "c_o is the smaller of the formula and Friedrichs-based values",
+    "constants.mesh": "the radial constants are closed forms and take no mesh",
+    "constants.cutoff": "the extension is cut off at R, its best radius",
+}
 
 
 @dataclass
@@ -51,9 +56,7 @@ class ScenarioConfig:
     angular_order: int = 12
     shells: int = 8
     trace_degree: int = 8
-    constants_variant: str = "eigen"
     constants_modes: int | None = None
-    boundary_mode: str = "extension_based"
     target: str = "v"
     pert_mode: str = "interior_bump"
     epsilons: list = field(default_factory=lambda: [0.1])
@@ -71,6 +74,11 @@ class ScenarioConfig:
         cfg = ScenarioConfig()
         if not isinstance(raw, dict):
             raise ConfigError("top level: expected a JSON object")
+        for name, why in REMOVED.items():
+            head, _, key = name.rpartition(".")
+            sec = raw.get(head) if head else raw
+            if isinstance(sec, dict) and key in sec:
+                raise ConfigError(f"{name}: removed; {why}")
 
         def section(name):
             sec = raw.get(name)
@@ -108,7 +116,7 @@ class ScenarioConfig:
 
         known = {
             "problem", "estimate", "quadrature", "trace", "constants",
-            "perturbation", "boundary_mode", "sweep", "minorant", "poincare",
+            "perturbation", "sweep", "minorant", "poincare",
         }
         for key in raw:
             if key not in known:
@@ -121,9 +129,6 @@ class ScenarioConfig:
         cfg.estimate = take(raw, "estimate", str, cfg.estimate)
         if cfg.estimate not in ("I", "II", "III"):
             raise ConfigError(f"estimate: expected I, II or III, got {cfg.estimate!r}")
-        cfg.boundary_mode = take(raw, "boundary_mode", str, cfg.boundary_mode)
-        if cfg.boundary_mode not in ("extension_based", "constant_based"):
-            raise ConfigError(f"boundary_mode: unknown {cfg.boundary_mode!r}")
 
         quad = section("quadrature")
         cfg.radial_order = take(quad, "quadrature.radial_order", int,
@@ -142,15 +147,8 @@ class ScenarioConfig:
                 f"(got L={cfg.trace_degree}, angular_order={cfg.angular_order})"
             )
 
-        cst = section("constants")
-        cfg.constants_variant = take(cst, "constants.variant", str,
-                                     cfg.constants_variant)
-        if cfg.constants_variant not in ("eigen", "formula"):
-            raise ConfigError(f"constants.variant: unknown {cfg.constants_variant!r}")
-        for key, why in REMOVED_CONSTANTS.items():
-            if key in cst:
-                raise ConfigError(f"constants.{key}: removed; {why}")
-        cfg.constants_modes = take(cst, "constants.modes", int, cfg.constants_modes)
+        cfg.constants_modes = take(section("constants"), "constants.modes", int,
+                                   cfg.constants_modes)
         min_modes = max(8, cfg.trace_degree)
         if cfg.constants_modes is not None and cfg.constants_modes < min_modes:
             raise ConfigError(
@@ -272,7 +270,7 @@ def _scenario_inputs(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, eps: float
 
 def _run_estimate(cfg, mp, bundle, v, flux, scale_hint):
     p = mp.problem
-    kw = dict(boundary_mode=cfg.boundary_mode, bundle=bundle, scale_hint=scale_hint)
+    kw = dict(bundle=bundle, scale_hint=scale_hint)
     if cfg.estimate == "I":
         if "y" not in flux:
             raise ConfigError("estimate: I needs an unbroken flux "
@@ -281,14 +279,10 @@ def _run_estimate(cfg, mp, bundle, v, flux, scale_hint):
     if cfg.estimate == "II":
         if "y" not in flux:
             raise ConfigError("estimate: II needs an unbroken flux")
-        return mj.estimate_II(p, v, flux["y"], c_o_variant=cfg.constants_variant, **kw)
+        return mj.estimate_II(p, v, flux["y"], **kw)
     if "y_i" in flux:
-        return mj.estimate_III(
-            p, v, flux["y_i"], flux["y_e"], c_o_variant=cfg.constants_variant, **kw
-        )
-    return mj.estimate_III(
-        p, v, flux["y"], flux["y"], c_o_variant=cfg.constants_variant, **kw
-    )
+        return mj.estimate_III(p, v, flux["y_i"], flux["y_e"], **kw)
+    return mj.estimate_III(p, v, flux["y"], flux["y"], **kw)
 
 
 @dataclass(frozen=True)
@@ -373,10 +367,7 @@ def cmd_sandwich(cfg: ScenarioConfig, out: str) -> int:
     basis = default_basis(mp.domain, cfg.minorant_radial, cfg.minorant_degree)
     if cfg.minorant_include_error:
         basis = basis.extended(mp.exact_u - v)
-    lower, upper = sandwich(
-        mp.problem, v, flux["y"], basis,
-        boundary_mode=cfg.boundary_mode, bundle=bundle,
-    )
+    lower, upper = sandwich(mp.problem, v, flux["y"], basis, bundle)
     err = pb.true_error(mp, v)
     slack = GUARANTEE_SLACK * max(err, upper)
     ok = lower <= err + slack and err <= upper + slack

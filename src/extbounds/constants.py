@@ -203,25 +203,24 @@ def _first_root_below(g, lo: float, hi: float) -> float:
             lo = mid
 
 
-def interior_friedrichs_constant(
-    domain: ExteriorDomain, modes: int = 12
-) -> ConstantReport:
+def interior_friedrichs_constant(domain: ExteriorDomain) -> ConstantReport:
     """Best constant in ||w|| <= c ||grad w|| over the annulus for
     functions vanishing on the inner sphere only.
 
     Per degree l the constant is 1/sqrt(lambda_l) for the smallest
     eigenvalue of the radial problem with potential l(l+N-2)/r^2.  That
     potential is nonnegative and increasing in l, so lambda_l increases
-    with l and the constant is attained at l = 0 for every ``modes``; no
-    per-degree values are reported.  lambda_0 = k^2 at the first root of
-    :func:`_friedrichs_function`.  That root lies in
+    with l and the constant is attained at l = 0 over all degrees: it
+    takes no mode count and reports no per-degree values.  lambda_0 = k^2
+    at the first root of :func:`_friedrichs_function`.  That root lies in
     [(a/R) pi/(2(R - a)), pi/(2(R - a))): from below by the Rayleigh
     quotient with the weight r^{N-1} frozen at its extremes; from above
     exactly for N = 3, and for N = 2 by comparison after the substitution
     w = sqrt(r) p, which gives -w'' - w/(4r^2) = k^2 w with w(a) = 0 and
     w'(R) = w(R)/(2R), whose first eigenvalue lies below that of the same
     problem without the negative potential, itself below (pi/(2(R - a)))^2."""
-    _check_modes(domain, modes, "interior Friedrichs constant")
+    if domain.dimension not in (2, 3):
+        raise ValueError("interior Friedrichs constant requires dimension 2 or 3")
     n, a, R = domain.dimension, domain.a, domain.R
     hi = math.pi / (2.0 * (R - a))
     k = _first_root_below(_friedrichs_function(n, a, R), 0.5 * (a / R) * hi, hi)
@@ -231,7 +230,6 @@ def interior_friedrichs_constant(
         method="closed_form",
         mode_values=None,
         params={
-            "modes": modes,
             "extremum": "max",
             "extremum_index": 0,
             "domain": [n, a, R],

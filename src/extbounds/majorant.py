@@ -8,9 +8,9 @@ cheaper interior one; estimate III admits fluxes that are broken across
 the spherical interface and penalizes the normal-trace jump in the
 H^{-1/2} interface norm.  Dimension 2 replaces the rho-weighted residual
 norms with r ln r weighted ones.  All estimates add a boundary term for
-approximations that miss the Dirichlet data, either through the extension
-constant or by direct evaluation of a concrete mode-wise extension
-(the default, generally smaller).
+approximations that miss the Dirichlet data: the energy of the concrete
+mode-wise extension of the mismatch, evaluated directly.  It is never
+larger than the extension constant times the mismatch's H^{1/2} norm.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .geometry import QuadratureRule
 from .problems import Problem
 
 EQUILIBRATION_RTOL = 1e-10
+# a trace whose H^{1/2} norm is below this counts as zero
 TRACE_ZERO_TOL = 1e-13
 # divergence detector, not an accuracy gate: a non-integrable residual moves
 # by an O(1) factor under order doubling, a merely rough one by far less
@@ -93,12 +94,16 @@ class ConstantsBundle:
     modes: int
     cutoff: float  # the extension's cutoff radius, always R (read by perfbench)
 
-    def c_o(self, variant: str) -> float:
-        if variant == "formula":
-            return self.c_o_formula
-        if variant == "eigen":
-            return self.c_o_eigen
-        raise ValueError(f"unknown c_o variant {variant!r}")
+    @property
+    def c_o(self) -> float:
+        """Weight of the interior residual in estimates II and III: the
+        smaller of two valid constants.  In 3D the Friedrichs-based one is
+        the smaller at small R, the closed formula at large R (between
+        R = 15 and 16 for a = 1).  In 2D (a >= 1) it is always the
+        Friedrichs-based one: C_F^2 <= int_a^R r ln(r/a) dr < R^2 ln(R)/2
+        gives C_F <= 2 R ln R for R >= 3, and the root bracket's
+        C_F <= 2 R (R - a)/(a pi) <= 2 (R - a) <= 2 R ln R below."""
+        return min(self.c_o_formula, self.c_o_eigen)
 
 
 def constants_bundle(p: Problem, modes: int | None = None) -> ConstantsBundle:
@@ -111,17 +116,13 @@ def constants_bundle(p: Problem, modes: int | None = None) -> ConstantsBundle:
         raise ValueError(
             f"modes must be >= the trace degree {p.trace_degree}, got {modes}"
         )
-    fried = consts.interior_friedrichs_constant(domain, modes=modes)
+    fried = consts.interior_friedrichs_constant(domain)
     ext = consts.boundary_extension_constant(domain, A, modes=modes)
     trace = consts.interface_trace_constant(domain, A, modes=modes)
-    c_o_formula = consts.interior_weight_constant(domain, A)
-    eigen = fried.value / math.sqrt(A.c_A)
-    if domain.dimension == 2:
-        eigen = min(c_o_formula, eigen)
     return ConstantsBundle(
         poincare=consts.exterior_poincare_constant(domain.dimension),
-        c_o_formula=c_o_formula,
-        c_o_eigen=eigen,
+        c_o_formula=consts.interior_weight_constant(domain, A),
+        c_o_eigen=fried.value / math.sqrt(A.c_A),
         friedrichs=fried,
         extension=ext,
         trace=trace,
@@ -173,30 +174,32 @@ def _scale(p: Problem, v: ScalarField, scale_hint: float | None) -> float:
 # boundary mismatch term
 
 
-def boundary_term(
-    p: Problem,
-    v: ScalarField,
-    mode: str = "extension_based",
-    bundle: ConstantsBundle | None = None,
-) -> float:
-    """Penalty for a Dirichlet-data mismatch of the approximation.
-
-    ``constant_based``: 2 c_gamma ||g - trace(v)||_{H^{1/2}}.
-    ``extension_based``: 2 (c_A_plus ||grad E(g - trace(v))||^2)^{1/2} for
-    the concrete mode-wise extension E, a bound on 2 ||A^{1/2} grad E(..)||
-    exact for A = cI; never larger than the constant form.
-    Returns 0 when the mismatch norm is below 1e-13.
-    """
-    if mode not in ("constant_based", "extension_based"):
-        raise ValueError(f"unknown boundary term mode {mode!r}")
-    bundle = bundle or constants_bundle(p)
+def dirichlet_mismatch(p: Problem, v: ScalarField) -> traces.SphereTrace | None:
+    """The trace g - tr(v) on the inner sphere, or None when ``v`` meets
+    the Dirichlet data: when that trace's H^{1/2} norm is below
+    ``TRACE_ZERO_TOL``.  Under ``p.strict`` a trace of ``v`` beyond the
+    band raises ``BandLimitError``."""
     tv = traces.analyze(v, p.domain.a, p.trace_degree, p.quads.gamma, strict=p.strict)
     mismatch = traces.difference(p.g, tv)
-    h_half = traces.sobolev_norm(mismatch, +0.5)
-    if h_half < TRACE_ZERO_TOL:
+    if traces.sobolev_norm(mismatch, +0.5) < TRACE_ZERO_TOL:
+        return None
+    return mismatch
+
+
+def boundary_term(
+    p: Problem, v: ScalarField, *, bundle: ConstantsBundle | None = None
+) -> float:
+    """Penalty for a Dirichlet-data mismatch of the approximation:
+    2 (c_A_plus ||grad E(g - tr v)||^2)^{1/2} for the concrete mode-wise
+    extension E of :func:`extbounds.constants.boundary_extension_constant`,
+    a bound on 2 ||A^{1/2} grad E(g - tr v)||, exact for A = cI.  Since
+    sum_l c_l^2 E_l <= max_l(E_l/w_l) sum_l w_l c_l^2, it never exceeds
+    2 c_gamma ||g - tr v||_{H^{1/2}} with the extension constant c_gamma.
+    Returns 0 when :func:`dirichlet_mismatch` finds no mismatch."""
+    mismatch = dirichlet_mismatch(p, v)
+    if mismatch is None:
         return 0.0
-    if mode == "constant_based":
-        return 2.0 * bundle.extension.value * h_half
+    bundle = bundle or constants_bundle(p)
     energies = np.asarray(bundle.extension.params["mode_energies"])
     ell = mismatch.degrees()
     dirichlet = float(np.sum(mismatch.coefficients**2 * energies[ell]))
@@ -258,7 +261,7 @@ def estimate_I(
     p: Problem,
     v: ScalarField,
     y: VectorField,
-    boundary_mode: str = "extension_based",
+    *,
     bundle: ConstantsBundle | None = None,
     scale_hint: float | None = None,
 ) -> MajorantReport:
@@ -271,7 +274,7 @@ def estimate_I(
     n_tail = _residual_norm_tail(p, res)
     residual = factor * math.sqrt(n_int**2 + n_tail**2)
     flux = _flux_term(p, v, y)
-    boundary = boundary_term(p, v, boundary_mode, bundle)
+    boundary = boundary_term(p, v, bundle=bundle)
     scale = _scale(p, v, scale_hint)
     return _report(
         p,
@@ -285,7 +288,7 @@ def estimate_I(
             "boundary_extension": bundle.extension.value,
         },
         scale,
-        {"boundary_mode": boundary_mode},
+        {},
     )
 
 
@@ -293,8 +296,7 @@ def estimate_II(
     p: Problem,
     v: ScalarField,
     y: VectorField,
-    c_o_variant: str = "eigen",
-    boundary_mode: str = "extension_based",
+    *,
     bundle: ConstantsBundle | None = None,
     scale_hint: float | None = None,
 ) -> MajorantReport:
@@ -313,11 +315,11 @@ def estimate_II(
             f"= {EQUILIBRATION_RTOL * scale:.6e}; estimate II requires "
             "div y + f = 0 outside the interface"
         )
-    c_o = bundle.c_o(c_o_variant)
+    c_o = bundle.c_o
     factor = bundle.poincare / math.sqrt(p.A.c_A)
     residual = c_o * _residual_norm_interior(p, res, weighted=False) + factor * tail
     flux = _flux_term(p, v, y)
-    boundary = boundary_term(p, v, boundary_mode, bundle)
+    boundary = boundary_term(p, v, bundle=bundle)
     return _report(
         p,
         "II",
@@ -327,11 +329,10 @@ def estimate_II(
         boundary,
         {
             "c_o": c_o,
-            "c_o_variant": c_o_variant,
             "boundary_extension": bundle.extension.value,
         },
         scale,
-        {"boundary_mode": boundary_mode, "tail_residual": tail},
+        {"tail_residual": tail},
     )
 
 
@@ -340,8 +341,7 @@ def estimate_III(
     v: ScalarField,
     y_i: VectorField,
     y_e: VectorField,
-    c_o_variant: str = "eigen",
-    boundary_mode: str = "extension_based",
+    *,
     bundle: ConstantsBundle | None = None,
     scale_hint: float | None = None,
 ) -> MajorantReport:
@@ -350,7 +350,7 @@ def estimate_III(
     bundle = bundle or constants_bundle(p)
     res_i = residual_field(p.f, y_i)
     res_e = residual_field(p.f, y_e)
-    c_o = bundle.c_o(c_o_variant)
+    c_o = bundle.c_o
     factor = bundle.poincare / math.sqrt(p.A.c_A)
     residual = c_o * _residual_norm_interior(p, res_i, weighted=False)
     residual += factor * _residual_norm_tail(p, res_e)
@@ -363,7 +363,7 @@ def estimate_III(
     )
     jump_norm = traces.sobolev_norm(traces.jump(t_i, t_e), -0.5)
     interface = bundle.trace.value * jump_norm
-    boundary = boundary_term(p, v, boundary_mode, bundle)
+    boundary = boundary_term(p, v, bundle=bundle)
     scale = _scale(p, v, scale_hint)
     return _report(
         p,
@@ -374,11 +374,10 @@ def estimate_III(
         boundary,
         {
             "c_o": c_o,
-            "c_o_variant": c_o_variant,
             "poincare": bundle.poincare,
             "interface_trace": bundle.trace.value,
             "boundary_extension": bundle.extension.value,
         },
         scale,
-        {"boundary_mode": boundary_mode, "jump_h_minus_half": jump_norm},
+        {"jump_h_minus_half": jump_norm},
     )

@@ -192,7 +192,7 @@ def test_acceptance_5_constants():
 
     dom = xb.ExteriorDomain(3, 1.0, 2.0)
     A = xb.Coefficient.identity(3)
-    fried = xb.interior_friedrichs_constant(dom, modes=8)
+    fried = xb.interior_friedrichs_constant(dom)
     oracle = shooting_friedrichs_constant()
     assert fried.value == pytest.approx(oracle, rel=1e-9)
     assert fried.value < xb.interior_weight_constant(dom, A)

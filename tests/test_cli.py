@@ -74,6 +74,8 @@ class TestConfig:
             cfg = ScenarioConfig.from_dict(raw)
         except ConfigError:
             return
+        # the removed fields are drawn too: any value of them is an error
+        assert "boundary_mode" not in raw and "variant" not in (raw.get("constants") or {})
         assert cfg.seed >= 0 and cfg.epsilons
         assert all(math.isfinite(e) and e >= 0 for e in cfg.epsilons)
         assert all(math.isfinite(v) and v > 0 for v in cfg.sweep_values)
@@ -116,12 +118,23 @@ class TestConfig:
             ScenarioConfig.from_dict({"constants": {"modes": 8}, "trace": {"L": 10}})
 
     def test_removed_keys_named(self):
-        # the extension's cutoff is R and the constants take no mesh: any
-        # value, null included, names the key as removed
-        for key in ("cutoff", "mesh"):
-            for value in (None, 1.3, 5.0, 512):
+        # the extension's cutoff is R, the constants take no mesh, the
+        # boundary term has one form and c_o one value: any value, null
+        # included, names the key as removed
+        for key in ("cutoff", "mesh", "variant"):
+            for value in (None, 1.3, 5.0, 512, "eigen", "formula"):
                 with pytest.raises(ConfigError, match=f"constants.{key}: removed"):
                     ScenarioConfig.from_dict({"constants": {key: value}})
+        for value in (None, "extension_based", "constant_based", 1):
+            with pytest.raises(ConfigError, match="^boundary_mode: removed"):
+                ScenarioConfig.from_dict({"boundary_mode": value})
+
+    def test_readme_configuration_block_is_the_default(self):
+        # the JSON block under README "### Configuration" lists the defaults
+        text = (REPO / "README.md").read_text()
+        section = text.split("### Configuration", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert ScenarioConfig.from_dict(json.loads(block)) == ScenarioConfig()
 
     def test_defaults_fill_in(self):
         cfg = ScenarioConfig.from_dict({})
@@ -146,13 +159,11 @@ def accepted_configs(draw):
     return {
         "problem": draw(st.sampled_from(xb.CATALOG)),
         "estimate": draw(st.sampled_from(["I", "II", "III"])),
-        "boundary_mode": draw(st.sampled_from(["extension_based", "constant_based"])),
         "quadrature": {"radial_order": draw(st.integers(1, 4)),
                        "angular_order": draw(st.integers(L + 1, L + 3)),
                        "shells": draw(st.integers(1, 3))},
         "trace": {"L": L},
-        "constants": {"variant": draw(st.sampled_from(["eigen", "formula"])),
-                      "modes": draw(st.none() | st.integers(max(8, L), 12))},
+        "constants": {"modes": draw(st.none() | st.integers(max(8, L), 12))},
         "perturbation": {"target": target,
                          "mode": draw(st.sampled_from(TARGET_MODES[target])),
                          "epsilons": draw(st.lists(FINITE, min_size=1, max_size=2)),
@@ -223,6 +234,10 @@ class TestCommands:
                               "sweep": {"kind": "radius", "values": [1.3]}}),
         ("estimate", {"estimate": "IV", "sweep": {"kind": "epsilon"}}),
         ("minorant.degree", {"minorant": {"degree": 2}}),
+        ("boundary_mode", {"boundary_mode": "extension_based"}),
+        ("boundary_mode", {"boundary_mode": None}),
+        ("constants.variant", {"constants": {"variant": "eigen"}}),
+        ("constants.variant", {"constants": {"variant": None, "modes": 12}}),
     ])
     def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, field, payload):
         cfg = write_config(tmp_path, payload)
@@ -232,8 +247,9 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert field in err and "Traceback" not in err
-        if field in ("constants.mesh", "constants.cutoff"):
-            assert "removed" in err
+        if field in ("constants.mesh", "constants.cutoff", "boundary_mode",
+                     "constants.variant"):
+            assert f"{field}: removed" in err
 
     def test_majorant_report_schema(self, tmp_path):
         cfg = write_config(tmp_path, BASE)

@@ -122,7 +122,7 @@ class TestFormulas:
 
 class TestInteriorFriedrichs:
     def test_against_shooting_oracle(self):
-        rep = cs.interior_friedrichs_constant(DOM3, modes=8)
+        rep = cs.interior_friedrichs_constant(DOM3)
         oracle = shooting_friedrichs_constant()
         assert rep.value == pytest.approx(oracle, rel=1e-9)
         assert rep.method == "closed_form"
@@ -136,13 +136,13 @@ class TestInteriorFriedrichs:
         assert shooting_friedrichs_constant() == pytest.approx(1.0 / k, rel=1e-9)
 
     def test_smaller_than_formula_bound(self):
-        rep = cs.interior_friedrichs_constant(DOM3, modes=8)
+        rep = cs.interior_friedrichs_constant(DOM3)
         assert rep.value < cs.interior_weight_constant(DOM3, A_ID3)
 
     def test_monotone_in_interface_radius(self):
         values = []
         for R in (2.0, 1.5, 1.25):
-            rep = cs.interior_friedrichs_constant(ExteriorDomain(3, 1.0, R), modes=8)
+            rep = cs.interior_friedrichs_constant(ExteriorDomain(3, 1.0, R))
             values.append(rep.value)
         assert values[0] > values[1] > values[2]
 
@@ -150,20 +150,22 @@ class TestInteriorFriedrichs:
         # the constant is taken at degree 0 only, which needs lambda_1 > lambda_0
         lam0, lam1 = shooting_eigenvalue(0), shooting_eigenvalue(1)
         assert lam1 > lam0
-        rep = cs.interior_friedrichs_constant(DOM3, modes=8)
+        rep = cs.interior_friedrichs_constant(DOM3)
         assert rep.value == pytest.approx(1.0 / math.sqrt(lam0), rel=1e-9)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("R", [1.01, 2.0, 8.0])
     def test_not_below_closed_form(self, dim, R):
-        rep = cs.interior_friedrichs_constant(ExteriorDomain(dim, 1.0, R), modes=8)
+        rep = cs.interior_friedrichs_constant(ExteriorDomain(dim, 1.0, R))
         exact = 1.0 / friedrichs_root(dim, 1.0, R)
         assert exact <= rep.value <= exact * (1 + 1e-10)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError, match="modes"):
-            cs.interior_friedrichs_constant(DOM3, modes=4)
-        with pytest.raises(ValueError):
+        # attained at degree 0 over all degrees, the constant takes no mode count
+        with pytest.raises(TypeError):
+            cs.interior_friedrichs_constant(DOM3, modes=8)
+        assert "modes" not in cs.interior_friedrichs_constant(DOM3).params
+        with pytest.raises(ValueError, match="dimension"):
             cs.interior_friedrichs_constant(ExteriorDomain(1, 1.0, 2.0))
 
 
@@ -330,7 +332,7 @@ class TestInterfaceTrace:
         for rep in (
             cs.interface_trace_constant(dom, A, modes=8),
             cs.boundary_extension_constant(dom, A, modes=8),
-            cs.interior_friedrichs_constant(dom, modes=8),
+            cs.interior_friedrichs_constant(dom),
         ):
             assert rep.value > 0.0
             assert rep.rel_accuracy <= 1e-6

@@ -68,20 +68,27 @@ class TestBoundaryTerm:
         mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
         assert boundary_term(mp.problem, mp.exact_u, bundle=bundle) == 0.0
 
-    def test_extension_below_constant_form(self, catalog, bundles):
-        mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
-        for seed in range(20):
-            v = perturb(mp, "v", 0.1, "boundary_mode", seed=seed)
-            ext = boundary_term(mp.problem, v, "extension_based", bundle)
-            cst = boundary_term(mp.problem, v, "constant_based", bundle)
-            assert ext <= cst * (1 + 1e-12)
+    def test_extension_below_constant_form(self):
+        # the constant form 2 c_gamma ||g - tr v||_{H^{1/2}}, computed here,
+        # bounds the extension energy: sum c_l^2 E_l <= max(E_l/w_l) sum w_l c_l^2
+        for name in xb.CATALOG:
+            mp = xb.builtin(name, shells=3)
+            p = mp.problem
+            bundle = xb.constants_bundle(p)
+            for eps in (0.1, 1.0):
+                for seed in range(6):
+                    v = perturb(mp, "v", eps, "boundary_mode", seed=seed)
+                    tv = traces.analyze(v, p.domain.a, p.trace_degree, p.quads.gamma)
+                    h_half = traces.sobolev_norm(traces.difference(p.g, tv), +0.5)
+                    ext = boundary_term(p, v, bundle=bundle)
+                    assert 0.0 < ext <= 2.0 * bundle.extension.value * h_half * (1 + 1e-12)
 
     def test_linear_in_mismatch(self, catalog, bundles):
         mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
         vals = []
         for eps in (1e-1, 1e-2, 1e-3):
             v = perturb(mp, "v", eps, "boundary_mode", seed=11)
-            vals.append(boundary_term(mp.problem, v, "extension_based", bundle))
+            vals.append(boundary_term(mp.problem, v, bundle=bundle))
         assert vals[0] == pytest.approx(10 * vals[1], rel=1e-9)
         assert vals[1] == pytest.approx(10 * vals[2], rel=1e-9)
 
@@ -98,7 +105,7 @@ class TestBoundaryTerm:
         energies = np.asarray(bundle.extension.params["mode_energies"])
         dirichlet = float(np.sum(mismatch.coefficients**2 * energies[mismatch.degrees()]))
         assert A.c_A_plus > 1.0
-        assert boundary_term(p, v, "extension_based", bundle) == (
+        assert boundary_term(p, v, bundle=bundle) == (
             2.0 * math.sqrt(A.c_A_plus * dirichlet))
 
     def test_bundle_modes_cover_trace_degree(self, catalog):
@@ -106,10 +113,20 @@ class TestBoundaryTerm:
         with pytest.raises(ValueError, match="trace degree"):
             xb.constants_bundle(p, modes=p.trace_degree - 1)
 
-    def test_unknown_mode(self, catalog, bundles):
+    def test_stale_mode_argument_rejected(self, catalog, bundles):
+        # the retired mode and c_o variant arguments cannot bind to the bundle
         mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
-        with pytest.raises(ValueError, match="boundary term mode"):
-            boundary_term(mp.problem, mp.exact_u, "middle_based", bundle)
+        p, u, y = exact_inputs(mp)
+        with pytest.raises(TypeError):
+            boundary_term(p, u, "extension_based")
+        with pytest.raises(TypeError):
+            boundary_term(p, u, "constant_based", bundle)
+        with pytest.raises(TypeError):
+            estimate_I(p, u, y, "extension_based")
+        with pytest.raises(TypeError):
+            estimate_II(p, u, y, "eigen")
+        with pytest.raises(TypeError):
+            estimate_III(p, u, y, y, "formula", bundle=bundle)
 
     def test_strict_band_limit_propagates(self, bundles):
         mp = xb.builtin("N3_harmonic", strict=True)
@@ -196,13 +213,33 @@ class TestEquilibrationGate:
         rep = estimate_II(mp.problem, mp.exact_u, y, bundle=bundle)
         assert rep.residual > 0.0
 
-    def test_eigen_variant_beats_formula(self, catalog, bundles):
-        mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
+
+class TestInteriorWeight:
+    def test_c_o_is_the_smaller_constant(self, catalog, bundles):
+        # at the catalog radius the Friedrichs-based value is the smaller,
+        # at R = 30 the closed formula: estimates II and III take it there
+        bundle = bundles["N3_harmonic"]
+        assert bundle.c_o == bundle.c_o_eigen < bundle.c_o_formula
+        mp = xb.with_interface_radius(catalog["N3_harmonic"], 30.0)
+        bundle = xb.constants_bundle(mp.problem)
+        p = mp.problem
         v = perturb(mp, "v", 0.05, "interior_bump", seed=4)
         y = perturb(mp, "y", 0.05, "interior_bump", seed=5)
-        t_eigen = estimate_II(mp.problem, v, y, "eigen", bundle=bundle).total
-        t_formula = estimate_II(mp.problem, v, y, "formula", bundle=bundle).total
-        assert t_eigen <= t_formula
+        y_i, y_e = perturb(mp, "y_broken", 0.05, "interface_jump", seed=6)
+        err = xb.true_error(mp, v)
+        for rep in (estimate_II(p, v, y, bundle=bundle, scale_hint=err),
+                    estimate_III(p, v, y_i, y_e, bundle=bundle, scale_hint=err)):
+            assert rep.constants["c_o"] == bundle.c_o_formula < bundle.c_o_eigen
+            assert rep.total >= err
+
+    def test_2d_eigen_never_above_formula(self):
+        # so the 2D bundle needs no minimum of its own to keep c_o_eigen
+        base = xb.builtin("N2_log", shells=1).problem
+        for a in (1.0, 1.5, 10.0):
+            for ratio in (1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 10.0, 100.0, 1e4):
+                dom = xb.ExteriorDomain(2, a, a * ratio)
+                bundle = xb.constants_bundle(dataclasses.replace(base, domain=dom))
+                assert bundle.c_o == bundle.c_o_eigen <= bundle.c_o_formula
 
 
 class TestInterfaceConsistency:
