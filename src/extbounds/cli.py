@@ -45,7 +45,89 @@ REMOVED = {
     "constants.variant": "c_o is the smaller of the formula and Friedrichs-based values",
     "constants.mesh": "the radial constants are closed forms and take no mesh",
     "constants.cutoff": "the extension is cut off at R, its best radius",
+    "constants.modes": "the constants cover the degrees <= trace.L, the band "
+                       "every trace is projected onto",
 }
+
+
+def _among(*options):
+    return lambda v: None if v in options else (
+        f"expected one of {', '.join(map(str, options))}")
+
+
+def _between(lo, hi=math.inf):
+    return lambda v: None if lo <= v <= hi else (
+        f"must be >= {lo}" if hi == math.inf else f"must be in {lo}..{hi}")
+
+
+# dotted config name -> (ScenarioConfig attribute, JSON type, value test);
+# ``list`` is a list of finite numbers, and a test returns None or what is
+# wrong with the value
+FIELDS = {
+    "problem": ("problem", str, _among(*pb.CATALOG)),
+    "estimate": ("estimate", str, _among("I", "II", "III")),
+    "quadrature.radial_order": ("radial_order", int, _between(1, 64)),
+    "quadrature.angular_order": ("angular_order", int, _between(1, 64)),
+    "quadrature.shells": ("shells", int, _between(1, 64)),
+    "trace.L": ("trace_degree", int, _between(1)),
+    "perturbation.target": ("target", str, _among(*pb.TARGET_MODES)),
+    "perturbation.mode": ("pert_mode", str, _among(*pb.PERTURB_MODES)),
+    "perturbation.epsilons": ("epsilons", list, lambda v: None if v and min(v) >= 0
+                              else "expected a non-empty list of numbers >= 0"),
+    "perturbation.seed": ("seed", int, _between(0)),
+    "sweep.kind": ("sweep_kind", str, _among("epsilon", "radius")),
+    "sweep.values": ("sweep_values", list, lambda v: None if all(x > 0 for x in v)
+                     else "expected a list of positive numbers"),
+    "minorant.n_radial": ("minorant_radial", int, _between(1)),
+    "minorant.degree": ("minorant_degree", int, _among(0, 1)),
+    "minorant.include_error_in_basis": ("minorant_include_error", bool, None),
+    "poincare.count": ("poincare_count", int, _between(1)),
+}
+# the top-level keys that hold a JSON object of fields
+SECTIONS = {name.partition(".")[0] for name in [*FIELDS, *REMOVED] if "." in name}
+
+
+def _number(name, val):
+    """``val`` as a finite float; ints and floats only."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{name}: expected a number, got {val!r}")
+    try:
+        val = float(val)
+    except OverflowError:
+        raise ConfigError(f"{name}: {val} is out of range") from None
+    if not math.isfinite(val):
+        raise ConfigError(f"{name}: expected a finite number, got {val!r}")
+    return val
+
+
+def _parse(name, row, val):
+    """``val`` typed and tested by the ``FIELDS`` row ``row``."""
+    _, kind, test = row
+    if kind is list and isinstance(val, list):
+        val = [_number(name, x) for x in val]
+    elif not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {val!r}")
+    why = test and test(val)
+    if why:
+        raise ConfigError(f"{name}: {why}, got {val!r}")
+    return val
+
+
+def _flatten(raw) -> dict:
+    """The config's values by dotted name; a null section holds none."""
+    if not isinstance(raw, dict):
+        raise ConfigError("top level: expected a JSON object")
+    flat = {}
+    for key, val in raw.items():
+        if "." in key:
+            raise ConfigError(f"{key}: unknown configuration field")
+        if key not in SECTIONS:
+            flat[key] = val
+        elif isinstance(val, dict):
+            flat.update((f"{key}.{k}", v) for k, v in val.items())
+        elif val is not None:
+            raise ConfigError(f"{key}: expected a JSON object, got {val!r}")
+    return flat
 
 
 @dataclass
@@ -56,7 +138,6 @@ class ScenarioConfig:
     angular_order: int = 12
     shells: int = 8
     trace_degree: int = 8
-    constants_modes: int | None = None
     target: str = "v"
     pert_mode: str = "interior_bump"
     epsilons: list = field(default_factory=lambda: [0.1])
@@ -71,136 +152,25 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
+        flat = _flatten(raw)
+        for name in flat:
+            if name in REMOVED:
+                raise ConfigError(f"{name}: removed; {REMOVED[name]}")
+            if name not in FIELDS:
+                raise ConfigError(f"{name}: unknown configuration field")
         cfg = ScenarioConfig()
-        if not isinstance(raw, dict):
-            raise ConfigError("top level: expected a JSON object")
-        for name, why in REMOVED.items():
-            head, _, key = name.rpartition(".")
-            sec = raw.get(head) if head else raw
-            if isinstance(sec, dict) and key in sec:
-                raise ConfigError(f"{name}: removed; {why}")
-
-        def section(name):
-            sec = raw.get(name)
-            if sec is None:
-                return {}
-            if not isinstance(sec, dict):
-                raise ConfigError(f"{name}: expected a JSON object, got {sec!r}")
-            return sec
-
-        def number(name, val):
-            """``val`` as a finite float; ints and floats only."""
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigError(f"{name}: expected a number, got {val!r}")
-            try:
-                val = float(val)
-            except OverflowError:
-                raise ConfigError(f"{name}: {val} is out of range") from None
-            if not math.isfinite(val):
-                raise ConfigError(f"{name}: expected a finite number, got {val!r}")
-            return val
-
-        def take(sec, name, kind, default, positive=False):
-            """Field ``name`` (dotted) from ``sec``; absent or null means
-            ``default``."""
-            val = sec.get(name.rpartition(".")[2])
-            if val is None:
-                return default
-            if kind is float:
-                val = number(name, val)
-            elif not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
-                raise ConfigError(f"{name}: expected {kind.__name__}, got {val!r}")
-            if positive and val <= 0:
-                raise ConfigError(f"{name}: must be positive, got {val!r}")
-            return val
-
-        known = {
-            "problem", "estimate", "quadrature", "trace", "constants",
-            "perturbation", "sweep", "minorant", "poincare",
-        }
-        for key in raw:
-            if key not in known:
-                raise ConfigError(f"{key}: unknown configuration section")
-
-        cfg.problem = take(raw, "problem", str, cfg.problem)
-        if cfg.problem not in pb.CATALOG:
-            raise ConfigError(f"problem: unknown name {cfg.problem!r}; "
-                              f"catalog: {list(pb.CATALOG)}")
-        cfg.estimate = take(raw, "estimate", str, cfg.estimate)
-        if cfg.estimate not in ("I", "II", "III"):
-            raise ConfigError(f"estimate: expected I, II or III, got {cfg.estimate!r}")
-
-        quad = section("quadrature")
-        cfg.radial_order = take(quad, "quadrature.radial_order", int,
-                                cfg.radial_order, True)
-        cfg.angular_order = take(quad, "quadrature.angular_order", int,
-                                 cfg.angular_order, True)
-        cfg.shells = take(quad, "quadrature.shells", int, cfg.shells, True)
-        if cfg.radial_order > 64 or cfg.angular_order > 64 or cfg.shells > 64:
-            raise ConfigError("quadrature: orders and shells must be <= 64")
-
-        cfg.trace_degree = take(section("trace"), "trace.L", int,
-                                cfg.trace_degree, True)
+        for name, val in flat.items():
+            if val is not None:  # null takes the default
+                setattr(cfg, FIELDS[name][0], _parse(name, FIELDS[name], val))
         if cfg.angular_order < cfg.trace_degree + 1:
             raise ConfigError(
                 "trace.L: needs quadrature.angular_order >= L + 1 "
                 f"(got L={cfg.trace_degree}, angular_order={cfg.angular_order})"
             )
-
-        cfg.constants_modes = take(section("constants"), "constants.modes", int,
-                                   cfg.constants_modes)
-        min_modes = max(8, cfg.trace_degree)
-        if cfg.constants_modes is not None and cfg.constants_modes < min_modes:
-            raise ConfigError(
-                f"constants.modes: needs modes >= max(8, trace.L) = {min_modes} "
-                f"(got {cfg.constants_modes})"
-            )
-
-        pert = section("perturbation")
-        cfg.target = take(pert, "perturbation.target", str, cfg.target)
-        if cfg.target not in ("v", "y", "y_broken"):
-            raise ConfigError(f"perturbation.target: unknown {cfg.target!r}")
-        cfg.pert_mode = take(pert, "perturbation.mode", str, cfg.pert_mode)
-        if cfg.pert_mode not in pb.PERTURB_MODES:
-            raise ConfigError(f"perturbation.mode: unknown {cfg.pert_mode!r}")
         if cfg.pert_mode not in pb.TARGET_MODES[cfg.target]:
             raise ConfigError(
                 f"perturbation.mode: target {cfg.target!r} supports "
                 f"{' and '.join(pb.TARGET_MODES[cfg.target])} only, got {cfg.pert_mode!r}")
-        eps = take(pert, "perturbation.epsilons", list, cfg.epsilons)
-        if not eps:
-            raise ConfigError("perturbation.epsilons: expected a non-empty list "
-                              "of numbers")
-        cfg.epsilons = [number("perturbation.epsilons", e) for e in eps]
-        if any(e < 0 for e in cfg.epsilons):
-            raise ConfigError("perturbation.epsilons: all entries must be >= 0")
-        cfg.seed = take(pert, "perturbation.seed", int, cfg.seed)
-        if cfg.seed < 0:
-            raise ConfigError(f"perturbation.seed: must be >= 0, got {cfg.seed}")
-
-        sweep = section("sweep")
-        cfg.sweep_kind = take(sweep, "sweep.kind", str, cfg.sweep_kind)
-        if cfg.sweep_kind not in ("epsilon", "radius"):
-            raise ConfigError(f"sweep.kind: expected epsilon or radius, got "
-                              f"{cfg.sweep_kind!r}")
-        vals = take(sweep, "sweep.values", list, cfg.sweep_values)
-        cfg.sweep_values = [number("sweep.values", v) for v in vals]
-        if any(v <= 0 for v in cfg.sweep_values):
-            raise ConfigError("sweep.values: expected a list of positive numbers")
-
-        mnr = section("minorant")
-        cfg.minorant_radial = take(mnr, "minorant.n_radial", int,
-                                   cfg.minorant_radial, True)
-        cfg.minorant_degree = take(mnr, "minorant.degree", int, cfg.minorant_degree)
-        if cfg.minorant_degree not in (0, 1):
-            raise ConfigError(f"minorant.degree: expected 0 or 1, got "
-                              f"{cfg.minorant_degree}")
-        cfg.minorant_include_error = take(
-            mnr, "minorant.include_error_in_basis", bool, cfg.minorant_include_error
-        )
-
-        cfg.poincare_count = take(section("poincare"), "poincare.count", int,
-                                  cfg.poincare_count, True)
         return cfg
 
 
@@ -285,6 +255,12 @@ def _run_estimate(cfg, mp, bundle, v, flux, scale_hint):
     return mj.estimate_III(p, v, flux["y"], flux["y"], **kw)
 
 
+def _basis(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, v):
+    """The minorant's test basis, plus u - v when the config asks for it."""
+    basis = default_basis(mp.domain, cfg.minorant_radial, cfg.minorant_degree)
+    return basis.extended(mp.exact_u - v) if cfg.minorant_include_error else basis
+
+
 @dataclass(frozen=True)
 class SweepRow:
     parameter: float
@@ -298,7 +274,7 @@ def _row(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, eps: float,
     """One upper-bound scenario: perturb, measure the true error, bound it."""
     v, flux = _scenario_inputs(cfg, mp, eps)
     err = pb.true_error(mp, v)
-    bundle = mj.constants_bundle(mp.problem, cfg.constants_modes)
+    bundle = mj.constants_bundle(mp.problem)
     report = _run_estimate(cfg, mp, bundle, v, flux, scale_hint=err)
     eff = math.inf if err == 0.0 else report.total / err
     return SweepRow(parameter=parameter, report=report, true_error=err, efficiency=eff)
@@ -336,10 +312,7 @@ def cmd_minorant(cfg: ScenarioConfig, out: str) -> int:
     mp = _build(cfg)
     eps = cfg.epsilons[0]
     v, _ = _scenario_inputs(cfg, mp, eps)
-    basis = default_basis(mp.domain, cfg.minorant_radial, cfg.minorant_degree)
-    if cfg.minorant_include_error:
-        basis = basis.extended(mp.exact_u - v)
-    report = minorant_report(mp.problem, v, basis)
+    report = minorant_report(mp.problem, v, _basis(cfg, mp, v))
     err = pb.true_error(mp, v)
     ok = report.value <= err**2 + GUARANTEE_SLACK * max(err, 1.0) ** 2
     payload = {
@@ -359,15 +332,12 @@ def cmd_minorant(cfg: ScenarioConfig, out: str) -> int:
 
 def cmd_sandwich(cfg: ScenarioConfig, out: str) -> int:
     mp = _build(cfg)
-    bundle = mj.constants_bundle(mp.problem, cfg.constants_modes)
+    bundle = mj.constants_bundle(mp.problem)
     eps = cfg.epsilons[0]
     v, flux = _scenario_inputs(cfg, mp, eps)
     if "y" not in flux:
         raise ConfigError("sandwich: needs an unbroken flux (target v or y)")
-    basis = default_basis(mp.domain, cfg.minorant_radial, cfg.minorant_degree)
-    if cfg.minorant_include_error:
-        basis = basis.extended(mp.exact_u - v)
-    lower, upper = sandwich(mp.problem, v, flux["y"], basis, bundle)
+    lower, upper = sandwich(mp.problem, v, flux["y"], _basis(cfg, mp, v), bundle)
     err = pb.true_error(mp, v)
     slack = GUARANTEE_SLACK * max(err, upper)
     ok = lower <= err + slack and err <= upper + slack
@@ -413,7 +383,7 @@ def cmd_sweep(cfg: ScenarioConfig, out: str) -> int:
 def cmd_constants(cfg: ScenarioConfig, out: str) -> int:
     mp = _build(cfg)
     domain, A = mp.domain, mp.problem.A
-    bundle = mj.constants_bundle(mp.problem, cfg.constants_modes)
+    bundle = mj.constants_bundle(mp.problem)
     reports = [
         consts.ConstantReport(
             name="exterior_poincare",
@@ -511,15 +481,11 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg.seed = _parse("--seed", FIELDS["perturbation.seed"], args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        if args.seed < 0:
-            print(f"config error: --seed: must be >= 0, got {args.seed}",
-                  file=sys.stderr)
-            return 2
-        cfg.seed = args.seed
     cfg.strict = args.strict
     if not os.path.isdir(args.out):
         print(f"config error: --out: {args.out!r} is not an existing directory",

@@ -22,8 +22,11 @@ r^{+-l} for N = 2 and l >= 1, and 1 and ln r for N = 2 and l = 0.
 Every reported value, mode energies included, is rounded outward by the
 relative margin ``OUTWARD_RTOL`` (the reports' ``rel_accuracy``), which
 covers the floating-point error of evaluating the closed forms.  The
-extension and trace constants are maxima over degrees l <= ``modes``, so
-they cover traces band-limited to that degree.
+extension and trace constants are maxima over degrees l <= ``modes``.
+:func:`extbounds.majorant.constants_bundle` sets ``modes`` to the trace
+degree L, the band onto which every trace in a bound is projected: only
+those degrees pair with the error's trace, so the maximum over l <= L is
+the sharpest valid constant and a wider range could only loosen it.
 
 Reported constants are tied to the spectral H^{+-1/2} norms of
 :mod:`extbounds.traces`; an equivalent trace norm would rescale them.
@@ -127,8 +130,8 @@ def _outward(x: float) -> float:
 def _check_modes(domain: ExteriorDomain, modes: int, what: str) -> None:
     if domain.dimension not in (2, 3):
         raise ValueError(f"{what} requires dimension 2 or 3")
-    if modes < 8:
-        raise ValueError(f"need modes >= 8, got {modes}")
+    if modes < 0:
+        raise ValueError(f"need modes >= 0, got {modes}")
 
 
 def _harmonic_flux(dimension: int, ell: int, inner: float, outer: float,
@@ -239,9 +242,7 @@ def interior_friedrichs_constant(domain: ExteriorDomain) -> ConstantReport:
 
 
 def boundary_extension_constant(
-    domain: ExteriorDomain,
-    A: Coefficient,
-    modes: int = 12,
+    domain: ExteriorDomain, A: Coefficient, modes: int
 ) -> ConstantReport:
     """Constant of the concrete mode-wise extension operator from the
     inner sphere: a degree-l trace coefficient is extended by the
@@ -276,9 +277,7 @@ def boundary_extension_constant(
 
 
 def interface_trace_constant(
-    domain: ExteriorDomain,
-    A: Coefficient,
-    modes: int = 12,
+    domain: ExteriorDomain, A: Coefficient, modes: int
 ) -> ConstantReport:
     """Constant bounding the interface H^{1/2} trace norm by the global
     energy norm, computed through the annulus side: per degree, the

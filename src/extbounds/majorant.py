@@ -106,19 +106,17 @@ class ConstantsBundle:
         return min(self.c_o_formula, self.c_o_eigen)
 
 
-def constants_bundle(p: Problem, modes: int | None = None) -> ConstantsBundle:
-    """Compute the constants for a problem.  ``modes`` must cover the
-    trace degree, because :func:`boundary_term` reads one mode energy per
-    degree of the trace."""
-    domain, A = p.domain, p.A
-    modes = max(8, p.trace_degree) if modes is None else modes
-    if modes < p.trace_degree:
-        raise ValueError(
-            f"modes must be >= the trace degree {p.trace_degree}, got {modes}"
-        )
+def constants_bundle(p: Problem) -> ConstantsBundle:
+    """Compute the constants for a problem, over the degrees l <= the trace
+    degree L.  Every trace a bound measures is projected onto those degrees:
+    :func:`boundary_term` reads one mode energy per degree of the
+    mismatch, and :func:`estimate_III` pairs the projected jump only with
+    the error's trace degrees <= L, so the maximum over l <= L is the
+    sharpest valid trace constant."""
+    domain, A, modes = p.domain, p.A, p.trace_degree
     fried = consts.interior_friedrichs_constant(domain)
-    ext = consts.boundary_extension_constant(domain, A, modes=modes)
-    trace = consts.interface_trace_constant(domain, A, modes=modes)
+    ext = consts.boundary_extension_constant(domain, A, modes)
+    trace = consts.interface_trace_constant(domain, A, modes)
     return ConstantsBundle(
         poincare=consts.exterior_poincare_constant(domain.dimension),
         c_o_formula=consts.interior_weight_constant(domain, A),

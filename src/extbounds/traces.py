@@ -151,7 +151,13 @@ def _check_rule(rule: QuadratureRule, radius: float, degree: int) -> None:
         raise TraceError("quadrature rule does not live on the requested sphere")
 
 
-def _finish(radius, dimension, degree, coeffs, strict):
+def _project(weighted, radius, degree, rule, strict):
+    """Trace whose coefficients are the exact sums of the quadrature-weighted
+    values ``weighted`` against each basis function on ``rule``."""
+    _check_rule(rule, radius, degree)
+    dimension = rule.dimension
+    basis = basis_matrix(dimension, degree, radius, rule.nodes)
+    coeffs = np.array([math.fsum(row * weighted) for row in basis])
     ell = degree_of_index(dimension, degree)
     total = float(np.sum(coeffs**2))
     tail = float(np.sum(coeffs[ell > degree // 2] ** 2))
@@ -173,11 +179,8 @@ def analyze(
 ) -> SphereTrace:
     """Expand ``f`` restricted to the sphere of ``radius`` in the surface
     basis up to ``degree``, by quadrature of the projection integrals."""
-    _check_rule(rule, radius, degree)
-    basis = basis_matrix(rule.dimension, degree, radius, rule.nodes)
-    vals = np.asarray(f.value(rule.nodes), dtype=float) * rule.weights
-    coeffs = np.array([math.fsum(row * vals) for row in basis])
-    return _finish(radius, rule.dimension, degree, coeffs, strict)
+    vals = np.asarray(f.value(rule.nodes), dtype=float)
+    return _project(vals * rule.weights, radius, degree, rule, strict)
 
 
 def normal_trace(
@@ -188,14 +191,10 @@ def normal_trace(
     strict: bool = False,
 ) -> SphereTrace:
     """Expand the outward normal component x/|x| . y on the sphere."""
-    _check_rule(rule, radius, degree)
     pts = rule.nodes
     vals = np.asarray(y.value(pts), dtype=float)
     normal = pts / node_radii(pts)[:, None]
-    scal = row_sum(vals * normal) * rule.weights
-    basis = basis_matrix(rule.dimension, degree, radius, pts)
-    coeffs = np.array([math.fsum(row * scal) for row in basis])
-    return _finish(radius, rule.dimension, degree, coeffs, strict)
+    return _project(row_sum(vals * normal) * rule.weights, radius, degree, rule, strict)
 
 
 def reconstruct(t: SphereTrace) -> ScalarField:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extbounds as xb
-from extbounds.cli import ConfigError, ScenarioConfig, load_config, main
+from extbounds.cli import FIELDS, ConfigError, ScenarioConfig, load_config, main
 from extbounds.problems import TARGET_MODES
 
 REPO = Path(__file__).resolve().parent.parent
@@ -47,22 +47,43 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
-SECTION_KEYS = {
+# the settable keys of each section
+FIELD_KEYS = {
     "quadrature": ("radial_order", "angular_order", "shells"),
     "trace": ("L",),
-    "constants": ("variant", "modes", "cutoff", "mesh"),
+    "constants": (),
     "perturbation": ("target", "mode", "epsilons", "seed"),
     "sweep": ("kind", "values"),
     "minorant": ("n_radial", "degree", "include_error_in_basis"),
     "poincare": ("count",),
 }
+# misspelled and removed keys of each section: no config carrying one parses
+REJECTED_KEYS = {
+    "quadrature": ("shell",),
+    "trace": ("l",),
+    "constants": ("variant", "modes", "cutoff", "mesh"),
+    "perturbation": ("epsilon",),
+    "minorant": ("include_error",),
+    "poincare": ("counts",),
+}
+MISSPELT = ("quadrature.shell", "trace.l", "perturbation.epsilon",
+            "minorant.include_error", "poincare.counts", "estimates")
+SECTION_KEYS = {name: keys + REJECTED_KEYS.get(name, ()) for name, keys in FIELD_KEYS.items()}
 CONFIGS = st.fixed_dictionaries({}, optional={
     "problem": st.sampled_from(["N3_harmonic", "N2_log"]) | JSON_VALUES,
     "estimate": st.sampled_from(["I", "III"]) | JSON_VALUES,
     "boundary_mode": st.just("constant_based") | JSON_VALUES,
+    "estimates": st.just("I") | JSON_VALUES,
     **{name: st.dictionaries(st.sampled_from(keys), JSON_VALUES) | JSON_VALUES
        for name, keys in SECTION_KEYS.items()},
 })
+
+
+def readme_config_block():
+    """The JSON block under README "### Configuration", which lists the
+    defaults."""
+    section = (REPO / "README.md").read_text().split("### Configuration", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
 
 
 class TestConfig:
@@ -74,8 +95,11 @@ class TestConfig:
             cfg = ScenarioConfig.from_dict(raw)
         except ConfigError:
             return
-        # the removed fields are drawn too: any value of them is an error
-        assert "boundary_mode" not in raw and "variant" not in (raw.get("constants") or {})
+        # removed and misspelled keys are drawn too: any value of them is an error
+        assert "boundary_mode" not in raw and "estimates" not in raw
+        for name, sec in raw.items():
+            if isinstance(sec, dict):
+                assert set(sec) <= set(FIELD_KEYS[name]), name
         assert cfg.seed >= 0 and cfg.epsilons
         assert all(math.isfinite(e) and e >= 0 for e in cfg.epsilons)
         assert all(math.isfinite(v) and v > 0 for v in cfg.sweep_values)
@@ -114,14 +138,18 @@ class TestConfig:
             )
 
     def test_modes_below_trace_degree_named(self):
-        with pytest.raises(ConfigError, match="constants.modes"):
+        with pytest.raises(ConfigError, match="^constants.modes: removed"):
             ScenarioConfig.from_dict({"constants": {"modes": 8}, "trace": {"L": 10}})
 
+    def test_dotted_top_level_key_is_unknown(self):
+        with pytest.raises(ConfigError, match="^trace.L: unknown configuration field"):
+            ScenarioConfig.from_dict({"trace.L": 3})
+
     def test_removed_keys_named(self):
-        # the extension's cutoff is R, the constants take no mesh, the
-        # boundary term has one form and c_o one value: any value, null
-        # included, names the key as removed
-        for key in ("cutoff", "mesh", "variant"):
+        # the extension's cutoff is R, the constants take no mesh and cover
+        # the trace band, the boundary term has one form and c_o one value:
+        # any value, null included, names the key as removed
+        for key in ("cutoff", "mesh", "variant", "modes"):
             for value in (None, 1.3, 5.0, 512, "eigen", "formula"):
                 with pytest.raises(ConfigError, match=f"constants.{key}: removed"):
                     ScenarioConfig.from_dict({"constants": {key: value}})
@@ -130,11 +158,14 @@ class TestConfig:
                 ScenarioConfig.from_dict({"boundary_mode": value})
 
     def test_readme_configuration_block_is_the_default(self):
-        # the JSON block under README "### Configuration" lists the defaults
-        text = (REPO / "README.md").read_text()
-        section = text.split("### Configuration", 1)[1]
-        block = section.split("```json\n", 1)[1].split("```", 1)[0]
-        assert ScenarioConfig.from_dict(json.loads(block)) == ScenarioConfig()
+        assert ScenarioConfig.from_dict(readme_config_block()) == ScenarioConfig()
+
+    def test_readme_configuration_block_names_every_field(self):
+        # a field cannot be added without its README entry, nor linger there
+        names = {f"{key}.{sub}" if isinstance(val, dict) else key
+                 for key, val in readme_config_block().items()
+                 for sub in (val if isinstance(val, dict) else [None])}
+        assert names == set(FIELDS)
 
     def test_defaults_fill_in(self):
         cfg = ScenarioConfig.from_dict({})
@@ -163,7 +194,6 @@ def accepted_configs(draw):
                        "angular_order": draw(st.integers(L + 1, L + 3)),
                        "shells": draw(st.integers(1, 3))},
         "trace": {"L": L},
-        "constants": {"modes": draw(st.none() | st.integers(max(8, L), 12))},
         "perturbation": {"target": target,
                          "mode": draw(st.sampled_from(TARGET_MODES[target])),
                          "epsilons": draw(st.lists(FINITE, min_size=1, max_size=2)),
@@ -238,6 +268,12 @@ class TestCommands:
         ("boundary_mode", {"boundary_mode": None}),
         ("constants.variant", {"constants": {"variant": "eigen"}}),
         ("constants.variant", {"constants": {"variant": None, "modes": 12}}),
+        ("quadrature.shell", {"quadrature": {"shell": 3}}),
+        ("trace.l", {"trace": {"l": 4}}),
+        ("perturbation.epsilon", {"perturbation": {"epsilon": [0.5]}}),
+        ("minorant.include_error", {"minorant": {"include_error": True}}),
+        ("poincare.counts", {"poincare": {"counts": 5}}),
+        ("estimates", {"estimates": "II"}),
     ])
     def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, field, payload):
         cfg = write_config(tmp_path, payload)
@@ -248,8 +284,10 @@ class TestCommands:
         assert code == 2
         assert field in err and "Traceback" not in err
         if field in ("constants.mesh", "constants.cutoff", "boundary_mode",
-                     "constants.variant"):
+                     "constants.variant", "constants.modes"):
             assert f"{field}: removed" in err
+        elif field in MISSPELT:
+            assert f"config error: {field}: unknown configuration field" in err
 
     def test_majorant_report_schema(self, tmp_path):
         cfg = write_config(tmp_path, BASE)

@@ -238,34 +238,39 @@ class TestBoundaryExtension:
 
 class TestInterfaceTrace:
     def test_direct_verification_50_samples(self):
-        modes = 8
+        # R = 1.3 with L = 3: the band-limited constant lies below its l <= 8
+        # value, and must still bound the trace of every w of degree <= 3
+        for R, modes in ((2.0, 8), (1.3, 3)):
+            self._verify_50_samples(ExteriorDomain(3, 1.0, R), modes)
+
+    def _verify_50_samples(self, dom, modes):
         A = Coefficient.constant(np.diag([1.0, 2.0, 4.0]))
-        rep = cs.interface_trace_constant(DOM3, A, modes=modes)
-        # random fields w = q(r) Y_lm vanishing at r = a with bounded
-        # support: compare the interface H^{1/2} norm against the full
-        # A-energy computed per mode by dense 1D quadrature
+        rep = cs.interface_trace_constant(dom, A, modes=modes)
+        # random fields w = q(r) Y_lm, l <= modes, vanishing at r = a with
+        # bounded support: compare the interface H^{1/2} norm against the
+        # full A-energy computed per mode by dense 1D quadrature
         rng = np.random.default_rng(7)
         gx, gw = _gauss_legendre(12)
         violations = 0
         for _ in range(50):
             ell = int(rng.integers(0, modes + 1))
-            r_out = DOM3.R + rng.uniform(0.5, 2.0)
+            r_out = dom.R + rng.uniform(0.5, 2.0)
             # smooth radial profile vanishing at a and beyond r_out
             s = rng.uniform(0.5, 2.0)
 
             def q(r):
-                t = np.clip((r - DOM3.a) / (r_out - DOM3.a), 0.0, 1.0)
+                t = np.clip((r - dom.a) / (r_out - dom.a), 0.0, 1.0)
                 return s * np.sin(math.pi * t) ** 2
 
             def dq(r):
-                t = np.clip((r - DOM3.a) / (r_out - DOM3.a), 0.0, 1.0)
+                t = np.clip((r - dom.a) / (r_out - dom.a), 0.0, 1.0)
                 return (
                     s * 2.0 * np.sin(math.pi * t) * np.cos(math.pi * t)
-                    * math.pi / (r_out - DOM3.a)
+                    * math.pi / (r_out - dom.a)
                 )
 
             energy = 0.0
-            edges = np.linspace(DOM3.a, r_out, 64)
+            edges = np.linspace(dom.a, r_out, 64)
             for k in range(len(edges) - 1):
                 h = edges[k + 1] - edges[k]
                 r = 0.5 * (edges[k] + edges[k + 1]) + 0.5 * h * gx
@@ -277,12 +282,19 @@ class TestInterfaceTrace:
                         * r**2
                     )
                 )
-            trace_coeff = q(np.array([DOM3.R]))[0] * DOM3.R  # R^{(N-1)/2}
-            lhs = math.sqrt(mode_multiplier(ell, 3, DOM3.R)) * abs(trace_coeff)
+            trace_coeff = q(np.array([dom.R]))[0] * dom.R  # R^{(N-1)/2}
+            lhs = math.sqrt(mode_multiplier(ell, 3, dom.R)) * abs(trace_coeff)
             rhs = rep.value * math.sqrt(A.c_A * energy)
             if lhs > rhs * (1 + 1e-12):
                 violations += 1
         assert violations == 0
+
+    def test_band_limited_constant(self):
+        # the maximum over l <= L sits at l = 8 for R = 1.3: L = 3 drops it
+        dom = ExteriorDomain(3, 1.0, 1.3)
+        low, full = (cs.interface_trace_constant(dom, A_ID3, modes).value for modes in (3, 8))
+        assert low == pytest.approx(0.92471, abs=1e-5)
+        assert full == pytest.approx(1.02324, abs=1e-5)
 
     def test_zero_trace_field_trivial(self):
         # a profile vanishing on a neighborhood of the interface has zero

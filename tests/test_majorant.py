@@ -109,9 +109,15 @@ class TestBoundaryTerm:
             2.0 * math.sqrt(A.c_A_plus * dirichlet))
 
     def test_bundle_modes_cover_trace_degree(self, catalog):
+        # the constants cover exactly the band every trace is projected onto
         p = catalog["N3_harmonic"].problem
-        with pytest.raises(ValueError, match="trace degree"):
-            xb.constants_bundle(p, modes=p.trace_degree - 1)
+        for L in (1, 6, 8, 12):
+            bundle = xb.constants_bundle(dataclasses.replace(p, trace_degree=L))
+            assert bundle.modes == L
+            assert len(bundle.extension.params["mode_energies"]) == L + 1
+            assert len(bundle.trace.mode_values) == L + 1
+        with pytest.raises(TypeError):
+            xb.constants_bundle(p, modes=p.trace_degree)
 
     def test_stale_mode_argument_rejected(self, catalog, bundles):
         # the retired mode and c_o variant arguments cannot bind to the bundle
