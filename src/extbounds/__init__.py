@@ -15,8 +15,6 @@ from .fields import (
     ScalarField,
     VectorField,
     energy_norm,
-    flux_gap,
-    gradient_field,
     log_weighted_norm,
     residual_field,
     weighted_norm,
@@ -74,8 +72,6 @@ __all__ = [
     "estimate_II",
     "estimate_III",
     "exterior_poincare_constant",
-    "flux_gap",
-    "gradient_field",
     "integrate",
     "interface_trace_constant",
     "interior_friedrichs_constant",

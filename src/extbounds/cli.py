@@ -76,8 +76,8 @@ FIELDS = {
                               else "expected a non-empty list of numbers >= 0"),
     "perturbation.seed": ("seed", int, _between(0)),
     "sweep.kind": ("sweep_kind", str, _among("epsilon", "radius")),
-    "sweep.values": ("sweep_values", list, lambda v: None if all(x > 0 for x in v)
-                     else "expected a list of positive numbers"),
+    "sweep.values": ("sweep_values", list, lambda v: None if v and min(v) > 0
+                     else "expected a non-empty list of positive numbers"),
     "minorant.n_radial": ("minorant_radial", int, _between(1)),
     "minorant.degree": ("minorant_degree", int, _among(0, 1)),
     "minorant.include_error_in_basis": ("minorant_include_error", bool, None),

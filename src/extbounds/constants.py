@@ -41,6 +41,7 @@ import numpy as np
 
 from .fields import Coefficient
 from .geometry import ExteriorDomain
+from .traces import sobolev_weight
 
 # relative outward rounding of every reported closed-form value; the
 # evaluations below agree with 50-digit ones to 2e-14 relative on
@@ -158,10 +159,6 @@ def _harmonic_flux(dimension: int, ell: int, inner: float, outer: float,
     return num / (radius * -math.expm1(-m * s))
 
 
-def _h_half_multiplier(ell: int, dimension: int, radius: float) -> float:
-    return math.sqrt(1.0 + ell * (ell + dimension - 2) / radius**2)
-
-
 def _friedrichs_function(dimension: int, a: float, R: float):
     """g(k) whose first positive root k gives the degree-0 eigenvalue k^2
     of -div grad on the annulus, zero at r = a and free at r = R:
@@ -255,7 +252,7 @@ def boundary_extension_constant(
     n, a, R = domain.dimension, domain.a, domain.R
     energies = [_harmonic_flux(n, ell, a, R, True) for ell in range(modes + 1)]
     ratios = tuple(
-        _outward(math.sqrt(e / _h_half_multiplier(ell, n, a) * A.c_A_plus))
+        _outward(math.sqrt(e / math.sqrt(sobolev_weight(ell, n, a)) * A.c_A_plus))
         for ell, e in enumerate(energies)
     )
     return ConstantReport(
@@ -289,7 +286,7 @@ def interface_trace_constant(
     n, a, R = domain.dimension, domain.a, domain.R
     energies = [_harmonic_flux(n, ell, a, R, False) for ell in range(modes + 1)]
     consts = tuple(
-        _outward(math.sqrt(_h_half_multiplier(ell, n, R) / (A.c_A * e)))
+        _outward(math.sqrt(math.sqrt(sobolev_weight(ell, n, R)) / (A.c_A * e)))
         for ell, e in enumerate(energies)
     )
     return ConstantReport(

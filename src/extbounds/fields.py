@@ -223,31 +223,6 @@ def gradient_on(v: ScalarField, rule: QuadratureRule) -> np.ndarray:
     )
 
 
-def gradient_field(v: ScalarField) -> VectorField:
-    """The gradient of ``v`` as a vector field (no divergence closure)."""
-    if v.gradient is None:
-        raise CompositionError(f"field {v.label!r} has no gradient closure")
-    return VectorField(value=v.gradient, divergence=None, label=f"grad({v.label})")
-
-
-def flux_of(A: Coefficient, v: ScalarField) -> VectorField:
-    """A * grad v.  Carries no divergence closure (that would need second
-    derivatives of v); use it where only values are integrated."""
-    if v.gradient is None:
-        raise CompositionError(f"field {v.label!r} has no gradient closure")
-    grad = v.gradient
-    return VectorField(
-        value=lambda pts: A.apply(pts, grad(pts)),
-        divergence=None,
-        label=f"A*grad({v.label})",
-    )
-
-
-def flux_gap(y: VectorField, A: Coefficient, v: ScalarField) -> VectorField:
-    """y - A * grad v, the flux mismatch entering every upper bound."""
-    return y - flux_of(A, v)
-
-
 def residual_field(f: ScalarField, y: VectorField) -> ScalarField:
     """f + div y, the equilibrium residual. Requires the divergence closure."""
     if y.divergence is None:
@@ -421,35 +396,6 @@ def mollifier_profile(center: float, width: float):
         return out
 
     return p, dp
-
-
-def ball_bump(center: np.ndarray, radius: float, amplitude: float = 1.0) -> ScalarField:
-    """Compactly supported C-infinity bump on the ball |x - center| < radius."""
-    center = np.asarray(center, dtype=float)
-
-    def value(pts):
-        d = np.atleast_2d(pts) - center
-        t2 = row_sum(d**2) / radius**2
-        out = np.zeros(len(d))
-        inside = t2 < 1.0 - 1e-14
-        out[inside] = amplitude * np.exp(-1.0 / (1.0 - t2[inside]))
-        return out
-
-    def gradient(pts):
-        d = np.atleast_2d(pts) - center
-        t2 = row_sum(d**2) / radius**2
-        out = np.zeros_like(d)
-        inside = t2 < 1.0 - 1e-14
-        fac = (
-            amplitude
-            * np.exp(-1.0 / (1.0 - t2[inside]))
-            * (-2.0 / (1.0 - t2[inside]) ** 2)
-            / radius**2
-        )
-        out[inside] = fac[:, None] * d[inside]
-        return out
-
-    return ScalarField(value=value, gradient=gradient, label="bump")
 
 
 def angular_monomial(dimension: int, index: int):

@@ -66,9 +66,6 @@ class ExteriorDomain:
         n = self.dimension
         return _unit_sphere_area(n) * (self.R**n - self.a**n) / n
 
-    def sphere_area(self, radius: float) -> float:
-        return _unit_sphere_area(self.dimension) * radius ** (self.dimension - 1)
-
 
 def _unit_sphere_area(n: int) -> float:
     # surface measure of S^{n-1}; the N = 1 "sphere" is a single point.  The

@@ -27,7 +27,6 @@ from .geometry import (
     ExteriorDomain,
     _composite_interval,
     _gauss_legendre,
-    _unit_sphere_area,
     _unit_sphere_rule,
     exact_sum,
 )
@@ -42,10 +41,6 @@ IDENTITY_RTOL = 1e-9
 PANELS = 48
 ORDER = 12
 ANGULAR = 24
-
-
-class VerificationFailure(AssertionError):
-    """An inequality that must hold was violated beyond tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -86,20 +81,6 @@ class BumpFunction:
 
 
 @dataclass(frozen=True)
-class RadialBump:
-    """Radially symmetric shell bump prof((r - center_radius)/radius); works
-    in any dimension because its integrals reduce to one dimension."""
-
-    dimension: int
-    center_radius: float
-    radius: float
-    amplitude: float = 1.0
-
-    def min_support_radius(self) -> float:
-        return self.center_radius - self.radius
-
-
-@dataclass(frozen=True)
 class HalfLineBump:
     """One-sided profile on [0, width) with a nonzero value at the origin;
     extended by zero to the rest of the line."""
@@ -115,10 +96,10 @@ class HalfLineBump:
         return self.amplitude * math.exp(-1.0)
 
 
-def _radial_samples(dimension: int, center: float, width: float, lo: float,
-                    hi: float, amplitude: float, u0: float = 0.0) -> dict:
-    """amplitude * bump((r - center)/width) sampled on [lo, hi] with the
-    radial measure |S^{N-1}| r^{N-1} dr (plain dr for N = 1)."""
+def _line_samples(center: float, width: float, lo: float, hi: float,
+                  amplitude: float, u0: float = 0.0) -> dict:
+    """amplitude * bump((r - center)/width) sampled on [lo, hi] of the line,
+    with the plain measure dr."""
     if lo < 0.0:
         raise ValueError("bump support must stay at nonnegative radius")
     r, wr = _composite_interval(lo, hi, ORDER, PANELS)
@@ -129,9 +110,9 @@ def _radial_samples(dimension: int, center: float, width: float, lo: float,
         "u": amplitude * _bump(t),
         "du_r": der,
         "grad": np.abs(der),
-        "w": _unit_sphere_area(dimension) * r ** (dimension - 1) * wr,
+        "w": wr,
         "u0": u0,
-        "dimension": dimension,
+        "dimension": 1,
     }
 
 
@@ -140,24 +121,19 @@ def samples(u) -> dict:
     weight) over the support of a test function.
 
     Off-center ball bumps reduce to a 2D (distance, angle) integral by
-    axial symmetry around the center direction; radial bumps and the
-    one-dimensional cases reduce to 1D.
+    axial symmetry around the center direction; the one-dimensional cases
+    are sampled on their interval of the line.
     """
     if isinstance(u, HalfLineBump):
-        return _radial_samples(1, 0.0, u.width, 0.0, u.width, u.amplitude,
-                               u.value_at_zero())
-    if isinstance(u, RadialBump):
-        return _radial_samples(u.dimension, u.center_radius, u.radius,
-                               u.center_radius - u.radius,
-                               u.center_radius + u.radius, u.amplitude)
+        return _line_samples(0.0, u.width, 0.0, u.width, u.amplitude,
+                             u.value_at_zero())
     if not isinstance(u, BumpFunction):
         raise TypeError(f"unsupported test function type {type(u).__name__}")
 
     n = u.dimension
     if n == 1:
         c = u.center[0]
-        return _radial_samples(1, c, u.radius, c - u.radius, c + u.radius,
-                               u.amplitude)
+        return _line_samples(c, u.radius, c - u.radius, c + u.radius, u.amplitude)
     if n == 3:
         cos, wmu = _gauss_legendre(ANGULAR)
         wang = 2.0 * math.pi * wmu
@@ -190,46 +166,6 @@ def samples(u) -> dict:
 
 def _norm(sm: dict, density: np.ndarray) -> float:
     return math.sqrt(max(exact_sum(density * sm["w"]), 0.0))
-
-
-def _gather(u_or_list):
-    """Samples for a single test function or a disjoint sum of them."""
-    if not isinstance(u_or_list, (list, tuple)):
-        return samples(u_or_list)
-    parts = [samples(b) for b in u_or_list]
-    dims = {p["dimension"] for p in parts}
-    if len(dims) != 1:
-        raise ValueError("summands live in different dimensions")
-    _check_disjoint(u_or_list)
-    sm = {key: np.concatenate([p[key] for p in parts])
-          for key in ("r", "u", "du_r", "grad", "w")}
-    sm.update(u0=exact_sum([p["u0"] for p in parts]), dimension=dims.pop())
-    return sm
-
-
-def _radial_interval(b) -> tuple[float, float]:
-    if isinstance(b, HalfLineBump):
-        return 0.0, b.width
-    return b.center_radius - b.radius, b.center_radius + b.radius
-
-
-def _check_disjoint(bumps) -> None:
-    # sums are integrated support-by-support, which needs disjoint supports:
-    # ball bumps are compared by center distance, any pair with a shell or
-    # half-line bump by its closed radial interval [min r, max r]
-    for i in range(len(bumps)):
-        for j in range(i + 1, len(bumps)):
-            bi, bj = bumps[i], bumps[j]
-            if isinstance(bi, BumpFunction) and isinstance(bj, BumpFunction):
-                dist = float(
-                    np.linalg.norm(np.asarray(bi.center) - np.asarray(bj.center))
-                )
-                overlap = dist <= bi.radius + bj.radius
-            else:
-                (lo_i, hi_i), (lo_j, hi_j) = _radial_interval(bi), _radial_interval(bj)
-                overlap = max(lo_i, lo_j) <= min(hi_i, hi_j)
-            if overlap:
-                raise ValueError("summed bumps must have disjoint supports")
 
 
 # ---------------------------------------------------------------------------
@@ -269,36 +205,32 @@ def records_to_csv(records, path) -> None:
 # the inequalities
 
 
-def verify_power_weight(domain: ExteriorDomain | None, u,
-                        beta: float) -> VerificationRecord:
+def verify_power_weight(domain: ExteriorDomain, u, beta: float) -> VerificationRecord:
     """(2b + N - 2) ||r^{b-1} u|| <= 2 ||r^b du/dr|| for b > 1 - N/2."""
-    sm = _gather(u)
+    sm = samples(u)
     n = sm["dimension"]
     if beta <= 1.0 - n / 2.0:
         raise ValueError(f"beta must exceed 1 - N/2 = {1 - n / 2}, got {beta}")
-    if domain is not None:
-        _check_support(domain, u)
+    _check_support(domain, u)
     const = 2.0 * beta + n - 2.0
     lhs = const * _norm(sm, sm["r"] ** (2 * beta - 2) * sm["u"] ** 2)
     rhs = 2.0 * _norm(sm, sm["r"] ** (2 * beta) * sm["du_r"] ** 2)
     return VerificationRecord("power_weight", n, beta, _describe(u), lhs, rhs)
 
 
-def verify_log_weight(domain: ExteriorDomain | None, u,
-                      beta: float) -> VerificationRecord:
+def verify_log_weight(domain: ExteriorDomain, u, beta: float) -> VerificationRecord:
     """|2b + N - 3| ||r^{b-1} u / ln r|| <= 2 ||r^b du/dr|| for supports at
     radius > 1 and b outside the band (1 - N/2, (3 - N)/2)."""
-    sm = _gather(u)
+    sm = samples(u)
     n = sm["dimension"]
     lo, hi = 1.0 - n / 2.0, (3.0 - n) / 2.0
     if lo < beta < hi:
         raise ValueError(
             f"beta = {beta} lies in the forbidden band ({lo}, {hi}) for N = {n}"
         )
-    if domain is not None:
-        if domain.a < 1.0:
-            raise ValueError("log-weight inequality needs inner radius >= 1")
-        _check_support(domain, u)
+    if domain.a < 1.0:
+        raise ValueError("log-weight inequality needs inner radius >= 1")
+    _check_support(domain, u)
     if np.min(sm["r"]) <= 1.0:
         raise ValueError("log-weight inequality needs support at radius > 1")
     const = abs(2.0 * beta + n - 3.0)
@@ -311,7 +243,7 @@ def verify_log_weight(domain: ExteriorDomain | None, u,
 def verify_halfline(u, beta: float) -> VerificationRecord:
     """|2b - 1| ||(1+r)^{b-1} u|| <= 2 ||(1+r)^b u'|| + |2 min(0, 2b-1)|^{1/2} |u(0)|
     on the half line, u extended by zero."""
-    sm = _gather(u)
+    sm = samples(u)
     if sm["dimension"] != 1:
         raise ValueError("half-line inequality is one-dimensional")
     gamma_hat = 2.0 * beta - 1.0
@@ -340,7 +272,7 @@ def verify_corollary_chain(domain_or_dimension, u,
     if isinstance(domain_or_dimension, ExteriorDomain):
         _check_support(domain_or_dimension, u)
         dim = domain_or_dimension.dimension
-    sm = _gather(u)
+    sm = samples(u)
     n = sm["dimension"]
     if dim != n:
         raise ValueError(f"dimension {dim} does not match the test function's ({n})")
@@ -410,7 +342,7 @@ def partial_integration_identity(
     """Quadrature check of the exact expansion of
     ||w^b du/dr + gamma_hat w^{b-1} u||^2 used to prove each inequality
     (weight w = r, r with a log, or 1 + r)."""
-    sm = _gather(u)
+    sm = samples(u)
     n = sm["dimension"]
     r, uu, dur, w = sm["r"], sm["u"], sm["du_r"], sm["w"]
 
@@ -457,55 +389,7 @@ def partial_integration_identity(
 
 
 # ---------------------------------------------------------------------------
-# scans and random suites
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    best_ratio: float
-    best_descriptor: str
-    records: tuple
-
-
-def rayleigh_scan(
-    domain: ExteriorDomain,
-    inequality: str,
-    beta: float,
-    center_radii,
-    radii,
-) -> ScanResult:
-    """Probe the tightness of one inequality over a bump family; the best
-    observed lhs/rhs ratio must stay below 1 (plus roundoff)."""
-    center_radii = list(center_radii)
-    radii = list(radii)
-    if not center_radii or not radii:
-        raise ValueError("scan family must be nonempty")
-    verify = {"power_weight": verify_power_weight, "log_weight": verify_log_weight}
-    if inequality not in verify:
-        raise ValueError(f"unknown inequality {inequality!r} for scans")
-    records = []
-    for cr in center_radii:
-        for rad in radii:
-            if cr - rad <= domain.a:
-                continue
-            axis = np.zeros(domain.dimension)
-            axis[0] = cr
-            records.append(
-                verify[inequality](domain, BumpFunction(tuple(axis), rad), beta)
-            )
-    if not records:
-        raise ValueError("scan family left no admissible bumps")
-    ratios = [r.lhs / r.rhs if r.rhs > 0.0 else 0.0 for r in records]
-    best = int(np.argmax(ratios))
-    if ratios[best] > 1.0 + PASS_RTOL:
-        raise VerificationFailure(
-            f"{inequality} ratio {ratios[best]} exceeds 1 for {records[best].descriptor}"
-        )
-    return ScanResult(
-        best_ratio=float(ratios[best]),
-        best_descriptor=records[best].descriptor,
-        records=tuple(records),
-    )
+# random suites
 
 
 def random_bumps(domain: ExteriorDomain, count: int,
@@ -525,24 +409,13 @@ def random_bumps(domain: ExteriorDomain, count: int,
 
 
 def _describe(u) -> str:
-    if isinstance(u, (list, tuple)):
-        return "+".join(_describe(b) for b in u)
     if isinstance(u, BumpFunction):
         return f"bump(c={u.center_radius:.3f},rad={u.radius:.3f})"
-    if isinstance(u, RadialBump):
-        return f"radial(c={u.center_radius:.3f},rad={u.radius:.3f},N={u.dimension})"
     if isinstance(u, HalfLineBump):
         return f"halfopen(width={u.width:.3f})"
     return type(u).__name__
 
 
 def _check_support(domain: ExteriorDomain, u) -> None:
-    if isinstance(u, (list, tuple)):
-        for b in u:
-            _check_support(domain, b)
-        return
     if isinstance(u, BumpFunction):
         u.check_inside(domain)
-    elif isinstance(u, RadialBump):
-        if u.min_support_radius() <= domain.a:
-            raise ValueError("radial bump support reaches inside the domain boundary")

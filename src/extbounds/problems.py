@@ -89,7 +89,6 @@ class ManufacturedProblem:
     problem: Problem
     exact_u: ScalarField
     exact_flux: VectorField  # A grad u, with divergence closure -f
-    decay_class: str
 
     @property
     def domain(self) -> ExteriorDomain:
@@ -123,7 +122,6 @@ def builtin(
             divergence=lambda pts: np.zeros(len(np.atleast_2d(pts))),
             label="grad(1/r)",
         )
-        decay = "harmonic r^-1"
     elif name == "N3_decay":
         domain = ExteriorDomain(3, 1.0, 2.0)
         A = Coefficient.constant(2.0 * np.eye(3), label="2I")
@@ -143,7 +141,6 @@ def builtin(
             return (4.0 * r2 - 12.0) / (1.0 + r2) ** 3
 
         flux = VectorField(value=flux_value, divergence=flux_div, label="2*grad u")
-        decay = "algebraic rho^-2"
     elif name == "N3_anisotropic":
         domain = ExteriorDomain(3, 1.0, 2.0)
         diag = np.array([1.0, 2.0, 4.0])
@@ -161,7 +158,6 @@ def builtin(
             return 3.0 * quad / r**5 - np.sum(diag) / r**3
 
         flux = VectorField(value=aniso_value, divergence=aniso_div, label="A grad(1/r)")
-        decay = "harmonic r^-1, anisotropic"
     else:  # N2_log
         domain = ExteriorDomain(2, 1.0, 2.0)
         A = Coefficient.identity(2)
@@ -171,7 +167,6 @@ def builtin(
             divergence=lambda pts: 1.0 / node_radii(pts) ** 3,
             label="grad(1/r) (2D)",
         )
-        decay = "algebraic r^-1 (2D)"
 
     f = ScalarField(
         value=lambda pts: -flux.divergence(pts), gradient=None, label="-div flux"
@@ -187,9 +182,7 @@ def builtin(
         trace_degree=trace_degree,
         strict=strict,
     )
-    return ManufacturedProblem(
-        problem=problem, exact_u=u, exact_flux=flux, decay_class=decay
-    )
+    return ManufacturedProblem(problem=problem, exact_u=u, exact_flux=flux)
 
 
 def with_interface_radius(

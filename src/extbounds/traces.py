@@ -147,7 +147,7 @@ def _check_rule(rule: QuadratureRule, radius: float, degree: int) -> None:
             f"{degree}: need angular_order >= L + 1 for exact products"
         )
     r = node_radii(rule.nodes)
-    if not np.allclose(r, radius, rtol=1e-12):
+    if not np.allclose(r, radius, rtol=1e-12, atol=0.0):
         raise TraceError("quadrature rule does not live on the requested sphere")
 
 
@@ -207,10 +207,15 @@ def reconstruct(t: SphereTrace) -> ScalarField:
     return ScalarField(value=value, gradient=None, label="trace-reconstruction")
 
 
+def sobolev_weight(ell, dimension: int, radius: float):
+    """1 + l(l+N-2)/radius^2 for degree ``ell`` (a number or an array): the
+    H^1 weight of the degree-l harmonics on the sphere of ``radius``, whose
+    +-1/2 power is the H^{+-1/2} multiplier."""
+    return 1.0 + ell * (ell + dimension - 2) / radius**2
+
+
 def sobolev_multipliers(t: SphereTrace, exponent: float) -> np.ndarray:
-    ell = t.degrees().astype(float)
-    base = 1.0 + ell * (ell + t.dimension - 2) / t.radius**2
-    return base**exponent
+    return sobolev_weight(t.degrees().astype(float), t.dimension, t.radius) ** exponent
 
 
 def sobolev_norm(t: SphereTrace, exponent: float) -> float:

@@ -100,7 +100,7 @@ class TestConfig:
         for name, sec in raw.items():
             if isinstance(sec, dict):
                 assert set(sec) <= set(FIELD_KEYS[name]), name
-        assert cfg.seed >= 0 and cfg.epsilons
+        assert cfg.seed >= 0 and cfg.epsilons and cfg.sweep_values
         assert all(math.isfinite(e) and e >= 0 for e in cfg.epsilons)
         assert all(math.isfinite(v) and v > 0 for v in cfg.sweep_values)
 
@@ -274,6 +274,8 @@ class TestCommands:
         ("minorant.include_error", {"minorant": {"include_error": True}}),
         ("poincare.counts", {"poincare": {"counts": 5}}),
         ("estimates", {"estimates": "II"}),
+        ("sweep.values", {"sweep": {"kind": "epsilon", "values": []}}),
+        ("sweep.values", {"sweep": {"kind": "radius", "values": []}}),
     ])
     def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, field, payload):
         cfg = write_config(tmp_path, payload)
@@ -288,6 +290,9 @@ class TestCommands:
             assert f"{field}: removed" in err
         elif field in MISSPELT:
             assert f"config error: {field}: unknown configuration field" in err
+        elif field == "sweep.values":
+            assert "sweep.values: expected a non-empty list of positive numbers" in err
+            assert not (tmp_path / "sweep.csv").exists()
 
     def test_majorant_report_schema(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
@@ -337,12 +342,6 @@ class TestCommands:
             assert eff >= 1 - 1e-8
         totals = [float(line.split(",")[5]) for line in lines[1:]]
         assert totals[0] > totals[1] > totals[2]
-
-    def test_empty_sweep_writes_header_only(self, tmp_path):
-        payload = dict(BASE, sweep={"kind": "epsilon", "values": []})
-        cfg = write_config(tmp_path, payload)
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1
 
     def test_radius_sweep(self, tmp_path):
         """Each row is the library's bound on the problem moved to that R.  A

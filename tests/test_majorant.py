@@ -6,7 +6,7 @@ import pytest
 
 import extbounds as xb
 from extbounds import traces
-from extbounds.fields import Coefficient, VectorField, gradient_field, energy_norm
+from extbounds.fields import Coefficient, VectorField, energy_norm
 from extbounds.geometry import node_radii
 from extbounds.majorant import (
     DivergentNormError,
@@ -29,7 +29,7 @@ class TestSharpness:
     def test_all_estimates_vanish_on_exact_data(self, name, catalog, bundles):
         mp, bundle = catalog[name], bundles[name]
         p, u, flux = exact_inputs(mp)
-        scale = energy_norm(p.A, gradient_field(u), "A", p.quads.whole)
+        scale = energy_norm(p.A, u.gradient(p.quads.whole.nodes), "A", p.quads.whole)
         for rep in (
             estimate_I(p, u, flux, bundle=bundle),
             estimate_II(p, u, flux, bundle=bundle),

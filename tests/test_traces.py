@@ -81,6 +81,16 @@ class TestAnalyze:
         with pytest.raises(TraceError, match="angular order"):
             analyze(one, 2.0, 14, GAMMA3)
 
+    @pytest.mark.parametrize("radius,rule", [
+        (1e-9, build_quadrature(ExteriorDomain(3, 1e-9, 2e-9), 6, 12, 3, "sphere_Gamma")),
+        (2.0 + 1e-9, GAMMA3),
+    ])
+    def test_rule_off_the_sphere_rejected(self, radius, rule):
+        # both spheres lie within numpy's default absolute tolerance 1e-8
+        one = ScalarField(value=lambda p: np.ones(len(p)), label="1")
+        with pytest.raises(TraceError, match="requested sphere"):
+            analyze(one, radius, 4, rule)
+
     def test_parseval(self):
         f = ScalarField(
             value=lambda p: 1.0 + p[:, 0] / node_radii(p) + 0.3 * p[:, 2] ** 2,
