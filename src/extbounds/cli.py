@@ -30,7 +30,9 @@ from . import majorant as mj
 from . import poincare as pc
 from . import problems as pb
 from .fields import QuadratureErrorAt
-from .minorant import SingularGramError, default_basis, minorant_report, sandwich
+from .minorant import (
+    NonzeroTraceError, SingularGramError, default_basis, minorant_report, sandwich,
+)
 from .traces import BandLimitError
 
 
@@ -284,7 +286,8 @@ GUARANTEE_SLACK = 1e-8
 # a valid config whose computation cannot establish a bound: exit 1, named
 NUMERICAL_FAILURES = (
     mj.EquilibrationError, mj.DivergentNormError, QuadratureErrorAt,
-    SingularGramError, BandLimitError, FloatingPointError, OverflowError,
+    SingularGramError, NonzeroTraceError, BandLimitError, FloatingPointError,
+    OverflowError,
 )
 
 

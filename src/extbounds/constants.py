@@ -16,8 +16,12 @@ r^{+-l} for N = 2 and l >= 1, and 1 and ln r for N = 2 and l = 0.
   gives the least energy, and the least constant, for every degree.
 * The Friedrichs eigenproblem is a Bessel (N = 2) or spherical Bessel
   (N = 3) equation; its constant is 1/k at the first root of an explicit
-  transcendental function, bracketed by a sign-verified bisection down to
-  adjacent floats.  The conservative end of the bracket is reported.
+  transcendental function.  A floating-point bisection brackets the root
+  by adjacent floats, and enclosures with explicit error bounds
+  (:mod:`extbounds.special`) prove that the two ends have opposite
+  signs, moving the bracket where a float sign was wrong.  The
+  conservative end of the bracket is reported.  J0, J1, Y0 and Y1 are
+  computed in the package, so no constant needs scipy.
 
 Every reported value, mode energies included, is rounded outward by the
 relative margin ``OUTWARD_RTOL`` (the reports' ``rel_accuracy``), which
@@ -36,9 +40,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from . import special
 from .fields import Coefficient
 from .geometry import ExteriorDomain
 from .traces import sobolev_weight
@@ -50,6 +56,10 @@ OUTWARD_RTOL = 1e-12
 # steps of the scan for the first sign change of the Friedrichs root
 # function; only a bracket narrower than a step is bisected
 ROOT_SCAN_STEPS = 64
+# fixed-point bits of the first enclosure that proves a sign of the root
+# function, and the most bits tried, doubling, before giving up
+PROOF_BITS = 64
+PROOF_BITS_MAX = 4096
 
 
 class ConstantError(RuntimeError):
@@ -163,20 +173,83 @@ def _friedrichs_function(dimension: int, a: float, R: float):
     """g(k) whose first positive root k gives the degree-0 eigenvalue k^2
     of -div grad on the annulus, zero at r = a and free at r = R:
     sin(kL) - kR cos(kL) with L = R - a for N = 3 (the profile is
-    sin(k(r - a))/r), J1(kR) Y0(ka) - Y1(kR) J0(ka) for N = 2."""
+    sin(k(r - a))/r), J1(kR) Y0(ka) - Y1(kR) J0(ka) for N = 2.
+
+    Returns g in floating point and ``enclose(k, bits)``, an
+    :class:`~extbounds.special.Enclosure` of a positive multiple of g(k)
+    at the exact float arguments.  For N = 2 that multiple is, with
+    x = ka, X = kR and the power-series parts s_nu of
+    :func:`~extbounds.special.bessel_series`,
+    (pi/2) g = J0(x) (1/X + s1(X)) - J1(X) (s0(x) + ln(R/a) J0(x)),
+    in which Euler's constant and pi cancel; or, from Hankel's expansion
+    with theta = k(R - a),
+    (pi/2) sqrt(xX) g = (P1 P0 + Q1 Q0) cos theta + (P1 Q0 - Q1 P0) sin theta,
+    P0, Q0 taken at x and P1, Q1 at X.  The expansion is used when x is
+    large enough for its smallest term to fall below 2**-bits."""
+    fa, fR = Fraction(a), Fraction(R)
     if dimension == 3:
         L = R - a
-        return lambda k: math.sin(k * L) - k * R * math.cos(k * L)
-    from scipy.special import j0, j1, y0, y1
 
-    return lambda k: float(j1(k * R) * y0(k * a) - y1(k * R) * j0(k * a))
+        def enclose3(k, bits):
+            k = Fraction(k)
+            kR = k * fR
+            c, s = special.cos_sin(k * (fR - fa), bits)
+            return s - c.times(kR.numerator, kR.denominator)
+
+        return (lambda k: math.sin(k * L) - k * R * math.cos(k * L)), enclose3
+
+    def g(k):
+        j1, y1 = special.bessel_jy(1, k * R)
+        j0, y0 = special.bessel_jy(0, k * a)
+        return j1 * y0 - y1 * j0
+
+    logs = {}  # ln(R/a) per number of bits
+
+    def enclose2(k, bits):
+        k = Fraction(k)
+        x, X = k * fa, k * fR
+        if x > (bits + 16) * math.log(2) / 2:  # e^(-2x) below 2**-bits
+            pq0, pq1 = special.hankel_pq(0, x, bits), special.hankel_pq(1, X, bits)
+            if pq0 is not None and pq1 is not None:
+                (p0, q0), (p1, q1) = pq0, pq1
+                c, s = special.cos_sin(k * (fR - fa), bits)
+                return (p1 * p0 + q1 * q0) * c + (p1 * q0 - q1 * p0) * s
+        j0, s0 = special.bessel_series(0, x, bits)
+        j1, s1 = special.bessel_series(1, X, bits)
+        if bits not in logs:
+            logs[bits] = special.log(fR / fa, bits)
+        inv = special.Enclosure.of(X.denominator, X.numerator, bits)
+        return j0 * (inv + s1) - j1 * (s0 + logs[bits] * j0)
+
+    return g, enclose2
 
 
-def _first_root_below(g, lo: float, hi: float) -> float:
-    """Left end of a sign-verified bracket of the first root of g in
-    (lo, hi), bisected down to adjacent floats.  The bracket is the first
-    of ``ROOT_SCAN_STEPS`` equal steps from ``lo`` at whose right end g
-    has left the sign it has at ``lo``."""
+def _proven_sign(enclose, k: float) -> int:
+    """The sign of g(k), +1 or -1, proven by an enclosure at ``PROOF_BITS``
+    or, where that one straddles 0, at each doubling of it up to
+    ``PROOF_BITS_MAX``."""
+    bits = PROOF_BITS
+    while bits <= PROOF_BITS_MAX:
+        sign = enclose(k, bits).sign()
+        if sign:
+            return sign
+        bits *= 2
+    raise ConstantError(
+        f"sign of the root function at {k!r} not proven with {PROOF_BITS_MAX} bits")
+
+
+def _first_root_below(g, enclose, lo: float, hi: float) -> float:
+    """Left end of a bracket of adjacent floats, around the first root of g
+    in (lo, hi), whose ends have proven opposite signs.
+
+    The float g finds the bracket: it is the first of ``ROOT_SCAN_STEPS``
+    equal steps from ``lo`` at whose right end g has left the sign it has
+    at ``lo``, bisected down to adjacent floats.  Then
+    :func:`_proven_sign` checks that its left end has the sign of g at
+    ``lo`` and its right end the other one.  Where a float sign was wrong,
+    the bracket is widened, in steps that double, until its ends have
+    those proven signs, and bisected again with proven signs only."""
+    start = lo
     neg = g(lo) < 0.0
 
     def crossed(k):
@@ -185,7 +258,7 @@ def _first_root_below(g, lo: float, hi: float) -> float:
 
     if crossed(lo):
         raise ConstantError(f"root bracket starts on a root at {lo!r}")
-    start, step = lo, (hi - lo) / ROOT_SCAN_STEPS
+    step = (hi - lo) / ROOT_SCAN_STEPS
     for i in range(1, ROOT_SCAN_STEPS + 1):
         right = hi if i == ROOT_SCAN_STEPS else start + i * step
         if crossed(right):
@@ -193,10 +266,35 @@ def _first_root_below(g, lo: float, hi: float) -> float:
         lo = right
     else:
         raise ConstantError(f"no sign change of the root function below {hi!r}")
+    lo, right = _bisect(crossed, lo, right)
+
+    before = _proven_sign(enclose, start)
+
+    def proven_crossed(k):
+        return _proven_sign(enclose, k) != before
+
+    step = right - lo
+    if proven_crossed(lo):  # the root lies left of the float bracket
+        lo, right = max(lo - step, start), lo
+        while proven_crossed(lo):  # ends at start at the latest
+            step *= 2.0
+            lo, right = max(lo - step, start), lo
+    else:
+        while not proven_crossed(right):  # the root lies right of it
+            if right == hi:
+                raise ConstantError(f"no sign change of the root function below {hi!r}")
+            lo, right = right, min(right + step, hi)
+            step *= 2.0
+    return _bisect(proven_crossed, lo, right)[0]
+
+
+def _bisect(crossed, lo: float, right: float) -> tuple[float, float]:
+    """Bisect [lo, right], where ``crossed`` is false at lo and true at
+    right, down to adjacent floats."""
     while True:
         mid = lo + 0.5 * (right - lo)
         if not lo < mid < right:
-            return lo
+            return lo, right
         if crossed(mid):
             right = mid
         else:
@@ -223,7 +321,7 @@ def interior_friedrichs_constant(domain: ExteriorDomain) -> ConstantReport:
         raise ValueError("interior Friedrichs constant requires dimension 2 or 3")
     n, a, R = domain.dimension, domain.a, domain.R
     hi = math.pi / (2.0 * (R - a))
-    k = _first_root_below(_friedrichs_function(n, a, R), 0.5 * (a / R) * hi, hi)
+    k = _first_root_below(*_friedrichs_function(n, a, R), 0.5 * (a / R) * hi, hi)
     return ConstantReport(
         name="interior_friedrichs",
         value=_outward(1.0 / k),

@@ -18,7 +18,7 @@ and rounds the exact total of the bins once (Neal, arXiv:1505.05571).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -138,7 +138,10 @@ def _unit_sphere_rule(dimension: int, angular_order: int):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Immutable node/weight list over one region of an exterior domain."""
+    """Immutable node/weight list over one region of an exterior domain.
+
+    ``derived`` keeps values computed from the rule alone, so that they
+    live exactly as long as the rule."""
 
     region: str
     nodes: np.ndarray  # (M, N)
@@ -147,6 +150,7 @@ class QuadratureRule:
     angular_order: int
     shell_count: int
     tail_map: str  # "r=R/t" for mapped tails, "none" otherwise
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.atleast_2d(self.nodes), dtype=float)
@@ -166,6 +170,15 @@ class QuadratureRule:
 
     def __len__(self) -> int:
         return self.nodes.shape[0]
+
+    def derived(self, key, compute):
+        """``compute()``, made read-only, computed on the first call for
+        ``key`` and returned again by the later ones."""
+        if key not in self._derived:
+            value = compute()
+            value.flags.writeable = False
+            self._derived[key] = value
+        return self._derived[key]
 
 
 def row_sum(x: np.ndarray) -> np.ndarray:
@@ -192,6 +205,10 @@ class LastValue:
         self._key: tuple = ()
         self._value = None
 
+    def last(self) -> tuple:
+        """The held (key, value); the key is () while nothing is held."""
+        return self._key, self._value
+
     def get(self, key: tuple, compute) -> np.ndarray:
         if len(key) == len(self._key) and all(a is b for a, b in zip(key, self._key)):
             return self._value
@@ -211,13 +228,33 @@ def _radii(pts: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def _row_range(view: np.ndarray, held: np.ndarray) -> slice | None:
+    """The rows of ``held`` that ``view`` is, when it is a contiguous row
+    range of the same memory with the same layout; else None."""
+    if view.strides != held.strides or view.shape[1:] != held.shape[1:]:
+        return None
+    offset = view.__array_interface__["data"][0] - held.__array_interface__["data"][0]
+    start, rest = divmod(offset, held.strides[0])
+    if rest or not 0 <= start <= start + len(view) <= len(held):
+        return None
+    return slice(start, start + len(view))
+
+
 def node_radii(points: np.ndarray) -> np.ndarray:
     """|x| per node.  A read-only array, such as a rule's nodes, is taken
     to be immutable: the radii of the last one are kept and returned,
-    read-only, until another read-only array is passed."""
+    read-only, until another read-only array is passed.  A read-only row
+    range of the kept array, such as the rows of a field's support, gets
+    the matching slice of the kept radii (each radius is computed per row,
+    so the bits are the same) and keeps the entry."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.flags.writeable:
         return _radii(pts)
+    key, radii = _RADII.last()
+    if key and key[0] is not pts:
+        rows = _row_range(pts, key[0])
+        if rows is not None:
+            return radii[rows]
     return _RADII.get((pts,), lambda: _radii(pts))
 
 

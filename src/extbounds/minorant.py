@@ -5,10 +5,11 @@ The bound maximizes the quadratic functional
     M(w) = 2 (f, w) - (A grad(2v + w), grad w)
 
 over a finite-dimensional space of test functions with zero trace on the
-inner boundary.  M never exceeds the squared error, and it attains it
-when u - v lies in the span, so enlarging the basis can only help.  When
-the approximation violates the Dirichlet data the bound still holds for
-the interior part of the error; the report flags that caveat.
+inner boundary, which ``minorant_report`` checks.  M never exceeds the
+squared error, and it attains it when u - v lies in the span, so
+enlarging the basis can only help.  When the approximation violates the
+Dirichlet data, u - v has a nonzero trace and cannot join the basis; the
+report flags that caveat.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ class SingularGramError(np.linalg.LinAlgError):
     """The test functions are (numerically) linearly dependent."""
 
 
+class NonzeroTraceError(ValueError):
+    """A test function does not vanish on the inner boundary."""
+
+
 @dataclass(frozen=True)
 class TestBasis:
     """Test functions with zero trace on the inner boundary.
@@ -59,13 +64,18 @@ class TestBasis:
 
 
 def validate_zero_traces(p: Problem, basis: TestBasis) -> None:
-    """Check every basis function has vanishing trace on the inner sphere."""
+    """Check that every basis function vanishes on the inner sphere: it is
+    exactly 0.0 at every node of ``gamma``, or its trace there has an
+    H^{1/2} norm below ``TRACE_ZERO_TOL``.  Raises ``NonzeroTraceError``
+    for the first function that fails (a NaN norm fails too)."""
+    gamma = p.quads.gamma
     for k, w in enumerate(basis.fields):
-        t = traces.analyze(w, p.domain.a, p.trace_degree, p.quads.gamma,
-                           strict=p.strict)
+        if not np.any(w.value(gamma.nodes)):
+            continue
+        t = traces.analyze(w, p.domain.a, p.trace_degree, gamma, strict=p.strict)
         norm = traces.sobolev_norm(t, +0.5)
-        if norm >= TRACE_ZERO_TOL:
-            raise ValueError(
+        if not norm < TRACE_ZERO_TOL:
+            raise NonzeroTraceError(
                 f"basis function {k} ({w.label!r}) has trace norm {norm:.3e} "
                 f"on the inner boundary (must be < {TRACE_ZERO_TOL})"
             )
@@ -132,13 +142,16 @@ class MinorantReport:
 def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantReport:
     """Maximize M over the span of the basis and report the details.
 
-    A basis function with a ``support`` is evaluated only on the rows of
-    the whole rule that ``fields.support_rows`` gives for it, one without
-    on the whole rule.  Every integral is an ``exact_dot`` over the rows its
-    basis functions share: the products skipped elsewhere are exact
-    zeros, so each sum is the correctly rounded value over the whole
-    rule, and a pair sharing no rows has the Gram entry 0.0.  A product
-    of finite values that overflows raises ``FloatingPointError``."""
+    Every basis function must vanish on the inner sphere, which
+    :func:`validate_zero_traces` checks: M bounds the error only over
+    such functions.  A basis function with a ``support`` is evaluated
+    only on the rows of the whole rule that ``fields.support_rows`` gives
+    for it, one without on the whole rule.  Every integral is an
+    ``exact_dot`` over the rows its basis functions share: the products
+    skipped elsewhere are exact zeros, so each sum is the correctly
+    rounded value over the whole rule, and a pair sharing no rows has the
+    Gram entry 0.0.  A product of finite values that overflows raises
+    ``FloatingPointError``."""
     import scipy.linalg  # deferred: importing the CLI should not load it
 
     if len(basis) == 0:
@@ -208,6 +221,8 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
         row_sum(a_mixed * w_grads), wts[lo:hi]
     )
 
+    # after the assembly, which names the node of a non-finite value first
+    validate_zero_traces(p, basis)
     return MinorantReport(
         value=max(value, 0.0),
         coefficients=coeff,

@@ -7,13 +7,17 @@ H^{-1/2} norms use the Laplace-Beltrami multiplier
 ``(1 + l(l+N-2)/radius^2)^{+-1/2}``; every boundary/interface constant in
 :mod:`extbounds.constants` is computed against this same norm, which keeps
 the bound chain consistent.
+
+For N = 3 the basis is built by the recurrences of the fully normalized
+associated Legendre functions.  A projection onto a rule takes the basis
+from the rule (:meth:`~extbounds.geometry.QuadratureRule.derived`), so it
+is built once per rule, degree and radius.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,16 +51,34 @@ def degree_of_index(dimension: int, degree: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _sph_norms(degree: int) -> np.ndarray:
-    """Orthonormalization factors sqrt((2l+1)/(4pi) (l-m)!/(l+m)!) laid out
-    per (l, m >= 0)."""
-    out = {}
-    for l in range(degree + 1):
-        for m in range(l + 1):
-            ratio = math.factorial(l - m) / math.factorial(l + m)
-            out[(l, m)] = math.sqrt((2 * l + 1) / (4 * math.pi) * ratio)
-    return out
+def _legendre_rows(degree: int, mu: np.ndarray) -> np.ndarray:
+    """Associated Legendre functions with the Condon-Shortley phase of
+    ``scipy.special.lpmv``, normalized to mean square 1 over the sphere:
+    row l^2 + l + m (m >= 0) holds sqrt((2l+1) (l-m)!/(l+m)!) P_l^m(mu).
+
+    Built by the standard recurrences for fully normalized functions
+    (Holmes & Featherstone, J. Geodesy 76, 2002): along the diagonal from
+    P_0^0, then up in l at fixed m, with no factorial ratios.  They run in
+    numpy's longdouble, which on x86 carries 11 bits more than float64:
+    near the zeros of a function, where the recurrence cancels, its float64
+    rounding then stays within a few ulps of the value."""
+    x = np.asarray(mu, dtype=np.longdouble)
+    sin_theta = np.sqrt((1 - x) * (1 + x))
+    rows = np.zeros(((degree + 1) ** 2, len(x)), dtype=np.longdouble)
+    diag = np.ones(len(x), dtype=np.longdouble)
+    for m in range(degree + 1):
+        if m > 0:
+            diag = -np.sqrt(np.longdouble(2 * m + 1) / (2 * m)) * sin_theta * diag
+        rows[m * m + 2 * m] = prev = diag
+        if m < degree:
+            rows[(m + 1) ** 2 + 2 * m + 1] = cur = np.sqrt(np.longdouble(2 * m + 3)) * x * diag
+        for l in range(m + 2, degree + 1):
+            a = np.sqrt(np.longdouble(4 * l * l - 1) / (l * l - m * m))
+            b = np.sqrt(np.longdouble((2 * l + 1) * ((l - 1) ** 2 - m * m))
+                        / ((2 * l - 3) * (l * l - m * m)))
+            prev, cur = cur, a * x * cur - b * prev
+            rows[l * l + l + m] = cur
+    return rows.astype(float)
 
 
 def basis_matrix(
@@ -69,23 +91,18 @@ def basis_matrix(
     (m < 0 -> sin, m > 0 -> cos); for N = 2 the layout is
     [const, cos th, sin th, cos 2th, sin 2th, ...].
     """
-    from scipy.special import lpmv
-
     pts = np.atleast_2d(points)
     r = node_radii(pts)
     if dimension == 3:
         mu = pts[:, 2] / r
         phi = np.arctan2(pts[:, 1], pts[:, 0])
-        norms = _sph_norms(degree)
-        rows = np.empty(((degree + 1) ** 2, len(pts)))
+        rows = _legendre_rows(degree, mu)
         for l in range(degree + 1):
-            for m in range(l + 1):
-                p = lpmv(m, l, mu) * norms[(l, m)]
-                if m == 0:
-                    rows[l * l + l] = p
-                else:
-                    rows[l * l + l + m] = math.sqrt(2.0) * p * np.cos(m * phi)
-                    rows[l * l + l - m] = math.sqrt(2.0) * p * np.sin(m * phi)
+            rows[l * l + l] *= 0.5 / math.sqrt(math.pi)
+            for m in range(1, l + 1):
+                p = rows[l * l + l + m] / math.sqrt(2.0 * math.pi)
+                rows[l * l + l + m] = p * np.cos(m * phi)
+                rows[l * l + l - m] = p * np.sin(m * phi)
         # orthonormal w.r.t. the surface measure: divide by radius^{(N-1)/2}
         return rows / radius
     if dimension == 2:
@@ -156,7 +173,8 @@ def _project(weighted, radius, degree, rule, strict):
     values ``weighted`` against each basis function on ``rule``."""
     _check_rule(rule, radius, degree)
     dimension = rule.dimension
-    basis = basis_matrix(dimension, degree, radius, rule.nodes)
+    basis = rule.derived(("trace basis", degree, radius),
+                         lambda: basis_matrix(dimension, degree, radius, rule.nodes))
     coeffs = np.array([math.fsum(row * weighted) for row in basis])
     ell = degree_of_index(dimension, degree)
     total = float(np.sum(coeffs**2))

@@ -430,8 +430,9 @@ def test_overflow_reported_without_numpy_warning(tmp_path, command):
     assert len(lines) == 1 and lines[0].startswith("precondition violated: "), out.stderr
 
 
-def test_cli_import_loads_no_scipy_linalg():
-    # the minorant imports scipy.linalg when it first runs, not at import
+def test_cli_import_loads_no_scipy_linalg(tmp_path):
+    # the minorant imports scipy.linalg when it first runs, not at import;
+    # no command loads scipy.special, and only the minorant's load scipy
     code = ("import sys, numpy, extbounds.cli\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -439,6 +440,39 @@ def test_cli_import_loads_no_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "[]"
+    run = ("import contextlib, io, sys\n"
+           "from extbounds.cli import main\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    code = main(sys.argv[1:])\n"
+           "print(code, ' '.join(m for m in sys.modules if m.startswith('scipy')))\n")
+    for problem in ("N3_harmonic", "N2_log"):
+        cfg = write_config(tmp_path, {
+            "problem": problem, "trace": {"L": 6}, "poincare": {"count": 2},
+            "quadrature": {"radial_order": 6, "angular_order": 8, "shells": 2},
+            "sweep": {"kind": "epsilon", "values": [0.1]}})
+        for command in ("majorant", "sweep", "constants", "verify-poincare",
+                        "minorant", "sandwich"):
+            out = subprocess.run([sys.executable, "-c", run, command, "--config", cfg,
+                                  "--out", str(tmp_path)],
+                                 capture_output=True, text=True, env=env, check=True)
+            code, *modules = out.stdout.split()
+            assert code in ("0", "1") and "Traceback" not in out.stderr, out.stderr
+            if command in ("minorant", "sandwich"):
+                assert "scipy.linalg" in modules and "scipy.special" not in modules
+            else:
+                assert modules == [], (problem, command, modules)
+
+
+@pytest.mark.parametrize("command", ["minorant", "sandwich"])
+def test_basis_with_nonzero_trace_exits_1(tmp_path, capsys, command):
+    # with a boundary-mode v, u - v does not vanish on the inner sphere
+    cfg = write_config(tmp_path, {
+        "problem": "N2_log", "minorant": {"include_error_in_basis": True},
+        "perturbation": {"mode": "boundary_mode", "epsilons": [0.1], "seed": 0}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated: basis function 12 "), err
+    assert "on the inner boundary" in err and not (tmp_path / "report.json").exists()
 
 
 class TestDeterminism:

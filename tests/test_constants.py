@@ -169,6 +169,84 @@ class TestInteriorFriedrichs:
             cs.interior_friedrichs_constant(ExteriorDomain(1, 1.0, 2.0))
 
 
+def friedrichs_bracket(dim, R):
+    """The scan interval of :func:`cs.interior_friedrichs_constant` for a = 1."""
+    hi = math.pi / (2.0 * (R - 1.0))
+    return 0.5 * hi / R, hi
+
+
+def mpmath_multiple(dim, R, k, bits):
+    """The multiple of g(k) that the program's enclosure at ``bits`` holds,
+    at 100 digits: g for N = 3; for N = 2, (pi/2) g from the power series,
+    or (pi/2) sqrt(kR k) g from Hankel's expansion where it is used."""
+    mp = pytest.importorskip("mpmath")
+    from fractions import Fraction
+
+    from extbounds import special
+
+    mp.mp.dps = 100
+    x, X = mp.mpf(k), mp.mpf(k) * mp.mpf(R)
+    if dim == 3:
+        return mp.sin(x * (R - 1)) - X * mp.cos(x * (R - 1))
+    g = mp.besselj(1, X) * mp.bessely(0, x) - mp.bessely(1, X) * mp.besselj(0, x)
+    hankel = (k > (bits + 16) * math.log(2) / 2
+              and special.hankel_pq(0, Fraction(k), bits) is not None
+              and special.hankel_pq(1, Fraction(k) * Fraction(R), bits) is not None)
+    return mp.pi / 2 * (mp.sqrt(x * X) if hankel else 1) * g
+
+
+class TestProvenBracket:
+    @pytest.mark.parametrize("R", [1.001, 1.01, 1.1, 2.0, 8.0, 30.0])
+    def test_n2_against_brentq_oracle(self, R):
+        rep = cs.interior_friedrichs_constant(ExteriorDomain(2, 1.0, R))
+        exact = 1.0 / friedrichs_root(2, 1.0, R)
+        assert exact <= rep.value <= exact * (1 + 1e-10)
+
+    def test_n2_value_at_catalog_radius(self):
+        rep = cs.interior_friedrichs_constant(ExteriorDomain(2, 1.0, 2.0))
+        assert rep.value == 0.7348740585906647
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("R", [1.001, 1.01, 1.1, 2.0, 8.0, 30.0])
+    def test_bracket_ends_have_proven_opposite_signs(self, dim, R):
+        g, enclose = cs._friedrichs_function(dim, 1.0, R)
+        lo, hi = friedrichs_bracket(dim, R)
+        k = cs._first_root_below(g, enclose, lo, hi)
+        before = cs._proven_sign(enclose, lo)
+        assert cs._proven_sign(enclose, k) == before
+        assert cs._proven_sign(enclose, math.nextafter(k, math.inf)) == -before
+        assert cs.interior_friedrichs_constant(ExteriorDomain(dim, 1.0, R)).value == (
+            cs._outward(1.0 / k))
+
+    @pytest.mark.parametrize("dim,R", [(2, 1.001), (2, 1.01), (2, 1.1), (2, 2.0), (2, 30.0),
+                                       (3, 1.1), (3, 8.0)])
+    def test_enclosure_holds_the_root_function(self, dim, R):
+        g, enclose = cs._friedrichs_function(dim, 1.0, R)
+        k = cs._first_root_below(g, enclose, *friedrichs_bracket(dim, R))
+        for point in (k, math.nextafter(k, math.inf), 0.7 * k):
+            for bits in (64, 128, 256):
+                enc = enclose(point, bits)
+                want = mpmath_multiple(dim, R, point, bits)
+                assert abs(enc.value - want * 2**bits) <= enc.error, (point, bits)
+
+    @pytest.mark.parametrize("shift", [1e-9, -1e-9, 3e-16])
+    def test_wrong_float_signs_are_corrected(self, shift):
+        # a float root function off by ``shift`` misplaces the float bracket;
+        # the proven signs move it back to the same adjacent floats
+        g, enclose = cs._friedrichs_function(2, 1.0, 2.0)
+        lo, hi = friedrichs_bracket(2, 2.0)
+        want = cs._first_root_below(g, enclose, lo, hi)
+        assert cs._first_root_below(lambda k: g(k) + shift, enclose, lo, hi) == want
+
+    def test_unproven_sign_raises(self):
+        from extbounds.special import Enclosure
+
+        g, _ = cs._friedrichs_function(3, 1.0, 2.0)
+        with pytest.raises(cs.ConstantError, match="not proven"):
+            cs._first_root_below(g, lambda k, bits: Enclosure(0, 1, bits),
+                                 *friedrichs_bracket(3, 2.0))
+
+
 def mode_multiplier(ell, dim, radius):
     return math.sqrt(1.0 + ell * (ell + dim - 2) / radius**2)
 
@@ -372,12 +450,15 @@ class TestReport:
 
 
 def test_no_optimize_or_sparse_import():
-    # the constants need neither root finders nor sparse solvers
+    # the problems and their constants need neither root finders, sparse
+    # solvers nor scipy's special functions
     code = (
         "import sys, extbounds as xb\n"
-        "mp = xb.builtin('N3_harmonic', radial_order=4, angular_order=9, shells=2)\n"
-        "xb.constants_bundle(mp.problem)\n"
-        "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])\n"
+        "for name in ('N3_harmonic', 'N3_decay', 'N3_anisotropic', 'N2_log'):\n"
+        "    mp = xb.builtin(name, radial_order=4, angular_order=9, shells=2)\n"
+        "    xb.constants_bundle(mp.problem)\n"
+        "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.special')\n"
+        "       if m in sys.modules])\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ,

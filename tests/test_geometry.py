@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -122,6 +123,21 @@ class TestBuild:
         with pytest.raises(ValueError):
             rule.weights[0] = 7.0
 
+    def test_derived_values_live_with_the_rule(self):
+        rule = build_quadrature(DOM3, 4, 4, 2, "whole")
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return np.arange(3.0)
+
+        first = rule.derived("key", compute)
+        assert rule.derived("key", compute) is first and len(calls) == 1
+        assert not first.flags.writeable
+        # a rule made from it, as whole_and_parts makes omega_i, starts empty
+        view = dataclasses.replace(rule, nodes=rule.nodes[:4], weights=rule.weights[:4])
+        assert view.derived("key", compute) is not first and len(calls) == 2
+
     @settings(max_examples=20, deadline=None)
     @given(ro=st.integers(1, 10), ao=st.integers(1, 10), sh=st.integers(1, 6))
     def test_node_count_matches_tensor(self, ro, ao, sh):
@@ -182,6 +198,23 @@ class TestRowSum:
         assert r.flags.writeable and node_radii(pts) is not r
         pts *= 2.0
         assert_bits_equal(node_radii(pts), 2.0 * r)
+
+    def test_row_view_of_kept_nodes_gets_a_slice(self):
+        # a support's rows, or omega_i as a view of the whole rule, keep the
+        # whole rule's radii: no second radius computation, same bits
+        whole, inner, _ = geometry.whole_and_parts(DOM3, 4, 4, 2)
+        kept = node_radii(whole.nodes)
+        for view in (whole.nodes[5:40], inner.nodes, inner.nodes[3:9], whole.nodes[7:7]):
+            radii = node_radii(view)
+            assert np.shares_memory(radii, kept) or len(view) == 0
+            assert not radii.flags.writeable
+            assert_bits_equal(radii, np.sqrt(np.sum(view**2, axis=1)))
+        assert node_radii(whole.nodes) is kept
+        # a strided view is not a row range: computed, and kept in turn
+        strided = whole.nodes[::2]
+        assert not np.shares_memory(node_radii(strided), kept)
+        assert_bits_equal(node_radii(strided), kept[::2])
+        assert node_radii(whole.nodes) is not kept
 
 
 def fsum_outcome(fn, x):

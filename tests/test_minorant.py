@@ -10,6 +10,7 @@ import extbounds as xb
 from extbounds.fields import QuadratureErrorAt, ScalarField, support_rows
 from extbounds.geometry import ExteriorDomain, exact_dot, node_radii, whole_and_parts
 from extbounds.minorant import (
+    NonzeroTraceError,
     SingularGramError,
     TestBasis,
     default_basis,
@@ -119,6 +120,41 @@ class TestMinorant:
         dup = TestBasis(fields=(w, w))
         with pytest.raises(SingularGramError):
             minorant(n3_harmonic.problem, n3_harmonic.exact_u, dup)
+
+
+class TestZeroTraceCheck:
+    @pytest.mark.parametrize("name,index", [("N2_log", 12), ("N3_harmonic", 16)])
+    def test_error_of_boundary_mode_v_rejected(self, coarse, name, index):
+        # u - v of a boundary-mode v does not vanish on the inner sphere.
+        # Unchecked, it lifted the lower bound to 5.23 (N2_log) and 3.24
+        # (N3_harmonic) times the squared error, flagged only by the caveat
+        mp = coarse[name]
+        v = perturb(mp, "v", 0.1, "boundary_mode", seed=0)
+        basis = default_basis(mp.domain, 4, 1).extended(mp.exact_u - v)
+        with pytest.raises(NonzeroTraceError, match=f"basis function {index} "):
+            minorant_report(mp.problem, v, basis)
+        assert issubclass(NonzeroTraceError, ValueError)
+
+    @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
+    @pytest.mark.parametrize("n_radial", [4, 6])
+    def test_default_basis_and_interior_error_are_exact_zeros(self, coarse, name, n_radial):
+        # no trace is projected for them: each costs one evaluation on gamma
+        mp = coarse[name]
+        v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
+        basis = default_basis(mp.domain, n_radial, 1).extended(mp.exact_u - v)
+        for w in basis.fields:
+            assert not np.any(w.value(mp.problem.quads.gamma.nodes)), w.label
+
+    def test_norm_below_tolerance_accepted_and_nan_rejected(self, coarse):
+        p = coarse["N3_harmonic"].problem
+
+        def constant(c):
+            return ScalarField(value=lambda pts: np.full(len(pts), c), label=f"{c}")
+
+        validate_zero_traces(p, TestBasis(fields=(constant(1e-20),)))
+        for c in (1e-6, np.nan):
+            with pytest.raises(NonzeroTraceError, match="basis function 0"):
+                validate_zero_traces(p, TestBasis(fields=(constant(c),)))
 
 
 class TestSandwich:
@@ -302,7 +338,10 @@ class TestSupports:
         assert [w.support for w in wrapped.fields] == [w.support for w in basis.fields]
         v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
         minorant_report(mp.problem, v, wrapped)
-        assert seen == [quarter] * (2 * len(basis))
+        # the assembly evaluates value and gradient on a quarter of omega_i,
+        # then the zero-trace check evaluates each value once on gamma
+        on_gamma = [len(mp.problem.quads.gamma)] * len(basis)
+        assert seen == [quarter] * (2 * len(basis)) + on_gamma
 
 
 class TestNonFinite:

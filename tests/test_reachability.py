@@ -19,8 +19,6 @@ KEPT = {
     "integrate": "perfbench/tracer.py wraps it by name (LAYERS, geometry.reduce)",
     "reconstruct": "test oracle: the band-limited function of a trace",
     "duality_pairing": "test oracle: the pairing of two traces",
-    "validate_zero_traces": "ROADMAP 5(a): minorant_report will check each "
-                            "basis function with it",
 }
 
 

@@ -38,6 +38,70 @@ def coeffs(n=9):
     return arrays(np.float64, n, elements=elements)
 
 
+def legendre_oracle(l, m, x):
+    """P_l^m(x) with the Condon-Shortley phase, in mpmath: (-1)^m
+    (1 - x^2)^(m/2) d^m/dx^m P_l(x) with the exact coefficients of
+    P_l = 2^-l sum_k (-1)^k C(l, k) C(2l - 2k, l) x^(l - 2k)."""
+    import mpmath
+
+    total = mpmath.mpf(0)
+    for k in range(l // 2 + 1):
+        p = l - 2 * k
+        if p >= m:
+            c = (-1) ** k * math.comb(l, k) * math.comb(2 * l - 2 * k, l) * math.perm(p, m)
+            total += mpmath.mpf(c) / 2**l * x ** (p - m)
+    return (-1) ** m * mpmath.sqrt(1 - x * x) ** m * total
+
+
+def oracle_basis(L, pts):
+    """The N = 3 basis on the unit sphere at 40 digits, from the float
+    polar cosine and azimuth that ``basis_matrix`` computes."""
+    import mpmath
+
+    mpmath.mp.dps = 40
+    r = np.sqrt(np.sum(pts**2, axis=1))
+    mu, phi = pts[:, 2] / r, np.arctan2(pts[:, 1], pts[:, 0])
+    rows = np.empty(((L + 1) ** 2, len(pts)))
+    for i in range(len(pts)):
+        x, ph = mpmath.mpf(mu[i]), mpmath.mpf(phi[i])
+        for l in range(L + 1):
+            for m in range(l + 1):
+                p = legendre_oracle(l, m, x) * mpmath.sqrt(
+                    mpmath.mpf(2 * l + 1) / (4 * mpmath.pi)
+                    * mpmath.factorial(l - m) / mpmath.factorial(l + m))
+                if m == 0:
+                    rows[l * l + l, i] = float(p)
+                else:
+                    rows[l * l + l + m, i] = float(mpmath.sqrt(2) * p * mpmath.cos(m * ph))
+                    rows[l * l + l - m, i] = float(mpmath.sqrt(2) * p * mpmath.sin(m * ph))
+    return rows
+
+
+def lpmv_basis(L, pts):
+    """The N = 3 basis on the unit sphere as it was built with
+    ``scipy.special.lpmv`` and factorial normalizations."""
+    from scipy.special import lpmv
+
+    r = np.sqrt(np.sum(pts**2, axis=1))
+    mu, phi = pts[:, 2] / r, np.arctan2(pts[:, 1], pts[:, 0])
+    rows = np.empty(((L + 1) ** 2, len(pts)))
+    for l in range(L + 1):
+        for m in range(l + 1):
+            p = lpmv(m, l, mu) * math.sqrt((2 * l + 1) / (4 * math.pi) * math.factorial(l - m)
+                                           / math.factorial(l + m))
+            if m == 0:
+                rows[l * l + l] = p
+            else:
+                rows[l * l + l + m] = math.sqrt(2.0) * p * np.cos(m * phi)
+                rows[l * l + l - m] = math.sqrt(2.0) * p * np.sin(m * phi)
+    return rows
+
+
+def ulps_from(values, oracle):
+    big = np.abs(oracle) > 1e-8
+    return np.abs(values - oracle)[big] / np.spacing(np.abs(oracle[big]))
+
+
 class TestBasis:
     @pytest.mark.parametrize("dim,rule", [(3, GAMMA3), (2, GAMMA2)])
     def test_orthonormality(self, dim, rule):
@@ -45,6 +109,42 @@ class TestBasis:
         basis = basis_matrix(dim, L, 2.0, rule.nodes)
         gram = (basis * rule.weights) @ basis.T
         assert np.allclose(gram, np.eye(coefficient_count(dim, L)), atol=1e-12)
+
+    @pytest.mark.parametrize("L", [8, 12])
+    def test_recurrence_against_mpmath(self, L):
+        # 40-digit oracle on the catalog gamma; the recurrence must be no
+        # farther from it, in ulps of the entries above 1e-8, than lpmv
+        # with the factorial normalization it replaced
+        gamma = build_quadrature(ExteriorDomain(3, 1.0, 2.0), 12, 12, 8, "sphere_gamma")
+        oracle = oracle_basis(L, gamma.nodes)
+        new = ulps_from(basis_matrix(3, L, 1.0, gamma.nodes), oracle)
+        old = ulps_from(lpmv_basis(L, gamma.nodes), oracle)
+        assert new.mean() <= old.mean() and new.max() <= old.max()
+
+    def test_oracle_is_mpmath_legenp(self):
+        # the oracle's polynomial form, Condon-Shortley phase included
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for x in (mpmath.mpf(-0.83), mpmath.mpf(0.3)):
+            for l, m in ((0, 0), (1, 1), (5, 2), (8, 3), (12, 0), (12, 7), (12, 12)):
+                want = mpmath.legenp(l, m, x)
+                assert abs(legendre_oracle(l, m, x) - want) <= 1e-30 * (1 + abs(want))
+
+    def test_built_once_per_rule_and_degree(self, monkeypatch):
+        import extbounds.traces as tr
+
+        calls = []
+        real = tr.basis_matrix
+        monkeypatch.setattr(tr, "basis_matrix", lambda *a: calls.append(a[:3]) or real(*a))
+        rule = build_quadrature(DOM3, 6, 12, 3, "sphere_Gamma")
+        one = ScalarField(value=lambda p: np.ones(len(p)), label="1")
+        first = analyze(one, 2.0, 8, rule)
+        for _ in range(2):
+            assert np.array_equal(analyze(one, 2.0, 8, rule).coefficients, first.coefficients)
+            analyze(one, 2.0, 6, rule)
+        assert calls == [(3, 8, 2.0), (3, 6, 2.0)]
+        analyze(one, 2.0, 8, build_quadrature(DOM3, 6, 12, 3, "sphere_Gamma"))
+        assert len(calls) == 3  # a new rule builds its own
 
     def test_counts(self):
         assert coefficient_count(3, 8) == 81
