@@ -17,7 +17,6 @@ from extbounds.problems import perturb
 def run_problem(name, epsilons, seed, out_dir):
     mp = xb.builtin(name)
     p = mp.problem
-    bundle = xb.constants_bundle(p)
     rows = []
     for eps in epsilons:
         v = perturb(mp, "v", eps, "interior_bump", seed)
@@ -25,9 +24,9 @@ def run_problem(name, epsilons, seed, out_dir):
         y_i, y_e = perturb(mp, "y_broken", eps, "interface_jump", seed + 2)
         err = xb.true_error(mp, v)
         reports = {
-            "I": estimate_I(p, v, mp.exact_flux, bundle=bundle, scale_hint=err),
-            "II": estimate_II(p, v, y, bundle=bundle, scale_hint=err),
-            "III": estimate_III(p, v, y_i, y_e, bundle=bundle, scale_hint=err),
+            "I": estimate_I(p, v, mp.exact_flux, scale_hint=err),
+            "II": estimate_II(p, v, y, scale_hint=err),
+            "III": estimate_III(p, v, y_i, y_e, scale_hint=err),
         }
         rows.append((eps, err, {k: r.total for k, r in reports.items()}))
 

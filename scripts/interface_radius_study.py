@@ -11,7 +11,7 @@ import argparse
 import pathlib
 
 import extbounds as xb
-from extbounds.majorant import constants_bundle, estimate_III
+from extbounds.majorant import estimate_III
 from extbounds.problems import perturb
 
 
@@ -38,13 +38,12 @@ def main():
                  "total,true_error,efficiency\n")
         for radius in args.radii:
             mp = xb.with_interface_radius(base, radius)
-            bundle = constants_bundle(mp.problem)
+            bundle = mp.problem.constants
             v = perturb(mp, "v", args.epsilon, "interior_bump", args.seed)
             y_i, y_e = perturb(mp, "y_broken", args.epsilon, "interface_jump",
                                args.seed + 1)
             err = xb.true_error(mp, v)
-            rep = estimate_III(mp.problem, v, y_i, y_e, bundle=bundle,
-                               scale_hint=err)
+            rep = estimate_III(mp.problem, v, y_i, y_e, scale_hint=err)
             eff = rep.total / err
             print(f"{radius:6.2f} {bundle.friedrichs.value:11.6f} "
                   f"{bundle.trace.value:9.5f} {rep.interface:11.5e} "

@@ -4,6 +4,7 @@ with numerical verification of every inequality constant they rely on."""
 
 from .constants import (
     ConstantReport,
+    ConstantsBundle,
     boundary_extension_constant,
     exterior_poincare_constant,
     interface_trace_constant,
@@ -21,7 +22,6 @@ from .fields import (
 )
 from .geometry import ExteriorDomain, QuadratureRule, build_quadrature, integrate
 from .majorant import (
-    ConstantsBundle,
     EquilibrationError,
     MajorantReport,
     boundary_term,

@@ -240,21 +240,19 @@ def _scenario_inputs(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, eps: float
     return v, flux
 
 
-def _run_estimate(cfg, mp, bundle, v, flux, scale_hint):
+def _run_estimate(cfg, mp, v, flux, scale_hint):
     p = mp.problem
-    kw = dict(bundle=bundle, scale_hint=scale_hint)
     if cfg.estimate == "I":
         if "y" not in flux:
             raise ConfigError("estimate: I needs an unbroken flux "
                               "(perturbation.target v or y)")
-        return mj.estimate_I(p, v, flux["y"], **kw)
+        return mj.estimate_I(p, v, flux["y"], scale_hint=scale_hint)
     if cfg.estimate == "II":
         if "y" not in flux:
             raise ConfigError("estimate: II needs an unbroken flux")
-        return mj.estimate_II(p, v, flux["y"], **kw)
-    if "y_i" in flux:
-        return mj.estimate_III(p, v, flux["y_i"], flux["y_e"], **kw)
-    return mj.estimate_III(p, v, flux["y"], flux["y"], **kw)
+        return mj.estimate_II(p, v, flux["y"], scale_hint=scale_hint)
+    y_i, y_e = (flux["y_i"], flux["y_e"]) if "y_i" in flux else (flux["y"], flux["y"])
+    return mj.estimate_III(p, v, y_i, y_e, scale_hint=scale_hint)
 
 
 def _basis(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, v):
@@ -276,8 +274,7 @@ def _row(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, eps: float,
     """One upper-bound scenario: perturb, measure the true error, bound it."""
     v, flux = _scenario_inputs(cfg, mp, eps)
     err = pb.true_error(mp, v)
-    bundle = mj.constants_bundle(mp.problem)
-    report = _run_estimate(cfg, mp, bundle, v, flux, scale_hint=err)
+    report = _run_estimate(cfg, mp, v, flux, scale_hint=err)
     eff = math.inf if err == 0.0 else report.total / err
     return SweepRow(parameter=parameter, report=report, true_error=err, efficiency=eff)
 
@@ -335,12 +332,11 @@ def cmd_minorant(cfg: ScenarioConfig, out: str) -> int:
 
 def cmd_sandwich(cfg: ScenarioConfig, out: str) -> int:
     mp = _build(cfg)
-    bundle = mj.constants_bundle(mp.problem)
     eps = cfg.epsilons[0]
     v, flux = _scenario_inputs(cfg, mp, eps)
     if "y" not in flux:
         raise ConfigError("sandwich: needs an unbroken flux (target v or y)")
-    lower, upper = sandwich(mp.problem, v, flux["y"], _basis(cfg, mp, v), bundle)
+    lower, upper = sandwich(mp.problem, v, flux["y"], _basis(cfg, mp, v))
     err = pb.true_error(mp, v)
     slack = GUARANTEE_SLACK * max(err, upper)
     ok = lower <= err + slack and err <= upper + slack
@@ -386,7 +382,7 @@ def cmd_sweep(cfg: ScenarioConfig, out: str) -> int:
 def cmd_constants(cfg: ScenarioConfig, out: str) -> int:
     mp = _build(cfg)
     domain, A = mp.domain, mp.problem.A
-    bundle = mj.constants_bundle(mp.problem)
+    bundle = mp.problem.constants
     reports = [
         consts.ConstantReport(
             name="exterior_poincare",

@@ -27,10 +27,11 @@ Every reported value, mode energies included, is rounded outward by the
 relative margin ``OUTWARD_RTOL`` (the reports' ``rel_accuracy``), which
 covers the floating-point error of evaluating the closed forms.  The
 extension and trace constants are maxima over degrees l <= ``modes``.
-:func:`extbounds.majorant.constants_bundle` sets ``modes`` to the trace
-degree L, the band onto which every trace in a bound is projected: only
-those degrees pair with the error's trace, so the maximum over l <= L is
-the sharpest valid constant and a wider range could only loosen it.
+:func:`compute_bundle`, from which each ``Problem`` takes its
+``constants`` once, sets ``modes`` to the trace degree L, the band onto
+which every trace in a bound is projected: only those degrees pair with
+the error's trace, so the maximum over l <= L is the sharpest valid
+constant and a wider range could only loosen it.
 
 Reported constants are tied to the spectral H^{+-1/2} norms of
 :mod:`extbounds.traces`; an equivalent trace norm would rescale them.
@@ -400,4 +401,48 @@ def interface_trace_constant(
             "domain": [n, a, R],
         },
         rel_accuracy=OUTWARD_RTOL,
+    )
+
+
+@dataclass(frozen=True)
+class ConstantsBundle:
+    """All constants one problem's estimates need, derived once."""
+
+    poincare: float
+    c_o_formula: float
+    c_o_eigen: float
+    friedrichs: ConstantReport
+    extension: ConstantReport
+    trace: ConstantReport
+    modes: int
+    cutoff: float  # the extension's cutoff radius, always R (read by perfbench)
+
+    @property
+    def c_o(self) -> float:
+        """Weight of the interior residual in estimates II and III: the
+        smaller of two valid constants.  In 3D the Friedrichs-based one is
+        the smaller at small R, the closed formula at large R (between
+        R = 15 and 16 for a = 1).  In 2D (a >= 1) it is always the
+        Friedrichs-based one: C_F^2 <= int_a^R r ln(r/a) dr < R^2 ln(R)/2
+        gives C_F <= 2 R ln R for R >= 3, and the root bracket's
+        C_F <= 2 R (R - a)/(a pi) <= 2 (R - a) <= 2 R ln R below."""
+        return min(self.c_o_formula, self.c_o_eigen)
+
+
+def compute_bundle(domain: ExteriorDomain, A: Coefficient, modes: int) -> ConstantsBundle:
+    """Every constant of the bounds on ``domain`` with coefficient ``A``,
+    the extension and trace constants over the degrees l <= ``modes``:
+    :func:`extbounds.majorant.boundary_term` reads one mode energy per
+    degree of the mismatch, and :func:`extbounds.majorant.estimate_III`
+    pairs the jump, projected onto those degrees, with the error's trace."""
+    fried = interior_friedrichs_constant(domain)
+    return ConstantsBundle(
+        poincare=exterior_poincare_constant(domain.dimension),
+        c_o_formula=interior_weight_constant(domain, A),
+        c_o_eigen=fried.value / math.sqrt(A.c_A),
+        friedrichs=fried,
+        extension=boundary_extension_constant(domain, A, modes),
+        trace=interface_trace_constant(domain, A, modes),
+        modes=modes,
+        cutoff=domain.R,
     )

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import constants as consts
 from . import traces
+from .constants import ConstantsBundle
 from .fields import (
     ScalarField,
     VectorField,
@@ -81,52 +81,9 @@ class MajorantReport:
         }
 
 
-@dataclass(frozen=True)
-class ConstantsBundle:
-    """All constants one problem's estimates need, derived once."""
-
-    poincare: float
-    c_o_formula: float
-    c_o_eigen: float
-    friedrichs: consts.ConstantReport
-    extension: consts.ConstantReport
-    trace: consts.ConstantReport
-    modes: int
-    cutoff: float  # the extension's cutoff radius, always R (read by perfbench)
-
-    @property
-    def c_o(self) -> float:
-        """Weight of the interior residual in estimates II and III: the
-        smaller of two valid constants.  In 3D the Friedrichs-based one is
-        the smaller at small R, the closed formula at large R (between
-        R = 15 and 16 for a = 1).  In 2D (a >= 1) it is always the
-        Friedrichs-based one: C_F^2 <= int_a^R r ln(r/a) dr < R^2 ln(R)/2
-        gives C_F <= 2 R ln R for R >= 3, and the root bracket's
-        C_F <= 2 R (R - a)/(a pi) <= 2 (R - a) <= 2 R ln R below."""
-        return min(self.c_o_formula, self.c_o_eigen)
-
-
 def constants_bundle(p: Problem) -> ConstantsBundle:
-    """Compute the constants for a problem, over the degrees l <= the trace
-    degree L.  Every trace a bound measures is projected onto those degrees:
-    :func:`boundary_term` reads one mode energy per degree of the
-    mismatch, and :func:`estimate_III` pairs the projected jump only with
-    the error's trace degrees <= L, so the maximum over l <= L is the
-    sharpest valid trace constant."""
-    domain, A, modes = p.domain, p.A, p.trace_degree
-    fried = consts.interior_friedrichs_constant(domain)
-    ext = consts.boundary_extension_constant(domain, A, modes)
-    trace = consts.interface_trace_constant(domain, A, modes)
-    return ConstantsBundle(
-        poincare=consts.exterior_poincare_constant(domain.dimension),
-        c_o_formula=consts.interior_weight_constant(domain, A),
-        c_o_eigen=fried.value / math.sqrt(A.c_A),
-        friedrichs=fried,
-        extension=ext,
-        trace=trace,
-        modes=modes,
-        cutoff=domain.R,
-    )
+    """The constants of ``p``'s bounds: ``p.constants``."""
+    return p.constants
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +141,7 @@ def dirichlet_mismatch(p: Problem, v: ScalarField) -> traces.SphereTrace | None:
     return mismatch
 
 
-def boundary_term(
-    p: Problem, v: ScalarField, *, bundle: ConstantsBundle | None = None
-) -> float:
+def boundary_term(p: Problem, v: ScalarField) -> float:
     """Penalty for a Dirichlet-data mismatch of the approximation:
     2 (c_A_plus ||grad E(g - tr v)||^2)^{1/2} for the concrete mode-wise
     extension E of :func:`extbounds.constants.boundary_extension_constant`,
@@ -197,8 +152,7 @@ def boundary_term(
     mismatch = dirichlet_mismatch(p, v)
     if mismatch is None:
         return 0.0
-    bundle = bundle or constants_bundle(p)
-    energies = np.asarray(bundle.extension.params["mode_energies"])
+    energies = np.asarray(p.constants.extension.params["mode_energies"])
     ell = mismatch.degrees()
     dirichlet = float(np.sum(mismatch.coefficients**2 * energies[ell]))
     return 2.0 * math.sqrt(p.A.c_A_plus * dirichlet)
@@ -260,19 +214,18 @@ def estimate_I(
     v: ScalarField,
     y: VectorField,
     *,
-    bundle: ConstantsBundle | None = None,
     scale_hint: float | None = None,
 ) -> MajorantReport:
     """Upper bound for an arbitrary flux with integrable weighted residual:
     weighted residual term + dual-norm flux gap + boundary mismatch."""
-    bundle = bundle or constants_bundle(p)
+    bundle = p.constants
     res = residual_field(p.f, y)
     factor = bundle.poincare / math.sqrt(p.A.c_A)
     n_int = _residual_norm_interior(p, res, weighted=True)
     n_tail = _residual_norm_tail(p, res)
     residual = factor * math.sqrt(n_int**2 + n_tail**2)
     flux = _flux_term(p, v, y)
-    boundary = boundary_term(p, v, bundle=bundle)
+    boundary = boundary_term(p, v)
     scale = _scale(p, v, scale_hint)
     return _report(
         p,
@@ -295,14 +248,13 @@ def estimate_II(
     v: ScalarField,
     y: VectorField,
     *,
-    bundle: ConstantsBundle | None = None,
     scale_hint: float | None = None,
 ) -> MajorantReport:
     """Upper bound for tail-equilibrated fluxes (div y + f = 0 outside the
     interface).  The equilibration is enforced numerically: a tail
     residual above 1e-10 * scale is rejected, and anything below it is
     still added to the bound so validity never rests on the tolerance."""
-    bundle = bundle or constants_bundle(p)
+    bundle = p.constants
     res = residual_field(p.f, y)
     scale = _scale(p, v, scale_hint)
     tail = _residual_norm_tail(p, res)
@@ -317,7 +269,7 @@ def estimate_II(
     factor = bundle.poincare / math.sqrt(p.A.c_A)
     residual = c_o * _residual_norm_interior(p, res, weighted=False) + factor * tail
     flux = _flux_term(p, v, y)
-    boundary = boundary_term(p, v, bundle=bundle)
+    boundary = boundary_term(p, v)
     return _report(
         p,
         "II",
@@ -340,12 +292,11 @@ def estimate_III(
     y_i: VectorField,
     y_e: VectorField,
     *,
-    bundle: ConstantsBundle | None = None,
     scale_hint: float | None = None,
 ) -> MajorantReport:
     """Upper bound for broken fluxes: interior residual + weighted tail
     residual + flux gap + interface jump penalty + boundary mismatch."""
-    bundle = bundle or constants_bundle(p)
+    bundle = p.constants
     res_i = residual_field(p.f, y_i)
     res_e = residual_field(p.f, y_e)
     c_o = bundle.c_o
@@ -361,7 +312,7 @@ def estimate_III(
     )
     jump_norm = traces.sobolev_norm(traces.jump(t_i, t_e), -0.5)
     interface = bundle.trace.value * jump_norm
-    boundary = boundary_term(p, v, bundle=bundle)
+    boundary = boundary_term(p, v)
     scale = _scale(p, v, scale_hint)
     return _report(
         p,

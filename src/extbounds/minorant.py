@@ -31,7 +31,7 @@ from .fields import (
 )
 from .geometry import exact_dot, node_radii, row_sum
 from .problems import Problem
-from .majorant import TRACE_ZERO_TOL, ConstantsBundle, dirichlet_mismatch, estimate_I
+from .majorant import TRACE_ZERO_TOL, dirichlet_mismatch, estimate_I
 
 GRAM_EIG_RTOL = 1e-12
 
@@ -239,12 +239,8 @@ def minorant(p: Problem, v: ScalarField, basis: TestBasis) -> float:
 
 
 def sandwich(
-    p: Problem,
-    v: ScalarField,
-    y: VectorField,
-    basis: TestBasis,
-    bundle: ConstantsBundle | None = None,
+    p: Problem, v: ScalarField, y: VectorField, basis: TestBasis
 ) -> tuple[float, float]:
     """(sqrt of the lower bound, upper bound): the true energy error lies
-    between the two.  The upper bound is estimate I with ``bundle``."""
-    return math.sqrt(minorant(p, v, basis)), estimate_I(p, v, y, bundle=bundle).total
+    between the two.  The upper bound is estimate I."""
+    return math.sqrt(minorant(p, v, basis)), estimate_I(p, v, y).total

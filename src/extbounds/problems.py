@@ -11,10 +11,12 @@ modes (trace mismatch), and interface jumps (broken normal traces).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import traces
+from .constants import ConstantsBundle, compute_bundle
 from .fields import (
     Coefficient,
     ScalarField,
@@ -82,6 +84,14 @@ class Problem:
     quads: QuadratureBundle
     trace_degree: int
     strict: bool = False
+
+    @cached_property
+    def constants(self) -> ConstantsBundle:
+        """The constants of every bound on this problem, computed on first
+        use and kept: they depend on the domain, the coefficient's
+        ellipticity bounds and the trace degree only, and
+        ``dataclasses.replace`` builds a new problem without them."""
+        return compute_bundle(self.domain, self.A, self.trace_degree)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ def catalog(n3_harmonic, n3_decay, n3_anisotropic, n2_log):
 @pytest.fixture(scope="session")
 def bundles(catalog):
     return {
-        name: xb.constants_bundle(mp.problem) for name, mp in catalog.items()
+        name: mp.problem.constants for name, mp in catalog.items()
     }
 
 

@@ -30,39 +30,38 @@ from test_constants import (
 GUARANTEE_SLACK = 1e-8
 
 
-def _estimate_for(kind, mp, bundle, eps, seed):
+def _estimate_for(kind, mp, eps, seed):
     """One randomized trial: returns (true_error, report)."""
     p = mp.problem
     if kind == "v_interior":
         v = perturb(mp, "v", eps, "interior_bump", seed)
-        rep = estimate_I(p, v, mp.exact_flux, bundle=bundle)
+        rep = estimate_I(p, v, mp.exact_flux)
     elif kind == "v_boundary":
         v = perturb(mp, "v", eps, "boundary_mode", seed)
-        rep = estimate_I(p, v, mp.exact_flux, bundle=bundle)
+        rep = estimate_I(p, v, mp.exact_flux)
     elif kind == "y_interior":
         v = perturb(mp, "v", eps, "interior_bump", seed + 1000)
         y = perturb(mp, "y", eps, "interior_bump", seed)
-        rep = estimate_II(p, v, y, bundle=bundle)
+        rep = estimate_II(p, v, y)
     else:  # broken flux with an interface jump
         v = perturb(mp, "v", eps, "interior_bump", seed + 1000)
         y_i, y_e = perturb(mp, "y_broken", eps, "interface_jump", seed)
-        rep = estimate_III(p, v, y_i, y_e, bundle=bundle)
+        rep = estimate_III(p, v, y_i, y_e)
     return xb.true_error(mp, v), rep
 
 
-def test_acceptance_1_sharpness(catalog, bundles):
+def test_acceptance_1_sharpness(catalog):
     """Exact solution and exact flux drive every estimate to zero."""
     for name in ("N3_harmonic", "N3_anisotropic"):
-        mp, bundle = catalog[name], bundles[name]
+        mp = catalog[name]
         p = mp.problem
         start = time.monotonic()
         whole = p.quads.whole
         scale = energy_norm(p.A, mp.exact_u.gradient(whole.nodes), "A", whole)
         totals = [
-            estimate_I(p, mp.exact_u, mp.exact_flux, bundle=bundle).total,
-            estimate_II(p, mp.exact_u, mp.exact_flux, bundle=bundle).total,
-            estimate_III(p, mp.exact_u, mp.exact_flux, mp.exact_flux,
-                         bundle=bundle).total,
+            estimate_I(p, mp.exact_u, mp.exact_flux).total,
+            estimate_II(p, mp.exact_u, mp.exact_flux).total,
+            estimate_III(p, mp.exact_u, mp.exact_flux, mp.exact_flux).total,
         ]
         elapsed = time.monotonic() - start
         for total in totals:
@@ -71,7 +70,7 @@ def test_acceptance_1_sharpness(catalog, bundles):
     print("ACCEPTANCE 1 (sharpness): PASS")
 
 
-def test_acceptance_2_guarantee(catalog, bundles):
+def test_acceptance_2_guarantee(catalog):
     """>= 200 randomized trials: majorant total + slack covers the true
     error with a finite efficiency index, zero violations."""
     start = time.monotonic()
@@ -79,11 +78,10 @@ def test_acceptance_2_guarantee(catalog, bundles):
     trials = 0
     worst_eff = math.inf
     for name, mp in catalog.items():
-        bundle = bundles[name]
         for kind in kinds:
             for eps in (1e-1, 1e-2, 1e-3):
                 for seed in range(5):
-                    err, rep = _estimate_for(kind, mp, bundle, eps, seed)
+                    err, rep = _estimate_for(kind, mp, eps, seed)
                     trials += 1
                     assert err > 0.0, (name, kind, eps, seed)
                     slack = GUARANTEE_SLACK * max(rep.scale, err)
@@ -100,19 +98,19 @@ def test_acceptance_2_guarantee(catalog, bundles):
           f"min efficiency {worst_eff:.6f}, {elapsed:.0f}s)")
 
 
-def test_acceptance_3_sandwich(catalog, bundles):
+def test_acceptance_3_sandwich(catalog):
     """Minorant below, majorant above, >= 100 trials; equality when the
     error direction is in the minorant basis."""
     trials = 0
     for name in ("N3_harmonic", "N3_decay", "N3_anisotropic", "N2_log"):
-        mp, bundle = catalog[name], bundles[name]
+        mp = catalog[name]
         basis = default_basis(mp.domain, n_radial=3, degree=1)
         for seed in range(13):
             for eps in (0.1, 0.01):
                 v = perturb(mp, "v", eps, "interior_bump", seed)
                 err = xb.true_error(mp, v)
                 low = minorant(mp.problem, v, basis)
-                up = estimate_I(mp.problem, v, mp.exact_flux, bundle=bundle).total
+                up = estimate_I(mp.problem, v, mp.exact_flux).total
                 slack = GUARANTEE_SLACK * max(err, 1.0) ** 2
                 assert low <= err**2 + slack, (name, seed, eps)
                 assert err**2 <= up**2 + slack, (name, seed, eps)
@@ -256,37 +254,37 @@ def test_acceptance_5_constants():
           f"oracle {oracle:.6f})")
 
 
-def test_acceptance_6_interface_consistency(catalog, bundles):
+def test_acceptance_6_interface_consistency(catalog):
     """Unbroken fluxes cost nothing at the interface; jump penalties scale
     exactly linearly in the jump size."""
-    mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
+    mp = catalog["N3_harmonic"]
     p = mp.problem
     v = perturb(mp, "v", 0.05, "interior_bump", seed=3)
     y = perturb(mp, "y", 0.05, "interior_bump", seed=4)
-    rep3 = estimate_III(p, v, y, y, bundle=bundle)
+    rep3 = estimate_III(p, v, y, y)
     assert rep3.interface < 1e-12
-    rep1 = estimate_I(p, v, y, bundle=bundle)
+    rep1 = estimate_I(p, v, y)
     recombined = rep1.total - rep1.residual + rep3.residual
     assert abs(rep3.total - recombined) <= 1e-10 * max(rep1.scale, 1.0)
 
     terms = []
     for eps in (0.1, 0.01, 0.001):
         y_i, y_e = perturb(mp, "y_broken", eps, "interface_jump", seed=5)
-        rep = estimate_III(p, mp.exact_u, y_i, y_e, bundle=bundle)
+        rep = estimate_III(p, mp.exact_u, y_i, y_e)
         terms.append(rep.interface)
     assert terms[0] == pytest.approx(10 * terms[1], rel=1e-10)
     assert terms[1] == pytest.approx(10 * terms[2], rel=1e-10)
     print("ACCEPTANCE 6 (interface consistency): PASS")
 
 
-def test_acceptance_7_equilibration_gate(catalog, bundles):
+def test_acceptance_7_equilibration_gate(catalog):
     """Estimate II accepts the equilibrated catalog flux and rejects a
     flux with a tail residual."""
     from extbounds.fields import VectorField
     from extbounds.geometry import node_radii
 
-    mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
-    rep = estimate_II(mp.problem, mp.exact_u, mp.exact_flux, bundle=bundle)
+    mp = catalog["N3_harmonic"]
+    rep = estimate_II(mp.problem, mp.exact_u, mp.exact_flux)
     assert rep.total <= 1e-10
 
     bad = VectorField(
@@ -295,7 +293,7 @@ def test_acceptance_7_equilibration_gate(catalog, bundles):
         label="tail source",
     )
     with pytest.raises(EquilibrationError):
-        estimate_II(mp.problem, mp.exact_u, mp.exact_flux + bad, bundle=bundle)
+        estimate_II(mp.problem, mp.exact_u, mp.exact_flux + bad)
     print("ACCEPTANCE 7 (equilibration gate): PASS")
 
 

@@ -123,3 +123,34 @@ def test_names_perfbench_reads_exist():
                  "trace", "modes", "cutoff"):
         assert hasattr(bundle, name), f"ConstantsBundle.{name}"
     assert len(bundle.extension.params["mode_energies"]) == bundle.modes + 1
+
+
+def test_tracer_reads_the_calls_it_wraps():
+    # the tracer's span attributes read positional arguments (energy_norm's
+    # mode and rule, minorant_report's problem and basis): a change of those
+    # signatures must fail here, not in a traced benchmark run
+    import importlib.util
+
+    import extbounds as xb
+    from extbounds.problems import perturb
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    mp = xb.builtin("N3_harmonic", shells=1)
+    p = mp.problem
+    v = perturb(mp, "v", 0.1, "interior_bump", seed=1)
+    y_i, y_e = perturb(mp, "y_broken", 0.1, "interface_jump", seed=2)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        xb.estimate_I(p, v, mp.exact_flux)
+        xb.estimate_II(p, v, mp.exact_flux)
+        xb.estimate_III(p, v, y_i, y_e)
+        xb.minorant_report(p, v, xb.default_basis(mp.domain))
+    finally:
+        tracer.uninstall()
+    metrics = tracer_module.layer_metrics(tracer.take())
+    assert metrics["majorant.estimate.calls"] == 3
+    assert metrics["minorant.report.calls"] == 1
+    assert metrics["minorant.basis_nodes"] > 0 and metrics["fields.norm.nodes"] > 0

@@ -183,34 +183,34 @@ def counting(v, rule):
 
 
 class TestGradientOnce:
-    def test_estimate_then_true_error(self, n3_harmonic, bundles):
+    def test_estimate_then_true_error(self, n3_harmonic):
         mp = n3_harmonic
         whole = mp.problem.quads.whole
         v, calls = counting(perturb(mp, "v", 0.05, "interior_bump", seed=4), whole)
         y = perturb(mp, "y", 0.05, "interior_bump", seed=5)
-        xb.estimate_I(mp.problem, v, y, bundle=bundles["N3_harmonic"])
+        xb.estimate_I(mp.problem, v, y)
         xb.true_error(mp, v)
         assert calls == {"rule": 1, "all": 1}
 
     @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
-    def test_broken_estimate_then_true_error(self, name, catalog, bundles):
+    def test_broken_estimate_then_true_error(self, name, catalog):
         # estimate III's two part rules are row blocks of the whole rule,
         # whose one evaluation it slices
         mp = catalog[name]
         whole = mp.problem.quads.whole
         v, calls = counting(perturb(mp, "v", 0.05, "interior_bump", seed=4), whole)
         y_i, y_e = perturb(mp, "y_broken", 0.05, "interface_jump", seed=5)
-        xb.estimate_III(mp.problem, v, y_i, y_e, bundle=bundles[name])
+        xb.estimate_III(mp.problem, v, y_i, y_e)
         xb.true_error(mp, v)
         assert calls == {"rule": 1, "all": 1}
 
-    def test_minorant_estimate_then_true_error(self, n2_log, bundles):
+    def test_minorant_estimate_then_true_error(self, n2_log):
         mp = n2_log
         whole = mp.problem.quads.whole
         v, calls = counting(perturb(mp, "v", 0.05, "interior_bump", seed=4), whole)
         y = perturb(mp, "y", 0.05, "interior_bump", seed=5)
         xb.minorant_report(mp.problem, v, xb.default_basis(mp.domain))
-        xb.estimate_I(mp.problem, v, y, bundle=bundles["N2_log"])
+        xb.estimate_I(mp.problem, v, y)
         xb.true_error(mp, v)
         assert calls == {"rule": 1, "all": 1}
 
@@ -271,21 +271,20 @@ def old_gap(A, y, v, rule):
 
 
 @pytest.mark.parametrize("name", xb.CATALOG)
-def test_estimates_and_true_error_bit_equal_to_old_formulas(name, catalog, bundles):
+def test_estimates_and_true_error_bit_equal_to_old_formulas(name, catalog):
     mp = catalog[name]
     p, quads, A = mp.problem, mp.problem.quads, mp.problem.A
-    bundle = bundles[name]
     v_bump = perturb(mp, "v", 0.07, "interior_bump", seed=2)
     v_mode = perturb(mp, "v", 0.07, "boundary_mode", seed=3)
     y = perturb(mp, "y", 0.07, "interior_bump", seed=4)
     y_i, y_e = perturb(mp, "y_broken", 0.07, "interface_jump", seed=5)
 
     cases = [
-        (xb.estimate_I(p, v_bump, y, bundle=bundle), v_bump,
+        (xb.estimate_I(p, v_bump, y), v_bump,
          old_gap(A, y, v_bump, quads.whole)),
-        (xb.estimate_II(p, v_mode, mp.exact_flux, bundle=bundle), v_mode,
+        (xb.estimate_II(p, v_mode, mp.exact_flux), v_mode,
          old_gap(A, mp.exact_flux, v_mode, quads.whole)),
-        (xb.estimate_III(p, v_bump, y_i, y_e, bundle=bundle), v_bump,
+        (xb.estimate_III(p, v_bump, y_i, y_e), v_bump,
          math.sqrt(old_gap(A, y_i, v_bump, quads.omega_i) ** 2
                    + old_gap(A, y_e, v_bump, quads.omega_e) ** 2)),
     ]

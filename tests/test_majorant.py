@@ -26,47 +26,46 @@ def exact_inputs(mp):
 
 class TestSharpness:
     @pytest.mark.parametrize("name", ["N3_harmonic", "N3_anisotropic", "N2_log"])
-    def test_all_estimates_vanish_on_exact_data(self, name, catalog, bundles):
-        mp, bundle = catalog[name], bundles[name]
+    def test_all_estimates_vanish_on_exact_data(self, name, catalog):
+        mp = catalog[name]
         p, u, flux = exact_inputs(mp)
         scale = energy_norm(p.A, u.gradient(p.quads.whole.nodes), "A", p.quads.whole)
         for rep in (
-            estimate_I(p, u, flux, bundle=bundle),
-            estimate_II(p, u, flux, bundle=bundle),
-            estimate_III(p, u, flux, flux, bundle=bundle),
+            estimate_I(p, u, flux),
+            estimate_II(p, u, flux),
+            estimate_III(p, u, flux, flux),
         ):
             assert rep.total <= 1e-8 * scale
             assert rep.residual == 0.0 and rep.interface == 0.0
 
-    def test_estimate_ids(self, catalog, bundles):
-        rep3 = estimate_I(*exact_inputs(catalog["N3_harmonic"]),
-                          bundle=bundles["N3_harmonic"])
-        rep2 = estimate_I(*exact_inputs(catalog["N2_log"]), bundle=bundles["N2_log"])
+    def test_estimate_ids(self, catalog):
+        rep3 = estimate_I(*exact_inputs(catalog["N3_harmonic"]))
+        rep2 = estimate_I(*exact_inputs(catalog["N2_log"]))
         assert rep3.estimate_id == "I"
         assert rep2.estimate_id == "I-2D"
 
 
 class TestReports:
-    def test_total_is_sum_and_terms_nonnegative(self, catalog, bundles):
-        mp, bundle = catalog["N3_decay"], bundles["N3_decay"]
+    def test_total_is_sum_and_terms_nonnegative(self, catalog):
+        mp = catalog["N3_decay"]
         v = perturb(mp, "v", 0.05, "boundary_mode", seed=3)
-        rep = estimate_I(mp.problem, v, mp.exact_flux, bundle=bundle)
+        rep = estimate_I(mp.problem, v, mp.exact_flux)
         assert rep.total == rep.residual + rep.flux + rep.interface + rep.boundary
         for term in (rep.residual, rep.flux, rep.interface, rep.boundary):
             assert term >= 0.0
 
-    def test_as_dict_shape(self, catalog, bundles):
-        mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
-        rep = estimate_I(mp.problem, mp.exact_u, mp.exact_flux, bundle=bundle)
+    def test_as_dict_shape(self, catalog):
+        mp = catalog["N3_harmonic"]
+        rep = estimate_I(mp.problem, mp.exact_u, mp.exact_flux)
         d = rep.as_dict()
         assert set(d["terms"]) == {"residual", "flux", "interface", "boundary"}
         assert d["total"] == rep.total
 
 
 class TestBoundaryTerm:
-    def test_exact_trace_gives_zero(self, catalog, bundles):
-        mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
-        assert boundary_term(mp.problem, mp.exact_u, bundle=bundle) == 0.0
+    def test_exact_trace_gives_zero(self, catalog):
+        mp = catalog["N3_harmonic"]
+        assert boundary_term(mp.problem, mp.exact_u) == 0.0
 
     def test_extension_below_constant_form(self):
         # the constant form 2 c_gamma ||g - tr v||_{H^{1/2}}, computed here,
@@ -80,15 +79,15 @@ class TestBoundaryTerm:
                     v = perturb(mp, "v", eps, "boundary_mode", seed=seed)
                     tv = traces.analyze(v, p.domain.a, p.trace_degree, p.quads.gamma)
                     h_half = traces.sobolev_norm(traces.difference(p.g, tv), +0.5)
-                    ext = boundary_term(p, v, bundle=bundle)
+                    ext = boundary_term(p, v)
                     assert 0.0 < ext <= 2.0 * bundle.extension.value * h_half * (1 + 1e-12)
 
-    def test_linear_in_mismatch(self, catalog, bundles):
-        mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
+    def test_linear_in_mismatch(self, catalog):
+        mp = catalog["N3_harmonic"]
         vals = []
         for eps in (1e-1, 1e-2, 1e-3):
             v = perturb(mp, "v", eps, "boundary_mode", seed=11)
-            vals.append(boundary_term(mp.problem, v, bundle=bundle))
+            vals.append(boundary_term(mp.problem, v))
         assert vals[0] == pytest.approx(10 * vals[1], rel=1e-9)
         assert vals[1] == pytest.approx(10 * vals[2], rel=1e-9)
 
@@ -105,12 +104,13 @@ class TestBoundaryTerm:
         energies = np.asarray(bundle.extension.params["mode_energies"])
         dirichlet = float(np.sum(mismatch.coefficients**2 * energies[mismatch.degrees()]))
         assert A.c_A_plus > 1.0
-        assert boundary_term(p, v, bundle=bundle) == (
+        assert boundary_term(p, v) == (
             2.0 * math.sqrt(A.c_A_plus * dirichlet))
 
     def test_bundle_modes_cover_trace_degree(self, catalog):
         # the constants cover exactly the band every trace is projected onto
-        p = catalog["N3_harmonic"].problem
+        mp = catalog["N3_harmonic"]
+        p = mp.problem
         for L in (1, 6, 8, 12):
             bundle = xb.constants_bundle(dataclasses.replace(p, trace_degree=L))
             assert bundle.modes == L
@@ -118,9 +118,14 @@ class TestBoundaryTerm:
             assert len(bundle.trace.mode_values) == L + 1
         with pytest.raises(TypeError):
             xb.constants_bundle(p, modes=p.trace_degree)
+        # a moved interface is a new problem, with constants of its own
+        moved = xb.with_interface_radius(mp, 3.0).problem.constants
+        assert moved.friedrichs.params["domain"] == [3, 1.0, 3.0]
+        assert moved.cutoff == 3.0
 
     def test_stale_mode_argument_rejected(self, catalog, bundles):
-        # the retired mode and c_o variant arguments cannot bind to the bundle
+        # the retired mode and c_o variant arguments cannot bind to the
+        # bundle, and no bound takes a bundle: the problem carries its own
         mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
         p, u, y = exact_inputs(mp)
         with pytest.raises(TypeError):
@@ -132,9 +137,33 @@ class TestBoundaryTerm:
         with pytest.raises(TypeError):
             estimate_II(p, u, y, "eigen")
         with pytest.raises(TypeError):
-            estimate_III(p, u, y, y, "formula", bundle=bundle)
+            estimate_III(p, u, y, y, "formula")
+        basis = xb.default_basis(mp.domain)
+        for call in (lambda: boundary_term(p, u, bundle=bundle),
+                     lambda: estimate_I(p, u, y, bundle=bundle),
+                     lambda: estimate_II(p, u, y, bundle=bundle),
+                     lambda: estimate_III(p, u, y, y, bundle=bundle),
+                     lambda: xb.sandwich(p, u, y, basis, bundle=bundle)):
+            with pytest.raises(TypeError):
+                call()
 
-    def test_strict_band_limit_propagates(self, bundles):
+    def test_one_friedrichs_solve_per_problem(self, monkeypatch):
+        # every bound on one problem reads the constants it computed once
+        calls = []
+        solve = xb.constants.interior_friedrichs_constant
+        monkeypatch.setattr(xb.constants, "interior_friedrichs_constant",
+                            lambda domain: calls.append(domain) or solve(domain))
+        mp = xb.builtin("N3_harmonic", shells=2)
+        p, u, y = exact_inputs(mp)
+        v = perturb(mp, "v", 0.1, "boundary_mode", seed=1)
+        estimate_I(p, v, y)
+        estimate_II(p, v, y)
+        estimate_III(p, v, y, y)
+        boundary_term(p, v)
+        xb.sandwich(p, v, y, xb.default_basis(mp.domain))
+        assert calls == [p.domain]
+
+    def test_strict_band_limit_propagates(self):
         mp = xb.builtin("N3_harmonic", strict=True)
         v = mp.exact_u + 1.0 * xb.ScalarField(
             value=lambda p: (p[:, 2] / node_radii(p)) ** 7,
@@ -142,14 +171,14 @@ class TestBoundaryTerm:
             label="aliasing",
         )
         with pytest.raises(BandLimitError):
-            boundary_term(mp.problem, v, bundle=bundles["N3_harmonic"])
+            boundary_term(mp.problem, v)
 
 
 class TestFluxTermPaths:
-    def test_flux_term_zero_for_matching_flux(self, catalog, bundles):
+    def test_flux_term_zero_for_matching_flux(self, catalog):
         # y := A grad v for a perturbed v (with the matching analytic
         # divergence) makes the flux term vanish and leaves residual+boundary
-        mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
+        mp = catalog["N3_harmonic"]
         p = mp.problem
         eps = 0.05
         from extbounds.fields import mollifier_profile, separable_field, angular_monomial
@@ -180,43 +209,43 @@ class TestFluxTermPaths:
         y = mp.exact_flux + eps * VectorField(
             value=lambda pts: np.asarray(grad_s(pts)), divergence=lap_s, label="grad s"
         )
-        rep = estimate_I(p, v, y, bundle=bundle)
+        rep = estimate_I(p, v, y)
         assert rep.flux <= 1e-13 * rep.scale
         assert rep.total == pytest.approx(rep.residual + rep.boundary, abs=1e-13)
         assert rep.residual > 0.0
 
-    def test_divergent_tail_residual_detected(self, catalog, bundles):
-        mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
+    def test_divergent_tail_residual_detected(self, catalog):
+        mp = catalog["N3_harmonic"]
         bad = VectorField(
             value=lambda p: np.zeros_like(np.atleast_2d(p), dtype=float),
             divergence=lambda p: node_radii(p) ** -2.0,
             label="slow-decay",
         )
         with pytest.raises(DivergentNormError, match="tail"):
-            estimate_I(mp.problem, mp.exact_u, mp.exact_flux + bad, bundle=bundle)
+            estimate_I(mp.problem, mp.exact_u, mp.exact_flux + bad)
 
 
 class TestEquilibrationGate:
-    def test_accepts_catalog_flux(self, catalog, bundles):
+    def test_accepts_catalog_flux(self, catalog):
         for name in ("N3_harmonic", "N3_decay", "N3_anisotropic", "N2_log"):
-            mp, bundle = catalog[name], bundles[name]
-            rep = estimate_II(mp.problem, mp.exact_u, mp.exact_flux, bundle=bundle)
+            mp = catalog[name]
+            rep = estimate_II(mp.problem, mp.exact_u, mp.exact_flux)
             assert rep.total <= 1e-10 * max(rep.scale, 1.0)
 
-    def test_rejects_unbalanced_tail(self, catalog, bundles):
-        mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
+    def test_rejects_unbalanced_tail(self, catalog):
+        mp = catalog["N3_harmonic"]
         bad = VectorField(
             value=lambda p: np.zeros_like(np.atleast_2d(p), dtype=float),
             divergence=lambda p: node_radii(p) ** -5.0,
             label="r^-5 source",
         )
         with pytest.raises(EquilibrationError, match="div y \\+ f = 0"):
-            estimate_II(mp.problem, mp.exact_u, mp.exact_flux + bad, bundle=bundle)
+            estimate_II(mp.problem, mp.exact_u, mp.exact_flux + bad)
 
-    def test_interior_imbalance_allowed(self, catalog, bundles):
-        mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
+    def test_interior_imbalance_allowed(self, catalog):
+        mp = catalog["N3_harmonic"]
         y = perturb(mp, "y", 0.1, "interior_bump", seed=2)
-        rep = estimate_II(mp.problem, mp.exact_u, y, bundle=bundle)
+        rep = estimate_II(mp.problem, mp.exact_u, y)
         assert rep.residual > 0.0
 
 
@@ -233,8 +262,8 @@ class TestInteriorWeight:
         y = perturb(mp, "y", 0.05, "interior_bump", seed=5)
         y_i, y_e = perturb(mp, "y_broken", 0.05, "interface_jump", seed=6)
         err = xb.true_error(mp, v)
-        for rep in (estimate_II(p, v, y, bundle=bundle, scale_hint=err),
-                    estimate_III(p, v, y_i, y_e, bundle=bundle, scale_hint=err)):
+        for rep in (estimate_II(p, v, y, scale_hint=err),
+                    estimate_III(p, v, y_i, y_e, scale_hint=err)):
             assert rep.constants["c_o"] == bundle.c_o_formula < bundle.c_o_eigen
             assert rep.total >= err
 
@@ -250,48 +279,48 @@ class TestInteriorWeight:
 
 class TestInterfaceConsistency:
     @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
-    def test_unbroken_flux_as_broken_pair(self, name, catalog, bundles):
-        mp, bundle = catalog[name], bundles[name]
+    def test_unbroken_flux_as_broken_pair(self, name, catalog):
+        mp = catalog[name]
         p = mp.problem
         v = perturb(mp, "v", 0.05, "interior_bump", seed=6)
         y = perturb(mp, "y", 0.05, "interior_bump", seed=7)
-        rep3 = estimate_III(p, v, y, y, bundle=bundle)
+        rep3 = estimate_III(p, v, y, y)
         assert rep3.interface < 1e-12
-        rep1 = estimate_I(p, v, y, bundle=bundle)
+        rep1 = estimate_I(p, v, y)
         # recombine: replace estimate I's weighted whole-domain residual by
         # estimate III's split (interior c_o + weighted tail) and compare
         recombined = rep1.total - rep1.residual + rep3.residual
         assert rep3.total == pytest.approx(recombined, abs=1e-10 * max(rep1.scale, 1))
 
-    def test_jump_term_positive_and_bounded(self, catalog, bundles):
-        mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
+    def test_jump_term_positive_and_bounded(self, catalog):
+        mp = catalog["N3_harmonic"]
         p = mp.problem
         y_i, y_e = perturb(mp, "y_broken", 0.1, "interface_jump", seed=8)
         v = perturb(mp, "v", 0.1, "interior_bump", seed=9)
         err = xb.true_error(mp, v)
-        rep = estimate_III(p, v, y_i, y_e, bundle=bundle, scale_hint=err)
+        rep = estimate_III(p, v, y_i, y_e, scale_hint=err)
         assert rep.interface > 0.0
         assert rep.total + 1e-8 * max(rep.scale, err) >= err
 
 
 class TestSweep:
-    def test_monotone_totals_under_epsilon_halving(self, catalog, bundles):
-        mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
+    def test_monotone_totals_under_epsilon_halving(self, catalog):
+        mp = catalog["N3_harmonic"]
         totals = []
         for eps in [0.1, 0.05, 0.025]:
             v = perturb(mp, "v", eps, "interior_bump", seed=10)
             err = xb.true_error(mp, v)
-            rep = estimate_I(mp.problem, v, mp.exact_flux, bundle=bundle, scale_hint=err)
+            rep = estimate_I(mp.problem, v, mp.exact_flux, scale_hint=err)
             assert rep.total / err >= 1 - 1e-8
             totals.append(rep.total)
         assert totals[0] > totals[1] > totals[2]
 
 
 class TestDeterminism:
-    def test_identical_reports_across_runs(self, catalog, bundles):
-        mp, bundle = catalog["N3_harmonic"], bundles["N3_harmonic"]
+    def test_identical_reports_across_runs(self, catalog):
+        mp = catalog["N3_harmonic"]
         v = perturb(mp, "v", 0.07, "boundary_mode", seed=12)
-        rep1 = estimate_I(mp.problem, v, mp.exact_flux, bundle=bundle)
-        rep2 = estimate_I(mp.problem, v, mp.exact_flux, bundle=bundle)
+        rep1 = estimate_I(mp.problem, v, mp.exact_flux)
+        rep2 = estimate_I(mp.problem, v, mp.exact_flux)
         assert rep1.total == rep2.total
         assert rep1.as_dict() == rep2.as_dict()

@@ -158,24 +158,19 @@ class TestZeroTraceCheck:
 
 
 class TestSandwich:
-    def test_exact_data(self, n3_harmonic, bundles):
+    def test_exact_data(self, n3_harmonic):
         basis = default_basis(n3_harmonic.domain)
         lower, upper = sandwich(
-            n3_harmonic.problem, n3_harmonic.exact_u, n3_harmonic.exact_flux,
-            basis, bundle=bundles["N3_harmonic"],
-        )
+            n3_harmonic.problem, n3_harmonic.exact_u, n3_harmonic.exact_flux, basis)
         assert lower <= 1e-8  # roundoff-level residual load, clamped at zero
         assert upper <= 1e-8 * math.sqrt(4 * math.pi)
 
-    def test_brackets_true_error(self, n3_harmonic, bundles):
+    def test_brackets_true_error(self, n3_harmonic):
         basis = default_basis(n3_harmonic.domain)
         for seed in range(5):
             v = perturb(n3_harmonic, "v", 0.05, "interior_bump", seed=seed)
             err = xb.true_error(n3_harmonic, v)
-            lower, upper = sandwich(
-                n3_harmonic.problem, v, n3_harmonic.exact_flux, basis,
-                bundle=bundles["N3_harmonic"],
-            )
+            lower, upper = sandwich(n3_harmonic.problem, v, n3_harmonic.exact_flux, basis)
             assert lower <= err * (1 + 1e-8)
             assert err <= upper * (1 + 1e-8)
 
