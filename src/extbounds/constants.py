@@ -16,12 +16,11 @@ r^{+-l} for N = 2 and l >= 1, and 1 and ln r for N = 2 and l = 0.
   gives the least energy, and the least constant, for every degree.
 * The Friedrichs eigenproblem is a Bessel (N = 2) or spherical Bessel
   (N = 3) equation; its constant is 1/k at the first root of an explicit
-  transcendental function.  A floating-point bisection brackets the root
-  by adjacent floats, and enclosures with explicit error bounds
-  (:mod:`extbounds.special`) prove that the two ends have opposite
-  signs, moving the bracket where a float sign was wrong.  The
-  conservative end of the bracket is reported.  J0, J1, Y0 and Y1 are
-  computed in the package, so no constant needs scipy.
+  transcendental function.  The root is searched on enclosures with
+  explicit error bounds (:mod:`extbounds.special`) only: every sign the
+  search acts on is proven, and it ends at adjacent floats with proven
+  opposite signs, of which the conservative one is reported.  J0, J1,
+  Y0 and Y1 are enclosed in the package, so no constant needs scipy.
 
 Every reported value, mode energies included, is rounded outward by the
 relative margin ``OUTWARD_RTOL`` (the reports' ``rel_accuracy``), which
@@ -55,7 +54,7 @@ from .traces import sobolev_weight
 # annuli with R/a from 1.001 to 30
 OUTWARD_RTOL = 1e-12
 # steps of the scan for the first sign change of the Friedrichs root
-# function; only a bracket narrower than a step is bisected
+# function; only the step it ends in is searched further
 ROOT_SCAN_STEPS = 64
 # fixed-point bits of the first enclosure that proves a sign of the root
 # function, and the most bits tried, doubling, before giving up
@@ -171,16 +170,15 @@ def _harmonic_flux(dimension: int, ell: int, inner: float, outer: float,
 
 
 def _friedrichs_function(dimension: int, a: float, R: float):
-    """g(k) whose first positive root k gives the degree-0 eigenvalue k^2
-    of -div grad on the annulus, zero at r = a and free at r = R:
+    """``enclose(k, bits)``: an :class:`~extbounds.special.Enclosure` of a
+    positive multiple of g(k) at the exact float arguments, where g's
+    first positive root k gives the degree-0 eigenvalue k^2 of -div grad
+    on the annulus, zero at r = a and free at r = R: g(k) is
     sin(kL) - kR cos(kL) with L = R - a for N = 3 (the profile is
     sin(k(r - a))/r), J1(kR) Y0(ka) - Y1(kR) J0(ka) for N = 2.
 
-    Returns g in floating point and ``enclose(k, bits)``, an
-    :class:`~extbounds.special.Enclosure` of a positive multiple of g(k)
-    at the exact float arguments.  For N = 2 that multiple is, with
-    x = ka, X = kR and the power-series parts s_nu of
-    :func:`~extbounds.special.bessel_series`,
+    For N = 2 the multiple is, with x = ka, X = kR and the power-series
+    parts s_nu of :func:`~extbounds.special.bessel_series`,
     (pi/2) g = J0(x) (1/X + s1(X)) - J1(X) (s0(x) + ln(R/a) J0(x)),
     in which Euler's constant and pi cancel; or, from Hankel's expansion
     with theta = k(R - a),
@@ -189,20 +187,13 @@ def _friedrichs_function(dimension: int, a: float, R: float):
     large enough for its smallest term to fall below 2**-bits."""
     fa, fR = Fraction(a), Fraction(R)
     if dimension == 3:
-        L = R - a
-
         def enclose3(k, bits):
             k = Fraction(k)
             kR = k * fR
             c, s = special.cos_sin(k * (fR - fa), bits)
             return s - c.times(kR.numerator, kR.denominator)
 
-        return (lambda k: math.sin(k * L) - k * R * math.cos(k * L)), enclose3
-
-    def g(k):
-        j1, y1 = special.bessel_jy(1, k * R)
-        j0, y0 = special.bessel_jy(0, k * a)
-        return j1 * y0 - y1 * j0
+        return enclose3
 
     logs = {}  # ln(R/a) per number of bits
 
@@ -222,84 +213,67 @@ def _friedrichs_function(dimension: int, a: float, R: float):
         inv = special.Enclosure.of(X.denominator, X.numerator, bits)
         return j0 * (inv + s1) - j1 * (s0 + logs[bits] * j0)
 
-    return g, enclose2
+    return enclose2
 
 
-def _proven_sign(enclose, k: float) -> int:
-    """The sign of g(k), +1 or -1, proven by an enclosure at ``PROOF_BITS``
-    or, where that one straddles 0, at each doubling of it up to
-    ``PROOF_BITS_MAX``."""
+def _proven(enclose, k: float) -> tuple[int, float]:
+    """The sign of the root function at k, +1 or -1, proven by an
+    enclosure at ``PROOF_BITS`` or, where that one straddles 0, at each
+    doubling of it up to ``PROOF_BITS_MAX``; and that enclosure's
+    midpoint as a float."""
     bits = PROOF_BITS
     while bits <= PROOF_BITS_MAX:
-        sign = enclose(k, bits).sign()
+        e = enclose(k, bits)
+        sign = e.sign()
         if sign:
-            return sign
+            # true division, not ldexp: the value may exceed a float's range
+            return sign, e.value / (1 << bits)
         bits *= 2
     raise ConstantError(
         f"sign of the root function at {k!r} not proven with {PROOF_BITS_MAX} bits")
 
 
-def _first_root_below(g, enclose, lo: float, hi: float) -> float:
-    """Left end of a bracket of adjacent floats, around the first root of g
-    in (lo, hi), whose ends have proven opposite signs.
+def _first_root(enclose, lo: float, hi: float, before: int) -> float:
+    """Left end of the pair of adjacent floats around the first root of
+    the root function in (lo, hi), where its proven sign leaves
+    ``before``, the sign it must have at ``lo``.
 
-    The float g finds the bracket: it is the first of ``ROOT_SCAN_STEPS``
-    equal steps from ``lo`` at whose right end g has left the sign it has
-    at ``lo``, bisected down to adjacent floats.  Then
-    :func:`_proven_sign` checks that its left end has the sign of g at
-    ``lo`` and its right end the other one.  Where a float sign was wrong,
-    the bracket is widened, in steps that double, until its ends have
-    those proven signs, and bisected again with proven signs only."""
-    start = lo
-    neg = g(lo) < 0.0
-
-    def crossed(k):
-        value = g(k)
-        return value == 0.0 or (value < 0.0) != neg
-
-    if crossed(lo):
-        raise ConstantError(f"root bracket starts on a root at {lo!r}")
-    step = (hi - lo) / ROOT_SCAN_STEPS
+    Every decision rests on a sign from :func:`_proven`.  A scan of
+    ``ROOT_SCAN_STEPS`` equal steps from ``lo`` stops at the first point
+    whose sign is not ``before``.  Illinois steps (regula falsi that
+    halves the value kept at an end that stayed twice in a row) on the
+    enclosures' midpoints then shrink that step down to adjacent floats;
+    each step is clamped into the open bracket, so each one shrinks it.
+    A wrong sign at ``lo``, as when ``lo`` was rounded past the root,
+    raises instead of finding a later root."""
+    sign, f_lo = _proven(enclose, lo)
+    if sign != before:
+        raise ConstantError(f"the root function has the wrong sign at {lo!r}")
+    start, step = lo, (hi - lo) / ROOT_SCAN_STEPS
     for i in range(1, ROOT_SCAN_STEPS + 1):
         right = hi if i == ROOT_SCAN_STEPS else start + i * step
-        if crossed(right):
+        sign, f_right = _proven(enclose, right)
+        if sign != before:
             break
-        lo = right
+        lo, f_lo = right, f_right
     else:
         raise ConstantError(f"no sign change of the root function below {hi!r}")
-    lo, right = _bisect(crossed, lo, right)
-
-    before = _proven_sign(enclose, start)
-
-    def proven_crossed(k):
-        return _proven_sign(enclose, k) != before
-
-    step = right - lo
-    if proven_crossed(lo):  # the root lies left of the float bracket
-        lo, right = max(lo - step, start), lo
-        while proven_crossed(lo):  # ends at start at the latest
-            step *= 2.0
-            lo, right = max(lo - step, start), lo
-    else:
-        while not proven_crossed(right):  # the root lies right of it
-            if right == hi:
-                raise ConstantError(f"no sign change of the root function below {hi!r}")
-            lo, right = right, min(right + step, hi)
-            step *= 2.0
-    return _bisect(proven_crossed, lo, right)[0]
-
-
-def _bisect(crossed, lo: float, right: float) -> tuple[float, float]:
-    """Bisect [lo, right], where ``crossed`` is false at lo and true at
-    right, down to adjacent floats."""
-    while True:
-        mid = lo + 0.5 * (right - lo)
-        if not lo < mid < right:
-            return lo, right
-        if crossed(mid):
-            right = mid
+    kept = 0  # the end that stayed on the last step: -1 lo, +1 right
+    while (inner := math.nextafter(lo, right)) < right:
+        k = right - f_right * (right - lo) / (f_right - f_lo)
+        k = min(max(k, inner), math.nextafter(right, lo))
+        sign, f_k = _proven(enclose, k)
+        if sign == before:
+            lo, f_lo = k, f_k
+            if kept == 1:
+                f_right *= 0.5
+            kept = 1
         else:
-            lo = mid
+            right, f_right = k, f_k
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+    return lo
 
 
 def interior_friedrichs_constant(domain: ExteriorDomain) -> ConstantReport:
@@ -311,18 +285,29 @@ def interior_friedrichs_constant(domain: ExteriorDomain) -> ConstantReport:
     potential is nonnegative and increasing in l, so lambda_l increases
     with l and the constant is attained at l = 0 over all degrees: it
     takes no mode count and reports no per-degree values.  lambda_0 = k^2
-    at the first root of :func:`_friedrichs_function`.  That root lies in
-    [(a/R) pi/(2(R - a)), pi/(2(R - a))): from below by the Rayleigh
-    quotient with the weight r^{N-1} frozen at its extremes; from above
-    exactly for N = 3, and for N = 2 by comparison after the substitution
-    w = sqrt(r) p, which gives -w'' - w/(4r^2) = k^2 w with w(a) = 0 and
-    w'(R) = w(R)/(2R), whose first eigenvalue lies below that of the same
-    problem without the negative potential, itself below (pi/(2(R - a)))^2."""
+    at the first root of :func:`_friedrichs_function`.
+
+    With hi = pi/(2(R - a)) that root lies in [(a/R)^((N-1)/2) hi, hi).
+    From below by the Rayleigh quotient with the weight r^{N-1} frozen at
+    its extremes, which bounds the n-th eigenvalue below by (a/R)^{N-1}
+    times that of -w'' with w(a) = 0 and w'(R) = 0, ((2n - 1) hi)^2.  From
+    above exactly for N = 3, and for N = 2 by comparison after the
+    substitution w = sqrt(r) p, which gives -w'' - w/(4r^2) = k^2 w with
+    w(a) = 0 and w'(R) = w(R)/(2R), whose first eigenvalue lies below that
+    of the same problem without the negative potential, itself below hi^2.
+
+    For N = 3 the root is the only one below hi: with theta = k(R - a) the
+    root function vanishes where tan theta = (R/(R - a)) theta, once in
+    (0, pi/2).  For N = 2 the frozen-weight bound puts the second root at
+    k_2 >= 3 sqrt(a/R) hi, above hi when R/a < 9; beyond that, the scan of
+    :func:`_first_root` is what picks the first sign change (the second
+    root lies at 2.5 hi or more up to R/a = 1e5, by 30-digit evaluation)."""
     if domain.dimension not in (2, 3):
         raise ValueError("interior Friedrichs constant requires dimension 2 or 3")
     n, a, R = domain.dimension, domain.a, domain.R
     hi = math.pi / (2.0 * (R - a))
-    k = _first_root_below(*_friedrichs_function(n, a, R), 0.5 * (a / R) * hi, hi)
+    lo = (a / R) ** ((n - 1) / 2) * hi
+    k = _first_root(_friedrichs_function(n, a, R), lo, hi, 1 if n == 2 else -1)
     return ConstantReport(
         name="interior_friedrichs",
         value=_outward(1.0 / k),

@@ -1,11 +1,9 @@
-"""Bessel functions of order 0 and 1, and enclosures that prove signs.
+"""Enclosures of cos, sin, ln and the Bessel functions of order 0 and 1,
+which prove signs.
 
-The N = 2 Friedrichs constant needs J0, J1, Y0 and Y1 (see
-:mod:`extbounds.constants`).  :func:`bessel_jy` evaluates them in
-floating point: by their power series (DLMF 10.8.1-2) up to
-``SERIES_MAX`` and by Hankel's expansion (DLMF 10.17.3-4) above it.  Both
-lose accuracy near the switch, where their absolute error is about 1e-11;
-elsewhere it is a few ulps of the larger of the value and 1e-16.
+The root function of the Friedrichs constant (see
+:mod:`extbounds.constants`) is built from them, for N = 2 from J0, J1, Y0
+and Y1, and its root is found from their proven signs alone.
 
 :class:`Enclosure` is a fixed-point number with an explicit error bound:
 its integer ``value`` and ``error`` count units of 2**-bits, and the
@@ -20,72 +18,7 @@ dyadic rationals.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-# the float evaluation switches from the power series to Hankel's
-# expansion above this argument
-SERIES_MAX = 12.5
-_EULER = 0.5772156649015329  # Euler's constant, rounded to the nearest float
-
-
-def bessel_jy(nu: int, x: float) -> tuple[float, float]:
-    """(J_nu(x), Y_nu(x)) for nu in (0, 1) and x > 0, in floating point."""
-    if nu not in (0, 1) or not x > 0.0:
-        raise ValueError(f"bessel_jy needs nu in (0, 1) and x > 0, got {nu}, {x}")
-    if x <= SERIES_MAX:
-        return _jy_series(nu, x)
-    return _jy_hankel(nu, x)
-
-
-def _jy_series(nu, x):
-    """DLMF 10.8.1-2 with psi(k+1) = H_k - gamma: J_nu = sum u_k and
-    Y_nu = (2/pi)((ln(x/2) + gamma) J_nu - nu/x - s), where
-    u_k = (x/2)^nu (-x^2/4)^k / (k! (k+nu)!) and
-    s = sum (H_k + H_{k+nu}) u_k / 2."""
-    z = -0.25 * x * x
-    u = 0.5 * x if nu else 1.0
-    j = s = h = 0.0
-    k = 0
-    while True:
-        h_nu = h + 1.0 / (k + 1) if nu else h
-        j += u
-        s += 0.5 * (h + h_nu) * u
-        k += 1
-        h += 1.0 / k
-        u *= z / (k * (k + nu))
-        if k > x and abs(u) * (1.0 + h) <= 1e-17 * (abs(j) + abs(s)):
-            break
-    return j, 2.0 / math.pi * ((math.log(0.5 * x) + _EULER) * j - nu / x - s)
-
-
-def _jy_hankel(nu, x):
-    """DLMF 10.17.3-4, summed up to the smallest term of the expansion or
-    to a term below 1e-17."""
-    p, q = _hankel_pq(4 * nu * nu, x)
-    c, s = math.cos(x), math.sin(x)
-    # cos and sin of x - (2 nu + 1) pi/4, times sqrt(2)
-    cw, sw = (c + s, s - c) if nu == 0 else (s - c, -(s + c))
-    scale = 1.0 / math.sqrt(math.pi * x)
-    return scale * (p * cw - q * sw), scale * (p * sw + q * cw)
-
-
-def _hankel_pq(mu, x):
-    p = q = 0.0
-    term, i = 1.0, 0  # a_i(nu) / x^i
-    while True:
-        if i % 2 == 0:
-            p += term if i % 4 == 0 else -term
-        else:
-            q += term if i % 4 == 1 else -term
-        nxt = term * (mu - (2 * i + 1) ** 2) / (8 * (i + 1) * x)
-        if abs(nxt) >= abs(term) or abs(nxt) < 1e-17:
-            return p, q
-        term, i = nxt, i + 1
-
-
-# ---------------------------------------------------------------------------
-# enclosures
 
 
 class Enclosure:
@@ -214,8 +147,10 @@ def log(q: Fraction, bits: int) -> Enclosure:
 
 
 def bessel_series(nu: int, x: Fraction, bits: int) -> tuple[Enclosure, Enclosure]:
-    """Enclosures of J_nu(x) and s_nu(x) = sum (H_k + H_{k+nu}) u_k / 2 of
-    the power series of :func:`bessel_jy`, for nu in (0, 1) and x > 0.
+    """Enclosures of J_nu(x) = sum u_k and s_nu(x) = sum (H_k + H_{k+nu}) u_k / 2,
+    with u_k = (x/2)^nu (-x^2/4)^k / (k! (k+nu)!), for nu in (0, 1) and
+    x > 0: by DLMF 10.8.1-2 with psi(k+1) = H_k - gamma,
+    Y_nu = (2/pi)((ln(x/2) + gamma) J_nu - nu/x - s_nu).
 
     Each u_k comes from u_{k-1}, so its error grows with the terms, up to
     about e^x times the first one: the sums take that many more guard

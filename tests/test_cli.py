@@ -199,8 +199,9 @@ def accepted_configs(draw):
                          "epsilons": draw(st.lists(FINITE, min_size=1, max_size=2)),
                          "seed": draw(st.integers(0, 2**70))},
         "sweep": {"kind": draw(st.sampled_from(["epsilon", "radius"])),
-                  "values": draw(st.lists(st.floats(1e-3, 1e3) | st.sampled_from([1.0, 1.5]),
-                                          min_size=1, max_size=2))},
+                  "values": draw(st.lists(
+                      st.floats(1e-3, 1e3) | st.sampled_from([1.0, 1.000000001, 1.5]),
+                      min_size=1, max_size=2))},
         "minorant": {"n_radial": draw(st.integers(1, 4)), "degree": draw(st.integers(0, 1)),
                      "include_error_in_basis": draw(st.booleans())},
         "poincare": {"count": draw(st.integers(1, 2))},
@@ -367,6 +368,14 @@ class TestCommands:
             report = xb.estimate_I(mp.problem, v, mp.exact_flux, scale_hint=err)
             assert float(row["total"]) == report.total
             assert float(row["true_error"]) == err
+
+    def test_thin_annulus_radius_sweep(self, tmp_path, capsys):
+        # R/a = 1 + 1e-9 on N = 2: a constant, not a traceback
+        cfg = write_config(tmp_path, {"problem": "N2_log",
+                                      "sweep": {"kind": "radius", "values": [1.000000001]}})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 2
 
     def test_verify_poincare_small(self, tmp_path):
         cfg = write_config(tmp_path, BASE)

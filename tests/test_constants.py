@@ -172,7 +172,18 @@ class TestInteriorFriedrichs:
 def friedrichs_bracket(dim, R):
     """The scan interval of :func:`cs.interior_friedrichs_constant` for a = 1."""
     hi = math.pi / (2.0 * (R - 1.0))
-    return 0.5 * hi / R, hi
+    return (1.0 / R) ** ((dim - 1) / 2) * hi, hi
+
+
+def sign_before(dim):
+    """The sign of the root function below its first root."""
+    return 1 if dim == 2 else -1
+
+
+def program_root(dim, R, enclose=None):
+    """The program's k for a = 1, from ``enclose`` in place of its own."""
+    enclose = enclose or cs._friedrichs_function(dim, 1.0, R)
+    return cs._first_root(enclose, *friedrichs_bracket(dim, R), sign_before(dim))
 
 
 def mpmath_multiple(dim, R, k, bits):
@@ -207,44 +218,78 @@ class TestProvenBracket:
         assert rep.value == 0.7348740585906647
 
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("R", [1.001, 1.01, 1.1, 2.0, 8.0, 30.0])
+    @pytest.mark.parametrize("R", [1.000000001, 1.001, 1.01, 1.1, 2.0, 8.0, 30.0])
     def test_bracket_ends_have_proven_opposite_signs(self, dim, R):
-        g, enclose = cs._friedrichs_function(dim, 1.0, R)
-        lo, hi = friedrichs_bracket(dim, R)
-        k = cs._first_root_below(g, enclose, lo, hi)
-        before = cs._proven_sign(enclose, lo)
-        assert cs._proven_sign(enclose, k) == before
-        assert cs._proven_sign(enclose, math.nextafter(k, math.inf)) == -before
+        enclose = cs._friedrichs_function(dim, 1.0, R)
+        lo, _ = friedrichs_bracket(dim, R)
+        k = program_root(dim, R)
+        before = sign_before(dim)
+        assert cs._proven(enclose, lo)[0] == before
+        assert cs._proven(enclose, k)[0] == before
+        assert cs._proven(enclose, math.nextafter(k, math.inf))[0] == -before
         assert cs.interior_friedrichs_constant(ExteriorDomain(dim, 1.0, R)).value == (
             cs._outward(1.0 / k))
 
     @pytest.mark.parametrize("dim,R", [(2, 1.001), (2, 1.01), (2, 1.1), (2, 2.0), (2, 30.0),
                                        (3, 1.1), (3, 8.0)])
     def test_enclosure_holds_the_root_function(self, dim, R):
-        g, enclose = cs._friedrichs_function(dim, 1.0, R)
-        k = cs._first_root_below(g, enclose, *friedrichs_bracket(dim, R))
+        enclose = cs._friedrichs_function(dim, 1.0, R)
+        k = program_root(dim, R)
         for point in (k, math.nextafter(k, math.inf), 0.7 * k):
             for bits in (64, 128, 256):
                 enc = enclose(point, bits)
                 want = mpmath_multiple(dim, R, point, bits)
                 assert abs(enc.value - want * 2**bits) <= enc.error, (point, bits)
 
-    @pytest.mark.parametrize("shift", [1e-9, -1e-9, 3e-16])
-    def test_wrong_float_signs_are_corrected(self, shift):
-        # a float root function off by ``shift`` misplaces the float bracket;
-        # the proven signs move it back to the same adjacent floats
-        g, enclose = cs._friedrichs_function(2, 1.0, 2.0)
-        lo, hi = friedrichs_bracket(2, 2.0)
-        want = cs._first_root_below(g, enclose, lo, hi)
-        assert cs._first_root_below(lambda k: g(k) + shift, enclose, lo, hi) == want
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("fraction", [1.0, -1.0, 0.5, -0.25])
+    def test_moved_midpoints_give_the_same_root(self, dim, fraction):
+        # each enclosure's midpoint moved by ``fraction`` of its error, and its
+        # error widened by as much, still holds the root function: the
+        # steps change, the proven signs and so the adjacent floats do not
+        from extbounds.special import Enclosure
+
+        enclose = cs._friedrichs_function(dim, 1.0, 2.0)
+
+        def moved(k, bits):
+            e = enclose(k, bits)
+            shift = round(fraction * e.error)
+            return Enclosure(e.value + shift, e.error + abs(shift), bits)
+
+        assert program_root(dim, 2.0, moved) == program_root(dim, 2.0)
 
     def test_unproven_sign_raises(self):
         from extbounds.special import Enclosure
 
-        g, _ = cs._friedrichs_function(3, 1.0, 2.0)
         with pytest.raises(cs.ConstantError, match="not proven"):
-            cs._first_root_below(g, lambda k, bits: Enclosure(0, 1, bits),
-                                 *friedrichs_bracket(3, 2.0))
+            program_root(3, 2.0, lambda k, bits: Enclosure(0, 1, bits))
+
+    def test_wrong_sign_at_lower_end_raises(self):
+        # a lower end past the first root must not lead to a later root
+        enclose = cs._friedrichs_function(3, 1.0, 2.0)
+        with pytest.raises(cs.ConstantError, match="wrong sign"):
+            cs._first_root(enclose, *friedrichs_bracket(3, 2.0), +1)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("R", [2.0, 1.5, 1.75])
+    def test_enclosures_per_constant(self, monkeypatch, dim, R):
+        # the catalog and sweep radii: a few ms of set-up each, which the
+        # benchmark's noise would not show growing
+        calls = []
+        build = cs._friedrichs_function
+
+        def counted(*args):
+            enclose = build(*args)
+
+            def wrapped(k, bits):
+                calls.append(bits)
+                return enclose(k, bits)
+
+            return wrapped
+
+        monkeypatch.setattr(cs, "_friedrichs_function", counted)
+        cs.interior_friedrichs_constant(ExteriorDomain(dim, 1.0, R))
+        assert len(calls) <= 48
 
 
 def mode_multiplier(ell, dim, radius):

@@ -1,14 +1,11 @@
-"""The in-repo Bessel functions and the enclosures that prove signs, against
-mpmath at high precision."""
+"""The enclosures that prove signs, against mpmath at high precision."""
 
-import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from extbounds import special
-from extbounds.special import Enclosure, bessel_jy, bessel_series, cos_sin, hankel_pq
+from extbounds.special import Enclosure, bessel_series, cos_sin, hankel_pq
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -21,27 +18,6 @@ def assert_encloses(enc, want, bits):
     assert enc.bits == bits
     unit = mpmath.mpf(2) ** -bits
     assert abs(enc.value * unit - want) <= enc.error * unit
-
-
-@pytest.mark.parametrize("nu", [0, 1])
-def test_bessel_jy_against_mpmath(nu):
-    # error relative to the larger of |value| and the envelope min(1, x^-1/2):
-    # the power series loses digits and Hankel's expansion runs out of terms
-    # near the switch between them, both to about 1e-11 there
-    mpmath.mp.dps = 30
-    for x in np.geomspace(1e-4, 1.6e3, 240):
-        x = float(x)
-        tol = 4e-15 if x < 5.0 else 1e-15 if x > 25.0 else 2e-11
-        got = bessel_jy(nu, x)
-        for value, want in zip(got, (mpmath.besselj(nu, x), mpmath.bessely(nu, x))):
-            scale = max(abs(want), min(1.0, x**-0.5))
-            assert abs(value - want) <= tol * scale, (nu, x, value, want)
-
-
-def test_bessel_jy_rejects_bad_arguments():
-    for nu, x in ((2, 1.0), (0, 0.0), (1, -1.0), (0, math.nan)):
-        with pytest.raises(ValueError):
-            bessel_jy(nu, x)
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
