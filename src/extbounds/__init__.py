@@ -41,7 +41,7 @@ from .problems import (
     true_error,
     with_interface_radius,
 )
-from .traces import SphereTrace, analyze, jump, normal_trace, sobolev_norm
+from .traces import SphereTrace, analyze, normal_trace, sobolev_norm
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "interface_trace_constant",
     "interior_friedrichs_constant",
     "interior_weight_constant",
-    "jump",
     "log_weighted_norm",
     "make_bundle",
     "minorant",

@@ -150,7 +150,6 @@ class ScenarioConfig:
     minorant_degree: int = 1
     minorant_include_error: bool = False
     poincare_count: int = 100
-    strict: bool = False
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
@@ -220,7 +219,6 @@ def _build(cfg: ScenarioConfig) -> pb.ManufacturedProblem:
         angular_order=cfg.angular_order,
         shells=cfg.shells,
         trace_degree=cfg.trace_degree,
-        strict=cfg.strict,
     )
 
 
@@ -268,6 +266,13 @@ class SweepRow:
     true_error: float
     efficiency: float
 
+    @property
+    def ok(self) -> bool:
+        """The upper-bound check of ``majorant`` and ``sweep``: the total reaches
+        the true error, up to ``GUARANTEE_SLACK`` times the scale or the error."""
+        err = self.true_error
+        return self.report.total + GUARANTEE_SLACK * max(self.report.scale, err) >= err
+
 
 def _row(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, eps: float,
          parameter: float) -> SweepRow:
@@ -291,8 +296,7 @@ NUMERICAL_FAILURES = (
 def cmd_majorant(cfg: ScenarioConfig, out: str) -> int:
     eps = cfg.epsilons[0]
     row = _row(cfg, _build(cfg), eps, eps)
-    report, err = row.report, row.true_error
-    ok = report.total + GUARANTEE_SLACK * max(report.scale, err) >= err
+    report, err, ok = row.report, row.true_error, row.ok
     payload = {
         "command": "majorant",
         "problem": cfg.problem,
@@ -371,10 +375,7 @@ def cmd_sweep(cfg: ScenarioConfig, out: str) -> int:
         rows.append(_row(cfg, row_mp, eps, value))
 
     _write_sweep_csv(f"{out}/sweep.csv", rows)
-    bad = [
-        r for r in rows
-        if not math.isfinite(r.efficiency) or r.efficiency < 1.0 - GUARANTEE_SLACK
-    ]
+    bad = [r for r in rows if not r.ok]
     print(f"sweep: {len(rows)} rows, {len(bad)} guarantee violations")
     return 0 if not bad else 1
 
@@ -473,8 +474,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the perturbation seed")
-    parser.add_argument("--strict", action="store_true",
-                        help="enforce the trace band-limit diagnostic")
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
 
@@ -485,7 +484,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    cfg.strict = args.strict
     if not os.path.isdir(args.out):
         print(f"config error: --out: {args.out!r} is not an existing directory",
               file=sys.stderr)

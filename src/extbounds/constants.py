@@ -28,9 +28,8 @@ covers the floating-point error of evaluating the closed forms.  The
 extension and trace constants are maxima over degrees l <= ``modes``.
 :func:`compute_bundle`, from which each ``Problem`` takes its
 ``constants`` once, sets ``modes`` to the trace degree L, the band onto
-which every trace in a bound is projected: only those degrees pair with
-the error's trace, so the maximum over l <= L is the sharpest valid
-constant and a wider range could only loosen it.
+which every trace in a bound is projected.  For the degrees above it the
+trace constant has a closed-form bound, ``params["above_band"]``.
 
 Reported constants are tied to the spectral H^{+-1/2} norms of
 :mod:`extbounds.traces`; an equivalent trace norm would rescale them.
@@ -365,7 +364,12 @@ def interface_trace_constant(
     minimal Dirichlet energy of a radial profile vanishing at ``a`` with
     unit surface-L2 trace coefficient at ``R`` is psi'(R) for the
     harmonic profile with psi(a) = 0, psi(R) = 1; only the lower
-    ellipticity bound of the coefficient is used."""
+    ellipticity bound of the coefficient is used.
+
+    ``params["above_band"]`` bounds the constants of all degrees
+    l > ``modes``: with psi'(R) >= l/R and w_l^{1/2} <= 1 + (l + (N-2)/2)/R,
+    C_l^2 = w_l^{1/2}/(c_A psi'(R)) <= (1 + (R + (N-2)/2)/l)/c_A, which
+    falls with l, so its value at l = modes + 1 bounds them all."""
     _check_modes(domain, modes, "interface trace constant")
     n, a, R = domain.dimension, domain.a, domain.R
     energies = [_harmonic_flux(n, ell, a, R, False) for ell in range(modes + 1)]
@@ -380,6 +384,8 @@ def interface_trace_constant(
         mode_values=consts,
         params={
             "modes": modes,
+            "above_band": _outward(
+                math.sqrt((1.0 + (R + (n - 2) / 2) / (modes + 1)) / A.c_A)),
             "extremum": "max",
             "extremum_index": int(np.argmax(consts)),
             "c_A": A.c_A,
@@ -419,7 +425,8 @@ def compute_bundle(domain: ExteriorDomain, A: Coefficient, modes: int) -> Consta
     the extension and trace constants over the degrees l <= ``modes``:
     :func:`extbounds.majorant.boundary_term` reads one mode energy per
     degree of the mismatch, and :func:`extbounds.majorant.estimate_III`
-    pairs the jump, projected onto those degrees, with the error's trace."""
+    pairs the jump's projection onto those degrees with the error's trace,
+    and the rest of the jump through the trace constant's ``above_band``."""
     fried = interior_friedrichs_constant(domain)
     return ConstantsBundle(
         poincare=exterior_poincare_constant(domain.dimension),

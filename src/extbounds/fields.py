@@ -5,7 +5,7 @@ Fields carry their derivative closures (gradient for scalars, divergence
 for vectors) analytically; nothing in the bound evaluation differentiates
 numerically, since the guaranteed character of the bounds would otherwise
 be polluted by differencing error.  Finite differences appear only in the
-test-time validation helpers at the bottom of this module.
+tests, as oracles of the closures.
 
 Two radial weights coexist and are never interchanged silently:
 ``rho = (1 + r^2)^{1/2}`` in the norms (``weighted_norm``), and the plain
@@ -480,66 +480,6 @@ def separable_field(
         label=label,
         support=support,
     )
-
-
-# ---------------------------------------------------------------------------
-# test-time validation helpers (finite differences are a cross-check only)
-
-
-def check_gradient(
-    f: ScalarField, points: np.ndarray, step: float = 1e-5, rtol: float = 1e-6
-) -> float:
-    """Max deviation between the gradient closure and central differences
-    of the value closure, relative to the gradient magnitude over the
-    sample; raises if above ``rtol``."""
-    points = np.atleast_2d(points)
-    grad = np.asarray(f.gradient(points), dtype=float)
-    num = np.empty_like(grad)
-    for j in range(points.shape[1]):
-        hp = points.copy()
-        hm = points.copy()
-        hp[:, j] += step
-        hm[:, j] -= step
-        num[:, j] = (np.asarray(f.value(hp)) - np.asarray(f.value(hm))) / (2 * step)
-    scale = max(float(np.max(np.abs(grad))), float(np.max(np.abs(num))), 1e-30)
-    dev = float(np.max(np.abs(grad - num))) / scale
-    if dev > rtol:
-        raise AssertionError(
-            f"gradient closure of {f.label!r} deviates from finite differences "
-            f"by {dev:.3e} (tolerance {rtol:.1e})"
-        )
-    return dev
-
-
-def check_divergence(
-    y: VectorField, points: np.ndarray, step: float = 1e-5, rtol: float = 1e-6
-) -> float:
-    """Same cross-check for the divergence closure.  The deviation is
-    normalized by the magnitude of the individual directional-derivative
-    terms, because the divergence itself may cancel to zero exactly
-    (solenoidal fields)."""
-    points = np.atleast_2d(points)
-    div = np.asarray(y.divergence(points), dtype=float)
-    num = np.zeros(len(points))
-    term_scale = np.zeros(len(points))
-    for j in range(points.shape[1]):
-        hp = points.copy()
-        hm = points.copy()
-        hp[:, j] += step
-        hm[:, j] -= step
-        term = (
-            np.asarray(y.value(hp))[:, j] - np.asarray(y.value(hm))[:, j]
-        ) / (2 * step)
-        num += term
-        term_scale += np.abs(term)
-    scale = max(float(np.max(term_scale)), float(np.max(np.abs(div))), 1e-30)
-    dev = float(np.max(np.abs(div - num))) / scale
-    if dev > rtol:
-        raise AssertionError(
-            f"divergence closure of {y.label!r} deviates from finite differences "
-            f"by {dev:.3e} (tolerance {rtol:.1e})"
-        )
-    return dev
 
 
 def check_coefficient(A: Coefficient, points: np.ndarray) -> None:

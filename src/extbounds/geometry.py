@@ -61,19 +61,6 @@ class ExteriorDomain:
     def R(self) -> float:
         return self.interface_radius
 
-    def shell_volume(self) -> float:
-        """Volume (length for N = 1) of the annulus omega_i."""
-        n = self.dimension
-        return _unit_sphere_area(n) * (self.R**n - self.a**n) / n
-
-
-def _unit_sphere_area(n: int) -> float:
-    # surface measure of S^{n-1}; the N = 1 "sphere" is a single point.  The
-    # formula gives 2*pi and 4*pi to the last bit for N = 2 and 3.
-    if n == 1:
-        return 1.0
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(order: int):

@@ -37,6 +37,8 @@ from .problems import Problem
 EQUILIBRATION_RTOL = 1e-10
 # a trace whose H^{1/2} norm is below this counts as zero
 TRACE_ZERO_TOL = 1e-13
+# the share of a trace's energy above its band that counts as rounding
+BAND_LIMIT_RTOL = 1e-10
 # divergence detector, not an accuracy gate: a non-integrable residual moves
 # by an O(1) factor under order doubling, a merely rough one by far less
 TAIL_CONVERGENCE_RTOL = 1e-3
@@ -132,9 +134,15 @@ def _scale(p: Problem, v: ScalarField, scale_hint: float | None) -> float:
 def dirichlet_mismatch(p: Problem, v: ScalarField) -> traces.SphereTrace | None:
     """The trace g - tr(v) on the inner sphere, or None when ``v`` meets
     the Dirichlet data: when that trace's H^{1/2} norm is below
-    ``TRACE_ZERO_TOL``.  Under ``p.strict`` a trace of ``v`` beyond the
-    band raises ``BandLimitError``."""
-    tv = traces.analyze(v, p.domain.a, p.trace_degree, p.quads.gamma, strict=p.strict)
+    ``TRACE_ZERO_TOL``.  An L^2 energy above the band does not bound an
+    H^{1/2} norm, so a trace of ``v`` with more than ``BAND_LIMIT_RTOL`` of
+    its energy above the band raises ``BandLimitError``."""
+    tv = traces.analyze(v, p.domain.a, p.trace_degree, p.quads.gamma)
+    energy = tv.above_band + float(np.sum(tv.coefficients**2))
+    if tv.above_band > BAND_LIMIT_RTOL * energy:
+        raise traces.BandLimitError(
+            f"the trace of {v.label!r} on the inner sphere has {tv.above_band / energy:.3e}"
+            f" of its energy above trace.L = {p.trace_degree} (at most {BAND_LIMIT_RTOL:.0e})")
     mismatch = traces.difference(p.g, tv)
     if traces.sobolev_norm(mismatch, +0.5) < TRACE_ZERO_TOL:
         return None
@@ -295,7 +303,11 @@ def estimate_III(
     scale_hint: float | None = None,
 ) -> MajorantReport:
     """Upper bound for broken fluxes: interior residual + weighted tail
-    residual + flux gap + interface jump penalty + boundary mismatch."""
+    residual + flux gap + interface jump penalty + boundary mismatch.  The
+    penalty pairs the normal-trace jump j with the error's trace degree by
+    degree: C ||P_L j||_{-1/2} for the degrees l <= L, and for the others
+    C_above (w_{L+1}^{-1/2} (int j^2 - sum_{l<=L} c_l^2))^{1/2}, since the
+    multipliers w_l^{-1/2} fall with l."""
     bundle = p.constants
     res_i = residual_field(p.f, y_i)
     res_e = residual_field(p.f, y_e)
@@ -304,14 +316,12 @@ def estimate_III(
     residual = c_o * _residual_norm_interior(p, res_i, weighted=False)
     residual += factor * _residual_norm_tail(p, res_e)
     flux = _broken_flux_term(p, v, y_i, y_e)
-    t_i = traces.normal_trace(
-        y_i, p.domain.R, p.trace_degree, p.quads.Gamma, strict=p.strict
-    )
-    t_e = traces.normal_trace(
-        y_e, p.domain.R, p.trace_degree, p.quads.Gamma, strict=p.strict
-    )
-    jump_norm = traces.sobolev_norm(traces.jump(t_i, t_e), -0.5)
-    interface = bundle.trace.value * jump_norm
+    L, R = p.trace_degree, p.domain.R
+    jump = traces.normal_trace(y_e - y_i, R, L, p.quads.Gamma)
+    jump_norm = traces.sobolev_norm(jump, -0.5)
+    above = jump.above_band / math.sqrt(traces.sobolev_weight(L + 1, p.domain.dimension, R))
+    interface = (bundle.trace.value * jump_norm
+                 + bundle.trace.params["above_band"] * math.sqrt(above))
     boundary = boundary_term(p, v)
     scale = _scale(p, v, scale_hint)
     return _report(

@@ -66,19 +66,20 @@ class TestBasis:
 def validate_zero_traces(p: Problem, basis: TestBasis) -> None:
     """Check that every basis function vanishes on the inner sphere: it is
     exactly 0.0 at every node of ``gamma``, or its trace there has an
-    H^{1/2} norm below ``TRACE_ZERO_TOL``.  Raises ``NonzeroTraceError``
-    for the first function that fails (a NaN norm fails too)."""
+    H^{1/2} norm below ``TRACE_ZERO_TOL`` and an energy above the band of
+    at most ``TRACE_ZERO_TOL`` squared.  Raises ``NonzeroTraceError`` for
+    the first function that fails (a NaN norm fails too)."""
     gamma = p.quads.gamma
     for k, w in enumerate(basis.fields):
         if not np.any(w.value(gamma.nodes)):
             continue
-        t = traces.analyze(w, p.domain.a, p.trace_degree, gamma, strict=p.strict)
+        t = traces.analyze(w, p.domain.a, p.trace_degree, gamma)
         norm = traces.sobolev_norm(t, +0.5)
-        if not norm < TRACE_ZERO_TOL:
+        if not (norm < TRACE_ZERO_TOL and t.above_band <= TRACE_ZERO_TOL**2):
             raise NonzeroTraceError(
-                f"basis function {k} ({w.label!r}) has trace norm {norm:.3e} "
-                f"on the inner boundary (must be < {TRACE_ZERO_TOL})"
-            )
+                f"basis function {k} ({w.label!r}) has trace norm {norm:.3e} and energy "
+                f"{t.above_band:.3e} above trace.L on the inner boundary (must be < "
+                f"{TRACE_ZERO_TOL} and <= {TRACE_ZERO_TOL**2:.0e})")
 
 
 def default_basis(domain, n_radial: int = 4, degree: int = 1) -> TestBasis:

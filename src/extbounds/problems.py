@@ -83,7 +83,6 @@ class Problem:
     g: traces.SphereTrace
     quads: QuadratureBundle
     trace_degree: int
-    strict: bool = False
 
     @cached_property
     def constants(self) -> ConstantsBundle:
@@ -117,7 +116,6 @@ def builtin(
     angular_order: int = 12,
     shells: int = 16,
     trace_degree: int = 8,
-    strict: bool = False,
 ) -> ManufacturedProblem:
     """Instantiate a catalog problem at the requested resolution."""
     if name not in CATALOG:
@@ -182,7 +180,7 @@ def builtin(
         value=lambda pts: -flux.divergence(pts), gradient=None, label="-div flux"
     )
     quads = make_bundle(domain, radial_order, angular_order, shells)
-    g = traces.analyze(u, domain.a, trace_degree, quads.gamma, strict=strict)
+    g = traces.analyze(u, domain.a, trace_degree, quads.gamma)
     problem = Problem(
         domain=domain,
         A=A,
@@ -190,7 +188,6 @@ def builtin(
         g=g,
         quads=quads,
         trace_degree=trace_degree,
-        strict=strict,
     )
     return ManufacturedProblem(problem=problem, exact_u=u, exact_flux=flux)
 

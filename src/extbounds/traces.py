@@ -11,7 +11,11 @@ the bound chain consistent.
 For N = 3 the basis is built by the recurrences of the fully normalized
 associated Legendre functions.  A projection onto a rule takes the basis
 from the rule (:meth:`~extbounds.geometry.QuadratureRule.derived`), so it
-is built once per rule, degree and radius.
+is built once per rule, degree and radius.  The basis is orthonormal on
+the rule, so what a projection leaves out has the rule's L^2 energy of
+the function less the sum of the squared coefficients; each trace keeps
+it as ``above_band``, integrated from the values left out, which avoids
+the cancellation of that difference.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ class TraceError(ValueError):
 
 
 class BandLimitError(TraceError):
-    """Strict mode: too much energy beyond half the cutoff degree."""
+    """A trace has energy above the band that no bound accounts for."""
 
 
 def coefficient_count(dimension: int, degree: int) -> int:
@@ -118,13 +122,14 @@ def basis_matrix(
 
 @dataclass(frozen=True)
 class SphereTrace:
-    """Band-limited function on a sphere, stored spectrally."""
+    """Function on a sphere, stored spectrally up to ``degree``, with the
+    L^2 energy ``above_band`` of what the projection onto it left out."""
 
     radius: float
     dimension: int
     degree: int
     coefficients: np.ndarray
-    tail_fraction: float = field(default=0.0, compare=False)
+    above_band: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         coeffs = np.ascontiguousarray(self.coefficients, dtype=float)
@@ -168,61 +173,36 @@ def _check_rule(rule: QuadratureRule, radius: float, degree: int) -> None:
         raise TraceError("quadrature rule does not live on the requested sphere")
 
 
-def _project(weighted, radius, degree, rule, strict):
-    """Trace whose coefficients are the exact sums of the quadrature-weighted
-    values ``weighted`` against each basis function on ``rule``."""
+def _project(values, radius, degree, rule):
+    """Trace whose coefficients are the exact sums of ``values``, sampled
+    on ``rule``, times the weights against each basis function.  Its
+    ``above_band`` integrates the square of what the projection leaves:
+    the integral of values^2 less the sum of the squared coefficients."""
     _check_rule(rule, radius, degree)
     dimension = rule.dimension
     basis = rule.derived(("trace basis", degree, radius),
                          lambda: basis_matrix(dimension, degree, radius, rule.nodes))
+    weighted = values * rule.weights
     coeffs = np.array([math.fsum(row * weighted) for row in basis])
-    ell = degree_of_index(dimension, degree)
-    total = float(np.sum(coeffs**2))
-    tail = float(np.sum(coeffs[ell > degree // 2] ** 2))
-    frac = tail / total if total > 0.0 else 0.0
-    if strict and frac > 1e-10:
-        raise BandLimitError(
-            f"energy fraction {frac:.3e} beyond degree {degree // 2} exceeds 1e-10; "
-            "increase the trace band limit"
-        )
-    return SphereTrace(radius, dimension, degree, coeffs, tail_fraction=frac)
+    rest = values - coeffs @ basis
+    return SphereTrace(radius, dimension, degree, coeffs,
+                       above_band=math.fsum(rest * rest * rule.weights))
 
 
-def analyze(
-    f: ScalarField,
-    radius: float,
-    degree: int,
-    rule: QuadratureRule,
-    strict: bool = False,
-) -> SphereTrace:
+def analyze(f: ScalarField, radius: float, degree: int, rule: QuadratureRule) -> SphereTrace:
     """Expand ``f`` restricted to the sphere of ``radius`` in the surface
     basis up to ``degree``, by quadrature of the projection integrals."""
-    vals = np.asarray(f.value(rule.nodes), dtype=float)
-    return _project(vals * rule.weights, radius, degree, rule, strict)
+    return _project(np.asarray(f.value(rule.nodes), dtype=float), radius, degree, rule)
 
 
 def normal_trace(
-    y: VectorField,
-    radius: float,
-    degree: int,
-    rule: QuadratureRule,
-    strict: bool = False,
+    y: VectorField, radius: float, degree: int, rule: QuadratureRule
 ) -> SphereTrace:
     """Expand the outward normal component x/|x| . y on the sphere."""
     pts = rule.nodes
     vals = np.asarray(y.value(pts), dtype=float)
     normal = pts / node_radii(pts)[:, None]
-    return _project(row_sum(vals * normal) * rule.weights, radius, degree, rule, strict)
-
-
-def reconstruct(t: SphereTrace) -> ScalarField:
-    """Band-limited function whose expansion is ``t`` (values only)."""
-
-    def value(pts):
-        basis = basis_matrix(t.dimension, t.degree, t.radius, pts)
-        return t.coefficients @ basis
-
-    return ScalarField(value=value, gradient=None, label="trace-reconstruction")
+    return _project(row_sum(vals * normal), radius, degree, rule)
 
 
 def sobolev_weight(ell, dimension: int, radius: float):
@@ -250,13 +230,3 @@ def difference(t1: SphereTrace, t2: SphereTrace) -> SphereTrace:
     return SphereTrace(
         t1.radius, t1.dimension, t1.degree, t1.coefficients - t2.coefficients
     )
-
-
-def jump(t_interior: SphereTrace, t_exterior: SphereTrace) -> SphereTrace:
-    """Normal-trace jump across an interface, exterior minus interior."""
-    return difference(t_exterior, t_interior)
-
-
-def duality_pairing(t1: SphereTrace, t2: SphereTrace) -> float:
-    _require_compatible(t1, t2)
-    return float(np.sum(t1.coefficients * t2.coefficients))

@@ -212,8 +212,8 @@ class TestDispatchFuzz:
     @pytest.mark.parametrize("command", [
         "majorant", "minorant", "sandwich", "sweep", "constants", "verify-poincare"])
     @settings(max_examples=40, deadline=None)
-    @given(raw=accepted_configs(), strict=st.booleans())
-    def test_exit_code_without_traceback(self, command, raw, strict):
+    @given(raw=accepted_configs())
+    def test_exit_code_without_traceback(self, command, raw):
         """Every command on an accepted config ends in 0, 1 or 2 and names
         what went wrong, never with an exception."""
         ScenarioConfig.from_dict(raw)
@@ -223,8 +223,7 @@ class TestDispatchFuzz:
                 json.dump(raw, fh)
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main([command, "--config", path, "--out", out]
-                            + ["--strict"] * strict)
+                code = main([command, "--config", path, "--out", out])
         message = err.getvalue()
         assert "Traceback" not in message
         assert code in (0, 1, 2)
@@ -376,6 +375,29 @@ class TestCommands:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert "Traceback" not in capsys.readouterr().err
         assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 2
+
+    def test_zero_error_row_is_bounded(self, tmp_path, capsys):
+        # the bump falls between the nodes, so the true error is exactly 0.0:
+        # a sweep row passes on the check that majorant applies
+        cfg = write_config(tmp_path, {
+            "problem": "N3_harmonic", "trace": {"L": 1},
+            "quadrature": {"shells": 1, "radial_order": 2, "angular_order": 3},
+            "sweep": {"kind": "radius", "values": [1.5]},
+            "perturbation": {"target": "v", "epsilons": [0.1]}})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "sweep.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["true_error"]) == 0.0 and float(row["total"]) > 0.0
+        assert "0 guarantee violations" in capsys.readouterr().out
+        assert main(["majorant", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    def test_strict_flag_is_gone(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE)
+        with pytest.raises(SystemExit) as exc:
+            main(["majorant", "--config", cfg, "--strict", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --strict" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_verify_poincare_small(self, tmp_path):
         cfg = write_config(tmp_path, BASE)

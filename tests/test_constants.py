@@ -458,6 +458,22 @@ class TestInterfaceTrace:
         assert rep.value == max(rep.mode_values)
         assert rep.rel_accuracy <= 1e-10
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("modes", [1, 2, 5, 8, 20])
+    def test_above_band_bounds_every_higher_degree(self, dim, modes):
+        # the per-degree closed form C_l = (w_l^{1/2}/(c_A psi_l'(R)))^{1/2}
+        # for l = L + 1 .. L + 4000, over R/a from 1 + 1e-6 to 101
+        ell = np.arange(modes + 1, modes + 4001, dtype=float)
+        A = Coefficient.constant(np.diag([2.0, 3.0, 5.0][:dim]))
+        for a in (1.0, 1.5):
+            for R in a * (1.0 + np.geomspace(1e-6, 100.0, 25)):
+                dom = ExteriorDomain(dim, a, R)
+                bound = cs.interface_trace_constant(dom, A, modes).params["above_band"]
+                ms = (2 * ell + dim - 2) * math.log1p((R - a) / a)
+                flux = (ell + (ell + dim - 2) * np.exp(-ms)) / (R * -np.expm1(-ms))
+                const = np.sqrt(np.sqrt(1.0 + ell * (ell + dim - 2) / R**2) / (A.c_A * flux))
+                assert const.max() <= bound
+
     @pytest.mark.parametrize("dim,R", [(3, 2.5), (2, 2.5), (3, 3.0)])
     def test_wide_annulus(self, dim, R):
         # annuli wider than 1: every constant must satisfy its report

@@ -11,8 +11,6 @@ from extbounds.fields import (
     ScalarField,
     VectorField,
     check_coefficient,
-    check_divergence,
-    check_gradient,
     energy_norm,
     log_weighted_norm,
     mollifier_profile,
@@ -25,6 +23,7 @@ from extbounds.fields import (
 from extbounds.geometry import ExteriorDomain, build_quadrature, node_radii
 
 from conftest import random_points_in_annulus
+from oracles import check_divergence, check_gradient
 
 DOM3 = ExteriorDomain(3, 1.0, 2.0)
 WHOLE3 = build_quadrature(DOM3, 12, 8, 8, "whole")

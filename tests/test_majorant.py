@@ -163,15 +163,19 @@ class TestBoundaryTerm:
         xb.sandwich(p, v, y, xb.default_basis(mp.domain))
         assert calls == [p.domain]
 
-    def test_strict_band_limit_propagates(self):
-        mp = xb.builtin("N3_harmonic", strict=True)
-        v = mp.exact_u + 1.0 * xb.ScalarField(
-            value=lambda p: (p[:, 2] / node_radii(p)) ** 7,
-            gradient=lambda p: np.zeros_like(np.atleast_2d(p), dtype=float),
-            label="aliasing",
-        )
-        with pytest.raises(BandLimitError):
-            boundary_term(mp.problem, v)
+    def test_band_limit_gate(self, n3_harmonic):
+        # (x3/r)^k has degree k: at the band L = 8 a mismatch of degree 7 is
+        # measured, one of degree 9 is not and raises, naming the band
+        def v(k):
+            return n3_harmonic.exact_u + 1.0 * xb.ScalarField(
+                value=lambda p: (p[:, 2] / node_radii(p)) ** k,
+                gradient=lambda p: np.zeros_like(np.atleast_2d(p), dtype=float),
+                label=f"degree {k}",
+            )
+
+        assert boundary_term(n3_harmonic.problem, v(7)) > 0.0
+        with pytest.raises(BandLimitError, match="above trace.L = 8"):
+            boundary_term(n3_harmonic.problem, v(9))
 
 
 class TestFluxTermPaths:

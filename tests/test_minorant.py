@@ -39,8 +39,8 @@ class TestDefaultBasis:
             default_basis(n3_harmonic.domain, degree=degree)
 
     def test_gradients_valid(self, n3_harmonic):
-        from extbounds.fields import check_gradient
         from conftest import random_points_in_annulus
+        from oracles import check_gradient
 
         pts = random_points_in_annulus(n3_harmonic.domain, 20, seed=31)
         for w in default_basis(n3_harmonic.domain, n_radial=2).fields:

@@ -12,13 +12,9 @@ CALLERS = ("scripts", "perfbench")
 
 # public names that no program path names, kept on purpose
 KEPT = {
-    "check_gradient": "test oracle: finite differences of a gradient closure",
-    "check_divergence": "test oracle: finite differences of a divergence closure",
     "check_coefficient": "test oracle of the declared ellipticity bounds; "
-                         "ROADMAP 5(c) calls it when a Problem is built",
+                         "ROADMAP 6(c) calls it when a Problem is built",
     "integrate": "perfbench/tracer.py wraps it by name (LAYERS, geometry.reduce)",
-    "reconstruct": "test oracle: the band-limited function of a trace",
-    "duality_pairing": "test oracle: the pairing of two traces",
 }
 
 

@@ -9,19 +9,17 @@ from hypothesis.extra.numpy import arrays
 from extbounds.fields import ScalarField, VectorField
 from extbounds.geometry import ExteriorDomain, build_quadrature, node_radii
 from extbounds.traces import (
-    BandLimitError,
     SphereTrace,
     TraceError,
     analyze,
     basis_matrix,
     coefficient_count,
     difference,
-    duality_pairing,
-    jump,
     normal_trace,
-    reconstruct,
     sobolev_norm,
 )
+
+from oracles import duality_pairing, reconstruct
 
 DOM3 = ExteriorDomain(3, 1.0, 2.0)
 DOM2 = ExteriorDomain(2, 1.0, 2.0)
@@ -212,14 +210,18 @@ class TestAnalyze:
         t2 = analyze(reconstruct(t1), 2.0, 8, GAMMA3)
         assert np.allclose(t1.coefficients, t2.coefficients, atol=1e-13)
 
-    def test_strict_band_limit(self):
-        # content of degree 6 against a cutoff of 6 leaves everything in
-        # the flagged upper half of the spectrum
-        f = ScalarField(value=lambda p: (p[:, 2] / node_radii(p)) ** 6, label="hi")
-        t = analyze(f, 2.0, 6, GAMMA3)
-        assert t.tail_fraction > 1e-10
-        with pytest.raises(BandLimitError):
-            analyze(f, 2.0, 6, GAMMA3, strict=True)
+    def test_energy_above_band(self):
+        # (x3/r)^7 against a band of 6: the projection drops its degree-7
+        # part, whose energy the trace keeps; a band of 7 drops nothing
+        f = ScalarField(value=lambda p: (p[:, 2] / node_radii(p)) ** 7, label="hi")
+        t6, t7 = analyze(f, 2.0, 6, GAMMA3), analyze(f, 2.0, 7, GAMMA3)
+        total = float(np.sum(t7.coefficients**2))
+        top = float(np.sum(t7.coefficients[t7.degrees() == 7] ** 2))
+        assert top > 1e-3 * total
+        assert t6.above_band == pytest.approx(top, rel=1e-10)
+        assert t7.above_band <= 1e-14 * total
+        assert analyze(ScalarField(value=lambda p: np.zeros(len(p))), 2.0, 6,
+                       GAMMA3).above_band == 0.0
 
 
 class TestNormalTrace:
@@ -248,7 +250,7 @@ class TestNormalTrace:
         t1 = normal_trace(mp.exact_flux, 2.0, 8, rule)
         t2 = normal_trace(mp.exact_flux, 2.0, 8, rule)
         assert np.array_equal(t1.coefficients, t2.coefficients)
-        assert sobolev_norm(jump(t1, t2), -0.5) == 0.0
+        assert sobolev_norm(difference(t2, t1), -0.5) == 0.0
 
 
 class TestSobolevNorm:
@@ -291,7 +293,7 @@ class TestJump:
     def test_identical_traces(self):
         c = np.arange(9.0)
         t = SphereTrace(2.0, 3, 2, c)
-        j = jump(t, t)
+        j = difference(t, t)
         assert np.all(j.coefficients == 0.0)
 
     def test_broken_pair_oracle(self):
@@ -305,7 +307,7 @@ class TestJump:
         )
         ti = normal_trace(zero, 2.0, 6, GAMMA3)
         te = normal_trace(ge, 2.0, 6, GAMMA3)
-        j = jump(ti, te)
+        j = difference(te, ti)
         assert sobolev_norm(j, -0.5) == pytest.approx(
             abs(te.coefficients[0]), rel=1e-13
         )
@@ -317,15 +319,15 @@ class TestJump:
         tc = SphereTrace(2.0, 3, 2, c)
         td = SphereTrace(2.0, 3, 2, d)
         tsum = SphereTrace(2.0, 3, 2, c + s * d)
-        j = jump(tc, tsum)  # (c + s d) - c = s d
+        j = difference(tsum, tc)  # (c + s d) - c = s d
         assert np.allclose(j.coefficients, s * td.coefficients, atol=1e-12)
-        assert np.array_equal(jump(t0, tc).coefficients, tc.coefficients)
+        assert np.array_equal(difference(tc, t0).coefficients, tc.coefficients)
 
     def test_metadata_mismatch(self):
         t1 = SphereTrace(2.0, 3, 2, np.zeros(9))
         t2 = SphereTrace(1.0, 3, 2, np.zeros(9))
         with pytest.raises(TraceError, match="mismatch"):
-            jump(t1, t2)
+            difference(t2, t1)
         t3 = SphereTrace(2.0, 3, 3, np.zeros(16))
         with pytest.raises(TraceError, match="mismatch"):
             difference(t1, t3)
