@@ -13,9 +13,9 @@ radius r (with a logarithm in 2D) in the inequality machinery
 (``log_weighted_norm``).
 
 A scalar field may declare a radial ``support``: the closed interval of
-radii outside which its value and gradient are exactly 0.
-``separable_field`` evaluates its closures only on the rows of the nodes
-that ``support_rows`` finds for it and writes 0.0 on the others, and the
+radii outside which its value and gradient are exactly 0.  The field
+holds to it: its closures run only on the rows of the nodes that
+``support_rows`` finds for it and write 0.0 on the others, and the
 minorant sums each basis function only over those rows.
 
 ``gradient_on`` keeps the gradient of the last field it evaluated on the
@@ -54,12 +54,25 @@ class ScalarField:
 
     ``support`` is ``None`` or a closed radial interval ``(r_lo, r_hi)``
     outside which the value and the gradient are exactly 0 (up to the
-    sign of zero).  ``c * w`` keeps it; ``+`` and ``-`` drop it."""
+    sign of zero).  The field enforces it: the closures given are run only
+    on the rows ``support_rows`` gives for it, all on one read-only view of
+    them (which shares its radii), and 0.0 is written on the other rows; on
+    a range covering every row they run on the array itself.  So a field
+    made by ``dataclasses.replace`` with another support holds to that one.
+    ``c * w`` keeps the support; ``+`` and ``-`` drop it."""
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
     support: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.support is None:
+            return
+        object.__setattr__(self, "value", _on_support(self.value, self.support, len))
+        if self.gradient is not None:
+            object.__setattr__(
+                self, "gradient", _on_support(self.gradient, self.support, np.shape))
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         return ScalarField(
@@ -438,24 +451,14 @@ def support_rows(radii: np.ndarray, support: tuple[float, float]) -> tuple[int, 
     return (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
 
 
-def separable_field(
-    p, dp, ang_value, ang_gradient, label: str = "separable",
-    support: tuple[float, float] | None = None,
-) -> ScalarField:
-    """p(r) * q(x) with q homogeneous of degree zero (so x . grad q = 0).
+def _on_support(evaluate, support: tuple[float, float], shape):
+    """``evaluate`` run only on the rows ``support_rows`` gives for
+    ``support``, with 0.0 on the others (see ``ScalarField``).  Each value is
+    computed elementwise, so the rows of the range keep their bits, and the
+    skipped ones differ from the formula at most in the sign of zero."""
 
-    With a ``support``, p and dp must vanish at radii outside it.  The
-    closures then run only on the rows ``support_rows`` gives, all on one
-    read-only view of them (which shares its radii), and write 0.0 on
-    the other rows; on a range covering every row they run on the array
-    itself.  Each value is computed elementwise, so the rows of the range
-    keep their bits, and the skipped ones differ from the formula at most
-    in the sign of zero."""
-
-    def on_support(evaluate, pts, shape):
+    def restricted(pts):
         pts = np.atleast_2d(pts)
-        if support is None:
-            return evaluate(pts)
         start, stop = support_rows(node_radii(pts), support)
         if stop - start == len(pts):
             return evaluate(pts)
@@ -466,20 +469,27 @@ def separable_field(
             out[start:stop] = evaluate(sub)
         return out
 
+    return restricted
+
+
+def separable_field(
+    p, dp, ang_value, ang_gradient, label: str = "separable",
+    support: tuple[float, float] | None = None,
+) -> ScalarField:
+    """p(r) * q(x) with q homogeneous of degree zero (so x . grad q = 0).
+    With a ``support``, p and dp must vanish at radii outside it."""
+
     def value(pts):
+        pts = np.atleast_2d(pts)
         return p(node_radii(pts)) * ang_value(pts)
 
     def gradient(pts):
+        pts = np.atleast_2d(pts)
         r = node_radii(pts)
         radial_part = (dp(r) * ang_value(pts) / r)[:, None] * pts
         return radial_part + p(r)[:, None] * ang_gradient(pts)
 
-    return ScalarField(
-        value=lambda pts: on_support(value, pts, len),
-        gradient=lambda pts: on_support(gradient, pts, np.shape),
-        label=label,
-        support=support,
-    )
+    return ScalarField(value=value, gradient=gradient, label=label, support=support)
 
 
 def check_coefficient(A: Coefficient, points: np.ndarray) -> None:

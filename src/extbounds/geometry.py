@@ -11,8 +11,10 @@ series in 1/r exactly.
 All reductions go through ``exact_sum``, which returns the correctly
 rounded sum of its values, bit-equal to ``math.fsum``: integrals are
 bit-reproducible and independent of node ordering or any parallel
-evaluation strategy.  It bins the values by binary exponent with numpy
-and rounds the exact total of the bins once (Neal, arXiv:1505.05571).
+evaluation strategy.  It extracts the values level by level with numpy,
+each level's sum exact, until the rounding of the total is fixed (the
+error-free extraction of Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
+2008), and sums each row of a 2-D array in one call.
 """
 
 from __future__ import annotations
@@ -361,64 +363,94 @@ def integrate(rule: QuadratureRule, integrand) -> float:
     return exact_sum(values * rule.weights)
 
 
-def exact_dot(values: np.ndarray, weights: np.ndarray) -> float:
-    """Exactly rounded weighted sum for pre-evaluated values."""
+def exact_dot(values: np.ndarray, weights: np.ndarray):
+    """Exactly rounded weighted sum for pre-evaluated values; for 2-D
+    values, that of each row."""
     return exact_sum(np.asarray(values, dtype=float) * weights)
 
 
-# exact_sum hands arrays shorter than _SMALL to math.fsum, which is faster
-# there.  It reads longer ones in blocks of _BLOCK values, whose 64 KB
-# temporaries stay in cache and on malloc's heap, and rounds once per
-# _CHUNK values, the most whose bin sums stay below 2**53 (see exact_sum)
-_SMALL = 512
+# exact_sum hands 1-D arrays shorter than _SMALL to math.fsum, which is
+# faster there, and reads longer ones in blocks of at most _BLOCK values,
+# whose 64 KB temporaries stay in cache and on malloc's heap.  Values of
+# magnitude _BIG or more, where fsum can overflow on the way, non-finite
+# values and rows longer than _LONGEST go to fsum.
+_SMALL = 320
 _BLOCK = 1 << 13
-_CHUNK = 1 << 24
-_BINS = 960 + 1074 + 1  # bin q = e + 1074 for each frexp exponent e <= 960
-# every finite float64 is (integer multiple of 2**-26) * 2**(q - 1074 - 27)
-_SCALE = 1 << (1074 + 27 + 26)
+_BIG = 2.0**960
+_LONGEST = 1 << 26  # keeps lead <= 27 in _extracted_sums
 
 
-def _bin_sums(x: np.ndarray):
-    """For x = m * 2**e (0.5 <= |m| < 1) binned by q = e + 1074, the sums of
-    floor(m * 2**27) and of the fractions left, per bin; None when some
-    e > 960."""
-    hb = lb = 0.0
-    for start in range(0, x.size, _BLOCK):
-        m, e = np.frexp(x[start:start + _BLOCK])
-        if e.max() > 960:
-            return None
-        m *= 1 << 27
-        hi = np.floor(m)
-        m -= hi
-        q = np.add(e, 1074, dtype=np.intp)
-        hb = hb + np.bincount(q, hi, _BINS)
-        lb = lb + np.bincount(q, m, _BINS)
-    return hb, lb
+def _extracted_sums(x, k, lead):
+    """The correctly rounded sums of the rows of the 2-D array ``x`` of n
+    finite values each, |x| <= 2**(k - lead) and n + 2 <= 2**lead <= 2**27.
+
+    A level takes q = (x + sigma) - sigma, sigma = 2**k: x + sigma lies in
+    [sigma/2, 2 sigma], so q is exact and on the grid 2**(k - 53), and the
+    rest x - q, the rounding error of x + sigma, is exact with |x - q| at
+    most 2**(k - 53).  The |q| of a row add up to at most sigma, so their
+    float sum is exact in any order, and the rests meet the same condition
+    for the next level's sigma, 2**(k - 53 + lead), which bounds |sum of
+    rests| too.  A rest that is not 0 is at least 2**-1074, so its sigma is
+    a float above 0.
+
+    A pass extracts ``depth`` levels from each block of columns and adds
+    each level's row sums over the blocks.  With no rest left, fsum of the
+    level sums is the total; else, rounding being monotone, it is fixed once
+    fsum rounds the same with the rests' bound subtracted and added.  After
+    one level that bound is wider than the float spacing at the level sum,
+    so the first pass takes two; rows left open are read again with twice
+    the depth."""
+    out = np.empty(len(x))
+    rows = np.arange(len(x))
+    depth = 2
+    while rows.size:
+        part = x if rows.size == len(x) else x[rows]
+        width = max(1, _BLOCK // rows.size)
+        rests = np.empty((rows.size, min(width, x.shape[1])))
+        grid = np.empty_like(rests)
+        taus, more = [0.0] * depth, False
+        for start in range(0, x.shape[1], width):
+            src = part[:, start:start + width]
+            rest, q = rests[:, :src.shape[1]], grid[:, :src.shape[1]]
+            for j in range(depth):
+                sigma = math.ldexp(1.0, k - j * (53 - lead))
+                np.add(src, sigma, out=q)
+                q -= sigma
+                src = np.subtract(src, q, out=rest)
+                taus[j] = taus[j] + q.sum(axis=1)
+            more = more | rest.any(axis=1)
+        bound = math.ldexp(1.0, k - depth * (53 - lead))
+        left = []
+        for row, sums, has_rest in zip(rows.tolist(), zip(*(t.tolist() for t in taus)),
+                                       more.tolist()):
+            total = math.fsum(sums + (-bound,) * has_rest)
+            if has_rest and total != math.fsum(sums + (bound,)):
+                left.append(row)
+            else:
+                out[row] = total
+        rows = np.array(left, dtype=np.intp)
+        depth *= 2
+    return out
 
 
-def exact_sum(values) -> float:
+def exact_sum(values):
     """The correctly rounded sum of a float64 array, bit-equal to
-    ``math.fsum`` (same zero sign, same exceptions).
-
-    Each value m * 2**e is split into the integer floor(m * 2**27), at
-    most 2**27 in magnitude, and the fraction left, a multiple of 2**-26
-    in [0, 1).  Summed per exponent over at most 2**24 values, neither
-    part leaves the integers or multiples of 2**-26 below 2**53, so every
-    float64 bin sum is exact.  The bins are then added as Python ints and
-    the total rounded once by int division, which rounds correctly,
-    subnormals included.  Values above 2**960, where fsum can overflow
-    on the way, and non-finite values go to ``math.fsum``."""
+    ``math.fsum`` (same zero sign, same exceptions); for a 2-D array, the
+    array of the correctly rounded sums of its rows.  It extracts the values
+    level by level (``_extracted_sums``; Rump, Ogita and Oishi, "Accurate
+    floating-point summation, part I", SIAM J. Sci. Comput. 31, 2008).  An
+    exact zero total is +0.0."""
     x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.size < _SMALL:
+    if x.ndim != 2 and (x.ndim != 1 or x.size < _SMALL):
         return math.fsum(x)
-    total = 0
-    for start in range(0, x.size, _CHUNK):
-        with np.errstate(invalid="ignore"):  # inf - inf is nan: a non-finite bin
-            bins = _bin_sums(x[start:start + _CHUNK])
-        if bins is None or not np.isfinite(bins).all():
-            return math.fsum(x)
-        hb, lb = bins
-        nz = np.flatnonzero((hb != 0) | (lb != 0))
-        for k, h, f in zip(nz.tolist(), hb[nz].tolist(), (lb[nz] * (1 << 26)).tolist()):
-            total += ((int(h) << 26) + int(f)) << k
-    return total / _SCALE
+    rows = np.atleast_2d(x)
+    hi, lo = (x.max(), x.min()) if x.size else (0.0, 0.0)
+    top = max(hi, -lo)
+    if not (-_BIG < lo <= hi < _BIG and rows.shape[1] <= _LONGEST):  # a NaN fails too
+        sums = np.array([math.fsum(row) for row in rows], dtype=float)
+    elif top == 0.0:
+        sums = np.zeros(len(rows))
+    else:
+        lead = (rows.shape[1] + 1).bit_length()
+        sums = _extracted_sums(rows, math.frexp(top)[1] + lead, lead)
+    return sums if x.ndim == 2 else float(sums[0])

@@ -41,7 +41,8 @@ class SingularGramError(np.linalg.LinAlgError):
 
 
 class NonzeroTraceError(ValueError):
-    """A test function does not vanish on the inner boundary."""
+    """A test function does not vanish on the inner boundary, or on a
+    sphere bounding its support."""
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,26 @@ def validate_zero_traces(p: Problem, basis: TestBasis) -> None:
     """Check that every basis function vanishes on the inner sphere: it is
     exactly 0.0 at every node of ``gamma``, or its trace there has an
     H^{1/2} norm below ``TRACE_ZERO_TOL`` and an energy above the band of
-    at most ``TRACE_ZERO_TOL`` squared.  Raises ``NonzeroTraceError`` for
-    the first function that fails (a NaN norm fails too)."""
+    at most ``TRACE_ZERO_TOL`` squared.  A function with a ``support``, which
+    is 0.0 outside it, must also vanish on the spheres bounding it inside
+    the domain (r > a): its value and gradient there, at the directions of
+    ``gamma``'s nodes, are at most ``TRACE_ZERO_TOL``, or it would be cut
+    off where it is not zero and not lie in H^1.  Raises
+    ``NonzeroTraceError`` for the first function that fails (a NaN fails
+    too)."""
     gamma = p.quads.gamma
+    a = p.domain.a
     for k, w in enumerate(basis.fields):
+        radii = [r for r in w.support or () if r > a]
+        if radii:
+            edges = np.vstack([gamma.nodes * (r / a) for r in radii])
+            edges.flags.writeable = False  # the closures then share its radii
+            edge = max(np.max(np.abs(w.value(edges))), np.max(np.abs(w.gradient(edges))))
+            if not edge <= TRACE_ZERO_TOL:
+                raise NonzeroTraceError(
+                    f"basis function {k} ({w.label!r}) reaches {edge:.3e} in value or "
+                    f"gradient on the spheres r = {radii} bounding its support (must be "
+                    f"<= {TRACE_ZERO_TOL})")
         if not np.any(w.value(gamma.nodes)):
             continue
         t = traces.analyze(w, p.domain.a, p.trace_degree, gamma)

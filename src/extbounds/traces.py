@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ScalarField, VectorField
-from .geometry import QuadratureRule, node_radii, row_sum
+from .geometry import QuadratureRule, exact_dot, exact_sum, node_radii, row_sum
 
 
 class TraceError(ValueError):
@@ -142,9 +142,6 @@ class SphereTrace:
         coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
 
-    def surface_l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.coefficients**2)))
-
     def degrees(self) -> np.ndarray:
         return degree_of_index(self.dimension, self.degree)
 
@@ -182,11 +179,10 @@ def _project(values, radius, degree, rule):
     dimension = rule.dimension
     basis = rule.derived(("trace basis", degree, radius),
                          lambda: basis_matrix(dimension, degree, radius, rule.nodes))
-    weighted = values * rule.weights
-    coeffs = np.array([math.fsum(row * weighted) for row in basis])
+    coeffs = exact_dot(basis, values * rule.weights)
     rest = values - coeffs @ basis
     return SphereTrace(radius, dimension, degree, coeffs,
-                       above_band=math.fsum(rest * rest * rule.weights))
+                       above_band=exact_sum(rest * rest * rule.weights))
 
 
 def analyze(f: ScalarField, radius: float, degree: int, rule: QuadratureRule) -> SphereTrace:

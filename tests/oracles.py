@@ -77,6 +77,12 @@ def reconstruct(t: SphereTrace) -> ScalarField:
     return ScalarField(value=value, gradient=None, label="trace-reconstruction")
 
 
+def surface_l2_norm(t: SphereTrace) -> float:
+    """L^2 norm over the sphere of the band-limited function ``t``
+    expands: the basis is orthonormal, so that of its coefficients."""
+    return float(np.sqrt(np.sum(t.coefficients**2)))
+
+
 def duality_pairing(t1: SphereTrace, t2: SphereTrace) -> float:
     _require_compatible(t1, t2)
     return float(np.sum(t1.coefficients * t2.coefficients))

@@ -1,8 +1,8 @@
 """The benchmark's tracer wraps library functions by module and name; a
 deletion or rename in the library must fail here, not in a traced run.
 Likewise a reduction that bypasses ``geometry.exact_sum``, which the traced
-``exact_dot``/``integrate`` call (or ``traces``' ``math.fsum``), would
-escape the exact-sum contract and the reduction counts."""
+``exact_dot``/``integrate`` call, would escape the exact-sum contract and
+the reduction counts."""
 
 import ast
 import dataclasses
@@ -14,10 +14,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 PACKAGE = ROOT / "src" / "extbounds"
-# modules that may call math.fsum directly: geometry's exact_sum is the
-# reduction behind the traced ones, and the tracer proxies traces'
-# module-level ``math``
-FSUM_MODULES = {"geometry", "traces"}
+# only geometry may call math.fsum, and there only in the functions of
+# exact_sum, the reduction behind the traced ones
+FSUM_MODULES = {"geometry"}
+EXACT_SUM_KERNEL = {"exact_sum", "_extracted_sums"}
 
 
 def traced_layers():
@@ -58,19 +58,17 @@ def test_fsum_only_in_counted_modules(path):
     uses = list(fsum_uses(tree))
     if path.stem not in FSUM_MODULES:
         assert not uses, f"{path.name}:{uses[0].lineno}: reduce through exact_sum"
-    elif path.stem == "geometry":
+    else:
         inside = {id(n) for f in tree.body
-                  if isinstance(f, ast.FunctionDef) and f.name == "exact_sum"
+                  if isinstance(f, ast.FunctionDef) and f.name in EXACT_SUM_KERNEL
                   for n in ast.walk(f)}
         for node in uses:
             assert id(node) in inside, f"geometry.py:{node.lineno}: fsum outside exact_sum"
-    elif path.stem == "traces":
+    if path.stem == "traces":
+        # the tracer swaps traces' module-level ``math`` for a proxy
         assert any(isinstance(n, ast.Import)
                    and any(a.name == "math" and a.asname is None for a in n.names)
                    for n in tree.body), "traces.py must `import math`"
-        for node in uses:
-            assert (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id == "math"), f"traces.py:{node.lineno}: use math.fsum"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)

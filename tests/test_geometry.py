@@ -230,6 +230,20 @@ def assert_same_as_fsum(x):
     assert fsum_outcome(exact_sum, x) == fsum_outcome(math.fsum, x)
 
 
+def rows_outcome(fn, x):
+    """The bits of ``fn(x)`` for a 2-D ``x``, or the type of the exception
+    it raises."""
+    try:
+        return np.asarray(fn(x), dtype=float).view(np.int64).tolist()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def assert_rows_same_as_fsum(x):
+    assert rows_outcome(exact_sum, x) == rows_outcome(
+        lambda rows: [math.fsum(row) for row in rows], x)
+
+
 def pad(values, n=1000, seed=0):
     """``values`` among cancelling pairs, shuffled: n values in all."""
     rng = np.random.default_rng(seed)
@@ -284,35 +298,64 @@ class TestExactSum:
         assert_same_as_fsum(pad(values, n=_SMALL + 1, seed=1))
 
     def test_bin_whose_integer_parts_cancel(self):
-        # 0.75 + 2**-40 and -0.75 share an exponent; their integer parts
-        # m * 2**27 cancel and only the fraction of the first is left
+        # 0.75 + 2**-40 and -0.75 share an exponent; their leading parts
+        # cancel and only the low bits of the first are left
         x = np.zeros(1000)
         x[:2] = [0.75 + 2.0**-40, -0.75]
         assert exact_sum(x) == 2.0**-40
         assert_same_as_fsum(pad([0.75 + 2.0**-40, -0.75, 3.0 * 2.0**-60]))
 
-    @pytest.mark.parametrize("n", [_SMALL - 1, _SMALL, _SMALL + 1])
+    @pytest.mark.parametrize("n", sorted({511, 512, 513, _SMALL - 1, _SMALL, _SMALL + 1}))
     def test_lengths_around_the_cutoff(self, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-200, 200, n)
         assert_same_as_fsum(x)
         assert_same_as_fsum(pad([1e100, 1.0, -1e100], n=n))
 
-    def test_across_block_and_chunk_boundaries(self, monkeypatch):
-        # a chunk's bin sums stay exact: at most 2**27 per value
-        assert geometry._CHUNK * 2**27 <= 2**53
+    @pytest.mark.parametrize("power", [9, 10, 13, 14, 16])
+    def test_lengths_around_powers_of_two(self, power):
+        # lead, with 2**lead >= n + 2, steps up between n = 2**p - 2 and
+        # 2**p - 1; n copies of the largest value below a power of two put
+        # the level sums at their bound
+        top = 1.0 - 2.0**-53
+        for n in range(2**power - 3, 2**power + 2):
+            rng = np.random.default_rng(n)
+            for x in (np.full(n, top), np.full(n, -top * 2.0**-1000),
+                      np.where(rng.random(n) < 0.5, top, -top) * 2.0**900,
+                      pad([top, 2.0**-53, 2.0**-105], n=n, seed=n)):
+                assert_same_as_fsum(x)
+                assert_rows_same_as_fsum(np.vstack([x, -x[::-1], x * 2.0**-60]))
+
+    def test_exact_zero_totals_from_symmetry(self):
+        # every value meets its negative, over a wide range of exponents, as
+        # in the Gram sums of odd basis products over a symmetric rule
+        rng = np.random.default_rng(11)
+        half = np.ldexp(rng.uniform(0.5, 1.0, 3328), rng.integers(-1074, 40, 3328))
+        x = np.concatenate([half, -half])
+        for y in (x, x[rng.permutation(x.size)]):
+            assert_same_as_fsum(y)
+            assert math.copysign(1.0, exact_sum(y)) == 1.0
+        rows = np.vstack([x, x[::-1], np.concatenate([half[:-1], -half[:-1], [0.0, -0.0]])])
+        sums = exact_sum(rows)
+        assert_rows_same_as_fsum(rows)
+        assert sums.tolist() == [0.0] * 3 and not np.signbit(sums).any()
+
+    def test_across_block_boundaries(self, monkeypatch):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(geometry._BLOCK + 3)
         x[-3:] = [1e16, 1.0, -1e16]
         assert_same_as_fsum(x)
+        assert_rows_same_as_fsum(np.vstack([x, x[::-1]]))
         y = np.ldexp(rng.uniform(-1.0, 1.0, 5500), rng.integers(-1074, 951, 5500))
-        for block, chunk in [(512, 1000), (700, 2100), (64, 5499)]:
+        tie = pad([2.0**53, 1.0, 5e-324], n=5500)  # needs more than two levels
+        for block in (64, 700, 5499):
             monkeypatch.setattr(geometry, "_BLOCK", block)
-            monkeypatch.setattr(geometry, "_CHUNK", chunk)
-            assert_same_as_fsum(y)
-            assert_same_as_fsum(np.concatenate([y, -y[:-1]]))
-            assert_same_as_fsum(np.concatenate([y[:-1], [np.inf]]))
-            assert_same_as_fsum(np.concatenate([y[:-1], [1e300]]))
+            for z in (y, np.concatenate([y, -y[:-1]]), tie,
+                      np.concatenate([y[:-1], [np.inf]]), np.concatenate([y[:-1], [1e300]])):
+                assert_same_as_fsum(z)
+            # rows read in column blocks of _BLOCK // rows values
+            assert_rows_same_as_fsum(np.vstack([y, -y, tie, y[::-1]]))
+            assert_rows_same_as_fsum(y[:5496].reshape(-1, 24))
 
     @pytest.mark.parametrize("values,expected", [
         ([np.inf, -np.inf], ValueError),
@@ -322,6 +365,7 @@ class TestExactSum:
         ([1e308] * 1000, OverflowError),
         ([1e308, 1e308, -1e308], OverflowError),  # finite sum, overflow on the way
         ([np.nan, np.inf, -np.inf], ValueError),
+        ([8e307, -8e307, 1.0], None),  # fsum stays finite; a sigma above it would not
     ])
     def test_exceptions_and_non_finite(self, values, expected):
         x = pad(values) if len(values) < _SMALL else np.array(values)
@@ -338,6 +382,34 @@ class TestExactSum:
         rng = np.random.default_rng(seed)
         pool = np.array(pool + [-v for v in pool])
         assert_same_as_fsum(pool[rng.integers(0, len(pool), n)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(pool=st.lists(st.floats(width=64), min_size=1, max_size=30),
+           rows=st.integers(0, 40), cols=st.integers(0, 400),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_same_as_fsum(self, pool, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        pool = np.array(pool + [-v for v in pool])
+        assert_rows_same_as_fsum(pool[rng.integers(0, len(pool), (rows, cols))])
+
+    def test_rows_of_different_ranges_in_one_call(self):
+        # one sigma serves the whole array, so the small rows take the most
+        # levels: subnormal rows next to rows near 2**950, cancelling rows,
+        # ties and zeros
+        rng = np.random.default_rng(5)
+        n = 600
+        base = rng.standard_normal(n)
+        wide = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1074, 951, n))
+        rows = np.vstack([
+            base * 2.0**900, base, base * 2.0**-1000, base * 2.0**-1070,
+            np.ldexp(rng.integers(-3, 4, n).astype(float), -1074),
+            wide, pad(wide[:20], n=n), pad([2.0**53, 1.0], n=n),
+            pad([2.0**53 + 2.0, 1.0, -5e-324], n=n), np.zeros(n), np.full(n, -0.0),
+        ])
+        assert_rows_same_as_fsum(rows)
+        assert_rows_same_as_fsum(rows[rng.permutation(len(rows))][:, rng.permutation(n)])
+        assert exact_sum(rows[:0]).shape == (0,)
+        assert exact_sum(np.empty((3, 0))).tolist() == [0.0] * 3
 
     def test_reductions_route_through_it(self, monkeypatch):
         calls = []

@@ -333,10 +333,18 @@ class TestSupports:
         assert [w.support for w in wrapped.fields] == [w.support for w in basis.fields]
         v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
         minorant_report(mp.problem, v, wrapped)
-        # the assembly evaluates value and gradient on a quarter of omega_i,
-        # then the zero-trace check evaluates each value once on gamma
-        on_gamma = [len(mp.problem.quads.gamma)] * len(basis)
-        assert seen == [quarter] * (2 * len(basis)) + on_gamma
+        # the assembly evaluates value and gradient on a quarter of omega_i;
+        # then the zero-trace check evaluates both on the spheres bounding
+        # each support inside the domain, and the value on gamma, which only
+        # the supports reaching r = a let through
+        gamma = mp.problem.quads.gamma
+        checks = []
+        for w in basis.fields:
+            checks += [sum(r > mp.domain.a for r in w.support) * len(gamma)] * 2
+            if support_rows(node_radii(gamma.nodes), w.support) != (0, 0):
+                checks.append(len(gamma))
+        assert len(checks) == 3 * len(basis) - 12  # 4 of the 16 reach gamma
+        assert seen == [quarter] * (2 * len(basis)) + checks
 
 
 class TestNonFinite:
