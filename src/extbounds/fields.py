@@ -7,6 +7,12 @@ numerically, since the guaranteed character of the bounds would otherwise
 be polluted by differencing error.  Finite differences appear only in the
 tests, as oracles of the closures.
 
+Closures map an (M, N) array of nodes to per-node values, each from its
+own node only and with the same bits for any memory layout: rules hold
+their nodes column-major, other callers pass row-major points.  An array
+a closure fills per node takes the layout of its input, and a kernel
+that rounds by layout (a BLAS product, ``einsum``) gets a C-order operand.
+
 Two radial weights coexist and are never interchanged silently:
 ``rho = (1 + r^2)^{1/2}`` in the norms (``weighted_norm``), and the plain
 radius r (with a logarithm in 2D) in the inequality machinery
@@ -190,14 +196,16 @@ class Coefficient:
         return coef
 
     def apply(self, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """A(x) q(x) at every node, as ``einsum("mij,mj->mi")`` gives it.
+        """A(x) q(x) at every node, as ``einsum("mij,mj->mi")`` gives it
+        for ``q`` in C order (whose rounding depends on the layout).
 
         For a diagonal matrix it is ``q * diag``, which differs only in
         the sign of zeros, which no row sum sees, and in rows that hold a
         non-finite entry, which are rejected at the same node either way."""
         if self.diagonal is not None:
             return vals * self.diagonal
-        return np.einsum("mij,mj->mi", np.asarray(self.matrix(pts), dtype=float), vals)
+        return np.einsum("mij,mj->mi", np.asarray(self.matrix(pts), dtype=float),
+                         np.ascontiguousarray(vals, dtype=float))
 
     def solve(self, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """A(x)^{-1} q(x) at every node, by a direct batched solve of the
@@ -453,16 +461,17 @@ def support_rows(radii: np.ndarray, support: tuple[float, float]) -> tuple[int, 
 
 def _on_support(evaluate, support: tuple[float, float], shape):
     """``evaluate`` run only on the rows ``support_rows`` gives for
-    ``support``, with 0.0 on the others (see ``ScalarField``).  Each value is
-    computed elementwise, so the rows of the range keep their bits, and the
-    skipped ones differ from the formula at most in the sign of zero."""
+    ``support``, with 0.0 on the others, in an array of the nodes' layout
+    (see ``ScalarField``).  Each value is computed elementwise, so the rows
+    of the range keep their bits, and the skipped ones differ from the
+    formula at most in the sign of zero."""
 
     def restricted(pts):
         pts = np.atleast_2d(pts)
         start, stop = support_rows(node_radii(pts), support)
         if stop - start == len(pts):
             return evaluate(pts)
-        out = np.zeros(shape(pts))
+        out = np.zeros_like(pts, dtype=float, shape=shape(pts))
         if start < stop:
             sub = pts[start:stop]
             sub.flags.writeable = False

@@ -8,6 +8,11 @@ never depend on how a rule was built; the tail is mapped to a finite
 interval with the substitution r = R/t, which integrates finite Laurent
 series in 1/r exactly.
 
+A rule's (M, N) nodes are column-major, one contiguous column per
+coordinate, so per-node broadcasts run over long contiguous runs instead
+of rows of N floats; closures must be elementwise and give the same bits
+for any layout (see ``fields``).
+
 All reductions go through ``exact_sum``, which returns the correctly
 rounded sum of its values, bit-equal to ``math.fsum``: integrals are
 bit-reproducible and independent of node ordering or any parallel
@@ -106,7 +111,7 @@ def _unit_sphere_rule(dimension: int, angular_order: int):
         phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi
         wphi = 2.0 * math.pi / nphi
         smu = np.sqrt(1.0 - mu**2)
-        dirs = np.empty((angular_order * nphi, 3))
+        dirs = np.empty((angular_order * nphi, 3), order="F")
         wts = np.empty(angular_order * nphi)
         k = 0
         for i in range(angular_order):
@@ -119,7 +124,7 @@ def _unit_sphere_rule(dimension: int, angular_order: int):
     if dimension == 2:
         n = 2 * angular_order
         theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        dirs = np.stack([np.cos(theta), np.sin(theta)]).T
         wts = np.full(n, 2.0 * math.pi / n)
         return dirs, wts
     raise QuadratureError(f"no angular rule for dimension {dimension}")
@@ -129,11 +134,15 @@ def _unit_sphere_rule(dimension: int, angular_order: int):
 class QuadratureRule:
     """Immutable node/weight list over one region of an exterior domain.
 
+    Nodes given column-major (``strides[0] == itemsize``), such as row
+    views of another rule's nodes, are kept as they are; others are copied
+    column-major.
+
     ``derived`` keeps values computed from the rule alone, so that they
     live exactly as long as the rule."""
 
     region: str
-    nodes: np.ndarray  # (M, N)
+    nodes: np.ndarray  # (M, N), column-major
     weights: np.ndarray  # (M,)
     radial_order: int
     angular_order: int
@@ -142,7 +151,9 @@ class QuadratureRule:
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.ascontiguousarray(np.atleast_2d(self.nodes), dtype=float)
+        nodes = np.asarray(np.atleast_2d(self.nodes), dtype=float)
+        if nodes.strides[0] != nodes.itemsize:
+            nodes = np.asfortranarray(nodes)
         weights = np.ascontiguousarray(self.weights, dtype=float)
         if nodes.shape[0] != weights.shape[0]:
             raise QuadratureError("node and weight counts differ")
@@ -303,7 +314,10 @@ def build_quadrature(
         weights = wr.copy()
     else:
         dirs, wang = _unit_sphere_rule(n, angular_order)
-        nodes = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+        # node k * len(dirs) + j is r[k] * dirs[j], written column by column
+        nodes = np.empty((len(r) * len(dirs), n), order="F")
+        for col, d in zip(nodes.T, dirs.T):
+            np.multiply.outer(r, d, out=col.reshape(len(r), len(d)))
         weights = (wr[:, None] * r[:, None] ** (n - 1) * wang[None, :]).reshape(-1)
     return QuadratureRule(
         region=region,
@@ -326,7 +340,7 @@ def whole_and_parts(
     outer = build_quadrature(domain, radial_order, angular_order, shells, "omega_e")
     whole = QuadratureRule(
         region="whole",
-        nodes=np.vstack([inner.nodes, outer.nodes]),
+        nodes=stack_rows([inner.nodes, outer.nodes]),
         weights=np.concatenate([inner.weights, outer.weights]),
         radial_order=radial_order,
         angular_order=angular_order,
@@ -339,6 +353,12 @@ def whole_and_parts(
         replace(inner, nodes=whole.nodes[:k], weights=whole.weights[:k]),
         replace(outer, nodes=whole.nodes[k:], weights=whole.weights[k:]),
     )
+
+
+def stack_rows(parts) -> np.ndarray:
+    """The rows of the (M_k, N) arrays ``parts``, one array after another,
+    in one column-major array (``np.vstack`` makes a row-major one)."""
+    return np.concatenate([part.T for part in parts], axis=1).T
 
 
 def integrate(rule: QuadratureRule, integrand) -> float:

@@ -29,7 +29,7 @@ from .fields import (
     separable_field,
     support_rows,
 )
-from .geometry import exact_dot, node_radii, row_sum
+from .geometry import exact_dot, node_radii, row_sum, stack_rows
 from .problems import Problem
 from .majorant import TRACE_ZERO_TOL, dirichlet_mismatch, estimate_I
 
@@ -80,7 +80,7 @@ def validate_zero_traces(p: Problem, basis: TestBasis) -> None:
     for k, w in enumerate(basis.fields):
         radii = [r for r in w.support or () if r > a]
         if radii:
-            edges = np.vstack([gamma.nodes * (r / a) for r in radii])
+            edges = stack_rows([gamma.nodes * (r / a) for r in radii])
             edges.flags.writeable = False  # the closures then share its radii
             edge = max(np.max(np.abs(w.value(edges))), np.max(np.abs(w.gradient(edges))))
             if not edge <= TRACE_ZERO_TOL:
@@ -230,7 +230,7 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     lo = min(lo_j for lo_j, _ in rows)
     hi = max(hi_j for _, hi_j in rows)
     w_vals = np.zeros(hi - lo)
-    w_grads = np.zeros((hi - lo, gv.shape[1]))
+    w_grads = np.zeros_like(gv[lo:hi])
     for c, (lo_j, hi_j), val, grad in zip(coeff, rows, vals, grads):
         w_vals[lo_j - lo:hi_j - lo] += c * val
         w_grads[lo_j - lo:hi_j - lo] += c * grad

@@ -347,7 +347,8 @@ def perturb(
         grad = bump.gradient
         pert = VectorField(
             value=lambda pts: np.asarray(bump.value(pts))[:, None] * direction,
-            divergence=lambda pts: np.asarray(grad(pts)) @ direction,
+            # a BLAS product rounds by layout: C order keeps one set of bits
+            divergence=lambda pts: np.ascontiguousarray(grad(pts)) @ direction,
             label="flux-bump",
         )
         return mp.exact_flux + eps * pert

@@ -22,6 +22,9 @@ from extbounds.geometry import (
     row_sum,
 )
 
+from extbounds.fields import support_rows
+from extbounds.problems import make_bundle
+
 from oracles import shell_volume, unit_sphere_area
 
 DOM3 = ExteriorDomain(3, 1.0, 2.0)
@@ -216,6 +219,50 @@ class TestRowSum:
         assert not np.shares_memory(node_radii(strided), kept)
         assert_bits_equal(node_radii(strided), kept[::2])
         assert node_radii(whole.nodes) is not kept
+
+
+class TestLayout:
+    @pytest.mark.parametrize("domain", [DOM2, DOM3])
+    def test_bundle_rules_are_column_major(self, domain):
+        quads = make_bundle(domain, 4, 4, 2)
+        for region in ("whole", "omega_i", "omega_e", "omega_e_refined", "gamma", "Gamma"):
+            nodes = getattr(quads, region).nodes
+            assert nodes.strides[0] == nodes.itemsize and not nodes.flags.writeable, region
+        assert quads.whole.nodes.flags.f_contiguous
+        for part in (quads.omega_i, quads.omega_e):
+            assert np.shares_memory(part.nodes, quads.whole.nodes)
+            assert np.shares_memory(part.weights, quads.whole.weights)
+
+    def test_parts_and_support_rows_get_slices_of_held_radii(self):
+        quads = make_bundle(DOM3, 4, 4, 2)
+        whole = quads.whole.nodes
+        kept = node_radii(whole)
+        start, stop = support_rows(kept, (1.2, 1.6))
+        support = whole[start:stop]
+        assert 0 < len(support) < len(quads.omega_i)
+        for view in (quads.omega_i.nodes, quads.omega_e.nodes, support):
+            radii = node_radii(view)
+            assert np.shares_memory(radii, kept) and not radii.flags.writeable
+            assert_bits_equal(radii, np.sqrt(np.sum(view**2, axis=1)))
+        assert node_radii(whole) is kept
+
+    def test_row_range_rejects_column_subsets_and_strides(self):
+        held = make_bundle(DOM3, 4, 4, 2).whole.nodes
+        assert geometry._row_range(held[5:40], held) == slice(5, 40)
+        for view in (held[:, :2], held[:, 1:], held[:, ::2], held[::2], held[1::3]):
+            assert geometry._row_range(view, held) is None
+        assert geometry._row_range(np.ascontiguousarray(held[5:40]), held) is None
+
+    def test_row_major_nodes_are_stored_column_major(self):
+        nodes = np.random.default_rng(3).normal(size=(50, 3))
+        rule = QuadratureRule("whole", nodes, np.ones(50), 1, 1, 1, "none")
+        assert rule.nodes.strides[0] == rule.nodes.itemsize
+        assert not np.shares_memory(rule.nodes, nodes) and nodes.flags.writeable
+        assert_bits_equal(rule.nodes, nodes)
+        # a column-strided row view is kept as it is
+        view = dataclasses.replace(rule, nodes=rule.nodes[5:20], weights=rule.weights[5:20])
+        assert np.shares_memory(view.nodes, rule.nodes)
+        assert view.nodes.strides == rule.nodes.strides
 
 
 def fsum_outcome(fn, x):
