@@ -24,9 +24,9 @@ def run_problem(name, epsilons, seed, out_dir):
         y_i, y_e = perturb(mp, "y_broken", eps, "interface_jump", seed + 2)
         err = xb.true_error(mp, v)
         reports = {
-            "I": estimate_I(p, v, mp.exact_flux, scale_hint=err),
-            "II": estimate_II(p, v, y, scale_hint=err),
-            "III": estimate_III(p, v, y_i, y_e, scale_hint=err),
+            "I": estimate_I(p, v, mp.exact_flux),
+            "II": estimate_II(p, v, y),
+            "III": estimate_III(p, v, y_i, y_e),
         }
         rows.append((eps, err, {k: r.total for k, r in reports.items()}))
 

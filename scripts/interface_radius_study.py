@@ -43,7 +43,7 @@ def main():
             y_i, y_e = perturb(mp, "y_broken", args.epsilon, "interface_jump",
                                args.seed + 1)
             err = xb.true_error(mp, v)
-            rep = estimate_III(mp.problem, v, y_i, y_e, scale_hint=err)
+            rep = estimate_III(mp.problem, v, y_i, y_e)
             eff = rep.total / err
             print(f"{radius:6.2f} {bundle.friedrichs.value:11.6f} "
                   f"{bundle.trace.value:9.5f} {rep.interface:11.5e} "

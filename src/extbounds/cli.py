@@ -30,6 +30,7 @@ from . import majorant as mj
 from . import poincare as pc
 from . import problems as pb
 from .fields import QuadratureErrorAt
+from .geometry import QuadratureError
 from .minorant import (
     NonzeroTraceError, SingularGramError, default_basis, minorant_report, sandwich,
 )
@@ -238,19 +239,19 @@ def _scenario_inputs(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, eps: float
     return v, flux
 
 
-def _run_estimate(cfg, mp, v, flux, scale_hint):
+def _run_estimate(cfg, mp, v, flux):
     p = mp.problem
     if cfg.estimate == "I":
         if "y" not in flux:
             raise ConfigError("estimate: I needs an unbroken flux "
                               "(perturbation.target v or y)")
-        return mj.estimate_I(p, v, flux["y"], scale_hint=scale_hint)
+        return mj.estimate_I(p, v, flux["y"])
     if cfg.estimate == "II":
         if "y" not in flux:
             raise ConfigError("estimate: II needs an unbroken flux")
-        return mj.estimate_II(p, v, flux["y"], scale_hint=scale_hint)
+        return mj.estimate_II(p, v, flux["y"])
     y_i, y_e = (flux["y_i"], flux["y_e"]) if "y_i" in flux else (flux["y"], flux["y"])
-    return mj.estimate_III(p, v, y_i, y_e, scale_hint=scale_hint)
+    return mj.estimate_III(p, v, y_i, y_e)
 
 
 def _basis(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, v):
@@ -279,7 +280,7 @@ def _row(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, eps: float,
     """One upper-bound scenario: perturb, measure the true error, bound it."""
     v, flux = _scenario_inputs(cfg, mp, eps)
     err = pb.true_error(mp, v)
-    report = _run_estimate(cfg, mp, v, flux, scale_hint=err)
+    report = _run_estimate(cfg, mp, v, flux)
     eff = math.inf if err == 0.0 else report.total / err
     return SweepRow(parameter=parameter, report=report, true_error=err, efficiency=eff)
 
@@ -371,7 +372,11 @@ def cmd_sweep(cfg: ScenarioConfig, out: str) -> int:
                     f"sweep.values: interface radius {value} must exceed the "
                     f"inner radius {mp.domain.a}"
                 )
-            row_mp, eps = pb.with_interface_radius(mp, value), cfg.epsilons[0]
+            try:
+                row_mp = pb.with_interface_radius(mp, value)
+            except QuadratureError as exc:  # no rule at this radius
+                raise ConfigError(f"sweep.values: interface radius {value}: {exc}") from None
+            eps = cfg.epsilons[0]
         rows.append(_row(cfg, row_mp, eps, value))
 
     _write_sweep_csv(f"{out}/sweep.csv", rows)

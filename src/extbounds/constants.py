@@ -79,16 +79,6 @@ class ConstantReport:
     def __post_init__(self):
         if not self.value > 0.0:
             raise ConstantError(f"constant {self.name} must be positive")
-        if self.mode_values is not None:
-            idx = self.params.get("extremum_index")
-            kind = self.params.get("extremum", "max")
-            arr = np.asarray(self.mode_values)
-            want = int(np.argmax(arr)) if kind == "max" else int(np.argmin(arr))
-            if idx != want:
-                raise ConstantError(
-                    f"constant {self.name}: reported extremum index {idx} does not "
-                    f"match mode data (actual {want})"
-                )
 
     def as_dict(self) -> dict:
         out = {
@@ -109,9 +99,9 @@ class ConstantReport:
 def exterior_poincare_constant(dimension: int) -> float:
     """Best-available constant c with ||w||_weighted <= c ||grad w|| on the
     exterior domain: 2/(N-2) for N >= 3 (weight 1/rho), 2 for N = 2
-    (weight 1/(r ln r)), 2 for the half line N = 1 (weight 1/rho)."""
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
+    (weight 1/(r ln r))."""
+    if dimension < 2:
+        raise ValueError("dimension must be >= 2")
     if dimension >= 3:
         return 2.0 / (dimension - 2)
     return 2.0
@@ -122,8 +112,6 @@ def interior_weight_constant(domain: ExteriorDomain, A: Coefficient) -> float:
     c_N (1 + R)/sqrt(c_A) for N >= 3 and 2 R ln R / sqrt(c_A) for N = 2
     (sup of r resp. r ln r over the annulus is attained at R)."""
     n = domain.dimension
-    if n < 2:
-        raise ValueError("interior weight constant requires dimension >= 2")
     if n == 2:
         return 2.0 * domain.R * math.log(domain.R) / math.sqrt(A.c_A)
     return exterior_poincare_constant(n) * (1.0 + domain.R) / math.sqrt(A.c_A)
@@ -137,9 +125,7 @@ def _outward(x: float) -> float:
     return x * (1.0 + OUTWARD_RTOL)
 
 
-def _check_modes(domain: ExteriorDomain, modes: int, what: str) -> None:
-    if domain.dimension not in (2, 3):
-        raise ValueError(f"{what} requires dimension 2 or 3")
+def _check_modes(modes: int) -> None:
     if modes < 0:
         raise ValueError(f"need modes >= 0, got {modes}")
 
@@ -301,8 +287,6 @@ def interior_friedrichs_constant(domain: ExteriorDomain) -> ConstantReport:
     k_2 >= 3 sqrt(a/R) hi, above hi when R/a < 9; beyond that, the scan of
     :func:`_first_root` is what picks the first sign change (the second
     root lies at 2.5 hi or more up to R/a = 1e5, by 30-digit evaluation)."""
-    if domain.dimension not in (2, 3):
-        raise ValueError("interior Friedrichs constant requires dimension 2 or 3")
     n, a, R = domain.dimension, domain.a, domain.R
     hi = math.pi / (2.0 * (R - a))
     lo = (a / R) ** ((n - 1) / 2) * hi
@@ -331,7 +315,7 @@ def boundary_extension_constant(
     Dirichlet energy per unit surface-L2 coefficient, -psi'(a), which
     :func:`extbounds.majorant.boundary_term` reuses, weighted by
     ``c_A_plus``, for the direct extension-energy bound."""
-    _check_modes(domain, modes, "extension constant")
+    _check_modes(modes)
     n, a, R = domain.dimension, domain.a, domain.R
     energies = [_harmonic_flux(n, ell, a, R, True) for ell in range(modes + 1)]
     ratios = tuple(
@@ -370,7 +354,7 @@ def interface_trace_constant(
     l > ``modes``: with psi'(R) >= l/R and w_l^{1/2} <= 1 + (l + (N-2)/2)/R,
     C_l^2 = w_l^{1/2}/(c_A psi'(R)) <= (1 + (R + (N-2)/2)/l)/c_A, which
     falls with l, so its value at l = modes + 1 bounds them all."""
-    _check_modes(domain, modes, "interface trace constant")
+    _check_modes(modes)
     n, a, R = domain.dimension, domain.a, domain.R
     energies = [_harmonic_flux(n, ell, a, R, False) for ell in range(modes + 1)]
     consts = tuple(

@@ -273,11 +273,8 @@ def weighted_norm(f: ScalarField | VectorField, s: float, rule: QuadratureRule) 
     return math.sqrt(max(exact_dot(vals, rule.weights), 0.0))
 
 
-def log_weighted_norm(
-    f: ScalarField | VectorField, mode: str, rule: QuadratureRule
-) -> float:
-    """2D logarithmic weights: ``times_rlnr`` gives ||r ln r * f||,
-    ``over_rlnr`` gives ||f / (r ln r)||.  The rule must live in
+def log_weighted_norm(f: ScalarField | VectorField, rule: QuadratureRule) -> float:
+    """||r ln r * f||, the 2D logarithmic weight.  The rule must live in
     dimension 2 with all nodes at radius > 1."""
     if rule.dimension != 2:
         raise ValueError("log-weighted norms are defined for dimension 2 only")
@@ -285,35 +282,21 @@ def log_weighted_norm(
     if np.min(r) <= 1.0:
         raise ValueError("log weight needs all quadrature nodes at radius > 1")
     w = r * np.log(r)
-    if mode == "times_rlnr":
-        w2 = w**2
-    elif mode == "over_rlnr":
-        w2 = w**-2
-    else:
-        raise ValueError(f"unknown log weight mode {mode!r}")
     sq = _squared_magnitude(f, rule.nodes)
     with np.errstate(over="ignore"):  # inf is caught by require_finite
-        vals = sq * w2
-    require_finite(vals, rule.nodes, f.label, mode)
+        vals = sq * w**2
+    require_finite(vals, rule.nodes, f.label, "times_rlnr")
     return math.sqrt(max(exact_dot(vals, rule.weights), 0.0))
 
 
 def energy_norm(
-    A: Coefficient,
-    q: VectorField | np.ndarray,
-    mode: str,
-    rule: QuadratureRule,
-    *,
-    label: str = "",
+    A: Coefficient, q: np.ndarray, mode: str, rule: QuadratureRule, *, label: str = ""
 ) -> float:
-    """||q||_A = (int A q . q)^{1/2} or its dual ||q||_{A^{-1}}.
-
-    ``q`` is a vector field, or its values at the rule's nodes already
-    evaluated; ``label`` names it in errors (default: the field's label).
-    The inverse is applied by ``A.solve``, never by an explicit inverse."""
+    """||q||_A = (int A q . q)^{1/2} or its dual ||q||_{A^{-1}}, for the
+    values ``q`` of a vector field at the rule's nodes; ``label`` names the
+    field in errors.  The inverse is applied by ``A.solve``, never by an
+    explicit inverse."""
     pts = rule.nodes
-    if isinstance(q, VectorField):
-        label, q = label or q.label, q.value(pts)
     vals = np.asarray(q, dtype=float)
     if mode == "A":
         prod = A.apply(pts, vals)

@@ -1,9 +1,8 @@
 """Spherical exterior domains and deterministic quadrature over them.
 
-The domain is the exterior of a ball of radius ``a`` in R^N (or the half
-line ``(a, inf)`` for N = 1), split by an artificial spherical interface
-of radius ``R`` into a bounded annulus ``omega_i`` and an unbounded tail
-``omega_e``.  Quadrature rules are plain node/weight lists, so consumers
+The domain is the exterior of a ball of radius ``a`` in R^N, N = 2 or 3,
+split by an artificial spherical interface of radius ``R`` into a bounded
+annulus ``omega_i`` and an unbounded tail ``omega_e``.  Quadrature rules are plain node/weight lists, so consumers
 never depend on how a rule was built; the tail is mapped to a finite
 interval with the substitution r = R/t, which integrates finite Laurent
 series in 1/r exactly.
@@ -30,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-REGIONS = ("omega_i", "omega_e", "whole", "sphere_gamma", "sphere_Gamma")
+REGIONS = ("omega_i", "omega_e", "sphere_gamma", "sphere_Gamma")
 
 
 class QuadratureError(ValueError):
@@ -39,17 +38,16 @@ class QuadratureError(ValueError):
 
 @dataclass(frozen=True)
 class ExteriorDomain:
-    """Exterior of the ball of radius ``inner_radius`` with interface at
-    ``interface_radius``.  For dimension 1 the domain is the half line
-    ``(inner_radius, inf)``."""
+    """Exterior of the ball of radius ``inner_radius`` in R^2 or R^3 with
+    interface at ``interface_radius``."""
 
     dimension: int
     inner_radius: float
     interface_radius: float
 
     def __post_init__(self):
-        if self.dimension not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
+        if self.dimension not in (2, 3):
+            raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
         if not 0.0 < self.inner_radius < self.interface_radius:
             raise ValueError(
                 "radii must satisfy 0 < inner_radius < interface_radius, got "
@@ -99,40 +97,39 @@ def _tail_edges(panels: int) -> np.ndarray:
 def _unit_sphere_rule(dimension: int, angular_order: int):
     """Directions and weights integrating over the unit sphere S^{N-1}.
 
-    N = 3: Gauss-Legendre in the polar cosine tensored with an offset
-    uniform (trapezoid) rule in azimuth; exact for spherical polynomials
-    of degree <= 2*angular_order - 1.  N = 2: offset uniform rule on the
-    circle with 2*angular_order points; exact for trigonometric degree
+    N = 2: offset uniform rule on the circle with 2*angular_order points;
+    exact for trigonometric degree <= 2*angular_order - 1.  N = 3:
+    Gauss-Legendre in the polar cosine tensored with an offset uniform
+    (trapezoid) rule in azimuth; exact for spherical polynomials of degree
     <= 2*angular_order - 1.
     """
-    if dimension == 3:
-        mu, wmu = _gauss_legendre(angular_order)
-        nphi = 2 * angular_order
-        phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi
-        wphi = 2.0 * math.pi / nphi
-        smu = np.sqrt(1.0 - mu**2)
-        dirs = np.empty((angular_order * nphi, 3), order="F")
-        wts = np.empty(angular_order * nphi)
-        k = 0
-        for i in range(angular_order):
-            dirs[k : k + nphi, 0] = smu[i] * np.cos(phi)
-            dirs[k : k + nphi, 1] = smu[i] * np.sin(phi)
-            dirs[k : k + nphi, 2] = mu[i]
-            wts[k : k + nphi] = wmu[i] * wphi
-            k += nphi
-        return dirs, wts
     if dimension == 2:
         n = 2 * angular_order
         theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
         dirs = np.stack([np.cos(theta), np.sin(theta)]).T
         wts = np.full(n, 2.0 * math.pi / n)
         return dirs, wts
-    raise QuadratureError(f"no angular rule for dimension {dimension}")
+    mu, wmu = _gauss_legendre(angular_order)
+    nphi = 2 * angular_order
+    phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi
+    wphi = 2.0 * math.pi / nphi
+    smu = np.sqrt(1.0 - mu**2)
+    dirs = np.empty((angular_order * nphi, 3), order="F")
+    wts = np.empty(angular_order * nphi)
+    k = 0
+    for i in range(angular_order):
+        dirs[k : k + nphi, 0] = smu[i] * np.cos(phi)
+        dirs[k : k + nphi, 1] = smu[i] * np.sin(phi)
+        dirs[k : k + nphi, 2] = mu[i]
+        wts[k : k + nphi] = wmu[i] * wphi
+        k += nphi
+    return dirs, wts
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
     """Immutable node/weight list over one region of an exterior domain.
+    Nodes and weights must be finite, and weights positive.
 
     Nodes given column-major (``strides[0] == itemsize``), such as row
     views of another rule's nodes, are kept as they are; others are copied
@@ -141,13 +138,11 @@ class QuadratureRule:
     ``derived`` keeps values computed from the rule alone, so that they
     live exactly as long as the rule."""
 
-    region: str
     nodes: np.ndarray  # (M, N), column-major
     weights: np.ndarray  # (M,)
     radial_order: int
     angular_order: int
     shell_count: int
-    tail_map: str  # "r=R/t" for mapped tails, "none" otherwise
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -159,6 +154,8 @@ class QuadratureRule:
             raise QuadratureError("node and weight counts differ")
         if np.any(weights <= 0.0):
             raise QuadratureError("all quadrature weights must be positive")
+        if not (np.isfinite(weights).all() and np.isfinite(nodes).all()):
+            raise QuadratureError("quadrature nodes and weights must be finite")
         nodes.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
@@ -280,73 +277,46 @@ def build_quadrature(
         raise QuadratureError("radial_order, angular_order and shells must be >= 1")
 
     n = domain.dimension
-    if region == "whole":
-        return whole_and_parts(domain, radial_order, angular_order, shells)[0]
-
-    if region in ("sphere_gamma", "sphere_Gamma"):
-        if n == 1:
-            raise QuadratureError("sphere rules are not defined for dimension 1")
-        radius = domain.a if region == "sphere_gamma" else domain.R
-        dirs, wts = _unit_sphere_rule(n, angular_order)
-        return QuadratureRule(
-            region=region,
-            nodes=radius * dirs,
-            weights=radius ** (n - 1) * wts,
-            radial_order=radial_order,
-            angular_order=angular_order,
-            shell_count=shells,
-            tail_map="none",
-        )
-
-    if region == "omega_i":
-        r, wr = _composite_interval(domain.a, domain.R, radial_order, shells)
-        tail = "none"
-    else:  # omega_e via r = R/t, dr = -R/t^2 dt, t in (0, 1]
-        t, wt = _composite_interval(
-            0.0, 1.0, radial_order, shells, edges=_tail_edges(shells)
-        )
-        r = domain.R / t
-        wr = wt * domain.R / t**2
-        tail = "r=R/t,geometric"
-
-    if n == 1:
-        nodes = r[:, None]
-        weights = wr.copy()
-    else:
-        dirs, wang = _unit_sphere_rule(n, angular_order)
-        # node k * len(dirs) + j is r[k] * dirs[j], written column by column
-        nodes = np.empty((len(r) * len(dirs), n), order="F")
-        for col, d in zip(nodes.T, dirs.T):
-            np.multiply.outer(r, d, out=col.reshape(len(r), len(d)))
-        weights = (wr[:, None] * r[:, None] ** (n - 1) * wang[None, :]).reshape(-1)
+    dirs, wang = _unit_sphere_rule(n, angular_order)
+    # near the float limit a node or weight overflows, or an inf meets a
+    # zero: QuadratureRule rejects the non-finite values, so no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if region in ("sphere_gamma", "sphere_Gamma"):
+            radius = domain.a if region == "sphere_gamma" else domain.R
+            nodes, weights = radius * dirs, radius ** (n - 1) * wang
+        else:
+            if region == "omega_i":
+                r, wr = _composite_interval(domain.a, domain.R, radial_order, shells)
+            else:  # omega_e via r = R/t, dr = -R/t^2 dt, t in (0, 1]
+                t, wt = _composite_interval(
+                    0.0, 1.0, radial_order, shells, edges=_tail_edges(shells)
+                )
+                r = domain.R / t
+                wr = wt * domain.R / t**2
+            # node k * len(dirs) + j is r[k] * dirs[j], written column by column
+            nodes = np.empty((len(r) * len(dirs), n), order="F")
+            for col, d in zip(nodes.T, dirs.T):
+                np.multiply.outer(r, d, out=col.reshape(len(r), len(d)))
+            weights = (wr[:, None] * r[:, None] ** (n - 1) * wang[None, :]).reshape(-1)
     return QuadratureRule(
-        region=region,
         nodes=nodes,
         weights=weights,
         radial_order=radial_order,
         angular_order=angular_order,
         shell_count=shells,
-        tail_map=tail,
     )
 
 
 def whole_and_parts(
     domain: ExteriorDomain, radial_order: int, angular_order: int, shells: int
 ) -> tuple[QuadratureRule, QuadratureRule, QuadratureRule]:
-    """The ``whole`` rule and its ``omega_i`` and ``omega_e`` rules, the
-    last two as row views of the first one's arrays: the whole rule lists
-    the omega_i nodes, then the omega_e nodes."""
+    """The rule over the whole domain and its ``omega_i`` and ``omega_e``
+    rules, the last two as row views of the first one's arrays: the whole
+    rule lists the omega_i nodes, then the omega_e nodes."""
     inner = build_quadrature(domain, radial_order, angular_order, shells, "omega_i")
     outer = build_quadrature(domain, radial_order, angular_order, shells, "omega_e")
-    whole = QuadratureRule(
-        region="whole",
-        nodes=stack_rows([inner.nodes, outer.nodes]),
-        weights=np.concatenate([inner.weights, outer.weights]),
-        radial_order=radial_order,
-        angular_order=angular_order,
-        shell_count=shells,
-        tail_map=outer.tail_map,
-    )
+    whole = replace(inner, nodes=stack_rows([inner.nodes, outer.nodes]),
+                    weights=np.concatenate([inner.weights, outer.weights]))
     k = len(inner)
     return (
         whole,

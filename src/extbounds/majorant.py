@@ -92,27 +92,21 @@ def constants_bundle(p: Problem) -> ConstantsBundle:
 # residual norms with tail-convergence checks
 
 
-def _residual_norm_interior(p: Problem, res: ScalarField, weighted: bool) -> float:
-    if not weighted:
-        return weighted_norm(res, 0.0, p.quads.omega_i)
+def _weighted_residual(p: Problem, res: ScalarField, rule: QuadratureRule) -> float:
+    """||r ln r * res|| over ``rule`` in 2D, ||rho * res|| in 3D."""
     if p.domain.dimension == 2:
-        return log_weighted_norm(res, "times_rlnr", p.quads.omega_i)
-    return weighted_norm(res, 1.0, p.quads.omega_i)
+        return log_weighted_norm(res, rule)
+    return weighted_norm(res, 1.0, rule)
 
 
 def _residual_norm_tail(p: Problem, res: ScalarField) -> float:
     """Weighted residual norm over the tail, with a doubled-order
     convergence check so a non-integrable residual cannot silently pass."""
-    if p.domain.dimension == 2:
-        n1 = log_weighted_norm(res, "times_rlnr", p.quads.omega_e)
-        n2 = log_weighted_norm(res, "times_rlnr", p.quads.omega_e_refined)
-        weight_name = "r ln r"
-    else:
-        n1 = weighted_norm(res, 1.0, p.quads.omega_e)
-        n2 = weighted_norm(res, 1.0, p.quads.omega_e_refined)
-        weight_name = "rho^{+1}"
+    n1 = _weighted_residual(p, res, p.quads.omega_e)
+    n2 = _weighted_residual(p, res, p.quads.omega_e_refined)
     denom = max(n1, n2)
     if denom > 0.0 and abs(n1 - n2) > TAIL_CONVERGENCE_RTOL * denom:
+        weight_name = "r ln r" if p.domain.dimension == 2 else "rho^{+1}"
         raise DivergentNormError(
             f"{weight_name}-weighted residual norm over the tail did not "
             f"converge (order doubling moved it from {n1:.6e} to {n2:.6e}); "
@@ -121,10 +115,10 @@ def _residual_norm_tail(p: Problem, res: ScalarField) -> float:
     return n2
 
 
-def _scale(p: Problem, v: ScalarField, scale_hint: float | None) -> float:
+def _scale(p: Problem, v: ScalarField) -> float:
+    """||A^{1/2} grad v|| over the whole domain."""
     rule = p.quads.whole
-    base = energy_norm(p.A, gradient_on(v, rule), "A", rule, label=f"grad({v.label})")
-    return max(base, scale_hint or 0.0)
+    return energy_norm(p.A, gradient_on(v, rule), "A", rule, label=f"grad({v.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -217,24 +211,18 @@ def _report(p, roman, residual, flux, interface, boundary, constant_map, scale, 
     )
 
 
-def estimate_I(
-    p: Problem,
-    v: ScalarField,
-    y: VectorField,
-    *,
-    scale_hint: float | None = None,
-) -> MajorantReport:
+def estimate_I(p: Problem, v: ScalarField, y: VectorField) -> MajorantReport:
     """Upper bound for an arbitrary flux with integrable weighted residual:
     weighted residual term + dual-norm flux gap + boundary mismatch."""
     bundle = p.constants
     res = residual_field(p.f, y)
     factor = bundle.poincare / math.sqrt(p.A.c_A)
-    n_int = _residual_norm_interior(p, res, weighted=True)
+    n_int = _weighted_residual(p, res, p.quads.omega_i)
     n_tail = _residual_norm_tail(p, res)
     residual = factor * math.sqrt(n_int**2 + n_tail**2)
     flux = _flux_term(p, v, y)
     boundary = boundary_term(p, v)
-    scale = _scale(p, v, scale_hint)
+    scale = _scale(p, v)
     return _report(
         p,
         "I",
@@ -251,20 +239,14 @@ def estimate_I(
     )
 
 
-def estimate_II(
-    p: Problem,
-    v: ScalarField,
-    y: VectorField,
-    *,
-    scale_hint: float | None = None,
-) -> MajorantReport:
+def estimate_II(p: Problem, v: ScalarField, y: VectorField) -> MajorantReport:
     """Upper bound for tail-equilibrated fluxes (div y + f = 0 outside the
     interface).  The equilibration is enforced numerically: a tail
     residual above 1e-10 * scale is rejected, and anything below it is
     still added to the bound so validity never rests on the tolerance."""
     bundle = p.constants
     res = residual_field(p.f, y)
-    scale = _scale(p, v, scale_hint)
+    scale = _scale(p, v)
     tail = _residual_norm_tail(p, res)
     if tail > EQUILIBRATION_RTOL * max(scale, 1e-300):
         raise EquilibrationError(
@@ -275,7 +257,7 @@ def estimate_II(
         )
     c_o = bundle.c_o
     factor = bundle.poincare / math.sqrt(p.A.c_A)
-    residual = c_o * _residual_norm_interior(p, res, weighted=False) + factor * tail
+    residual = c_o * weighted_norm(res, 0.0, p.quads.omega_i) + factor * tail
     flux = _flux_term(p, v, y)
     boundary = boundary_term(p, v)
     return _report(
@@ -295,12 +277,7 @@ def estimate_II(
 
 
 def estimate_III(
-    p: Problem,
-    v: ScalarField,
-    y_i: VectorField,
-    y_e: VectorField,
-    *,
-    scale_hint: float | None = None,
+    p: Problem, v: ScalarField, y_i: VectorField, y_e: VectorField
 ) -> MajorantReport:
     """Upper bound for broken fluxes: interior residual + weighted tail
     residual + flux gap + interface jump penalty + boundary mismatch.  The
@@ -313,7 +290,7 @@ def estimate_III(
     res_e = residual_field(p.f, y_e)
     c_o = bundle.c_o
     factor = bundle.poincare / math.sqrt(p.A.c_A)
-    residual = c_o * _residual_norm_interior(p, res_i, weighted=False)
+    residual = c_o * weighted_norm(res_i, 0.0, p.quads.omega_i)
     residual += factor * _residual_norm_tail(p, res_e)
     flux = _broken_flux_term(p, v, y_i, y_e)
     L, R = p.trace_degree, p.domain.R
@@ -323,7 +300,7 @@ def estimate_III(
     interface = (bundle.trace.value * jump_norm
                  + bundle.trace.params["above_band"] * math.sqrt(above))
     boundary = boundary_term(p, v)
-    scale = _scale(p, v, scale_hint)
+    scale = _scale(p, v)
     return _report(
         p,
         "III",

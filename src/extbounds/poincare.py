@@ -88,10 +88,6 @@ class HalfLineBump:
     width: float
     amplitude: float = 1.0
 
-    @property
-    def dimension(self) -> int:
-        return 1
-
     def value_at_zero(self) -> float:
         return self.amplitude * math.exp(-1.0)
 
@@ -254,39 +250,29 @@ def verify_halfline(u, beta: float) -> VerificationRecord:
     return VerificationRecord("halfline", 1, beta, _describe(u), lhs, rhs)
 
 
-def verify_corollary_chain(domain_or_dimension, u,
+def verify_corollary_chain(domain: ExteriorDomain, u,
                            case: str) -> list[VerificationRecord]:
     """Check every link of the norm chains implied by the inequalities at
     beta = 0, one record per link.
 
-    case "i" (N >= 3): rho-weighted <= sqrt(2) (1+r)-weighted <= sqrt(2)
+    case "i" (N = 3): rho-weighted <= sqrt(2) (1+r)-weighted <= sqrt(2)
     r-weighted <= sqrt(2) c_N radial derivative <= ... full gradient; the
     four links are recorded with the sqrt(2) on the first.
     case "ii" (N = 2): log-weighted <= 2 radial <= 2 full.
-    case "iii" (N = 1): rho-weighted <= sqrt(2) (1+r)-weighted
-    <= 2 |u'| (+ sqrt(2)|u(0)| when the origin value is nonzero) <= ... .
     """
-    if case not in ("i", "ii", "iii"):
-        raise ValueError(f"unknown chain case {case!r}; expected 'i', 'ii' or 'iii'")
-    dim = domain_or_dimension
-    if isinstance(domain_or_dimension, ExteriorDomain):
-        _check_support(domain_or_dimension, u)
-        dim = domain_or_dimension.dimension
+    if case not in ("i", "ii"):
+        raise ValueError(f"unknown chain case {case!r}; expected 'i' or 'ii'")
+    _check_support(domain, u)
     sm = samples(u)
     n = sm["dimension"]
-    if dim != n:
-        raise ValueError(f"dimension {dim} does not match the test function's ({n})")
     desc = _describe(u)
 
     def link(name, lhs, rhs):
         return VerificationRecord(f"chain_{case}_{name}", n, 0.0, desc, lhs, rhs)
 
-    if case == "i" and n < 3:
-        raise ValueError("chain case 'i' needs dimension >= 3")
-    if case == "ii" and n != 2:
-        raise ValueError("chain case 'ii' needs dimension 2")
-    if case == "iii" and n != 1:
-        raise ValueError("chain case 'iii' is one-dimensional")
+    want = 3 if case == "i" else 2
+    if n != want:
+        raise ValueError(f"chain case {case!r} needs dimension {want}")
     n_dr = _norm(sm, sm["du_r"] ** 2)
     n_gr = _norm(sm, sm["grad"] ** 2)
 
@@ -300,18 +286,12 @@ def verify_corollary_chain(domain_or_dimension, u,
 
     n_rho = _norm(sm, sm["u"] ** 2 / (1.0 + sm["r"] ** 2))
     n_opr = _norm(sm, sm["u"] ** 2 / (1.0 + sm["r"]) ** 2)
-    first = link("rho_vs_1plusr", n_rho, WEIGHT_EQUIV * n_opr)
-    if case == "i":
-        c_n = 2.0 / (n - 2.0)
-        n_r = _norm(sm, sm["u"] ** 2 / sm["r"] ** 2)
-        return [first,
-                link("1plusr_vs_r", n_opr, n_r),
-                link("r_vs_radial", n_r, c_n * n_dr),
-                link("radial_vs_gradient", c_n * n_dr, c_n * n_gr)]
-    origin = math.sqrt(2.0) * abs(sm["u0"])
-    return [first,
-            link("1plusr_vs_radial", n_opr, 2.0 * n_dr + origin),
-            link("radial_vs_derivative", 2.0 * n_dr, 2.0 * n_gr)]
+    n_r = _norm(sm, sm["u"] ** 2 / sm["r"] ** 2)
+    c_n = 2.0 / (n - 2.0)
+    return [link("rho_vs_1plusr", n_rho, WEIGHT_EQUIV * n_opr),
+            link("1plusr_vs_r", n_opr, n_r),
+            link("r_vs_radial", n_r, c_n * n_dr),
+            link("radial_vs_gradient", c_n * n_dr, c_n * n_gr)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Test oracles: finite-difference checks of the derivative closures, the
-band-limited function of a trace, the pairing of two traces, and the
-measure of an annulus.  The program never calls them."""
+band-limited function of a trace, the pairing of two traces, the measure
+of an annulus and the inverse log-weighted norm.  The program never calls
+them."""
 
 import math
 
 import numpy as np
 
-from extbounds.fields import ScalarField, VectorField
-from extbounds.geometry import ExteriorDomain
+from extbounds.fields import ScalarField, VectorField, require_finite
+from extbounds.geometry import ExteriorDomain, QuadratureRule, exact_dot, node_radii
 from extbounds.traces import SphereTrace, _require_compatible, basis_matrix
 
 
@@ -89,14 +90,23 @@ def duality_pairing(t1: SphereTrace, t2: SphereTrace) -> float:
 
 
 def unit_sphere_area(n: int) -> float:
-    # surface measure of S^{n-1}; the N = 1 "sphere" is a single point.  The
-    # formula gives 2*pi and 4*pi to the last bit for N = 2 and 3.
-    if n == 1:
-        return 1.0
+    # surface measure of S^{n-1}; the formula gives 2*pi and 4*pi to the
+    # last bit for N = 2 and 3
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def shell_volume(domain: ExteriorDomain) -> float:
-    """Volume (length for N = 1) of the annulus omega_i."""
+    """Volume of the annulus omega_i."""
     n = domain.dimension
     return unit_sphere_area(n) * (domain.R**n - domain.a**n) / n
+
+
+def over_rlnr_norm(f: ScalarField, rule: QuadratureRule) -> float:
+    """||f / (r ln r)|| over a 2D rule with all nodes at radius > 1: the
+    weight of the 2D Poincare inequality, the dual of ``log_weighted_norm``."""
+    assert rule.dimension == 2
+    r = node_radii(rule.nodes)
+    assert np.min(r) > 1.0
+    vals = np.asarray(f.value(rule.nodes), dtype=float) ** 2 * (r * np.log(r)) ** -2
+    require_finite(vals, rule.nodes, f.label, "over_rlnr")
+    return math.sqrt(max(exact_dot(vals, rule.weights), 0.0))

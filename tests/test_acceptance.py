@@ -302,11 +302,11 @@ def test_acceptance_8_quadrature_oracles():
 
     The 2D closed form is 2 pi * int_1^inf ln^2 r r^-3 dr = pi/2 (two
     integrations by parts give 1/4 for the radial integral)."""
-    from extbounds.geometry import build_quadrature, integrate, node_radii
+    from extbounds.geometry import integrate, node_radii, whole_and_parts
     from extbounds.fields import ScalarField, log_weighted_norm
 
     dom = xb.ExteriorDomain(3, 1.0, 2.0)
-    whole = build_quadrature(dom, 16, 8, 8, "whole")
+    whole = whole_and_parts(dom, 16, 8, 8)[0]
     v1 = integrate(whole, lambda p: node_radii(p) ** -4.0)
     assert v1 == pytest.approx(4 * math.pi, rel=1e-10)
     v2 = integrate(
@@ -315,9 +315,9 @@ def test_acceptance_8_quadrature_oracles():
     assert v2 == pytest.approx(4 * math.pi * (1 - math.pi / 4), rel=1e-10)
 
     dom2 = xb.ExteriorDomain(2, 1.0, 2.0)
-    whole2 = build_quadrature(dom2, 16, 6, 16, "whole")
+    whole2 = whole_and_parts(dom2, 16, 6, 16)[0]
     f = ScalarField(value=lambda p: node_radii(p) ** -3.0, label="r^-3")
-    norm = log_weighted_norm(f, "times_rlnr", whole2)
+    norm = log_weighted_norm(f, whole2)
     assert norm**2 == pytest.approx(math.pi / 2, rel=1e-9)
     print("ACCEPTANCE 8 (quadrature oracles): PASS")
 

@@ -364,7 +364,7 @@ class TestCommands:
             assert mp.domain.R == radius
             v = xb.perturb(mp, "v", 0.1, "boundary_mode", 3)
             err = xb.true_error(mp, v)
-            report = xb.estimate_I(mp.problem, v, mp.exact_flux, scale_hint=err)
+            report = xb.estimate_I(mp.problem, v, mp.exact_flux)
             assert float(row["total"]) == report.total
             assert float(row["true_error"]) == err
 
@@ -375,6 +375,16 @@ class TestCommands:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert "Traceback" not in capsys.readouterr().err
         assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("radius", [1.0000000000000002, 1e308])
+    def test_extreme_radius_is_a_config_error(self, tmp_path, capsys, radius):
+        # an ulp above a gives zero weights, 1e308 overflowing ones
+        cfg = write_config(tmp_path, {"sweep": {"kind": "radius", "values": [radius]}})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: sweep.values: interface radius {radius}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_zero_error_row_is_bounded(self, tmp_path, capsys):
         # the bump falls between the nodes, so the true error is exactly 0.0:

@@ -103,9 +103,8 @@ class TestFormulas:
         assert cs.exterior_poincare_constant(3) == 2.0
         assert cs.exterior_poincare_constant(4) == 1.0
         assert cs.exterior_poincare_constant(2) == 2.0
-        assert cs.exterior_poincare_constant(1) == 2.0
         with pytest.raises(ValueError):
-            cs.exterior_poincare_constant(0)
+            cs.exterior_poincare_constant(1)
 
     def test_interior_weight_examples(self):
         assert cs.interior_weight_constant(DOM3, A_ID3) == pytest.approx(6.0)
@@ -116,8 +115,6 @@ class TestFormulas:
         dom2 = ExteriorDomain(2, 1.0, math.e)
         A2 = Coefficient.identity(2)
         assert cs.interior_weight_constant(dom2, A2) == pytest.approx(2 * math.e)
-        with pytest.raises(ValueError):
-            cs.interior_weight_constant(ExteriorDomain(1, 1.0, 2.0), A_ID3)
 
 
 class TestInteriorFriedrichs:
@@ -165,8 +162,6 @@ class TestInteriorFriedrichs:
         with pytest.raises(TypeError):
             cs.interior_friedrichs_constant(DOM3, modes=8)
         assert "modes" not in cs.interior_friedrichs_constant(DOM3).params
-        with pytest.raises(ValueError, match="dimension"):
-            cs.interior_friedrichs_constant(ExteriorDomain(1, 1.0, 2.0))
 
 
 def friedrichs_bracket(dim, R):
@@ -493,13 +488,6 @@ class TestReport:
     def test_positive_value_required(self):
         with pytest.raises(cs.ConstantError):
             cs.ConstantReport("bad", 0.0, "formula", None, {}, 0.0)
-
-    def test_extremum_index_validated(self):
-        with pytest.raises(cs.ConstantError, match="extremum"):
-            cs.ConstantReport(
-                "bad", 1.0, "closed_form", (1.0, 2.0),
-                {"extremum": "max", "extremum_index": 0}, 0.0,
-            )
 
     def test_as_dict_roundtrip(self):
         rep = cs.boundary_extension_constant(DOM3, A_ID3, modes=8)

@@ -143,7 +143,7 @@ class TestApplySolve:
         rule = build_quadrature(xb.ExteriorDomain(3, 1.0, 2.0), 4, 4, 2, "omega_i")
         q = VectorField(value=lambda p: np.ones_like(p), label="ones")
         with pytest.raises(ValueError, match="singular at a quadrature node"):
-            energy_norm(A, q, "A_inverse", rule)
+            energy_norm(A, q.value(rule.nodes), "A_inverse", rule)
         with pytest.raises(ValueError, match="singular at a quadrature node"):
             A.solve(rule.nodes, np.ones_like(rule.nodes))
 
@@ -164,7 +164,7 @@ class TestApplySolve:
 
         with np.errstate(all="ignore"), pytest.raises(
                 QuadratureErrorAt, match=f"node {node}") as info:
-            energy_norm(A, VectorField(value=value, label="q"), mode, rule)
+            energy_norm(A, value(rule.nodes), mode, rule, label="q")
         assert info.value.index == node
 
 

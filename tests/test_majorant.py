@@ -266,8 +266,8 @@ class TestInteriorWeight:
         y = perturb(mp, "y", 0.05, "interior_bump", seed=5)
         y_i, y_e = perturb(mp, "y_broken", 0.05, "interface_jump", seed=6)
         err = xb.true_error(mp, v)
-        for rep in (estimate_II(p, v, y, scale_hint=err),
-                    estimate_III(p, v, y_i, y_e, scale_hint=err)):
+        for rep in (estimate_II(p, v, y),
+                    estimate_III(p, v, y_i, y_e)):
             assert rep.constants["c_o"] == bundle.c_o_formula < bundle.c_o_eigen
             assert rep.total >= err
 
@@ -302,7 +302,7 @@ class TestInterfaceConsistency:
         y_i, y_e = perturb(mp, "y_broken", 0.1, "interface_jump", seed=8)
         v = perturb(mp, "v", 0.1, "interior_bump", seed=9)
         err = xb.true_error(mp, v)
-        rep = estimate_III(p, v, y_i, y_e, scale_hint=err)
+        rep = estimate_III(p, v, y_i, y_e)
         assert rep.interface > 0.0
         assert rep.total + 1e-8 * max(rep.scale, err) >= err
 
@@ -314,7 +314,7 @@ class TestSweep:
         for eps in [0.1, 0.05, 0.025]:
             v = perturb(mp, "v", eps, "interior_bump", seed=10)
             err = xb.true_error(mp, v)
-            rep = estimate_I(mp.problem, v, mp.exact_flux, scale_hint=err)
+            rep = estimate_I(mp.problem, v, mp.exact_flux)
             assert rep.total / err >= 1 - 1e-8
             totals.append(rep.total)
         assert totals[0] > totals[1] > totals[2]

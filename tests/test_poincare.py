@@ -119,12 +119,12 @@ class TestChains:
             assert len(recs) == 2
             assert all(r.passed for r in recs)
 
-    def test_chain_iii_with_origin_value(self):
-        recs = verify_corollary_chain(1, HalfLineBump(2.0), "iii")
-        assert len(recs) == 3
-        assert all(r.passed for r in recs)
-        # the last link is an equality in one dimension
-        assert recs[2].margin == pytest.approx(0.0, abs=1e-14)
+    def test_no_half_line_chain(self):
+        # the half line is checked by verify_halfline alone
+        with pytest.raises(ValueError, match="unknown chain case 'iii'"):
+            verify_corollary_chain(DOM3, BumpFunction((0.0, 0.0, 2.0), 0.5), "iii")
+        with pytest.raises(ValueError, match="needs dimension 2"):
+            verify_corollary_chain(DOM3, BumpFunction((0.0, 0.0, 2.0), 0.5), "ii")
 
     def test_angular_rich_bump_has_gradient_margin(self):
         # a bump sitting off-axis has angular gradient content, so the
@@ -139,8 +139,13 @@ class TestChains:
 
     @pytest.mark.parametrize("where", [4, 2, ExteriorDomain(2, 1.0, 2.0)])
     def test_dimension_mismatch_rejected(self, where):
+        # a bump of dimension 4 or 2 in the 3D domain, a 3D bump in a 2D one
+        if isinstance(where, int):
+            domain, center = DOM3, (0.0,) * (where - 1) + (2.0,)
+        else:
+            domain, center = where, (0.0, 0.0, 2.0)
         with pytest.raises(ValueError, match="does not match"):
-            verify_corollary_chain(where, BumpFunction((0.0, 0.0, 2.0), 0.5), "i")
+            verify_corollary_chain(domain, BumpFunction(center, 0.5), "i")
 
 
 class TestIdentities:
