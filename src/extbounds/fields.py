@@ -10,8 +10,9 @@ tests, as oracles of the closures.
 Closures map an (M, N) array of nodes to per-node values, each from its
 own node only and with the same bits for any memory layout: rules hold
 their nodes column-major, other callers pass row-major points.  An array
-a closure fills per node takes the layout of its input, and a kernel
-that rounds by layout (a BLAS product, ``einsum``) gets a C-order operand.
+a closure fills per node takes the layout of its input, and the one
+kernel that rounds by layout, the BLAS product of the perturbed flux's
+divergence (``problems.perturb``), gets a C-order operand.
 
 Two radial weights coexist and are never interchanged silently:
 ``rho = (1 + r^2)^{1/2}`` in the norms (``weighted_norm``), and the plain
@@ -138,94 +139,50 @@ class VectorField:
         )
 
 
-SYMMETRY_RTOL = 1e-14
-
-
-def _symmetric(mats: np.ndarray) -> bool:
-    """Whether each matrix (the last two axes) differs from its transpose
-    by at most ``SYMMETRY_RTOL`` times its largest entry, in every entry.
-    A matrix with a non-finite entry is not symmetric."""
-    gap = np.abs(mats - np.swapaxes(mats, -1, -2)).max(axis=(-2, -1), initial=0.0)
-    scale = np.abs(mats).max(axis=(-2, -1), initial=0.0)
-    return bool(np.all(gap <= SYMMETRY_RTOL * scale))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coefficient:
-    """Symmetric matrix coefficient with two-sided ellipticity bounds
-    ``0 < c_A <= c_A_plus``.
+    """Constant diagonal coefficient A = diag(d) with its ellipticity
+    bounds ``c_A = min d`` and ``c_A_plus = max d``.
 
-    ``Coefficient.constant`` keeps a read-only copy of its matrix, which
-    must be symmetric to ``SYMMETRY_RTOL`` of its largest entry.  It sets
-    ``diagonal`` when the matrix is diagonal; ``apply`` and ``solve``
-    then work on the diagonal alone.
-    """
+    A constant symmetric positive definite A = Q diag(d) Q^T loses
+    nothing by being diag(d): the exterior of a ball and the energy norms
+    are invariant under the rotation x = Q x'.  The diagonal is kept as a
+    read-only copy, and must be 1-D, finite and strictly positive."""
 
-    matrix: Callable[[np.ndarray], np.ndarray]  # (M,N)->(M,N,N)
-    c_A: float
-    c_A_plus: float
+    diagonal: np.ndarray
     label: str = ""
-    diagonal: np.ndarray | None = field(default=None, init=False, compare=False)
+    c_A: float = field(init=False)
+    c_A_plus: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.c_A <= self.c_A_plus:
+        d = np.array(self.diagonal, dtype=float)  # a copy: the caller's array stays writeable
+        if d.ndim != 1 or not d.size or not np.all(np.isfinite(d) & (d > 0.0)):
             raise ValueError(
-                f"ellipticity bounds must satisfy 0 < c_A <= c_A_plus, got "
-                f"{self.c_A}, {self.c_A_plus}"
-            )
-
-    @staticmethod
-    def constant(mat: np.ndarray, label: str = "") -> "Coefficient":
-        mat = np.array(mat, dtype=float)  # a copy: the caller's array stays writeable
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("constant coefficient must be a square matrix")
-        if not _symmetric(mat):
-            raise ValueError("coefficient matrix must be symmetric")
-        eigs = np.linalg.eigvalsh(mat)
-        mat.flags.writeable = False
-        coef = Coefficient(
-            matrix=lambda pts: np.broadcast_to(mat, (len(pts), *mat.shape)),
-            c_A=float(eigs[0]),
-            c_A_plus=float(eigs[-1]),
-            label=label or "const",
-        )
-        diag = np.diag(mat).copy()
-        if np.array_equal(mat, np.diag(diag)):
-            diag.flags.writeable = False
-            object.__setattr__(coef, "diagonal", diag)
-        return coef
-
-    def apply(self, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """A(x) q(x) at every node, as ``einsum("mij,mj->mi")`` gives it
-        for ``q`` in C order (whose rounding depends on the layout).
-
-        For a diagonal matrix it is ``q * diag``, which differs only in
-        the sign of zeros, which no row sum sees, and in rows that hold a
-        non-finite entry, which are rejected at the same node either way."""
-        if self.diagonal is not None:
-            return vals * self.diagonal
-        return np.einsum("mij,mj->mi", np.asarray(self.matrix(pts), dtype=float),
-                         np.ascontiguousarray(vals, dtype=float))
-
-    def solve(self, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """A(x)^{-1} q(x) at every node, by a direct batched solve of the
-        N x N system (never an explicit inverse).  For a diagonal matrix
-        it is ``q / diag``, which differs only as for ``apply``."""
-        if self.diagonal is not None:
-            with np.errstate(over="ignore"):  # as silent as the batched solve
-                return vals / self.diagonal
-        mats = np.asarray(self.matrix(pts), dtype=float)
-        try:
-            return np.linalg.solve(mats, vals[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                "coefficient matrix singular at a quadrature node "
-                "(ellipticity bound violated)"
-            ) from exc
+                f"coefficient diagonal must be 1-D, finite and > 0, got {d!r}")
+        d.flags.writeable = False
+        object.__setattr__(self, "diagonal", d)
+        object.__setattr__(self, "c_A", float(d.min()))
+        object.__setattr__(self, "c_A_plus", float(d.max()))
 
     @staticmethod
     def identity(dimension: int) -> "Coefficient":
-        return Coefficient.constant(np.eye(dimension), label="identity")
+        return Coefficient(np.ones(dimension), label="identity")
+
+    def apply(self, vals: np.ndarray) -> np.ndarray:
+        """A q at every node, for the (M, N) values ``q``."""
+        return vals * self.diagonal
+
+    def solve(self, vals: np.ndarray) -> np.ndarray:
+        """A^{-1} q at every node, for the (M, N) values ``q``."""
+        with np.errstate(over="ignore"):  # the callers' require_finite catches inf
+            return vals / self.diagonal
+
+    def matrix(self, pts: np.ndarray) -> np.ndarray:
+        """The (M, N, N) matrices of A at the M nodes ``pts``, one read-only
+        view of diag(d).  No bound uses it: the benchmark's reference
+        energy (``perfbench/reference.py``) and the tests' oracles do."""
+        d = self.diagonal
+        return np.broadcast_to(np.diag(d), (len(pts), d.size, d.size))
 
 
 _GRADIENT = LastValue()
@@ -294,14 +251,13 @@ def energy_norm(
 ) -> float:
     """||q||_A = (int A q . q)^{1/2} or its dual ||q||_{A^{-1}}, for the
     values ``q`` of a vector field at the rule's nodes; ``label`` names the
-    field in errors.  The inverse is applied by ``A.solve``, never by an
-    explicit inverse."""
+    field in errors."""
     pts = rule.nodes
     vals = np.asarray(q, dtype=float)
     if mode == "A":
-        prod = A.apply(pts, vals)
+        prod = A.apply(vals)
     elif mode == "A_inverse":
-        prod = A.solve(pts, vals)
+        prod = A.solve(vals)
     else:
         raise ValueError(f"unknown energy norm mode {mode!r}")
     with np.errstate(over="ignore"):  # inf is caught by require_finite
@@ -482,16 +438,3 @@ def separable_field(
         return radial_part + p(r)[:, None] * ang_gradient(pts)
 
     return ScalarField(value=value, gradient=gradient, label=label, support=support)
-
-
-def check_coefficient(A: Coefficient, points: np.ndarray) -> None:
-    """Sampled symmetry and eigenvalue-range check for a coefficient."""
-    mats = np.asarray(A.matrix(np.atleast_2d(points)), dtype=float)
-    if not _symmetric(mats):
-        raise AssertionError(f"coefficient {A.label!r} not symmetric at samples")
-    eigs = np.linalg.eigvalsh(mats)
-    if np.min(eigs) < A.c_A - 1e-12 or np.max(eigs) > A.c_A_plus + 1e-12:
-        raise AssertionError(
-            f"coefficient {A.label!r} eigenvalues [{np.min(eigs)}, {np.max(eigs)}] "
-            f"leave the declared range [{A.c_A}, {A.c_A_plus}]"
-        )

@@ -174,8 +174,7 @@ def _flux_gap_norm(
 ) -> float:
     """||y - A grad v||_{A^{-1}} over ``rule``, the flux mismatch entering
     every upper bound; ``grad_v`` holds grad v at the rule's nodes."""
-    pts = rule.nodes
-    gap = y.value(pts) - p.A.apply(pts, grad_v)
+    gap = y.value(rule.nodes) - p.A.apply(grad_v)
     return energy_norm(p.A, gap, "A_inverse", rule,
                        label=f"({y.label}-A*grad({v.label}))")
 

@@ -180,7 +180,7 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     wts = rule.weights
     fvals = np.asarray(p.f.value(pts), dtype=float)
     gv = gradient_on(v, rule)
-    a_gv = A.apply(pts, gv)
+    a_gv = A.apply(gv)
     require_finite(fvals, pts, p.f.label, "minorant:f")
     require_finite(a_gv, pts, v.label, "minorant:A grad")
 
@@ -200,7 +200,7 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
         rows.append((start, stop))
         vals.append(val)
         grads.append(grad)
-        a_grads.append(A.apply(sub, grad))
+        a_grads.append(A.apply(grad))
 
     gram = np.empty((n, n))
     rhs = np.empty(n)
@@ -234,7 +234,7 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     for c, (lo_j, hi_j), val, grad in zip(coeff, rows, vals, grads):
         w_vals[lo_j - lo:hi_j - lo] += c * val
         w_grads[lo_j - lo:hi_j - lo] += c * grad
-    a_mixed = A.apply(pts[lo:hi], 2.0 * gv[lo:hi] + w_grads)
+    a_mixed = A.apply(2.0 * gv[lo:hi] + w_grads)
     direct = 2.0 * exact_dot(fvals[lo:hi] * w_vals, wts[lo:hi]) - exact_dot(
         row_sum(a_mixed * w_grads), wts[lo:hi]
     )

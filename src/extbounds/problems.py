@@ -132,7 +132,7 @@ def builtin(
         )
     elif name == "N3_decay":
         domain = ExteriorDomain(3, 1.0, 2.0)
-        A = Coefficient.constant(2.0 * np.eye(3), label="2I")
+        A = Coefficient(np.full(3, 2.0), label="2I")
         u = radial_scalar(
             lambda r: 1.0 / (1.0 + r**2),
             lambda r: -2.0 * r / (1.0 + r**2) ** 2,
@@ -151,8 +151,8 @@ def builtin(
         flux = VectorField(value=flux_value, divergence=flux_div, label="2*grad u")
     elif name == "N3_anisotropic":
         domain = ExteriorDomain(3, 1.0, 2.0)
-        diag = np.array([1.0, 2.0, 4.0])
-        A = Coefficient.constant(np.diag(diag), label="diag(1,2,4)")
+        A = Coefficient(np.array([1.0, 2.0, 4.0]), label="diag(1,2,4)")
+        diag = A.diagonal
         u = radial_scalar(lambda r: 1.0 / r, lambda r: -1.0 / r**2, "1/r")
 
         def aniso_value(pts):

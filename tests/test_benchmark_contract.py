@@ -9,6 +9,7 @@ import dataclasses
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,6 +122,16 @@ def test_names_perfbench_reads_exist():
                  "trace", "modes", "cutoff"):
         assert hasattr(bundle, name), f"ConstantsBundle.{name}"
     assert len(bundle.extension.params["mode_energies"]) == bundle.modes + 1
+
+    # the reference energy integrates A grad e . grad e through A.matrix,
+    # and the closed-form checks read the ellipticity bounds
+    for name in xb.CATALOG:
+        p = xb.builtin(name, shells=1).problem
+        A, (m, n) = p.A, p.quads.whole.nodes.shape
+        mats = A.matrix(p.quads.whole.nodes)
+        assert mats.shape == (m, n, n), name
+        assert (mats == np.diag(A.diagonal)).all(), name
+        assert isinstance(A.c_A, float) and isinstance(A.c_A_plus, float), name
 
 
 def test_tracer_reads_the_calls_it_wraps():

@@ -307,7 +307,7 @@ class TestBoundaryExtension:
     @pytest.mark.parametrize("R", [None, 1.3])  # None: the catalog's R = 2
     def test_not_below_closed_form(self, dim, R):
         dom = ExteriorDomain(dim, 1.0, R or 2.0)
-        A = Coefficient.constant(np.diag([1.0, 3.0, 2.0][:dim]))
+        A = Coefficient(np.array([1.0, 3.0, 2.0][:dim]))
         modes = 12
         rep = cs.boundary_extension_constant(dom, A, modes=modes)
         assert rep.params["cutoff"] == dom.R
@@ -362,7 +362,7 @@ class TestInterfaceTrace:
             self._verify_50_samples(ExteriorDomain(3, 1.0, R), modes)
 
     def _verify_50_samples(self, dom, modes):
-        A = Coefficient.constant(np.diag([1.0, 2.0, 4.0]))
+        A = Coefficient(np.array([1.0, 2.0, 4.0]))
         rep = cs.interface_trace_constant(dom, A, modes=modes)
         # random fields w = q(r) Y_lm, l <= modes, vanishing at r = a with
         # bounded support: compare the interface H^{1/2} norm against the
@@ -442,7 +442,7 @@ class TestInterfaceTrace:
     @pytest.mark.parametrize("R", [1.05, 2.0])
     def test_not_below_closed_form(self, dim, R):
         dom = ExteriorDomain(dim, 1.0, R)
-        A = Coefficient.constant(np.diag([2.0, 3.0, 5.0][:dim]))
+        A = Coefficient(np.array([2.0, 3.0, 5.0][:dim]))
         modes = 12
         rep = cs.interface_trace_constant(dom, A, modes=modes)
         for ell in range(modes + 1):
@@ -459,7 +459,7 @@ class TestInterfaceTrace:
         # the per-degree closed form C_l = (w_l^{1/2}/(c_A psi_l'(R)))^{1/2}
         # for l = L + 1 .. L + 4000, over R/a from 1 + 1e-6 to 101
         ell = np.arange(modes + 1, modes + 4001, dtype=float)
-        A = Coefficient.constant(np.diag([2.0, 3.0, 5.0][:dim]))
+        A = Coefficient(np.array([2.0, 3.0, 5.0][:dim]))
         for a in (1.0, 1.5):
             for R in a * (1.0 + np.geomspace(1e-6, 100.0, 25)):
                 dom = ExteriorDomain(dim, a, R)

@@ -2,15 +2,14 @@
 
 Rules hold their nodes column-major, and callers may pass row-major
 points.  Every closure of the catalog is elementwise per node, and the
-two kernels whose rounding depends on the layout (the BLAS product in the
-perturbed flux's divergence and the einsum of ``Coefficient.apply``) take
-a C-contiguous operand, so the layout never reaches an output byte."""
+one kernel whose rounding depends on the layout, the BLAS product in the
+perturbed flux's divergence (``problems.perturb``), takes a C-contiguous
+operand, so the layout never reaches an output byte."""
 
 import numpy as np
 import pytest
 
 import extbounds as xb
-from extbounds.fields import Coefficient
 from extbounds.minorant import default_basis
 from extbounds.problems import CATALOG, TARGET_MODES, perturb
 
@@ -58,20 +57,6 @@ class TestKernels:
         for seed in SEEDS:
             y = perturb(mp, "y", 0.1, "interior_bump", seed)
             assert_layout_independent(y.divergence, mp.problem.quads.whole.nodes, seed)
-
-    @pytest.mark.parametrize("dimension", [2, 3])
-    @pytest.mark.parametrize("method", ["apply", "solve"])
-    def test_non_diagonal_coefficient(self, dimension, method):
-        # einsum("mij,mj->mi") rounds by the layout of its vector operand;
-        # the batched solve does not
-        rng = np.random.default_rng(dimension)
-        m = rng.normal(size=(dimension, dimension))
-        A = Coefficient.constant(m @ m.T + dimension * np.eye(dimension))
-        assert A.diagonal is None
-        vals = rng.normal(size=(20000, dimension))
-        pts = rng.normal(size=(20000, dimension))
-        act = getattr(A, method)
-        assert_layout_independent(lambda q: act(pts[:len(q)], q), vals, dimension)
 
 
 @pytest.mark.parametrize("name", CATALOG)

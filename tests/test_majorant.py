@@ -95,7 +95,7 @@ class TestBoundaryTerm:
         # diag(1, 1.000001, 1) is within allclose of the identity, but not a
         # multiple of it: its energies take c_A_plus, never 1
         mp = xb.builtin("N3_harmonic", shells=3)
-        A = Coefficient.constant(np.diag([1.0, 1.000001, 1.0]))
+        A = Coefficient(np.array([1.0, 1.000001, 1.0]))
         p = dataclasses.replace(mp.problem, A=A)
         v = perturb(mp, "v", 0.1, "boundary_mode", seed=2)
         bundle = xb.constants_bundle(p)

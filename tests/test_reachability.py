@@ -12,8 +12,6 @@ CALLERS = ("scripts", "perfbench")
 
 # public names that no program path names, kept on purpose
 KEPT = {
-    "check_coefficient": "test oracle of the declared ellipticity bounds; "
-                         "ROADMAP 6(c) calls it when a Problem is built",
     "integrate": "perfbench/tracer.py wraps it by name (LAYERS, geometry.reduce)",
 }
 
