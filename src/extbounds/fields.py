@@ -14,6 +14,17 @@ a closure fills per node takes the layout of its input, and the one
 kernel that rounds by layout, the BLAS product of the perturbed flux's
 divergence (``problems.perturb``), gets a C-order operand.
 
+Every norm, and every integral of the minorant, sums a pointwise density
+that ``density`` builds one column at a time in a single M-vector, with at
+most one more scratch column: sum_k (a_k o d_k) b_k, o the product or the
+quotient by the coefficient's diagonal d (or a_k b_k without it).  Each
+node takes the IEEE operations of ``row_sum((a o d) * b)`` over the (M, N)
+arrays in the same order, term by term and added left to right; that
+``row_sum`` starts from +0.0 only turns a density of -0.0 into +0.0, which
+no exact sum tells apart.  So no (M, N) temporary is built and every sum
+keeps its bits.  A norm checks its density with ``require_finite`` and
+sums it with the rule's weights in one ``exact_dot``.
+
 Two radial weights coexist and are never interchanged silently:
 ``rho = (1 + r^2)^{1/2}`` in the norms (``weighted_norm``), and the plain
 radius r (with a logarithm in 2D) in the inequality machinery
@@ -41,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import LastValue, QuadratureRule, exact_dot, node_radii, row_sum
+from .geometry import LastValue, QuadratureRule, exact_dot, node_radii
 
 
 class CompositionError(TypeError):
@@ -168,15 +179,6 @@ class Coefficient:
     def identity(dimension: int) -> "Coefficient":
         return Coefficient(np.ones(dimension), label="identity")
 
-    def apply(self, vals: np.ndarray) -> np.ndarray:
-        """A q at every node, for the (M, N) values ``q``."""
-        return vals * self.diagonal
-
-    def solve(self, vals: np.ndarray) -> np.ndarray:
-        """A^{-1} q at every node, for the (M, N) values ``q``."""
-        with np.errstate(over="ignore"):  # the callers' require_finite catches inf
-            return vals / self.diagonal
-
     def matrix(self, pts: np.ndarray) -> np.ndarray:
         """The (M, N, N) matrices of A at the M nodes ``pts``, one read-only
         view of diag(d).  No bound uses it: the benchmark's reference
@@ -213,21 +215,72 @@ def residual_field(f: ScalarField, y: VectorField) -> ScalarField:
     )
 
 
-def _squared_magnitude(f: ScalarField | VectorField, pts: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f.value(pts), dtype=float)
-    with np.errstate(over="ignore"):  # the callers' require_finite catches inf
-        return vals**2 if vals.ndim == 1 else row_sum(vals**2)
+def density(out: np.ndarray, pairs, d: np.ndarray | None = None, *,
+            divide: bool = False) -> np.ndarray:
+    """Write sum_k (a_k o d_k) b_k into ``out`` and return it, for the
+    column pairs (a_k, b_k) of ``pairs`` (k = 0, 1, ...): o is * (``/``
+    with ``divide``), and the term is a_k b_k without ``d``.  See the
+    module docstring for the contract."""
+    term = out
+    for k, (a, b) in enumerate(pairs):
+        if k == 1:
+            term = np.empty_like(out)
+        if d is None:
+            np.multiply(a, b, out=term)
+        else:
+            (np.divide if divide else np.multiply)(a, d[k], out=term)
+            term *= b
+        if k:
+            out += term
+    return out
+
+
+def _columns(q: np.ndarray, g: np.ndarray | None = None, d: np.ndarray | None = None):
+    """The columns of q, of q - g, or (with ``d``) of q - d g, in turn.  A
+    difference is written into one scratch column, so each column must be
+    used before the next is taken."""
+    if g is None:
+        yield from q.T
+        return
+    scratch = np.empty(len(q))
+    for k, (qk, gk) in enumerate(zip(q.T, g.T)):
+        if d is not None:
+            gk = np.multiply(gk, d[k], out=scratch)
+        yield np.subtract(qk, gk, out=scratch)
+
+
+def _norm(columns, rule: QuadratureRule, label: str, weight: str, *,
+          d: np.ndarray | None = None, divide: bool = False,
+          scale: np.ndarray | None = None) -> float:
+    """(integral of scale * sum_k (c_k o d_k) c_k)^{1/2} over ``rule`` for
+    the M-vectors c_k of ``columns`` (see ``density``); ``label`` and
+    ``weight`` name a non-finite density's field and weight."""
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite catches them
+        dens = density(np.empty(len(rule)), ((c, c) for c in columns), d, divide=divide)
+        if scale is not None:
+            dens *= scale
+    require_finite(dens, rule.nodes, label, weight)
+    return math.sqrt(max(exact_dot(dens, rule.weights), 0.0))
+
+
+def _value_columns(f: ScalarField | VectorField, rule: QuadratureRule) -> np.ndarray:
+    """The columns of the values of ``f`` at the rule's nodes, one for a
+    scalar field."""
+    vals = np.asarray(f.value(rule.nodes), dtype=float)
+    return vals.reshape(len(vals), -1).T
 
 
 def weighted_norm(f: ScalarField | VectorField, s: float, rule: QuadratureRule) -> float:
     """(integral of rho^{2s} |f|^2)^{1/2} with rho = (1 + r^2)^{1/2}."""
-    pts = rule.nodes
-    rho2 = 1.0 + row_sum(pts**2)
-    sq = _squared_magnitude(f, pts)
-    with np.errstate(over="ignore"):  # inf is caught by require_finite
-        vals = sq * rho2**s
-    require_finite(vals, pts, f.label, f"rho^{2 * s}")
-    return math.sqrt(max(exact_dot(vals, rule.weights), 0.0))
+    columns = _value_columns(f, rule)
+    scale = None
+    if s != 0.0:  # rho^0 is 1.0 at every node
+        pts = rule.nodes
+        with np.errstate(over="ignore"):
+            scale = density(np.empty(len(pts)), zip(pts.T, pts.T))
+            scale += 1.0
+            scale **= s
+    return _norm(columns, rule, f.label, f"rho^{2 * s}", scale=scale)
 
 
 def log_weighted_norm(f: ScalarField | VectorField, rule: QuadratureRule) -> float:
@@ -238,32 +291,27 @@ def log_weighted_norm(f: ScalarField | VectorField, rule: QuadratureRule) -> flo
     r = node_radii(rule.nodes)
     if np.min(r) <= 1.0:
         raise ValueError("log weight needs all quadrature nodes at radius > 1")
-    w = r * np.log(r)
-    sq = _squared_magnitude(f, rule.nodes)
-    with np.errstate(over="ignore"):  # inf is caught by require_finite
-        vals = sq * w**2
-    require_finite(vals, rule.nodes, f.label, "times_rlnr")
-    return math.sqrt(max(exact_dot(vals, rule.weights), 0.0))
+    w = np.log(r)
+    w *= r
+    w *= w
+    return _norm(_value_columns(f, rule), rule, f.label, "times_rlnr", scale=w)
 
 
 def energy_norm(
-    A: Coefficient, q: np.ndarray, mode: str, rule: QuadratureRule, *, label: str = ""
+    A: Coefficient, q: np.ndarray, mode: str, rule: QuadratureRule, *, label: str = "",
+    minus_gradient: np.ndarray | None = None,
 ) -> float:
     """||q||_A = (int A q . q)^{1/2} or its dual ||q||_{A^{-1}}, for the
     values ``q`` of a vector field at the rule's nodes; ``label`` names the
-    field in errors."""
-    pts = rule.nodes
-    vals = np.asarray(q, dtype=float)
-    if mode == "A":
-        prod = A.apply(vals)
-    elif mode == "A_inverse":
-        prod = A.solve(vals)
-    else:
+    field in errors.  ``minus_gradient`` g, the values of a gradient at the
+    same nodes, is taken from q first: the norm is then that of q - g in
+    mode "A" (q a gradient) and that of q - A g in mode "A_inverse" (q a
+    flux)."""
+    if mode not in ("A", "A_inverse"):
         raise ValueError(f"unknown energy norm mode {mode!r}")
-    with np.errstate(over="ignore"):  # inf is caught by require_finite
-        dens = row_sum(prod * vals)
-    require_finite(dens, pts, label, f"energy:{mode}")
-    return math.sqrt(max(exact_dot(dens, rule.weights), 0.0))
+    d, dual = A.diagonal, mode == "A_inverse"
+    columns = _columns(np.asarray(q, dtype=float), minus_gradient, d if dual else None)
+    return _norm(columns, rule, label, f"energy:{mode}", d=d, divide=dual)
 
 
 class QuadratureErrorAt(ArithmeticError):

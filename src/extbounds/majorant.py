@@ -174,9 +174,8 @@ def _flux_gap_norm(
 ) -> float:
     """||y - A grad v||_{A^{-1}} over ``rule``, the flux mismatch entering
     every upper bound; ``grad_v`` holds grad v at the rule's nodes."""
-    gap = y.value(rule.nodes) - p.A.apply(grad_v)
-    return energy_norm(p.A, gap, "A_inverse", rule,
-                       label=f"({y.label}-A*grad({v.label}))")
+    return energy_norm(p.A, y.value(rule.nodes), "A_inverse", rule,
+                       label=f"({y.label}-A*grad({v.label}))", minus_gradient=grad_v)
 
 
 def _flux_term(p: Problem, v: ScalarField, y: VectorField) -> float:

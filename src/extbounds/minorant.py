@@ -24,12 +24,13 @@ from .fields import (
     ScalarField,
     VectorField,
     angular_monomial,
+    density,
     gradient_on,
     require_finite,
     separable_field,
     support_rows,
 )
-from .geometry import exact_dot, node_radii, row_sum, stack_rows
+from .geometry import exact_dot, node_radii, stack_rows
 from .problems import Problem
 from .majorant import TRACE_ZERO_TOL, dirichlet_mismatch, estimate_I
 
@@ -168,25 +169,26 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     ``exact_dot`` over the rows its basis functions share: the products
     skipped elsewhere are exact zeros, so each sum is the correctly
     rounded value over the whole rule, and a pair sharing no rows has the
-    Gram entry 0.0.  A product of finite values that overflows raises
-    ``FloatingPointError``."""
+    Gram entry 0.0.  The integrals over one row range are summed in one
+    2-D ``exact_dot``, a row each, from densities built column by column
+    (``fields.density``).  A product of finite values that overflows
+    raises ``FloatingPointError``."""
     import scipy.linalg  # deferred: importing the CLI should not load it
 
     if len(basis) == 0:
         raise ValueError("basis must be nonempty")
-    A = p.A
+    d = p.A.diagonal
     rule = p.quads.whole
     pts = rule.nodes
     wts = rule.weights
     fvals = np.asarray(p.f.value(pts), dtype=float)
     gv = gradient_on(v, rule)
-    a_gv = A.apply(gv)
     require_finite(fvals, pts, p.f.label, "minorant:f")
-    require_finite(a_gv, pts, v.label, "minorant:A grad")
+    require_finite(gv, pts, v.label, "minorant:A grad")  # A grad v is finite where grad v is
 
     n = len(basis)
     radii = node_radii(pts)
-    rows, vals, grads, a_grads = [], [], [], []
+    rows, vals, grads = [], [], []
     for w in basis.fields:
         if w.support is None:
             start, stop, sub = 0, len(pts), pts  # the rule's own array: its radii are memoized
@@ -200,21 +202,31 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
         rows.append((start, stop))
         vals.append(val)
         grads.append(grad)
-        a_grads.append(A.apply(grad))
 
-    gram = np.empty((n, n))
-    rhs = np.empty(n)
+    # the densities of the Gram entries and of the right-hand sides, by the
+    # rows [lo, hi) they are summed over: (A grad w_j) . grad w_k, f w_j and
+    # (A grad v) . grad w_j
+    shared = {}
     for j, (lo_j, hi_j) in enumerate(rows):
         for k in range(j, n):
             lo_k, hi_k = rows[k]
             lo, hi = max(lo_j, lo_k), min(hi_j, hi_k)
-            gram[j, k] = gram[k, j] = 0.0 if lo >= hi else exact_dot(
-                row_sum(a_grads[j][lo - lo_j:hi - lo_j] * grads[k][lo - lo_k:hi - lo_k]),
-                wts[lo:hi],
-            )
-        rhs[j] = exact_dot(fvals[lo_j:hi_j] * vals[j], wts[lo_j:hi_j]) - exact_dot(
-            row_sum(a_gv[lo_j:hi_j] * grads[j]), wts[lo_j:hi_j]
-        )
+            if lo < hi:
+                shared.setdefault((lo, hi), []).append(((j, k), d, zip(
+                    grads[j][lo - lo_j:hi - lo_j].T, grads[k][lo - lo_k:hi - lo_k].T)))
+        shared.setdefault((lo_j, hi_j), []).extend([
+            (("f", j), None, ((fvals[lo_j:hi_j], vals[j]),)),
+            (("v", j), d, zip(gv[lo_j:hi_j].T, grads[j].T)),
+        ])
+    sums = {}
+    for (lo, hi), group in shared.items():
+        dens = np.empty((len(group), hi - lo))
+        for row, (_, diag, pairs) in zip(dens, group):
+            density(row, pairs, diag)
+        sums.update(zip([key for key, _, _ in group], exact_dot(dens, wts[lo:hi]).tolist()))
+    gram = np.array([[sums.get((min(j, k), max(j, k)), 0.0) for k in range(n)]
+                     for j in range(n)])
+    rhs = np.array([sums["f", j] - sums["v", j] for j in range(n)])
 
     eigs = scipy.linalg.eigvalsh(gram)
     if eigs[0] <= GRAM_EIG_RTOL * max(eigs[-1], 1.0):
@@ -230,14 +242,13 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     lo = min(lo_j for lo_j, _ in rows)
     hi = max(hi_j for _, hi_j in rows)
     w_vals = np.zeros(hi - lo)
-    w_grads = np.zeros_like(gv[lo:hi])
-    for c, (lo_j, hi_j), val, grad in zip(coeff, rows, vals, grads):
+    for c, (lo_j, hi_j), val in zip(coeff, rows, vals):
         w_vals[lo_j - lo:hi_j - lo] += c * val
-        w_grads[lo_j - lo:hi_j - lo] += c * grad
-    a_mixed = A.apply(2.0 * gv[lo:hi] + w_grads)
-    direct = 2.0 * exact_dot(fvals[lo:hi] * w_vals, wts[lo:hi]) - exact_dot(
-        row_sum(a_mixed * w_grads), wts[lo:hi]
-    )
+    dens = np.empty((2, hi - lo))
+    np.multiply(fvals[lo:hi], w_vals, out=dens[0])
+    density(dens[1], _mixed_columns(gv[lo:hi], coeff, rows, grads, lo), d)
+    f_w, a_w = exact_dot(dens, wts[lo:hi]).tolist()
+    direct = 2.0 * f_w - a_w
 
     # after the assembly, which names the node of a non-finite value first
     validate_zero_traces(p, basis)
@@ -249,6 +260,17 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
         basis_size=n,
         boundary_caveat=dirichlet_mismatch(p, v) is not None,
     )
+
+
+def _mixed_columns(gv, coeff, rows, grads, lo):
+    """The column pairs (2 grad v + grad w, grad w) of w = sum_j c_j w_j
+    over the rows from ``lo`` on that ``gv`` holds, one coordinate at a
+    time; grad w adds the terms c_j grad w_j in the order of j."""
+    for k, gv_k in enumerate(gv.T):
+        w_k = np.zeros(len(gv_k))
+        for c, (lo_j, hi_j), grad in zip(coeff, rows, grads):
+            w_k[lo_j - lo:hi_j - lo] += c * grad[:, k]
+        yield 2.0 * gv_k + w_k, w_k
 
 
 def minorant(p: Problem, v: ScalarField, basis: TestBasis) -> float:

@@ -265,23 +265,31 @@ class TestSpanAssembly:
         assert (rep.value, rep.direct_value, rep.gram_min_eig) == (value, direct, min_eig)
         assert rep.coefficients.tobytes() == coeff.tobytes()
 
-    @pytest.mark.parametrize("name,calls", [("N3_harmonic", 74), ("N2_log", 50)])
-    def test_exact_dot_calls(self, coarse, monkeypatch, name, calls):
+    @pytest.mark.parametrize("name,rows", [("N3_harmonic", 74), ("N2_log", 50)])
+    def test_exact_dot_calls(self, coarse, monkeypatch, name, rows):
         # 4 radial groups of 1 + N fields with disjoint support rows: the Gram
-        # pairs within a group, two sums per right-hand side, two direct sums
+        # pairs within a group and two sums per right-hand side, one call per
+        # group with a row per sum, then one call with the two direct sums
         module = sys.modules["extbounds.minorant"]
         seen = []
 
         def counted(values, weights):
-            seen.append(len(values))
+            seen.append(np.shape(values))
             return exact_dot(values, weights)
 
         monkeypatch.setattr(module, "exact_dot", counted)
         mp = coarse[name]
+        whole = mp.problem.quads.whole
         v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
-        minorant_report(mp.problem, v, default_basis(mp.domain, 4, 1))
-        assert len(seen) == calls
-        assert max(seen) < len(mp.problem.quads.whole)
+        basis = default_basis(mp.domain, 4, 1)
+        minorant_report(mp.problem, v, basis)
+        radii = node_radii(whole.nodes)
+        groups = sorted({support_rows(radii, w.support) for w in basis.fields})
+        assert len(groups) == 4
+        assert [length for _, length in seen[:-1]] == [hi - lo for lo, hi in groups]
+        assert seen[-1] == (2, groups[-1][1] - groups[0][0])
+        assert sum(count for count, _ in seen) == rows
+        assert max(length for _, length in seen) < len(whole)
 
 
 def _span(val, grad, start=0):
