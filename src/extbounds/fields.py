@@ -42,6 +42,14 @@ share one evaluation.  Its contract: fields are immutable and their
 closures are pure (the same nodes give the same values), rules never
 change, and the package is used from one thread.  Fields and rules are
 matched by identity, so an equal but distinct field is evaluated anew.
+
+A catalog problem's exact gradient grad u and flux divergence div F are
+kept per node array (``geometry.NodeMemo``, wrapped by
+``problems.builtin``): the first call on a rule evaluates them, and every
+later call, through grad v = grad u + eps grad b, the true error or
+f = -div F, returns the same read-only array or a row slice of it.  So
+no caller may write into a closure's result; a write raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -63,6 +71,19 @@ def _combine_maybe(fa, fb, op):
     if fa is None or fb is None:
         return None
     return lambda pts: op(fa(pts), fb(pts))
+
+
+def _scaled(c: float, fn):
+    """c * fn(pts), or None without ``fn``.  A product past the float range
+    is inf, which ``require_finite`` then reports at its node."""
+    if fn is None:
+        return None
+
+    def scaled(pts):
+        with np.errstate(over="ignore"):
+            return c * fn(pts)
+
+    return scaled
 
 
 @dataclass(frozen=True)
@@ -108,10 +129,9 @@ class ScalarField:
 
     def __rmul__(self, c: float) -> "ScalarField":
         c = float(c)
-        grad = self.gradient
         return ScalarField(
-            value=lambda pts: c * self.value(pts),
-            gradient=None if grad is None else (lambda pts: c * grad(pts)),
+            value=_scaled(c, self.value),
+            gradient=_scaled(c, self.gradient),
             label=f"{c}*{self.label}",
             support=self.support,
         )
@@ -142,10 +162,9 @@ class VectorField:
 
     def __rmul__(self, c: float) -> "VectorField":
         c = float(c)
-        div = self.divergence
         return VectorField(
-            value=lambda pts: c * self.value(pts),
-            divergence=None if div is None else (lambda pts: c * div(pts)),
+            value=_scaled(c, self.value),
+            divergence=_scaled(c, self.divergence),
             label=f"{c}*{self.label}",
         )
 

@@ -24,6 +24,7 @@ error-free extraction of Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -131,9 +132,9 @@ class QuadratureRule:
     """Immutable node/weight list over one region of an exterior domain.
     Nodes and weights must be finite, and weights positive.
 
-    Nodes given column-major (``strides[0] == itemsize``), such as row
-    views of another rule's nodes, are kept as they are; others are copied
-    column-major.
+    Nodes must be column-major (``strides[0] == itemsize``), as
+    ``build_quadrature`` writes them and as row views of another rule's
+    nodes are; they are kept as they are, and row-major ones are rejected.
 
     ``derived`` keeps values computed from the rule alone, so that they
     live exactly as long as the rule."""
@@ -148,7 +149,9 @@ class QuadratureRule:
     def __post_init__(self):
         nodes = np.asarray(np.atleast_2d(self.nodes), dtype=float)
         if nodes.strides[0] != nodes.itemsize:
-            nodes = np.asfortranarray(nodes)
+            raise QuadratureError(
+                f"nodes must be column-major (strides[0] == {nodes.itemsize}), "
+                f"got strides {nodes.strides}")
         weights = np.ascontiguousarray(self.weights, dtype=float)
         if nodes.shape[0] != weights.shape[0]:
             raise QuadratureError("node and weight counts differ")
@@ -225,16 +228,72 @@ def _radii(pts: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _row_range(view: np.ndarray, held: np.ndarray) -> slice | None:
-    """The rows of ``held`` that ``view`` is, when it is a contiguous row
-    range of the same memory with the same layout; else None."""
-    if view.strides != held.strides or view.shape[1:] != held.shape[1:]:
+def _layout(a: np.ndarray) -> tuple:
+    """(address, strides, shape): where the rows of ``a`` lie, with no
+    reference to ``a``."""
+    return a.__array_interface__["data"][0], a.strides, a.shape
+
+
+def _row_range(view: np.ndarray, held) -> slice | None:
+    """The rows of ``held``, an array or the ``_layout`` of one, that
+    ``view`` is, when it is a contiguous row range of the same memory with
+    the same layout; else None."""
+    address, strides, shape = _layout(held) if isinstance(held, np.ndarray) else held
+    if view.strides != strides or view.shape[1:] != shape[1:]:
         return None
-    offset = view.__array_interface__["data"][0] - held.__array_interface__["data"][0]
-    start, rest = divmod(offset, held.strides[0])
-    if rest or not 0 <= start <= start + len(view) <= len(held):
+    start, rest = divmod(view.__array_interface__["data"][0] - address, strides[0])
+    if rest or not 0 <= start <= start + len(view) <= shape[0]:
         return None
     return slice(start, start + len(view))
+
+
+class NodeMemo:
+    """``fn`` over (M, N) node arrays, its value on read-only ones kept.
+
+    The value is computed once per array that owns the nodes' memory, on
+    all of its rows in the layout of the nodes passed (the owner or its
+    transpose), and kept read-only; the nodes, and any other read-only row
+    range of the owner, get the matching rows of it, so a rule's
+    ``omega_i`` and ``omega_e`` share the value of its ``whole``.  ``fn``
+    must compute each row from its own node only (see ``fields``), so the
+    rows have the bits of a call on them alone, and must return a new
+    array.  No entry holds a reference to the nodes: a weak reference
+    drops it when the owning array is freed.  Writable arrays, and nodes
+    that are no row range of their owner, go to ``fn`` on every call.
+    Lookups are one dict access.  Its callers take read-only nodes to be
+    immutable, and use it from one thread."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self._held = {}  # id(owner) -> (weak reference to it, _layout of the rows, value)
+
+    def __call__(self, pts):
+        if not isinstance(pts, np.ndarray) or pts.ndim != 2 or pts.flags.writeable:
+            return self.fn(pts)
+        owner = pts
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        entry = self._held.get(id(owner)) or self._keep(pts, owner)
+        rows = None if entry is None else _row_range(pts, entry[1])
+        return self.fn(pts) if rows is None else entry[2][rows]
+
+    def _keep(self, pts: np.ndarray, owner: np.ndarray) -> tuple | None:
+        full = next((a for a in (owner, owner.T) if _row_range(pts, a) is not None), None)
+        if full is None:
+            return None
+        full = full.view()
+        full.flags.writeable = False
+        value = np.asarray(self.fn(full))
+        value.flags.writeable = False
+        memo, key = weakref.ref(self), id(owner)
+
+        def forget(_):
+            held = memo()
+            if held is not None:
+                del held._held[key]
+
+        self._held[key] = entry = (weakref.ref(owner, forget), _layout(full), value)
+        return entry
 
 
 def node_radii(points: np.ndarray) -> np.ndarray:

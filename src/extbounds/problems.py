@@ -10,6 +10,7 @@ modes (trace mismatch), and interface jumps (broken normal traces).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -31,6 +32,7 @@ from .fields import (
 )
 from .geometry import (
     ExteriorDomain,
+    NodeMemo,
     QuadratureRule,
     build_quadrature,
     node_radii,
@@ -52,12 +54,38 @@ class QuadratureBundle:
     omega_e_refined: QuadratureRule  # doubled radial order, for tail checks
 
 
+# (domain, radial order, angular order, shells) -> weak reference to the
+# bundle built for them, dropped when that bundle is freed
+_BUNDLE_CACHE: dict = {}
+
+
 def make_bundle(
     domain: ExteriorDomain,
     radial_order: int = 12,
     angular_order: int = 12,
     shells: int = 16,
 ) -> QuadratureBundle:
+    """The rules over ``domain`` at this resolution, shared while held:
+    while some caller still holds the bundle built for the same arguments,
+    that bundle is returned, so problems on one domain share their rules
+    and the values kept per rule (``QuadratureRule.derived``,
+    ``geometry.NodeMemo``).  The store holds weak references only: a
+    bundle no one holds is freed, and the next call builds it anew."""
+    key = (domain, radial_order, angular_order, shells)
+    ref = _BUNDLE_CACHE.get(key)
+    quads = None if ref is None else ref()
+    if quads is None:
+        quads = _build_bundle(*key)
+
+        def forget(dead, key=key):
+            if _BUNDLE_CACHE.get(key) is dead:
+                del _BUNDLE_CACHE[key]
+
+        _BUNDLE_CACHE[key] = weakref.ref(quads, forget)
+    return quads
+
+
+def _build_bundle(domain, radial_order, angular_order, shells) -> QuadratureBundle:
     def build(region, ro=radial_order):
         return build_quadrature(domain, ro, angular_order, shells, region)
 
@@ -176,6 +204,11 @@ def builtin(
             label="grad(1/r) (2D)",
         )
 
+    # the exact data are kept per node array: grad v = grad u + eps grad b
+    # and the true error read the kept grad u, and f = -div F and div y,
+    # y = F + eps p, the kept div F
+    u = replace(u, gradient=NodeMemo(u.gradient))
+    flux = replace(flux, divergence=NodeMemo(flux.divergence))
     f = ScalarField(
         value=lambda pts: -flux.divergence(pts), gradient=None, label="-div flux"
     )
@@ -196,7 +229,8 @@ def with_interface_radius(
     mp: ManufacturedProblem, radius: float
 ) -> ManufacturedProblem:
     """The same problem with the artificial interface moved to ``radius``,
-    with rules rebuilt at the resolution of ``mp``'s own.  The exact
+    with the rules over the moved domain at the resolution of ``mp``'s own,
+    shared while held (``make_bundle``).  The exact
     solution, flux and load do not depend on where the interface sits, and
     neither does the Dirichlet trace ``g``: the inner-sphere rule depends
     on the inner radius only."""

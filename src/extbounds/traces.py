@@ -181,8 +181,13 @@ def _project(values, radius, degree, rule):
                          lambda: basis_matrix(dimension, degree, radius, rule.nodes))
     coeffs = exact_dot(basis, values * rule.weights)
     rest = values - coeffs @ basis
-    return SphereTrace(radius, dimension, degree, coeffs,
-                       above_band=exact_sum(rest * rest * rule.weights))
+    with np.errstate(over="ignore"):  # an energy past the float range raises below
+        above_band = exact_sum(rest * rest * rule.weights)
+        if np.isinf(above_band + coeffs @ coeffs):  # a NaN stays for the callers' checks
+            raise OverflowError(
+                f"the trace on the sphere of radius {radius} has an L^2 energy "
+                "beyond the float range")
+    return SphereTrace(radius, dimension, degree, coeffs, above_band=above_band)
 
 
 def analyze(f: ScalarField, radius: float, degree: int, rule: QuadratureRule) -> SphereTrace:

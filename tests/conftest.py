@@ -45,12 +45,13 @@ def bundles(catalog):
 
 
 def random_points_in_annulus(domain, count, seed):
-    """Sample points uniformly-ish in the open annulus, any direction."""
+    """Sample points uniformly-ish in the open annulus, any direction;
+    column-major, as a rule's nodes are."""
     rng = np.random.default_rng(seed)
     radii = rng.uniform(domain.a * 1.02, domain.R * 0.98, size=count)
     dirs = rng.normal(size=(count, domain.dimension))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    return radii[:, None] * dirs
+    return np.asfortranarray(radii[:, None] * dirs)
 
 
 @contextmanager

@@ -163,3 +163,23 @@ def test_tracer_reads_the_calls_it_wraps():
     assert metrics["majorant.estimate.calls"] == 3
     assert metrics["minorant.report.calls"] == 1
     assert metrics["minorant.basis_nodes"] > 0 and metrics["fields.norm.nodes"] > 0
+
+
+def test_cleared_caches_build_new_rules(monkeypatch):
+    # the cli workload empties the program's caches before each command
+    # (``clear_program_caches``), so that every command pays cold rules:
+    # the store of shared rules must be one of the caches it empties
+    import importlib.util
+    import sys
+
+    import extbounds as xb
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    held = xb.builtin("N3_harmonic", shells=1)
+    assert xb.builtin("N3_harmonic", shells=1).problem.quads is held.problem.quads
+    workloads.clear_program_caches()
+    assert xb.builtin("N3_harmonic", shells=1).problem.quads is not held.problem.quads

@@ -294,6 +294,24 @@ class TestCommands:
             assert "sweep.values: expected a non-empty list of positive numbers" in err
             assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("command,payload", [
+        # eps = 1e300 overflows: each exits 1 with no RuntimeWarning on the
+        # way (TestDispatchFuzz found the first and the last warning)
+        ("majorant", {"perturbation": {"mode": "boundary_mode", "epsilons": [1e300]}}),
+        ("majorant", {"estimate": "III", "perturbation": {
+            "target": "y_broken", "mode": "interface_jump", "epsilons": [1e300]}}),
+        ("sweep", {"perturbation": {"target": "y", "epsilons": [1e300], "seed": 1},
+                   "sweep": {"kind": "radius", "values": [1.000000001]}}),
+    ])
+    def test_overflowing_perturbation_exits_1(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, {"quadrature": {"radial_order": 1, "angular_order": 2,
+                                                     "shells": 1},
+                                      "trace": {"L": 1}, **payload})
+        code = main([command, "--config", cfg, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert err.splitlines()[-1].startswith("precondition violated: ")
+
     def test_majorant_report_schema(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         assert main(["majorant", "--config", cfg, "--out", str(tmp_path)]) == 0

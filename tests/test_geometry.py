@@ -258,16 +258,95 @@ class TestLayout:
             assert geometry._row_range(view, held) is None
         assert geometry._row_range(np.ascontiguousarray(held[5:40]), held) is None
 
-    def test_row_major_nodes_are_stored_column_major(self):
+    def test_row_major_nodes_are_rejected(self):
         nodes = np.random.default_rng(3).normal(size=(50, 3))
-        rule = QuadratureRule(nodes, np.ones(50), 1, 1, 1)
-        assert rule.nodes.strides[0] == rule.nodes.itemsize
-        assert not np.shares_memory(rule.nodes, nodes) and nodes.flags.writeable
-        assert_bits_equal(rule.nodes, nodes)
-        # a column-strided row view is kept as it is
+        with pytest.raises(QuadratureError, match="column-major"):
+            QuadratureRule(nodes, np.ones(50), 1, 1, 1)
+        # column-major nodes, and a column-strided row view of them, are
+        # kept as they are
+        cols = np.asfortranarray(nodes)
+        rule = QuadratureRule(cols, np.ones(50), 1, 1, 1)
+        assert rule.nodes is cols and not cols.flags.writeable
         view = dataclasses.replace(rule, nodes=rule.nodes[5:20], weights=rule.weights[5:20])
         assert np.shares_memory(view.nodes, rule.nodes)
         assert view.nodes.strides == rule.nodes.strides
+
+
+
+class TestNodeMemo:
+    """``NodeMemo`` keeps a closure's value per node array: once per array
+    that owns the nodes, sliced for its row ranges, and dropped with it."""
+
+    @staticmethod
+    def counted(fn):
+        calls = []
+
+        def closure(pts):
+            calls.append(len(pts))
+            return fn(pts)
+
+        return geometry.NodeMemo(closure), calls
+
+    @staticmethod
+    def radial(pts):
+        # a closure of the catalog's form, each row from its own node; its
+        # radii bypass node_radii, whose memo holds the last array it saw
+        r = np.sqrt(row_sum(pts * pts))
+        return (-1.0 / r**3)[:, None] * pts
+
+    def test_parts_get_slices_of_the_whole_value(self):
+        whole, inner, outer = whole_and_parts(DOM3, 4, 4, 2)
+        memo, calls = self.counted(self.radial)
+        first = memo(inner.nodes)  # computed on every row of whole, once
+        kept = memo(whole.nodes)
+        assert calls == [len(whole)] and not kept.flags.writeable
+        for rule, got in ((inner, first), (outer, memo(outer.nodes)), (whole, kept)):
+            assert np.shares_memory(got, kept) and not got.flags.writeable
+            fresh = self.radial(np.asfortranarray(rule.nodes))
+            assert_bits_equal(got, fresh)
+        sub = whole.nodes[5:40]
+        assert np.shares_memory(memo(sub), kept)
+        assert calls == [len(whole)]
+
+    def test_writable_arrays_are_never_kept(self):
+        nodes = np.array(whole_and_parts(DOM3, 4, 4, 2)[0].nodes, order="F")
+        assert nodes.flags.writeable
+        memo, calls = self.counted(self.radial)
+        got = [memo(nodes), memo(nodes), memo(nodes[3:9])]
+        assert calls == [len(nodes), len(nodes), 6] and not memo._held
+        assert all(a.flags.writeable for a in got)
+
+    def test_no_row_range_goes_to_the_closure(self):
+        whole = whole_and_parts(DOM3, 4, 4, 2)[0]
+        memo, calls = self.counted(lambda pts: pts[:, 0] * 2.0)
+        kept = memo(whole.nodes)
+        for view in (whole.nodes[::2], whole.nodes[:, :2]):
+            assert not np.shares_memory(memo(view), kept)
+        assert calls == [len(whole)] + [len(whole.nodes[::2]), len(whole)]
+
+    def test_entry_goes_with_the_owning_array(self):
+        import gc
+        import weakref
+
+        whole, inner, outer = whole_and_parts(DOM3, 4, 4, 2)
+        memo, _ = self.counted(self.radial)
+        value = weakref.ref(memo(outer.nodes).base)
+        owner = weakref.ref(whole.nodes.base)
+        assert len(memo._held) == 1 and value() is not None
+        del whole, inner, outer
+        gc.collect()
+        assert owner() is None and value() is None and not memo._held
+
+    def test_writing_into_a_kept_value_fails(self):
+        whole, inner, _ = whole_and_parts(DOM3, 4, 4, 2)
+        memo, _ = self.counted(self.radial)
+        got = memo(inner.nodes)
+        before = got.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            got += 1.0
+        assert_bits_equal(memo(inner.nodes), before)
 
 
 def fsum_outcome(fn, x):
@@ -553,7 +632,8 @@ class TestIntegrate:
     def test_permutation_invariance(self):
         rule = whole_and_parts(DOM3, 8, 8, 4)[0]
         perm = np.random.default_rng(0).permutation(len(rule))
-        shuffled = dataclasses.replace(rule, nodes=rule.nodes[perm], weights=rule.weights[perm])
+        shuffled = dataclasses.replace(rule, nodes=np.asfortranarray(rule.nodes[perm]),
+                                       weights=rule.weights[perm])
         f = r_pow(-4)
         assert integrate(rule, f) == integrate(shuffled, f)
 

@@ -5,7 +5,8 @@ import pytest
 
 import extbounds as xb
 from extbounds.fields import VectorField, log_weighted_norm, weighted_norm
-from extbounds.problems import CATALOG, perturb, solenoidal_harmonic_gradient
+from extbounds import problems
+from extbounds.problems import CATALOG, _build_bundle, perturb, solenoidal_harmonic_gradient
 from extbounds.traces import analyze, difference, normal_trace, sobolev_norm
 
 from conftest import random_points_in_annulus
@@ -112,13 +113,123 @@ class TestQuadratureBundle:
                 assert not part.nodes.flags.writeable
 
 
+RULES = ("whole", "omega_i", "omega_e", "omega_e_refined", "gamma", "Gamma")
+
+
+class TestKeptExactData:
+    """grad u and div F are kept per node array (``geometry.NodeMemo``)."""
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_kept_values_equal_fresh_calls(self, name, catalog):
+        mp = catalog[name]
+        quads = mp.problem.quads
+        for closure in (mp.exact_u.gradient, mp.exact_flux.divergence):
+            for region in RULES:
+                nodes = getattr(quads, region).nodes
+                kept = closure(nodes)
+                fresh = np.asarray(closure.fn(nodes))
+                assert kept.shape == fresh.shape, region
+                assert kept.tobytes() == fresh.tobytes(), region
+                assert not kept.flags.writeable, region
+                assert closure._held, region
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_parts_share_the_whole_value(self, name, catalog):
+        mp = catalog[name]
+        quads = mp.problem.quads
+        for closure in (mp.exact_u.gradient, mp.exact_flux.divergence):
+            whole = closure(quads.whole.nodes)
+            for part in (quads.omega_i, quads.omega_e):
+                assert np.shares_memory(closure(part.nodes), whole)
+
+    def test_load_reads_the_kept_divergence(self, n3_decay):
+        p = n3_decay.problem
+        nodes = p.quads.omega_e.nodes
+        f = p.f.value(nodes)
+        assert f.tobytes() == (-n3_decay.exact_flux.divergence.fn(nodes)).tobytes()
+        f[0] = 1.0  # f = -div F is a new array, div F stays as kept
+        assert n3_decay.exact_flux.divergence(nodes).tobytes() == (-p.f.value(nodes)).tobytes()
+
+    def test_writing_into_a_kept_gradient_fails(self, n3_harmonic):
+        nodes = n3_harmonic.problem.quads.whole.nodes
+        grad = n3_harmonic.exact_u.gradient(nodes)
+        with pytest.raises(ValueError, match="read-only"):
+            grad *= 2.0
+
+
+class TestSharedRules:
+    def test_one_bundle_per_domain_and_resolution(self):
+        kw = dict(radial_order=5, angular_order=6, shells=3, trace_degree=4)
+        mps = {name: xb.builtin(name, **kw) for name in CATALOG}
+        n3 = {id(mps[name].problem.quads) for name in CATALOG if name.startswith("N3")}
+        assert len(n3) == 1
+        quads = mps["N3_harmonic"].problem.quads
+        others = [mps["N2_log"].problem.quads,
+                  xb.builtin("N3_harmonic", **{**kw, "shells": 4}).problem.quads,
+                  xb.with_interface_radius(mps["N3_harmonic"], 1.5).problem.quads]
+        assert all(q is not quads for q in others)
+        assert len({id(q) for q in others}) == 3
+
+    def test_store_holds_no_bundle_no_one_holds(self):
+        import gc
+
+        domain = xb.ExteriorDomain(3, 1.0, 2.0)
+        key = (domain, 3, 4, 2)
+        mp = xb.builtin("N3_decay", radial_order=3, angular_order=4, shells=2,
+                        trace_degree=3)
+        moved = xb.with_interface_radius(mp, 2.5)
+        assert problems._BUNDLE_CACHE[key]() is mp.problem.quads
+        del mp, moved
+        gc.collect()
+        assert key not in problems._BUNDLE_CACHE
+        assert all(ref() is not None for ref in problems._BUNDLE_CACHE.values())
+
+    def test_radius_sweep_holds_at_most_one_bundle(self):
+        """Memory guard: a sweep that drops each moved problem ends holding
+        at most one bundle's rules and kept values, not one per radius."""
+        import gc
+        import tracemalloc
+
+        mp = xb.builtin("N3_decay", radial_order=6, angular_order=6, shells=4,
+                        trace_degree=4)
+        v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
+
+        def run(radius):
+            moved = xb.with_interface_radius(mp, radius)
+            xb.estimate_I(moved.problem, v, mp.exact_flux)
+            xb.true_error(moved, v)
+            return moved
+
+        run(1.3)  # imports and the problem's own caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            held = run(1.4)
+            gc.collect()
+            one = tracemalloc.get_traced_memory()[0] - start
+            del held
+            for radius in np.linspace(1.5, 2.9, 8):
+                run(float(radius))
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        quads = mp.problem.quads
+        rules = sum(getattr(quads, r).nodes.nbytes + getattr(quads, r).weights.nbytes
+                    for r in ("whole", "omega_e_refined", "gamma", "Gamma"))
+        assert one > rules  # the held problem's rules and kept values
+        assert after <= one + 0.1 * rules
+
+
 class TestInterfaceRadius:
     def test_moves_interface_at_same_resolution(self):
         mp = xb.builtin("N3_decay", radial_order=6, angular_order=7, shells=3,
                         trace_degree=5)
         moved = xb.with_interface_radius(mp, 3.0)
         assert moved.domain == xb.ExteriorDomain(3, 1.0, 3.0)
-        ref = xb.make_bundle(moved.domain, 6, 7, 3)
+        assert xb.make_bundle(moved.domain, 6, 7, 3) is moved.problem.quads
+        ref = _build_bundle(moved.domain, 6, 7, 3)
         for region in ("omega_i", "omega_e", "whole", "gamma", "Gamma",
                        "omega_e_refined"):
             rule, want = getattr(moved.problem.quads, region), getattr(ref, region)
