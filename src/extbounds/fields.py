@@ -36,31 +36,35 @@ holds to it: its closures run only on the rows of the nodes that
 ``support_rows`` finds for it and write 0.0 on the others, and the
 minorant sums each basis function only over those rows.
 
-``gradient_on`` keeps the gradient of the last field it evaluated on the
-last rule, so that the estimates and the true error of one approximation
-share one evaluation.  Its contract: fields are immutable and their
-closures are pure (the same nodes give the same values), rules never
-change, and the package is used from one thread.  Fields and rules are
-matched by identity, so an equal but distinct field is evaluated anew.
+No memo outlives what it was computed from.  ``gradient_on`` keeps the
+gradient of the last field it evaluated on the last rule, so that the
+estimates and the true error of one approximation share one evaluation;
+it holds both only through weak references, and the entry goes when
+either is freed.  Its contract: fields are immutable and their closures
+are pure (the same nodes give the same values), rules never change, and
+the package is used from one thread.  Fields and rules are matched by
+identity, so an equal but distinct field is evaluated anew.
 
-A catalog problem's exact gradient grad u and flux divergence div F are
-kept per node array (``geometry.NodeMemo``, wrapped by
-``problems.builtin``): the first call on a rule evaluates them, and every
-later call, through grad v = grad u + eps grad b, the true error or
-f = -div F, returns the same read-only array or a row slice of it.  So
-no caller may write into a closure's result; a write raises
-``ValueError``.
+Node radii (``geometry.node_radii``) and a catalog problem's exact
+gradient grad u and flux divergence div F (wrapped by
+``problems.builtin``) are kept per read-only node array
+(``geometry.NodeMemo``) while the array that owns the nodes lives: the
+first call on a rule evaluates them, and every later call, through
+grad v = grad u + eps grad b, the true error or f = -div F, returns the
+same read-only values or a row slice of them.  So no caller may write
+into a closure's result; a write raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .geometry import LastValue, QuadratureRule, exact_dot, node_radii
+from .geometry import QuadratureRule, exact_dot, node_radii
 
 
 class CompositionError(TypeError):
@@ -206,20 +210,28 @@ class Coefficient:
         return np.broadcast_to(np.diag(d), (len(pts), d.size, d.size))
 
 
-_GRADIENT = LastValue()
+# (weak reference to v, weak reference to the rule, grad v) of the last call
+_GRADIENT: list = []
 
 
 def gradient_on(v: ScalarField, rule: QuadratureRule) -> np.ndarray:
     """grad v at the nodes of ``rule``: the array the closure returns,
     made read-only.  The result for the last (v, rule) pair is kept and
     returned again for the same pair, so every user of one operation
-    shares a single evaluation (see the module docstring for the
-    contract)."""
+    shares a single evaluation, until v or the rule is freed (see the
+    module docstring for the contract)."""
     if v.gradient is None:
         raise CompositionError(f"field {v.label!r} has no gradient closure")
-    return _GRADIENT.get(
-        (v, rule), lambda: np.asarray(v.gradient(rule.nodes), dtype=float)
-    )
+    if _GRADIENT and _GRADIENT[0]() is v and _GRADIENT[1]() is rule:
+        return _GRADIENT[2]
+    value = np.asarray(v.gradient(rule.nodes), dtype=float)
+    value.flags.writeable = False
+
+    def forget(_):
+        _GRADIENT.clear()
+
+    _GRADIENT[:] = [weakref.ref(v, forget), weakref.ref(rule, forget), value]
+    return value
 
 
 def residual_field(f: ScalarField, y: VectorField) -> ScalarField:

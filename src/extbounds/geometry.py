@@ -193,34 +193,6 @@ def row_sum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-class LastValue:
-    """One-entry memo: the read-only array computed for the last key.
-
-    A key is a tuple of objects matched by identity.  The memo holds
-    strong references to them, so no object in the key can be freed and
-    its id reused while the entry lives.  Its callers take the objects of
-    a key to be immutable, and use it from one thread."""
-
-    def __init__(self):
-        self._key: tuple = ()
-        self._value = None
-
-    def last(self) -> tuple:
-        """The held (key, value); the key is () while nothing is held."""
-        return self._key, self._value
-
-    def get(self, key: tuple, compute) -> np.ndarray:
-        if len(key) == len(self._key) and all(a is b for a, b in zip(key, self._key)):
-            return self._value
-        value = compute()
-        value.flags.writeable = False
-        self._key, self._value = key, value
-        return value
-
-
-_RADII = LastValue()
-
-
 def _radii(pts: np.ndarray) -> np.ndarray:
     out = pts[:, 0] * pts[:, 0]
     for k in range(1, pts.shape[1]):
@@ -296,22 +268,18 @@ class NodeMemo:
         return entry
 
 
-def node_radii(points: np.ndarray) -> np.ndarray:
-    """|x| per node.  A read-only array, such as a rule's nodes, is taken
-    to be immutable: the radii of the last one are kept and returned,
-    read-only, until another read-only array is passed.  A read-only row
-    range of the kept array, such as the rows of a field's support, gets
-    the matching slice of the kept radii (each radius is computed per row,
-    so the bits are the same) and keeps the entry."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.flags.writeable:
-        return _radii(pts)
-    key, radii = _RADII.last()
-    if key and key[0] is not pts:
-        rows = _row_range(pts, key[0])
-        if rows is not None:
-            return radii[rows]
-    return _RADII.get((pts,), lambda: _radii(pts))
+_KEPT_RADII = NodeMemo(_radii)
+
+
+def node_radii(points) -> np.ndarray:
+    """|x| per node.  The radii of a read-only array, such as a rule's
+    nodes, are kept by ``_KEPT_RADII`` (a ``NodeMemo``) while the array
+    that owns its memory lives: one computation per rule, and the rows of a
+    field's support or of ``omega_i`` get the matching slice of its
+    ``whole`` radii, with the same bits, since each radius is computed from
+    its own row.  A writable array may change between calls, so its radii
+    are computed anew."""
+    return _KEPT_RADII(np.atleast_2d(np.asarray(points, dtype=float)))
 
 
 def build_quadrature(

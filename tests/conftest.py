@@ -2,9 +2,15 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import extbounds as xb
 import extbounds.fields as fields_module
+
+# the same examples on every run, and no failures replayed from a database:
+# a run's result depends on the code alone
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

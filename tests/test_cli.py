@@ -11,7 +11,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import extbounds as xb
@@ -208,11 +208,28 @@ def accepted_configs(draw):
     }
 
 
+# configs the fuzz once drew: an epsilon of 1e300 overflowed, with a
+# warning, the trace of a boundary-mode v (majorant) and the scaled
+# gradient of v at R = 1.000000001 (sweep to that radius, target y)
+HUGE_EPSILON = [
+    {"problem": "N3_harmonic", "estimate": "I",
+     "quadrature": {"radial_order": 1, "angular_order": 2, "shells": 1}, "trace": {"L": 1},
+     "perturbation": {"target": "v", "mode": "boundary_mode", "epsilons": [1e300]},
+     "poincare": {"count": 1}},
+    {"problem": "N2_log", "estimate": "II",
+     "quadrature": {"radial_order": 1, "angular_order": 3, "shells": 2}, "trace": {"L": 2},
+     "perturbation": {"target": "y", "mode": "interior_bump", "epsilons": [1e300]},
+     "sweep": {"kind": "radius", "values": [1.000000001]}, "poincare": {"count": 1}},
+]
+
+
 class TestDispatchFuzz:
     @pytest.mark.parametrize("command", [
         "majorant", "minorant", "sandwich", "sweep", "constants", "verify-poincare"])
     @settings(max_examples=40, deadline=None)
     @given(raw=accepted_configs())
+    @example(raw=HUGE_EPSILON[0])
+    @example(raw=HUGE_EPSILON[1])
     def test_exit_code_without_traceback(self, command, raw):
         """Every command on an accepted config ends in 0, 1 or 2 and names
         what went wrong, never with an exception."""

@@ -5,15 +5,18 @@ approximation, and the estimates, norms and true error that use it,
 bit-equal to the formulas they replace, with no (M, N) temporary."""
 
 import dataclasses
+import gc
 import math
 import tracemalloc
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import extbounds as xb
+import extbounds.fields as fields_module
 from extbounds.fields import (
     Coefficient,
     CompositionError,
@@ -207,6 +210,21 @@ class TestGradientOnce:
         assert gradient_on(v, moved).shape == moved.nodes.shape
         assert calls["all"] == 5
         assert calls["rule"] == 3
+
+    def test_entry_goes_with_the_field_or_the_rule(self, n2_log):
+        # the memo holds v and the rule weakly: freeing either drops grad v
+        mp = n2_log
+        v = perturb(mp, "v", 0.05, "interior_bump", seed=4)
+        held = weakref.ref(gradient_on(v, mp.problem.quads.whole))
+        del v
+        gc.collect()
+        assert held() is None and not fields_module._GRADIENT
+        v = perturb(mp, "v", 0.05, "interior_bump", seed=4)
+        rule = dataclasses.replace(mp.problem.quads.whole)
+        held = weakref.ref(gradient_on(v, rule))
+        del rule
+        gc.collect()
+        assert held() is None and not fields_module._GRADIENT
 
     def test_needs_gradient_closure(self, n2_log):
         no_grad = ScalarField(value=lambda p: np.ones(len(p)), label="flat")

@@ -1,14 +1,14 @@
 """Every public top-level function and class of the package is named by the
 program: somewhere in ``src/extbounds`` outside its own definition and the
-``__init__`` exports, in ``scripts/`` or in ``perfbench/``.  Library code
-that only its own tests reach is deleted, unless ``KEPT`` says why it stays."""
+``__init__`` exports, or in ``perfbench/``.  Library code that only its own
+tests reach is deleted, unless ``KEPT`` says why it stays."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "extbounds"
-CALLERS = ("scripts", "perfbench")
+CALLERS = ("perfbench",)
 
 # public names that no program path names, kept on purpose
 KEPT = {
