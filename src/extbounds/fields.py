@@ -30,11 +30,12 @@ Two radial weights coexist and are never interchanged silently:
 radius r (with a logarithm in 2D) in the inequality machinery
 (``log_weighted_norm``).
 
-A scalar field may declare a radial ``support``: the closed interval of
-radii outside which its value and gradient are exactly 0.  The field
-holds to it: its closures run only on the rows of the nodes that
-``support_rows`` finds for it and write 0.0 on the others, and the
-minorant sums each basis function only over those rows.
+A scalar or vector field may declare a radial ``support``: the closed
+interval of radii outside which it and its derivative are exactly 0.
+The field holds to it: its closures run only on the rows of the nodes
+that ``support_rows`` finds for it and write 0.0 on the others, and so
+do a sum with it (off them, the other operand's values as they are) and
+the minorant, which cuts each distinct support of its basis once.
 
 No memo outlives what it was computed from.  ``gradient_on`` keeps the
 gradient of the last field it evaluated on the last rule, so that the
@@ -51,8 +52,9 @@ gradient grad u and flux divergence div F (wrapped by
 (``geometry.NodeMemo``) while the array that owns the nodes lives: the
 first call on a rule evaluates them, and every later call, through
 grad v = grad u + eps grad b, the true error or f = -div F, returns the
-same read-only values or a row slice of them.  So no caller may write
-into a closure's result; a write raises ``ValueError``.
+same read-only values or a row slice of them, and a sum may return
+them as they are.  So no caller may write into a closure's result; a
+write raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -71,12 +73,6 @@ class CompositionError(TypeError):
     """A field combination needs a derivative closure that is missing."""
 
 
-def _combine_maybe(fa, fb, op):
-    if fa is None or fb is None:
-        return None
-    return lambda pts: op(fa(pts), fb(pts))
-
-
 def _scaled(c: float, fn):
     """c * fn(pts), or None without ``fn``.  A product past the float range
     is inf, which ``require_finite`` then reports at its node."""
@@ -90,8 +86,68 @@ def _scaled(c: float, fn):
     return scaled
 
 
+def _combined(a, b, op, support):
+    """op(a(pts), b(pts)), or None without both, for the formula ``b`` of a
+    field with ``support``: b runs on the rows of ``support`` only, and off
+    them the result is a's values (see ``ScalarField``)."""
+    if a is None or b is None:
+        return None
+
+    def combined(pts):
+        pts = np.atleast_2d(pts)
+        values = a(pts)
+        start, stop, rows = cut(pts, support)
+        if stop - start == len(pts):
+            return op(values, b(pts))
+        if start == stop:
+            return values
+        out = np.array(values, dtype=float, order="K")
+        op(out[start:stop], b(rows), out=out[start:stop])
+        return out
+
+    return combined
+
+
+class _Field:
+    """The support and arithmetic of ``ScalarField`` and ``VectorField``:
+    each names its derivative closure (``_derivative``) and the shapes of
+    the two closures' values at nodes ``pts`` (``_shapes``)."""
+
+    def __post_init__(self):
+        if self.support is not None:  # formula() unwraps a closure restricted before
+            names = ("value", self._derivative)
+            for name, fn, shape in zip(names, self.formula(), self._shapes):
+                if fn is not None:
+                    object.__setattr__(self, name, _on_support(fn, self.support, shape))
+
+    def formula(self) -> tuple:
+        """(value, derivative): the closures as given, before the support
+        restricted them, which run on any rows given to them."""
+        fns = (self.value, getattr(self, self._derivative))
+        if self.support is None:
+            return fns
+        return tuple(getattr(fn, "evaluate", fn) for fn in fns)
+
+    def _sum(self, other, op, sign):
+        own = (self.value, getattr(self, self._derivative))
+        return type(self)(
+            *(_combined(a, b, op, other.support) for a, b in zip(own, other.formula())),
+            label=f"({self.label}{sign}{other.label})")
+
+    def __add__(self, other):
+        return self._sum(other, np.add, "+")
+
+    def __sub__(self, other):
+        return self._sum(other, np.subtract, "-")
+
+    def __rmul__(self, c: float):
+        c = float(c)
+        return type(self)(*(_scaled(c, fn) for fn in self.formula()),
+                          label=f"{c}*{self.label}", support=self.support)
+
+
 @dataclass(frozen=True)
-class ScalarField:
+class ScalarField(_Field):
     """Scalar field with vectorized ``value`` (M,N)->(M,) and optional
     analytic ``gradient`` (M,N)->(M,N).
 
@@ -102,75 +158,32 @@ class ScalarField:
     them (which shares its radii), and 0.0 is written on the other rows; on
     a range covering every row they run on the array itself.  So a field
     made by ``dataclasses.replace`` with another support holds to that one.
-    ``c * w`` keeps the support; ``+`` and ``-`` drop it."""
+    ``c * w`` keeps the support.  ``a + b`` and ``a - b`` drop it: they run
+    b's closures only on the rows of b's support, and give a's values
+    themselves on the others."""
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
     support: tuple[float, float] | None = None
 
-    def __post_init__(self):
-        if self.support is None:
-            return
-        object.__setattr__(self, "value", _on_support(self.value, self.support, len))
-        if self.gradient is not None:
-            object.__setattr__(
-                self, "gradient", _on_support(self.gradient, self.support, np.shape))
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(
-            value=lambda pts: self.value(pts) + other.value(pts),
-            gradient=_combine_maybe(self.gradient, other.gradient, np.add),
-            label=f"({self.label}+{other.label})",
-        )
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(
-            value=lambda pts: self.value(pts) - other.value(pts),
-            gradient=_combine_maybe(self.gradient, other.gradient, np.subtract),
-            label=f"({self.label}-{other.label})",
-        )
-
-    def __rmul__(self, c: float) -> "ScalarField":
-        c = float(c)
-        return ScalarField(
-            value=_scaled(c, self.value),
-            gradient=_scaled(c, self.gradient),
-            label=f"{c}*{self.label}",
-            support=self.support,
-        )
+    _derivative = "gradient"
+    _shapes = (len, np.shape)
 
 
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(_Field):
     """Vector field with vectorized ``value`` (M,N)->(M,N) and optional
-    analytic ``divergence`` (M,N)->(M,)."""
+    analytic ``divergence`` (M,N)->(M,), and a ``support`` held to as a
+    ``ScalarField``'s is."""
 
     value: Callable[[np.ndarray], np.ndarray]
     divergence: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
+    support: tuple[float, float] | None = None
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(
-            value=lambda pts: self.value(pts) + other.value(pts),
-            divergence=_combine_maybe(self.divergence, other.divergence, np.add),
-            label=f"({self.label}+{other.label})",
-        )
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(
-            value=lambda pts: self.value(pts) - other.value(pts),
-            divergence=_combine_maybe(self.divergence, other.divergence, np.subtract),
-            label=f"({self.label}-{other.label})",
-        )
-
-    def __rmul__(self, c: float) -> "VectorField":
-        c = float(c)
-        return VectorField(
-            value=_scaled(c, self.value),
-            divergence=_scaled(c, self.divergence),
-            label=f"{c}*{self.label}",
-        )
+    _derivative = "divergence"
+    _shapes = (np.shape, len)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,15 +315,14 @@ def _value_columns(f: ScalarField | VectorField, rule: QuadratureRule) -> np.nda
 
 
 def weighted_norm(f: ScalarField | VectorField, s: float, rule: QuadratureRule) -> float:
-    """(integral of rho^{2s} |f|^2)^{1/2} with rho = (1 + r^2)^{1/2}."""
-    columns = _value_columns(f, rule)
-    scale = None
-    if s != 0.0:  # rho^0 is 1.0 at every node
-        pts = rule.nodes
+    """(integral of rho^{2s} |f|^2)^{1/2} with rho = (1 + r^2)^{1/2}; the
+    weight rho^{2s} is kept per rule (``QuadratureRule.derived``)."""
+    def rho():
         with np.errstate(over="ignore"):
-            scale = density(np.empty(len(pts)), zip(pts.T, pts.T))
-            scale += 1.0
-            scale **= s
+            return (density(np.empty(len(rule)), zip(rule.nodes.T, rule.nodes.T)) + 1.0) ** s
+
+    columns = _value_columns(f, rule)
+    scale = None if s == 0.0 else rule.derived(("rho", s), rho)  # rho^0 is 1.0
     return _norm(columns, rule, f.label, f"rho^{2 * s}", scale=scale)
 
 
@@ -477,25 +489,37 @@ def support_rows(radii: np.ndarray, support: tuple[float, float]) -> tuple[int, 
     return (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
 
 
+def cut(pts: np.ndarray, support) -> tuple:
+    """(start, stop, rows): the rows of the (M, N) nodes ``pts`` that
+    ``support_rows`` gives for ``support`` (all without one), and one
+    read-only view of them, so that the closures run on it share its radii."""
+    if support is None:
+        return 0, len(pts), pts
+    start, stop = support_rows(node_radii(pts), support)
+    rows = pts[start:stop]
+    rows.flags.writeable = False
+    return start, stop, rows
+
+
 def _on_support(evaluate, support: tuple[float, float], shape):
     """``evaluate`` run only on the rows ``support_rows`` gives for
     ``support``, with 0.0 on the others, in an array of the nodes' layout
-    (see ``ScalarField``).  Each value is computed elementwise, so the rows
-    of the range keep their bits, and the skipped ones differ from the
+    (see ``ScalarField``); the closure keeps ``evaluate`` as an attribute
+    for ``formula``.  Each value is computed elementwise, so the rows of
+    the range keep their bits, and the skipped ones differ from the
     formula at most in the sign of zero."""
 
     def restricted(pts):
         pts = np.atleast_2d(pts)
-        start, stop = support_rows(node_radii(pts), support)
+        start, stop, rows = cut(pts, support)
         if stop - start == len(pts):
             return evaluate(pts)
         out = np.zeros_like(pts, dtype=float, shape=shape(pts))
         if start < stop:
-            sub = pts[start:stop]
-            sub.flags.writeable = False
-            out[start:stop] = evaluate(sub)
+            out[start:stop] = evaluate(rows)
         return out
 
+    restricted.evaluate = evaluate
     return restricted
 
 

@@ -24,13 +24,13 @@ from .fields import (
     ScalarField,
     VectorField,
     angular_monomial,
+    cut,
     density,
     gradient_on,
     require_finite,
     separable_field,
-    support_rows,
 )
-from .geometry import exact_dot, node_radii, stack_rows
+from .geometry import exact_dot, stack_rows
 from .problems import Problem
 from .majorant import TRACE_ZERO_TOL, dirichlet_mismatch, estimate_I
 
@@ -65,6 +65,13 @@ class TestBasis:
         return TestBasis(fields=self.fields + (extra,))
 
 
+def _cuts(nodes: np.ndarray, basis: TestBasis) -> list:
+    """``fields.cut`` of ``nodes`` per basis function, made once per
+    distinct support and shared."""
+    cuts = {s: cut(nodes, s) for s in dict.fromkeys(w.support for w in basis.fields)}
+    return [cuts[w.support] for w in basis.fields]
+
+
 def validate_zero_traces(p: Problem, basis: TestBasis) -> None:
     """Check that every basis function vanishes on the inner sphere: it is
     exactly 0.0 at every node of ``gamma``, or its trace there has an
@@ -78,18 +85,22 @@ def validate_zero_traces(p: Problem, basis: TestBasis) -> None:
     too)."""
     gamma = p.quads.gamma
     a = p.domain.a
-    for k, w in enumerate(basis.fields):
+    spheres = {}  # support -> its bounding spheres inside the domain, stacked
+    for k, (w, (_, _, on_gamma)) in enumerate(zip(basis.fields, _cuts(gamma.nodes, basis))):
+        value, gradient = w.formula()
         radii = [r for r in w.support or () if r > a]
         if radii:
-            edges = stack_rows([gamma.nodes * (r / a) for r in radii])
-            edges.flags.writeable = False  # the closures then share its radii
-            edge = max(np.max(np.abs(w.value(edges))), np.max(np.abs(w.gradient(edges))))
+            if w.support not in spheres:
+                spheres[w.support] = stack_rows([gamma.nodes * (r / a) for r in radii])
+                spheres[w.support].flags.writeable = False  # the closures share its radii
+            edges = spheres[w.support]
+            edge = max(np.max(np.abs(value(edges))), np.max(np.abs(gradient(edges))))
             if not edge <= TRACE_ZERO_TOL:
                 raise NonzeroTraceError(
                     f"basis function {k} ({w.label!r}) reaches {edge:.3e} in value or "
                     f"gradient on the spheres r = {radii} bounding its support (must be "
                     f"<= {TRACE_ZERO_TOL})")
-        if not np.any(w.value(gamma.nodes)):
+        if not (len(on_gamma) and np.any(value(on_gamma))):
             continue
         t = traces.analyze(w, p.domain.a, p.trace_degree, gamma)
         norm = traces.sobolev_norm(t, +0.5)
@@ -165,11 +176,11 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     :func:`validate_zero_traces` checks: M bounds the error only over
     such functions.  A basis function with a ``support`` is evaluated
     only on the rows of the whole rule that ``fields.support_rows`` gives
-    for it, one without on the whole rule.  Every integral is an
-    ``exact_dot`` over the rows its basis functions share: the products
-    skipped elsewhere are exact zeros, so each sum is the correctly
-    rounded value over the whole rule, and a pair sharing no rows has the
-    Gram entry 0.0.  The integrals over one row range are summed in one
+    for it, found once per distinct support, one without on the whole
+    rule.  Every integral is an ``exact_dot`` over the rows its basis
+    functions share: the products skipped elsewhere are exact zeros, so
+    each sum is the correctly rounded value over the whole rule, and a
+    pair sharing no rows has the Gram entry 0.0.  The integrals over one row range are summed in one
     2-D ``exact_dot``, a row each, from densities built column by column
     (``fields.density``).  A product of finite values that overflows
     raises ``FloatingPointError``."""
@@ -187,16 +198,11 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     require_finite(gv, pts, v.label, "minorant:A grad")  # A grad v is finite where grad v is
 
     n = len(basis)
-    radii = node_radii(pts)
     rows, vals, grads = [], [], []
-    for w in basis.fields:
-        if w.support is None:
-            start, stop, sub = 0, len(pts), pts  # the rule's own array: its radii are memoized
-        else:
-            start, stop = support_rows(radii, w.support)
-            sub = pts[start:stop]  # one view for all closures: they share its radii
-        val = np.asarray(w.value(sub), dtype=float)
-        grad = np.asarray(w.gradient(sub), dtype=float)
+    for w, (start, stop, sub) in zip(basis.fields, _cuts(pts, basis)):
+        value, gradient = w.formula()
+        val = np.asarray(value(sub), dtype=float)
+        grad = np.asarray(gradient(sub), dtype=float)
         require_finite(val, sub, w.label, "minorant:value", start=start)
         require_finite(grad, sub, w.label, "minorant:gradient", start=start)
         rows.append((start, stop))

@@ -302,6 +302,18 @@ def _random_angular(mp: ManufacturedProblem, rng):
     return value, gradient
 
 
+def _flux_bump(bump: ScalarField, direction: np.ndarray) -> VectorField:
+    """b d for a unit vector d, with divergence grad b . d, on b's support."""
+    value, grad = bump.formula()
+    return VectorField(
+        value=lambda pts: np.asarray(value(pts))[:, None] * direction,
+        # a BLAS product rounds by layout: C order keeps one set of bits
+        divergence=lambda pts: np.ascontiguousarray(grad(pts)) @ direction,
+        label="flux-bump",
+        support=bump.support,
+    )
+
+
 def solenoidal_harmonic_gradient(dimension: int, index: int) -> VectorField:
     """Gradient of a decaying exterior harmonic; divergence-free, so adding
     it to a flux never disturbs the equilibrium residual.
@@ -379,14 +391,7 @@ def perturb(
         bump = _random_interior_bump(mp, rng)
         direction = rng.normal(size=dom.dimension)
         direction /= np.linalg.norm(direction)
-        grad = bump.gradient
-        pert = VectorField(
-            value=lambda pts: np.asarray(bump.value(pts))[:, None] * direction,
-            # a BLAS product rounds by layout: C order keeps one set of bits
-            divergence=lambda pts: np.ascontiguousarray(grad(pts)) @ direction,
-            label="flux-bump",
-        )
-        return mp.exact_flux + eps * pert
+        return mp.exact_flux + eps * _flux_bump(bump, direction)
 
     if target == "y_broken":
         if eps == 0.0:

@@ -4,14 +4,18 @@ Rules hold their nodes column-major, and callers may pass row-major
 points.  Every closure of the catalog is elementwise per node, and the
 one kernel whose rounding depends on the layout, the BLAS product in the
 perturbed flux's divergence (``problems.perturb``), takes a C-contiguous
-operand, so the layout never reaches an output byte."""
+operand, so the layout never reaches an output byte.  That product runs
+on the rows of the bump's support only, with the bits it has over the
+whole rule."""
 
 import numpy as np
 import pytest
 
 import extbounds as xb
+from extbounds.fields import support_rows
+from extbounds.geometry import node_radii
 from extbounds.minorant import default_basis
-from extbounds.problems import CATALOG, TARGET_MODES, perturb
+from extbounds.problems import CATALOG, TARGET_MODES, _flux_bump, _random_interior_bump, perturb
 
 SEEDS = range(3)
 
@@ -57,6 +61,24 @@ class TestKernels:
         for seed in SEEDS:
             y = perturb(mp, "y", 0.1, "interior_bump", seed)
             assert_layout_independent(y.divergence, mp.problem.quads.whole.nodes, seed)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_flux_bump_divergence_on_its_rows(name):
+    # the BLAS product runs on the support rows only, and gives there the
+    # bits of the product over the whole rule with zeros off the support
+    mp = xb.builtin(name, shells=8)
+    for rule in ("whole", "omega_i", "omega_e_refined"):
+        pts = getattr(mp.problem.quads, rule).nodes
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            bump = _random_interior_bump(mp, rng)
+            direction = rng.normal(size=mp.domain.dimension)
+            direction /= np.linalg.norm(direction)
+            start, stop = support_rows(node_radii(pts), bump.support)
+            got = _flux_bump(bump, direction).divergence(pts)
+            want = np.ascontiguousarray(bump.gradient(pts)) @ direction  # 0.0 off the rows
+            assert np.array_equal(bits(got[start:stop]), bits(want[start:stop])), (rule, seed)
 
 
 @pytest.mark.parametrize("name", CATALOG)

@@ -2,19 +2,23 @@
 the same values as their formula there, and exact zeros elsewhere."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 import extbounds as xb
+import extbounds.fields as fields_module
 import extbounds.problems as problems_module
 from extbounds.fields import ScalarField, VectorField, support_rows
 from extbounds.geometry import node_radii
-from extbounds.minorant import NonzeroTraceError, default_basis
+from extbounds.minorant import NonzeroTraceError, default_basis, minorant_report
 from extbounds.problems import perturb
 
 from conftest import unrestricted
+
+minorant_module = importlib.import_module("extbounds.minorant")  # the package binds a function there
 
 RULES = ("whole", "omega_i", "omega_e", "omega_e_refined", "gamma", "Gamma")
 SEEDS = range(5)
@@ -171,6 +175,63 @@ class TestArithmetic:
         assert (2.0 * w).support == w.support
         assert (w + w).support is None and (w - w).support is None
         assert (mp.exact_u + 0.1 * w).support is None
+
+
+class TestOnlyTheRows:
+    """A supported operand costs its rows: a sum returns the other
+    operand's own values off them, and each support is cut once."""
+
+    @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
+    def test_sums_return_the_kept_values_off_the_support(self, coarse, name):
+        mp = coarse[name]
+        tail = mp.problem.quads.omega_e.nodes
+        for seed in SEEDS:
+            y = perturb(mp, "y", 0.1, "interior_bump", seed)
+            assert np.shares_memory(y.divergence(tail), mp.exact_flux.divergence(tail))
+            for mode in MODES:
+                v = perturb(mp, "v", 0.1, mode, seed)
+                assert np.shares_memory(v.gradient(tail), mp.exact_u.gradient(tail)), mode
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """The (row count, support) of every ``support_rows`` call."""
+        calls = []
+
+        def recording(radii, support):
+            calls.append((len(radii), support))
+            return support_rows(radii, support)
+
+        monkeypatch.setattr(fields_module, "support_rows", recording)
+        return calls
+
+    def test_scaling_cuts_once_per_call(self, coarse, monkeypatch):
+        mp = coarse["N3_harmonic"]
+        w = 0.5 * default_basis(mp.domain, 4, 1).fields[5]
+        calls = self.recorded(monkeypatch)
+        for pts in (mp.problem.quads.whole.nodes, mp.problem.quads.omega_i.nodes):
+            for closure in (w.value, w.gradient):
+                calls.clear()
+                closure(pts)
+                assert calls == [(len(pts), w.support)]
+
+    @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
+    def test_minorant_cuts_each_distinct_support_once(self, coarse, monkeypatch, name):
+        mp = coarse[name]
+        quads = mp.problem.quads
+        basis = default_basis(mp.domain, 4, 1)
+        supports = list(dict.fromkeys(w.support for w in basis.fields))
+        assert len(supports) == 4 < len(basis)
+        calls = self.recorded(monkeypatch)
+        stacked = []
+        stack_rows = minorant_module.stack_rows
+        monkeypatch.setattr(minorant_module, "stack_rows",
+                            lambda arrays: stacked.append(len(arrays)) or stack_rows(arrays))
+        minorant_report(mp.problem, mp.exact_u, basis)
+        # once on the whole rule for the assembly, once on gamma for the
+        # zero-trace check, and no closure cuts its rows again
+        assert calls == [(len(rule), s) for rule in (quads.whole, quads.gamma) for s in supports]
+        # one edge array per support: the inner one reaches r = a
+        assert stacked == [1, 2, 2, 2]
 
 
 class TestEnforced:
