@@ -1,15 +1,22 @@
 """Guaranteed lower bounds for the squared energy-norm error.
 
-The bound maximizes the quadratic functional
+The bound maximizes the flux form of Repin's functional-type minorant,
 
-    M(w) = 2 (f, w) - (A grad(2v + w), grad w)
+    M(w) = 2 (F - A grad v, grad w) - (A grad w, grad w),
 
 over a finite-dimensional space of test functions with zero trace on the
-inner boundary, which ``minorant_report`` checks.  M never exceeds the
-squared error, and it attains it when u - v lies in the span, so
-enlarging the basis can only help.  When the approximation violates the
-Dirichlet data, u - v has a nonzero trace and cannot join the basis; the
-report flags that caveat.
+inner boundary, which ``minorant_report`` checks.  For a load in
+divergence form, f = -div F, it is the load form 2 (f, w) -
+(A grad(2v + w), grad w) integrated by parts, built from the basis
+gradients alone.  M never exceeds the squared error, and it attains it
+when u - v lies in the span, so enlarging the basis can only help.
+The load form holds the pair 2 [(f, w) - (A grad u, grad w)], zero in
+exact arithmetic but O(eps delta) under quadrature of relative accuracy
+delta, which lifts the bound by a relative O(delta/eps) for w = u - v of
+size eps.  The flux form has no such pair: with F = A grad u it is
+||e||^2 - ||e - w||^2 in the rule's norm, at most ||e||^2, the squared
+error there.  When the approximation violates the Dirichlet data, u - v has a
+nonzero trace and cannot join the basis; the report flags that caveat.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from . import traces
 from .fields import (
     ScalarField,
     VectorField,
+    _columns,
     angular_monomial,
     cut,
     density,
@@ -174,109 +182,94 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
 
     Every basis function must vanish on the inner sphere, which
     :func:`validate_zero_traces` checks: M bounds the error only over
-    such functions.  A basis function with a ``support`` is evaluated
-    only on the rows of the whole rule that ``fields.support_rows`` gives
-    for it, found once per distinct support, one without on the whole
-    rule.  Every integral is an ``exact_dot`` over the rows its basis
-    functions share: the products skipped elsewhere are exact zeros, so
-    each sum is the correctly rounded value over the whole rule, and a
-    pair sharing no rows has the Gram entry 0.0.  The integrals over one row range are summed in one
+    such functions.  Only basis gradients are evaluated: one with a
+    ``support`` on the rows of the whole rule that ``fields.support_rows``
+    gives for it, found once per distinct support, one without on the
+    whole rule, and F on the rows the basis covers.  Every integral is an
+    ``exact_dot`` over the rows its basis functions share: the products
+    skipped elsewhere are exact zeros, so each sum is the correctly
+    rounded value over the whole rule, and a pair sharing no rows has the
+    Gram entry 0.0.  The integrals over one row range are summed in one
     2-D ``exact_dot``, a row each, from densities built column by column
-    (``fields.density``).  A product of finite values that overflows
-    raises ``FloatingPointError``."""
-    import scipy.linalg  # deferred: importing the CLI should not load it
-
+    (``fields.density``).  The value is the smaller of rhs . c and M(w_c)
+    summed directly.  A product of finite values that overflows raises
+    ``FloatingPointError``."""
     if len(basis) == 0:
         raise ValueError("basis must be nonempty")
     d = p.A.diagonal
     rule = p.quads.whole
-    pts = rule.nodes
-    wts = rule.weights
-    fvals = np.asarray(p.f.value(pts), dtype=float)
+    pts, wts = rule.nodes, rule.weights
     gv = gradient_on(v, rule)
-    require_finite(fvals, pts, p.f.label, "minorant:f")
     require_finite(gv, pts, v.label, "minorant:A grad")  # A grad v is finite where grad v is
 
     n = len(basis)
-    rows, vals, grads = [], [], []
+    rows, grads = [], []
     for w, (start, stop, sub) in zip(basis.fields, _cuts(pts, basis)):
-        value, gradient = w.formula()
-        val = np.asarray(value(sub), dtype=float)
-        grad = np.asarray(gradient(sub), dtype=float)
-        require_finite(val, sub, w.label, "minorant:value", start=start)
+        grad = np.asarray(w.formula()[1](sub), dtype=float)
         require_finite(grad, sub, w.label, "minorant:gradient", start=start)
         rows.append((start, stop))
-        vals.append(val)
         grads.append(grad)
+    lo, hi = min(lo_j for lo_j, _ in rows), max(hi_j for _, hi_j in rows)
+    flux = np.asarray(p.flux.value(pts[lo:hi]), dtype=float)
+    require_finite(flux, pts[lo:hi], p.flux.label, "minorant:flux", start=lo)
 
     # the densities of the Gram entries and of the right-hand sides, by the
-    # rows [lo, hi) they are summed over: (A grad w_j) . grad w_k, f w_j and
-    # (A grad v) . grad w_j
+    # rows [lo_s, hi_s) they are summed over: (A grad w_j) . grad w_k and
+    # (F - A grad v) . grad w_j
     shared = {}
     for j, (lo_j, hi_j) in enumerate(rows):
         for k in range(j, n):
             lo_k, hi_k = rows[k]
-            lo, hi = max(lo_j, lo_k), min(hi_j, hi_k)
-            if lo < hi:
-                shared.setdefault((lo, hi), []).append(((j, k), d, zip(
-                    grads[j][lo - lo_j:hi - lo_j].T, grads[k][lo - lo_k:hi - lo_k].T)))
-        shared.setdefault((lo_j, hi_j), []).extend([
-            (("f", j), None, ((fvals[lo_j:hi_j], vals[j]),)),
-            (("v", j), d, zip(gv[lo_j:hi_j].T, grads[j].T)),
-        ])
+            lo_s, hi_s = max(lo_j, lo_k), min(hi_j, hi_k)
+            if lo_s < hi_s:
+                shared.setdefault((lo_s, hi_s), []).append(((j, k), d, zip(
+                    grads[j][lo_s - lo_j:hi_s - lo_j].T, grads[k][lo_s - lo_k:hi_s - lo_k].T)))
+        shared.setdefault((lo_j, hi_j), []).append((("rhs", j), None, zip(
+            _columns(flux[lo_j - lo:hi_j - lo], gv[lo_j:hi_j], d), grads[j].T)))
     sums = {}
-    for (lo, hi), group in shared.items():
-        dens = np.empty((len(group), hi - lo))
+    for (lo_s, hi_s), group in shared.items():
+        dens = np.empty((len(group), hi_s - lo_s))
         for row, (_, diag, pairs) in zip(dens, group):
             density(row, pairs, diag)
-        sums.update(zip([key for key, _, _ in group], exact_dot(dens, wts[lo:hi]).tolist()))
+        sums.update(zip([key for key, _, _ in group], exact_dot(dens, wts[lo_s:hi_s]).tolist()))
     gram = np.array([[sums.get((min(j, k), max(j, k)), 0.0) for k in range(n)]
                      for j in range(n)])
-    rhs = np.array([sums["f", j] - sums["v", j] for j in range(n)])
+    rhs = np.array([sums["rhs", j] for j in range(n)])
 
-    eigs = scipy.linalg.eigvalsh(gram)
+    eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= GRAM_EIG_RTOL * max(eigs[-1], 1.0):
         raise SingularGramError(
             f"Gram matrix of the basis energies is numerically singular "
             f"(eigenvalues in [{eigs[0]:.3e}, {eigs[-1]:.3e}])"
         )
-    coeff = scipy.linalg.solve(gram, rhs, assume_a="pos")
-    value = float(rhs @ coeff)
+    coeff = np.linalg.solve(gram, rhs)
 
-    # evaluate M(w*) directly by quadrature as a consistency cross-check,
-    # over the rows from the first basis function's to the last
-    lo = min(lo_j for lo_j, _ in rows)
-    hi = max(hi_j for _, hi_j in rows)
-    w_vals = np.zeros(hi - lo)
-    for c, (lo_j, hi_j), val in zip(coeff, rows, vals):
-        w_vals[lo_j - lo:hi_j - lo] += c * val
-    dens = np.empty((2, hi - lo))
-    np.multiply(fvals[lo:hi], w_vals, out=dens[0])
-    density(dens[1], _mixed_columns(gv[lo:hi], coeff, rows, grads, lo), d)
-    f_w, a_w = exact_dot(dens, wts[lo:hi]).tolist()
-    direct = 2.0 * f_w - a_w
+    # M(w*) directly by quadrature, over the rows the basis covers
+    dens = density(np.empty(hi - lo), _mixed_columns(flux, gv[lo:hi], d, coeff, rows, grads, lo))
+    direct = float(exact_dot(dens, wts[lo:hi]))
 
     # after the assembly, which names the node of a non-finite value first
     validate_zero_traces(p, basis)
     return MinorantReport(
-        value=max(value, 0.0),
+        value=max(min(float(rhs @ coeff), direct), 0.0),
         coefficients=coeff,
-        direct_value=float(direct),
+        direct_value=direct,
         gram_min_eig=float(eigs[0]),
         basis_size=n,
         boundary_caveat=dirichlet_mismatch(p, v) is not None,
     )
 
 
-def _mixed_columns(gv, coeff, rows, grads, lo):
-    """The column pairs (2 grad v + grad w, grad w) of w = sum_j c_j w_j
-    over the rows from ``lo`` on that ``gv`` holds, one coordinate at a
-    time; grad w adds the terms c_j grad w_j in the order of j."""
-    for k, gv_k in enumerate(gv.T):
-        w_k = np.zeros(len(gv_k))
+def _mixed_columns(flux, gv, d, coeff, rows, grads, lo):
+    """The column pairs (2 (F - A grad v) - A grad w, grad w) of
+    w = sum_j c_j w_j over the rows from ``lo`` on that ``flux`` and ``gv``
+    hold, one coordinate at a time; grad w adds the terms c_j grad w_j in
+    the order of j."""
+    for k, res_k in enumerate(_columns(flux, gv, d)):
+        w_k = np.zeros(len(res_k))
         for c, (lo_j, hi_j), grad in zip(coeff, rows, grads):
             w_k[lo_j - lo:hi_j - lo] += c * grad[:, k]
-        yield 2.0 * gv_k + w_k, w_k
+        yield 2.0 * res_k - d[k] * w_k, w_k
 
 
 def minorant(p: Problem, v: ScalarField, basis: TestBasis) -> float:

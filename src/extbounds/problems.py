@@ -1,9 +1,10 @@
 """Manufactured exterior-domain problems with exact solutions and fluxes.
 
-Every catalog entry carries the exact solution, the exact flux A grad u
-with an analytic divergence closure, and the load f defined *from* that
-closure (f := -div(A grad u)), so the data can never drift out of sync
-with the solution.  Perturbation generators produce the test inputs for
+A ``Problem`` holds the flux F of its load, with an analytic divergence
+closure, and derives f := -div F from it, so the two can never drift
+apart; the minorant reads F alone.  Every catalog entry takes the exact
+flux F = A grad u, so the data cannot drift out of sync with the
+solution either.  Perturbation generators produce the test inputs for
 the upper/lower bound studies: interior bumps (traces intact), boundary
 modes (trace mismatch), and interface jumps (broken normal traces).
 """
@@ -102,15 +103,21 @@ def _build_bundle(domain, radial_order, angular_order, shells) -> QuadratureBund
 
 @dataclass(frozen=True)
 class Problem:
-    """Data of one exterior boundary value problem -div(A grad u) = f with
-    Dirichlet trace g on the inner sphere."""
+    """Data of one exterior boundary value problem -div(A grad u) = f,
+    f = -div F, with Dirichlet trace g on the inner sphere."""
 
     domain: ExteriorDomain
     A: Coefficient
-    f: ScalarField
+    flux: VectorField
     g: traces.SphereTrace
     quads: QuadratureBundle
     trace_degree: int
+
+    @cached_property
+    def f(self) -> ScalarField:
+        """The load -div F."""
+        div = self.flux.divergence
+        return ScalarField(value=lambda pts: -div(pts), label="-div flux")
 
     @cached_property
     def constants(self) -> ConstantsBundle:
@@ -125,7 +132,7 @@ class Problem:
 class ManufacturedProblem:
     problem: Problem
     exact_u: ScalarField
-    exact_flux: VectorField  # A grad u, with divergence closure -f
+    exact_flux = property(lambda self: self.problem.flux)  # A grad u, the load's flux
 
     @property
     def domain(self) -> ExteriorDomain:
@@ -209,20 +216,17 @@ def builtin(
     # y = F + eps p, the kept div F
     u = replace(u, gradient=NodeMemo(u.gradient))
     flux = replace(flux, divergence=NodeMemo(flux.divergence))
-    f = ScalarField(
-        value=lambda pts: -flux.divergence(pts), gradient=None, label="-div flux"
-    )
     quads = make_bundle(domain, radial_order, angular_order, shells)
     g = traces.analyze(u, domain.a, trace_degree, quads.gamma)
     problem = Problem(
         domain=domain,
         A=A,
-        f=f,
+        flux=flux,
         g=g,
         quads=quads,
         trace_degree=trace_degree,
     )
-    return ManufacturedProblem(problem=problem, exact_u=u, exact_flux=flux)
+    return ManufacturedProblem(problem=problem, exact_u=u)
 
 
 def with_interface_radius(

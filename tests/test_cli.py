@@ -507,10 +507,9 @@ def test_overflow_reported_without_numpy_warning(tmp_path, command):
 
 
 def test_cli_import_loads_no_scipy_linalg(tmp_path):
-    # the minorant imports scipy.linalg when it first runs, not at import;
-    # no command loads scipy.special, and only the minorant's load scipy
+    # no command loads any scipy module: scipy is a test dependency only
     code = ("import sys, numpy, extbounds.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -533,10 +532,21 @@ def test_cli_import_loads_no_scipy_linalg(tmp_path):
                                  capture_output=True, text=True, env=env, check=True)
             code, *modules = out.stdout.split()
             assert code in ("0", "1") and "Traceback" not in out.stderr, out.stderr
-            if command in ("minorant", "sandwich"):
-                assert "scipy.linalg" in modules and "scipy.special" not in modules
-            else:
-                assert modules == [], (problem, command, modules)
+            assert modules == [], (problem, command, modules)
+
+
+@pytest.mark.parametrize("problem", xb.CATALOG)
+def test_error_in_basis_keeps_the_guarantee(tmp_path, capsys, problem):
+    # at the defaults with u - v in the basis, the load form of the
+    # minorant put the lower bound above the true error on every problem
+    cfg = write_config(tmp_path, {"problem": problem,
+                                  "minorant": {"include_error_in_basis": True}})
+    for command in ("minorant", "sandwich"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0, command
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["guarantee_ok"] is True, command
+        assert report["lower"] <= report["true_error"] * (1 + 1e-12), command
+    assert "VIOLATED" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["minorant", "sandwich"])

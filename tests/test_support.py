@@ -54,8 +54,8 @@ def bare(mp):
     return dataclasses.replace(
         mp,
         exact_u=ScalarField(value=zeros, gradient=lambda pts: np.zeros(np.shape(pts)), label="0"),
-        exact_flux=VectorField(value=lambda pts: np.zeros(np.shape(pts)), divergence=zeros,
-                               label="0"),
+        problem=dataclasses.replace(mp.problem, flux=VectorField(
+            value=lambda pts: np.zeros(np.shape(pts)), divergence=zeros, label="0")),
     )
 
 
