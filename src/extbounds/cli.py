@@ -32,7 +32,8 @@ from . import problems as pb
 from .fields import QuadratureErrorAt
 from .geometry import QuadratureError
 from .minorant import (
-    NonzeroTraceError, SingularGramError, default_basis, minorant_report, sandwich,
+    MinorantReport, NonzeroTraceError, SingularGramError, default_basis, minorant_report,
+    sandwich,
 )
 from .traces import BandLimitError
 
@@ -202,12 +203,13 @@ def _write_sweep_csv(path, rows) -> None:
     header = ("epsilon_or_R,residual,flux,interface,boundary,total,"
               "true_error,efficiency_index")
     lines = [header]
-    for row in rows:
-        rep = row.report
+    for parameter, s in rows:
+        rep, err = s.report, s.true_error
+        eff = math.inf if err == 0.0 else rep.total / err
         lines.append(
-            f"{row.parameter:.17g},{rep.residual:.17g},{rep.flux:.17g},"
+            f"{parameter:.17g},{rep.residual:.17g},{rep.flux:.17g},"
             f"{rep.interface:.17g},{rep.boundary:.17g},{rep.total:.17g},"
-            f"{row.true_error:.17g},{row.efficiency:.17g}"
+            f"{err:.17g},{eff:.17g}"
         )
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -223,69 +225,71 @@ def _build(cfg: ScenarioConfig) -> pb.ManufacturedProblem:
     )
 
 
-def _scenario_inputs(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, eps: float):
-    """Perturbed (v, flux data) for one scenario.  The approximation v is
-    always perturbed so the true error stays positive."""
-    if cfg.target == "v":
-        v = pb.perturb(mp, "v", eps, cfg.pert_mode, cfg.seed)
-        flux = {"y": mp.exact_flux}
-    elif cfg.target == "y":
-        v = pb.perturb(mp, "v", eps, "interior_bump", cfg.seed + 1)
-        flux = {"y": pb.perturb(mp, "y", eps, cfg.pert_mode, cfg.seed)}
-    else:  # y_broken
-        v = pb.perturb(mp, "v", eps, "interior_bump", cfg.seed + 1)
-        y_i, y_e = pb.perturb(mp, "y_broken", eps, cfg.pert_mode, cfg.seed)
-        flux = {"y_i": y_i, "y_e": y_e}
-    return v, flux
+GUARANTEE_SLACK = 1e-8
 
 
-def _run_estimate(cfg, mp, v, flux):
-    p = mp.problem
-    if cfg.estimate == "I":
-        if "y" not in flux:
-            raise ConfigError("estimate: I needs an unbroken flux "
-                              "(perturbation.target v or y)")
-        return mj.estimate_I(p, v, flux["y"])
-    if cfg.estimate == "II":
-        if "y" not in flux:
-            raise ConfigError("estimate: II needs an unbroken flux")
-        return mj.estimate_II(p, v, flux["y"])
-    y_i, y_e = (flux["y_i"], flux["y_e"]) if "y_i" in flux else (flux["y"], flux["y"])
-    return mj.estimate_III(p, v, y_i, y_e)
-
-
-def _basis(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, v):
-    """The minorant's test basis, plus u - v when the config asks for it."""
-    basis = default_basis(mp.domain, cfg.minorant_radial, cfg.minorant_degree)
-    return basis.extended(mp.exact_u - v) if cfg.minorant_include_error else basis
+def guarantee_ok(err: float, scale: float, lower: float = -math.inf,
+                 upper: float = math.inf) -> bool:
+    """The guarantee check of every bound command: lower <= err <= upper,
+    each up to ``GUARANTEE_SLACK`` times the larger of ``scale``,
+    ||A^{1/2} grad v||, and the error."""
+    slack = GUARANTEE_SLACK * max(scale, err)
+    return lower <= err + slack and err <= upper + slack
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    parameter: float
-    report: mj.MajorantReport
+class Scenario:
+    """One scenario's true error and bounds (a missing bound is -inf or
+    inf), the report behind them, if any, and the guarantee verdict."""
+
     true_error: float
-    efficiency: float
-
-    @property
-    def ok(self) -> bool:
-        """The upper-bound check of ``majorant`` and ``sweep``: the total reaches
-        the true error, up to ``GUARANTEE_SLACK`` times the scale or the error."""
-        err = self.true_error
-        return self.report.total + GUARANTEE_SLACK * max(self.report.scale, err) >= err
+    lower: float
+    upper: float
+    report: mj.MajorantReport | MinorantReport | None
+    ok: bool
 
 
-def _row(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, eps: float,
-         parameter: float) -> SweepRow:
-    """One upper-bound scenario: perturb, measure the true error, bound it."""
-    v, flux = _scenario_inputs(cfg, mp, eps)
+def _scenario(cfg: ScenarioConfig, mp: pb.ManufacturedProblem, eps: float,
+              command: str) -> Scenario:
+    """Perturb, measure the true error and bound it as ``command`` does:
+    ``majorant`` (and each ``sweep`` row) by the configured estimate,
+    ``minorant`` by the minorant, and ``sandwich`` by the minorant and
+    estimate I.  The approximation v is always perturbed so the true
+    error stays positive."""
+    if cfg.target == "y_broken" and (
+            command == "sandwich" or command == "majorant" and cfg.estimate != "III"):
+        who = "sandwich" if command == "sandwich" else f"estimate {cfg.estimate}"
+        raise ConfigError(f"perturbation.target: {who} needs an unbroken flux "
+                          f"(v or y), got {cfg.target!r}")
+    if cfg.target == "v":
+        v = pb.perturb(mp, "v", eps, cfg.pert_mode, cfg.seed)
+        fluxes = (mp.exact_flux,)
+    else:  # the flux is perturbed, and v by another draw
+        v = pb.perturb(mp, "v", eps, "interior_bump", cfg.seed + 1)
+        y = pb.perturb(mp, cfg.target, eps, cfg.pert_mode, cfg.seed)
+        fluxes = y if cfg.target == "y_broken" else (y,)  # (interior, exterior) if broken
     err = pb.true_error(mp, v)
-    report = _run_estimate(cfg, mp, v, flux)
-    eff = math.inf if err == 0.0 else report.total / err
-    return SweepRow(parameter=parameter, report=report, true_error=err, efficiency=eff)
+    p = mp.problem
+    lower, upper, report = -math.inf, math.inf, None
+    if command == "majorant":
+        if cfg.estimate == "III":  # an unbroken flux is both of its pieces
+            report = mj.estimate_III(p, v, fluxes[0], fluxes[-1])
+        else:
+            report = (mj.estimate_I if cfg.estimate == "I" else mj.estimate_II)(p, v, fluxes[0])
+        upper, scale = report.total, report.scale
+    else:
+        basis = default_basis(mp.domain, cfg.minorant_radial, cfg.minorant_degree)
+        if cfg.minorant_include_error:
+            basis = basis.extended(mp.exact_u - v)
+        if command == "minorant":
+            report = minorant_report(p, v, basis)
+            lower = math.sqrt(report.value)
+        else:
+            lower, upper = sandwich(p, v, fluxes[0], basis)
+        scale = mj.scale_of(p, v)
+    return Scenario(err, lower, upper, report, guarantee_ok(err, scale, lower, upper))
 
 
-GUARANTEE_SLACK = 1e-8
 # a valid config whose computation cannot establish a bound: exit 1, named
 NUMERICAL_FAILURES = (
     mj.EquilibrationError, mj.DivergentNormError, QuadratureErrorAt,
@@ -294,70 +298,27 @@ NUMERICAL_FAILURES = (
 )
 
 
-def cmd_majorant(cfg: ScenarioConfig, out: str) -> int:
+def cmd_report(command: str, cfg: ScenarioConfig, out: str) -> int:
+    """``majorant``, ``minorant`` or ``sandwich``: one scenario at the first
+    of ``perturbation.epsilons``, written to ``report.json``."""
     eps = cfg.epsilons[0]
-    row = _row(cfg, _build(cfg), eps, eps)
-    report, err, ok = row.report, row.true_error, row.ok
-    payload = {
-        "command": "majorant",
-        "problem": cfg.problem,
-        "epsilon": eps,
-        "report": report.as_dict(),
-        "true_error": err,
-        "efficiency_index": row.efficiency if err > 0.0 else None,
-        "guarantee_ok": ok,
-    }
-    _write_json(f"{out}/report.json", payload)
-    print(f"majorant total {report.total:.6e}  true error {err:.6e}  "
-          f"guarantee {'ok' if ok else 'VIOLATED'}")
-    return 0 if ok else 1
-
-
-def cmd_minorant(cfg: ScenarioConfig, out: str) -> int:
-    mp = _build(cfg)
-    eps = cfg.epsilons[0]
-    v, _ = _scenario_inputs(cfg, mp, eps)
-    report = minorant_report(mp.problem, v, _basis(cfg, mp, v))
-    err = pb.true_error(mp, v)
-    ok = report.value <= err**2 + GUARANTEE_SLACK * max(err, 1.0) ** 2
-    payload = {
-        "command": "minorant",
-        "problem": cfg.problem,
-        "epsilon": eps,
-        "minorant": report.as_dict(),
-        "lower": math.sqrt(report.value),
-        "true_error": err,
-        "guarantee_ok": ok,
-    }
-    _write_json(f"{out}/report.json", payload)
-    print(f"minorant lower {math.sqrt(report.value):.6e}  true error {err:.6e}  "
-          f"{'ok' if ok else 'VIOLATED'}")
-    return 0 if ok else 1
-
-
-def cmd_sandwich(cfg: ScenarioConfig, out: str) -> int:
-    mp = _build(cfg)
-    eps = cfg.epsilons[0]
-    v, flux = _scenario_inputs(cfg, mp, eps)
-    if "y" not in flux:
-        raise ConfigError("sandwich: needs an unbroken flux (target v or y)")
-    lower, upper = sandwich(mp.problem, v, flux["y"], _basis(cfg, mp, v))
-    err = pb.true_error(mp, v)
-    slack = GUARANTEE_SLACK * max(err, upper)
-    ok = lower <= err + slack and err <= upper + slack
-    payload = {
-        "command": "sandwich",
-        "problem": cfg.problem,
-        "epsilon": eps,
-        "lower": lower,
-        "true_error": err,
-        "upper": upper,
-        "guarantee_ok": ok,
-    }
-    _write_json(f"{out}/report.json", payload)
-    print(f"sandwich {lower:.6e} <= {err:.6e} <= {upper:.6e}  "
-          f"{'ok' if ok else 'VIOLATED'}")
-    return 0 if ok else 1
+    s = _scenario(cfg, _build(cfg), eps, command)
+    err = s.true_error
+    if command == "majorant":
+        fields = {"report": s.report.as_dict(),
+                  "efficiency_index": s.upper / err if err > 0.0 else None}
+        line = f"majorant total {s.upper:.6e}  true error {err:.6e}  guarantee "
+    elif command == "minorant":
+        fields = {"minorant": s.report.as_dict(), "lower": s.lower}
+        line = f"minorant lower {s.lower:.6e}  true error {err:.6e}  "
+    else:
+        fields = {"lower": s.lower, "upper": s.upper}
+        line = f"sandwich {s.lower:.6e} <= {err:.6e} <= {s.upper:.6e}  "
+    _write_json(f"{out}/report.json", {"command": command, "problem": cfg.problem,
+                                       "epsilon": eps, "true_error": err,
+                                       "guarantee_ok": s.ok, **fields})
+    print(line + ("ok" if s.ok else "VIOLATED"))
+    return 0 if s.ok else 1
 
 
 def cmd_sweep(cfg: ScenarioConfig, out: str) -> int:
@@ -377,11 +338,11 @@ def cmd_sweep(cfg: ScenarioConfig, out: str) -> int:
             except QuadratureError as exc:  # no rule at this radius
                 raise ConfigError(f"sweep.values: interface radius {value}: {exc}") from None
             eps = cfg.epsilons[0]
-        rows.append(_row(cfg, row_mp, eps, value))
+        rows.append((value, _scenario(cfg, row_mp, eps, "majorant")))
 
     _write_sweep_csv(f"{out}/sweep.csv", rows)
-    bad = [r for r in rows if not r.ok]
-    print(f"sweep: {len(rows)} rows, {len(bad)} guarantee violations")
+    bad = sum(not s.ok for _, s in rows)
+    print(f"sweep: {len(rows)} rows, {bad} guarantee violations")
     return 0 if not bad else 1
 
 
@@ -497,13 +458,12 @@ def main(argv=None) -> int:
     commands = {
         "verify-poincare": cmd_verify_poincare,
         "constants": cmd_constants,
-        "majorant": cmd_majorant,
-        "minorant": cmd_minorant,
-        "sandwich": cmd_sandwich,
         "sweep": cmd_sweep,
     }
     try:
-        return commands[args.command](cfg, args.out)
+        if args.command in commands:
+            return commands[args.command](cfg, args.out)
+        return cmd_report(args.command, cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

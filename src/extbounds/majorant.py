@@ -115,7 +115,7 @@ def _residual_norm_tail(p: Problem, res: ScalarField) -> float:
     return n2
 
 
-def _scale(p: Problem, v: ScalarField) -> float:
+def scale_of(p: Problem, v: ScalarField) -> float:
     """||A^{1/2} grad v|| over the whole domain."""
     rule = p.quads.whole
     return energy_norm(p.A, gradient_on(v, rule), "A", rule, label=f"grad({v.label})")
@@ -220,7 +220,7 @@ def estimate_I(p: Problem, v: ScalarField, y: VectorField) -> MajorantReport:
     residual = factor * math.sqrt(n_int**2 + n_tail**2)
     flux = _flux_term(p, v, y)
     boundary = boundary_term(p, v)
-    scale = _scale(p, v)
+    scale = scale_of(p, v)
     return _report(
         p,
         "I",
@@ -244,7 +244,7 @@ def estimate_II(p: Problem, v: ScalarField, y: VectorField) -> MajorantReport:
     still added to the bound so validity never rests on the tolerance."""
     bundle = p.constants
     res = residual_field(p.f, y)
-    scale = _scale(p, v)
+    scale = scale_of(p, v)
     tail = _residual_norm_tail(p, res)
     if tail > EQUILIBRATION_RTOL * max(scale, 1e-300):
         raise EquilibrationError(
@@ -298,7 +298,7 @@ def estimate_III(
     interface = (bundle.trace.value * jump_norm
                  + bundle.trace.params["above_band"] * math.sqrt(above))
     boundary = boundary_term(p, v)
-    scale = _scale(p, v)
+    scale = scale_of(p, v)
     return _report(
         p,
         "III",

@@ -236,12 +236,23 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
                      for j in range(n)])
     rhs = np.array([sums["rhs", j] for j in range(n)])
 
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= GRAM_EIG_RTOL * max(eigs[-1], 1.0):
+    # the gate reads the Gram scaled to a unit diagonal, D^{-1/2} G D^{-1/2}
+    # with D = diag G, so that a small basis function, such as u - v at a
+    # small eps, is not taken for a dependent one
+    diag = np.diag(gram)
+    if not np.all(diag > 0.0):  # u - v at eps = 0, say
+        k = int(np.argmin(diag))
+        raise SingularGramError(
+            f"basis function {k} ({basis.fields[k].label!r}) has zero energy on the rule")
+    inv = 1.0 / np.sqrt(diag)
+    scaled = np.linalg.eigvalsh(gram * inv[:, None] * inv[None, :])
+    if not scaled[0] > GRAM_EIG_RTOL * scaled[-1]:
         raise SingularGramError(
             f"Gram matrix of the basis energies is numerically singular "
-            f"(eigenvalues in [{eigs[0]:.3e}, {eigs[-1]:.3e}])"
+            f"(eigenvalues of its unit-diagonal scaling in [{scaled[0]:.3e}, "
+            f"{scaled[-1]:.3e}])"
         )
+    eigs = np.linalg.eigvalsh(gram)
     coeff = np.linalg.solve(gram, rhs)
 
     # M(w*) directly by quadrature, over the rows the basis covers

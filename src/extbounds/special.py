@@ -30,9 +30,6 @@ class Enclosure:
     def __init__(self, value: int, error: int, bits: int):
         self.value, self.error, self.bits = value, error, bits
 
-    def __repr__(self) -> str:
-        return f"Enclosure({self.value}, {self.error}, {self.bits})"
-
     @classmethod
     def of(cls, n: int, d: int, bits: int) -> "Enclosure":
         """The rational n/d (d > 0) rounded down to a unit."""

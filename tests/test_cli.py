@@ -15,7 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import extbounds as xb
-from extbounds.cli import FIELDS, ConfigError, ScenarioConfig, load_config, main
+from extbounds.cli import (
+    FIELDS, GUARANTEE_SLACK, ConfigError, ScenarioConfig, guarantee_ok, load_config, main,
+)
 from extbounds.problems import TARGET_MODES
 
 REPO = Path(__file__).resolve().parent.parent
@@ -257,6 +259,9 @@ class TestDispatchFuzz:
                 ScenarioConfig.from_dict({"perturbation": {"target": target, "mode": mode}})
 
 
+BROKEN = {"target": "y_broken", "mode": "interface_jump"}
+
+
 class TestCommands:
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -293,10 +298,15 @@ class TestCommands:
         ("estimates", {"estimates": "II"}),
         ("sweep.values", {"sweep": {"kind": "epsilon", "values": []}}),
         ("sweep.values", {"sweep": {"kind": "radius", "values": []}}),
+        # sandwich, and estimates I and II, need an unbroken flux
+        ("perturbation.target", {"perturbation": BROKEN}),
+        ("perturbation.target", {"estimate": "II", "perturbation": BROKEN}),
+        ("perturbation.target", {"perturbation": BROKEN, "sweep": {"kind": "epsilon"}}),
     ])
     def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, field, payload):
         cfg = write_config(tmp_path, payload)
-        command = "sweep" if "sweep" in payload else "majorant"
+        command = ("sweep" if "sweep" in payload else "majorant" if "estimate" in payload
+                   else "sandwich" if field == "perturbation.target" else "majorant")
         seed = ["--seed", "-1"] if field == "--seed" else []
         code = main([command, "--config", cfg, "--out", str(tmp_path)] + seed)
         err = capsys.readouterr().err
@@ -310,6 +320,11 @@ class TestCommands:
         elif field == "sweep.values":
             assert "sweep.values: expected a non-empty list of positive numbers" in err
             assert not (tmp_path / "sweep.csv").exists()
+        elif field == "perturbation.target":
+            who = "sandwich" if command == "sandwich" else f"estimate {payload.get('estimate', 'I')}"
+            assert err == (f"config error: perturbation.target: {who} needs an unbroken "
+                           "flux (v or y), got 'y_broken'\n")
+            assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("command,payload", [
         # eps = 1e300 overflows: each exits 1 with no RuntimeWarning on the
@@ -547,6 +562,45 @@ def test_error_in_basis_keeps_the_guarantee(tmp_path, capsys, problem):
         assert report["guarantee_ok"] is True, command
         assert report["lower"] <= report["true_error"] * (1 + 1e-12), command
     assert "VIOLATED" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("problem", xb.CATALOG)
+def test_zero_epsilon_keeps_the_guarantee(tmp_path, capsys, problem):
+    # at eps = 0 the true error is 0.0; sandwich's slack, 1e-8 times the
+    # larger of the error and the upper bound, was then 3.9e-24 on
+    # N3_harmonic, below its lower bound of 5.8e-17
+    cfg = write_config(tmp_path, {"problem": problem, "perturbation": {"epsilons": [0.0]}})
+    for command in ("majorant", "minorant", "sandwich"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0, command
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["true_error"] == 0.0 and report["guarantee_ok"] is True, command
+    assert "VIOLATED" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("problem", xb.CATALOG)
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+def test_small_error_in_basis_is_not_singular(tmp_path, capsys, problem, eps):
+    # u - v of size eps beside the unit bumps put the raw Gram's eigenvalue
+    # ratio below GRAM_EIG_RTOL (6.6e-11 against 941 on N3_harmonic at 1e-6)
+    cfg = write_config(tmp_path, {"problem": problem, "perturbation": {"epsilons": [eps]},
+                                  "minorant": {"include_error_in_basis": True}})
+    for command in ("minorant", "sandwich"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0, command
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["guarantee_ok"] is True, command
+        assert report["lower"] <= report["true_error"], command
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_guarantee_ok_slack_on_each_side(side):
+    # the slack is GUARANTEE_SLACK times the larger of the scale and the error
+    for err, scale in [(1e-4, 2.0), (3.0, 0.5), (0.0, 1.0)]:
+        slack = GUARANTEE_SLACK * max(scale, err)
+        for offset, ok in [(0.5 * slack, True), (2.0 * slack, False)]:
+            bound = {"lower": err + offset, "upper": err - offset}[side]
+            assert guarantee_ok(err, scale, **{side: bound}) is ok, (err, scale, offset)
+    assert guarantee_ok(1.0, 1.0) and guarantee_ok(0.0, 0.0, lower=0.0, upper=0.0)
 
 
 @pytest.mark.parametrize("command", ["minorant", "sandwich"])

@@ -132,6 +132,26 @@ class TestMinorant:
         with pytest.raises(SingularGramError):
             minorant(n3_harmonic.problem, n3_harmonic.exact_u, dup)
 
+    def test_zero_function_named(self, n3_harmonic):
+        # u - v at eps = 0 is the zero field: the unit-diagonal scaling has
+        # no row for it, so it is named instead
+        u = n3_harmonic.exact_u
+        basis = default_basis(n3_harmonic.domain, n_radial=2).extended(u - u)
+        with pytest.raises(SingularGramError, match=r"basis function 8 .* zero energy"):
+            minorant(n3_harmonic.problem, u, basis)
+
+    def test_small_function_is_not_singular(self, n3_harmonic):
+        # the gate reads the unit-diagonal scaling of the Gram: a function
+        # 1e-7 times another's size, as u - v is at eps = 1e-7, keeps its
+        # place, where its raw eigenvalue ratio of about 1e-17 was rejected
+        fields = default_basis(n3_harmonic.domain, n_radial=2).fields
+        small = TestBasis(fields=(fields[0], 1e-7 * fields[1]) + fields[2:])
+        v = perturb(n3_harmonic, "v", 0.1, "interior_bump", seed=3)
+        rep = minorant_report(n3_harmonic.problem, v, small)
+        full = minorant_report(n3_harmonic.problem, v, TestBasis(fields=fields))
+        assert rep.gram_min_eig < 1e-12 * full.gram_min_eig
+        assert rep.value == pytest.approx(full.value, rel=1e-10)
+
 
 class TestZeroTraceCheck:
     @pytest.mark.parametrize("name,index", [("N2_log", 12), ("N3_harmonic", 16)])
