@@ -30,7 +30,7 @@ from .majorant import (
     estimate_II,
     estimate_III,
 )
-from .minorant import TestBasis, default_basis, minorant, minorant_report, sandwich
+from .minorant import TestBasis, default_basis, minorant_report
 from .problems import (
     CATALOG,
     ManufacturedProblem,
@@ -78,12 +78,10 @@ __all__ = [
     "interior_weight_constant",
     "log_weighted_norm",
     "make_bundle",
-    "minorant",
     "minorant_report",
     "normal_trace",
     "perturb",
     "residual_field",
-    "sandwich",
     "sobolev_norm",
     "true_error",
     "weighted_norm",

@@ -21,7 +21,6 @@ nonzero trace and cannot join the basis; the report flags that caveat.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ import numpy as np
 from . import traces
 from .fields import (
     ScalarField,
-    VectorField,
     _columns,
     angular_monomial,
     cut,
@@ -40,7 +38,7 @@ from .fields import (
 )
 from .geometry import exact_dot, stack_rows
 from .problems import Problem
-from .majorant import TRACE_ZERO_TOL, dirichlet_mismatch, estimate_I
+from .majorant import TRACE_ZERO_TOL, dirichlet_mismatch
 
 GRAM_EIG_RTOL = 1e-12
 
@@ -282,15 +280,3 @@ def _mixed_columns(flux, gv, d, coeff, rows, grads, lo):
             w_k[lo_j - lo:hi_j - lo] += c * grad[:, k]
         yield 2.0 * res_k - d[k] * w_k, w_k
 
-
-def minorant(p: Problem, v: ScalarField, basis: TestBasis) -> float:
-    """Lower bound for the squared energy error (0 is always admissible)."""
-    return minorant_report(p, v, basis).value
-
-
-def sandwich(
-    p: Problem, v: ScalarField, y: VectorField, basis: TestBasis
-) -> tuple[float, float]:
-    """(sqrt of the lower bound, upper bound): the true energy error lies
-    between the two.  The upper bound is estimate I."""
-    return math.sqrt(minorant(p, v, basis)), estimate_I(p, v, y).total

@@ -53,11 +53,11 @@ _bump, _bump_deriv = mollifier_profile(0.0, 1.0)
 
 @dataclass(frozen=True)
 class BumpFunction:
-    """C-infinity bump supported on the ball |x - center| < radius."""
+    """C-infinity bump supported on the ball |x - center| < radius; in one
+    dimension it lives on the half line [0, inf), cut off at 0."""
 
     center: tuple
     radius: float
-    amplitude: float = 1.0
 
     @property
     def dimension(self) -> int:
@@ -80,56 +80,31 @@ class BumpFunction:
             )
 
 
-@dataclass(frozen=True)
-class HalfLineBump:
-    """One-sided profile on [0, width) with a nonzero value at the origin;
-    extended by zero to the rest of the line."""
-
-    width: float
-    amplitude: float = 1.0
-
-    def value_at_zero(self) -> float:
-        return self.amplitude * math.exp(-1.0)
-
-
-def _line_samples(center: float, width: float, lo: float, hi: float,
-                  amplitude: float, u0: float = 0.0) -> dict:
-    """amplitude * bump((r - center)/width) sampled on [lo, hi] of the line,
-    with the plain measure dr."""
-    if lo < 0.0:
-        raise ValueError("bump support must stay at nonnegative radius")
-    r, wr = _composite_interval(lo, hi, ORDER, PANELS)
-    t = (r - center) / width
-    der = amplitude * _bump_deriv(t) / width
-    return {
-        "r": r,
-        "u": amplitude * _bump(t),
-        "du_r": der,
-        "grad": np.abs(der),
-        "w": wr,
-        "u0": u0,
-        "dimension": 1,
-    }
-
-
-def samples(u) -> dict:
+def samples(u: BumpFunction) -> dict:
     """Quadrature samples of (r, u, radial derivative, gradient magnitude,
-    weight) over the support of a test function.
+    weight) over the support of a test function, and its value u0 at the
+    origin of the half line (0 off the half line).
 
     Off-center ball bumps reduce to a 2D (distance, angle) integral by
-    axial symmetry around the center direction; the one-dimensional cases
-    are sampled on their interval of the line.
+    axial symmetry around the center direction; a one-dimensional bump is
+    sampled on its support's part of [0, inf) with the plain measure dr.
     """
-    if isinstance(u, HalfLineBump):
-        return _line_samples(0.0, u.width, 0.0, u.width, u.amplitude,
-                             u.value_at_zero())
-    if not isinstance(u, BumpFunction):
-        raise TypeError(f"unsupported test function type {type(u).__name__}")
-
     n = u.dimension
     if n == 1:
-        c = u.center[0]
-        return _line_samples(c, u.radius, c - u.radius, c + u.radius, u.amplitude)
+        c, rad = u.center[0], u.radius
+        r, wr = _composite_interval(max(c - rad, 0.0), max(c + rad, 0.0), ORDER, PANELS)
+        t = (r - c) / rad
+        der = _bump_deriv(t) / rad
+        t0 = -c / rad
+        return {
+            "r": r,
+            "u": _bump(t),
+            "du_r": der,
+            "grad": np.abs(der),
+            "w": wr,
+            "u0": math.exp(-1.0 / (1.0 - t0 * t0)) if abs(t0) < 1.0 else 0.0,
+            "dimension": 1,
+        }
     if n == 3:
         cos, wmu = _gauss_legendre(ANGULAR)
         wang = 2.0 * math.pi * wmu
@@ -142,8 +117,8 @@ def samples(u) -> dict:
     c = u.center_radius
     s, ws = _composite_interval(0.0, u.radius, ORDER, PANELS)
     t = s / u.radius
-    val_s = u.amplitude * _bump(t)
-    der_s = u.amplitude * _bump_deriv(t) / u.radius
+    val_s = _bump(t)
+    der_s = _bump_deriv(t) / u.radius
     r = np.sqrt(c**2 + s[:, None] ** 2 + 2.0 * c * s[:, None] * cos[None, :])
     # radial derivative of u at x = center + s*omega:
     #   (x/r) . grad u = u'(s) * (s + c cos) / r
@@ -173,7 +148,6 @@ class VerificationRecord:
     inequality_id: str
     dimension: int
     beta: float
-    descriptor: str
     lhs: float
     rhs: float
 
@@ -207,11 +181,11 @@ def verify_power_weight(domain: ExteriorDomain, u, beta: float) -> VerificationR
     n = sm["dimension"]
     if beta <= 1.0 - n / 2.0:
         raise ValueError(f"beta must exceed 1 - N/2 = {1 - n / 2}, got {beta}")
-    _check_support(domain, u)
+    u.check_inside(domain)
     const = 2.0 * beta + n - 2.0
     lhs = const * _norm(sm, sm["r"] ** (2 * beta - 2) * sm["u"] ** 2)
     rhs = 2.0 * _norm(sm, sm["r"] ** (2 * beta) * sm["du_r"] ** 2)
-    return VerificationRecord("power_weight", n, beta, _describe(u), lhs, rhs)
+    return VerificationRecord("power_weight", n, beta, lhs, rhs)
 
 
 def verify_log_weight(domain: ExteriorDomain, u, beta: float) -> VerificationRecord:
@@ -226,14 +200,14 @@ def verify_log_weight(domain: ExteriorDomain, u, beta: float) -> VerificationRec
         )
     if domain.a < 1.0:
         raise ValueError("log-weight inequality needs inner radius >= 1")
-    _check_support(domain, u)
+    u.check_inside(domain)
     if np.min(sm["r"]) <= 1.0:
         raise ValueError("log-weight inequality needs support at radius > 1")
     const = abs(2.0 * beta + n - 3.0)
     logs = np.log(sm["r"])
     lhs = const * _norm(sm, sm["r"] ** (2 * beta - 2) / logs**2 * sm["u"] ** 2)
     rhs = 2.0 * _norm(sm, sm["r"] ** (2 * beta) * sm["du_r"] ** 2)
-    return VerificationRecord("log_weight", n, beta, _describe(u), lhs, rhs)
+    return VerificationRecord("log_weight", n, beta, lhs, rhs)
 
 
 def verify_halfline(u, beta: float) -> VerificationRecord:
@@ -247,36 +221,30 @@ def verify_halfline(u, beta: float) -> VerificationRecord:
     lhs = abs(gamma_hat) * _norm(sm, opr ** (2 * beta - 2) * sm["u"] ** 2)
     rhs = 2.0 * _norm(sm, opr ** (2 * beta) * sm["du_r"] ** 2)
     rhs += math.sqrt(abs(2.0 * min(0.0, gamma_hat))) * abs(sm["u0"])
-    return VerificationRecord("halfline", 1, beta, _describe(u), lhs, rhs)
+    return VerificationRecord("halfline", 1, beta, lhs, rhs)
 
 
-def verify_corollary_chain(domain: ExteriorDomain, u,
-                           case: str) -> list[VerificationRecord]:
+def verify_corollary_chain(domain: ExteriorDomain, u) -> list[VerificationRecord]:
     """Check every link of the norm chains implied by the inequalities at
-    beta = 0, one record per link.
+    beta = 0, one record per link; the domain's dimension picks the chain.
 
     case "i" (N = 3): rho-weighted <= sqrt(2) (1+r)-weighted <= sqrt(2)
     r-weighted <= sqrt(2) c_N radial derivative <= ... full gradient; the
     four links are recorded with the sqrt(2) on the first.
     case "ii" (N = 2): log-weighted <= 2 radial <= 2 full.
     """
-    if case not in ("i", "ii"):
-        raise ValueError(f"unknown chain case {case!r}; expected 'i' or 'ii'")
-    _check_support(domain, u)
+    u.check_inside(domain)
     sm = samples(u)
     n = sm["dimension"]
-    desc = _describe(u)
+    case = "i" if n == 3 else "ii"
 
     def link(name, lhs, rhs):
-        return VerificationRecord(f"chain_{case}_{name}", n, 0.0, desc, lhs, rhs)
+        return VerificationRecord(f"chain_{case}_{name}", n, 0.0, lhs, rhs)
 
-    want = 3 if case == "i" else 2
-    if n != want:
-        raise ValueError(f"chain case {case!r} needs dimension {want}")
     n_dr = _norm(sm, sm["du_r"] ** 2)
     n_gr = _norm(sm, sm["grad"] ** 2)
 
-    if case == "ii":
+    if n == 2:
         if np.min(sm["r"]) <= 1.0:
             raise ValueError("chain case 'ii' needs support at radius > 1")
         logs = np.log(sm["r"])
@@ -317,14 +285,16 @@ class IdentityRecord:
 
 
 def partial_integration_identity(
-    u, beta: float, variant: str, gamma_hat: float | None = None
+    u, beta: float, gamma_hat: float | None = None
 ) -> IdentityRecord:
     """Quadrature check of the exact expansion of
-    ||w^b du/dr + gamma_hat w^{b-1} u||^2 used to prove each inequality
-    (weight w = r, r with a log, or 1 + r)."""
+    ||w^b du/dr + gamma_hat w^{b-1} u||^2 used to prove each inequality;
+    the dimension of u picks the weight w: r (N = 3), r with a log (N = 2)
+    or 1 + r (the half line)."""
     sm = samples(u)
     n = sm["dimension"]
     r, uu, dur, w = sm["r"], sm["u"], sm["du_r"], sm["w"]
+    variant = {3: "power", 2: "log", 1: "halfline"}[n]
 
     if variant == "power":
         gh = 2.0 * beta + n - 2.0 if gamma_hat is None else gamma_hat
@@ -347,9 +317,7 @@ def partial_integration_identity(
             * (n + 2.0 * beta - 2.0)
             * exact_sum(r ** (2 * beta - 2) / logs * uu**2 * w)
         )
-    elif variant == "halfline":
-        if n != 1:
-            raise ValueError("half-line identity is one-dimensional")
+    else:
         gh = 2.0 * beta - 1.0 if gamma_hat is None else gamma_hat
         opr = 1.0 + r
         combo = opr**beta * dur + gh * opr ** (beta - 1) * uu
@@ -363,8 +331,6 @@ def partial_integration_identity(
             * exact_sum(opr ** (2 * beta - 2) * uu**2 * w)
             - gh * sm["u0"] ** 2
         )
-    else:
-        raise ValueError(f"unknown identity variant {variant!r}")
     return IdentityRecord(variant, n, beta, gh, lhs, rhs)
 
 
@@ -387,15 +353,3 @@ def random_bumps(domain: ExteriorDomain, count: int,
         out.append(BumpFunction(tuple(cr * direction), rad))
     return out
 
-
-def _describe(u) -> str:
-    if isinstance(u, BumpFunction):
-        return f"bump(c={u.center_radius:.3f},rad={u.radius:.3f})"
-    if isinstance(u, HalfLineBump):
-        return f"halfopen(width={u.width:.3f})"
-    return type(u).__name__
-
-
-def _check_support(domain: ExteriorDomain, u) -> None:
-    if isinstance(u, BumpFunction):
-        u.check_inside(domain)

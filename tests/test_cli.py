@@ -53,13 +53,13 @@ JSON_VALUES = st.recursive(
 FIELD_KEYS = {
     "quadrature": ("radial_order", "angular_order", "shells"),
     "trace": ("L",),
-    "constants": (),
     "perturbation": ("target", "mode", "epsilons", "seed"),
     "sweep": ("kind", "values"),
     "minorant": ("n_radial", "degree", "include_error_in_basis"),
     "poincare": ("count",),
 }
-# misspelled and removed keys of each section: no config carrying one parses
+# misspelled keys of each section, and the keys of the former section
+# ``constants``: no config carrying one parses
 REJECTED_KEYS = {
     "quadrature": ("shell",),
     "trace": ("l",),
@@ -70,7 +70,11 @@ REJECTED_KEYS = {
 }
 MISSPELT = ("quadrature.shell", "trace.l", "perturbation.epsilon",
             "minorant.include_error", "poincare.counts", "estimates")
-SECTION_KEYS = {name: keys + REJECTED_KEYS.get(name, ()) for name, keys in FIELD_KEYS.items()}
+# fields that are gone: an unknown field like any other
+REMOVED = ("constants.modes", "constants.mesh", "constants.cutoff", "constants.variant",
+           "boundary_mode")
+SECTION_KEYS = {name: FIELD_KEYS.get(name, ()) + REJECTED_KEYS.get(name, ())
+                for name in {*FIELD_KEYS, *REJECTED_KEYS}}
 CONFIGS = st.fixed_dictionaries({}, optional={
     "problem": st.sampled_from(["N3_harmonic", "N2_log"]) | JSON_VALUES,
     "estimate": st.sampled_from(["I", "III"]) | JSON_VALUES,
@@ -98,7 +102,7 @@ class TestConfig:
         except ConfigError:
             return
         # removed and misspelled keys are drawn too: any value of them is an error
-        assert "boundary_mode" not in raw and "estimates" not in raw
+        assert not {"boundary_mode", "estimates", "constants"} & set(raw)
         for name, sec in raw.items():
             if isinstance(sec, dict):
                 assert set(sec) <= set(FIELD_KEYS[name]), name
@@ -122,10 +126,15 @@ class TestConfig:
     def test_unknown_section_named(self):
         with pytest.raises(ConfigError, match="frobnicate"):
             ScenarioConfig.from_dict({"frobnicate": 1})
+        with pytest.raises(ConfigError, match="^frobnicate.a: unknown configuration field"):
+            ScenarioConfig.from_dict({"frobnicate": {"a": 1}})
 
     def test_unknown_problem_named(self):
         with pytest.raises(ConfigError, match="problem"):
             ScenarioConfig.from_dict({"problem": "N9"})
+        # an object under a field is a bad value, not a section
+        with pytest.raises(ConfigError, match="^problem: expected str"):
+            ScenarioConfig.from_dict({"problem": {"name": "N2_log"}})
 
     def test_negative_epsilon_names_field(self):
         with pytest.raises(ConfigError, match="perturbation.epsilons"):
@@ -140,7 +149,7 @@ class TestConfig:
             )
 
     def test_modes_below_trace_degree_named(self):
-        with pytest.raises(ConfigError, match="^constants.modes: removed"):
+        with pytest.raises(ConfigError, match="^constants.modes: unknown configuration field"):
             ScenarioConfig.from_dict({"constants": {"modes": 8}, "trace": {"L": 10}})
 
     def test_dotted_top_level_key_is_unknown(self):
@@ -150,14 +159,19 @@ class TestConfig:
     def test_removed_keys_named(self):
         # the extension's cutoff is R, the constants take no mesh and cover
         # the trace band, the boundary term has one form and c_o one value:
-        # any value, null included, names the key as removed
+        # any value, null included, names the key as an unknown field
         for key in ("cutoff", "mesh", "variant", "modes"):
             for value in (None, 1.3, 5.0, 512, "eigen", "formula"):
-                with pytest.raises(ConfigError, match=f"constants.{key}: removed"):
+                with pytest.raises(ConfigError,
+                                   match=f"^constants.{key}: unknown configuration field"):
                     ScenarioConfig.from_dict({"constants": {key: value}})
-        for value in (None, "extension_based", "constant_based", 1):
-            with pytest.raises(ConfigError, match="^boundary_mode: removed"):
+        for value in (None, "extension_based", "constant_based", 1, {}):
+            with pytest.raises(ConfigError, match="^boundary_mode: unknown configuration field"):
                 ScenarioConfig.from_dict({"boundary_mode": value})
+        # no section is left under the name
+        for value in (None, {}, 3):
+            with pytest.raises(ConfigError, match="^constants: unknown configuration field"):
+                ScenarioConfig.from_dict({"constants": value})
 
     def test_readme_configuration_block_is_the_default(self):
         assert ScenarioConfig.from_dict(readme_config_block()) == ScenarioConfig()
@@ -312,10 +326,7 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert field in err and "Traceback" not in err
-        if field in ("constants.mesh", "constants.cutoff", "boundary_mode",
-                     "constants.variant", "constants.modes"):
-            assert f"{field}: removed" in err
-        elif field in MISSPELT:
+        if field in MISSPELT or field in REMOVED:
             assert f"config error: {field}: unknown configuration field" in err
         elif field == "sweep.values":
             assert "sweep.values: expected a non-empty list of positive numbers" in err
@@ -569,12 +580,34 @@ def test_zero_epsilon_keeps_the_guarantee(tmp_path, capsys, problem):
     # at eps = 0 the true error is 0.0; sandwich's slack, 1e-8 times the
     # larger of the error and the upper bound, was then 3.9e-24 on
     # N3_harmonic, below its lower bound of 5.8e-17
-    cfg = write_config(tmp_path, {"problem": problem, "perturbation": {"epsilons": [0.0]}})
+    payload = {"problem": problem, "perturbation": {"epsilons": [0.0]}}
+    cfg = write_config(tmp_path, payload)
+    # u - v is then the zero field: appended, it failed the Gram's
+    # zero-energy check and the command exited 1; it adds nothing to the
+    # span, so the basis leaves it out and the report is the plain basis's
+    with_error = write_config(tmp_path, dict(payload, minorant={"include_error_in_basis": True}),
+                              "with_error.json")
     for command in ("majorant", "minorant", "sandwich"):
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0, command
-        report = json.loads((tmp_path / "report.json").read_text())
+        want = (tmp_path / "report.json").read_bytes()
+        report = json.loads(want)
         assert report["true_error"] == 0.0 and report["guarantee_ok"] is True, command
-    assert "VIOLATED" not in capsys.readouterr().out
+        if command != "majorant":
+            assert main([command, "--config", with_error, "--out", str(tmp_path)]) == 0, command
+            assert (tmp_path / "report.json").read_bytes() == want, command
+    captured = capsys.readouterr()
+    assert "VIOLATED" not in captured.out and captured.err == ""
+
+
+def test_sandwich_computes_the_scale_once(tmp_path, monkeypatch):
+    # the guarantee check takes ||A^{1/2} grad v|| from estimate I's report
+    calls = []
+    scale_of = xb.majorant.scale_of
+    monkeypatch.setattr(xb.majorant, "scale_of",
+                        lambda p, v: calls.append(v) or scale_of(p, v))
+    cfg = write_config(tmp_path, BASE)
+    assert main(["sandwich", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("problem", xb.CATALOG)

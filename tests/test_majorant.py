@@ -143,7 +143,7 @@ class TestBoundaryTerm:
                      lambda: estimate_I(p, u, y, bundle=bundle),
                      lambda: estimate_II(p, u, y, bundle=bundle),
                      lambda: estimate_III(p, u, y, y, bundle=bundle),
-                     lambda: xb.sandwich(p, u, y, basis, bundle=bundle)):
+                     lambda: xb.minorant_report(p, u, basis, bundle=bundle)):
             with pytest.raises(TypeError):
                 call()
 
@@ -160,7 +160,7 @@ class TestBoundaryTerm:
         estimate_II(p, v, y)
         estimate_III(p, v, y, y)
         boundary_term(p, v)
-        xb.sandwich(p, v, y, xb.default_basis(mp.domain))
+        xb.minorant_report(p, v, xb.default_basis(mp.domain))
         assert calls == [p.domain]
 
     def test_band_limit_gate(self, n3_harmonic):

@@ -13,9 +13,7 @@ from extbounds.minorant import (
     SingularGramError,
     TestBasis,
     default_basis,
-    minorant,
     minorant_report,
-    sandwich,
     validate_zero_traces,
 )
 from extbounds.problems import perturb
@@ -65,7 +63,7 @@ class TestDefaultBasis:
 class TestMinorant:
     def test_exact_solution_gives_zero(self, n3_harmonic):
         basis = default_basis(n3_harmonic.domain)
-        val = minorant(n3_harmonic.problem, n3_harmonic.exact_u, basis)
+        val = minorant_report(n3_harmonic.problem, n3_harmonic.exact_u, basis).value
         assert 0.0 <= val <= 1e-16
 
     def test_lower_bound_property(self, n3_harmonic):
@@ -73,7 +71,7 @@ class TestMinorant:
         for seed in range(10):
             v = perturb(n3_harmonic, "v", 0.05, "interior_bump", seed=seed)
             err = xb.true_error(n3_harmonic, v)
-            val = minorant(n3_harmonic.problem, v, basis)
+            val = minorant_report(n3_harmonic.problem, v, basis).value
             assert val <= err**2 * (1 + 1e-8)
 
     def test_sharp_when_error_in_basis(self):
@@ -84,7 +82,7 @@ class TestMinorant:
         v = perturb(mp, "v", 0.01, "interior_bump", seed=7)
         err = xb.true_error(mp, v)
         basis = default_basis(mp.domain).extended(mp.exact_u - v)
-        val = minorant(mp.problem, v, basis)
+        val = minorant_report(mp.problem, v, basis).value
         assert math.sqrt(val) == pytest.approx(err, rel=1e-6)
 
     @pytest.mark.parametrize("name", xb.CATALOG)
@@ -96,7 +94,7 @@ class TestMinorant:
         for eps in (1e-3, 1e-2, 0.1):
             v = perturb(mp, "v", eps, "interior_bump", seed=0)
             basis = default_basis(mp.domain).extended(mp.exact_u - v)
-            lower = math.sqrt(minorant(mp.problem, v, basis))
+            lower = math.sqrt(minorant_report(mp.problem, v, basis).value)
             assert lower <= xb.true_error(mp, v) * (1 + 1e-12), eps
 
     def test_direct_evaluation_consistency(self, n3_harmonic):
@@ -111,7 +109,7 @@ class TestMinorant:
         prev = -1.0
         for k in (3, 6, 9, 12):
             sub = TestBasis(fields=full.fields[:k])
-            val = minorant(n3_harmonic.problem, v, sub)
+            val = minorant_report(n3_harmonic.problem, v, sub).value
             assert val >= prev - 1e-12
             prev = val
 
@@ -124,13 +122,13 @@ class TestMinorant:
 
     def test_empty_basis_rejected(self, n3_harmonic):
         with pytest.raises(ValueError, match="nonempty"):
-            minorant(n3_harmonic.problem, n3_harmonic.exact_u, TestBasis(fields=()))
+            minorant_report(n3_harmonic.problem, n3_harmonic.exact_u, TestBasis(fields=()))
 
     def test_singular_gram_rejected(self, n3_harmonic):
         w = default_basis(n3_harmonic.domain, n_radial=2).fields[0]
         dup = TestBasis(fields=(w, w))
         with pytest.raises(SingularGramError):
-            minorant(n3_harmonic.problem, n3_harmonic.exact_u, dup)
+            minorant_report(n3_harmonic.problem, n3_harmonic.exact_u, dup)
 
     def test_zero_function_named(self, n3_harmonic):
         # u - v at eps = 0 is the zero field: the unit-diagonal scaling has
@@ -138,7 +136,7 @@ class TestMinorant:
         u = n3_harmonic.exact_u
         basis = default_basis(n3_harmonic.domain, n_radial=2).extended(u - u)
         with pytest.raises(SingularGramError, match=r"basis function 8 .* zero energy"):
-            minorant(n3_harmonic.problem, u, basis)
+            minorant_report(n3_harmonic.problem, u, basis)
 
     def test_small_function_is_not_singular(self, n3_harmonic):
         # the gate reads the unit-diagonal scaling of the Gram: a function
@@ -189,9 +187,16 @@ class TestZeroTraceCheck:
 
 
 class TestSandwich:
+    """The bracket ``sandwich`` reports: the root of the minorant below,
+    estimate I above."""
+
+    @staticmethod
+    def bracket(p, v, y, basis):
+        return math.sqrt(minorant_report(p, v, basis).value), xb.estimate_I(p, v, y).total
+
     def test_exact_data(self, n3_harmonic):
         basis = default_basis(n3_harmonic.domain)
-        lower, upper = sandwich(
+        lower, upper = self.bracket(
             n3_harmonic.problem, n3_harmonic.exact_u, n3_harmonic.exact_flux, basis)
         assert lower <= 1e-8  # roundoff-level residual load, clamped at zero
         assert upper <= 1e-8 * math.sqrt(4 * math.pi)
@@ -201,7 +206,7 @@ class TestSandwich:
         for seed in range(5):
             v = perturb(n3_harmonic, "v", 0.05, "interior_bump", seed=seed)
             err = xb.true_error(n3_harmonic, v)
-            lower, upper = sandwich(n3_harmonic.problem, v, n3_harmonic.exact_flux, basis)
+            lower, upper = self.bracket(n3_harmonic.problem, v, n3_harmonic.exact_flux, basis)
             assert lower <= err * (1 + 1e-8)
             assert err <= upper * (1 + 1e-8)
 
@@ -210,7 +215,7 @@ class TestSandwich:
         v = perturb(mp, "v", 0.02, "interior_bump", seed=11)
         err = xb.true_error(mp, v)
         basis = default_basis(mp.domain).extended(mp.exact_u - v)
-        lower, upper = sandwich(mp.problem, v, mp.exact_flux, basis)
+        lower, upper = self.bracket(mp.problem, v, mp.exact_flux, basis)
         assert lower == pytest.approx(err, rel=1e-6)
         assert upper == pytest.approx(err, rel=1e-6)
 

@@ -7,7 +7,6 @@ from extbounds.geometry import ExteriorDomain
 from extbounds.poincare import (
     WEIGHT_EQUIV,
     BumpFunction,
-    HalfLineBump,
     partial_integration_identity,
     random_bumps,
     records_to_csv,
@@ -28,11 +27,6 @@ class TestPowerWeight:
         for u in random_bumps(DOM3, 100, seed=int(10 * (beta + 1))):
             rec = verify_power_weight(DOM3, u, beta)
             assert rec.passed, rec
-
-    def test_zero_function(self):
-        u = BumpFunction((0.0, 0.0, 2.0), 0.5, amplitude=0.0)
-        rec = verify_power_weight(DOM3, u, 0.0)
-        assert rec.lhs == 0.0 and rec.rhs == 0.0 and rec.passed
 
     def test_beta_out_of_range(self):
         u = BumpFunction((0.0, 0.0, 2.0), 0.5)
@@ -78,27 +72,45 @@ class TestHalfLine:
             assert rec.passed, rec
 
     def test_nonzero_origin_value_uses_boundary_term(self):
-        u = HalfLineBump(width=2.0)
+        u = BumpFunction((0.0,), 2.0)
         rec = verify_halfline(u, 0.0)
         assert rec.passed
         # without the origin allowance the inequality may not hold; check
         # the allowance is actually included
         sm = samples(u)
-        assert sm["u0"] == pytest.approx(math.exp(-1.0))
+        assert sm["u0"] == math.exp(-1.0)
         assert rec.rhs > 2.0 * math.sqrt(
             math.fsum(sm["du_r"] ** 2 * sm["w"])
         )
 
+    @pytest.mark.parametrize("center", [0.5, -0.5])
+    def test_bump_across_the_origin_is_cut_off(self, center):
+        # sampled on [0, center + 1) only, with u(0) the profile at t = -center
+        u = BumpFunction((center,), 1.0)
+        sm = samples(u)
+        assert sm["r"].min() >= 0.0 and sm["r"].max() < center + 1.0
+        assert sm["u0"] == pytest.approx(math.exp(-1.0 / (1.0 - center**2)), rel=1e-15)
+        assert math.fsum(sm["w"]) == pytest.approx(center + 1.0, rel=1e-14)
+        for beta in (0.0, 1.0):
+            assert verify_halfline(u, beta).passed
+            assert partial_integration_identity(u, beta).passed
+
     def test_zero_function(self):
-        rec = verify_halfline(BumpFunction((2.0,), 1.0, amplitude=0.0), 1.0)
-        assert rec.passed
+        # a bump off the half line is the zero function on it
+        u = BumpFunction((-3.0,), 1.0)
+        sm = samples(u)
+        assert sm["u0"] == 0.0 and not sm["u"].any() and not sm["w"].any()
+        for beta in (0.0, 1.0):
+            rec = verify_halfline(u, beta)
+            assert rec.lhs == 0.0 and rec.rhs == 0.0 and rec.passed
 
 
 class TestChains:
     def test_chain_i_all_links(self):
         for u in random_bumps(DOM3, 100, seed=23):
-            recs = verify_corollary_chain(DOM3, u, "i")
+            recs = verify_corollary_chain(DOM3, u)
             assert len(recs) == 4
+            assert all(rec.inequality_id.startswith("chain_i_") for rec in recs)
             for rec in recs:
                 assert rec.passed, rec
 
@@ -108,34 +120,29 @@ class TestChains:
         # pointwise the other way.  This check documents why the chain's
         # first link carries sqrt(2), which is the sharp equivalence factor.
         u = BumpFunction((0.0, 0.0, 2.0), 0.7)
-        rec = verify_corollary_chain(DOM3, u, "i")[0]
+        rec = verify_corollary_chain(DOM3, u)[0]
         raw_rhs = rec.rhs / WEIGHT_EQUIV
         assert rec.lhs > raw_rhs  # constant 1 fails
         assert rec.lhs <= rec.rhs  # constant sqrt(2) holds
 
     def test_chain_ii(self):
         for u in random_bumps(DOM2, 50, seed=29):
-            recs = verify_corollary_chain(DOM2, u, "ii")
+            recs = verify_corollary_chain(DOM2, u)
             assert len(recs) == 2
+            assert all(rec.inequality_id.startswith("chain_ii_") for rec in recs)
             assert all(r.passed for r in recs)
 
     def test_no_half_line_chain(self):
         # the half line is checked by verify_halfline alone
-        with pytest.raises(ValueError, match="unknown chain case 'iii'"):
-            verify_corollary_chain(DOM3, BumpFunction((0.0, 0.0, 2.0), 0.5), "iii")
-        with pytest.raises(ValueError, match="needs dimension 2"):
-            verify_corollary_chain(DOM3, BumpFunction((0.0, 0.0, 2.0), 0.5), "ii")
+        with pytest.raises(ValueError, match="does not match"):
+            verify_corollary_chain(DOM3, BumpFunction((2.0,), 0.5))
 
     def test_angular_rich_bump_has_gradient_margin(self):
         # a bump sitting off-axis has angular gradient content, so the
         # radial-derivative vs full-gradient link is strict
         u = BumpFunction((1.2, 1.2, 1.2), 0.4)
-        rec = verify_corollary_chain(DOM3, u, "i")[3]
+        rec = verify_corollary_chain(DOM3, u)[3]
         assert rec.margin > 0.0
-
-    def test_unknown_case(self):
-        with pytest.raises(ValueError, match="chain case"):
-            verify_corollary_chain(DOM3, BumpFunction((0, 0, 2.0), 0.5), "iv")
 
     @pytest.mark.parametrize("where", [4, 2, ExteriorDomain(2, 1.0, 2.0)])
     def test_dimension_mismatch_rejected(self, where):
@@ -145,34 +152,33 @@ class TestChains:
         else:
             domain, center = where, (0.0, 0.0, 2.0)
         with pytest.raises(ValueError, match="does not match"):
-            verify_corollary_chain(domain, BumpFunction(center, 0.5), "i")
+            verify_corollary_chain(domain, BumpFunction(center, 0.5))
 
 
 class TestIdentities:
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_power_identity(self, beta):
         for u in random_bumps(DOM3, 25, seed=31):
-            rec = partial_integration_identity(u, beta, "power")
-            assert rec.passed, rec.rel_deviation
+            rec = partial_integration_identity(u, beta)
+            assert rec.variant == "power" and rec.passed, rec.rel_deviation
 
     def test_power_identity_noncanonical_gamma(self):
         # the expansion holds for every gamma, not only the optimizing one
         u = random_bumps(DOM3, 1, seed=32)[0]
-        rec = partial_integration_identity(u, 0.0, "power", gamma_hat=0.7)
-        assert rec.passed
+        rec = partial_integration_identity(u, 0.0, gamma_hat=0.7)
+        assert rec.gamma_hat == 0.7 and rec.passed
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_log_identity(self, beta):
         for u in random_bumps(DOM2, 25, seed=33):
-            rec = partial_integration_identity(u, beta, "log")
-            assert rec.passed, rec.rel_deviation
+            rec = partial_integration_identity(u, beta)
+            assert rec.variant == "log" and rec.passed, rec.rel_deviation
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_halfline_identity(self, beta):
-        rec = partial_integration_identity(HalfLineBump(2.0), beta, "halfline")
-        assert rec.passed
-        rec = partial_integration_identity(BumpFunction((2.5,), 1.5), beta, "halfline")
-        assert rec.passed
+        for u in (BumpFunction((0.0,), 2.0), BumpFunction((2.5,), 1.5)):
+            rec = partial_integration_identity(u, beta)
+            assert rec.variant == "halfline" and rec.passed
 
 
 def axial_ratio(center_radius, radius):

@@ -18,7 +18,7 @@ from extbounds.problems import perturb
 
 from conftest import unrestricted
 
-minorant_module = importlib.import_module("extbounds.minorant")  # the package binds a function there
+minorant_module = importlib.import_module("extbounds.minorant")
 
 RULES = ("whole", "omega_i", "omega_e", "omega_e_refined", "gamma", "Gamma")
 SEEDS = range(5)
