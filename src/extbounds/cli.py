@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,33 +51,6 @@ def _between(lo, hi=math.inf):
         f"must be >= {lo}" if hi == math.inf else f"must be in {lo}..{hi}")
 
 
-# dotted config name -> (ScenarioConfig attribute, JSON type, value test);
-# ``list`` is a list of finite numbers, and a test returns None or what is
-# wrong with the value
-FIELDS = {
-    "problem": ("problem", str, _among(*pb.CATALOG)),
-    "estimate": ("estimate", str, _among("I", "II", "III")),
-    "quadrature.radial_order": ("radial_order", int, _between(1, 64)),
-    "quadrature.angular_order": ("angular_order", int, _between(1, 64)),
-    "quadrature.shells": ("shells", int, _between(1, 64)),
-    "trace.L": ("trace_degree", int, _between(1)),
-    "perturbation.target": ("target", str, _among(*pb.TARGET_MODES)),
-    "perturbation.mode": ("pert_mode", str, _among(*pb.PERTURB_MODES)),
-    "perturbation.epsilons": ("epsilons", list, lambda v: None if v and min(v) >= 0
-                              else "expected a non-empty list of numbers >= 0"),
-    "perturbation.seed": ("seed", int, _between(0)),
-    "sweep.kind": ("sweep_kind", str, _among("epsilon", "radius")),
-    "sweep.values": ("sweep_values", list, lambda v: None if v and min(v) > 0
-                     else "expected a non-empty list of positive numbers"),
-    "minorant.n_radial": ("minorant_radial", int, _between(1)),
-    "minorant.degree": ("minorant_degree", int, _among(0, 1)),
-    "minorant.include_error_in_basis": ("minorant_include_error", bool, None),
-    "poincare.count": ("poincare_count", int, _between(1)),
-}
-# the top-level keys that hold a JSON object of fields
-SECTIONS = {name.partition(".")[0] for name in FIELDS if "." in name}
-
-
 def _number(name, val):
     """``val`` as a finite float; ints and floats only."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
@@ -91,9 +64,9 @@ def _number(name, val):
     return val
 
 
-def _parse(name, row, val):
-    """``val`` typed and tested by the ``FIELDS`` row ``row``."""
-    _, kind, test = row
+def _parse(name, f, val):
+    """``val`` typed and tested as the ``ScenarioConfig`` field ``f`` says."""
+    kind, test = f.metadata["kind"], f.metadata["test"]
     if kind is list and isinstance(val, list):
         val = [_number(name, x) for x in val]
     elif not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
@@ -122,24 +95,37 @@ def _flatten(raw) -> dict:
     return flat
 
 
+def _field(default, name, kind, test=None):
+    """A config field: its default, dotted config name, JSON type and value
+    test; ``list`` is a list of finite numbers, and a test returns None or
+    what is wrong with the value."""
+    meta = {"name": name, "kind": kind, "test": test}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class ScenarioConfig:
-    problem: str = "N3_harmonic"
-    estimate: str = "I"
-    radial_order: int = 12
-    angular_order: int = 12
-    shells: int = 8
-    trace_degree: int = 8
-    target: str = "v"
-    pert_mode: str = "interior_bump"
-    epsilons: list = field(default_factory=lambda: [0.1])
-    seed: int = 0
-    sweep_kind: str = "epsilon"
-    sweep_values: list = field(default_factory=lambda: [0.1, 0.05, 0.025])
-    minorant_radial: int = 4
-    minorant_degree: int = 1
-    minorant_include_error: bool = False
-    poincare_count: int = 100
+    problem: str = _field("N3_harmonic", "problem", str, _among(*pb.CATALOG))
+    estimate: str = _field("I", "estimate", str, _among("I", "II", "III"))
+    radial_order: int = _field(12, "quadrature.radial_order", int, _between(1, 64))
+    angular_order: int = _field(12, "quadrature.angular_order", int, _between(1, 64))
+    shells: int = _field(8, "quadrature.shells", int, _between(1, 64))
+    trace_degree: int = _field(8, "trace.L", int, _between(1))
+    target: str = _field("v", "perturbation.target", str, _among(*pb.TARGET_MODES))
+    pert_mode: str = _field("interior_bump", "perturbation.mode", str,
+                            _among(*pb.PERTURB_MODES))
+    epsilons: list = _field([0.1], "perturbation.epsilons", list, lambda v: (
+        None if v and min(v) >= 0 else "expected a non-empty list of numbers >= 0"))
+    seed: int = _field(0, "perturbation.seed", int, _between(0))
+    sweep_kind: str = _field("epsilon", "sweep.kind", str, _among("epsilon", "radius"))
+    sweep_values: list = _field([0.1, 0.05, 0.025], "sweep.values", list, lambda v: (
+        None if v and min(v) > 0 else "expected a non-empty list of positive numbers"))
+    minorant_radial: int = _field(4, "minorant.n_radial", int, _between(1))
+    minorant_degree: int = _field(1, "minorant.degree", int, _among(0, 1))
+    minorant_include_error: bool = _field(False, "minorant.include_error_in_basis", bool)
+    poincare_count: int = _field(100, "poincare.count", int, _between(1))
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
@@ -150,7 +136,7 @@ class ScenarioConfig:
         cfg = ScenarioConfig()
         for name, val in flat.items():
             if val is not None:  # null takes the default
-                setattr(cfg, FIELDS[name][0], _parse(name, FIELDS[name], val))
+                setattr(cfg, FIELDS[name].name, _parse(name, FIELDS[name], val))
         if cfg.angular_order < cfg.trace_degree + 1:
             raise ConfigError(
                 "trace.L: needs quadrature.angular_order >= L + 1 "
@@ -161,6 +147,12 @@ class ScenarioConfig:
                 f"perturbation.mode: target {cfg.target!r} supports "
                 f"{' and '.join(pb.TARGET_MODES[cfg.target])} only, got {cfg.pert_mode!r}")
         return cfg
+
+
+# dotted config name -> ScenarioConfig field
+FIELDS = {f.metadata["name"]: f for f in fields(ScenarioConfig)}
+# the top-level keys that hold a JSON object of fields
+SECTIONS = {name.partition(".")[0] for name in FIELDS if "." in name}
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -293,18 +285,18 @@ def cmd_report(command: str, cfg: ScenarioConfig, out: str) -> int:
     s = _scenario(cfg, _build(cfg), eps, command)
     err = s.true_error
     if command == "majorant":
-        fields = {"report": s.report.as_dict(),
-                  "efficiency_index": s.upper / err if err > 0.0 else None}
+        entries = {"report": s.report.as_dict(),
+                   "efficiency_index": s.upper / err if err > 0.0 else None}
         line = f"majorant total {s.upper:.6e}  true error {err:.6e}  guarantee "
     elif command == "minorant":
-        fields = {"minorant": s.report.as_dict(), "lower": s.lower}
+        entries = {"minorant": s.report.as_dict(), "lower": s.lower}
         line = f"minorant lower {s.lower:.6e}  true error {err:.6e}  "
     else:
-        fields = {"lower": s.lower, "upper": s.upper}
+        entries = {"lower": s.lower, "upper": s.upper}
         line = f"sandwich {s.lower:.6e} <= {err:.6e} <= {s.upper:.6e}  "
     _write_json(f"{out}/report.json", {"command": command, "problem": cfg.problem,
                                        "epsilon": eps, "true_error": err,
-                                       "guarantee_ok": s.ok, **fields})
+                                       "guarantee_ok": s.ok, **entries})
     print(line + ("ok" if s.ok else "VIOLATED"))
     return 0 if s.ok else 1
 
@@ -338,27 +330,11 @@ def cmd_constants(cfg: ScenarioConfig, out: str) -> int:
     mp = _build(cfg)
     domain, A = mp.domain, mp.problem.A
     bundle = mp.problem.constants
-    reports = [
-        consts.ConstantReport(
-            name="exterior_poincare",
-            value=bundle.poincare,
-            method="formula",
-            mode_values=None,
-            params={"dimension": domain.dimension},
-            rel_accuracy=0.0,
-        ),
-        consts.ConstantReport(
-            name="interior_weight_formula",
-            value=bundle.c_o_formula,
-            method="formula",
-            mode_values=None,
-            params={"c_A": A.c_A, "R": domain.R},
-            rel_accuracy=0.0,
-        ),
-        bundle.friedrichs,
-        bundle.extension,
-        bundle.trace,
-    ]
+    formulas = (("exterior_poincare", bundle.poincare, {"dimension": domain.dimension}),
+                ("interior_weight_formula", bundle.c_o_formula, {"c_A": A.c_A, "R": domain.R}))
+    reports = [*(consts.ConstantReport(name, value, "formula", None, params, 0.0)
+                 for name, value, params in formulas),
+               bundle.friedrichs, bundle.extension, bundle.trace]
     payload = {
         "command": "constants",
         "problem": cfg.problem,
@@ -429,24 +405,17 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
 
-    try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = _parse("--seed", FIELDS["perturbation.seed"], args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if not os.path.isdir(args.out):
-        print(f"config error: --out: {args.out!r} is not an existing directory",
-              file=sys.stderr)
-        return 2
-
     commands = {
         "verify-poincare": cmd_verify_poincare,
         "constants": cmd_constants,
         "sweep": cmd_sweep,
     }
     try:
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg.seed = _parse("--seed", FIELDS["perturbation.seed"], args.seed)
+        if not os.path.isdir(args.out):
+            raise ConfigError(f"--out: {args.out!r} is not an existing directory")
         if args.command in commands:
             return commands[args.command](cfg, args.out)
         return cmd_report(args.command, cfg, args.out)

@@ -125,6 +125,20 @@ def _outward(x: float) -> float:
     return x * (1.0 + OUTWARD_RTOL)
 
 
+def _closed_form(name: str, domain: ExteriorDomain, values, per_degree: bool,
+                 **params) -> ConstantReport:
+    """The report of a closed-form constant: the largest of ``values``,
+    which are rounded outward already, with its index and the domain
+    [N, a, R] added to ``params``; ``values`` is reported as
+    ``mode_values`` when it holds one value per degree."""
+    values = tuple(values)
+    params.update(extremum="max", extremum_index=int(np.argmax(values)),
+                  domain=[domain.dimension, domain.a, domain.R])
+    return ConstantReport(name=name, value=max(values), method="closed_form",
+                          mode_values=values if per_degree else None,
+                          params=params, rel_accuracy=OUTWARD_RTOL)
+
+
 def _check_modes(modes: int) -> None:
     if modes < 0:
         raise ValueError(f"need modes >= 0, got {modes}")
@@ -291,18 +305,7 @@ def interior_friedrichs_constant(domain: ExteriorDomain) -> ConstantReport:
     hi = math.pi / (2.0 * (R - a))
     lo = (a / R) ** ((n - 1) / 2) * hi
     k = _first_root(_friedrichs_function(n, a, R), lo, hi, 1 if n == 2 else -1)
-    return ConstantReport(
-        name="interior_friedrichs",
-        value=_outward(1.0 / k),
-        method="closed_form",
-        mode_values=None,
-        params={
-            "extremum": "max",
-            "extremum_index": 0,
-            "domain": [n, a, R],
-        },
-        rel_accuracy=OUTWARD_RTOL,
-    )
+    return _closed_form("interior_friedrichs", domain, [_outward(1.0 / k)], False)
 
 
 def boundary_extension_constant(
@@ -318,26 +321,11 @@ def boundary_extension_constant(
     _check_modes(modes)
     n, a, R = domain.dimension, domain.a, domain.R
     energies = [_harmonic_flux(n, ell, a, R, True) for ell in range(modes + 1)]
-    ratios = tuple(
-        _outward(math.sqrt(e / math.sqrt(sobolev_weight(ell, n, a)) * A.c_A_plus))
-        for ell, e in enumerate(energies)
-    )
-    return ConstantReport(
-        name="boundary_extension",
-        value=max(ratios),
-        method="closed_form",
-        mode_values=ratios,
-        params={
-            "modes": modes,
-            "cutoff": R,
-            "extremum": "max",
-            "extremum_index": int(np.argmax(ratios)),
-            "mode_energies": tuple(_outward(e) for e in energies),
-            "c_A_plus": A.c_A_plus,
-            "domain": [n, a, R],
-        },
-        rel_accuracy=OUTWARD_RTOL,
-    )
+    ratios = (_outward(math.sqrt(e / math.sqrt(sobolev_weight(ell, n, a)) * A.c_A_plus))
+              for ell, e in enumerate(energies))
+    return _closed_form("boundary_extension", domain, ratios, True, modes=modes, cutoff=R,
+                        mode_energies=tuple(_outward(e) for e in energies),
+                        c_A_plus=A.c_A_plus)
 
 
 def interface_trace_constant(
@@ -357,26 +345,11 @@ def interface_trace_constant(
     _check_modes(modes)
     n, a, R = domain.dimension, domain.a, domain.R
     energies = [_harmonic_flux(n, ell, a, R, False) for ell in range(modes + 1)]
-    consts = tuple(
-        _outward(math.sqrt(math.sqrt(sobolev_weight(ell, n, R)) / (A.c_A * e)))
-        for ell, e in enumerate(energies)
-    )
-    return ConstantReport(
-        name="interface_trace",
-        value=max(consts),
-        method="closed_form",
-        mode_values=consts,
-        params={
-            "modes": modes,
-            "above_band": _outward(
-                math.sqrt((1.0 + (R + (n - 2) / 2) / (modes + 1)) / A.c_A)),
-            "extremum": "max",
-            "extremum_index": int(np.argmax(consts)),
-            "c_A": A.c_A,
-            "domain": [n, a, R],
-        },
-        rel_accuracy=OUTWARD_RTOL,
-    )
+    consts = (_outward(math.sqrt(math.sqrt(sobolev_weight(ell, n, R)) / (A.c_A * e)))
+              for ell, e in enumerate(energies))
+    above_band = _outward(math.sqrt((1.0 + (R + (n - 2) / 2) / (modes + 1)) / A.c_A))
+    return _closed_form("interface_trace", domain, consts, True, modes=modes,
+                        above_band=above_band, c_A=A.c_A)
 
 
 @dataclass(frozen=True)

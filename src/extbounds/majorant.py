@@ -164,10 +164,6 @@ def boundary_term(p: Problem, v: ScalarField) -> float:
 # the three estimates
 
 
-def _estimate_id(p: Problem, roman: str) -> str:
-    return roman + ("-2D" if p.domain.dimension == 2 else "")
-
-
 def _flux_gap_norm(
     p: Problem, v: ScalarField, y: VectorField, rule: QuadratureRule,
     grad_v: np.ndarray,
@@ -194,18 +190,23 @@ def _broken_flux_term(
     return math.sqrt(ni**2 + ne**2)
 
 
-def _report(p, roman, residual, flux, interface, boundary, constant_map, scale, meta):
-    total = residual + flux + interface + boundary
+def _report(p, v, roman, residual, flux, constants, metadata, interface=0.0, scale=None):
+    """The report of estimate ``roman`` ("-2D" appended in 2D) from its own
+    terms: the boundary term of ``v`` and then, unless given, the scale are
+    computed here, and ``constants`` gains the extension constant."""
+    boundary = boundary_term(p, v)
+    if scale is None:
+        scale = scale_of(p, v)
     return MajorantReport(
-        estimate_id=_estimate_id(p, roman),
+        estimate_id=roman + ("-2D" if p.domain.dimension == 2 else ""),
         residual=residual,
         flux=flux,
         interface=interface,
         boundary=boundary,
-        constants=constant_map,
-        total=total,
+        constants={**constants, "boundary_extension": p.constants.extension.value},
+        total=residual + flux + interface + boundary,
         scale=scale,
-        metadata=meta,
+        metadata=metadata,
     )
 
 
@@ -218,23 +219,8 @@ def estimate_I(p: Problem, v: ScalarField, y: VectorField) -> MajorantReport:
     n_int = _weighted_residual(p, res, p.quads.omega_i)
     n_tail = _residual_norm_tail(p, res)
     residual = factor * math.sqrt(n_int**2 + n_tail**2)
-    flux = _flux_term(p, v, y)
-    boundary = boundary_term(p, v)
-    scale = scale_of(p, v)
-    return _report(
-        p,
-        "I",
-        residual,
-        flux,
-        0.0,
-        boundary,
-        {
-            "poincare": bundle.poincare,
-            "boundary_extension": bundle.extension.value,
-        },
-        scale,
-        {},
-    )
+    return _report(p, v, "I", residual, _flux_term(p, v, y),
+                   {"poincare": bundle.poincare}, {})
 
 
 def estimate_II(p: Problem, v: ScalarField, y: VectorField) -> MajorantReport:
@@ -253,25 +239,10 @@ def estimate_II(p: Problem, v: ScalarField, y: VectorField) -> MajorantReport:
             f"= {EQUILIBRATION_RTOL * scale:.6e}; estimate II requires "
             "div y + f = 0 outside the interface"
         )
-    c_o = bundle.c_o
     factor = bundle.poincare / math.sqrt(p.A.c_A)
-    residual = c_o * weighted_norm(res, 0.0, p.quads.omega_i) + factor * tail
-    flux = _flux_term(p, v, y)
-    boundary = boundary_term(p, v)
-    return _report(
-        p,
-        "II",
-        residual,
-        flux,
-        0.0,
-        boundary,
-        {
-            "c_o": c_o,
-            "boundary_extension": bundle.extension.value,
-        },
-        scale,
-        {"tail_residual": tail},
-    )
+    residual = bundle.c_o * weighted_norm(res, 0.0, p.quads.omega_i) + factor * tail
+    return _report(p, v, "II", residual, _flux_term(p, v, y), {"c_o": bundle.c_o},
+                   {"tail_residual": tail}, scale=scale)
 
 
 def estimate_III(
@@ -286,9 +257,8 @@ def estimate_III(
     bundle = p.constants
     res_i = residual_field(p.f, y_i)
     res_e = residual_field(p.f, y_e)
-    c_o = bundle.c_o
     factor = bundle.poincare / math.sqrt(p.A.c_A)
-    residual = c_o * weighted_norm(res_i, 0.0, p.quads.omega_i)
+    residual = bundle.c_o * weighted_norm(res_i, 0.0, p.quads.omega_i)
     residual += factor * _residual_norm_tail(p, res_e)
     flux = _broken_flux_term(p, v, y_i, y_e)
     L, R = p.trace_degree, p.domain.R
@@ -297,21 +267,7 @@ def estimate_III(
     above = jump.above_band / math.sqrt(traces.sobolev_weight(L + 1, p.domain.dimension, R))
     interface = (bundle.trace.value * jump_norm
                  + bundle.trace.params["above_band"] * math.sqrt(above))
-    boundary = boundary_term(p, v)
-    scale = scale_of(p, v)
-    return _report(
-        p,
-        "III",
-        residual,
-        flux,
-        interface,
-        boundary,
-        {
-            "c_o": c_o,
-            "poincare": bundle.poincare,
-            "interface_trace": bundle.trace.value,
-            "boundary_extension": bundle.extension.value,
-        },
-        scale,
-        {"jump_h_minus_half": jump_norm},
-    )
+    return _report(p, v, "III", residual, flux,
+                   {"c_o": bundle.c_o, "poincare": bundle.poincare,
+                    "interface_trace": bundle.trace.value},
+                   {"jump_h_minus_half": jump_norm}, interface=interface)

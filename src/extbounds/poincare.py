@@ -139,6 +139,23 @@ def _norm(sm: dict, density: np.ndarray) -> float:
     return math.sqrt(max(exact_sum(density * sm["w"]), 0.0))
 
 
+def _logs(sm: dict, what: str) -> np.ndarray:
+    """ln r at the samples, for ``what``, which needs them all at r > 1."""
+    if np.min(sm["r"]) <= 1.0:
+        raise ValueError(f"{what} needs support at radius > 1")
+    return np.log(sm["r"])
+
+
+def _sides(sm: dict, const: float, w: np.ndarray, beta: float, logs=None):
+    """The two sides of a weighted inequality: const ||w^{b-1} u|| (u
+    divided by ``logs`` when given) and 2 ||w^b du/dr||."""
+    density = w ** (2 * beta - 2)
+    if logs is not None:
+        density = density / logs**2
+    return (const * _norm(sm, density * sm["u"] ** 2),
+            2.0 * _norm(sm, w ** (2 * beta) * sm["du_r"] ** 2))
+
+
 # ---------------------------------------------------------------------------
 # records
 
@@ -182,9 +199,7 @@ def verify_power_weight(domain: ExteriorDomain, u, beta: float) -> VerificationR
     if beta <= 1.0 - n / 2.0:
         raise ValueError(f"beta must exceed 1 - N/2 = {1 - n / 2}, got {beta}")
     u.check_inside(domain)
-    const = 2.0 * beta + n - 2.0
-    lhs = const * _norm(sm, sm["r"] ** (2 * beta - 2) * sm["u"] ** 2)
-    rhs = 2.0 * _norm(sm, sm["r"] ** (2 * beta) * sm["du_r"] ** 2)
+    lhs, rhs = _sides(sm, 2.0 * beta + n - 2.0, sm["r"], beta)
     return VerificationRecord("power_weight", n, beta, lhs, rhs)
 
 
@@ -201,12 +216,8 @@ def verify_log_weight(domain: ExteriorDomain, u, beta: float) -> VerificationRec
     if domain.a < 1.0:
         raise ValueError("log-weight inequality needs inner radius >= 1")
     u.check_inside(domain)
-    if np.min(sm["r"]) <= 1.0:
-        raise ValueError("log-weight inequality needs support at radius > 1")
-    const = abs(2.0 * beta + n - 3.0)
-    logs = np.log(sm["r"])
-    lhs = const * _norm(sm, sm["r"] ** (2 * beta - 2) / logs**2 * sm["u"] ** 2)
-    rhs = 2.0 * _norm(sm, sm["r"] ** (2 * beta) * sm["du_r"] ** 2)
+    logs = _logs(sm, "log-weight inequality")
+    lhs, rhs = _sides(sm, abs(2.0 * beta + n - 3.0), sm["r"], beta, logs)
     return VerificationRecord("log_weight", n, beta, lhs, rhs)
 
 
@@ -217,9 +228,7 @@ def verify_halfline(u, beta: float) -> VerificationRecord:
     if sm["dimension"] != 1:
         raise ValueError("half-line inequality is one-dimensional")
     gamma_hat = 2.0 * beta - 1.0
-    opr = 1.0 + sm["r"]
-    lhs = abs(gamma_hat) * _norm(sm, opr ** (2 * beta - 2) * sm["u"] ** 2)
-    rhs = 2.0 * _norm(sm, opr ** (2 * beta) * sm["du_r"] ** 2)
+    lhs, rhs = _sides(sm, abs(gamma_hat), 1.0 + sm["r"], beta)
     rhs += math.sqrt(abs(2.0 * min(0.0, gamma_hat))) * abs(sm["u0"])
     return VerificationRecord("halfline", 1, beta, lhs, rhs)
 
@@ -245,9 +254,7 @@ def verify_corollary_chain(domain: ExteriorDomain, u) -> list[VerificationRecord
     n_gr = _norm(sm, sm["grad"] ** 2)
 
     if n == 2:
-        if np.min(sm["r"]) <= 1.0:
-            raise ValueError("chain case 'ii' needs support at radius > 1")
-        logs = np.log(sm["r"])
+        logs = _logs(sm, "chain case 'ii'")
         n_log = _norm(sm, sm["u"] ** 2 / (sm["r"] * logs) ** 2)
         return [link("log_vs_radial", n_log, 2.0 * n_dr),
                 link("radial_vs_gradient", 2.0 * n_dr, 2.0 * n_gr)]
@@ -296,18 +303,9 @@ def partial_integration_identity(
     r, uu, dur, w = sm["r"], sm["u"], sm["du_r"], sm["w"]
     variant = {3: "power", 2: "log", 1: "halfline"}[n]
 
-    if variant == "power":
-        gh = 2.0 * beta + n - 2.0 if gamma_hat is None else gamma_hat
-        combo = r**beta * dur + gh * r ** (beta - 1) * uu
-        lhs = exact_sum(combo**2 * w)
-        rhs = exact_sum(r ** (2 * beta) * dur**2 * w) + gh * (
-            gh - 2.0 * beta - n + 2.0
-        ) * exact_sum(r ** (2 * beta - 2) * uu**2 * w)
-    elif variant == "log":
-        if np.min(r) <= 1.0:
-            raise ValueError("log identity needs support at radius > 1")
+    if n == 2:
+        logs = _logs(sm, "log identity")
         gh = 2.0 * beta + n - 3.0 if gamma_hat is None else gamma_hat
-        logs = np.log(r)
         combo = r**beta * dur + gh * r ** (beta - 1) / logs * uu
         lhs = exact_sum(combo**2 * w)
         rhs = (
@@ -318,17 +316,17 @@ def partial_integration_identity(
             * exact_sum(r ** (2 * beta - 2) / logs * uu**2 * w)
         )
     else:
-        gh = 2.0 * beta - 1.0 if gamma_hat is None else gamma_hat
-        opr = 1.0 + r
-        combo = opr**beta * dur + gh * opr ** (beta - 1) * uu
+        weight = r if n == 3 else 1.0 + r
+        gh = 2.0 * beta + n - 2.0 if gamma_hat is None else gamma_hat
+        combo = weight**beta * dur + gh * weight ** (beta - 1) * uu
         lhs = exact_sum(combo**2 * w)
-        # the boundary coefficient is -gh |u(0)|^2 per half line; the
-        # two-sided whole-line form doubles it, but our test functions
-        # live on [0, inf) extended by zero
+        # the boundary coefficient is -gh |u(0)|^2 per half line (u(0) is
+        # 0 for N = 3); the two-sided whole-line form doubles it, but our
+        # test functions live on [0, inf) extended by zero
         rhs = (
-            exact_sum(opr ** (2 * beta) * dur**2 * w)
-            + gh * (gh - 2.0 * beta + 1.0)
-            * exact_sum(opr ** (2 * beta - 2) * uu**2 * w)
+            exact_sum(weight ** (2 * beta) * dur**2 * w)
+            + gh * (gh - 2.0 * beta - n + 2.0)
+            * exact_sum(weight ** (2 * beta - 2) * uu**2 * w)
             - gh * sm["u0"] ** 2
         )
     return IdentityRecord(variant, n, beta, gh, lhs, rhs)

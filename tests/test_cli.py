@@ -20,6 +20,8 @@ from extbounds.cli import (
 )
 from extbounds.problems import TARGET_MODES
 
+from cli_outputs import RUNS as OUTPUT_RUNS
+
 REPO = Path(__file__).resolve().parent.parent
 REPORT_SCHEMA = json.loads((REPO / "schemas" / "report.schema.json").read_text())
 CONSTANTS_SCHEMA = json.loads((REPO / "schemas" / "constants.schema.json").read_text())
@@ -664,3 +666,33 @@ class TestDeterminism:
                          "--out", str(out)]) == 0
         for name in ("report.json", "sweep.csv", "constants.json", "poincare.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def test_cli_outputs_cover_every_choice():
+    """The byte check's run list names every command on every catalog
+    problem, every estimate with every unbroken target and mode, the broken
+    flux, the minorant with u - v at eps > 0 and 0, both sweep kinds, every
+    study and five bad configs; it runs nothing."""
+    runs, bad = [], 0
+    for command, config, _ in OUTPUT_RUNS:
+        if isinstance(config, Path):
+            config = json.loads(config.read_text())
+        try:
+            runs.append((command, ScenarioConfig.from_dict(config)))
+        except ConfigError:
+            bad += 1
+    commands = {"majorant", "minorant", "sandwich", "sweep", "constants", "verify-poincare"}
+    for command in commands:
+        assert {cfg.problem for c, cfg in runs if c == command} == set(xb.CATALOG), command
+    majorants = {(cfg.estimate, cfg.target, cfg.pert_mode) for c, cfg in runs if c == "majorant"}
+    unbroken = {(t, m) for t, modes in TARGET_MODES.items() if t != "y_broken" for m in modes}
+    assert {(e, t, m) for e in ("I", "II", "III") for t, m in unbroken} <= majorants
+    assert ("III", "y_broken", "interface_jump") in majorants
+    for command in ("minorant", "sandwich"):
+        assert {cfg.epsilons[0] for c, cfg in runs
+                if c == command and cfg.minorant_include_error} == {0.1, 0.0}
+    assert {cfg.sweep_kind for c, cfg in runs if c == "sweep"} == {"epsilon", "radius"}
+    studies = {config.name for _, config, _ in OUTPUT_RUNS if isinstance(config, Path)}
+    assert studies == {p.name for p in (REPO / "studies").glob("*.json")} and len(studies) == 4
+    assert any(cfg.poincare_count == 100 for c, cfg in runs if c == "verify-poincare")
+    assert bad >= 5

@@ -46,13 +46,23 @@ class TestSharpness:
 
 
 class TestReports:
-    def test_total_is_sum_and_terms_nonnegative(self, catalog):
-        mp = catalog["N3_decay"]
+    @pytest.mark.parametrize("name", ["N3_decay", "N2_log"])
+    @pytest.mark.parametrize("roman", ["I", "II", "III"])
+    def test_total_is_sum_and_terms_nonnegative(self, roman, name, catalog):
+        # every estimate ends in the same report tail: the boundary term,
+        # the extension constant, the id and the total
+        mp = catalog[name]
+        p, y = mp.problem, mp.exact_flux
         v = perturb(mp, "v", 0.05, "boundary_mode", seed=3)
-        rep = estimate_I(mp.problem, v, mp.exact_flux)
+        estimate = {"I": estimate_I, "II": estimate_II,
+                    "III": lambda p, v, y: estimate_III(p, v, y, y)}[roman]
+        rep = estimate(p, v, y)
         assert rep.total == rep.residual + rep.flux + rep.interface + rep.boundary
         for term in (rep.residual, rep.flux, rep.interface, rep.boundary):
             assert term >= 0.0
+        assert rep.boundary > 0.0
+        assert rep.constants["boundary_extension"] == p.constants.extension.value
+        assert rep.estimate_id == roman + ("-2D" if name == "N2_log" else "")
 
     def test_as_dict_shape(self, catalog):
         mp = catalog["N3_harmonic"]
