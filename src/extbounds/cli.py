@@ -117,7 +117,8 @@ class ScenarioConfig:
     pert_mode: str = _field("interior_bump", "perturbation.mode", str,
                             _among(*pb.PERTURB_MODES))
     epsilons: list = _field([0.1], "perturbation.epsilons", list, lambda v: (
-        None if v and min(v) >= 0 else "expected a non-empty list of numbers >= 0"))
+        None if len(v) == 1 and v[0] >= 0 else
+        "expected a list of one number >= 0 (several values go in sweep.values)"))
     seed: int = _field(0, "perturbation.seed", int, _between(0))
     sweep_kind: str = _field("epsilon", "sweep.kind", str, _among("epsilon", "radius"))
     sweep_values: list = _field([0.1, 0.05, 0.025], "sweep.values", list, lambda v: (
@@ -279,8 +280,8 @@ NUMERICAL_FAILURES = (
 
 
 def cmd_report(command: str, cfg: ScenarioConfig, out: str) -> int:
-    """``majorant``, ``minorant`` or ``sandwich``: one scenario at the first
-    of ``perturbation.epsilons``, written to ``report.json``."""
+    """``majorant``, ``minorant`` or ``sandwich``: one scenario at the one
+    entry of ``perturbation.epsilons``, written to ``report.json``."""
     eps = cfg.epsilons[0]
     s = _scenario(cfg, _build(cfg), eps, command)
     err = s.true_error

@@ -59,7 +59,9 @@ write raises ``ValueError``.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable
@@ -386,91 +388,87 @@ def require_finite(
 # closure builders for the analytic fields used throughout
 
 
-def radial_scalar(p, dp, label: str) -> ScalarField:
-    """Scalar field p(r) with gradient dp(r) x/r."""
+def profile(shape, dshape, centre: float, width: float):
+    """(p, dp): the profile p(r) = shape(t) and its derivative
+    dp(r) = dshape(t) / width, at t = (r - centre) / width."""
 
-    def value(pts):
-        return p(node_radii(pts))
+    def p(r):
+        return shape((np.asarray(r, dtype=float) - centre) / width)
 
-    def gradient(pts):
-        pts = np.atleast_2d(pts)
-        r = node_radii(pts)
-        return (dp(r) / r)[:, None] * pts
+    def dp(r):
+        return dshape((np.asarray(r, dtype=float) - centre) / width) / width
 
-    return ScalarField(value=value, gradient=gradient, label=label)
+    return p, dp
 
 
-def _smoothstep(t: np.ndarray) -> np.ndarray:
+# the shapes ``profile`` places, each with its derivative: a C-infinity
+# mollifier exp(-1/(1 - t^2)) on |t| < 1, a C^2 ramp from 1 at t <= 0 to 0
+# at t >= 1, and the C^2 bump (1 - t^2)^3 on |t| < 1, each exactly 0.0
+# where it vanishes identically, and so is its derivative where it is flat
+
+
+def mollifier(t: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(t)
+    inside = np.abs(t) < 1.0 - 1e-14
+    out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
+    return out
+
+
+def mollifier_deriv(t: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(t)
+    inside = np.abs(t) < 1.0 - 1e-14
+    ti = t[inside]
+    out[inside] = np.exp(-1.0 / (1.0 - ti**2)) * (-2.0 * ti / (1.0 - ti**2) ** 2)
+    return out
+
+
+def ramp(t: np.ndarray) -> np.ndarray:
     t = np.clip(t, 0.0, 1.0)
     return 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
 
 
-def _smoothstep_deriv(t: np.ndarray) -> np.ndarray:
+def ramp_deriv(t: np.ndarray) -> np.ndarray:
     inside = (t > 0.0) & (t < 1.0)
     return np.where(inside, -30.0 * t**2 * (1.0 - t) ** 2, 0.0)
 
 
-def ramp_profile(r_one: float, r_zero: float):
-    """C^2 radial ramp: 1 for r <= r_one, 0 for r >= r_zero.
-    Returns (p, dp) closures."""
-    width = r_zero - r_one
-
-    def p(r):
-        return _smoothstep((np.asarray(r, dtype=float) - r_one) / width)
-
-    def dp(r):
-        return _smoothstep_deriv((np.asarray(r, dtype=float) - r_one) / width) / width
-
-    return p, dp
+def cubic_bump(t: np.ndarray) -> np.ndarray:
+    return (1.0 - np.clip(t**2, None, 1.0)) ** 3
 
 
-def mollifier_profile(center: float, width: float):
-    """C-infinity profile exp(-1/(1-t^2)), t = (s - center)/width.
-    Returns (p, dp) closures vanishing identically for |t| >= 1."""
-
-    def p(s):
-        t = (np.asarray(s, dtype=float) - center) / width
-        out = np.zeros_like(t)
-        inside = np.abs(t) < 1.0 - 1e-14
-        ti = t[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - ti**2))
-        return out
-
-    def dp(s):
-        t = (np.asarray(s, dtype=float) - center) / width
-        out = np.zeros_like(t)
-        inside = np.abs(t) < 1.0 - 1e-14
-        ti = t[inside]
-        out[inside] = (
-            np.exp(-1.0 / (1.0 - ti**2)) * (-2.0 * ti / (1.0 - ti**2) ** 2) / width
-        )
-        return out
-
-    return p, dp
+def cubic_bump_deriv(t: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(t) < 1.0, -6.0 * t * (1.0 - t**2) ** 2, 0.0)
 
 
-def angular_monomial(dimension: int, index: int):
-    """Degree <= 1 angular factors with analytic gradients: index 0 is the
-    constant 1, index i >= 1 is x_i / r.  Returns (value, gradient)."""
-    if index == 0:
-        return (
-            lambda pts: np.ones(len(np.atleast_2d(pts))),
-            lambda pts: np.zeros_like(np.atleast_2d(pts), dtype=float),
-        )
-    i = index - 1
-    if i >= dimension:
-        raise ValueError(f"angular index {index} out of range for dimension {dimension}")
+def ratio_gradient(pts: np.ndarray, i: int, m: int) -> np.ndarray:
+    """grad(x_i / r^m) = e_i / r^m - m x_i x / r^(m + 2) at the (M, N)
+    nodes ``pts``."""
+    r = node_radii(pts)
+    out = -m * pts * (pts[:, i] / r ** (m + 2))[:, None]
+    out[:, i] += 1.0 / r**m
+    return out
+
+
+def _combination(parts):
+    """sum of c a over the pairs (c, a), left to right (c a is a at c = 1.0)."""
+    return functools.reduce(operator.add, (a if c == 1.0 else c * a for c, a in parts))
+
+
+def angular_factor(coeffs):
+    """(value, gradient) closures of q = c_0 + sum_i c_i x_i / r for the
+    coefficients (c_0, c_1, ..., c_N), at least one nonzero, on (M, N)
+    nodes.  The terms with a nonzero coefficient are added left to right;
+    the constant's gradient is 0.0 and the others' c_i grad(x_i / r)
+    (``ratio_gradient``)."""
+    terms = [(i, float(c)) for i, c in enumerate(coeffs) if c != 0.0]
 
     def value(pts):
-        pts = np.atleast_2d(pts)
-        return pts[:, i] / node_radii(pts)
+        return _combination((c, np.ones(len(pts)) if i == 0 else pts[:, i - 1] / node_radii(pts))
+                            for i, c in terms)
 
     def gradient(pts):
-        pts = np.atleast_2d(pts)
-        r = node_radii(pts)
-        out = -pts * (pts[:, i] / r**3)[:, None]
-        out[:, i] += 1.0 / r
-        return out
+        return _combination((1.0, np.zeros_like(pts, dtype=float)) if i == 0
+                            else (c, ratio_gradient(pts, i - 1, 1)) for i, c in terms)
 
     return value, gradient
 
@@ -524,20 +522,26 @@ def _on_support(evaluate, support: tuple[float, float], shape):
 
 
 def separable_field(
-    p, dp, ang_value, ang_gradient, label: str = "separable",
+    p, dp, angular=None, label: str = "separable",
     support: tuple[float, float] | None = None,
 ) -> ScalarField:
-    """p(r) * q(x) with q homogeneous of degree zero (so x . grad q = 0).
-    With a ``support``, p and dp must vanish at radii outside it."""
+    """p(r) q(x) for the angular factor q of the coefficients ``angular``
+    (``angular_factor``), homogeneous of degree zero (so x . grad q = 0),
+    or p(r) alone without them.  With a ``support``, p and dp must vanish
+    at radii outside it."""
+    q, grad_q = (None, None) if angular is None else angular_factor(angular)
 
     def value(pts):
         pts = np.atleast_2d(pts)
-        return p(node_radii(pts)) * ang_value(pts)
+        r = node_radii(pts)
+        return p(r) if q is None else p(r) * q(pts)
 
     def gradient(pts):
         pts = np.atleast_2d(pts)
         r = node_radii(pts)
-        radial_part = (dp(r) * ang_value(pts) / r)[:, None] * pts
-        return radial_part + p(r)[:, None] * ang_gradient(pts)
+        if q is None:
+            return (dp(r) / r)[:, None] * pts
+        radial_part = (dp(r) * q(pts) / r)[:, None] * pts
+        return radial_part + p(r)[:, None] * grad_q(pts)
 
     return ScalarField(value=value, gradient=gradient, label=label, support=support)

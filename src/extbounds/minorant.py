@@ -29,10 +29,12 @@ from . import traces
 from .fields import (
     ScalarField,
     _columns,
-    angular_monomial,
+    cubic_bump,
+    cubic_bump_deriv,
     cut,
     density,
     gradient_on,
+    profile,
     require_finite,
     separable_field,
 )
@@ -118,8 +120,8 @@ def validate_zero_traces(p: Problem, basis: TestBasis) -> None:
 
 
 def default_basis(domain, n_radial: int = 4, degree: int = 1) -> TestBasis:
-    """Radial C^2 bump profiles on sub-annuli of (a, R), tensored with
-    angular factors of degree <= ``degree``.
+    """Radial C^2 bump profiles (1 - t^2)^3 on sub-annuli of (a, R),
+    tensored with the angular factors 1 and x_j / r of degree <= ``degree``.
 
     The bump centred at c with half-width h, and each of its products,
     has value and gradient exactly 0 for radii outside [c - h, c + h]:
@@ -134,21 +136,10 @@ def default_basis(domain, n_radial: int = 4, degree: int = 1) -> TestBasis:
     for k in range(n_radial):
         center = 0.5 * (edges[k] + edges[k + 1])
         half = 0.5 * (edges[k + 1] - edges[k])
-
-        def p(r, c=center, h=half):
-            t = (np.asarray(r, dtype=float) - c) / h
-            t2 = np.clip(t**2, None, 1.0)
-            return (1.0 - t2) ** 3
-
-        def dp(r, c=center, h=half):
-            t = (np.asarray(r, dtype=float) - c) / h
-            inside = np.abs(t) < 1.0
-            return np.where(inside, -6.0 * t * (1.0 - t**2) ** 2 / h, 0.0)
-
+        p, dp = profile(cubic_bump, cubic_bump_deriv, center, half)
         for j in range(n_ang):
-            ang_v, ang_g = angular_monomial(domain.dimension, j)
             fields.append(separable_field(
-                p, dp, ang_v, ang_g, label=f"basis[r{k},a{j}]",
+                p, dp, np.eye(domain.dimension + 1)[j], label=f"basis[r{k},a{j}]",
                 support=(float(center - half), float(center + half)),
             ))
     return TestBasis(fields=tuple(fields))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import mollifier_profile
+from .fields import mollifier, mollifier_deriv
 from .geometry import (
     ExteriorDomain,
     _composite_interval,
@@ -45,10 +45,6 @@ ANGULAR = 24
 
 # ---------------------------------------------------------------------------
 # test functions
-
-
-# exp(-1/(1-t^2)) on |t| < 1 and its derivative
-_bump, _bump_deriv = mollifier_profile(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -94,11 +90,11 @@ def samples(u: BumpFunction) -> dict:
         c, rad = u.center[0], u.radius
         r, wr = _composite_interval(max(c - rad, 0.0), max(c + rad, 0.0), ORDER, PANELS)
         t = (r - c) / rad
-        der = _bump_deriv(t) / rad
+        der = mollifier_deriv(t) / rad
         t0 = -c / rad
         return {
             "r": r,
-            "u": _bump(t),
+            "u": mollifier(t),
             "du_r": der,
             "grad": np.abs(der),
             "w": wr,
@@ -117,8 +113,8 @@ def samples(u: BumpFunction) -> dict:
     c = u.center_radius
     s, ws = _composite_interval(0.0, u.radius, ORDER, PANELS)
     t = s / u.radius
-    val_s = _bump(t)
-    der_s = _bump_deriv(t) / u.radius
+    val_s = mollifier(t)
+    der_s = mollifier_deriv(t) / u.radius
     r = np.sqrt(c**2 + s[:, None] ** 2 + 2.0 * c * s[:, None] * cos[None, :])
     # radial derivative of u at x = center + s*omega:
     #   (x/r) . grad u = u'(s) * (s + c cos) / r

@@ -23,12 +23,14 @@ from .fields import (
     Coefficient,
     ScalarField,
     VectorField,
-    angular_monomial,
     energy_norm,
     gradient_on,
-    mollifier_profile,
-    radial_scalar,
-    ramp_profile,
+    mollifier,
+    mollifier_deriv,
+    profile,
+    ramp,
+    ramp_deriv,
+    ratio_gradient,
     separable_field,
 )
 from .geometry import (
@@ -145,6 +147,22 @@ class ManufacturedProblem:
 CATALOG = ("N3_harmonic", "N3_decay", "N3_anisotropic", "N2_log")
 
 
+def _inverse_r(label: str) -> ScalarField:
+    """u = 1/r."""
+    return separable_field(lambda r: 1.0 / r, lambda r: -1.0 / r**2, label=label)
+
+
+def _grad_inverse_r(pts):
+    """grad(1/r) = -x / r^3."""
+    pts = np.atleast_2d(pts)
+    return -pts / node_radii(pts)[:, None] ** 3
+
+
+def _zero(pts):
+    """The divergence of a solenoidal field."""
+    return np.zeros(len(np.atleast_2d(pts)))
+
+
 def builtin(
     name: str,
     radial_order: int = 12,
@@ -159,19 +177,15 @@ def builtin(
     if name == "N3_harmonic":
         domain = ExteriorDomain(3, 1.0, 2.0)
         A = Coefficient.identity(3)
-        u = radial_scalar(lambda r: 1.0 / r, lambda r: -1.0 / r**2, "1/r")
-        flux = VectorField(
-            value=lambda pts: -np.atleast_2d(pts) / node_radii(pts)[:, None] ** 3,
-            divergence=lambda pts: np.zeros(len(np.atleast_2d(pts))),
-            label="grad(1/r)",
-        )
+        u = _inverse_r("1/r")
+        flux = VectorField(value=_grad_inverse_r, divergence=_zero, label="grad(1/r)")
     elif name == "N3_decay":
         domain = ExteriorDomain(3, 1.0, 2.0)
         A = Coefficient(np.full(3, 2.0), label="2I")
-        u = radial_scalar(
+        u = separable_field(
             lambda r: 1.0 / (1.0 + r**2),
             lambda r: -2.0 * r / (1.0 + r**2) ** 2,
-            "1/(1+r^2)",
+            label="1/(1+r^2)",
         )
 
         def flux_value(pts):
@@ -188,7 +202,7 @@ def builtin(
         domain = ExteriorDomain(3, 1.0, 2.0)
         A = Coefficient(np.array([1.0, 2.0, 4.0]), label="diag(1,2,4)")
         diag = A.diagonal
-        u = radial_scalar(lambda r: 1.0 / r, lambda r: -1.0 / r**2, "1/r")
+        u = _inverse_r("1/r")
 
         def aniso_value(pts):
             pts = np.atleast_2d(pts)
@@ -204,12 +218,9 @@ def builtin(
     else:  # N2_log
         domain = ExteriorDomain(2, 1.0, 2.0)
         A = Coefficient.identity(2)
-        u = radial_scalar(lambda r: 1.0 / r, lambda r: -1.0 / r**2, "1/r (2D)")
-        flux = VectorField(
-            value=lambda pts: -np.atleast_2d(pts) / node_radii(pts)[:, None] ** 3,
-            divergence=lambda pts: 1.0 / node_radii(pts) ** 3,
-            label="grad(1/r) (2D)",
-        )
+        u = _inverse_r("1/r (2D)")
+        flux = VectorField(value=_grad_inverse_r, label="grad(1/r) (2D)",
+                           divergence=lambda pts: 1.0 / node_radii(pts) ** 3)
 
     # the exact data are kept per node array: grad v = grad u + eps grad b
     # and the true error read the kept grad u, and f = -div F and div y,
@@ -277,33 +288,14 @@ def _random_interior_bump(mp: ManufacturedProblem, rng) -> ScalarField:
     center_r = dom.a + gap * rng.uniform(0.35, 0.65)
     width = gap * rng.uniform(0.15, 0.28)
     width = min(width, 0.95 * (center_r - dom.a), 0.95 * (dom.R - center_r))
-    p, dp = mollifier_profile(center_r, width)
-    ang_v, ang_g = _random_angular(mp, rng)
-    return separable_field(p, dp, ang_v, ang_g, label="interior-bump",
+    p, dp = profile(mollifier, mollifier_deriv, center_r, width)
+    return separable_field(p, dp, _random_angular(mp, rng), label="interior-bump",
                            support=(center_r - width, center_r + width))
 
 
-def _random_angular(mp: ManufacturedProblem, rng):
-    """Random degree <= 1 angular combination (value, gradient closures)."""
-    dim = mp.domain.dimension
-    coeffs = rng.uniform(-1.0, 1.0, size=dim + 1)
-
-    def value(pts):
-        out = coeffs[0] * np.ones(len(np.atleast_2d(pts)))
-        for i in range(1, dim + 1):
-            v, _ = angular_monomial(dim, i)
-            out = out + coeffs[i] * v(pts)
-        return out
-
-    def gradient(pts):
-        pts2 = np.atleast_2d(pts)
-        out = np.zeros_like(pts2, dtype=float)
-        for i in range(1, dim + 1):
-            _, gr = angular_monomial(dim, i)
-            out = out + coeffs[i] * gr(pts)
-        return out
-
-    return value, gradient
+def _random_angular(mp: ManufacturedProblem, rng) -> np.ndarray:
+    """Random coefficients (c_0, ..., c_N) of a degree <= 1 angular factor."""
+    return rng.uniform(-1.0, 1.0, size=mp.domain.dimension + 1)
 
 
 def _flux_bump(bump: ScalarField, direction: np.ndarray) -> VectorField:
@@ -330,28 +322,15 @@ def solenoidal_harmonic_gradient(dimension: int, index: int) -> VectorField:
             # grad(ln r) fails to be square integrable at infinity in 2D
             raise ValueError("index 0 requires dimension 3")
 
-        def value(pts):
-            pts = np.atleast_2d(pts)
-            return -pts / node_radii(pts)[:, None] ** 3
-
+        value = _grad_inverse_r
     else:
-        i = index - 1
-        if i >= dimension:
+        if index > dimension:
             raise ValueError(f"index {index} out of range for dimension {dimension}")
-        n = dimension
 
         def value(pts):
-            pts = np.atleast_2d(pts)
-            r = node_radii(pts)
-            out = -n * pts * (pts[:, i] / r ** (n + 2))[:, None]
-            out[:, i] += 1.0 / r**n
-            return out
+            return ratio_gradient(np.atleast_2d(pts), index - 1, dimension)
 
-    return VectorField(
-        value=value,
-        divergence=lambda pts: np.zeros(len(np.atleast_2d(pts))),
-        label=f"harmonic-gradient[{index}]",
-    )
+    return VectorField(value=value, divergence=_zero, label=f"harmonic-gradient[{index}]")
 
 
 def perturb(
@@ -382,11 +361,10 @@ def perturb(
             return mp.exact_u
         if mode == "interior_bump":
             return mp.exact_u + eps * _random_interior_bump(mp, rng)
-        ang_v, ang_g = _random_angular(mp, rng)
+        coeffs = _random_angular(mp, rng)
         r_zero = dom.a + 0.5 * (dom.R - dom.a)
-        p, dp = ramp_profile(dom.a, r_zero)
-        ext = separable_field(p, dp, ang_v, ang_g, label="boundary-mode",
-                              support=(0.0, r_zero))
+        p, dp = profile(ramp, ramp_deriv, dom.a, r_zero - dom.a)
+        ext = separable_field(p, dp, coeffs, label="boundary-mode", support=(0.0, r_zero))
         return mp.exact_u + eps * ext
 
     if target == "y":

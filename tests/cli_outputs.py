@@ -12,7 +12,9 @@ bytes when ``diff -r`` of their two ``DIR``s is empty.
 
 The file name has no ``test_`` prefix, so pytest does not collect it;
 ``tests/test_cli.py`` checks that ``RUNS`` covers every command,
-estimate, perturbation target and mode, catalog problem and study.
+estimate, perturbation target and mode, catalog problem and study, and
+sets every config field to a value other than its default in some run.
+``tests/line_trace.py`` runs the same list in one traced process.
 """
 
 from __future__ import annotations
@@ -41,14 +43,36 @@ def _runs() -> list:
              for p in ("N3_decay", "N2_log") for e in ("I", "II", "III") for t, m in UNBROKEN]
     runs.append(("majorant", {"estimate": "III", "perturbation": {
         "target": "y_broken", "mode": "interface_jump", "epsilons": [0.05]}}, ()))
+    # the flux targets at eps = 0, where the perturbed flux is the exact one
+    runs += [("majorant", {"estimate": "II",
+                           "perturbation": {"target": "y", "epsilons": [0.0]}}, ()),
+             ("majorant", {"problem": "N2_log", "estimate": "III", "perturbation": {
+                 "target": "y_broken", "mode": "interface_jump", "epsilons": [0.0]}}, ())]
     runs += [(c, {"problem": "N3_decay", "minorant": {"include_error_in_basis": True},
                   "perturbation": {"epsilons": [eps]}}, ())
              for c in ("minorant", "sandwich") for eps in (0.1, 0.0)]
     runs.append(("sweep", {"problem": "N2_log", "sweep": {"kind": "radius",
                                                           "values": [1.5, 2.5]}}, ()))
     runs += [("sweep", path, ()) for path in sorted(STUDIES.glob("*.json"))]
-    runs.append(("verify-poincare", {"poincare": {"count": 100}}, ("--seed", "7")))
+    runs.append(("verify-poincare", {"poincare": {"count": 30}}, ("--seed", "7")))
     runs.append(("majorant", {"estimate": "II"}, ("--seed", "11")))
+    # the minorant basis and the rules away from their defaults
+    runs += [("sandwich", {"problem": p, "minorant": {"degree": 0}}, ())
+             for p in ("N2_log", "N3_anisotropic")]
+    runs.append(("minorant", {"problem": "N3_decay", "minorant": {"n_radial": 2}}, ()))
+    runs.append(("majorant", {"problem": "N3_anisotropic", "estimate": "III", "quadrature": {
+        "radial_order": 10, "angular_order": 9, "shells": 6}, "trace": {"L": 6}}, ()))
+    runs.append(("sandwich", {"problem": "N2_log", "quadrature": {
+        "radial_order": 8, "angular_order": 11, "shells": 4}, "trace": {"L": 5},
+        "minorant": {"n_radial": 3, "degree": 0}}, ()))
+    # valid configs whose bounds cannot be established, each exit 1: u - v
+    # with a nonzero trace in the basis, and an integrand past the float range
+    runs += [
+        ("minorant", {"perturbation": {"mode": "boundary_mode"},
+                      "minorant": {"include_error_in_basis": True}}, ()),
+        ("majorant", {"perturbation": {"epsilons": [1e300]}}, ()),
+        ("sandwich", {"perturbation": {"epsilons": [1e300]}}, ()),
+    ]
     # bad configs and arguments, each named on stderr with exit 2: the
     # broken flux parses and only estimate I rejects it, and the last two
     # runs pass a bad --out and a bad --seed

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 import extbounds as xb
-from extbounds.fields import VectorField, ramp_profile, separable_field
+from extbounds.fields import VectorField, profile, ramp, ramp_deriv
 from extbounds.geometry import node_radii
 from extbounds.majorant import boundary_term
 from extbounds.minorant import NonzeroTraceError, TestBasis, minorant_report
 from extbounds.traces import BandLimitError
 
 from conftest import random_points_in_annulus
-from oracles import check_gradient
+from oracles import check_gradient, separable_closures
 
 EPS = 0.1
 CASES = [(name, L, L + k) for name in ("N3_harmonic", "N2_log")
@@ -69,8 +69,9 @@ def ramp_mismatch(mp, ell):
     at the middle of the annulus."""
     dom = mp.domain
     r_zero = 0.5 * (dom.a + dom.R)
-    return separable_field(*ramp_profile(dom.a, r_zero), *angular(dom.dimension, ell),
-                           label=f"ramp-degree-{ell}", support=(0.0, r_zero))
+    return separable_closures(*profile(ramp, ramp_deriv, dom.a, r_zero - dom.a),
+                              *angular(dom.dimension, ell),
+                              label=f"ramp-degree-{ell}", support=(0.0, r_zero))
 
 
 @pytest.mark.parametrize("name,L,ell", CASES)
@@ -81,8 +82,8 @@ def test_interface_jump_above_band_is_bounded(name, L, ell):
     mp = problem(name, L, ell)
     dom = mp.domain
     ang = angular(dom.dimension, ell)
-    field = separable_field(*harmonic_profile(dom.dimension, ell, dom.a, dom.R), *ang)
-    inner = separable_field(*harmonic_profile(dom.dimension, ell, dom.a, dom.R, False), *ang)
+    field = separable_closures(*harmonic_profile(dom.dimension, ell, dom.a, dom.R), *ang)
+    inner = separable_closures(*harmonic_profile(dom.dimension, ell, dom.a, dom.R, False), *ang)
     pts = random_points_in_annulus(dom, 40, seed=ell)
     assert check_gradient(inner, pts, step=1e-6, rtol=1e-5) < 1e-5
     v = mp.exact_u + EPS * field

@@ -108,7 +108,7 @@ class TestConfig:
         for name, sec in raw.items():
             if isinstance(sec, dict):
                 assert set(sec) <= set(FIELD_KEYS[name]), name
-        assert cfg.seed >= 0 and cfg.epsilons and cfg.sweep_values
+        assert cfg.seed >= 0 and len(cfg.epsilons) == 1 and cfg.sweep_values
         assert all(math.isfinite(e) and e >= 0 for e in cfg.epsilons)
         assert all(math.isfinite(v) and v > 0 for v in cfg.sweep_values)
 
@@ -143,6 +143,13 @@ class TestConfig:
             ScenarioConfig.from_dict(
                 {"perturbation": {"epsilons": [0.1, -0.2]}}
             )
+
+    @pytest.mark.parametrize("epsilons", [[], [0.1, 0.05], [0.1, 0.05, 0.025], [-0.1]])
+    def test_epsilons_hold_one_value(self, epsilons):
+        # every command reads one epsilon: a longer list would be ignored input
+        with pytest.raises(ConfigError, match=r"^perturbation\.epsilons: .*sweep\.values"):
+            ScenarioConfig.from_dict({"perturbation": {"epsilons": epsilons}})
+        assert ScenarioConfig.from_dict({"perturbation": {"epsilons": [0.0]}}).epsilons == [0.0]
 
     def test_trace_order_coupling(self):
         with pytest.raises(ConfigError, match="angular_order"):
@@ -214,7 +221,7 @@ def accepted_configs(draw):
         "trace": {"L": L},
         "perturbation": {"target": target,
                          "mode": draw(st.sampled_from(TARGET_MODES[target])),
-                         "epsilons": draw(st.lists(FINITE, min_size=1, max_size=2)),
+                         "epsilons": draw(st.lists(FINITE, min_size=1, max_size=1)),
                          "seed": draw(st.integers(0, 2**70))},
         "sweep": {"kind": draw(st.sampled_from(["epsilon", "radius"])),
                   "values": draw(st.lists(
@@ -672,7 +679,8 @@ def test_cli_outputs_cover_every_choice():
     """The byte check's run list names every command on every catalog
     problem, every estimate with every unbroken target and mode, the broken
     flux, the minorant with u - v at eps > 0 and 0, both sweep kinds, every
-    study and five bad configs; it runs nothing."""
+    study, every config field at a value other than its default and five bad
+    configs; it runs nothing."""
     runs, bad = [], 0
     for command, config, _ in OUTPUT_RUNS:
         if isinstance(config, Path):
@@ -694,5 +702,7 @@ def test_cli_outputs_cover_every_choice():
     assert {cfg.sweep_kind for c, cfg in runs if c == "sweep"} == {"epsilon", "radius"}
     studies = {config.name for _, config, _ in OUTPUT_RUNS if isinstance(config, Path)}
     assert studies == {p.name for p in (REPO / "studies").glob("*.json")} and len(studies) == 4
-    assert any(cfg.poincare_count == 100 for c, cfg in runs if c == "verify-poincare")
+    defaults = ScenarioConfig()
+    for name, f in FIELDS.items():
+        assert any(getattr(cfg, f.name) != getattr(defaults, f.name) for _, cfg in runs), name
     assert bad >= 5

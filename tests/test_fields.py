@@ -12,11 +12,12 @@ from extbounds.fields import (
     VectorField,
     energy_norm,
     log_weighted_norm,
-    mollifier_profile,
-    radial_scalar,
+    mollifier,
+    mollifier_deriv,
+    profile,
+    ratio_gradient,
     residual_field,
     separable_field,
-    angular_monomial,
     weighted_norm,
 )
 from extbounds.geometry import (
@@ -33,16 +34,16 @@ SMALL3 = build_quadrature(DOM3, 4, 4, 3, "omega_i")
 
 
 def inv_r_field():
-    return radial_scalar(lambda r: 1.0 / r, lambda r: -1.0 / r**2, "1/r")
+    return separable_field(lambda r: 1.0 / r, lambda r: -1.0 / r**2, label="1/r")
 
 
 def shell_bump():
     """exp(-1/(1-t^2)) in t = (r - 1.5)/0.3, times x_3/r."""
-    return separable_field(*mollifier_profile(1.5, 0.3), *angular_monomial(3, 3))
+    return separable_field(*profile(mollifier, mollifier_deriv, 1.5, 0.3), (0.0, 0.0, 0.0, 1.0))
 
 
 def inv_r2_field():
-    return radial_scalar(lambda r: r**-2.0, lambda r: -2.0 * r**-3.0, "1/r^2")
+    return separable_field(lambda r: r**-2.0, lambda r: -2.0 * r**-3.0, label="1/r^2")
 
 
 class TestClosures:
@@ -61,12 +62,21 @@ class TestClosures:
         assert check_divergence(y, pts) < 1e-6
 
     def test_separable_field_gradient(self):
-        p, dp = mollifier_profile(1.5, 0.3)
+        p, dp = profile(mollifier, mollifier_deriv, 1.5, 0.3)
         for idx in range(4):
-            av, ag = angular_monomial(3, idx)
-            f = separable_field(p, dp, av, ag)
+            f = separable_field(p, dp, np.eye(4)[idx])
             pts = random_points_in_annulus(DOM3, 20, seed=3 + idx)
             assert check_gradient(f, pts, step=1e-6) < 1e-6
+        mixed = separable_field(p, dp, (0.5, -1.0, 0.0, 2.0))
+        assert check_gradient(mixed, random_points_in_annulus(DOM3, 20, seed=7), step=1e-6) < 1e-6
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_ratio_gradient(self, m):
+        pts = random_points_in_annulus(DOM3, 20, seed=8)
+        for i in range(3):
+            f = ScalarField(value=lambda p, i=i: p[:, i] / node_radii(p) ** m,
+                            gradient=lambda p, i=i: ratio_gradient(p, i, m), label="x_i/r^m")
+            assert check_gradient(f, pts) < 1e-6
 
     def test_bad_gradient_caught(self):
         f = ScalarField(
@@ -266,10 +276,10 @@ scalar_or_zero = st.one_of(
     s=st.sampled_from([-1.0, 0.0, 1.0]),
 )
 def test_norm_triangle_and_homogeneity(c1, c2, p1, p2, s):
-    f = radial_scalar(lambda r, c=c1, p=p1: c * r**p,
-                      lambda r, c=c1, p=p1: c * p * r ** (p - 1), "f")
-    g = radial_scalar(lambda r, c=c2, p=p2: c * r**p,
-                      lambda r, c=c2, p=p2: c * p * r ** (p - 1), "g")
+    f = separable_field(lambda r, c=c1, p=p1: c * r**p,
+                        lambda r, c=c1, p=p1: c * p * r ** (p - 1), label="f")
+    g = separable_field(lambda r, c=c2, p=p2: c * r**p,
+                        lambda r, c=c2, p=p2: c * p * r ** (p - 1), label="g")
     nf, ng = weighted_norm(f, s, SMALL3), weighted_norm(g, s, SMALL3)
     nsum = weighted_norm(f + g, s, SMALL3)
     assert nsum <= nf + ng + 1e-12 * max(nf + ng, 1.0)

@@ -613,11 +613,10 @@ class TestIntegrate:
         assert abs(v1 - v2) < 1e-10 * abs(v2)
 
     def test_richardson_bump(self):
-        from extbounds.fields import angular_monomial, mollifier_profile, separable_field
+        from extbounds.fields import mollifier, mollifier_deriv, profile, separable_field
 
-        p, dp = mollifier_profile(1.5, 0.22)
-        av, ag = angular_monomial(3, 3)
-        bump = separable_field(p, dp, lambda x: 1.0 + av(x), ag)
+        p, dp = profile(mollifier, mollifier_deriv, 1.5, 0.22)
+        bump = separable_field(p, dp, (1.0, 0.0, 0.0, 1.0))
         fine = build_quadrature(DOM3, 24, 8, 16, "omega_i")
         finer = build_quadrature(DOM3, 32, 12, 24, "omega_i")
         v1 = integrate(fine, lambda x: np.asarray(bump.value(x)) ** 2)

@@ -195,11 +195,10 @@ class TestFluxTermPaths:
         mp = catalog["N3_harmonic"]
         p = mp.problem
         eps = 0.05
-        from extbounds.fields import mollifier_profile, separable_field, angular_monomial
+        from extbounds.fields import mollifier, mollifier_deriv, profile, separable_field
 
-        prof, dprof = mollifier_profile(1.5, 0.25)
-        av, ag = angular_monomial(3, 3)  # x3/r is a degree-1 harmonic
-        s = separable_field(prof, dprof, av, ag)
+        prof, dprof = profile(mollifier, mollifier_deriv, 1.5, 0.25)
+        s = separable_field(prof, dprof, (0.0, 0.0, 0.0, 1.0))  # x3/r is a degree-1 harmonic
         v = mp.exact_u + eps * s
 
         def lap_s(pts):
@@ -217,7 +216,7 @@ class TestFluxTermPaths:
             # radial part of the Laplacian acting on prof(r) Y_1:
             # prof'' + 2 prof'/r - 2 prof/r^2
             val[inside] = d2 + 2.0 * d1 / r[inside] - 2.0 * e / r[inside] ** 2
-            return val * np.asarray(av(pts))
+            return val * (pts[:, 2] / r)
 
         grad_s = s.gradient
         y = mp.exact_flux + eps * VectorField(

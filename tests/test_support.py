@@ -10,7 +10,6 @@ from numpy.testing import assert_array_equal
 
 import extbounds as xb
 import extbounds.fields as fields_module
-import extbounds.problems as problems_module
 from extbounds.fields import ScalarField, VectorField, support_rows
 from extbounds.geometry import node_radii
 from extbounds.minorant import NonzeroTraceError, default_basis, minorant_report
@@ -139,17 +138,13 @@ class TestRowsSeen:
         mp = coarse[name]
         quads = mp.problem.quads
         seen = []
-        original = problems_module.angular_monomial
+        original = fields_module.ratio_gradient
 
-        def counted(dimension, index):
-            def count(fn):
-                def out(pts):
-                    seen.append(len(np.atleast_2d(pts)))
-                    return fn(pts)
-                return out
-            return tuple(map(count, original(dimension, index)))
+        def counted(pts, i, m):
+            seen.append(len(pts))
+            return original(pts, i, m)
 
-        monkeypatch.setattr(problems_module, "angular_monomial", counted)
+        monkeypatch.setattr(fields_module, "ratio_gradient", counted)
         for seed in SEEDS:
             v = perturb(mp, "v", 0.1, mode, seed)
             for rule in ("omega_e", "omega_e_refined"):
