@@ -14,15 +14,15 @@ a closure fills per node takes the layout of its input, and the one
 kernel that rounds by layout, the BLAS product of the perturbed flux's
 divergence (``problems.perturb``), gets a C-order operand.
 
-Every norm, and every integral of the minorant, sums a pointwise density
-that ``density`` builds one column at a time in a single M-vector, with at
-most one more scratch column: sum_k (a_k o d_k) b_k, o the product or the
-quotient by the coefficient's diagonal d (or a_k b_k without it).  Each
-node takes the IEEE operations of ``row_sum((a o d) * b)`` over the (M, N)
-arrays in the same order, term by term and added left to right; that
-``row_sum`` starts from +0.0 only turns a density of -0.0 into +0.0, which
-no exact sum tells apart.  So no (M, N) temporary is built and every sum
-keeps its bits.  A norm checks its density with ``require_finite`` and
+Every norm, and every integral of the minorant's tensor assembly, sums a
+pointwise density that ``density`` builds one column at a time in a single
+M-vector, with at most one more scratch column: sum_k (a_k o d_k) b_k, o
+the product or the quotient by the coefficient's diagonal d (or a_k b_k
+without it).  Each node takes the IEEE operations of
+``row_sum((a o d) * b)`` over the (M, N) arrays in the same order, term
+by term and added left to right; that ``row_sum`` starts from +0.0 only
+turns a density of -0.0 into +0.0, which no exact sum tells apart.  So no
+(M, N) temporary is built and every sum keeps its bits.  A norm checks its density with ``require_finite`` and
 sums it with the rule's weights in one ``exact_dot``.
 
 Two radial weights coexist and are never interchanged silently:
@@ -35,7 +35,19 @@ interval of radii outside which it and its derivative are exactly 0.
 The field holds to it: its closures run only on the rows of the nodes
 that ``support_rows`` finds for it and write 0.0 on the others, and so
 do a sum with it (off them, the other operand's values as they are) and
-the minorant, which cuts each distinct support of its basis once.
+the minorant's tensor assembly, which cuts each distinct support of its
+basis once.
+
+A separable field also keeps its terms (``Term``: a radial profile p with
+its derivative, angular coefficients c and a support, the function
+p(r) (c_0 + c . x/r)).  ``separable_field`` records one, ``c * w`` scales
+them, ``a + b`` and ``a - b`` join them when both operands have terms,
+and like terms merge (``merged``), so u - (u + eps s) has exactly the
+terms of -eps s.  A vector field A grad phi may record phi's terms as its
+``potential``.  The minorant assembles a basis with terms from the terms,
+radial sums times sphere moments (``minorant._term_system``), where the
+rule's angular factor integrates those moments exactly; a field built from
+bare closures has none, and the minorant sums it on the tensor rule.
 
 No memo outlives what it was computed from.  ``gradient_on`` keeps the
 gradient of the last field it evaluated on the last rule, so that the
@@ -60,11 +72,12 @@ write raises ``ValueError``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -110,10 +123,53 @@ def _combined(a, b, op, support):
     return combined
 
 
+class Term(NamedTuple):
+    """p(r) (c . phi) with phi = (1, x_1/r, ..., x_N/r): the radial profile
+    p with its derivative dp, the angular coefficients c = (c_0, ..., c_N)
+    and the radial ``support`` (None: every radius) outside which p and dp
+    vanish."""
+
+    p: Callable
+    dp: Callable
+    angular: tuple
+    support: tuple[float, float] | None
+
+
+def merged(terms) -> tuple:
+    """``terms`` with like terms merged: those with the same closures p and
+    dp and the same support become one, at the first one's place, whose
+    coefficients are the sum of theirs, added in order; a term whose
+    coefficients are all 0.0 is dropped."""
+    out = {}
+    for t in terms:
+        key = (t.p, t.dp, t.support)
+        if key in out:
+            t = t._replace(angular=tuple(a + b for a, b in itertools.zip_longest(
+                out[key].angular, t.angular, fillvalue=0.0)))
+        out[key] = t
+    return tuple(t for t in out.values() if any(t.angular))
+
+
+def scaled_terms(c: float, terms) -> tuple:
+    """c times each term's coefficients."""
+    return merged(t._replace(angular=tuple(c * a for a in t.angular)) for t in terms)
+
+
+def _held_to(t: Term, support) -> Term | None:
+    """``t`` on the radii of ``support`` only: its support cut to that one,
+    or None where the two do not meet."""
+    if support is None:
+        return t
+    if t.support is not None:
+        support = (max(t.support[0], support[0]), min(t.support[1], support[1]))
+    return t._replace(support=support) if support[0] <= support[1] else None
+
+
 class _Field:
-    """The support and arithmetic of ``ScalarField`` and ``VectorField``:
-    each names its derivative closure (``_derivative``) and the shapes of
-    the two closures' values at nodes ``pts`` (``_shapes``)."""
+    """The support, terms and arithmetic of ``ScalarField`` and
+    ``VectorField``: each names its derivative closure (``_derivative``),
+    the shapes of the two closures' values at nodes ``pts`` (``_shapes``)
+    and its list of terms (``_terms``)."""
 
     def __post_init__(self):
         if self.support is not None:  # formula() unwraps a closure restricted before
@@ -121,6 +177,8 @@ class _Field:
             for name, fn, shape in zip(names, self.formula(), self._shapes):
                 if fn is not None:
                     object.__setattr__(self, name, _on_support(fn, self.support, shape))
+        terms = (_held_to(Term(*t), self.support) for t in getattr(self, self._terms))
+        object.__setattr__(self, self._terms, merged(t for t in terms if t is not None))
 
     def formula(self) -> tuple:
         """(value, derivative): the closures as given, before the support
@@ -132,9 +190,13 @@ class _Field:
 
     def _sum(self, other, op, sign):
         own = (self.value, getattr(self, self._derivative))
+        mine, theirs = getattr(self, self._terms), getattr(other, other._terms)
+        if op is np.subtract:
+            theirs = scaled_terms(-1.0, theirs)
         return type(self)(
             *(_combined(a, b, op, other.support) for a, b in zip(own, other.formula())),
-            label=f"({self.label}{sign}{other.label})")
+            label=f"({self.label}{sign}{other.label})",
+            **{self._terms: mine + theirs if mine and theirs else ()})
 
     def __add__(self, other):
         return self._sum(other, np.add, "+")
@@ -145,7 +207,8 @@ class _Field:
     def __rmul__(self, c: float):
         c = float(c)
         return type(self)(*(_scaled(c, fn) for fn in self.formula()),
-                          label=f"{c}*{self.label}", support=self.support)
+                          label=f"{c}*{self.label}", support=self.support,
+                          **{self._terms: scaled_terms(c, getattr(self, self._terms))})
 
 
 @dataclass(frozen=True)
@@ -162,30 +225,47 @@ class ScalarField(_Field):
     made by ``dataclasses.replace`` with another support holds to that one.
     ``c * w`` keeps the support.  ``a + b`` and ``a - b`` drop it: they run
     b's closures only on the rows of b's support, and give a's values
-    themselves on the others."""
+    themselves on the others.
+
+    ``terms`` is empty, or the ``Term``s whose sum the field is, as
+    ``separable_field`` records them; the minorant's assembly may read
+    them in place of the closures.  They are held to the support and merged
+    (``merged``), scaled by ``c * w``, and joined by ``a + b`` and
+    ``a - b`` when both operands have terms.  ``dataclasses.replace``
+    keeps them too, so a replace that gives closures of another function
+    must pass ``terms=()``."""
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
     support: tuple[float, float] | None = None
+    terms: tuple = field(default=(), repr=False, compare=False)
 
     _derivative = "gradient"
     _shapes = (len, np.shape)
+    _terms = "terms"
 
 
 @dataclass(frozen=True)
 class VectorField(_Field):
     """Vector field with vectorized ``value`` (M,N)->(M,N) and optional
     analytic ``divergence`` (M,N)->(M,), and a ``support`` held to as a
-    ``ScalarField``'s is."""
+    ``ScalarField``'s is.
+
+    ``potential`` is empty, or the terms of a phi whose A grad phi the
+    field is, for the coefficient A of the problem that holds it; they are
+    kept as a ``ScalarField``'s terms are, so a replace that gives closures
+    of another field must pass ``potential=()``."""
 
     value: Callable[[np.ndarray], np.ndarray]
     divergence: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
     support: tuple[float, float] | None = None
+    potential: tuple = field(default=(), repr=False, compare=False)
 
     _derivative = "divergence"
     _shapes = (np.shape, len)
+    _terms = "potential"
 
 
 @dataclass(frozen=True, eq=False)
@@ -528,7 +608,7 @@ def separable_field(
     """p(r) q(x) for the angular factor q of the coefficients ``angular``
     (``angular_factor``), homogeneous of degree zero (so x . grad q = 0),
     or p(r) alone without them.  With a ``support``, p and dp must vanish
-    at radii outside it."""
+    at radii outside it.  The field records itself as one ``Term``."""
     q, grad_q = (None, None) if angular is None else angular_factor(angular)
 
     def value(pts):
@@ -544,4 +624,6 @@ def separable_field(
         radial_part = (dp(r) * q(pts) / r)[:, None] * pts
         return radial_part + p(r)[:, None] * grad_q(pts)
 
-    return ScalarField(value=value, gradient=gradient, label=label, support=support)
+    coeffs = (1.0,) if angular is None else tuple(map(float, angular))
+    return ScalarField(value=value, gradient=gradient, label=label, support=support,
+                       terms=(Term(p, dp, coeffs, support),))

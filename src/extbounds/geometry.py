@@ -137,13 +137,23 @@ class QuadratureRule:
     nodes are; they are kept as they are, and row-major ones are rejected.
 
     ``derived`` keeps values computed from the rule alone, so that they
-    live exactly as long as the rule."""
+    live exactly as long as the rule.
+
+    A rule that ``build_quadrature`` or ``whole_and_parts`` made is a
+    tensor rule and keeps its factors: ``radial`` holds the radial nodes
+    r_k and their weights W_k (w_k r_k^{N-1}, the radial rule's weight
+    times the Jacobian), ``angular`` the directions omega_j and their
+    weights, and node k * len(omega) + j is r_k omega_j with weight
+    W_k times the j-th angular weight.  A rule made otherwise has None,
+    and ``dataclasses.replace`` with other nodes must pass None for both."""
 
     nodes: np.ndarray  # (M, N), column-major
     weights: np.ndarray  # (M,)
     radial_order: int
     angular_order: int
     shell_count: int
+    radial: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    angular: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -159,8 +169,8 @@ class QuadratureRule:
             raise QuadratureError("all quadrature weights must be positive")
         if not (np.isfinite(weights).all() and np.isfinite(nodes).all()):
             raise QuadratureError("quadrature nodes and weights must be finite")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
+        for a in (nodes, weights) + (self.radial or ()) + (self.angular or ()):
+            a.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
@@ -311,6 +321,7 @@ def build_quadrature(
         if region in ("sphere_gamma", "sphere_Gamma"):
             radius = domain.a if region == "sphere_gamma" else domain.R
             nodes, weights = radius * dirs, radius ** (n - 1) * wang
+            r, wr = np.array([radius]), np.array([radius ** (n - 1)])
         else:
             if region == "omega_i":
                 r, wr = _composite_interval(domain.a, domain.R, radial_order, shells)
@@ -324,13 +335,16 @@ def build_quadrature(
             nodes = np.empty((len(r) * len(dirs), n), order="F")
             for col, d in zip(nodes.T, dirs.T):
                 np.multiply.outer(r, d, out=col.reshape(len(r), len(d)))
-            weights = (wr[:, None] * r[:, None] ** (n - 1) * wang[None, :]).reshape(-1)
+            wr = wr * r ** (n - 1)
+            weights = (wr[:, None] * wang[None, :]).reshape(-1)
     return QuadratureRule(
         nodes=nodes,
         weights=weights,
         radial_order=radial_order,
         angular_order=angular_order,
         shell_count=shells,
+        radial=(r, wr),
+        angular=(dirs, wang),
     )
 
 
@@ -343,7 +357,8 @@ def whole_and_parts(
     inner = build_quadrature(domain, radial_order, angular_order, shells, "omega_i")
     outer = build_quadrature(domain, radial_order, angular_order, shells, "omega_e")
     whole = replace(inner, nodes=stack_rows([inner.nodes, outer.nodes]),
-                    weights=np.concatenate([inner.weights, outer.weights]))
+                    weights=np.concatenate([inner.weights, outer.weights]),
+                    radial=tuple(map(np.concatenate, zip(inner.radial, outer.radial))))
     k = len(inner)
     return (
         whole,

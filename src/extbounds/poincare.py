@@ -98,7 +98,7 @@ def samples(u: BumpFunction) -> dict:
             "du_r": der,
             "grad": np.abs(der),
             "w": wr,
-            "u0": math.exp(-1.0 / (1.0 - t0 * t0)) if abs(t0) < 1.0 else 0.0,
+            "u0": float(mollifier(np.array([t0]))[0]),
             "dimension": 1,
         }
     if n == 3:

@@ -4,9 +4,10 @@ A ``Problem`` holds the flux F of its load, with an analytic divergence
 closure, and derives f := -div F from it, so the two can never drift
 apart; the minorant reads F alone.  Every catalog entry takes the exact
 flux F = A grad u, so the data cannot drift out of sync with the
-solution either.  Perturbation generators produce the test inputs for
-the upper/lower bound studies: interior bumps (traces intact), boundary
-modes (trace mismatch), and interface jumps (broken normal traces).
+solution either, and the flux records u's terms as its ``potential``.
+Perturbation generators produce the test inputs for the upper/lower bound
+studies: interior bumps (traces intact), boundary modes (trace mismatch),
+and interface jumps (broken normal traces).
 """
 
 from __future__ import annotations
@@ -224,9 +225,9 @@ def builtin(
 
     # the exact data are kept per node array: grad v = grad u + eps grad b
     # and the true error read the kept grad u, and f = -div F and div y,
-    # y = F + eps p, the kept div F
+    # y = F + eps p, the kept div F.  F = A grad u records u's terms
     u = replace(u, gradient=NodeMemo(u.gradient))
-    flux = replace(flux, divergence=NodeMemo(flux.divergence))
+    flux = replace(flux, divergence=NodeMemo(flux.divergence), potential=u.terms)
     quads = make_bundle(domain, radial_order, angular_order, shells)
     g = traces.analyze(u, domain.a, trace_degree, quads.gamma)
     problem = Problem(

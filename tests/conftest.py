@@ -67,3 +67,12 @@ def unrestricted():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fields_module, "support_rows", lambda radii, support: (0, len(radii)))
         yield
+
+
+def termless(basis):
+    """``basis`` with the same closures and no terms, which the minorant
+    assembles on the tensor rule."""
+    import dataclasses
+
+    return dataclasses.replace(basis, fields=tuple(
+        dataclasses.replace(w, terms=()) for w in basis.fields))

@@ -277,3 +277,27 @@ def harmonic_gradient(dimension: int, index: int):
         return out
 
     return value
+
+
+def term_values(terms, pts):
+    """(value, gradient, size, gradient size) of the sum of ``terms``
+    (``fields.Term``) at the (M, N) nodes ``pts``.  The sizes bound the
+    parts each term adds up, summed over the terms: |p| |c|_1 for the value
+    and (|p'| |c|_1 + 2 |p| |c|_1 / r) for each gradient component."""
+    pts = np.atleast_2d(pts)
+    r = node_radii(pts)
+    omega = pts / r[:, None]
+    value, size = np.zeros(len(pts)), np.zeros(len(pts))
+    gradient, gradient_size = np.zeros(pts.shape), np.zeros(len(pts))
+    for t in terms:
+        c = np.zeros(pts.shape[1] + 1)
+        c[:len(t.angular)] = t.angular
+        q = c[0] + omega @ c[1:]
+        grad_q = (c[1:] - (omega @ c[1:])[:, None] * omega) / r[:, None]
+        p, dp = t.p(r), t.dp(r)
+        value += p * q
+        gradient += (dp * q)[:, None] * omega + p[:, None] * grad_q
+        total = np.sum(np.abs(c))
+        size += np.abs(p) * total
+        gradient_size += (np.abs(dp) + 2.0 * np.abs(p) / r) * total
+    return value, gradient, size, gradient_size[:, None]

@@ -7,7 +7,7 @@ import pytest
 import extbounds as xb
 from extbounds import traces
 from extbounds.fields import Coefficient, VectorField, energy_norm
-from extbounds.geometry import node_radii
+from extbounds.geometry import exact_dot, node_radii
 from extbounds.majorant import (
     DivergentNormError,
     EquilibrationError,
@@ -43,6 +43,32 @@ class TestSharpness:
         rep2 = estimate_I(*exact_inputs(catalog["N2_log"]))
         assert rep3.estimate_id == "I"
         assert rep2.estimate_id == "I-2D"
+
+
+class TestResidualTerm:
+    def test_estimate_I_divides_by_the_lower_ellipticity_bound(self, catalog):
+        # on N3_anisotropic c_A = 1 and c_A_plus = 4: the residual term is
+        # C_P / sqrt(c_A) times ||rho (f + div y)||, which a factor of
+        # 1 / sqrt(c_A_plus) would halve.  For y = F + eps b d the residual
+        # is eps grad b . d, summed here on omega_i; the bump lies inside
+        # the annulus, so the tail adds nothing
+        mp = catalog["N3_anisotropic"]
+        p = mp.problem
+        assert (p.A.c_A, p.A.c_A_plus) == (1.0, 4.0)
+        eps, seed = 0.1, 5
+        y = perturb(mp, "y", eps, "interior_bump", seed)
+        rng = np.random.default_rng(seed)
+        bump = xb.problems._random_interior_bump(mp, rng)
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        rule = p.quads.omega_i
+        res = eps * (bump.gradient(rule.nodes) @ direction)
+        weighted = math.sqrt(exact_dot((1.0 + node_radii(rule.nodes) ** 2) * res**2,
+                                       rule.weights))
+        rep = estimate_I(p, mp.exact_u, y)
+        assert weighted > 0.0
+        assert rep.residual == pytest.approx(
+            p.constants.poincare / math.sqrt(p.A.c_A) * weighted, rel=1e-9)
 
 
 class TestReports:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import extbounds as xb
-from extbounds.fields import QuadratureErrorAt, ScalarField, support_rows
+from extbounds.fields import QuadratureErrorAt, ScalarField, VectorField, support_rows
 from extbounds.geometry import ExteriorDomain, exact_dot, node_radii, whole_and_parts
 from extbounds.minorant import (
     NonzeroTraceError,
@@ -18,7 +18,7 @@ from extbounds.minorant import (
 )
 from extbounds.problems import perturb
 
-from conftest import unrestricted
+from conftest import termless, unrestricted
 
 
 class TestDefaultBasis:
@@ -254,6 +254,9 @@ def coarse():
 
 
 class TestSpanAssembly:
+    """The tensor assembly, which a basis without terms takes: bit-equal to
+    summing every integral over the whole rule."""
+
     @pytest.mark.parametrize("name,n_radial,degree,with_error", [
         ("N3_harmonic", 4, 1, False),
         ("N3_harmonic", 6, 1, False),
@@ -289,6 +292,7 @@ class TestSpanAssembly:
 
     @staticmethod
     def assert_matches_dense(p, v, basis):
+        basis = termless(basis)
         rep = minorant_report(p, v, basis)
         value, direct, min_eig, coeff = dense_minorant(p, v, basis)
         assert (rep.value, rep.direct_value, rep.gram_min_eig) == (value, direct, min_eig)
@@ -310,7 +314,7 @@ class TestSpanAssembly:
         mp = coarse[name]
         whole = mp.problem.quads.whole
         v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
-        basis = default_basis(mp.domain, 4, 1)
+        basis = termless(default_basis(mp.domain, 4, 1))
         minorant_report(mp.problem, v, basis)
         radii = node_radii(whole.nodes)
         groups = sorted({support_rows(radii, w.support) for w in basis.fields})
@@ -369,11 +373,9 @@ class TestSupports:
         wrapped = dataclasses.replace(basis, fields=tuple(map(counted, basis.fields)))
         assert [w.support for w in wrapped.fields] == [w.support for w in basis.fields]
         v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
-        minorant_report(mp.problem, v, wrapped)
-        # the assembly evaluates the gradient alone on a quarter of omega_i;
-        # then the zero-trace check evaluates both on the spheres bounding
-        # each support inside the domain, and the value on gamma, which only
-        # the supports reaching r = a let through
+        # the zero-trace check evaluates both on the spheres bounding each
+        # support inside the domain, and the value on gamma, which only the
+        # supports reaching r = a let through
         gamma = mp.problem.quads.gamma
         checks = []
         for w in basis.fields:
@@ -381,20 +383,30 @@ class TestSupports:
             if support_rows(node_radii(gamma.nodes), w.support) != (0, 0):
                 checks.append(len(gamma))
         assert len(checks) == 3 * len(basis) - 12  # 4 of the 16 reach gamma
+        # with their terms, the assembly reads the profiles alone
+        minorant_report(mp.problem, v, wrapped)
+        assert seen == checks
+        # without them, it first evaluates the gradient alone on a quarter
+        # of omega_i
+        seen.clear()
+        minorant_report(mp.problem, v, termless(wrapped))
         assert seen == [quarter] * len(basis) + checks
 
 
 class TestNonFinite:
     @staticmethod
     def poisoned(field, node, bad=np.inf, part="value"):
-        """``field`` with one non-finite value or gradient row at ``node``."""
+        """``field`` with one non-finite value or gradient row at ``node``,
+        and without terms (a flux: without potential), which no longer
+        describe it."""
         def poison(fn):
             def out(pts):
                 vals = np.array(fn(pts), dtype=float)
                 vals[node] = bad
                 return vals
             return out
-        return dataclasses.replace(field, **{part: poison(getattr(field, part))})
+        terms = "potential" if isinstance(field, VectorField) else "terms"
+        return dataclasses.replace(field, **{part: poison(getattr(field, part)), terms: ()})
 
     @pytest.mark.parametrize("where", ["f", "grad v", "basis gradient"])
     def test_rejected_naming_node_and_field(self, coarse, where):
@@ -440,7 +452,8 @@ class TestNonFinite:
                 return vals
             return out
 
-        w = dataclasses.replace(basis.fields[1], **{part: poison(getattr(basis.fields[1], part))})
+        w = dataclasses.replace(basis.fields[1], terms=(),
+                                **{part: poison(getattr(basis.fields[1], part))})
         basis = dataclasses.replace(basis, fields=(basis.fields[0], w))
         assert w.support is not None
         with pytest.raises(QuadratureErrorAt, match=f"node {node}:") as info:

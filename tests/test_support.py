@@ -15,7 +15,7 @@ from extbounds.geometry import node_radii
 from extbounds.minorant import NonzeroTraceError, default_basis, minorant_report
 from extbounds.problems import perturb
 
-from conftest import unrestricted
+from conftest import termless, unrestricted
 
 minorant_module = importlib.import_module("extbounds.minorant")
 
@@ -221,11 +221,18 @@ class TestOnlyTheRows:
         stack_rows = minorant_module.stack_rows
         monkeypatch.setattr(minorant_module, "stack_rows",
                             lambda arrays: stacked.append(len(arrays)) or stack_rows(arrays))
+        # with terms, the assembly cuts no node of a rule: once on gamma for
+        # the zero-trace check, with one edge array per support (the inner
+        # one reaches r = a)
         minorant_report(mp.problem, mp.exact_u, basis)
-        # once on the whole rule for the assembly, once on gamma for the
-        # zero-trace check, and no closure cuts its rows again
+        assert calls == [(len(quads.gamma), s) for s in supports]
+        assert stacked == [1, 2, 2, 2]
+        # without them, once on the whole rule for the assembly first, and
+        # no closure cuts its rows again
+        calls.clear()
+        stacked.clear()
+        minorant_report(mp.problem, mp.exact_u, termless(basis))
         assert calls == [(len(rule), s) for rule in (quads.whole, quads.gamma) for s in supports]
-        # one edge array per support: the inner one reaches r = a
         assert stacked == [1, 2, 2, 2]
 
 

@@ -1,0 +1,339 @@
+"""Fields keep their terms (``fields.Term``), and the minorant assembles a
+basis with terms from them: radial sums over the whole rule's radial
+nodes times closed-form sphere moments.  The terms must describe the same
+functions as the closures, and the assembly must give the tensor rule's
+values up to rounding."""
+
+import dataclasses
+import inspect
+import math
+import tracemalloc
+
+import mpmath
+import numpy as np
+import pytest
+
+import extbounds as xb
+from extbounds.cli import guarantee_ok
+from extbounds.fields import QuadratureErrorAt, cubic_bump, mollifier, separable_field
+from extbounds.minorant import (
+    NonzeroTraceError,
+    TestBasis,
+    _moments_exact,
+    _tensor_system,
+    _term_system,
+    default_basis,
+    minorant_report,
+    sphere_moments,
+    validate_zero_traces,
+)
+from extbounds.majorant import scale_of
+from extbounds.problems import _random_interior_bump, perturb
+
+from conftest import termless
+from oracles import term_values
+
+RULES = ("whole", "gamma", "Gamma")
+MODES = ("interior_bump", "boundary_mode")
+
+
+@pytest.fixture(scope="module")
+def coarse():
+    return {name: xb.builtin(name, shells=8) for name in xb.CATALOG}
+
+
+class TestTermsMatchClosures:
+    @pytest.mark.parametrize("name", xb.CATALOG)
+    def test_flux_is_A_grad_of_its_potential(self, coarse, name):
+        # the two formulas round differently: N3_decay's -4 x / (1 + r^2)^2
+        # and 2 (-2 r / (1 + r^2)^2) (x / r) differ by up to 6 ulps of |F|
+        mp = coarse[name]
+        d = mp.problem.A.diagonal
+        assert mp.exact_flux.potential == mp.exact_u.terms
+        for rule in RULES:
+            pts = getattr(mp.problem.quads, rule).nodes
+            flux = mp.exact_flux.value(pts)
+            gradient = term_values(mp.exact_flux.potential, pts)[1]
+            ulp = np.spacing(np.linalg.norm(flux, axis=1))[:, None]
+            assert np.all(np.abs(flux - d * gradient) <= 8 * ulp), rule
+
+    @pytest.mark.parametrize("name", xb.CATALOG)
+    def test_separable_fields_match_their_terms(self, coarse, name):
+        # u - v is compared within ulps of its operands: its closures
+        # subtract v's values from u's, its terms cancel u's term exactly
+        mp = coarse[name]
+        fields = [(w, w.terms) for n_radial, degree in ((4, 1), (3, 0))
+                  for w in default_basis(mp.domain, n_radial, degree).fields]
+        for mode in MODES:
+            for seed in (0, 3, 4, 10):
+                v = perturb(mp, "v", 0.1, mode, seed)
+                fields += [(v, v.terms), (mp.exact_u - v, mp.exact_u.terms + v.terms)]
+        for rule in RULES:
+            pts = getattr(mp.problem.quads, rule).nodes
+            for w, operands in fields:
+                value, gradient = term_values(w.terms, pts)[:2]
+                size, gradient_size = term_values(operands, pts)[2:]
+                assert np.all(np.abs(w.value(pts) - value) <= 4 * np.spacing(size)), w.label
+                assert np.all(np.abs(w.gradient(pts) - gradient)
+                              <= 4 * np.spacing(gradient_size)), w.label
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_error_terms_are_exactly_minus_eps_s(self, coarse, mode):
+        # like terms merge: u's term cancels to 0.0 and is dropped
+        mp = coarse["N3_harmonic"]
+        eps = 0.1
+        v = perturb(mp, "v", eps, mode, 3)
+        u_term, s = v.terms
+        assert u_term == mp.exact_u.terms[0]
+        (t,) = (mp.exact_u - v).terms
+        assert t == s._replace(angular=tuple(-c for c in s.angular))
+        if mode == "interior_bump":
+            bump = _random_interior_bump(mp, np.random.default_rng(3))
+            assert t.angular == (-eps * bump).terms[0].angular
+            assert t.support == bump.support
+        assert (mp.exact_u - mp.exact_u).terms == ()
+
+    def test_terms_hold_to_a_replaced_support(self, coarse):
+        mp = coarse["N3_harmonic"]
+        w = default_basis(mp.domain, 4, 1).fields[5]
+        lo, hi = w.support
+        narrow = dataclasses.replace(w, support=(lo, 0.5 * (lo + hi)))
+        assert narrow.terms[0].support == (lo, 0.5 * (lo + hi))
+        assert dataclasses.replace(w, support=(hi + 1.0, hi + 2.0)).terms == ()
+        assert dataclasses.replace(w, terms=()).terms == ()
+
+
+def gram_scale(gram):
+    diag = np.sqrt(np.diag(gram))
+    return diag[:, None] * diag[None, :]
+
+
+class TestTermAssembly:
+    @pytest.mark.parametrize("name", xb.CATALOG)
+    @pytest.mark.parametrize("n_radial,degree", [(4, 1), (6, 1), (3, 0)])
+    def test_agrees_with_the_tensor_rule(self, coarse, name, n_radial, degree):
+        mp = coarse[name]
+        p = mp.problem
+        for seed in (0, 3, 4, 10):
+            v = perturb(mp, "v", 0.1, "interior_bump", seed)
+            for with_error in (False, True):
+                basis = default_basis(mp.domain, n_radial, degree)
+                if with_error:
+                    basis = basis.extended(mp.exact_u - v)
+                gram, rhs, _ = _term_system(p, v, basis)
+                gram_t, rhs_t, _ = _tensor_system(p, v, termless(basis))
+                assert np.all(np.abs(gram - gram_t) <= 4e-15 * gram_scale(gram_t))
+                # |rhs_j| <= ||w_j|| ||u - v||, the scale of its rounding: the
+                # tensor sums leave roundoff where w_j and u - v do not meet
+                scale = np.sqrt(np.diag(gram_t)) * xb.true_error(mp, v)
+                assert np.all(np.abs(rhs - rhs_t) <= 1e-14 * scale), (seed, with_error)
+                rep, rep_t = (minorant_report(p, v, b) for b in (basis, termless(basis)))
+                for a, b in ((rep.value, rep_t.value), (rep.direct_value, rep_t.direct_value)):
+                    assert abs(a - b) <= 1e-14 * abs(b), (seed, with_error)
+
+    @pytest.mark.parametrize("name", xb.CATALOG)
+    def test_cross_block_entries_are_exact_zeros(self, coarse, name):
+        # the tensor rule leaves roundoff there; the moments are diagonal
+        mp = coarse[name]
+        width = mp.domain.dimension + 1
+        v = perturb(mp, "v", 0.1, "interior_bump", 3)
+        basis = default_basis(mp.domain, 4, 1)
+        gram = _term_system(mp.problem, v, basis)[0]
+        block = np.arange(len(basis)) % width
+        cross = block[:, None] != block[None, :]
+        assert np.all(gram[cross] == 0.0)
+        assert np.any(_tensor_system(mp.problem, v, termless(basis))[0][cross] != 0.0)
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("order", [2, 3, 12])
+    def test_sphere_moments_match_the_angular_rule(self, dimension, order):
+        # the moment matrices integrated on the tensor rule's directions,
+        # exact for their degree 4 from angular order 3 on, against the
+        # closed forms; with fewer directions the terms are not used
+        d = np.array([1.0, 2.0, 4.0][:dimension])
+        dom = xb.ExteriorDomain(dimension, 1.0, 2.0)
+        rule = xb.build_quadrature(dom, 1, order, 1, "sphere_gamma")
+        omega, w = rule.angular
+        phi = np.column_stack([np.ones(len(omega)), omega])
+        grad_s = np.zeros((len(omega), dimension + 1, dimension))  # grad_S phi_a
+        grad_s[:, 1:, :] = np.eye(dimension)[None] - omega[:, :, None] * omega[:, None, :]
+        quad = (omega * d * omega).sum(axis=1)
+        tangent = np.einsum("mk,mbk->mb", omega * d, grad_s)
+        m1 = np.einsum("m,ma,mb->ab", w * quad, phi, phi)
+        m2 = np.einsum("m,ma,mb->ab", w, phi, tangent)
+        m4 = np.einsum("m,mak,mbk->ab", w, grad_s * d, grad_s)
+        moments = sphere_moments(d)
+        exact = [np.allclose(np.diag(full), row, rtol=1e-14, atol=1e-14)
+                 for row, full in zip(moments, (m1, m2, m2.T, m4))]
+        assert _moments_exact(rule) == all(exact) == (order >= 3)
+        for full in (m1, m2, m4):
+            assert np.allclose(full, np.diag(np.diag(full)), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", ["N3_anisotropic", "N2_log"])
+    def test_closer_to_the_exact_rule_than_the_tensor_sums(self, coarse, name):
+        # the same rule in 50 digits: its Gauss-Legendre nodes and weights,
+        # the panels and the profiles, and the closed-form moments.  The
+        # largest error of an entry, scaled by its Cauchy-Schwarz bound, is
+        # smaller on the terms (N3_anisotropic: 7.2e-16 against 9.0e-16 in
+        # the Gram, 6.0e-16 against 9.0e-16 in the rhs)
+        mp = coarse[name]
+        p, dom = mp.problem, mp.domain
+        v = perturb(mp, "v", 0.1, "interior_bump", 3)
+        basis = default_basis(dom, 4, 1).extended(mp.exact_u - v)
+        new = _term_system(p, v, basis)
+        old = _tensor_system(p, v, termless(basis))
+        ref = reference_system(p, [w.terms[0] for w in basis.fields],
+                               (mp.exact_u - v).terms[0])
+        scale = gram_scale(ref[0])
+        err_new = np.abs(new[0] - ref[0]) / scale
+        err_old = np.abs(old[0] - ref[0]) / scale
+        assert err_new.max() <= err_old.max()
+        rhs_scale = np.sqrt(np.diag(ref[0]) * float(ref[2]))
+        assert np.max(np.abs(new[1] - ref[1]) / rhs_scale) <= np.max(
+            np.abs(old[1] - ref[1]) / rhs_scale)
+
+    @pytest.mark.parametrize("name", xb.CATALOG)
+    def test_error_in_basis_stays_below_the_error(self, coarse, name):
+        mp = coarse[name]
+        for seed in (0, 3, 4, 10):
+            for eps in (1e-3, 0.1, 1.0):
+                v = perturb(mp, "v", eps, "interior_bump", seed)
+                basis = default_basis(mp.domain).extended(mp.exact_u - v)
+                lower = math.sqrt(minorant_report(mp.problem, v, basis).value)
+                assert lower <= xb.true_error(mp, v) * (1 + 1e-14), (seed, eps)
+
+    @pytest.mark.parametrize("name", ["N3_anisotropic", "N2_log"])
+    def test_few_directions_take_the_tensor_rule(self, name):
+        # at angular order 2 the closed-form moments are not the rule's
+        # (N3_anisotropic's terms would give 0.989 of the error in lower);
+        # the report is the tensor rule's, bit for bit, under the error
+        mp = xb.builtin(name, angular_order=2, shells=8, trace_degree=1)
+        p = mp.problem
+        for seed in (0, 3):
+            v = perturb(mp, "v", 1e-3, "interior_bump", seed)
+            basis = default_basis(mp.domain, 4, 1).extended(mp.exact_u - v)
+            rep, rep_t = (minorant_report(p, v, b) for b in (basis, termless(basis)))
+            assert (rep.value, rep.direct_value, rep.gram_min_eig) == (
+                rep_t.value, rep_t.direct_value, rep_t.gram_min_eig)
+            assert np.array_equal(rep.coefficients, rep_t.coefficients)
+            err = xb.true_error(mp, v)
+            lower = math.sqrt(rep.value)
+            assert lower <= err * (1 + 1e-14)
+            assert guarantee_ok(err, scale_of(p, v), lower)
+
+    def test_large_basis_assembles_the_pairs_that_meet(self, coarse):
+        # 1201 functions: only pairs of terms whose profiles share radial
+        # nodes are multiplied out, so the assembly needs little more than
+        # its (n + 1)^2 system (multiplying out all pairs peaks at 457 MB)
+        mp = coarse["N3_harmonic"]
+        v = perturb(mp, "v", 0.1, "interior_bump", 3)
+        basis = default_basis(mp.domain, 300, 1).extended(mp.exact_u - v)
+        tracemalloc.start()
+        try:
+            _term_system(mp.problem, v, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * (len(basis) + 1) ** 2
+
+    def test_fields_with_terms_keep_the_closure_check(self, coarse):
+        # the zero-trace check reads the closures of every field: a term
+        # cut where its profile is not 0.0, or is NaN, is rejected
+        p = coarse["N3_harmonic"].problem
+        for end_value in (1e-3, np.nan):
+            w = separable_field(lambda s, e=end_value: np.full_like(s, e),
+                                lambda s: np.zeros_like(s), (0.5, 0.0, 0.0, 0.0),
+                                label="cut", support=(1.25, 1.5))
+            assert w.terms
+            with pytest.raises(NonzeroTraceError, match=r"basis function 0 .* r = \[1.25, 1.5\]"):
+                validate_zero_traces(p, TestBasis(fields=(w,)))
+
+    def test_non_finite_profile_named_at_its_radius(self, coarse):
+        mp = coarse["N3_harmonic"]
+        p = mp.problem
+        r, _ = p.quads.whole.radial
+        directions = len(p.quads.whole.angular[0])
+        k = 40  # a radial node inside (a, R)
+        bad = separable_field(lambda s: np.where(s == r[k], np.nan, 0.0),
+                              lambda s: np.zeros_like(s), (0.0, 1.0, 0.0, 0.0), label="bad")
+        basis = default_basis(mp.domain, 2, 0).extended(bad)
+        with pytest.raises(QuadratureErrorAt, match=f"'bad'.* at node {k * directions}:"):
+            minorant_report(p, perturb(mp, "v", 0.1, "interior_bump", 3), basis)
+
+
+def reference_system(p, terms, error, digits=50):
+    """(G, rhs, a(u - v, u - v)) of the basis of one-term fields with
+    ``terms`` and of u - v with the one term ``error``, on omega_i's radial
+    rule in ``digits`` digits: bumps and mollifiers placed by ``profile``,
+    whose centre and width are read from the closures, and the closed-form
+    moments."""
+    with mpmath.workdps(digits):
+        dom = p.domain
+        rule = p.quads.omega_i
+        n, order, shells = dom.dimension, rule.radial_order, rule.shell_count
+        nodes, weights = gauss_legendre(order)
+        a, R = mpmath.mpf(dom.a), mpmath.mpf(dom.R)
+        edges = [a + (R - a) * k / shells for k in range(shells + 1)]
+        radii, radial = [], []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            mid, half = (lo + hi) / 2, (hi - lo) / 2
+            radii += [mid + half * x for x in nodes]
+            radial += [half * w * (mid + half * x) ** (n - 1) for x, w in zip(nodes, weights)]
+        d = [mpmath.mpf(x) for x in p.A.diagonal]
+        area, tr, k2 = 4 * mpmath.pi if n == 3 else 2 * mpmath.pi, sum(d), n * (n + 2)
+        m1 = [area * tr / n] + [area * (tr + 2 * di) / k2 for di in d]
+        m2 = [0] + [area * (n * di - tr) / k2 for di in d]
+        m4 = [0] + [area * ((n * n - 2) * di + tr) / k2 for di in d]
+
+        def profile(t):
+            """(p, p') at the radii."""
+            placed = inspect.getclosurevars(t.p).nonlocals
+            centre, width = mpmath.mpf(placed["centre"]), mpmath.mpf(placed["width"])
+            out = []
+            for r in radii:
+                s = (r - centre) / width
+                if abs(s) >= 1:
+                    out.append((0, 0))
+                elif placed["shape"] is mollifier:
+                    e = mpmath.exp(-1 / (1 - s * s))
+                    out.append((e, e * (-2 * s / (1 - s * s) ** 2) / width))
+                else:
+                    assert placed["shape"] is cubic_bump
+                    out.append(((1 - s * s) ** 3, -6 * s * (1 - s * s) ** 2 / width))
+            return out
+
+        profiles = {id(t): profile(t) for t in terms + [error]}
+
+        def energy(s, t):
+            ps, pt = profiles[id(s)], profiles[id(t)]
+            total = 0
+            for i, (ca, cb) in enumerate(zip(s.angular, t.angular)):
+                part = 0
+                for r, w, (p_s, d_s), (p_t, d_t) in zip(radii, radial, ps, pt):
+                    part += w * (m1[i] * d_s * d_t + m2[i] * (d_s * p_t + p_s * d_t) / r
+                                 + m4[i] * p_s * p_t / (r * r))
+                total += mpmath.mpf(ca) * mpmath.mpf(cb) * part
+            return total
+
+        gram = np.zeros((len(terms), len(terms)))
+        for j, s in enumerate(terms):
+            for k, t in enumerate(terms[j:], j):
+                gram[j, k] = gram[k, j] = float(energy(s, t))
+        rhs = np.array([float(energy(error, t)) for t in terms])
+        return gram, rhs, float(energy(error, error))
+
+
+def gauss_legendre(order):
+    """Nodes and weights of the Gauss-Legendre rule of ``order`` points at
+    the working precision, by Newton's method from numpy's nodes."""
+    def slope(x):  # P_n'(x) = n (x P_n(x) - P_{n-1}(x)) / (x^2 - 1)
+        return order * (x * mpmath.legendre(order, x) - mpmath.legendre(order - 1, x)) / (x * x - 1)
+
+    nodes, weights = [], []
+    for x0 in np.polynomial.legendre.leggauss(order)[0]:
+        x = mpmath.mpf(x0)
+        for _ in range(6):
+            x -= mpmath.legendre(order, x) / slope(x)
+        nodes.append(x)
+        weights.append(2 / ((1 - x * x) * slope(x) ** 2))
+    return nodes, weights
