@@ -14,9 +14,9 @@ a closure fills per node takes the layout of its input, and the one
 kernel that rounds by layout, the BLAS product of the perturbed flux's
 divergence (``problems.perturb``), gets a C-order operand.
 
-Every norm, and every integral of the minorant's tensor assembly, sums a
-pointwise density that ``density`` builds one column at a time in a single
-M-vector, with at most one more scratch column: sum_k (a_k o d_k) b_k, o
+A norm on the tensor rule, and every integral of the minorant's tensor
+assembly, sums a pointwise density that ``density`` builds one column at a
+time in a single M-vector, with at most one more scratch column: sum_k (a_k o d_k) b_k, o
 the product or the quotient by the coefficient's diagonal d (or a_k b_k
 without it).  Each node takes the IEEE operations of
 ``row_sum((a o d) * b)`` over the (M, N) arrays in the same order, term
@@ -44,19 +44,23 @@ p(r) (c_0 + c . x/r)).  ``separable_field`` records one, ``c * w`` scales
 them, ``a + b`` and ``a - b`` join them when both operands have terms,
 and like terms merge (``merged``), so u - (u + eps s) has exactly the
 terms of -eps s.  A vector field A grad phi may record phi's terms as its
-``potential``.  The minorant assembles a basis with terms from the terms,
-radial sums times sphere moments (``minorant._term_system``), where the
-rule's angular factor integrates those moments exactly; a field built from
-bare closures has none, and the minorant sums it on the tensor rule.
+``potential``.  Where the rule's angular factor integrates the sphere
+moments exactly, energies of fields with terms are summed from the terms,
+radial sums times sphere moments (``term_products``): the minorant's
+system, and through ``term_norm`` the true error, the scale ||A^{1/2}
+grad v|| and the flux gap of a flux with a potential.  A field built from
+bare closures has no terms, and its energies are summed on the tensor rule.
 
-No memo outlives what it was computed from.  ``gradient_on`` keeps the
-gradient of the last field it evaluated on the last rule, so that the
-estimates and the true error of one approximation share one evaluation;
-it holds both only through weak references, and the entry goes when
-either is freed.  Its contract: fields are immutable and their closures
-are pure (the same nodes give the same values), rules never change, and
-the package is used from one thread.  Fields and rules are matched by
-identity, so an equal but distinct field is evaluated anew.
+No memo outlives what it was computed from.  ``last_call`` keeps a
+function's result for the last pair of arguments: ``gradient_on`` the
+gradient of the last field on the last rule, and
+``majorant.dirichlet_mismatch`` the trace mismatch of the last
+approximation, so that the users of one approximation share one
+evaluation.  It holds both arguments only through weak references, and
+the entry goes when either is freed.  Its contract: fields, problems and
+rules are immutable, closures are pure (the same nodes give the same
+values), and the package is used from one thread.  Arguments are matched
+by identity, so an equal but distinct field is evaluated anew.
 
 Node radii (``geometry.node_radii``) and a catalog problem's exact
 gradient grad u and flux divergence div F (wrapped by
@@ -81,7 +85,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import QuadratureRule, exact_dot, node_radii
+from .geometry import QuadratureRule, exact_dot, exact_sum, node_radii
 
 
 class CompositionError(TypeError):
@@ -305,27 +309,39 @@ class Coefficient:
         return np.broadcast_to(np.diag(d), (len(pts), d.size, d.size))
 
 
-# (weak reference to v, weak reference to the rule, grad v) of the last call
-_GRADIENT: list = []
+def last_call(memo: list):
+    """Decorator: ``fn(a, b)`` kept for the last pair (a, b) it was called
+    with and returned again for the same pair, matched by identity, until
+    a or b is freed.  ``memo`` holds (weak reference to a, weak reference
+    to b, the result); see the module docstring for the contract."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def kept(a, b):
+            if not (memo and memo[0]() is a and memo[1]() is b):
+                def forget(_):
+                    memo.clear()
+
+                memo[:] = [weakref.ref(a, forget), weakref.ref(b, forget), fn(a, b)]
+            return memo[2]
+
+        return kept
+
+    return decorate
 
 
+_GRADIENT: list = []  # the memo of gradient_on
+
+
+@last_call(_GRADIENT)
 def gradient_on(v: ScalarField, rule: QuadratureRule) -> np.ndarray:
     """grad v at the nodes of ``rule``: the array the closure returns,
-    made read-only.  The result for the last (v, rule) pair is kept and
-    returned again for the same pair, so every user of one operation
-    shares a single evaluation, until v or the rule is freed (see the
-    module docstring for the contract)."""
+    made read-only, kept for the last (v, rule) pair (``last_call``), so
+    every user of one operation shares a single evaluation."""
     if v.gradient is None:
         raise CompositionError(f"field {v.label!r} has no gradient closure")
-    if _GRADIENT and _GRADIENT[0]() is v and _GRADIENT[1]() is rule:
-        return _GRADIENT[2]
     value = np.asarray(v.gradient(rule.nodes), dtype=float)
     value.flags.writeable = False
-
-    def forget(_):
-        _GRADIENT.clear()
-
-    _GRADIENT[:] = [weakref.ref(v, forget), weakref.ref(rule, forget), value]
     return value
 
 
@@ -462,6 +478,129 @@ def require_finite(
             ok = ok.all(axis=1)
         bad = int(np.flatnonzero(~ok)[0])
         raise QuadratureErrorAt(start + bad, pts[bad], label, weight)
+
+
+# ---------------------------------------------------------------------------
+# energies of sums of terms
+
+
+def sphere_moments(d: np.ndarray) -> np.ndarray:
+    """(4, N + 1): the diagonals of M_1, M_2, M_2^T and M_4, the moments
+    over the unit sphere S of phi phi^T (omega . D omega), phi (omega . D
+    grad_S phi)^T and grad_S phi . D grad_S phi, for D = diag(d), phi =
+    (1, omega_1, ..., omega_N) and grad_S omega_i = e_i - omega_i omega.
+    With t = tr D and k = N (N + 2) they are
+
+        m_1 = |S| (t / N, (t + 2 d_i) / k),  m_2 = |S| (0, (N d_i - t) / k),
+        m_4 = |S| (0, ((N^2 - 2) d_i + t) / k),
+
+    from the moments |S|/N of omega_i^2, |S|/k of omega_i^2 omega_j^2
+    (i != j) and 3 |S|/k of omega_i^4 (Folland, "How to integrate a
+    polynomial over a sphere", Amer. Math. Monthly 108, 2001); every entry
+    off the diagonals is 0."""
+    n = len(d)
+    area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    t, k = float(np.sum(d)), n * (n + 2)
+    m1 = [area * t / n] + [area * (t + 2.0 * di) / k for di in d]
+    m2 = [0.0] + [area * (n * di - t) / k for di in d]
+    m4 = [0.0] + [area * ((n * n - 2) * di + t) / k for di in d]
+    return np.array([m1, m2, m2, m4])
+
+
+def _moments_exact(rule) -> bool:
+    """Whether ``rule`` is a tensor rule whose angular factor integrates
+    the integrands of ``sphere_moments``, of degree 4 in omega, exactly.
+    It is exact to degree 2 angular_order - 1 (``geometry``'s unit sphere
+    rule), so for angular_order >= 3; with fewer directions the moments
+    are not the rule's integrals, and the terms would not give the values
+    the tensor rule sums."""
+    return (rule.radial is not None and rule.angular is not None
+            and 2 * rule.angular_order - 1 >= 4)
+
+
+def term_products(d: np.ndarray, rule: QuadratureRule, sets, labels, weight: str):
+    """``products``, whose exact sums are the energies a(s, t) = int A grad s
+    . grad t over the tensor ``rule``, A = diag(d), of terms with profiles
+    among those of the term ``sets``.  For s = p (alpha . phi), t = q (beta . phi),
+
+        a(s, t) = sum_k W_k [p' q' alpha^T M_1 beta + (p' q / r) alpha^T M_2 beta
+                             + (p q' / r) alpha^T M_2^T beta + (p q / r^2) alpha^T M_4 beta]
+
+    over the rule's radial nodes r_k, weights W_k, that ``support_rows``
+    finds in both supports (``sphere_moments`` gives the M).  Only the
+    pairs of profiles that share nodes, in one 2-D ``exact_dot``, and the
+    pairs of terms with such profiles are multiplied out: ``products(term_sets)``
+    gives (A, B, the products of a(s, t)), a row each, for each term s of
+    set A and t of set B, A <= B, whose profiles share nodes, sorted by
+    (A, B).  A non-finite profile value raises ``QuadratureErrorAt`` at the
+    first node of its radius, named by its first set's label and ``weight``."""
+    r, weights = rule.radial
+    directions = len(rule.angular[0])
+    profiles = {}  # (p, dp, support) -> its row in values
+    for terms, label in zip(sets, labels):
+        for t in terms:
+            profiles.setdefault((t.p, t.dp, t.support), (len(profiles), label))
+    values = np.zeros((2, len(profiles), len(r)))  # p and p' at the radial nodes
+    rows = []
+    for (fn, dfn, support), (i, label) in profiles.items():
+        lo, hi = (0, len(r)) if support is None else support_rows(r, support)
+        for out, f in zip(values, (fn, dfn)):
+            out[i, lo:hi] = f(r[lo:hi])
+            bad = np.flatnonzero(~np.isfinite(out[i, lo:hi]))
+            if len(bad):
+                node = (lo + int(bad[0])) * directions
+                raise QuadratureErrorAt(node, rule.nodes[node], label, weight)
+        rows.append((lo, hi))
+    lo, hi = np.array(rows, dtype=np.intp).reshape(-1, 2).T
+    i, j = np.triu_indices(len(rows))
+    shared = np.maximum(lo[i], lo[j]) < np.minimum(hi[i], hi[j])
+    pairs = np.column_stack([i[shared], j[shared]])  # the profiles sharing rows
+    (p_i, p_j), (d_i, d_j) = values[0][pairs.T], values[1][pairs.T]
+    dens = np.stack([d_i * d_j, d_i * p_j / r, p_i * d_j / r, p_i * p_j / (r * r)], axis=1)
+    # the product of each radial sum with its moment, per pair of profiles
+    # and angular index; a(s, t) is symmetric (M_2 is diagonal), so a pair
+    # serves both orders
+    moments = exact_dot(dens.reshape(-1, len(r)), weights).reshape(-1, 4, 1) * sphere_moments(d)
+    index = {}  # (row, row) -> the pair's row in moments, in both orders
+    for k, (a, b) in enumerate(pairs.tolist()):
+        index[a, b] = index[b, a] = k
+
+    def products(term_sets):
+        flat = [(k, profiles[t.p, t.dp, t.support][0], t.angular)
+                for k, terms in enumerate(term_sets) for t in terms]
+        members = {}  # profile row -> its terms in flat
+        for x, (_, row, _) in enumerate(flat):
+            members.setdefault(row, []).append(x)
+        found = sorted((flat[s][0], flat[t][0], k, s, t) for (a, b), k in index.items()
+                       for s in members.get(a, ()) for t in members.get(b, ())
+                       if flat[s][0] <= flat[t][0])
+        first, second, pair, s, t = np.array(found, dtype=np.intp).reshape(-1, 5).T
+        coef = np.zeros((len(flat), moments.shape[-1]))
+        for x, (_, _, angular) in enumerate(flat):
+            coef[x, :len(angular)] = angular
+        prods = moments[pair] * (coef[s] * coef[t])[:, None, :]
+        return first, second, prods.reshape(len(pair), 4 * moments.shape[-1])
+
+    return products
+
+
+def term_norm(A: Coefficient, rule: QuadratureRule, sets, tensor) -> float:
+    """||A^{1/2} grad(s_0 - s_1)|| over ``rule`` for the sums s_0, s_1 of
+    the two term ``sets`` (||A^{1/2} grad s_0|| for one set): the root of
+    the exact sum of the products of the merged terms of s_0 - s_1
+    (``term_products``).  Where the terms do not give the rule's value,
+    ``tensor()`` is returned instead: for a set that is empty (a field
+    without terms), a rule without exact sphere moments (``_moments_exact``)
+    or a sum that is not finite, which the tensor rule names at its node."""
+    if not (all(sets) and _moments_exact(rule)):
+        return tensor()
+    s = merged(sets[0] + scaled_terms(-1.0, sets[1] if len(sets) > 1 else ()))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum goes to tensor()
+        try:
+            total = exact_sum(term_products(A.diagonal, rule, [s], [""], "")([s])[2].ravel())
+        except (ArithmeticError, ValueError):  # fsum's overflow or inf - inf
+            total = math.nan
+    return math.sqrt(max(total, 0.0)) if math.isfinite(total) else tensor()
 
 
 # ---------------------------------------------------------------------------

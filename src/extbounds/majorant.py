@@ -27,8 +27,12 @@ from .fields import (
     VectorField,
     energy_norm,
     gradient_on,
+    last_call,
     log_weighted_norm,
+    merged,
     residual_field,
+    scaled_terms,
+    term_norm,
     weighted_norm,
 )
 from .geometry import QuadratureRule
@@ -92,14 +96,27 @@ def constants_bundle(p: Problem) -> ConstantsBundle:
 # residual norms with tail-convergence checks
 
 
-def _weighted_residual(p: Problem, res: ScalarField, rule: QuadratureRule) -> float:
-    """||r ln r * res|| over ``rule`` in 2D, ||rho * res|| in 3D."""
-    if p.domain.dimension == 2:
+def _residual(p: Problem, y: VectorField) -> ScalarField | None:
+    """The residual f + div y, or None when y's potential merges with the
+    load flux's to nothing: then y is the load flux F, and f + div y =
+    -div F + div F is 0."""
+    if y.potential and not merged(y.potential + scaled_terms(-1.0, p.flux.potential)):
+        return None
+    return residual_field(p.f, y)
+
+
+def _weighted_residual(p: Problem, res: ScalarField | None, rule: QuadratureRule,
+                       s: float = 1.0) -> float:
+    """||r ln r * res|| over ``rule`` in 2D, ||rho^s * res|| in 3D (||res||
+    in both at s = 0); 0.0 for the zero residual None."""
+    if res is None:
+        return 0.0
+    if p.domain.dimension == 2 and s:
         return log_weighted_norm(res, rule)
-    return weighted_norm(res, 1.0, rule)
+    return weighted_norm(res, s, rule)
 
 
-def _residual_norm_tail(p: Problem, res: ScalarField) -> float:
+def _residual_norm_tail(p: Problem, res: ScalarField | None) -> float:
     """Weighted residual norm over the tail, with a doubled-order
     convergence check so a non-integrable residual cannot silently pass."""
     n1 = _weighted_residual(p, res, p.quads.omega_e)
@@ -116,21 +133,29 @@ def _residual_norm_tail(p: Problem, res: ScalarField) -> float:
 
 
 def scale_of(p: Problem, v: ScalarField) -> float:
-    """||A^{1/2} grad v|| over the whole domain."""
+    """||A^{1/2} grad v|| over the whole domain, from v's terms where they
+    give it (``fields.term_norm``)."""
     rule = p.quads.whole
-    return energy_norm(p.A, gradient_on(v, rule), "A", rule, label=f"grad({v.label})")
+    return term_norm(p.A, rule, (v.terms,), lambda: energy_norm(
+        p.A, gradient_on(v, rule), "A", rule, label=f"grad({v.label})"))
 
 
 # ---------------------------------------------------------------------------
 # boundary mismatch term
 
 
+_MISMATCH: list = []  # the memo of dirichlet_mismatch
+
+
+@last_call(_MISMATCH)
 def dirichlet_mismatch(p: Problem, v: ScalarField) -> traces.SphereTrace | None:
     """The trace g - tr(v) on the inner sphere, or None when ``v`` meets
     the Dirichlet data: when that trace's H^{1/2} norm is below
     ``TRACE_ZERO_TOL``.  An L^2 energy above the band does not bound an
     H^{1/2} norm, so a trace of ``v`` with more than ``BAND_LIMIT_RTOL`` of
-    its energy above the band raises ``BandLimitError``."""
+    its energy above the band raises ``BandLimitError``.  The result for
+    the last (p, v) is kept (``fields.last_call``): the minorant's caveat
+    and the boundary term of one approximation share one projection."""
     tv = traces.analyze(v, p.domain.a, p.trace_degree, p.quads.gamma)
     energy = tv.above_band + float(np.sum(tv.coefficients**2))
     if tv.above_band > BAND_LIMIT_RTOL * energy:
@@ -174,20 +199,16 @@ def _flux_gap_norm(
                        label=f"({y.label}-A*grad({v.label}))", minus_gradient=grad_v)
 
 
-def _flux_term(p: Problem, v: ScalarField, y: VectorField) -> float:
-    rule = p.quads.whole
-    return _flux_gap_norm(p, v, y, rule, gradient_on(v, rule))
-
-
-def _broken_flux_term(
-    p: Problem, v: ScalarField, y_i: VectorField, y_e: VectorField
-) -> float:
-    # the omega_i and omega_e rules are the first and last rows of whole's
-    grad_v = gradient_on(v, p.quads.whole)
-    k = len(p.quads.omega_i)
-    ni = _flux_gap_norm(p, v, y_i, p.quads.omega_i, grad_v[:k])
-    ne = _flux_gap_norm(p, v, y_e, p.quads.omega_e, grad_v[k:])
-    return math.sqrt(ni**2 + ne**2)
+def _flux_term(p: Problem, v: ScalarField, y: VectorField, part: str = "whole") -> float:
+    """||y - A grad v||_{A^{-1}} over the rule ``part`` of p's bundle:
+    ||A^{1/2} grad(phi - v)|| from the terms of y's potential phi and of v
+    where they give it (``fields.term_norm``), else on the rule's nodes,
+    with grad v shared from the whole rule, whose first and last rows are
+    omega_i's and omega_e's."""
+    rule, k = getattr(p.quads, part), len(p.quads.omega_i)
+    rows = {"whole": slice(None), "omega_i": slice(None, k), "omega_e": slice(k, None)}[part]
+    return term_norm(p.A, rule, (y.potential, v.terms), lambda: _flux_gap_norm(
+        p, v, y, rule, gradient_on(v, p.quads.whole)[rows]))
 
 
 def _report(p, v, roman, residual, flux, constants, metadata, interface=0.0, scale=None):
@@ -214,7 +235,7 @@ def estimate_I(p: Problem, v: ScalarField, y: VectorField) -> MajorantReport:
     """Upper bound for an arbitrary flux with integrable weighted residual:
     weighted residual term + dual-norm flux gap + boundary mismatch."""
     bundle = p.constants
-    res = residual_field(p.f, y)
+    res = _residual(p, y)
     factor = bundle.poincare / math.sqrt(p.A.c_A)
     n_int = _weighted_residual(p, res, p.quads.omega_i)
     n_tail = _residual_norm_tail(p, res)
@@ -229,7 +250,7 @@ def estimate_II(p: Problem, v: ScalarField, y: VectorField) -> MajorantReport:
     residual above 1e-10 * scale is rejected, and anything below it is
     still added to the bound so validity never rests on the tolerance."""
     bundle = p.constants
-    res = residual_field(p.f, y)
+    res = _residual(p, y)
     scale = scale_of(p, v)
     tail = _residual_norm_tail(p, res)
     if tail > EQUILIBRATION_RTOL * max(scale, 1e-300):
@@ -240,7 +261,7 @@ def estimate_II(p: Problem, v: ScalarField, y: VectorField) -> MajorantReport:
             "div y + f = 0 outside the interface"
         )
     factor = bundle.poincare / math.sqrt(p.A.c_A)
-    residual = bundle.c_o * weighted_norm(res, 0.0, p.quads.omega_i) + factor * tail
+    residual = bundle.c_o * _weighted_residual(p, res, p.quads.omega_i, 0.0) + factor * tail
     return _report(p, v, "II", residual, _flux_term(p, v, y), {"c_o": bundle.c_o},
                    {"tail_residual": tail}, scale=scale)
 
@@ -255,12 +276,13 @@ def estimate_III(
     C_above (w_{L+1}^{-1/2} (int j^2 - sum_{l<=L} c_l^2))^{1/2}, since the
     multipliers w_l^{-1/2} fall with l."""
     bundle = p.constants
-    res_i = residual_field(p.f, y_i)
-    res_e = residual_field(p.f, y_e)
+    res_i = _residual(p, y_i)
+    res_e = _residual(p, y_e)
     factor = bundle.poincare / math.sqrt(p.A.c_A)
-    residual = bundle.c_o * weighted_norm(res_i, 0.0, p.quads.omega_i)
+    residual = bundle.c_o * _weighted_residual(p, res_i, p.quads.omega_i, 0.0)
     residual += factor * _residual_norm_tail(p, res_e)
-    flux = _broken_flux_term(p, v, y_i, y_e)
+    flux = math.sqrt(_flux_term(p, v, y_i, "omega_i") ** 2
+                     + _flux_term(p, v, y_e, "omega_e") ** 2)
     L, R = p.trace_degree, p.domain.R
     jump = traces.normal_trace(y_e - y_i, R, L, p.quads.Gamma)
     jump_norm = traces.sobolev_norm(jump, -0.5)

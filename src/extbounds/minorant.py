@@ -23,24 +23,25 @@ have terms and the flux has a potential (``fields.Term``), as for every
 catalog problem, ``perturb``'s v and ``default_basis``, and the whole
 rule's angular factor integrates the degree-4 sphere moments exactly
 (angular_order >= 3), each integral is a sum over pairs of terms of
-radial sums times closed-form sphere moments (``_term_system``): the
-same discrete integral, so only rounding differs.  Any other input is
-summed on the tensor rule (``_tensor_system``).  Either way every basis
-function goes through the one zero-trace check on its closures.
+radial sums times closed-form sphere moments (``_term_system``, on the
+kernel ``fields.term_products`` that also sums the true error, the scale
+and the flux gaps the bounds are checked against): the same discrete
+integral, so only rounding differs.  Any other input is summed on the
+tensor rule (``_tensor_system``).  Either way every basis function goes
+through the one zero-trace check on its closures.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import traces
 from .fields import (
-    QuadratureErrorAt,
     ScalarField,
     _columns,
+    _moments_exact,
     cubic_bump,
     cubic_bump_deriv,
     cut,
@@ -51,7 +52,7 @@ from .fields import (
     require_finite,
     scaled_terms,
     separable_field,
-    support_rows,
+    term_products,
 )
 from .geometry import exact_dot, exact_sum, stack_rows
 from .problems import Problem
@@ -233,112 +234,16 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     )
 
 
-def sphere_moments(d: np.ndarray) -> np.ndarray:
-    """(4, N + 1): the diagonals of M_1, M_2, M_2^T and M_4, the moments
-    over the unit sphere S of phi phi^T (omega . D omega), phi (omega . D
-    grad_S phi)^T and grad_S phi . D grad_S phi, for D = diag(d), phi =
-    (1, omega_1, ..., omega_N) and grad_S omega_i = e_i - omega_i omega.
-    With t = tr D and k = N (N + 2) they are
-
-        m_1 = |S| (t / N, (t + 2 d_i) / k),  m_2 = |S| (0, (N d_i - t) / k),
-        m_4 = |S| (0, ((N^2 - 2) d_i + t) / k),
-
-    from the moments |S|/N of omega_i^2, |S|/k of omega_i^2 omega_j^2
-    (i != j) and 3 |S|/k of omega_i^4 (Folland, "How to integrate a
-    polynomial over a sphere", Amer. Math. Monthly 108, 2001); every entry
-    off the diagonals is 0."""
-    n = len(d)
-    area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    t, k = float(np.sum(d)), n * (n + 2)
-    m1 = [area * t / n] + [area * (t + 2.0 * di) / k for di in d]
-    m2 = [0.0] + [area * (n * di - t) / k for di in d]
-    m4 = [0.0] + [area * ((n * n - 2) * di + t) / k for di in d]
-    return np.array([m1, m2, m2, m4])
-
-
-def _moments_exact(rule) -> bool:
-    """Whether ``rule`` is a tensor rule whose angular factor integrates
-    the integrands of ``sphere_moments``, of degree 4 in omega, exactly.
-    It is exact to degree 2 angular_order - 1 (``geometry``'s unit sphere
-    rule), so for angular_order >= 3; with fewer directions the moments
-    are not the rule's integrals, and the terms would not give the rule's
-    G, rhs and M, which the true error and the majorants are summed on."""
-    return (rule.radial is not None and rule.angular is not None
-            and 2 * rule.angular_order - 1 >= 4)
-
-
 def _term_system(p: Problem, v: ScalarField, basis: TestBasis):
-    """(G, rhs, M) from the terms: G_jk = a(w_j, w_k), rhs_j = a(u - v, w_j)
-    with u - v the flux's potential minus v's terms, merged, and M(c) =
-    2 a(u - v, w_c) - a(w_c, w_c) from the merged terms of w_c = sum_j c_j
-    w_j.  For terms s = p (alpha . phi) and t = q (beta . phi),
-
-        a(s, t) = sum_k W_k [p' q' alpha^T M_1 beta + (p' q / r) alpha^T M_2 beta
-                             + (p q' / r) alpha^T M_2^T beta + (p q / r^2) alpha^T M_4 beta]
-
-    over the radial nodes r_k of the whole rule, weights W_k, that
-    ``fields.support_rows`` finds in both supports (``sphere_moments``
-    gives the M).  Only the pairs of profiles that share nodes, and the
-    pairs of terms with such profiles, are multiplied out: the radial
-    sums of the profile pairs are one 2-D ``exact_dot``, and each entry of
-    G and rhs, and M(c), is the exact sum of its own products of a radial
-    sum, a moment and two coefficients.  A non-finite profile value raises
-    ``QuadratureErrorAt`` at the first node of its radius."""
-    r, weights = p.quads.whole.radial
-    directions = len(p.quads.whole.angular[0])
+    """(G, rhs, M) from the terms (``fields.term_products`` on the whole
+    rule): G_jk = a(w_j, w_k), rhs_j = a(u - v, w_j) with u - v the flux's
+    potential minus v's terms, merged, and M(c) = 2 a(u - v, w_c) -
+    a(w_c, w_c) from the merged terms of w_c = sum_j c_j w_j.  Each entry
+    of G and rhs, and M(c), is the exact sum of its own products."""
     error = merged(p.flux.potential + scaled_terms(-1.0, v.terms))
     sets = [w.terms for w in basis.fields] + [error]
     labels = [w.label for w in basis.fields] + [f"({p.flux.label}-A grad {v.label})"]
-    profiles = {}  # (p, dp, support) -> its row in values
-    for terms, label in zip(sets, labels):
-        for t in terms:
-            profiles.setdefault((t.p, t.dp, t.support), (len(profiles), label))
-    values = np.zeros((2, len(profiles), len(r)))  # p and p' at the radial nodes
-    rows = []
-    for (fn, dfn, support), (i, label) in profiles.items():
-        lo, hi = (0, len(r)) if support is None else support_rows(r, support)
-        for out, f in zip(values, (fn, dfn)):
-            out[i, lo:hi] = f(r[lo:hi])
-            bad = np.flatnonzero(~np.isfinite(out[i, lo:hi]))
-            if len(bad):
-                node = (lo + int(bad[0])) * directions
-                raise QuadratureErrorAt(node, p.quads.whole.nodes[node], label,
-                                        "minorant:terms")
-        rows.append((lo, hi))
-    lo, hi = np.array(rows, dtype=np.intp).reshape(-1, 2).T
-    i, j = np.triu_indices(len(rows))
-    shared = np.maximum(lo[i], lo[j]) < np.minimum(hi[i], hi[j])
-    pairs = np.column_stack([i[shared], j[shared]])  # the profiles sharing rows
-    (p_i, p_j), (d_i, d_j) = values[0][pairs.T], values[1][pairs.T]
-    dens = np.stack([d_i * d_j, d_i * p_j / r, p_i * d_j / r, p_i * p_j / (r * r)], axis=1)
-    # the product of each radial sum with its moment, per pair of profiles
-    # and angular index; a(s, t) is symmetric (M_2 is diagonal), so a pair
-    # serves both orders
-    moments = exact_dot(dens.reshape(-1, len(r)), weights).reshape(-1, 4, 1) * sphere_moments(
-        p.A.diagonal)
-    index = {}  # (row, row) -> the pair's row in moments, in both orders
-    for k, (a, b) in enumerate(pairs.tolist()):
-        index[a, b] = index[b, a] = k
-
-    def products(term_sets):
-        """(first, second, products): for each term s of set A and t of set
-        B, A <= B, whose profiles share rows, A, B and the products of
-        a(s, t), a row each, sorted by (A, B)."""
-        flat = [(k, profiles[t.p, t.dp, t.support][0], t.angular)
-                for k, terms in enumerate(term_sets) for t in terms]
-        members = {}  # profile row -> its terms in flat
-        for x, (_, row, _) in enumerate(flat):
-            members.setdefault(row, []).append(x)
-        found = sorted((flat[s][0], flat[t][0], k, s, t) for (a, b), k in index.items()
-                       for s in members.get(a, ()) for t in members.get(b, ())
-                       if flat[s][0] <= flat[t][0])
-        first, second, pair, s, t = np.array(found, dtype=np.intp).reshape(-1, 5).T
-        coef = np.zeros((len(flat), moments.shape[-1]))
-        for x, (_, _, angular) in enumerate(flat):
-            coef[x, :len(angular)] = angular
-        prods = moments[pair] * (coef[s] * coef[t])[:, None, :]
-        return first, second, prods.reshape(len(pair), 4 * moments.shape[-1])
-
+    products = term_products(p.A.diagonal, p.quads.whole, sets, labels, "minorant:terms")
     n = len(basis)
     first, second, sums = _grouped_sums(*products(sets))
     system = np.zeros((n + 1, n + 1))

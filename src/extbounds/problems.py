@@ -33,6 +33,7 @@ from .fields import (
     ramp_deriv,
     ratio_gradient,
     separable_field,
+    term_norm,
 )
 from .geometry import (
     ExteriorDomain,
@@ -258,12 +259,14 @@ def with_interface_radius(
 
 
 def true_error(mp: ManufacturedProblem, v: ScalarField) -> float:
-    """Exact energy-norm error ||A^{1/2} grad(u - v)|| over the whole domain.
-    The gradient of v is the one the estimates evaluated on the same rule."""
-    u, rule = mp.exact_u, mp.problem.quads.whole
-    return energy_norm(mp.problem.A, u.gradient(rule.nodes), "A", rule,
-                       label=f"grad(({u.label}-{v.label}))",
-                       minus_gradient=gradient_on(v, rule))
+    """The energy-norm error ||A^{1/2} grad(u - v)|| on the whole rule: from
+    the merged terms of u - v where they give it (``fields.term_norm``),
+    else on the rule's nodes, with the gradient of v the estimates
+    evaluated there."""
+    u, A, rule = mp.exact_u, mp.problem.A, mp.problem.quads.whole
+    return term_norm(A, rule, (u.terms, v.terms), lambda: energy_norm(
+        A, u.gradient(rule.nodes), "A", rule, label=f"grad(({u.label}-{v.label}))",
+        minus_gradient=gradient_on(v, rule)))
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,12 @@ def unrestricted():
         yield
 
 
-def termless(basis):
-    """``basis`` with the same closures and no terms, which the minorant
-    assembles on the tensor rule."""
+def termless(x):
+    """The field or basis ``x`` with the same closures and no terms: the
+    minorant assembles such a basis, and the true error, the scale and the
+    flux gap sum such a field, on the tensor rule."""
     import dataclasses
 
-    return dataclasses.replace(basis, fields=tuple(
-        dataclasses.replace(w, terms=()) for w in basis.fields))
+    if hasattr(x, "fields"):
+        return dataclasses.replace(x, fields=tuple(termless(w) for w in x.fields))
+    return dataclasses.replace(x, terms=())

@@ -459,8 +459,9 @@ class TestCommands:
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_zero_error_row_is_bounded(self, tmp_path, capsys):
-        # the bump falls between the nodes, so the true error is exactly 0.0:
-        # a sweep row passes on the check that majorant applies
+        # the bump falls between the nodes, so the true error is exactly 0.0,
+        # and so is the flux gap of the exact flux, summed from the same
+        # terms: a sweep row passes on the check that majorant applies
         cfg = write_config(tmp_path, {
             "problem": "N3_harmonic", "trace": {"L": 1},
             "quadrature": {"shells": 1, "radial_order": 2, "angular_order": 3},
@@ -469,7 +470,7 @@ class TestCommands:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         with open(tmp_path / "sweep.csv") as fh:
             (row,) = csv.DictReader(fh)
-        assert float(row["true_error"]) == 0.0 and float(row["total"]) > 0.0
+        assert float(row["true_error"]) == float(row["total"]) == 0.0
         assert "0 guarantee violations" in capsys.readouterr().out
         assert main(["majorant", "--config", cfg, "--out", str(tmp_path)]) == 0
 
@@ -621,6 +622,18 @@ def test_sandwich_computes_the_scale_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_sandwich_projects_the_trace_once(tmp_path, monkeypatch):
+    # the minorant's boundary caveat and estimate I's boundary term share
+    # the mismatch of v that majorant.dirichlet_mismatch keeps
+    labels = []
+    analyze = xb.traces.analyze
+    monkeypatch.setattr(xb.traces, "analyze",
+                        lambda f, *args: labels.append(f.label) or analyze(f, *args))
+    cfg = write_config(tmp_path, BASE)
+    assert main(["sandwich", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert sum("interior-bump" in label for label in labels) == 1
+
+
 @pytest.mark.parametrize("problem", xb.CATALOG)
 @pytest.mark.parametrize("eps", [1e-6, 1e-8])
 def test_small_error_in_basis_is_not_singular(tmp_path, capsys, problem, eps):
@@ -688,8 +701,9 @@ def test_cli_outputs_cover_every_choice():
     """The byte check's run list names every command on every catalog
     problem, every estimate with every unbroken target and mode, the broken
     flux, the minorant with u - v at eps > 0 and 0, both sweep kinds, every
-    study, every config field at a value other than its default and five bad
-    configs; it runs nothing."""
+    study, every config field at a value other than its default, a majorant
+    and a sandwich at angular_order 2 (whose norms and minorant take the
+    tensor rule) and five bad configs; it runs nothing."""
     runs, bad = [], 0
     for command, config, _ in OUTPUT_RUNS:
         if isinstance(config, Path):
@@ -709,6 +723,7 @@ def test_cli_outputs_cover_every_choice():
         assert {cfg.epsilons[0] for c, cfg in runs
                 if c == command and cfg.minorant_include_error} == {0.1, 0.0}
     assert {cfg.sweep_kind for c, cfg in runs if c == "sweep"} == {"epsilon", "radius"}
+    assert {c for c, cfg in runs if cfg.angular_order == 2} == {"majorant", "sandwich"}
     studies = {config.name for _, config, _ in OUTPUT_RUNS if isinstance(config, Path)}
     assert studies == {p.name for p in (REPO / "studies").glob("*.json")} and len(studies) == 4
     defaults = ScenarioConfig()

@@ -221,11 +221,13 @@ class TestOnlyTheRows:
         stack_rows = minorant_module.stack_rows
         monkeypatch.setattr(minorant_module, "stack_rows",
                             lambda arrays: stacked.append(len(arrays)) or stack_rows(arrays))
-        # with terms, the assembly cuts no node of a rule: once on gamma for
-        # the zero-trace check, with one edge array per support (the inner
-        # one reaches r = a)
+        # with terms, the assembly cuts no node of a rule, only the whole
+        # rule's radial nodes once per profile (fields.term_products); then
+        # once on gamma for the zero-trace check, with one edge array per
+        # support (the inner one reaches r = a)
         minorant_report(mp.problem, mp.exact_u, basis)
-        assert calls == [(len(quads.gamma), s) for s in supports]
+        radial = len(quads.whole.radial[0])
+        assert calls == [(n, s) for n in (radial, len(quads.gamma)) for s in supports]
         assert stacked == [1, 2, 2, 2]
         # without them, once on the whole rule for the assembly first, and
         # no closure cuts its rows again

@@ -15,19 +15,24 @@ import pytest
 
 import extbounds as xb
 from extbounds.cli import guarantee_ok
-from extbounds.fields import QuadratureErrorAt, cubic_bump, mollifier, separable_field
+from extbounds.fields import (
+    QuadratureErrorAt,
+    _moments_exact,
+    cubic_bump,
+    mollifier,
+    separable_field,
+    sphere_moments,
+)
 from extbounds.minorant import (
     NonzeroTraceError,
     TestBasis,
-    _moments_exact,
     _tensor_system,
     _term_system,
     default_basis,
     minorant_report,
-    sphere_moments,
     validate_zero_traces,
 )
-from extbounds.majorant import scale_of
+from extbounds.majorant import _flux_term, _residual, scale_of
 from extbounds.problems import _random_interior_bump, perturb
 
 from conftest import termless
@@ -259,6 +264,88 @@ class TestTermAssembly:
         basis = default_basis(mp.domain, 2, 0).extended(bad)
         with pytest.raises(QuadratureErrorAt, match=f"'bad'.* at node {k * directions}:"):
             minorant_report(p, perturb(mp, "v", 0.1, "interior_bump", 3), basis)
+
+
+def norms(mp, v, y=None):
+    """(true error, scale, flux gap of ``y``, the exact flux by default)."""
+    p = mp.problem
+    return xb.true_error(mp, v), scale_of(p, v), _flux_term(p, v, y or mp.exact_flux)
+
+
+class TestTermNorms:
+    """The true error, the scale and the flux gap of a flux with a potential
+    are summed from the terms (``fields.term_norm``) where the rule's
+    directions integrate the sphere moments exactly."""
+
+    @pytest.mark.parametrize("name", xb.CATALOG)
+    def test_agree_with_the_tensor_rule(self, coarse, name):
+        mp = coarse[name]
+        for mode in MODES:
+            for seed in (0, 3, 4, 10):
+                for eps in (1e-3, 0.1, 1.0):
+                    v = perturb(mp, "v", eps, mode, seed)
+                    for term, tensor in zip(norms(mp, v), norms(mp, termless(v))):
+                        assert abs(term - tensor) <= 4e-15 * tensor, (mode, seed, eps)
+
+    @pytest.mark.parametrize("name", xb.CATALOG)
+    def test_exact_flux_at_eps_zero_is_exactly_zero(self, coarse, name):
+        # the tensor rule leaves roundoff in the flux gap (F - A grad u); the
+        # terms of u - u merge to nothing.  The residual of a flux whose
+        # potential is the load flux's is 0.0 without evaluating it
+        mp = coarse[name]
+        p = mp.problem
+        v = perturb(mp, "v", 0.0, "interior_bump", 3)
+        y = dataclasses.replace(mp.exact_flux, divergence=None, value=None)
+        assert _residual(p, y) is None
+        assert norms(mp, v)[0::2] == (0.0, 0.0)
+        for rep in (xb.estimate_I(p, v, mp.exact_flux), xb.estimate_II(p, v, mp.exact_flux),
+                    xb.estimate_III(p, v, mp.exact_flux, mp.exact_flux)):
+            assert (rep.residual, rep.flux, rep.total) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("name", xb.CATALOG)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_true_error_is_linear_in_eps(self, coarse, name, mode):
+        # u - v is -eps s term by term: no cancellation of grad u - grad v
+        mp = coarse[name]
+        for seed in (0, 3, 4, 10):
+            small, large = (xb.true_error(mp, perturb(mp, "v", eps, mode, seed)) / eps
+                            for eps in (1e-6, 0.1))
+            assert abs(small - large) <= 4 * np.spacing(large), seed
+
+    @pytest.mark.parametrize("name", ["N3_anisotropic", "N2_log"])
+    def test_few_directions_take_the_tensor_rule(self, name):
+        mp = xb.builtin(name, angular_order=2, shells=8, trace_degree=1)
+        for mode in MODES:
+            v = perturb(mp, "v", 0.1, mode, 3)
+            assert norms(mp, v) == norms(mp, termless(v))
+
+    @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
+    def test_overflow_raises_the_tensor_rules_error(self, coarse, name):
+        # the products overflow to inf: the tensor rule names its node, and
+        # no RuntimeWarning (an error under pytest) escapes on the way
+        mp = coarse[name]
+        p = mp.problem
+        v = perturb(mp, "v", 1e300, "interior_bump", 3)
+        for norm in (lambda w: xb.true_error(mp, w), lambda w: scale_of(p, w),
+                     lambda w: _flux_term(p, w, mp.exact_flux)):
+            messages = []
+            for w in (v, termless(v)):
+                with pytest.raises(QuadratureErrorAt) as exc:
+                    norm(w)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
+
+    def test_flux_bump_takes_the_tensor_rule(self, coarse):
+        # y = F + eps b d has no potential, and y_broken's exterior neither
+        mp = coarse["N3_decay"]
+        p = mp.problem
+        v = perturb(mp, "v", 0.1, "interior_bump", 3)
+        y = perturb(mp, "y", 0.1, "interior_bump", 4)
+        y_i, y_e = perturb(mp, "y_broken", 0.1, "interface_jump", 5)
+        assert y.potential == y_e.potential == () and y_i.potential
+        assert _flux_term(p, v, y) == _flux_term(p, termless(v), y)
+        assert _flux_term(p, v, y_e, "omega_e") == _flux_term(p, termless(v), y_e, "omega_e")
+        assert _residual(p, y) is not None and _residual(p, y_e) is not None
 
 
 def reference_system(p, terms, error, digits=50):
