@@ -43,24 +43,29 @@ its derivative, angular coefficients c and a support, the function
 p(r) (c_0 + c . x/r)).  ``separable_field`` records one, ``c * w`` scales
 them, ``a + b`` and ``a - b`` join them when both operands have terms,
 and like terms merge (``merged``), so u - (u + eps s) has exactly the
-terms of -eps s.  A vector field A grad phi may record phi's terms as its
-``potential``.  Where the rule's angular factor integrates the sphere
-moments exactly, energies of fields with terms are summed from the terms,
-radial sums times sphere moments (``term_products``): the minorant's
-system, and through ``term_norm`` the true error, the scale ||A^{1/2}
-grad v|| and the flux gap of a flux with a potential.  A field built from
-bare closures has no terms, and its energies are summed on the tensor rule.
+terms of -eps s.  A vector field keeps the terms of A grad phi
+(``potential``), of harmonic gradients grad h (``gradients``) and of
+bumps s e (``bumps``, terms with a direction e).  Where the rule's angular
+factor integrates the sphere moments exactly, the norms of fields with
+terms are summed from the terms, radial sums times sphere moments: the
+minorant's system (``term_products``), through ``term_norm`` the true
+error, the scale ||A^{1/2} grad v|| and the flux gap ||y - A grad v||_{A^{-1}}
+of a flux with terms (``bump_products`` adds a bump's cross and mass
+products), and through ``bump_residual_norm`` the weighted norm of the
+residual div(s e) of a flux bump.  A field built from bare closures has no
+terms, and its norms are summed on the tensor rule.
 
 No memo outlives what it was computed from.  ``last_call`` keeps a
 function's result for the last pair of arguments: ``gradient_on`` the
 gradient of the last field on the last rule, and
 ``majorant.dirichlet_mismatch`` the trace mismatch of the last
 approximation, so that the users of one approximation share one
-evaluation.  It holds both arguments only through weak references, and
-the entry goes when either is freed.  Its contract: fields, problems and
-rules are immutable, closures are pure (the same nodes give the same
-values), and the package is used from one thread.  Arguments are matched
-by identity, so an equal but distinct field is evaluated anew.
+evaluation; ``term_norm`` keeps its last two values the same way.  It
+holds both arguments only through weak references, and the entry goes
+when either is freed.  Its contract: fields, problems and rules are
+immutable, closures are pure (the same nodes give the same values), and
+the package is used from one thread.  Arguments are matched by identity,
+so an equal but distinct field is evaluated anew.
 
 Node radii (``geometry.node_radii``) and a catalog problem's exact
 gradient grad u and flux divergence div F (wrapped by
@@ -131,22 +136,24 @@ class Term(NamedTuple):
     """p(r) (c . phi) with phi = (1, x_1/r, ..., x_N/r): the radial profile
     p with its derivative dp, the angular coefficients c = (c_0, ..., c_N)
     and the radial ``support`` (None: every radius) outside which p and dp
-    vanish."""
+    vanish.  A term with a ``direction`` e is the vector field
+    p(r) (c . phi) e, a bump of a flux (``VectorField.bumps``)."""
 
     p: Callable
     dp: Callable
     angular: tuple
     support: tuple[float, float] | None
+    direction: tuple | None = None
 
 
 def merged(terms) -> tuple:
     """``terms`` with like terms merged: those with the same closures p and
-    dp and the same support become one, at the first one's place, whose
-    coefficients are the sum of theirs, added in order; a term whose
-    coefficients are all 0.0 is dropped."""
+    dp, the same support and the same direction become one, at the first
+    one's place, whose coefficients are the sum of theirs, added in order; a
+    term whose coefficients are all 0.0 is dropped."""
     out = {}
     for t in terms:
-        key = (t.p, t.dp, t.support)
+        key = (t.p, t.dp, t.support, t.direction)
         if key in out:
             t = t._replace(angular=tuple(a + b for a, b in itertools.zip_longest(
                 out[key].angular, t.angular, fillvalue=0.0)))
@@ -157,6 +164,11 @@ def merged(terms) -> tuple:
 def scaled_terms(c: float, terms) -> tuple:
     """c times each term's coefficients."""
     return merged(t._replace(angular=tuple(c * a for a in t.angular)) for t in terms)
+
+
+def difference(a, b) -> tuple:
+    """The merged terms of a - b."""
+    return merged(a + scaled_terms(-1.0, b))
 
 
 def _held_to(t: Term, support) -> Term | None:
@@ -173,7 +185,8 @@ class _Field:
     """The support, terms and arithmetic of ``ScalarField`` and
     ``VectorField``: each names its derivative closure (``_derivative``),
     the shapes of the two closures' values at nodes ``pts`` (``_shapes``)
-    and its list of terms (``_terms``)."""
+    and its lists of terms (``_terms``).  A field with a term in any list
+    is the sum its lists describe; one with none has no terms."""
 
     def __post_init__(self):
         if self.support is not None:  # formula() unwraps a closure restricted before
@@ -181,8 +194,9 @@ class _Field:
             for name, fn, shape in zip(names, self.formula(), self._shapes):
                 if fn is not None:
                     object.__setattr__(self, name, _on_support(fn, self.support, shape))
-        terms = (_held_to(Term(*t), self.support) for t in getattr(self, self._terms))
-        object.__setattr__(self, self._terms, merged(t for t in terms if t is not None))
+        for name in self._terms:
+            terms = (_held_to(Term(*t), self.support) for t in getattr(self, name))
+            object.__setattr__(self, name, merged(t for t in terms if t is not None))
 
     def formula(self) -> tuple:
         """(value, derivative): the closures as given, before the support
@@ -194,13 +208,15 @@ class _Field:
 
     def _sum(self, other, op, sign):
         own = (self.value, getattr(self, self._derivative))
-        mine, theirs = getattr(self, self._terms), getattr(other, other._terms)
+        mine = [getattr(self, name) for name in self._terms]
+        theirs = [getattr(other, name) for name in self._terms]
         if op is np.subtract:
-            theirs = scaled_terms(-1.0, theirs)
+            theirs = [scaled_terms(-1.0, terms) for terms in theirs]
+        both = any(mine) and any(theirs)
         return type(self)(
             *(_combined(a, b, op, other.support) for a, b in zip(own, other.formula())),
             label=f"({self.label}{sign}{other.label})",
-            **{self._terms: mine + theirs if mine and theirs else ()})
+            **{name: a + b if both else () for name, a, b in zip(self._terms, mine, theirs)})
 
     def __add__(self, other):
         return self._sum(other, np.add, "+")
@@ -212,7 +228,7 @@ class _Field:
         c = float(c)
         return type(self)(*(_scaled(c, fn) for fn in self.formula()),
                           label=f"{c}*{self.label}", support=self.support,
-                          **{self._terms: scaled_terms(c, getattr(self, self._terms))})
+                          **{name: scaled_terms(c, getattr(self, name)) for name in self._terms})
 
 
 @dataclass(frozen=True)
@@ -247,7 +263,7 @@ class ScalarField(_Field):
 
     _derivative = "gradient"
     _shapes = (len, np.shape)
-    _terms = "terms"
+    _terms = ("terms",)
 
 
 @dataclass(frozen=True)
@@ -256,20 +272,25 @@ class VectorField(_Field):
     analytic ``divergence`` (M,N)->(M,), and a ``support`` held to as a
     ``ScalarField``'s is.
 
-    ``potential`` is empty, or the terms of a phi whose A grad phi the
-    field is, for the coefficient A of the problem that holds it; they are
-    kept as a ``ScalarField``'s terms are, so a replace that gives closures
-    of another field must pass ``potential=()``."""
+    Its terms are three lists, all empty for a field without terms: the
+    field is A grad phi + sum_k grad h_k + sum_j s_j e_j for the terms of
+    phi (``potential``), for the coefficient A of the problem that holds
+    it, the harmonic h_k (``gradients``: Laplace h_k = 0, so div grad h_k
+    = 0) and the bumps s_j e_j (``bumps``: terms with a ``direction``).
+    They are kept as a ``ScalarField``'s terms are, so a replace that gives
+    closures of another field must pass all three empty."""
 
     value: Callable[[np.ndarray], np.ndarray]
     divergence: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
     support: tuple[float, float] | None = None
     potential: tuple = field(default=(), repr=False, compare=False)
+    gradients: tuple = field(default=(), repr=False, compare=False)
+    bumps: tuple = field(default=(), repr=False, compare=False)
 
     _derivative = "divergence"
     _shapes = (np.shape, len)
-    _terms = "potential"
+    _terms = ("potential", "gradients", "bumps")
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,27 +505,52 @@ def require_finite(
 # energies of sums of terms
 
 
-def sphere_moments(d: np.ndarray) -> np.ndarray:
-    """(4, N + 1): the diagonals of M_1, M_2, M_2^T and M_4, the moments
-    over the unit sphere S of phi phi^T (omega . D omega), phi (omega . D
-    grad_S phi)^T and grad_S phi . D grad_S phi, for D = diag(d), phi =
-    (1, omega_1, ..., omega_N) and grad_S omega_i = e_i - omega_i omega.
-    With t = tr D and k = N (N + 2) they are
+def _sphere_area(n: int) -> float:
+    """|S|, the area of the unit sphere in dimension n."""
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
-        m_1 = |S| (t / N, (t + 2 d_i) / k),  m_2 = |S| (0, (N d_i - t) / k),
-        m_4 = |S| (0, ((N^2 - 2) d_i + t) / k),
 
-    from the moments |S|/N of omega_i^2, |S|/k of omega_i^2 omega_j^2
-    (i != j) and 3 |S|/k of omega_i^4 (Folland, "How to integrate a
-    polynomial over a sphere", Amer. Math. Monthly 108, 2001); every entry
-    off the diagonals is 0."""
-    n = len(d)
-    area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+def sphere_moments(D) -> np.ndarray:
+    """(4, N + 1, N + 1): M_1, M_2, M_2^T and M_4, the moments over the unit
+    sphere S of phi phi^T (omega . D omega), phi (omega . D grad_S phi)^T
+    and grad_S phi . D grad_S phi^T, for a symmetric D (a 1-D ``D`` is the
+    diagonal of a diagonal one), phi = (1, omega_1, ..., omega_N) and
+    grad_S omega_i = e_i - omega_i omega.  With t = tr D and k = N (N + 2),
+    their diagonals are
+
+        m_1 = |S| (t / N, (t + 2 D_ii) / k),  m_2 = |S| (0, (N D_ii - t) / k),
+        m_4 = |S| (0, ((N^2 - 2) D_ii + t) / k),
+
+    their entries (i, j), i != j >= 1, are 2 |S| D_ij / k, N |S| D_ij / k
+    and (N^2 - 2) |S| D_ij / k, and the others are 0, from the moments
+    |S|/N of omega_i^2, |S|/k of omega_i^2 omega_j^2 (i != j) and 3 |S|/k
+    of omega_i^4 (Folland, "How to integrate a polynomial over a sphere",
+    Amer. Math. Monthly 108, 2001).  So M_2 is symmetric, as M_1 and M_4
+    are, and for a diagonal D all three are diagonal.  The result is
+    read-only, and kept for the last few D."""
+    D = np.asarray(D, dtype=float)
+    return _sphere_moments(D.tobytes(), D.shape)
+
+
+@functools.lru_cache(maxsize=16)
+def _sphere_moments(bits: bytes, shape: tuple) -> np.ndarray:
+    """``sphere_moments`` of the D with these bytes and shape."""
+    D = np.frombuffer(bits).reshape(shape)
+    D = np.diag(D) if D.ndim == 1 else D
+    n, d = len(D), np.diagonal(D)
+    area = _sphere_area(n)
     t, k = float(np.sum(d)), n * (n + 2)
-    m1 = [area * t / n] + [area * (t + 2.0 * di) / k for di in d]
-    m2 = [0.0] + [area * (n * di - t) / k for di in d]
-    m4 = [0.0] + [area * ((n * n - 2) * di + t) / k for di in d]
-    return np.array([m1, m2, m2, m4])
+    m = np.zeros((4, n + 1, n + 1))
+    for row, c in ((0, 2.0), (1, n), (3, n * n - 2)):
+        m[row, 1:, 1:] = c * (area * D / k)
+    i = np.arange(1, n + 1)
+    m[0, 0, 0] = area * t / n
+    m[0, i, i] = area * (t + 2.0 * d) / k
+    m[1, i, i] = area * (n * d - t) / k
+    m[3, i, i] = area * ((n * n - 2) * d + t) / k
+    m[2] = m[1]
+    m.flags.writeable = False
+    return m
 
 
 def _moments_exact(rule) -> bool:
@@ -518,30 +564,21 @@ def _moments_exact(rule) -> bool:
             and 2 * rule.angular_order - 1 >= 4)
 
 
-def term_products(d: np.ndarray, rule: QuadratureRule, sets, labels, weight: str):
-    """``products``, whose exact sums are the energies a(s, t) = int A grad s
-    . grad t over the tensor ``rule``, A = diag(d), of terms with profiles
-    among those of the term ``sets``.  For s = p (alpha . phi), t = q (beta . phi),
-
-        a(s, t) = sum_k W_k [p' q' alpha^T M_1 beta + (p' q / r) alpha^T M_2 beta
-                             + (p q' / r) alpha^T M_2^T beta + (p q / r^2) alpha^T M_4 beta]
-
-    over the rule's radial nodes r_k, weights W_k, that ``support_rows``
-    finds in both supports (``sphere_moments`` gives the M).  Only the
-    pairs of profiles that share nodes, in one 2-D ``exact_dot``, and the
-    pairs of terms with such profiles are multiplied out: ``products(term_sets)``
-    gives (A, B, the products of a(s, t)), a row each, for each term s of
-    set A and t of set B, A <= B, whose profiles share nodes, sorted by
-    (A, B).  A non-finite profile value raises ``QuadratureErrorAt`` at the
-    first node of its radius, named by its first set's label and ``weight``."""
-    r, weights = rule.radial
+def _profiles(rule: QuadratureRule, sets, labels, weight: str):
+    """(rows, values, bounds) of the profiles (p, dp, support) of the terms
+    of ``sets``: the row of each, p and p' at the rule's radial nodes, a row
+    each, 0.0 off the rows [lo, hi) that ``support_rows`` finds for its
+    support, and those (lo, hi).  A non-finite value raises
+    ``QuadratureErrorAt`` at the first node of its radius, named by the
+    label of its first set and ``weight``."""
+    r = rule.radial[0]
     directions = len(rule.angular[0])
-    profiles = {}  # (p, dp, support) -> its row in values
+    profiles = {}  # (p, dp, support) -> (its row, its first set's label)
     for terms, label in zip(sets, labels):
         for t in terms:
             profiles.setdefault((t.p, t.dp, t.support), (len(profiles), label))
-    values = np.zeros((2, len(profiles), len(r)))  # p and p' at the radial nodes
-    rows = []
+    values = np.zeros((2, len(profiles), len(r)))
+    bounds = np.zeros((len(profiles), 2), dtype=np.intp)
     for (fn, dfn, support), (i, label) in profiles.items():
         lo, hi = (0, len(r)) if support is None else support_rows(r, support)
         for out, f in zip(values, (fn, dfn)):
@@ -550,57 +587,233 @@ def term_products(d: np.ndarray, rule: QuadratureRule, sets, labels, weight: str
             if len(bad):
                 node = (lo + int(bad[0])) * directions
                 raise QuadratureErrorAt(node, rule.nodes[node], label, weight)
-        rows.append((lo, hi))
-    lo, hi = np.array(rows, dtype=np.intp).reshape(-1, 2).T
-    i, j = np.triu_indices(len(rows))
+        bounds[i] = lo, hi
+    return {key: i for key, (i, _) in profiles.items()}, values, bounds
+
+
+def _coefficients(terms, n: int) -> np.ndarray:
+    """The angular coefficients of ``terms``, a row of N + 1 each."""
+    coef = np.zeros((len(terms), n + 1))
+    for row, t in zip(coef, terms):
+        row[:len(t.angular)] = t.angular
+    return coef
+
+
+def term_products(rule: QuadratureRule, sets, labels, weight: str, radial=None):
+    """``products``, whose exact sums are the energies a_D(s, t) = int w D
+    grad s . grad t over the tensor ``rule`` of terms with profiles among
+    those of the term ``sets``, for a radial weight w (``radial``, a
+    function of r; 1 without it).  For s = p (alpha . phi), t = q (beta . phi),
+
+        a_D(s, t) = sum_k W_k w(r_k) [p' q' alpha^T M_1 beta
+                                      + (p' q / r) alpha^T M_2 beta
+                                      + (p q' / r) alpha^T M_2^T beta
+                                      + (p q / r^2) alpha^T M_4 beta]
+
+    over the rule's radial nodes r_k, weights W_k, that ``support_rows``
+    finds in both supports (``sphere_moments`` gives the M).  Only the
+    pairs of profiles that share nodes, in one 2-D ``exact_dot``, and the
+    pairs of terms with such profiles are multiplied out:
+    ``products(term_sets, D)``, for a symmetric D (a 1-D D: the diagonal),
+    gives (A, B, the products of a_D(s, t)), a row each, for each term s of
+    set A and t of set B, A <= B, whose profiles share nodes, sorted by
+    (A, B), with the entries that are 0 in all four M left out (those off
+    the diagonal, for a diagonal D).  A non-finite profile value raises
+    ``QuadratureErrorAt`` (``_profiles``)."""
+    r, weights = rule.radial
+    if radial is not None:
+        weights = weights * radial(r)
+    rows, values, bounds = _profiles(rule, sets, labels, weight)
+    lo, hi = bounds.T
+    i, j = np.triu_indices(len(bounds))
     shared = np.maximum(lo[i], lo[j]) < np.minimum(hi[i], hi[j])
     pairs = np.column_stack([i[shared], j[shared]])  # the profiles sharing rows
     (p_i, p_j), (d_i, d_j) = values[0][pairs.T], values[1][pairs.T]
     dens = np.stack([d_i * d_j, d_i * p_j / r, p_i * d_j / r, p_i * p_j / (r * r)], axis=1)
-    # the product of each radial sum with its moment, per pair of profiles
-    # and angular index; a(s, t) is symmetric (M_2 is diagonal), so a pair
-    # serves both orders
-    moments = exact_dot(dens.reshape(-1, len(r)), weights).reshape(-1, 4, 1) * sphere_moments(d)
-    index = {}  # (row, row) -> the pair's row in moments, in both orders
+    # the radial sums per pair of profiles; a_D(s, t) is symmetric (so are
+    # the M), so a pair serves both orders
+    sums = exact_dot(dens.reshape(-1, len(r)), weights).reshape(-1, 4, 1)
+    index = {}  # (row, row) -> the pair's row in sums, in both orders
     for k, (a, b) in enumerate(pairs.tolist()):
         index[a, b] = index[b, a] = k
 
-    def products(term_sets):
-        flat = [(k, profiles[t.p, t.dp, t.support][0], t.angular)
-                for k, terms in enumerate(term_sets) for t in terms]
+    def products(term_sets, D):
+        moments = sphere_moments(D)
+        x, y = np.nonzero(np.any(moments != 0.0, axis=0))
+        flat = [(k, rows[t.p, t.dp, t.support], t) for k, terms in enumerate(term_sets)
+                for t in terms]
         members = {}  # profile row -> its terms in flat
-        for x, (_, row, _) in enumerate(flat):
-            members.setdefault(row, []).append(x)
+        for m, (_, row, _) in enumerate(flat):
+            members.setdefault(row, []).append(m)
         found = sorted((flat[s][0], flat[t][0], k, s, t) for (a, b), k in index.items()
                        for s in members.get(a, ()) for t in members.get(b, ())
                        if flat[s][0] <= flat[t][0])
         first, second, pair, s, t = np.array(found, dtype=np.intp).reshape(-1, 5).T
-        coef = np.zeros((len(flat), moments.shape[-1]))
-        for x, (_, _, angular) in enumerate(flat):
-            coef[x, :len(angular)] = angular
-        prods = moments[pair] * (coef[s] * coef[t])[:, None, :]
-        return first, second, prods.reshape(len(pair), 4 * moments.shape[-1])
+        coef = _coefficients([term for _, _, term in flat], moments.shape[-1] - 1)
+        prods = (sums[pair] * moments[:, x, y]) * (coef[s][:, x] * coef[t][:, y])[:, None, :]
+        return first, second, prods.reshape(len(pair), 4 * len(x))
 
     return products
 
 
-def term_norm(A: Coefficient, rule: QuadratureRule, sets, tensor) -> float:
-    """||A^{1/2} grad(s_0 - s_1)|| over ``rule`` for the sums s_0, s_1 of
-    the two term ``sets`` (||A^{1/2} grad s_0|| for one set): the root of
-    the exact sum of the products of the merged terms of s_0 - s_1
-    (``term_products``).  Where the terms do not give the rule's value,
+def bump_moments(n: int) -> tuple:
+    """(X_1, X_2, X_3): the integrals over the unit sphere S in dimension
+    N = ``n`` of phi_a phi_b omega_k, of phi_a (grad_S phi_b)_k, both
+    (N + 1, N + 1, N), and of phi_a phi_b, (N + 1, N + 1), for phi = (1,
+    omega_1, ..., omega_N).  The nonzero entries are X_1 = |S|/N at
+    (0, k, k - 1) and (k, 0, k - 1), X_2 = |S| (N - 1)/N at (0, k, k - 1)
+    and X_3 = |S| diag(1, 1/N, ..., 1/N), k = 1, ..., N, from the moments
+    |S|/N of omega_k^2 (Folland 2001)."""
+    area = _sphere_area(n)
+    k = np.arange(1, n + 1)
+    x1, x2 = np.zeros((2, n + 1, n + 1, n))
+    x1[0, k, k - 1] = x1[k, 0, k - 1] = area / n
+    x2[0, k, k - 1] = area * (n - 1) / n
+    return x1, x2, np.diag(np.r_[area, np.full(n, area / n)])
+
+
+def bump_products(rule: QuadratureRule, grads, bumps, inverse: np.ndarray) -> np.ndarray:
+    """The products whose exact sum over the tensor ``rule`` is
+
+        2 sum_(terms, g) sum_(t, s) int grad t . (g e) s + sum_(s, s') (e . inverse e') int s s'
+
+    for the pairs (terms, g) of ``grads`` (g a diagonal), t among the
+    terms, and the bumps s e, s' e' of ``bumps``.  For t = q (beta . phi),
+    s = p (alpha . phi), s' = p' (alpha' . phi) and c = g e, with the
+    sphere integrals X of ``bump_moments``,
+
+        int grad t . c s = sum_k W_k [q' p (beta^T X_1 alpha) . c
+                                      + (q p / r) (alpha^T X_2 beta) . c],
+        int s s' = sum_k W_k p p' alpha^T X_3 alpha'
+
+    over the rule's radial nodes r_k and weights W_k.  A non-finite
+    profile value raises ``QuadratureErrorAt`` (``_profiles``)."""
+    r, weights = rule.radial
+    n = rule.dimension
+    x1, x2, x3 = bump_moments(n)
+    sets = [terms for terms, _ in grads] + [bumps]
+    rows, (p, dp), _ = _profiles(rule, sets, [""] * len(sets), "")
+    alpha = _coefficients(bumps, n)
+    e = np.array([s.direction for s in bumps]).reshape(len(bumps), n)
+    dens, factors = [], []
+    for terms, g in grads:
+        for t, beta in zip(terms, _coefficients(terms, n)):
+            i = rows[t.p, t.dp, t.support]
+            for s, a, c in zip(bumps, alpha, g * e):
+                j = rows[s.p, s.dp, s.support]
+                dens += [dp[i] * p[j], p[i] * p[j] / r]
+                factors += [2.0 * np.einsum("a,abk,b,k->", beta, x1, a, c),
+                            2.0 * np.einsum("a,abk,b,k->", a, x2, beta, c)]
+    for s, a, e_s in zip(bumps, alpha, e):
+        for s2, b, e_2 in zip(bumps, alpha, e):
+            dens.append(p[rows[s.p, s.dp, s.support]] * p[rows[s2.p, s2.dp, s2.support]])
+            factors.append((a @ x3 @ b) * (e_s @ (inverse * e_2)))
+    return exact_dot(np.reshape(dens, (-1, len(r))), weights) * np.array(factors)
+
+
+def _finite_sum(total) -> float | None:
+    """``total()``, or None where it is not finite or raises, as a
+    non-finite profile value or an fsum of inf and -inf does; numpy's
+    overflow warnings are silenced on the way."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            value = total()
+        except (ArithmeticError, ValueError):
+            return None
+    return value if math.isfinite(value) else None
+
+
+_NORMS: list = []  # the memo of term_norm: (weak references, bits, value), the last two
+
+
+def term_norm(A: Coefficient, rule: QuadratureRule, sets, tensor, gradients=(),
+              bumps=()) -> float:
+    """||A grad s + sum_k grad h_k + sum_j s_j e_j||_{A^{-1}} over ``rule``,
+    for s = s_0 - s_1, the sums of the two term ``sets`` (s = s_0 for one
+    set), the harmonic h_k of ``gradients`` and the bumps s_j e_j of
+    ``bumps``; without the last two, ||A^{1/2} grad(s_0 - s_1)||.  With d
+    the diagonal of A and a_delta the energy with the diagonal delta
+    (``term_products``), its square is
+
+        a_d(s, s) + 2 a_1(s, h) + a_{1/d}(h, h) + 2 int grad s . e_j s_j
+        + 2 int grad h . d^{-1} e_j s_j + (e_j . d^{-1} e_l) int s_j s_l,
+
+    the exact sum of the products of the merged terms (``term_products``,
+    ``bump_products``).  Where the terms do not give the rule's value,
     ``tensor()`` is returned instead: for a set that is empty (a field
-    without terms), a rule without exact sphere moments (``_moments_exact``)
-    or a sum that is not finite, which the tensor rule names at its node."""
+    without terms), a rule without exact sphere moments
+    (``_moments_exact``) or a sum that is not finite, which the tensor rule
+    names at its node.
+
+    The last two values summed are kept, each for its A, rule and merged
+    terms, matched by identity (the terms by their closures) and by the
+    bits of the coefficients, while all of them live (weak references, as
+    in ``last_call``): the flux gap of the exact flux, then the scale, then
+    the true error, sum u - v once."""
     if not (all(sets) and _moments_exact(rule)):
         return tensor()
-    s = merged(sets[0] + scaled_terms(-1.0, sets[1] if len(sets) > 1 else ()))
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum goes to tensor()
-        try:
-            total = exact_sum(term_products(A.diagonal, rule, [s], [""], "")([s])[2].ravel())
-        except (ArithmeticError, ValueError):  # fsum's overflow or inf - inf
-            total = math.nan
-    return math.sqrt(max(total, 0.0)) if math.isfinite(total) else tensor()
+    s = difference(sets[0], sets[1] if len(sets) > 1 else ())
+    terms = s + gradients + bumps
+    objects = [A, rule] + [f for t in terms for f in (t.p, t.dp)]
+    bits = ((len(s), len(gradients)),
+            *((t.support, t.direction, np.array(t.angular, dtype=float).tobytes())
+              for t in terms))
+    for refs, key, kept in _NORMS:
+        if key == bits and len(refs) == len(objects) and all(
+                ref() is x for ref, x in zip(refs, objects)):
+            return kept
+    d = A.diagonal
+
+    def total():
+        products = term_products(rule, [s, gradients], ["", ""], "")
+        parts = [products([s], d)[2]]
+        if gradients:
+            first, second, cross = products([s, gradients], np.ones_like(d))
+            parts += [2.0 * cross[(first == 0) & (second == 1)],
+                      products([gradients], 1.0 / d)[2]]
+        if bumps:
+            parts.append(bump_products(rule, [(s, np.ones_like(d)), (gradients, 1.0 / d)],
+                                       bumps, 1.0 / d))
+        return exact_sum(np.concatenate([x.ravel() for x in parts]))
+
+    value = _finite_sum(total)
+    if value is None:
+        return tensor()
+    value = math.sqrt(max(value, 0.0))
+
+    def forget(dead):
+        _NORMS[:] = [entry for entry in _NORMS if dead not in entry[0]]
+
+    try:
+        _NORMS[:] = _NORMS[-1:] + [([weakref.ref(x, forget) for x in objects], bits, value)]
+    except TypeError:  # an object without weak references is not kept
+        pass
+    return value
+
+
+def bump_residual_norm(rule: QuadratureRule, bumps, radial, tensor) -> float:
+    """(int w (grad s . e)^2)^{1/2} over ``rule``, the norm of div(s e) with
+    the radial weight w (``radial``, a function of r; 1 for None), for the
+    bumps of ``bumps``, all with the direction e, whose sum is s: the root
+    of the exact sum of the products of a_D(s, s), D = e e^T
+    (``term_products``, with the weight); 0.0 where no bump's support has
+    rows in the rule.  Where the terms do not give the rule's value,
+    ``tensor()`` is returned instead, as ``term_norm`` does, and so it is
+    for bumps of several directions."""
+    if not (bumps and _moments_exact(rule)) or len({t.direction for t in bumps}) > 1:
+        return tensor()
+    bumps = [t for t in bumps
+             if t.support is None or np.subtract(*support_rows(rule.radial[0], t.support))]
+    if not bumps:
+        return 0.0
+    e = np.array(bumps[0].direction)
+
+    def total():
+        products = term_products(rule, [bumps], [""], "", radial)
+        return exact_sum(products([bumps], np.outer(e, e))[2].ravel())
+
+    value = _finite_sum(total)
+    return tensor() if value is None else math.sqrt(max(value, 0.0))
 
 
 # ---------------------------------------------------------------------------

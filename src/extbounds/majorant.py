@@ -25,13 +25,13 @@ from .constants import ConstantsBundle
 from .fields import (
     ScalarField,
     VectorField,
+    bump_residual_norm,
+    difference,
     energy_norm,
     gradient_on,
     last_call,
     log_weighted_norm,
-    merged,
     residual_field,
-    scaled_terms,
     term_norm,
     weighted_norm,
 )
@@ -96,27 +96,40 @@ def constants_bundle(p: Problem) -> ConstantsBundle:
 # residual norms with tail-convergence checks
 
 
-def _residual(p: Problem, y: VectorField) -> ScalarField | None:
-    """The residual f + div y, or None when y's potential merges with the
-    load flux's to nothing: then y is the load flux F, and f + div y =
-    -div F + div F is 0."""
-    if y.potential and not merged(y.potential + scaled_terms(-1.0, p.flux.potential)):
-        return None
-    return residual_field(p.f, y)
+def _residual(p: Problem, y: VectorField):
+    """The residual f + div y with the bumps it is the divergence of, or
+    None when it is 0.  Both come from y's terms when y's potential merges
+    with the load flux's to nothing: then y is F + sum grad h_k + sum s_j
+    e_j, and f + div y = -div F + div F + sum grad s_j . e_j, since the h_k
+    are harmonic; it is None without bumps.  Otherwise the bumps are ()."""
+    if p.flux.potential and not difference(y.potential, p.flux.potential):
+        return (residual_field(p.f, y), y.bumps) if y.bumps else None
+    return residual_field(p.f, y), ()
 
 
-def _weighted_residual(p: Problem, res: ScalarField | None, rule: QuadratureRule,
-                       s: float = 1.0) -> float:
+def _log_weight(r):
+    """(r ln r)^2 at the radii r > 1; NaN where r <= 1, which the tensor
+    rule's weight refuses, so that the norm goes there."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(r > 1.0, (r * np.log(r)) ** 2, np.nan)
+
+
+def _weighted_residual(p: Problem, res, rule: QuadratureRule, s: float = 1.0) -> float:
     """||r ln r * res|| over ``rule`` in 2D, ||rho^s * res|| in 3D (||res||
-    in both at s = 0); 0.0 for the zero residual None."""
+    in both at s = 0), for the residual ``res`` of ``_residual``; 0.0 for
+    None.  A residual of bumps is summed from their terms where they give
+    it (``fields.bump_residual_norm``), with the radial weight."""
     if res is None:
         return 0.0
+    field, bumps = res
     if p.domain.dimension == 2 and s:
-        return log_weighted_norm(res, rule)
-    return weighted_norm(res, s, rule)
+        return bump_residual_norm(rule, bumps, _log_weight,
+                                  lambda: log_weighted_norm(field, rule))
+    rho = None if s == 0.0 else (lambda r: (r * r + 1.0) ** s)  # rho^{2s}
+    return bump_residual_norm(rule, bumps, rho, lambda: weighted_norm(field, s, rule))
 
 
-def _residual_norm_tail(p: Problem, res: ScalarField | None) -> float:
+def _residual_norm_tail(p: Problem, res) -> float:
     """Weighted residual norm over the tail, with a doubled-order
     convergence check so a non-integrable residual cannot silently pass."""
     n1 = _weighted_residual(p, res, p.quads.omega_e)
@@ -200,15 +213,16 @@ def _flux_gap_norm(
 
 
 def _flux_term(p: Problem, v: ScalarField, y: VectorField, part: str = "whole") -> float:
-    """||y - A grad v||_{A^{-1}} over the rule ``part`` of p's bundle:
-    ||A^{1/2} grad(phi - v)|| from the terms of y's potential phi and of v
-    where they give it (``fields.term_norm``), else on the rule's nodes,
-    with grad v shared from the whole rule, whose first and last rows are
-    omega_i's and omega_e's."""
+    """||y - A grad v||_{A^{-1}} over the rule ``part`` of p's bundle: for
+    y = A grad phi + sum grad h_k + sum s_j e_j, the norm of A grad(phi -
+    v) + sum grad h_k + sum s_j e_j from the terms of y and of v where they
+    give it (``fields.term_norm``), else on the rule's nodes, with grad v
+    shared from the whole rule, whose first and last rows are omega_i's and
+    omega_e's."""
     rule, k = getattr(p.quads, part), len(p.quads.omega_i)
     rows = {"whole": slice(None), "omega_i": slice(None, k), "omega_e": slice(k, None)}[part]
     return term_norm(p.A, rule, (y.potential, v.terms), lambda: _flux_gap_norm(
-        p, v, y, rule, gradient_on(v, p.quads.whole)[rows]))
+        p, v, y, rule, gradient_on(v, p.quads.whole)[rows]), y.gradients, y.bumps)
 
 
 def _report(p, v, roman, residual, flux, constants, metadata, interface=0.0, scale=None):

@@ -46,11 +46,11 @@ from .fields import (
     cubic_bump_deriv,
     cut,
     density,
+    difference,
     gradient_on,
     merged,
     profile,
     require_finite,
-    scaled_terms,
     separable_field,
     term_products,
 )
@@ -240,19 +240,20 @@ def _term_system(p: Problem, v: ScalarField, basis: TestBasis):
     potential minus v's terms, merged, and M(c) = 2 a(u - v, w_c) -
     a(w_c, w_c) from the merged terms of w_c = sum_j c_j w_j.  Each entry
     of G and rhs, and M(c), is the exact sum of its own products."""
-    error = merged(p.flux.potential + scaled_terms(-1.0, v.terms))
+    error = difference(p.flux.potential, v.terms)
     sets = [w.terms for w in basis.fields] + [error]
     labels = [w.label for w in basis.fields] + [f"({p.flux.label}-A grad {v.label})"]
-    products = term_products(p.A.diagonal, p.quads.whole, sets, labels, "minorant:terms")
+    d = p.A.diagonal
+    products = term_products(p.quads.whole, sets, labels, "minorant:terms")
     n = len(basis)
-    first, second, sums = _grouped_sums(*products(sets))
+    first, second, sums = _grouped_sums(*products(sets, d))
     system = np.zeros((n + 1, n + 1))
     system[first, second] = system[second, first] = sums
 
     def direct_value(coeff):
         w_c = merged(t._replace(angular=tuple(c * x for x in t.angular))
                      for c, terms in zip(coeff.tolist(), sets[:n]) for t in terms)
-        first, second, prods = products([error, w_c])
+        first, second, prods = products([error, w_c], d)
         mixed = prods[(first == 0) & (second == 1)].ravel()
         return float(exact_sum(np.concatenate([2.0 * mixed, -prods[first == 1].ravel()])))
 

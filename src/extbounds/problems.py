@@ -5,6 +5,8 @@ closure, and derives f := -div F from it, so the two can never drift
 apart; the minorant reads F alone.  Every catalog entry takes the exact
 flux F = A grad u, so the data cannot drift out of sync with the
 solution either, and the flux records u's terms as its ``potential``.
+The perturbed fluxes keep their terms too: a flux bump records its bump
+and a harmonic gradient its harmonic (``fields.VectorField``).
 Perturbation generators produce the test inputs for the upper/lower bound
 studies: interior bumps (traces intact), boundary modes (trace mismatch),
 and interface jumps (broken normal traces).
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .constants import ConstantsBundle, compute_bundle
 from .fields import (
     Coefficient,
     ScalarField,
+    Term,
     VectorField,
     energy_norm,
     gradient_on,
@@ -303,7 +306,8 @@ def _random_angular(mp: ManufacturedProblem, rng) -> np.ndarray:
 
 
 def _flux_bump(bump: ScalarField, direction: np.ndarray) -> VectorField:
-    """b d for a unit vector d, with divergence grad b . d, on b's support."""
+    """b d for a unit vector d, with divergence grad b . d, on b's support;
+    it records b's terms as its bumps, with the direction d."""
     value, grad = bump.formula()
     return VectorField(
         value=lambda pts: np.asarray(value(pts))[:, None] * direction,
@@ -311,7 +315,15 @@ def _flux_bump(bump: ScalarField, direction: np.ndarray) -> VectorField:
         divergence=lambda pts: np.ascontiguousarray(grad(pts)) @ direction,
         label="flux-bump",
         support=bump.support,
+        bumps=tuple(t._replace(direction=tuple(map(float, direction))) for t in bump.terms),
     )
+
+
+@cache
+def _decay(m: int):
+    """(p, dp) of the profile p(r) = r^{-m}, one pair per m, so that the
+    terms of harmonic gradients with it merge."""
+    return (lambda r: 1.0 / r**m), (lambda r: -m / r ** (m + 1))
 
 
 def solenoidal_harmonic_gradient(dimension: int, index: int) -> VectorField:
@@ -319,7 +331,8 @@ def solenoidal_harmonic_gradient(dimension: int, index: int) -> VectorField:
     it to a flux never disturbs the equilibrium residual.
 
     index 0 (dimension 3 only): grad(1/r).  index i >= 1: grad(x_i/r^N).
-    All of them lie in L^2 outside any positive radius.
+    All of them lie in L^2 outside any positive radius.  The field records
+    the harmonic h, r^{-1} or r^{1-N} (x_i/r), as its one gradient term.
     """
     if index == 0:
         if dimension != 3:
@@ -327,6 +340,7 @@ def solenoidal_harmonic_gradient(dimension: int, index: int) -> VectorField:
             raise ValueError("index 0 requires dimension 3")
 
         value = _grad_inverse_r
+        h = Term(*_decay(1), (1.0,), None)
     else:
         if index > dimension:
             raise ValueError(f"index {index} out of range for dimension {dimension}")
@@ -334,7 +348,10 @@ def solenoidal_harmonic_gradient(dimension: int, index: int) -> VectorField:
         def value(pts):
             return ratio_gradient(np.atleast_2d(pts), index - 1, dimension)
 
-    return VectorField(value=value, divergence=_zero, label=f"harmonic-gradient[{index}]")
+        h = Term(*_decay(dimension - 1), tuple(float(i == index) for i in range(index + 1)),
+                 None)
+    return VectorField(value=value, divergence=_zero, label=f"harmonic-gradient[{index}]",
+                       gradients=(h,))
 
 
 def perturb(

@@ -70,6 +70,16 @@ def _runs() -> list:
     runs += [(c, {"problem": "N3_anisotropic", "quadrature": {"angular_order": 2},
                   "trace": {"L": 1}, "minorant": {"include_error_in_basis": True}}, ())
              for c in ("majorant", "sandwich")]
+    # the perturbed fluxes where A^{-1} weights them (N3_anisotropic): the
+    # flux bump and the harmonic gradients; and the bump on the tensor rule,
+    # whose residual norms are rho-weighted in 3D and r ln r-weighted in 2D
+    runs += [("majorant", {"problem": "N3_anisotropic", "estimate": e,
+                           "perturbation": {"target": t, "mode": m}}, ())
+             for e, t, m in (("I", "y", "interior_bump"), ("III", "y_broken", "interface_jump"))]
+    runs += [("majorant", {"problem": p, "estimate": "I",
+                           "perturbation": {"target": "y", "mode": "interior_bump"},
+                           "quadrature": {"angular_order": 2}, "trace": {"L": 1}}, ())
+             for p in ("N3_anisotropic", "N2_log")]
     # valid configs whose bounds cannot be established, each exit 1: u - v
     # with a nonzero trace in the basis, and an integrand past the float range
     runs += [

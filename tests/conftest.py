@@ -71,10 +71,10 @@ def unrestricted():
 
 def termless(x):
     """The field or basis ``x`` with the same closures and no terms: the
-    minorant assembles such a basis, and the true error, the scale and the
-    flux gap sum such a field, on the tensor rule."""
+    minorant assembles such a basis, and the true error, the scale, the
+    flux gap and the residual norms sum such a field, on the tensor rule."""
     import dataclasses
 
     if hasattr(x, "fields"):
         return dataclasses.replace(x, fields=tuple(termless(w) for w in x.fields))
-    return dataclasses.replace(x, terms=())
+    return dataclasses.replace(x, **dict.fromkeys(x._terms, ()))

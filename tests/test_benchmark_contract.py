@@ -157,7 +157,8 @@ def test_tracer_reads_the_calls_it_wraps():
     try:
         xb.estimate_I(p, v, mp.exact_flux)
         xb.estimate_II(p, v, mp.exact_flux)
-        xb.estimate_III(p, v, y_i, y_e)
+        # a v without terms, whose flux gaps the tensor rule sums
+        xb.estimate_III(p, termless(v), y_i, y_e)
         # a basis without terms, whose gradients the assembly evaluates
         xb.minorant_report(p, v, termless(xb.default_basis(mp.domain)))
     finally:

@@ -703,7 +703,9 @@ def test_cli_outputs_cover_every_choice():
     flux, the minorant with u - v at eps > 0 and 0, both sweep kinds, every
     study, every config field at a value other than its default, a majorant
     and a sandwich at angular_order 2 (whose norms and minorant take the
-    tensor rule) and five bad configs; it runs nothing."""
+    tensor rule), the flux bump and the harmonic gradients on
+    N3_anisotropic, whose A^{-1} weights them, the bump also at
+    angular_order 2 in 3D and 2D, and five bad configs; it runs nothing."""
     runs, bad = [], 0
     for command, config, _ in OUTPUT_RUNS:
         if isinstance(config, Path):
@@ -724,6 +726,11 @@ def test_cli_outputs_cover_every_choice():
                 if c == command and cfg.minorant_include_error} == {0.1, 0.0}
     assert {cfg.sweep_kind for c, cfg in runs if c == "sweep"} == {"epsilon", "radius"}
     assert {c for c, cfg in runs if cfg.angular_order == 2} == {"majorant", "sandwich"}
+    anisotropic = {(cfg.estimate, cfg.target, cfg.angular_order) for c, cfg in runs
+                   if c == "majorant" and cfg.problem == "N3_anisotropic"}
+    assert {("I", "y", 12), ("III", "y_broken", 12), ("I", "y", 2)} <= anisotropic
+    assert any(c == "majorant" and cfg.problem == "N2_log" and cfg.target == "y"
+               and cfg.angular_order == 2 for c, cfg in runs)
     studies = {config.name for _, config, _ in OUTPUT_RUNS if isinstance(config, Path)}
     assert studies == {p.name for p in (REPO / "studies").glob("*.json")} and len(studies) == 4
     defaults = ScenarioConfig()

@@ -14,12 +14,17 @@ import numpy as np
 import pytest
 
 import extbounds as xb
+import extbounds.fields as fields_module
+import extbounds.majorant as majorant_module
 from extbounds.cli import guarantee_ok
 from extbounds.fields import (
     QuadratureErrorAt,
     _moments_exact,
+    bump_moments,
     cubic_bump,
+    merged,
     mollifier,
+    scaled_terms,
     separable_field,
     sphere_moments,
 )
@@ -32,8 +37,8 @@ from extbounds.minorant import (
     minorant_report,
     validate_zero_traces,
 )
-from extbounds.majorant import _flux_term, _residual, scale_of
-from extbounds.problems import _random_interior_bump, perturb
+from extbounds.majorant import _flux_term, _residual, _weighted_residual, scale_of
+from extbounds.problems import _flux_bump, _random_interior_bump, perturb
 
 from conftest import termless
 from oracles import term_values
@@ -154,25 +159,49 @@ class TestTermAssembly:
     def test_sphere_moments_match_the_angular_rule(self, dimension, order):
         # the moment matrices integrated on the tensor rule's directions,
         # exact for their degree 4 from angular order 3 on, against the
-        # closed forms; with fewer directions the terms are not used
+        # closed forms, for a diagonal D, a rank-one e e^T and a full
+        # symmetric D; with fewer directions the terms are not used
+        omega, w, phi, grad_s = sphere_rule(dimension, order)
+        rng = np.random.default_rng(dimension)
+        e, full = rng.normal(size=dimension), rng.normal(size=(dimension, dimension))
+        exact = []
+        for D in (np.diag([1.0, 2.0, 4.0][:dimension]), np.outer(e, e), full + full.T):
+            quad = np.einsum("mi,ij,mj->m", omega, D, omega)
+            tangent = np.einsum("mi,ij,mbj->mb", omega, D, grad_s)  # omega . D grad_S phi_b
+            m1 = np.einsum("m,ma,mb->ab", w * quad, phi, phi)
+            m2 = np.einsum("m,ma,mb->ab", w, phi, tangent)
+            m4 = np.einsum("m,mai,ij,mbj->ab", w, grad_s, D, grad_s)
+            # the entries reach 60 (e e^T): roundoff of some 1e-14 on the rule
+            exact.append(np.allclose(sphere_moments(D), [m1, m2, m2.T, m4],
+                                     rtol=1e-13, atol=1e-13))
+        assert _moments_exact(rule_of(dimension, order)) == all(exact) == (order >= 3)
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_diagonal_moments_keep_their_bits(self, dimension):
+        # a diagonal D gives the diagonal closed forms, bit for bit, and
+        # exact zeros off the diagonal, from its diagonal or its matrix
         d = np.array([1.0, 2.0, 4.0][:dimension])
-        dom = xb.ExteriorDomain(dimension, 1.0, 2.0)
-        rule = xb.build_quadrature(dom, 1, order, 1, "sphere_gamma")
-        omega, w = rule.angular
-        phi = np.column_stack([np.ones(len(omega)), omega])
-        grad_s = np.zeros((len(omega), dimension + 1, dimension))  # grad_S phi_a
-        grad_s[:, 1:, :] = np.eye(dimension)[None] - omega[:, :, None] * omega[:, None, :]
-        quad = (omega * d * omega).sum(axis=1)
-        tangent = np.einsum("mk,mbk->mb", omega * d, grad_s)
-        m1 = np.einsum("m,ma,mb->ab", w * quad, phi, phi)
-        m2 = np.einsum("m,ma,mb->ab", w, phi, tangent)
-        m4 = np.einsum("m,mak,mbk->ab", w, grad_s * d, grad_s)
-        moments = sphere_moments(d)
-        exact = [np.allclose(np.diag(full), row, rtol=1e-14, atol=1e-14)
-                 for row, full in zip(moments, (m1, m2, m2.T, m4))]
-        assert _moments_exact(rule) == all(exact) == (order >= 3)
-        for full in (m1, m2, m4):
-            assert np.allclose(full, np.diag(np.diag(full)), rtol=0.0, atol=1e-14)
+        n, t, k = dimension, float(np.sum(d)), dimension * (dimension + 2)
+        area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+        m1 = [area * t / n] + [area * (t + 2.0 * di) / k for di in d]
+        m2 = [0.0] + [area * (n * di - t) / k for di in d]
+        m4 = [0.0] + [area * ((n * n - 2) * di + t) / k for di in d]
+        for D in (d, np.diag(d)):
+            moments = sphere_moments(D)
+            assert np.array_equal(np.diagonal(moments, axis1=1, axis2=2), [m1, m2, m2, m4])
+            assert np.count_nonzero(moments) == np.count_nonzero([m1, m2, m2, m4])
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_bump_moments_match_the_angular_rule(self, dimension):
+        # int phi_a phi_b omega, int phi_a grad_S phi_b and int phi_a phi_b
+        # on the directions of angular order 12, against the closed forms
+        omega, w, phi, grad_s = sphere_rule(dimension, 12)
+        x1, x2, x3 = bump_moments(dimension)
+        assert np.allclose(x1, np.einsum("m,ma,mb,mk->abk", w, phi, phi, omega),
+                           rtol=1e-14, atol=1e-14)
+        assert np.allclose(x2, np.einsum("m,ma,mbk->abk", w, phi, grad_s), rtol=1e-14,
+                           atol=1e-14)
+        assert np.allclose(x3, np.einsum("m,ma,mb->ab", w, phi, phi), rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize("name", ["N3_anisotropic", "N2_log"])
     def test_closer_to_the_exact_rule_than_the_tensor_sums(self, coarse, name):
@@ -266,6 +295,23 @@ class TestTermAssembly:
             minorant_report(p, perturb(mp, "v", 0.1, "interior_bump", 3), basis)
 
 
+def rule_of(dimension, order):
+    """The rule on the inner sphere of the domain 1 < r < 2, whose
+    directions are those of every rule of that angular order."""
+    return xb.build_quadrature(xb.ExteriorDomain(dimension, 1.0, 2.0), 1, order, 1,
+                               "sphere_gamma")
+
+
+def sphere_rule(dimension, order):
+    """(omega, weights, phi, grad_S phi) on the directions of ``order``:
+    phi = (1, omega_1, ..., omega_N) and grad_S phi_a, (M, N + 1, N)."""
+    omega, w = rule_of(dimension, order).angular
+    phi = np.column_stack([np.ones(len(omega)), omega])
+    grad_s = np.zeros((len(omega), dimension + 1, dimension))
+    grad_s[:, 1:, :] = np.eye(dimension)[None] - omega[:, :, None] * omega[:, None, :]
+    return omega, w, phi, grad_s
+
+
 def norms(mp, v, y=None):
     """(true error, scale, flux gap of ``y``, the exact flux by default)."""
     p = mp.problem
@@ -335,17 +381,169 @@ class TestTermNorms:
                 messages.append(str(exc.value))
             assert messages[0] == messages[1]
 
-    def test_flux_bump_takes_the_tensor_rule(self, coarse):
-        # y = F + eps b d has no potential, and y_broken's exterior neither
+    def test_perturbed_fluxes_keep_their_terms(self, coarse):
+        # y = F + eps b d records b's terms as its bumps, and y_broken's
+        # exterior F + eps sum c_k grad h_k its harmonics, merged (the three
+        # grad(x_i / r^3) share one profile); their residuals are the bump's
+        # divergence and 0 by structure
         mp = coarse["N3_decay"]
+        p = mp.problem
+        y = perturb(mp, "y", 0.1, "interior_bump", 4)
+        y_i, y_e = perturb(mp, "y_broken", 0.1, "interface_jump", 5)
+        assert y.potential == y_e.potential == y_i.potential == mp.exact_flux.potential
+        assert (len(y.bumps), len(y.gradients), len(y_e.bumps), len(y_e.gradients)) == (1, 0, 0, 2)
+        a, b = y.bumps[0].support
+        assert mp.domain.a < a < b < mp.domain.R
+        assert np.linalg.norm(y.bumps[0].direction) == pytest.approx(1.0, rel=1e-15)
+        assert _residual(p, y)[1] == y.bumps
+        assert _residual(p, y_e) is None and _residual(p, termless(y_e))[1] == ()
+
+
+class TestFluxTerms:
+    """The flux gap and the residual norms of the flux bump (target y) and of
+    the harmonic gradients (y_broken's exterior) are summed from their
+    terms: radial sums times sphere moments."""
+
+    @pytest.mark.parametrize("name", xb.CATALOG)
+    def test_agree_with_the_tensor_rule(self, coarse, name):
+        # the tensor rule sums the same discrete integrals with the
+        # cancellation of F - A grad u and -div F + div F: within 1e-13 of
+        # the larger of the value and the flux gap on the whole rule
+        mp = coarse[name]
+        p, quads = mp.problem, mp.problem.quads
+        for seed in (3, 4, 10):
+            v = perturb(mp, "v", 0.1, "interior_bump", seed)
+            for eps in (1e-3, 0.1, 1.0):
+                y = perturb(mp, "y", eps, "interior_bump", seed)
+                y_e = perturb(mp, "y_broken", eps, "interface_jump", seed)[1]
+                for flux in (y, y_e):
+                    term, tensor = (flux_values(p, v, f) for f in (flux, termless(flux)))
+                    for a, b in zip(term, tensor):
+                        assert abs(a - b) <= 1e-13 * max(b, tensor[0]), (seed, eps, flux.label)
+
+    @pytest.mark.parametrize("name", xb.CATALOG)
+    def test_no_closure_on_the_tensor_rule(self, coarse, name, monkeypatch):
+        # at the defaults an estimate with a perturbed flux evaluates no
+        # closure of v or y on the whole rule: the tensor norms are not used
+        mp = coarse[name]
         p = mp.problem
         v = perturb(mp, "v", 0.1, "interior_bump", 3)
         y = perturb(mp, "y", 0.1, "interior_bump", 4)
         y_i, y_e = perturb(mp, "y_broken", 0.1, "interface_jump", 5)
-        assert y.potential == y_e.potential == () and y_i.potential
-        assert _flux_term(p, v, y) == _flux_term(p, termless(v), y)
-        assert _flux_term(p, v, y_e, "omega_e") == _flux_term(p, termless(v), y_e, "omega_e")
-        assert _residual(p, y) is not None and _residual(p, y_e) is not None
+        calls = []
+        for fn in ("_norm", "gradient_on"):
+            monkeypatch.setattr(fields_module, fn, lambda *a, fn=fn: calls.append(fn))
+        monkeypatch.setattr(majorant_module, "gradient_on", fields_module.gradient_on)
+        for report in (xb.estimate_I(p, v, y), xb.estimate_II(p, v, y),
+                       xb.estimate_III(p, v, y_i, y_e)):
+            assert math.isfinite(report.total)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", xb.CATALOG)
+    def test_flux_gap_is_linear_in_eps(self, coarse, name):
+        # y - A grad u is eps b d (or eps sum c_k grad h_k) term by term: no
+        # cancellation of F - A grad u, which puts the tensor rule's
+        # flux(1e-6)/1e-6 up to 1.7e-11 relative away from flux(0.1)/0.1
+        # (here at most 2 ulps)
+        mp = coarse[name]
+        p = mp.problem
+        for seed in (3, 4, 10):
+            for target, part in (("y", "whole"), ("y_broken", "omega_e")):
+                small, large = (_flux_term(p, mp.exact_u, flux_of(mp, target, eps, seed),
+                                           part) / eps for eps in (1e-6, 0.1))
+                assert abs(small - large) <= 4 * np.spacing(large), (seed, target)
+
+    def test_exact_flux_and_true_error_sum_once(self, coarse, monkeypatch):
+        # estimate I with the exact flux sums the terms of u - v for its flux
+        # gap, those of v for its scale, and the true error reads the kept
+        # sum of u - v: two term tables, not three
+        mp = coarse["N3_harmonic"]
+        p = mp.problem
+        v = perturb(mp, "v", 0.1, "interior_bump", 3)
+        builds = []
+        build = fields_module.term_products
+
+        def counted(rule, sets, *args):
+            builds.append(sets[0])
+            return build(rule, sets, *args)
+
+        monkeypatch.setattr(fields_module, "term_products", counted)
+        report = xb.estimate_I(p, v, mp.exact_flux)
+        assert xb.true_error(mp, v) == report.flux
+        error = merged(mp.exact_u.terms + scaled_terms(-1.0, v.terms))
+        assert builds == [error, v.terms]
+        xb.true_error(mp, perturb(mp, "v", 0.1, "interior_bump", 4))
+        assert len(builds) == 3
+
+    def test_non_finite_bump_raises_the_tensor_rules_error(self, coarse):
+        # a bump profile that is NaN at one radius: the terms give no finite
+        # sum, and the tensor rule names its node, as for the flux without
+        # terms; its residual is evaluated first, then, at eps = 1e300, the
+        # flux gap, whose products overflow
+        mp = coarse["N3_anisotropic"]
+        p = mp.problem
+        r = p.quads.omega_i.radial[0]
+        bad = separable_field(lambda s: np.where(s == r[40], np.nan, 0.0),
+                              lambda s: np.where(s == r[40], np.nan, 0.0),
+                              (0.0, 1.0, 0.0, 0.0), label="bad", support=(1.2, 1.8))
+        v = perturb(mp, "v", 0.1, "interior_bump", 3)
+        huge = perturb(mp, "y", 1e300, "interior_bump", 4)
+        for y in (mp.exact_flux + 0.1 * _flux_bump(bad, np.array([0.6, 0.0, 0.8])), huge):
+            assert y.bumps
+            messages = []
+            for flux in (y, termless(y)):
+                for estimate in (xb.estimate_I, xb.estimate_II):
+                    with pytest.raises(QuadratureErrorAt) as exc:
+                        estimate(p, v, flux)
+                    messages.append(str(exc.value))
+            assert messages[0] == messages[2] and messages[1] == messages[3]
+
+    @pytest.mark.parametrize("name", xb.CATALOG)
+    def test_bumps_of_two_directions(self, coarse, name):
+        # the flux gap of two bumps sums their cross and mass products; the
+        # residual of bumps of two directions is the tensor rule's
+        mp = coarse[name]
+        p, n = mp.problem, mp.domain.dimension
+        rng = np.random.default_rng(7)
+        v = perturb(mp, "v", 0.1, "interior_bump", 3)
+        y = mp.exact_flux
+        for e in np.eye(n)[:2]:
+            y = y + 0.1 * _flux_bump(_random_interior_bump(mp, rng), e)
+        assert len({t.direction for t in y.bumps}) == 2
+        term, tensor = (flux_values(p, v, f) for f in (y, termless(y)))
+        for a, b in zip(term[:3], tensor[:3]):
+            assert abs(a - b) <= 1e-13 * max(b, tensor[0])
+        assert term[3:] == tensor[3:]
+
+    @pytest.mark.parametrize("name", ["N3_anisotropic", "N2_log"])
+    def test_few_directions_take_the_tensor_rule(self, name):
+        mp = xb.builtin(name, angular_order=2, shells=8, trace_degree=1)
+        p = mp.problem
+        for seed in (3, 4):
+            v = perturb(mp, "v", 0.1, "interior_bump", seed)
+            y = perturb(mp, "y", 0.1, "interior_bump", seed)
+            y_i, y_e = perturb(mp, "y_broken", 0.1, "interface_jump", seed)
+            for fluxes in ((y,), (y_i, y_e)):
+                estimate = xb.estimate_I if len(fluxes) == 1 else xb.estimate_III
+                term = estimate(p, v, *fluxes).as_dict()
+                assert term == estimate(p, termless(v), *map(termless, fluxes)).as_dict()
+
+
+def flux_of(mp, target, eps, seed):
+    """The flux of ``target`` at ``eps``: y_broken's exterior one."""
+    flux = perturb(mp, target, eps, "interior_bump" if target == "y" else "interface_jump", seed)
+    return flux if target == "y" else flux[1]
+
+
+def flux_values(p, v, y):
+    """The flux gap of ``y`` on whole, omega_i and omega_e, and its residual
+    norms: interior with rho (r ln r in 2D) and without it, and the two
+    tail norms."""
+    quads, res = p.quads, _residual(p, y)
+    return ([_flux_term(p, v, y, part) for part in ("whole", "omega_i", "omega_e")]
+            + [_weighted_residual(p, res, quads.omega_i, s) for s in (1.0, 0.0)]
+            + [_weighted_residual(p, res, rule) for rule in (quads.omega_e,
+                                                             quads.omega_e_refined)])
 
 
 def reference_system(p, terms, error, digits=50):
