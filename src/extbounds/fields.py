@@ -14,16 +14,17 @@ a closure fills per node takes the layout of its input, and the one
 kernel that rounds by layout, the BLAS product of the perturbed flux's
 divergence (``problems.perturb``), gets a C-order operand.
 
-A norm on the tensor rule, and every integral of the minorant's tensor
-assembly, sums a pointwise density that ``density`` builds one column at a
-time in a single M-vector, with at most one more scratch column: sum_k (a_k o d_k) b_k, o
-the product or the quotient by the coefficient's diagonal d (or a_k b_k
-without it).  Each node takes the IEEE operations of
-``row_sum((a o d) * b)`` over the (M, N) arrays in the same order, term
-by term and added left to right; that ``row_sum`` starts from +0.0 only
-turns a density of -0.0 into +0.0, which no exact sum tells apart.  So no
-(M, N) temporary is built and every sum keeps its bits.  A norm checks its density with ``require_finite`` and
-sums it with the rule's weights in one ``exact_dot``.
+A norm on the tensor rule sums a pointwise density that ``density``
+builds one column at a time in a single M-vector, with at most one more
+scratch column: sum_k (a_k o d_k) b_k, o the product or the quotient by
+the coefficient's diagonal d (or a_k b_k without it).  Each node takes
+the IEEE operations of ``row_sum((a o d) * b)`` over the (M, N) arrays in
+the same order, term by term and added left to right; that ``row_sum``
+starts from +0.0 only turns a density of -0.0 into +0.0, which no exact
+sum tells apart.  So no (M, N) temporary is built and every sum keeps its
+bits.  A norm checks
+its density with ``require_finite`` and sums it with the rule's weights in
+one ``exact_dot``.
 
 Two radial weights coexist and are never interchanged silently:
 ``rho = (1 + r^2)^{1/2}`` in the norms (``weighted_norm``), and the plain
@@ -34,9 +35,7 @@ A scalar or vector field may declare a radial ``support``: the closed
 interval of radii outside which it and its derivative are exactly 0.
 The field holds to it: its closures run only on the rows of the nodes
 that ``support_rows`` finds for it and write 0.0 on the others, and so
-do a sum with it (off them, the other operand's values as they are) and
-the minorant's tensor assembly, which cuts each distinct support of its
-basis once.
+does a sum with it (off them, the other operand's values as they are).
 
 A separable field also keeps its terms (``Term``: a radial profile p with
 its derivative, angular coefficients c and a support, the function
@@ -45,15 +44,18 @@ them, ``a + b`` and ``a - b`` join them when both operands have terms,
 and like terms merge (``merged``), so u - (u + eps s) has exactly the
 terms of -eps s.  A vector field keeps the terms of A grad phi
 (``potential``), of harmonic gradients grad h (``gradients``) and of
-bumps s e (``bumps``, terms with a direction e).  Where the rule's angular
-factor integrates the sphere moments exactly, the norms of fields with
-terms are summed from the terms, radial sums times sphere moments: the
-minorant's system (``term_products``), through ``term_norm`` the true
-error, the scale ||A^{1/2} grad v|| and the flux gap ||y - A grad v||_{A^{-1}}
-of a flux with terms (``bump_products`` adds a bump's cross and mass
-products), and through ``bump_residual_norm`` the weighted norm of the
-residual div(s e) of a flux bump.  A field built from bare closures has no
-terms, and its norms are summed on the tensor rule.
+bumps s e (``bumps``, terms with a direction e).  The integrals of fields
+with terms are summed from the terms, radial sums on a tensor rule's
+radial nodes times closed-form sphere moments, which are the exact
+angular integrals at any angular order: the minorant's system
+(``term_products``), through ``term_norm`` the true error, the scale
+||A^{1/2} grad v|| and the flux gap ||y - A grad v||_{A^{-1}} of a flux with
+terms (``bump_products`` adds a bump's cross and mass products), and
+through ``bump_residual_norm`` the weighted norm of the residual div(s e)
+of a flux bump.  The tensor rule's norms stay as the one path for fields
+without terms (fields built from bare closures, in the library), for the
+residual of bumps of several directions, and for a term sum that is not
+finite, where the tensor rule names the node.
 
 No memo outlives what it was computed from.  ``last_call`` keeps a
 function's result for the last pair of arguments: ``gradient_on`` the
@@ -248,8 +250,8 @@ class ScalarField(_Field):
     themselves on the others.
 
     ``terms`` is empty, or the ``Term``s whose sum the field is, as
-    ``separable_field`` records them; the minorant's assembly may read
-    them in place of the closures.  They are held to the support and merged
+    ``separable_field`` records them; the minorant and the norms read them
+    in place of the closures.  They are held to the support and merged
     (``merged``), scaled by ``c * w``, and joined by ``a + b`` and
     ``a - b`` when both operands have terms.  ``dataclasses.replace``
     keeps them too, so a replace that gives closures of another function
@@ -553,17 +555,6 @@ def _sphere_moments(bits: bytes, shape: tuple) -> np.ndarray:
     return m
 
 
-def _moments_exact(rule) -> bool:
-    """Whether ``rule`` is a tensor rule whose angular factor integrates
-    the integrands of ``sphere_moments``, of degree 4 in omega, exactly.
-    It is exact to degree 2 angular_order - 1 (``geometry``'s unit sphere
-    rule), so for angular_order >= 3; with fewer directions the moments
-    are not the rule's integrals, and the terms would not give the values
-    the tensor rule sums."""
-    return (rule.radial is not None and rule.angular is not None
-            and 2 * rule.angular_order - 1 >= 4)
-
-
 def _profiles(rule: QuadratureRule, sets, labels, weight: str):
     """(rows, values, bounds) of the profiles (p, dp, support) of the terms
     of ``sets``: the row of each, p and p' at the rule's radial nodes, a row
@@ -739,18 +730,16 @@ def term_norm(A: Coefficient, rule: QuadratureRule, sets, tensor, gradients=(),
         + 2 int grad h . d^{-1} e_j s_j + (e_j . d^{-1} e_l) int s_j s_l,
 
     the exact sum of the products of the merged terms (``term_products``,
-    ``bump_products``).  Where the terms do not give the rule's value,
-    ``tensor()`` is returned instead: for a set that is empty (a field
-    without terms), a rule without exact sphere moments
-    (``_moments_exact``) or a sum that is not finite, which the tensor rule
-    names at its node.
+    ``bump_products``).  ``tensor()``, the tensor rule's value, is returned
+    instead for a set that is empty (a field without terms) or a sum that
+    is not finite, which the tensor rule names at its node.
 
     The last two values summed are kept, each for its A, rule and merged
     terms, matched by identity (the terms by their closures) and by the
     bits of the coefficients, while all of them live (weak references, as
     in ``last_call``): the flux gap of the exact flux, then the scale, then
     the true error, sum u - v once."""
-    if not (all(sets) and _moments_exact(rule)):
+    if not all(sets):
         return tensor()
     s = difference(sets[0], sets[1] if len(sets) > 1 else ())
     terms = s + gradients + bumps
@@ -797,10 +786,10 @@ def bump_residual_norm(rule: QuadratureRule, bumps, radial, tensor) -> float:
     bumps of ``bumps``, all with the direction e, whose sum is s: the root
     of the exact sum of the products of a_D(s, s), D = e e^T
     (``term_products``, with the weight); 0.0 where no bump's support has
-    rows in the rule.  Where the terms do not give the rule's value,
-    ``tensor()`` is returned instead, as ``term_norm`` does, and so it is
-    for bumps of several directions."""
-    if not (bumps and _moments_exact(rule)) or len({t.direction for t in bumps}) > 1:
+    rows in the rule.  ``tensor()``, the tensor rule's value, is returned
+    instead for a residual without bumps, for bumps of several directions
+    and for a sum that is not finite."""
+    if not bumps or len({t.direction for t in bumps}) > 1:
         return tensor()
     bumps = [t for t in bumps
              if t.support is None or np.subtract(*support_rows(rule.radial[0], t.support))]

@@ -39,7 +39,8 @@ from .geometry import QuadratureRule
 from .problems import Problem
 
 EQUILIBRATION_RTOL = 1e-10
-# a trace whose H^{1/2} norm is below this counts as zero
+# a trace whose H^{1/2} norm is below this counts as zero, and so does a
+# basis function's trace coefficient or jump (``minorant.validate_zero_traces``)
 TRACE_ZERO_TOL = 1e-13
 # the share of a trace's energy above its band that counts as rounding
 BAND_LIMIT_RTOL = 1e-10

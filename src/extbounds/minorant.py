@@ -18,17 +18,15 @@ size eps.  The flux form has no such pair: with F = A grad u it is
 error there.  When the approximation violates the Dirichlet data, u - v has a
 nonzero trace and cannot join the basis; the report flags that caveat.
 
-The input picks one of two assemblies.  When every basis function and v
-have terms and the flux has a potential (``fields.Term``), as for every
-catalog problem, ``perturb``'s v and ``default_basis``, and the whole
-rule's angular factor integrates the degree-4 sphere moments exactly
-(angular_order >= 3), each integral is a sum over pairs of terms of
-radial sums times closed-form sphere moments (``_term_system``, on the
-kernel ``fields.term_products`` that also sums the true error, the scale
-and the flux gaps the bounds are checked against): the same discrete
-integral, so only rounding differs.  Any other input is summed on the
-tensor rule (``_tensor_system``).  Either way every basis function goes
-through the one zero-trace check on its closures.
+Every basis function, v and the flux (its ``potential``) must have terms
+(``fields.Term``), as for every catalog problem, ``perturb``'s v and
+``default_basis``: each integral is a sum over pairs of terms of radial
+sums on the whole rule's radial nodes times closed-form sphere moments
+(``_term_system``, on the kernel ``fields.term_products`` that also sums
+the true error, the scale and the flux gaps the bounds are checked
+against).  The moments are the exact angular integrals, at any
+angular_order.  The zero-trace check reads the same terms, so no closure
+of a basis function is evaluated.
 """
 
 from __future__ import annotations
@@ -37,24 +35,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import traces
 from .fields import (
     ScalarField,
-    _columns,
-    _moments_exact,
     cubic_bump,
     cubic_bump_deriv,
-    cut,
-    density,
     difference,
-    gradient_on,
     merged,
     profile,
-    require_finite,
     separable_field,
     term_products,
 )
-from .geometry import exact_dot, exact_sum, stack_rows
+from .geometry import exact_sum
 from .problems import Problem
 from .majorant import TRACE_ZERO_TOL, dirichlet_mismatch
 
@@ -72,12 +63,8 @@ class NonzeroTraceError(ValueError):
 
 @dataclass(frozen=True)
 class TestBasis:
-    """Test functions with zero trace on the inner boundary.
-
-    ``minorant_report`` assembles a basis whose fields all have terms from
-    the terms where the rule allows it (see the module docstring).
-    Otherwise it evaluates a field with a ``support`` only on the nodes
-    whose radius lies in it, and a field without one on the whole rule."""
+    """Test functions with zero trace on the inner boundary, each with
+    terms: ``minorant_report`` reads the terms, not the closures."""
 
     __test__ = False  # not a pytest collection target
 
@@ -90,50 +77,54 @@ class TestBasis:
         return TestBasis(fields=self.fields + (extra,))
 
 
-def _cuts(nodes: np.ndarray, basis: TestBasis) -> list:
-    """``fields.cut`` of ``nodes`` per basis function, made once per
-    distinct support and shared."""
-    cuts = {s: cut(nodes, s) for s in dict.fromkeys(w.support for w in basis.fields)}
-    return [cuts[w.support] for w in basis.fields]
-
-
 def validate_zero_traces(p: Problem, basis: TestBasis) -> None:
-    """Check that every basis function vanishes on the inner sphere: it is
-    exactly 0.0 at every node of ``gamma``, or its trace there has an
-    H^{1/2} norm below ``TRACE_ZERO_TOL`` and an energy above the band of
-    at most ``TRACE_ZERO_TOL`` squared.  A function with a ``support``, which
-    is 0.0 outside it, must also vanish on the spheres bounding it inside
-    the domain (r > a): its value and gradient there, at the directions of
-    ``gamma``'s nodes, are at most ``TRACE_ZERO_TOL``, or it would be cut
-    off where it is not zero and not lie in H^1.  Raises
-    ``NonzeroTraceError`` for the first function that fails (a NaN fails
-    too)."""
-    gamma = p.quads.gamma
-    a = p.domain.a
-    spheres = {}  # support -> its bounding spheres inside the domain, stacked
-    for k, (w, (_, _, on_gamma)) in enumerate(zip(basis.fields, _cuts(gamma.nodes, basis))):
-        value, gradient = w.formula()
-        radii = [r for r in w.support or () if r > a]
-        if radii:
-            if w.support not in spheres:
-                spheres[w.support] = stack_rows([gamma.nodes * (r / a) for r in radii])
-                spheres[w.support].flags.writeable = False  # the closures share its radii
-            edges = spheres[w.support]
-            edge = max(np.max(np.abs(value(edges))), np.max(np.abs(gradient(edges))))
-            if not edge <= TRACE_ZERO_TOL:
-                raise NonzeroTraceError(
-                    f"basis function {k} ({w.label!r}) reaches {edge:.3e} in value or "
-                    f"gradient on the spheres r = {radii} bounding its support (must be "
-                    f"<= {TRACE_ZERO_TOL})")
-        if not (len(on_gamma) and np.any(value(on_gamma))):
-            continue
-        t = traces.analyze(w, p.domain.a, p.trace_degree, gamma)
-        norm = traces.sobolev_norm(t, +0.5)
-        if not (norm < TRACE_ZERO_TOL and t.above_band <= TRACE_ZERO_TOL**2):
+    """Check, from the terms, that every basis function vanishes on the
+    inner sphere r = a and is continuous with its gradient across each
+    sphere r > a where a term's support ends.  On r = a the trace is
+    (sum_k p_k(a) c_k) . phi over the terms whose support holds a, and
+    each of its coefficients must be at most ``TRACE_ZERO_TOL``.  At an end
+    rho > a the jumps are the sums of p_k(rho) c_k and of p_k'(rho) c_k
+    over the terms whose support ends there, those ending at rho taken
+    with +1 and those starting there with -1, so that jumps of terms that
+    meet at rho may cancel; each coefficient must be at most
+    ``TRACE_ZERO_TOL``, or the function would be cut off where it is not
+    zero and not lie in H^1.  Raises ``NonzeroTraceError`` for the first
+    function that fails (a NaN fails too).  A function without terms has
+    nothing to check here; ``minorant_report`` refuses it first."""
+    a, n = p.domain.a, p.domain.dimension
+    profiles = {}  # (p or p', r) -> its value
+
+    def largest(signed, r, parts):
+        """The largest |coefficient| of the sums of s q(r) c over the pairs
+        (s, term) of ``signed``, q each of the first ``parts`` of a term's
+        p and p' and c its coefficients, or None where none exceeds
+        ``TRACE_ZERO_TOL``."""
+        out = [0.0] * (parts * (n + 1))
+        for sign, t in signed:
+            for j, fn in enumerate((t.p, t.dp)[:parts]):
+                if (fn, r) not in profiles:
+                    profiles[fn, r] = float(fn(np.array([r]))[0])
+                for i, c in enumerate(t.angular, j * (n + 1)):
+                    out[i] += sign * profiles[fn, r] * c
+        if all(abs(x) <= TRACE_ZERO_TOL for x in out):  # a NaN fails
+            return None
+        return float(np.max(np.abs(out)))
+
+    for k, w in enumerate(basis.fields):
+        trace = largest([(1.0, t) for t in w.terms
+                         if t.support is None or t.support[0] <= a <= t.support[1]], a, 1)
+        if trace is not None:
             raise NonzeroTraceError(
-                f"basis function {k} ({w.label!r}) has trace norm {norm:.3e} and energy "
-                f"{t.above_band:.3e} above trace.L on the inner boundary (must be < "
-                f"{TRACE_ZERO_TOL} and <= {TRACE_ZERO_TOL**2:.0e})")
+                f"basis function {k} ({w.label!r}) has trace norm {trace:.3e} on the inner "
+                f"boundary (its largest angular coefficient; must be <= {TRACE_ZERO_TOL})")
+        for rho in sorted({r for t in w.terms for r in t.support or () if r > a}):
+            jump = largest([(1.0 if t.support[1] == rho else -1.0, t)
+                            for t in w.terms if t.support and rho in t.support], rho, 2)
+            if jump is not None:
+                raise NonzeroTraceError(
+                    f"basis function {k} ({w.label!r}) jumps by {jump:.3e} in value or "
+                    f"radial derivative on the sphere r = {rho} bounding its support (must "
+                    f"be <= {TRACE_ZERO_TOL})")
 
 
 def default_basis(domain, n_radial: int = 4, degree: int = 1) -> TestBasis:
@@ -189,24 +180,32 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     Every basis function must vanish on the inner sphere, which
     :func:`validate_zero_traces` checks: M bounds the error only over
     such functions.  The Gram matrix G, the right-hand side and M(w_c)
-    come from the terms when every basis function and v have terms, the
-    flux has a potential and the whole rule's angular factor integrates
-    the sphere moments exactly (``_term_system``), and from the tensor
-    rule otherwise (``_tensor_system``).  The value is the smaller of
-    rhs . c and M(w_c) summed directly.  A product of finite values that
-    overflows raises ``FloatingPointError``."""
+    are summed from the terms (``_term_system``), so v, every basis
+    function and the flux's potential must have terms.  The first of them
+    without raises ``ValueError``: for a basis function, the
+    ``SingularGramError`` of a function of zero energy, which is what the
+    term sums make of it.  The value is the smaller of rhs . c and M(w_c)
+    summed directly.  A product of finite values that overflows raises
+    ``FloatingPointError``."""
     if len(basis) == 0:
         raise ValueError("basis must be nonempty")
-    with_terms = (v.terms and p.flux.potential and all(w.terms for w in basis.fields)
-                  and _moments_exact(p.quads.whole))
-    gram, rhs, direct_value = (_term_system if with_terms else _tensor_system)(p, v, basis)
+    if not v.terms:
+        raise ValueError(f"v ({v.label!r}) has no terms; the minorant is summed from terms")
+    for k, w in enumerate(basis.fields):
+        if not w.terms:  # u - v at eps = 0, say, whose terms merge to none
+            raise SingularGramError(
+                f"basis function {k} ({w.label!r}) has no terms, so zero energy in the term sums")
+    if not p.flux.potential:
+        raise ValueError(f"the flux ({p.flux.label!r}) has no potential terms; the minorant "
+                         "is summed from terms")
+    gram, rhs, direct_value = _term_system(p, v, basis)
     n = len(basis)
 
     # the gate reads the Gram scaled to a unit diagonal, D^{-1/2} G D^{-1/2}
     # with D = diag G, so that a small basis function, such as u - v at a
     # small eps, is not taken for a dependent one
     diag = np.diag(gram)
-    if not np.all(diag > 0.0):  # u - v at eps = 0, say
+    if not np.all(diag > 0.0):  # terms whose profiles vanish at every radial node
         k = int(np.argmin(diag))
         raise SingularGramError(
             f"basis function {k} ({basis.fields[k].label!r}) has zero energy on the rule")
@@ -272,75 +271,3 @@ def _grouped_sums(first, second, rows) -> tuple:
         at = starts[counts == c]
         sums[counts == c] = exact_sum(rows[at[:, None] + np.arange(c)].reshape(len(at), -1))
     return first[starts], second[starts], sums
-
-
-def _tensor_system(p: Problem, v: ScalarField, basis: TestBasis):
-    """(G, rhs, M) summed over the tensor rule.  Only basis gradients are
-    evaluated: one with a ``support`` on the rows of the whole rule that
-    ``fields.support_rows`` gives for it, found once per distinct support,
-    one without on the whole rule, and F on the rows the basis covers.
-    Every integral is an ``exact_dot`` over the rows its basis functions
-    share: the products skipped elsewhere are exact zeros, so each sum is
-    the correctly rounded value over the whole rule, and a pair sharing no
-    rows has the Gram entry 0.0.  The integrals over one row range are
-    summed in one 2-D ``exact_dot``, a row each, from densities built
-    column by column (``fields.density``)."""
-    d = p.A.diagonal
-    rule = p.quads.whole
-    pts, wts = rule.nodes, rule.weights
-    gv = gradient_on(v, rule)
-    require_finite(gv, pts, v.label, "minorant:A grad")  # A grad v is finite where grad v is
-
-    n = len(basis)
-    rows, grads = [], []
-    for w, (start, stop, sub) in zip(basis.fields, _cuts(pts, basis)):
-        grad = np.asarray(w.formula()[1](sub), dtype=float)
-        require_finite(grad, sub, w.label, "minorant:gradient", start=start)
-        rows.append((start, stop))
-        grads.append(grad)
-    lo, hi = min(lo_j for lo_j, _ in rows), max(hi_j for _, hi_j in rows)
-    flux = np.asarray(p.flux.value(pts[lo:hi]), dtype=float)
-    require_finite(flux, pts[lo:hi], p.flux.label, "minorant:flux", start=lo)
-
-    # the densities of the Gram entries and of the right-hand sides, by the
-    # rows [lo_s, hi_s) they are summed over: (A grad w_j) . grad w_k and
-    # (F - A grad v) . grad w_j
-    shared = {}
-    for j, (lo_j, hi_j) in enumerate(rows):
-        for k in range(j, n):
-            lo_k, hi_k = rows[k]
-            lo_s, hi_s = max(lo_j, lo_k), min(hi_j, hi_k)
-            if lo_s < hi_s:
-                shared.setdefault((lo_s, hi_s), []).append(((j, k), d, zip(
-                    grads[j][lo_s - lo_j:hi_s - lo_j].T, grads[k][lo_s - lo_k:hi_s - lo_k].T)))
-        shared.setdefault((lo_j, hi_j), []).append((("rhs", j), None, zip(
-            _columns(flux[lo_j - lo:hi_j - lo], gv[lo_j:hi_j], d), grads[j].T)))
-    sums = {}
-    for (lo_s, hi_s), group in shared.items():
-        dens = np.empty((len(group), hi_s - lo_s))
-        for row, (_, diag, pairs) in zip(dens, group):
-            density(row, pairs, diag)
-        sums.update(zip([key for key, _, _ in group], exact_dot(dens, wts[lo_s:hi_s]).tolist()))
-    gram = np.array([[sums.get((min(j, k), max(j, k)), 0.0) for k in range(n)]
-                     for j in range(n)])
-    rhs = np.array([sums["rhs", j] for j in range(n)])
-
-    def direct_value(coeff):
-        # M(w_c) directly by quadrature, over the rows the basis covers
-        dens = density(np.empty(hi - lo),
-                       _mixed_columns(flux, gv[lo:hi], d, coeff, rows, grads, lo))
-        return float(exact_dot(dens, wts[lo:hi]))
-
-    return gram, rhs, direct_value
-
-
-def _mixed_columns(flux, gv, d, coeff, rows, grads, lo):
-    """The column pairs (2 (F - A grad v) - A grad w, grad w) of
-    w = sum_j c_j w_j over the rows from ``lo`` on that ``flux`` and ``gv``
-    hold, one coordinate at a time; grad w adds the terms c_j grad w_j in
-    the order of j."""
-    for k, res_k in enumerate(_columns(flux, gv, d)):
-        w_k = np.zeros(len(res_k))
-        for c, (lo_j, hi_j), grad in zip(coeff, rows, grads):
-            w_k[lo_j - lo:hi_j - lo] += c * grad[:, k]
-        yield 2.0 * res_k - d[k] * w_k, w_k

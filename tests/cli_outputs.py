@@ -65,13 +65,14 @@ def _runs() -> list:
     runs.append(("sandwich", {"problem": "N2_log", "quadrature": {
         "radial_order": 8, "angular_order": 11, "shells": 4}, "trace": {"L": 5},
         "minorant": {"n_radial": 3, "degree": 0}}, ()))
-    # angular_order 2 integrates the sphere moments of the terms inexactly,
-    # so the norms and the minorant are summed on the tensor rule
+    # angular_order 2, whose directions integrate the sphere moments of the
+    # terms inexactly: the norms and the minorant are still summed from the
+    # terms, exact in the angle, and match angular_order 12 bit for bit
     runs += [(c, {"problem": "N3_anisotropic", "quadrature": {"angular_order": 2},
                   "trace": {"L": 1}, "minorant": {"include_error_in_basis": True}}, ())
              for c in ("majorant", "sandwich")]
     # the perturbed fluxes where A^{-1} weights them (N3_anisotropic): the
-    # flux bump and the harmonic gradients; and the bump on the tensor rule,
+    # flux bump and the harmonic gradients; and the bump at angular_order 2,
     # whose residual norms are rho-weighted in 3D and r ln r-weighted in 2D
     runs += [("majorant", {"problem": "N3_anisotropic", "estimate": e,
                            "perturbation": {"target": t, "mode": m}}, ())

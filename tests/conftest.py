@@ -71,8 +71,8 @@ def unrestricted():
 
 def termless(x):
     """The field or basis ``x`` with the same closures and no terms: the
-    minorant assembles such a basis, and the true error, the scale, the
-    flux gap and the residual norms sum such a field, on the tensor rule."""
+    true error, the scale, the flux gap and the residual norms sum such a
+    field on the tensor rule, and the minorant refuses it."""
     import dataclasses
 
     if hasattr(x, "fields"):

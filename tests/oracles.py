@@ -2,10 +2,11 @@
 band-limited function of a trace, the pairing of two traces, the measure
 of an annulus, the inverse log-weighted norm, and reference builders of
 the analytic fields, each written out as its own closures, that the
-program's one separable builder must match bit for bit.  The program
-never calls them."""
+program's one separable builder must match bit for bit, and the minorant
+summed over every node of the whole rule.  The program never calls them."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -301,3 +302,43 @@ def term_values(terms, pts):
         size += np.abs(p) * total
         gradient_size += (np.abs(dp) + 2.0 * np.abs(p) / r) * total
     return value, gradient, size, gradient_size[:, None]
+
+
+class DenseMinorant(NamedTuple):
+    gram: np.ndarray
+    rhs: np.ndarray
+    value: float
+    direct_value: float
+    gram_min_eig: float
+    coefficients: np.ndarray
+
+
+def dense_minorant(p, v, basis) -> DenseMinorant:
+    """The minorant of ``minorant_report`` from the closures: every
+    integral summed over every node of the whole rule, the densities built
+    from the (M, N, N) matrices of A, the Gram G, the right-hand side,
+    M(w_c) summed directly, the value, the smallest eigenvalue of G and
+    the coefficients."""
+    rule = p.quads.whole
+    pts, wts = rule.nodes, rule.weights
+    mats = np.asarray(p.A.matrix(pts), dtype=float)
+    gv = np.asarray(v.gradient(pts), dtype=float)
+    res = np.asarray(p.flux.value(pts), dtype=float) - np.einsum("mij,mj->mi", mats, gv)
+    n = len(basis)
+    grads = [np.asarray(w.gradient(pts), dtype=float) for w in basis.fields]
+    a_grads = [np.einsum("mij,mj->mi", mats, g) for g in grads]
+    gram = np.empty((n, n))
+    rhs = np.empty(n)
+    for j in range(n):
+        for k in range(j, n):
+            gram[j, k] = gram[k, j] = exact_dot(np.sum(a_grads[j] * grads[k], axis=1), wts)
+        rhs[j] = exact_dot(np.sum(res * grads[j], axis=1), wts)
+    eigs = np.linalg.eigvalsh(gram)
+    coeff = np.linalg.solve(gram, rhs)
+    w_grads = np.zeros_like(gv)
+    for c, grad in zip(coeff, grads):
+        w_grads += c * grad
+    mixed = 2.0 * res - np.einsum("mij,mj->mi", mats, w_grads)
+    direct = float(exact_dot(np.sum(mixed * w_grads, axis=1), wts))
+    return DenseMinorant(gram, rhs, max(min(float(rhs @ coeff), direct), 0.0), direct,
+                         float(eigs[0]), coeff)

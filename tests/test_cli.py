@@ -702,8 +702,9 @@ def test_cli_outputs_cover_every_choice():
     problem, every estimate with every unbroken target and mode, the broken
     flux, the minorant with u - v at eps > 0 and 0, both sweep kinds, every
     study, every config field at a value other than its default, a majorant
-    and a sandwich at angular_order 2 (whose norms and minorant take the
-    tensor rule), the flux bump and the harmonic gradients on
+    and a sandwich at angular_order 2 (whose rule integrates the sphere
+    moments inexactly, so that they pin the norms and the minorant summed
+    from the terms there), the flux bump and the harmonic gradients on
     N3_anisotropic, whose A^{-1} weights them, the bump also at
     angular_order 2 in 3D and 2D, and five bad configs; it runs nothing."""
     runs, bad = [], 0

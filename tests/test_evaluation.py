@@ -198,7 +198,11 @@ class TestGradientOnce:
         y = perturb(mp, "y", 0.05, "interior_bump", seed=5)
 
         def operation(v):
-            xb.minorant_report(mp.problem, v, xb.default_basis(mp.domain))
+            if v.terms:
+                xb.minorant_report(mp.problem, v, xb.default_basis(mp.domain))
+            else:  # refused before anything is evaluated
+                with pytest.raises(ValueError, match="has no terms"):
+                    xb.minorant_report(mp.problem, v, xb.default_basis(mp.domain))
             xb.estimate_I(mp.problem, v, y)
             xb.true_error(mp, v)
 

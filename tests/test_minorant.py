@@ -1,24 +1,25 @@
 import dataclasses
 import math
-import sys
 
 import numpy as np
 import pytest
 
 import extbounds as xb
-from extbounds.fields import QuadratureErrorAt, ScalarField, VectorField, support_rows
-from extbounds.geometry import ExteriorDomain, exact_dot, node_radii, whole_and_parts
+from extbounds.fields import QuadratureErrorAt, separable_field, support_rows
+from extbounds.geometry import ExteriorDomain, node_radii, whole_and_parts
 from extbounds.minorant import (
     NonzeroTraceError,
     SingularGramError,
     TestBasis,
+    _term_system,
     default_basis,
     minorant_report,
     validate_zero_traces,
 )
 from extbounds.problems import perturb
 
-from conftest import termless, unrestricted
+from conftest import unrestricted
+from oracles import dense_minorant
 
 
 class TestDefaultBasis:
@@ -131,8 +132,8 @@ class TestMinorant:
             minorant_report(n3_harmonic.problem, n3_harmonic.exact_u, dup)
 
     def test_zero_function_named(self, n3_harmonic):
-        # u - v at eps = 0 is the zero field: the unit-diagonal scaling has
-        # no row for it, so it is named instead
+        # u - v at eps = 0 is the zero field, whose terms merge to none: the
+        # unit-diagonal scaling would have no row for it, so it is named
         u = n3_harmonic.exact_u
         basis = default_basis(n3_harmonic.domain, n_radial=2).extended(u - u)
         with pytest.raises(SingularGramError, match=r"basis function 8 .* zero energy"):
@@ -167,7 +168,7 @@ class TestZeroTraceCheck:
     @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
     @pytest.mark.parametrize("n_radial", [4, 6])
     def test_default_basis_and_interior_error_are_exact_zeros(self, coarse, name, n_radial):
-        # no trace is projected for them: each costs one evaluation on gamma
+        # their closures agree with the terms' zero trace: exact zeros on gamma
         mp = coarse[name]
         v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
         basis = default_basis(mp.domain, n_radial, 1).extended(mp.exact_u - v)
@@ -178,7 +179,7 @@ class TestZeroTraceCheck:
         p = coarse["N3_harmonic"].problem
 
         def constant(c):
-            return ScalarField(value=lambda pts: np.full(len(pts), c), label=f"{c}")
+            return separable_field(lambda r: np.full_like(r, c), np.zeros_like, label=f"{c}")
 
         validate_zero_traces(p, TestBasis(fields=(constant(1e-20),)))
         for c in (1e-6, np.nan):
@@ -220,42 +221,15 @@ class TestSandwich:
         assert upper == pytest.approx(err, rel=1e-6)
 
 
-def dense_minorant(p, v, basis):
-    """Reference: every integral summed over the whole rule, as the
-    assembly did before it skipped the nodes where the basis vanishes.
-    Returns (value, direct_value, gram_min_eig, coefficients)."""
-    rule = p.quads.whole
-    pts, wts = rule.nodes, rule.weights
-    mats = np.asarray(p.A.matrix(pts), dtype=float)
-    gv = np.asarray(v.gradient(pts), dtype=float)
-    res = np.asarray(p.flux.value(pts), dtype=float) - np.einsum("mij,mj->mi", mats, gv)
-    n = len(basis)
-    grads = [np.asarray(w.gradient(pts), dtype=float) for w in basis.fields]
-    a_grads = [np.einsum("mij,mj->mi", mats, g) for g in grads]
-    gram = np.empty((n, n))
-    rhs = np.empty(n)
-    for j in range(n):
-        for k in range(j, n):
-            gram[j, k] = gram[k, j] = exact_dot(np.sum(a_grads[j] * grads[k], axis=1), wts)
-        rhs[j] = exact_dot(np.sum(res * grads[j], axis=1), wts)
-    eigs = np.linalg.eigvalsh(gram)
-    coeff = np.linalg.solve(gram, rhs)
-    w_grads = np.zeros_like(gv)
-    for c, grad in zip(coeff, grads):
-        w_grads += c * grad
-    mixed = 2.0 * res - np.einsum("mij,mj->mi", mats, w_grads)
-    direct = exact_dot(np.sum(mixed * w_grads, axis=1), wts)
-    return max(min(float(rhs @ coeff), direct), 0.0), float(direct), float(eigs[0]), coeff
-
-
 @pytest.fixture(scope="module")
 def coarse():
     return {name: xb.builtin(name, shells=8) for name in xb.CATALOG}
 
 
 class TestSpanAssembly:
-    """The tensor assembly, which a basis without terms takes: bit-equal to
-    summing every integral over the whole rule."""
+    """The assembly from terms against every integral summed over every
+    node of the whole rule (``oracles.dense_minorant``), to rounding.  The
+    names date from the tensor assembly, whose bits were the dense ones."""
 
     @pytest.mark.parametrize("name,n_radial,degree,with_error", [
         ("N3_harmonic", 4, 1, False),
@@ -292,37 +266,19 @@ class TestSpanAssembly:
 
     @staticmethod
     def assert_matches_dense(p, v, basis):
-        basis = termless(basis)
+        # the values within 1e-14 relative and the Gram entries within 4e-15
+        # of (G_jj G_kk)^{1/2}, so its smallest eigenvalue within n times
+        # that of the largest diagonal entry (Weyl)
         rep = minorant_report(p, v, basis)
-        value, direct, min_eig, coeff = dense_minorant(p, v, basis)
-        assert (rep.value, rep.direct_value, rep.gram_min_eig) == (value, direct, min_eig)
-        assert rep.coefficients.tobytes() == coeff.tobytes()
-
-    @pytest.mark.parametrize("name,rows", [("N3_harmonic", 57), ("N2_log", 37)])
-    def test_exact_dot_calls(self, coarse, monkeypatch, name, rows):
-        # 4 radial groups of 1 + N fields with disjoint support rows: the Gram
-        # pairs within a group and one sum per right-hand side, one call per
-        # group with a row per sum, then one call with the direct sum
-        module = sys.modules["extbounds.minorant"]
-        seen = []
-
-        def counted(values, weights):
-            seen.append(np.shape(values))
-            return exact_dot(values, weights)
-
-        monkeypatch.setattr(module, "exact_dot", counted)
-        mp = coarse[name]
-        whole = mp.problem.quads.whole
-        v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
-        basis = termless(default_basis(mp.domain, 4, 1))
-        minorant_report(mp.problem, v, basis)
-        radii = node_radii(whole.nodes)
-        groups = sorted({support_rows(radii, w.support) for w in basis.fields})
-        assert len(groups) == 4
-        assert [length for _, length in seen[:-1]] == [hi - lo for lo, hi in groups]
-        assert seen[-1] == (groups[-1][1] - groups[0][0],)
-        assert sum(count for count, _ in seen[:-1]) + 1 == rows
-        assert max(shape[-1] for shape in seen) < len(whole)
+        dense = dense_minorant(p, v, basis)
+        for a, b in ((rep.value, dense.value), (rep.direct_value, dense.direct_value)):
+            assert abs(a - b) <= 1e-14 * abs(b)
+        scale = np.sqrt(np.diag(dense.gram))
+        gram = _term_system(p, v, basis)[0]
+        assert np.all(np.abs(gram - dense.gram) <= 4e-15 * np.outer(scale, scale))
+        assert abs(rep.gram_min_eig - dense.gram_min_eig) <= 4e-15 * len(basis) * max(scale)**2
+        coeff = dense.coefficients
+        assert np.max(np.abs(rep.coefficients - coeff)) <= 1e-14 * np.max(np.abs(coeff))
 
 
 def _span(val, grad, start=0):
@@ -354,8 +310,10 @@ class TestSupports:
                         assert dense == (0, 0) or start <= dense[0] < dense[1] <= stop
 
     def test_closures_see_one_quarter_of_omega_i(self):
+        # the assembly and the zero-trace check read the terms alone: no
+        # closure of a basis function is called (the tensor assembly ran
+        # each gradient on a quarter of omega_i)
         mp = xb.builtin("N3_harmonic", shells=8)
-        quarter = len(mp.problem.quads.omega_i) // 4
         basis = default_basis(mp.domain, 4, 1)
         seen = []
 
@@ -372,67 +330,61 @@ class TestSupports:
 
         wrapped = dataclasses.replace(basis, fields=tuple(map(counted, basis.fields)))
         assert [w.support for w in wrapped.fields] == [w.support for w in basis.fields]
-        v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
-        # the zero-trace check evaluates both on the spheres bounding each
-        # support inside the domain, and the value on gamma, which only the
-        # supports reaching r = a let through
-        gamma = mp.problem.quads.gamma
-        checks = []
-        for w in basis.fields:
-            checks += [sum(r > mp.domain.a for r in w.support) * len(gamma)] * 2
-            if support_rows(node_radii(gamma.nodes), w.support) != (0, 0):
-                checks.append(len(gamma))
-        assert len(checks) == 3 * len(basis) - 12  # 4 of the 16 reach gamma
-        # with their terms, the assembly reads the profiles alone
-        minorant_report(mp.problem, v, wrapped)
-        assert seen == checks
-        # without them, it first evaluates the gradient alone on a quarter
-        # of omega_i
+        wrapped.fields[0].gradient(mp.problem.quads.whole.nodes)
+        assert seen  # the wrapper counts
         seen.clear()
-        minorant_report(mp.problem, v, termless(wrapped))
-        assert seen == [quarter] * len(basis) + checks
+        v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
+        rep = minorant_report(mp.problem, v, wrapped)
+        assert seen == []
+        assert rep.as_dict() == minorant_report(mp.problem, v, basis).as_dict()
 
 
 class TestNonFinite:
     @staticmethod
-    def poisoned(field, node, bad=np.inf, part="value"):
-        """``field`` with one non-finite value or gradient row at ``node``,
-        and without terms (a flux: without potential), which no longer
-        describe it."""
-        def poison(fn):
-            def out(pts):
-                vals = np.array(fn(pts), dtype=float)
-                vals[node] = bad
-                return vals
-            return out
-        terms = "potential" if isinstance(field, VectorField) else "terms"
-        return dataclasses.replace(field, **{part: poison(getattr(field, part)), terms: ()})
+    def poisoned(terms, r, bad=np.inf, part="p"):
+        """``terms`` with the profile ``part`` (p or dp) of the first one
+        replaced by one that is ``bad`` at the radius ``r``."""
+        fn = getattr(terms[0], part)
+
+        def out(s):
+            vals = np.array(fn(s), dtype=float)
+            vals[s == r] = bad
+            return vals
+
+        return (terms[0]._replace(**{part: out}),) + terms[1:]
 
     @pytest.mark.parametrize("where", ["f", "grad v", "basis gradient"])
     def test_rejected_naming_node_and_field(self, coarse, where):
+        # a profile is evaluated at the radial nodes, and a non-finite value
+        # is named at the first node of its radius in the whole rule, with
+        # the first field whose terms hold it: u - v for the flux's
+        # potential and for v
         mp = coarse["N3_harmonic"]
         p = mp.problem
         v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
         basis = default_basis(mp.domain, 2, 0)
-        node = len(p.quads.whole) - 1  # in the tail, where no basis function lives
+        r, _ = p.quads.whole.radial
+        directions = len(p.quads.whole.angular[0])
+        k = len(r) - 1  # in the tail, where no basis function lives
         if where == "f":
-            # the flux of the load is read on the basis rows only, which
-            # start at node 0 of the whole rule
-            node = len(p.quads.omega_i) // 2
-            p = dataclasses.replace(p, flux=self.poisoned(p.flux, node, np.nan))
+            k = len(r) // 4
+            flux = dataclasses.replace(p.flux, potential=self.poisoned(p.flux.potential, r[k],
+                                                                       np.nan))
+            p = dataclasses.replace(p, flux=flux)
             label = p.flux.label
         elif where == "grad v":
-            v = self.poisoned(v, node, part="gradient")
+            v = dataclasses.replace(v, terms=self.poisoned(v.terms, r[k], part="dp"))
             label = v.label
         else:
-            # without its support, the minorant evaluates it on the whole rule
-            whole = dataclasses.replace(basis.fields[1], support=None)
-            w = self.poisoned(whole, node, -np.inf, "gradient")
+            w = basis.fields[1]
+            k = support_rows(r, w.support)[0] + 1
+            w = dataclasses.replace(w, terms=self.poisoned(w.terms, r[k], -np.inf, "dp"))
             basis = TestBasis(fields=(basis.fields[0], w))
-            label = w.label
-        with pytest.raises(QuadratureErrorAt, match=f"node {node}") as info:
+            label = repr(w.label)
+        node = k * directions
+        with pytest.raises(QuadratureErrorAt, match=f"node {node}:") as info:
             minorant_report(p, v, basis)
-        assert repr(label) in str(info.value)
+        assert label in str(info.value)
         assert info.value.index == node
 
     @pytest.mark.parametrize("part", ["gradient"])
@@ -441,19 +393,14 @@ class TestNonFinite:
         p = mp.problem
         v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
         basis = default_basis(mp.domain, 2, 0)
-        node = 3 * len(p.quads.omega_i) // 4  # inside the outer function's support
+        r, _ = p.quads.whole.radial
+        directions = len(p.quads.whole.angular[0])
+        # inside the outer function's support: the first node of its radius
+        node = 3 * len(p.quads.omega_i) // 4 // directions * directions
         target = p.quads.whole.nodes[node]
-
-        def poison(fn):
-            # the closure sees only the support's rows: find the node by position
-            def out(pts):
-                vals = np.array(fn(pts), dtype=float)
-                vals[np.all(pts == target, axis=1)] = np.nan
-                return vals
-            return out
-
-        w = dataclasses.replace(basis.fields[1], terms=(),
-                                **{part: poison(getattr(basis.fields[1], part))})
+        w = basis.fields[1]
+        w = dataclasses.replace(w, terms=self.poisoned(w.terms, r[node // directions], np.nan,
+                                                       {"gradient": "dp"}[part]))
         basis = dataclasses.replace(basis, fields=(basis.fields[0], w))
         assert w.support is not None
         with pytest.raises(QuadratureErrorAt, match=f"node {node}:") as info:

@@ -2,7 +2,6 @@
 the same values as their formula there, and exact zeros elsewhere."""
 
 import dataclasses
-import importlib
 
 import numpy as np
 import pytest
@@ -15,9 +14,7 @@ from extbounds.geometry import node_radii
 from extbounds.minorant import NonzeroTraceError, default_basis, minorant_report
 from extbounds.problems import perturb
 
-from conftest import termless, unrestricted
-
-minorant_module = importlib.import_module("extbounds.minorant")
+from conftest import unrestricted
 
 RULES = ("whole", "omega_i", "omega_e", "omega_e_refined", "gamma", "Gamma")
 SEEDS = range(5)
@@ -217,25 +214,11 @@ class TestOnlyTheRows:
         supports = list(dict.fromkeys(w.support for w in basis.fields))
         assert len(supports) == 4 < len(basis)
         calls = self.recorded(monkeypatch)
-        stacked = []
-        stack_rows = minorant_module.stack_rows
-        monkeypatch.setattr(minorant_module, "stack_rows",
-                            lambda arrays: stacked.append(len(arrays)) or stack_rows(arrays))
-        # with terms, the assembly cuts no node of a rule, only the whole
-        # rule's radial nodes once per profile (fields.term_products); then
-        # once on gamma for the zero-trace check, with one edge array per
-        # support (the inner one reaches r = a)
+        # the assembly cuts no node of a rule, only the whole rule's radial
+        # nodes once per profile (fields.term_products), and the zero-trace
+        # check reads the terms at the ends of their supports
         minorant_report(mp.problem, mp.exact_u, basis)
-        radial = len(quads.whole.radial[0])
-        assert calls == [(n, s) for n in (radial, len(quads.gamma)) for s in supports]
-        assert stacked == [1, 2, 2, 2]
-        # without them, once on the whole rule for the assembly first, and
-        # no closure cuts its rows again
-        calls.clear()
-        stacked.clear()
-        minorant_report(mp.problem, mp.exact_u, termless(basis))
-        assert calls == [(len(rule), s) for rule in (quads.whole, quads.gamma) for s in supports]
-        assert stacked == [1, 2, 2, 2]
+        assert calls == [(len(quads.whole.radial[0]), s) for s in supports]
 
 
 class TestEnforced:

@@ -1,8 +1,8 @@
-"""Fields keep their terms (``fields.Term``), and the minorant assembles a
-basis with terms from them: radial sums over the whole rule's radial
-nodes times closed-form sphere moments.  The terms must describe the same
-functions as the closures, and the assembly must give the tensor rule's
-values up to rounding."""
+"""Fields keep their terms (``fields.Term``), and the minorant and the norms
+are summed from them: radial sums over the whole rule's radial nodes
+times closed-form sphere moments.  The terms must describe the same
+functions as the closures, and the sums must give the tensor rule's values
+up to rounding where its directions integrate the moments exactly."""
 
 import dataclasses
 import inspect
@@ -19,7 +19,6 @@ import extbounds.majorant as majorant_module
 from extbounds.cli import guarantee_ok
 from extbounds.fields import (
     QuadratureErrorAt,
-    _moments_exact,
     bump_moments,
     cubic_bump,
     merged,
@@ -30,8 +29,8 @@ from extbounds.fields import (
 )
 from extbounds.minorant import (
     NonzeroTraceError,
+    SingularGramError,
     TestBasis,
-    _tensor_system,
     _term_system,
     default_basis,
     minorant_report,
@@ -41,7 +40,7 @@ from extbounds.majorant import _flux_term, _residual, _weighted_residual, scale_
 from extbounds.problems import _flux_bump, _random_interior_bump, perturb
 
 from conftest import termless
-from oracles import term_values
+from oracles import dense_minorant, term_values
 
 RULES = ("whole", "gamma", "Gamma")
 MODES = ("interior_bump", "boundary_mode")
@@ -131,14 +130,14 @@ class TestTermAssembly:
                 if with_error:
                     basis = basis.extended(mp.exact_u - v)
                 gram, rhs, _ = _term_system(p, v, basis)
-                gram_t, rhs_t, _ = _tensor_system(p, v, termless(basis))
-                assert np.all(np.abs(gram - gram_t) <= 4e-15 * gram_scale(gram_t))
+                dense = dense_minorant(p, v, basis)
+                assert np.all(np.abs(gram - dense.gram) <= 4e-15 * gram_scale(dense.gram))
                 # |rhs_j| <= ||w_j|| ||u - v||, the scale of its rounding: the
                 # tensor sums leave roundoff where w_j and u - v do not meet
-                scale = np.sqrt(np.diag(gram_t)) * xb.true_error(mp, v)
-                assert np.all(np.abs(rhs - rhs_t) <= 1e-14 * scale), (seed, with_error)
-                rep, rep_t = (minorant_report(p, v, b) for b in (basis, termless(basis)))
-                for a, b in ((rep.value, rep_t.value), (rep.direct_value, rep_t.direct_value)):
+                scale = np.sqrt(np.diag(dense.gram)) * xb.true_error(mp, v)
+                assert np.all(np.abs(rhs - dense.rhs) <= 1e-14 * scale), (seed, with_error)
+                rep = minorant_report(p, v, basis)
+                for a, b in ((rep.value, dense.value), (rep.direct_value, dense.direct_value)):
                     assert abs(a - b) <= 1e-14 * abs(b), (seed, with_error)
 
     @pytest.mark.parametrize("name", xb.CATALOG)
@@ -152,7 +151,7 @@ class TestTermAssembly:
         block = np.arange(len(basis)) % width
         cross = block[:, None] != block[None, :]
         assert np.all(gram[cross] == 0.0)
-        assert np.any(_tensor_system(mp.problem, v, termless(basis))[0][cross] != 0.0)
+        assert np.any(dense_minorant(mp.problem, v, basis).gram[cross] != 0.0)
 
     @pytest.mark.parametrize("dimension", [2, 3])
     @pytest.mark.parametrize("order", [2, 3, 12])
@@ -160,7 +159,7 @@ class TestTermAssembly:
         # the moment matrices integrated on the tensor rule's directions,
         # exact for their degree 4 from angular order 3 on, against the
         # closed forms, for a diagonal D, a rank-one e e^T and a full
-        # symmetric D; with fewer directions the terms are not used
+        # symmetric D; the order-2 rule, exact to degree 3, misses them
         omega, w, phi, grad_s = sphere_rule(dimension, order)
         rng = np.random.default_rng(dimension)
         e, full = rng.normal(size=dimension), rng.normal(size=(dimension, dimension))
@@ -174,7 +173,7 @@ class TestTermAssembly:
             # the entries reach 60 (e e^T): roundoff of some 1e-14 on the rule
             exact.append(np.allclose(sphere_moments(D), [m1, m2, m2.T, m4],
                                      rtol=1e-13, atol=1e-13))
-        assert _moments_exact(rule_of(dimension, order)) == all(exact) == (order >= 3)
+        assert all(exact) == (order >= 3)
 
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_diagonal_moments_keep_their_bits(self, dimension):
@@ -215,7 +214,7 @@ class TestTermAssembly:
         v = perturb(mp, "v", 0.1, "interior_bump", 3)
         basis = default_basis(dom, 4, 1).extended(mp.exact_u - v)
         new = _term_system(p, v, basis)
-        old = _tensor_system(p, v, termless(basis))
+        old = dense_minorant(p, v, basis)
         ref = reference_system(p, [w.terms[0] for w in basis.fields],
                                (mp.exact_u - v).terms[0])
         scale = gram_scale(ref[0])
@@ -236,24 +235,31 @@ class TestTermAssembly:
                 lower = math.sqrt(minorant_report(mp.problem, v, basis).value)
                 assert lower <= xb.true_error(mp, v) * (1 + 1e-14), (seed, eps)
 
-    @pytest.mark.parametrize("name", ["N3_anisotropic", "N2_log"])
-    def test_few_directions_take_the_tensor_rule(self, name):
-        # at angular order 2 the closed-form moments are not the rule's
-        # (N3_anisotropic's terms would give 0.989 of the error in lower);
-        # the report is the tensor rule's, bit for bit, under the error
-        mp = xb.builtin(name, angular_order=2, shells=8, trace_degree=1)
-        p = mp.problem
+    @pytest.mark.parametrize("name", ["N3_anisotropic", "N2_log", "N3_harmonic"])
+    def test_few_directions_sum_the_exact_moments(self, name):
+        # the terms need no directions: at angular order 2, whose rule is
+        # exact to degree 3 only, the true error, the scale, the flux gaps,
+        # the residual norms and the minorant are those of angular order 12
+        # bit for bit, the exact angular integrals, and lower <= error
+        few, many = (xb.builtin(name, angular_order=order, shells=8, trace_degree=1)
+                     for order in (2, 12))
         for seed in (0, 3):
-            v = perturb(mp, "v", 1e-3, "interior_bump", seed)
-            basis = default_basis(mp.domain, 4, 1).extended(mp.exact_u - v)
-            rep, rep_t = (minorant_report(p, v, b) for b in (basis, termless(basis)))
-            assert (rep.value, rep.direct_value, rep.gram_min_eig) == (
-                rep_t.value, rep_t.direct_value, rep_t.gram_min_eig)
-            assert np.array_equal(rep.coefficients, rep_t.coefficients)
-            err = xb.true_error(mp, v)
-            lower = math.sqrt(rep.value)
+            values = []
+            for mp in (few, many):
+                p = mp.problem
+                v = perturb(mp, "v", 1e-3, "interior_bump", seed)
+                v_mode = perturb(mp, "v", 0.1, "boundary_mode", seed)
+                y = perturb(mp, "y", 0.1, "interior_bump", seed)
+                y_e = perturb(mp, "y_broken", 0.1, "interface_jump", seed)[1]
+                basis = default_basis(mp.domain, 4, 1).extended(mp.exact_u - v)
+                rep = minorant_report(p, v, basis)
+                values.append((norms(mp, v), norms(mp, v_mode), flux_values(p, v, y),
+                               flux_values(p, v, y_e), rep.as_dict()))
+            assert values[0] == values[1], seed
+            (err, scale, _), *_, rep = values[0]
+            lower = math.sqrt(rep["value"])
             assert lower <= err * (1 + 1e-14)
-            assert guarantee_ok(err, scale_of(p, v), lower)
+            assert guarantee_ok(err, scale, lower)
 
     def test_large_basis_assembles_the_pairs_that_meet(self, coarse):
         # 1201 functions: only pairs of terms whose profiles share radial
@@ -270,16 +276,61 @@ class TestTermAssembly:
             tracemalloc.stop()
         assert peak < 3 * 8 * (len(basis) + 1) ** 2
 
-    def test_fields_with_terms_keep_the_closure_check(self, coarse):
-        # the zero-trace check reads the closures of every field: a term
-        # cut where its profile is not 0.0, or is NaN, is rejected
+    def test_zero_trace_check_reads_the_terms(self, coarse):
+        # a term cut where its profile is not 0.0, or is NaN, is rejected at
+        # the first end of its support, whatever its closures give
         p = coarse["N3_harmonic"].problem
         for end_value in (1e-3, np.nan):
             w = separable_field(lambda s, e=end_value: np.full_like(s, e),
                                 lambda s: np.zeros_like(s), (0.5, 0.0, 0.0, 0.0),
                                 label="cut", support=(1.25, 1.5))
-            assert w.terms
-            with pytest.raises(NonzeroTraceError, match=r"basis function 0 .* r = \[1.25, 1.5\]"):
+            w = dataclasses.replace(w, value=lambda pts: np.zeros(len(pts)),
+                                    gradient=lambda pts: np.zeros(np.shape(pts)))
+            with pytest.raises(NonzeroTraceError, match=r"basis function 0 .* r = 1.25 bounding"):
+                validate_zero_traces(p, TestBasis(fields=(w,)))
+
+    def test_minorant_refuses_fields_without_terms(self, coarse):
+        # the first of v, a basis function and the flux's potential without
+        # terms is named; a basis function without terms is the zero
+        # function to the term sums, so its error is the Gram's
+        mp = coarse["N3_harmonic"]
+        p = mp.problem
+        v = perturb(mp, "v", 0.1, "interior_bump", 3)
+        basis = default_basis(mp.domain, 2, 0)
+        termless_flux = dataclasses.replace(p, flux=termless(p.flux))
+        for problem, approx, b, message in (
+                (termless_flux, termless(v), termless(basis), r"^v \('.*'\) has no terms"),
+                (termless_flux, v, basis.extended(termless(basis.fields[0])),
+                 r"^basis function 2 \('basis\[r0,a0\]'\) has no terms"),
+                (termless_flux, v, basis, r"^the flux \('.*'\) has no potential terms")):
+            with pytest.raises(ValueError, match=message):
+                minorant_report(problem, approx, b)
+        with pytest.raises(SingularGramError):
+            minorant_report(p, v, basis.extended(termless(basis.fields[0])))
+
+    @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
+    def test_zero_trace_check_rejects_the_boundary_mode_error(self, coarse, name):
+        # u - v of a boundary-mode v: its terms do not vanish at r = a
+        mp = coarse[name]
+        v = perturb(mp, "v", 0.1, "boundary_mode", 3)
+        with pytest.raises(NonzeroTraceError, match=r"basis function 0 .* inner boundary"):
+            validate_zero_traces(mp.problem, TestBasis(fields=(mp.exact_u - v,)))
+
+    def test_jumps_that_cancel_at_a_shared_end_accepted(self, coarse):
+        # q = ((r - 1.25) (1.75 - r))^2 on (1.25, 1.75) as two terms that
+        # meet at r = 1.5, where either alone jumps by q(1.5) = 0.0039
+        p = coarse["N3_harmonic"].problem
+
+        def piece(support):
+            return separable_field(lambda r: ((r - 1.25) * (1.75 - r)) ** 2,
+                                   lambda r: 2.0 * (r - 1.25) * (1.75 - r) * (3.0 - 2.0 * r),
+                                   (1.0, 0.0, 0.5, 0.0), label=f"q{support}", support=support)
+
+        inner, outer = piece((1.25, 1.5)), piece((1.5, 1.75))
+        validate_zero_traces(p, TestBasis(fields=(inner + outer,)))
+        assert len((inner + outer).terms) == 2
+        for w in (inner, outer):
+            with pytest.raises(NonzeroTraceError, match=r"jumps by 3.906e-03 .* r = 1.5 "):
                 validate_zero_traces(p, TestBasis(fields=(w,)))
 
     def test_non_finite_profile_named_at_its_radius(self, coarse):
@@ -357,13 +408,6 @@ class TestTermNorms:
             small, large = (xb.true_error(mp, perturb(mp, "v", eps, mode, seed)) / eps
                             for eps in (1e-6, 0.1))
             assert abs(small - large) <= 4 * np.spacing(large), seed
-
-    @pytest.mark.parametrize("name", ["N3_anisotropic", "N2_log"])
-    def test_few_directions_take_the_tensor_rule(self, name):
-        mp = xb.builtin(name, angular_order=2, shells=8, trace_degree=1)
-        for mode in MODES:
-            v = perturb(mp, "v", 0.1, mode, 3)
-            assert norms(mp, v) == norms(mp, termless(v))
 
     @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
     def test_overflow_raises_the_tensor_rules_error(self, coarse, name):
@@ -514,19 +558,6 @@ class TestFluxTerms:
         for a, b in zip(term[:3], tensor[:3]):
             assert abs(a - b) <= 1e-13 * max(b, tensor[0])
         assert term[3:] == tensor[3:]
-
-    @pytest.mark.parametrize("name", ["N3_anisotropic", "N2_log"])
-    def test_few_directions_take_the_tensor_rule(self, name):
-        mp = xb.builtin(name, angular_order=2, shells=8, trace_degree=1)
-        p = mp.problem
-        for seed in (3, 4):
-            v = perturb(mp, "v", 0.1, "interior_bump", seed)
-            y = perturb(mp, "y", 0.1, "interior_bump", seed)
-            y_i, y_e = perturb(mp, "y_broken", 0.1, "interface_jump", seed)
-            for fluxes in ((y,), (y_i, y_e)):
-                estimate = xb.estimate_I if len(fluxes) == 1 else xb.estimate_III
-                term = estimate(p, v, *fluxes).as_dict()
-                assert term == estimate(p, termless(v), *map(termless, fluxes)).as_dict()
 
 
 def flux_of(mp, target, eps, seed):
