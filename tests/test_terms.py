@@ -51,6 +51,16 @@ def coarse():
     return {name: xb.builtin(name, shells=8) for name in xb.CATALOG}
 
 
+FEW_DIRECTIONS = ("N3_anisotropic", "N2_log", "N3_harmonic")
+
+
+def few_and_many(name):
+    """``name`` at angular order 2, whose rule is exact to degree 3 only,
+    and at angular order 12."""
+    return [xb.builtin(name, angular_order=order, shells=8, trace_degree=1)
+            for order in (2, 12)]
+
+
 class TestTermsMatchClosures:
     @pytest.mark.parametrize("name", xb.CATALOG)
     def test_flux_is_A_grad_of_its_potential(self, coarse, name):
@@ -235,29 +245,21 @@ class TestTermAssembly:
                 lower = math.sqrt(minorant_report(mp.problem, v, basis).value)
                 assert lower <= xb.true_error(mp, v) * (1 + 1e-14), (seed, eps)
 
-    @pytest.mark.parametrize("name", ["N3_anisotropic", "N2_log", "N3_harmonic"])
+    @pytest.mark.parametrize("name", FEW_DIRECTIONS)
     def test_few_directions_sum_the_exact_moments(self, name):
         # the terms need no directions: at angular order 2, whose rule is
-        # exact to degree 3 only, the true error, the scale, the flux gaps,
-        # the residual norms and the minorant are those of angular order 12
+        # exact to degree 3 only, the minorant is that of angular order 12
         # bit for bit, the exact angular integrals, and lower <= error
-        few, many = (xb.builtin(name, angular_order=order, shells=8, trace_degree=1)
-                     for order in (2, 12))
+        few, many = few_and_many(name)
         for seed in (0, 3):
-            values = []
+            reports = []
             for mp in (few, many):
-                p = mp.problem
                 v = perturb(mp, "v", 1e-3, "interior_bump", seed)
-                v_mode = perturb(mp, "v", 0.1, "boundary_mode", seed)
-                y = perturb(mp, "y", 0.1, "interior_bump", seed)
-                y_e = perturb(mp, "y_broken", 0.1, "interface_jump", seed)[1]
                 basis = default_basis(mp.domain, 4, 1).extended(mp.exact_u - v)
-                rep = minorant_report(p, v, basis)
-                values.append((norms(mp, v), norms(mp, v_mode), flux_values(p, v, y),
-                               flux_values(p, v, y_e), rep.as_dict()))
-            assert values[0] == values[1], seed
-            (err, scale, _), *_, rep = values[0]
-            lower = math.sqrt(rep["value"])
+                reports.append(minorant_report(mp.problem, v, basis).as_dict())
+            assert reports[0] == reports[1], seed
+            err, scale, _ = norms(few, perturb(few, "v", 1e-3, "interior_bump", seed))
+            lower = math.sqrt(reports[0]["value"])
             assert lower <= err * (1 + 1e-14)
             assert guarantee_ok(err, scale, lower)
 
@@ -409,6 +411,16 @@ class TestTermNorms:
                             for eps in (1e-6, 0.1))
             assert abs(small - large) <= 4 * np.spacing(large), seed
 
+    @pytest.mark.parametrize("name", FEW_DIRECTIONS)
+    def test_few_directions_sum_the_exact_moments(self, name):
+        # at angular order 2 the true error, the scale and the exact flux's
+        # gap of an interior bump and a boundary mode are angular order 12's
+        for seed in (0, 3):
+            values = [[norms(mp, perturb(mp, "v", eps, mode, seed))
+                       for eps, mode in ((1e-3, "interior_bump"), (0.1, "boundary_mode"))]
+                      for mp in few_and_many(name)]
+            assert values[0] == values[1], seed
+
     @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
     def test_overflow_raises_the_tensor_rules_error(self, coarse, name):
         # the products overflow to inf: the tensor rule names its node, and
@@ -558,6 +570,19 @@ class TestFluxTerms:
         for a, b in zip(term[:3], tensor[:3]):
             assert abs(a - b) <= 1e-13 * max(b, tensor[0])
         assert term[3:] == tensor[3:]
+
+    @pytest.mark.parametrize("name", FEW_DIRECTIONS)
+    def test_few_directions_sum_the_exact_moments(self, name):
+        # at angular order 2 the flux gaps and the residual norms of y and of
+        # y_broken's exterior flux are angular order 12's
+        for seed in (0, 3):
+            values = []
+            for mp in few_and_many(name):
+                p = mp.problem
+                v = perturb(mp, "v", 1e-3, "interior_bump", seed)
+                values.append([flux_values(p, v, flux_of(mp, target, 0.1, seed))
+                               for target in ("y", "y_broken")])
+            assert values[0] == values[1], seed
 
 
 def flux_of(mp, target, eps, seed):
