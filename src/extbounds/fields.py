@@ -717,6 +717,18 @@ def _finite_sum(total) -> float | None:
 _NORMS: list = []  # the memo of term_norm: (weak references, bits, value), the last two
 
 
+def _norm_key(A: Coefficient, rule: QuadratureRule, s, gradients=(), bumps=()) -> tuple:
+    """(objects, bits): what ``term_norm`` matches a kept value by, the
+    objects by identity (the terms by their closures) and the rest by the
+    bits of the counts, supports, directions and coefficients."""
+    terms = s + gradients + bumps
+    objects = [A, rule] + [f for t in terms for f in (t.p, t.dp)]
+    bits = ((len(s), len(gradients)),
+            *((t.support, t.direction, np.array(t.angular, dtype=float).tobytes())
+              for t in terms))
+    return objects, bits
+
+
 def term_norm(A: Coefficient, rule: QuadratureRule, sets, tensor, gradients=(),
               bumps=()) -> float:
     """||A grad s + sum_k grad h_k + sum_j s_j e_j||_{A^{-1}} over ``rule``,
@@ -735,27 +747,28 @@ def term_norm(A: Coefficient, rule: QuadratureRule, sets, tensor, gradients=(),
     is not finite, which the tensor rule names at its node.
 
     The last two values summed are kept, each for its A, rule and merged
-    terms, matched by identity (the terms by their closures) and by the
-    bits of the coefficients, while all of them live (weak references, as
-    in ``last_call``): the flux gap of the exact flux, then the scale, then
-    the true error, sum u - v once."""
+    terms (``_norm_key``), while all of them live (weak references, as in
+    ``last_call``): the flux gap of the exact flux, then the scale, then the
+    true error, sum u - v once.  A norm with harmonic gradients or bumps
+    also keeps, last, the exact sum of the products of a_d(s, s) alone as
+    the norm of s, which is the value a call for s alone sums: after a
+    perturbed flux's gap and the scale, the true error reads it."""
     if not all(sets):
         return tensor()
     s = difference(sets[0], sets[1] if len(sets) > 1 else ())
-    terms = s + gradients + bumps
-    objects = [A, rule] + [f for t in terms for f in (t.p, t.dp)]
-    bits = ((len(s), len(gradients)),
-            *((t.support, t.direction, np.array(t.angular, dtype=float).tobytes())
-              for t in terms))
-    for refs, key, kept in _NORMS:
-        if key == bits and len(refs) == len(objects) and all(
-                ref() is x for ref, x in zip(refs, objects)):
+    key = _norm_key(A, rule, s, gradients, bumps)
+    for refs, bits, kept in _NORMS:
+        if bits == key[1] and len(refs) == len(key[0]) and all(
+                ref() is x for ref, x in zip(refs, key[0])):
             return kept
     d = A.diagonal
+    alone = []  # the sum of a_d(s, s), where the norm has more parts
 
     def total():
         products = term_products(rule, [s, gradients], ["", ""], "")
         parts = [products([s], d)[2]]
+        if gradients or bumps:
+            alone.append(exact_sum(parts[0].ravel()))
         if gradients:
             first, second, cross = products([s, gradients], np.ones_like(d))
             parts += [2.0 * cross[(first == 0) & (second == 1)],
@@ -768,16 +781,18 @@ def term_norm(A: Coefficient, rule: QuadratureRule, sets, tensor, gradients=(),
     value = _finite_sum(total)
     if value is None:
         return tensor()
-    value = math.sqrt(max(value, 0.0))
+    sums = [(key, value)] + [(_norm_key(A, rule, s), x) for x in alone if math.isfinite(x)]
 
     def forget(dead):
         _NORMS[:] = [entry for entry in _NORMS if dead not in entry[0]]
 
-    try:
-        _NORMS[:] = _NORMS[-1:] + [([weakref.ref(x, forget) for x in objects], bits, value)]
-    except TypeError:  # an object without weak references is not kept
-        pass
-    return value
+    for (objects, bits), x in sums:
+        try:
+            _NORMS[:] = _NORMS[-1:] + [([weakref.ref(o, forget) for o in objects], bits,
+                                        math.sqrt(max(x, 0.0)))]
+        except TypeError:  # an object without weak references is not kept
+            pass
+    return math.sqrt(max(value, 0.0))
 
 
 def bump_residual_norm(rule: QuadratureRule, bumps, radial, tensor) -> float:

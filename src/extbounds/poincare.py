@@ -82,7 +82,9 @@ def samples(u: BumpFunction) -> dict:
     origin of the half line (0 off the half line).
 
     Off-center ball bumps reduce to a 2D (distance, angle) integral by
-    axial symmetry around the center direction; a one-dimensional bump is
+    axial symmetry around the center direction: the samples are (distance,
+    angle) arrays, u and the gradient magnitude, which depend on the
+    distance only, (distance, 1) columns.  A one-dimensional bump is
     sampled on its support's part of [0, inf) with the plain measure dr.
     """
     n = u.dimension
@@ -121,18 +123,28 @@ def samples(u: BumpFunction) -> dict:
     du_r = der_s[:, None] * (s[:, None] + c * cos[None, :]) / r
     weight = s[:, None] ** (n - 1) * ws[:, None] * wang[None, :]
     return {
-        "r": r.ravel(),
-        "u": np.broadcast_to(val_s[:, None], r.shape).ravel(),
-        "du_r": du_r.ravel(),
-        "grad": np.broadcast_to(np.abs(der_s)[:, None], r.shape).ravel(),
-        "w": weight.ravel(),
+        "r": r,
+        "u": val_s[:, None],
+        "du_r": du_r,
+        "grad": np.abs(der_s)[:, None],
+        "w": weight,
         "u0": 0.0,
         "dimension": n,
     }
 
 
+def _integral(sm: dict, density: np.ndarray) -> float:
+    """The exact sum of ``density`` times the weights over the samples."""
+    return exact_sum(np.ravel(density * sm["w"]))
+
+
 def _norm(sm: dict, density: np.ndarray) -> float:
-    return math.sqrt(max(exact_sum(density * sm["w"]), 0.0))
+    return math.sqrt(max(_integral(sm, density), 0.0))
+
+
+def _power(w: np.ndarray, exponent: float):
+    """w ** exponent, or 1.0 for the exponent 0, where every power is 1.0."""
+    return 1.0 if exponent == 0.0 else w**exponent
 
 
 def _logs(sm: dict, what: str) -> np.ndarray:
@@ -145,11 +157,13 @@ def _logs(sm: dict, what: str) -> np.ndarray:
 def _sides(sm: dict, const: float, w: np.ndarray, beta: float, logs=None):
     """The two sides of a weighted inequality: const ||w^{b-1} u|| (u
     divided by ``logs`` when given) and 2 ||w^b du/dr||."""
-    density = w ** (2 * beta - 2)
+    density = _power(w, 2 * beta - 2)
     if logs is not None:
         density = density / logs**2
-    return (const * _norm(sm, density * sm["u"] ** 2),
-            2.0 * _norm(sm, w ** (2 * beta) * sm["du_r"] ** 2))
+    sides = [np.ravel(d * sm["w"]) for d in (density * sm["u"] ** 2,
+                                            _power(w, 2 * beta) * sm["du_r"] ** 2)]
+    lhs, rhs = np.sqrt(np.maximum(exact_sum(np.stack(sides)), 0.0))
+    return const * float(lhs), 2.0 * float(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -296,33 +310,33 @@ def partial_integration_identity(
     or 1 + r (the half line)."""
     sm = samples(u)
     n = sm["dimension"]
-    r, uu, dur, w = sm["r"], sm["u"], sm["du_r"], sm["w"]
+    r, uu, dur = sm["r"], sm["u"], sm["du_r"]
     variant = {3: "power", 2: "log", 1: "halfline"}[n]
 
     if n == 2:
         logs = _logs(sm, "log identity")
         gh = 2.0 * beta + n - 3.0 if gamma_hat is None else gamma_hat
-        combo = r**beta * dur + gh * r ** (beta - 1) / logs * uu
-        lhs = exact_sum(combo**2 * w)
+        combo = _power(r, beta) * dur + gh * _power(r, beta - 1) / logs * uu
+        lhs = _integral(sm, combo**2)
         rhs = (
-            exact_sum(r ** (2 * beta) * dur**2 * w)
-            + gh * (gh + 1.0) * exact_sum(r ** (2 * beta - 2) / logs**2 * uu**2 * w)
+            _integral(sm, _power(r, 2 * beta) * dur**2)
+            + gh * (gh + 1.0) * _integral(sm, _power(r, 2 * beta - 2) / logs**2 * uu**2)
             - gh
             * (n + 2.0 * beta - 2.0)
-            * exact_sum(r ** (2 * beta - 2) / logs * uu**2 * w)
+            * _integral(sm, _power(r, 2 * beta - 2) / logs * uu**2)
         )
     else:
         weight = r if n == 3 else 1.0 + r
         gh = 2.0 * beta + n - 2.0 if gamma_hat is None else gamma_hat
-        combo = weight**beta * dur + gh * weight ** (beta - 1) * uu
-        lhs = exact_sum(combo**2 * w)
+        combo = _power(weight, beta) * dur + gh * _power(weight, beta - 1) * uu
+        lhs = _integral(sm, combo**2)
         # the boundary coefficient is -gh |u(0)|^2 per half line (u(0) is
         # 0 for N = 3); the two-sided whole-line form doubles it, but our
         # test functions live on [0, inf) extended by zero
         rhs = (
-            exact_sum(weight ** (2 * beta) * dur**2 * w)
+            _integral(sm, _power(weight, 2 * beta) * dur**2)
             + gh * (gh - 2.0 * beta - n + 2.0)
-            * exact_sum(weight ** (2 * beta - 2) * uu**2 * w)
+            * _integral(sm, _power(weight, 2 * beta - 2) * uu**2)
             - gh * sm["u0"] ** 2
         )
     return IdentityRecord(variant, n, beta, gh, lhs, rhs)

@@ -8,6 +8,21 @@ H^{-1/2} norms use the Laplace-Beltrami multiplier
 :mod:`extbounds.constants` is computed against this same norm, which keeps
 the bound chain consistent.
 
+A trace is expanded along one of two paths.  A field with terms
+(``fields.Term``: p(r) (c . phi), phi = (1, x_1/r, ..., x_N/r)) has the
+trace sum_k p_k(radius) (c_k . phi) on the sphere of ``radius``, of degree
+at most 1, so its coefficients are c . Phi with the closed-form
+projections Phi of phi onto the basis (``_from_terms``, from the moments
+|S| and |S|/N of 1 and omega_i^2; Folland, Amer. Math. Monthly 108, 2001):
+no closure is evaluated, no basis is built, and nothing lies above a band
+of degree 1 or more.  The normal trace of a sum of harmonic gradients
+grad h_k, h_k = p_k(r) (c_k . phi), is sum_k p_k'(radius) (c_k . phi) the
+same way.  Every other function (a field without terms, a flux with a
+potential A grad phi, whose normal trace has degree up to 3 when A is not
+a multiple of I, a bump whose support holds the sphere, a term sum that is
+not finite) is sampled on a rule of the sphere and projected
+(``_project``), which also keeps what the band leaves out.
+
 For N = 3 the basis is built by the recurrences of the fully normalized
 associated Legendre functions.  A projection onto a rule takes the basis
 from the rule (:meth:`~extbounds.geometry.QuadratureRule.derived`), so it
@@ -25,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ScalarField, VectorField
+from .fields import ScalarField, VectorField, _sphere_area, support_rows
 from .geometry import QuadratureRule, exact_dot, exact_sum, node_radii, row_sum
 
 
@@ -165,8 +180,9 @@ def _check_rule(rule: QuadratureRule, radius: float, degree: int) -> None:
             f"angular order {rule.angular_order} insufficient for degree "
             f"{degree}: need angular_order >= L + 1 for exact products"
         )
-    r = node_radii(rule.nodes)
-    if not np.allclose(r, radius, rtol=1e-12, atol=0.0):
+    on_sphere = rule.derived(("on sphere", radius), lambda: np.array(
+        np.allclose(node_radii(rule.nodes), radius, rtol=1e-12, atol=0.0)))
+    if not on_sphere:
         raise TraceError("quadrature rule does not live on the requested sphere")
 
 
@@ -190,20 +206,79 @@ def _project(values, radius, degree, rule):
     return SphereTrace(radius, dimension, degree, coeffs, above_band=above_band)
 
 
+# for omega_i = x_i/r, i = 1, ..., N: the slot of the degree-1 basis function
+# it is a multiple of, in the layout of ``basis_matrix``, and the sign of that
+# multiple.  For N = 3, with the Condon-Shortley phase, x/r and y/r are
+# negative multiples of the (1, 1) cosine and the (1, -1) sine harmonic, z/r
+# a positive one of (1, 0).
+_DEGREE_ONE = {3: (np.array([3, 1, 2]), np.array([-1.0, -1.0, 1.0])),
+               2: (np.array([1, 2]), np.array([1.0, 1.0]))}
+
+
+def _holds(support, radius: float) -> bool:
+    """Whether ``support`` (None: every radius) has the sphere of ``radius``
+    among the radii ``fields.support_rows`` finds for it."""
+    return support is None or support_rows(np.array([radius]), support) == (0, 1)
+
+
+def _from_terms(terms, profile, radius, degree, rule) -> SphereTrace | None:
+    """The trace of sum_k P_k(radius) (c_k . phi) on the sphere of
+    ``radius``, P_k = ``profile(t_k)`` (p or p') for the terms t_k of
+    ``terms`` whose support holds it, or None where it is not finite.  With
+    c the sum of the c_k, its coefficients are c . Phi for the projections
+    Phi of phi onto the basis: |S|^{1/2} radius^{(N-1)/2} for 1 in the
+    constant slot, and (|S|/N)^{1/2} radius^{(N-1)/2} for omega_i in the
+    degree-1 slot ``_DEGREE_ONE`` names, with its sign.  Nothing lies above
+    a band of degree 1 or more; for degree 0 ``above_band`` is the exact
+    degree-1 energy.  The rule is checked as for a projection."""
+    _check_rule(rule, radius, degree)
+    n = rule.dimension
+    at, c = np.array([radius]), np.zeros(n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in terms:
+            if _holds(t.support, radius):
+                c[:len(t.angular)] += float(profile(t)(at)[0]) * np.array(t.angular)
+        area = _sphere_area(n) * radius ** (n - 1)
+        coeffs = np.zeros(coefficient_count(n, degree))
+        coeffs[0] = math.sqrt(area) * c[0]
+        slots, signs = _DEGREE_ONE[n]
+        ones = math.sqrt(area / n) * signs * c[1:]
+        if degree:
+            coeffs[slots] = ones
+        above_band = 0.0 if degree else float(ones @ ones)
+        if not math.isfinite(coeffs @ coeffs + above_band):
+            return None
+    return SphereTrace(radius, n, degree, coeffs, above_band=above_band)
+
+
 def analyze(f: ScalarField, radius: float, degree: int, rule: QuadratureRule) -> SphereTrace:
     """Expand ``f`` restricted to the sphere of ``radius`` in the surface
-    basis up to ``degree``, by quadrature of the projection integrals."""
-    return _project(np.asarray(f.value(rule.nodes), dtype=float), radius, degree, rule)
+    basis up to ``degree``: in closed form from its terms, else (or where
+    their sum is not finite) by quadrature of the projection integrals."""
+    trace = _from_terms(f.terms, lambda t: t.p, radius, degree, rule) if f.terms else None
+    if trace is None:
+        trace = _project(np.asarray(f.value(rule.nodes), dtype=float), radius, degree, rule)
+    return trace
 
 
 def normal_trace(
     y: VectorField, radius: float, degree: int, rule: QuadratureRule
 ) -> SphereTrace:
-    """Expand the outward normal component x/|x| . y on the sphere."""
-    pts = rule.nodes
-    vals = np.asarray(y.value(pts), dtype=float)
-    normal = pts / node_radii(pts)[:, None]
-    return _project(row_sum(vals * normal), radius, degree, rule)
+    """Expand the outward normal component x/|x| . y on the sphere: for a
+    sum of harmonic gradients grad h_k and bumps off the sphere, h_k =
+    p_k (c_k . phi), in closed form as sum_k p_k'(radius) (c_k . phi), else
+    (or where that sum is not finite) by quadrature of the projection
+    integrals."""
+    trace = None
+    if (y.gradients or y.bumps) and not y.potential and not any(
+            _holds(t.support, radius) for t in y.bumps):
+        trace = _from_terms(y.gradients, lambda t: t.dp, radius, degree, rule)
+    if trace is None:
+        pts = rule.nodes
+        vals = np.asarray(y.value(pts), dtype=float)
+        normal = pts / node_radii(pts)[:, None]
+        trace = _project(row_sum(vals * normal), radius, degree, rule)
+    return trace
 
 
 def sobolev_weight(ell, dimension: int, radius: float):

@@ -166,6 +166,10 @@ def test_tracer_reads_the_calls_it_wraps():
         tracer.uninstall()
     metrics = tracer_module.layer_metrics(tracer.take())
     assert metrics["majorant.estimate.calls"] == 3
+    # the closed-form traces count as projections too: v's in I (II shares
+    # it), termless(v)'s and the jump's in III, and v's again in the
+    # minorant, since III's termless v took the mismatch memo
+    assert metrics["traces.project.calls"] == 4
     assert metrics["minorant.report.calls"] == 1
     assert metrics["minorant.basis_nodes"] == 0 and metrics["fields.norm.nodes"] > 0
 
@@ -188,3 +192,30 @@ def test_cleared_caches_build_new_rules(monkeypatch):
     assert xb.builtin("N3_harmonic", shells=1).problem.quads is held.problem.quads
     workloads.clear_program_caches()
     assert xb.builtin("N3_harmonic", shells=1).problem.quads is not held.problem.quads
+
+
+def test_cold_estimates_on_term_fields_build_no_trace_basis(monkeypatch):
+    # the Dirichlet data and v's trace are closed forms for fields with
+    # terms, so a cold builtin and estimates I and II build no basis;
+    # a field without terms on the same rule builds it
+    import extbounds as xb
+    import extbounds.traces as traces
+    from extbounds.problems import perturb
+
+    calls = []
+    build = traces.basis_matrix
+    monkeypatch.setattr(traces, "basis_matrix", lambda *a: calls.append(a[:3]) or build(*a))
+    held = {}
+    for name in xb.CATALOG:
+        # a resolution no other test builds: cold rules (the N3 problems
+        # share theirs)
+        mp = held[name] = xb.builtin(name, radial_order=5, angular_order=10, shells=1)
+        v = perturb(mp, "v", 0.1, "boundary_mode", 2)
+        xb.estimate_I(mp.problem, v, mp.exact_flux)
+        xb.estimate_II(mp.problem, v, mp.exact_flux)
+    assert calls == []
+    for name in ("N3_harmonic", "N2_log"):
+        p = held[name].problem
+        xb.estimate_I(p, termless(perturb(held[name], "v", 0.1, "boundary_mode", 2)),
+                      held[name].exact_flux)
+        assert calls.pop() == (p.domain.dimension, p.trace_degree, p.domain.a) and not calls

@@ -530,6 +530,19 @@ class TestFluxTerms:
         assert builds == [error, v.terms]
         xb.true_error(mp, perturb(mp, "v", 0.1, "interior_bump", 4))
         assert len(builds) == 3
+        # with a flux bump the flux gap also keeps the sum of a_d(u - v, u - v)
+        # alone, which the true error reads after the scale: one term table
+        # for u - v, and the bits of a sum of its own
+        v = perturb(mp, "v", 0.1, "interior_bump", 5)
+        y = perturb(mp, "y", 0.1, "interior_bump", 6)
+        assert y.bumps
+        builds.clear()
+        xb.estimate_I(p, v, y)
+        error = xb.true_error(mp, v)
+        error_terms = merged(mp.exact_u.terms + scaled_terms(-1.0, v.terms))
+        assert builds == [list(y.bumps), error_terms, v.terms]  # residual, flux gap, scale
+        fields_module._NORMS.clear()
+        assert xb.true_error(mp, v) == error and builds[3:] == [error_terms]
 
     def test_non_finite_bump_raises_the_tensor_rules_error(self, coarse):
         # a bump profile that is NaN at one radius: the terms give no finite

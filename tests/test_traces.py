@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from extbounds.fields import ScalarField, VectorField
-from extbounds.geometry import ExteriorDomain, build_quadrature, node_radii
+import extbounds as xb
+from extbounds.fields import ScalarField, VectorField, separable_field
+from extbounds.geometry import ExteriorDomain, build_quadrature, node_radii, row_sum
+from extbounds.problems import _flux_bump, perturb
 from extbounds.traces import (
     SphereTrace,
     TraceError,
+    _project,
     analyze,
     basis_matrix,
     coefficient_count,
@@ -19,6 +22,7 @@ from extbounds.traces import (
     sobolev_norm,
 )
 
+from conftest import termless
 from oracles import duality_pairing, reconstruct, surface_l2_norm
 
 DOM3 = ExteriorDomain(3, 1.0, 2.0)
@@ -251,6 +255,122 @@ class TestNormalTrace:
         t2 = normal_trace(mp.exact_flux, 2.0, 8, rule)
         assert np.array_equal(t1.coefficients, t2.coefficients)
         assert sobolev_norm(difference(t2, t1), -0.5) == 0.0
+
+
+def projected(f, radius, degree, rule):
+    """The trace of ``f`` sampled on ``rule`` and projected, as every field
+    was expanded before fields with terms took the closed form."""
+    return _project(np.asarray(f.value(rule.nodes), dtype=float), radius, degree, rule)
+
+
+def projected_normal(y, radius, degree, rule):
+    """The normal trace of ``y`` sampled on ``rule`` and projected."""
+    pts = rule.nodes
+    normal = pts / node_radii(pts)[:, None]
+    return _project(row_sum(np.asarray(y.value(pts), dtype=float) * normal), radius, degree,
+                    rule)
+
+
+class TestTermPath:
+    """A field with terms, and a jump of harmonic gradients, take the
+    closed-form trace; every other function keeps the projection."""
+
+    @pytest.mark.parametrize("name", xb.CATALOG)
+    def test_agrees_with_the_projection(self, catalog, name):
+        # within 1e-14 of the largest sampled coefficient: for the jump
+        # y_e - y_i, whose samples are the difference of two fluxes, of the
+        # larger of it and the exterior flux's
+        mp = catalog[name]
+        p = mp.problem
+        a, R, L, gamma, Gamma = (p.domain.a, p.domain.R, p.trace_degree, p.quads.gamma,
+                                 p.quads.Gamma)
+        for seed in (0, 3, 4, 10):
+            for eps in (1e-3, 0.1, 1.0):
+                for mode in ("interior_bump", "boundary_mode"):
+                    v = perturb(mp, "v", eps, mode, seed)
+                    term, sampled = analyze(v, a, L, gamma), projected(v, a, L, gamma)
+                    assert term.above_band == 0.0
+                    scale = np.max(np.abs(sampled.coefficients))
+                    assert np.max(np.abs(term.coefficients - sampled.coefficients)) <= (
+                        1e-14 * scale), (mode, seed, eps)
+                y_i, y_e = perturb(mp, "y_broken", eps, "interface_jump", seed)
+                jump = y_e - y_i
+                assert jump.gradients and not jump.potential and not jump.bumps
+                term = normal_trace(jump, R, L, Gamma)
+                sampled = projected_normal(jump, R, L, Gamma)
+                assert term.above_band == 0.0
+                scale = max(np.max(np.abs(sampled.coefficients)),
+                            np.max(np.abs(projected_normal(y_e, R, L, Gamma).coefficients)))
+                assert np.max(np.abs(term.coefficients - sampled.coefficients)) <= (
+                    1e-14 * scale), ("jump", seed, eps)
+
+    def test_builds_no_basis(self, n3_decay, monkeypatch):
+        import extbounds.traces as tr
+
+        monkeypatch.setattr(tr, "basis_matrix", lambda *a: pytest.fail("basis built"))
+        p = n3_decay.problem
+        v = perturb(n3_decay, "v", 0.1, "boundary_mode", 3)
+        y_i, y_e = perturb(n3_decay, "y_broken", 0.1, "interface_jump", 3)
+        rule = build_quadrature(p.domain, 6, 12, 3, "sphere_gamma")  # a new rule
+        analyze(v, p.domain.a, 8, rule)
+        normal_trace(y_e - y_i, p.domain.R, 8,
+                     build_quadrature(p.domain, 6, 12, 3, "sphere_Gamma"))
+
+    def test_termless_copies_keep_the_projection(self, catalog):
+        # a field without terms, a flux with a potential and a bump on the
+        # sphere are sampled and projected, bit for bit
+        for mp in catalog.values():
+            p = mp.problem
+            a, R, L = p.domain.a, p.domain.R, p.trace_degree
+            v = perturb(mp, "v", 0.1, "boundary_mode", 4)
+            y_i, y_e = perturb(mp, "y_broken", 0.1, "interface_jump", 4)
+            for got, want in (
+                    (analyze(termless(v), a, L, p.quads.gamma),
+                     projected(v, a, L, p.quads.gamma)),
+                    (normal_trace(termless(y_e - y_i), R, L, p.quads.Gamma),
+                     projected_normal(y_e - y_i, R, L, p.quads.Gamma)),
+                    (normal_trace(y_e, R, L, p.quads.Gamma),
+                     projected_normal(y_e, R, L, p.quads.Gamma))):
+                assert got.coefficients.tobytes() == want.coefficients.tobytes()
+                assert got.above_band == want.above_band
+
+    def test_bump_on_the_sphere_is_projected(self):
+        bump = separable_field(lambda r: np.cos(r - 2.0), lambda r: -np.sin(r - 2.0),
+                               (0.3, -0.2, 0.5, 0.1), label="on-sphere", support=(1.5, 2.5))
+        y = _flux_bump(bump, np.array([0.0, 0.6, 0.8]))
+        assert y.bumps
+        got, want = normal_trace(y, 2.0, 6, GAMMA3), projected_normal(y, 2.0, 6, GAMMA3)
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert got.above_band == want.above_band > 0.0  # (e . omega)(c . phi) has degree 2
+
+    @pytest.mark.parametrize("dim,rule", [(3, GAMMA3), (2, GAMMA2)])
+    def test_degree_zero_keeps_the_degree_one_energy(self, dim, rule):
+        coeffs = (0.5, -1.0, 2.0, 0.25)[:dim + 1]
+        f = separable_field(lambda r: 1.0 / r, lambda r: -1.0 / r**2, coeffs)
+        full, zero = analyze(f, 2.0, 1, rule), analyze(f, 2.0, 0, rule)
+        assert zero.coefficients[0] == full.coefficients[0]
+        ones = full.coefficients[1:]
+        assert zero.above_band == pytest.approx(float(ones @ ones), rel=1e-15)
+        assert zero.above_band == pytest.approx(projected(f, 2.0, 0, rule).above_band, rel=1e-12)
+
+    def test_rule_refusals_stay(self):
+        f = separable_field(lambda r: 1.0 / r, lambda r: -1.0 / r**2, (1.0, 0.0, 0.0, 1.0))
+        with pytest.raises(TraceError, match="angular order"):
+            analyze(f, 2.0, 14, GAMMA3)
+        with pytest.raises(TraceError, match="requested sphere"):
+            analyze(f, 2.0 + 1e-9, 4, GAMMA3)
+
+    def test_overflow_keeps_its_message(self, n3_harmonic):
+        # a term sum past the float range is sampled and projected, which
+        # names the overflow as before
+        p = n3_harmonic.problem
+        v = perturb(n3_harmonic, "v", 1e300, "boundary_mode", 0)
+        messages = []
+        for f in (v, termless(v)):
+            with pytest.raises(OverflowError) as exc:
+                analyze(f, p.domain.a, p.trace_degree, p.quads.gamma)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] and "beyond the float range" in messages[0]
 
 
 class TestSobolevNorm:
