@@ -2,10 +2,11 @@
 
 The domain is the exterior of a ball of radius ``a`` in R^N, N = 2 or 3,
 split by an artificial spherical interface of radius ``R`` into a bounded
-annulus ``omega_i`` and an unbounded tail ``omega_e``.  Quadrature rules are plain node/weight lists, so consumers
-never depend on how a rule was built; the tail is mapped to a finite
-interval with the substitution r = R/t, which integrates finite Laurent
-series in 1/r exactly.
+annulus ``omega_i`` and an unbounded tail ``omega_e``.  Quadrature rules
+are node/weight lists, built from a rule's radial and angular factors on
+the first read, so consumers never depend on how a rule was built; the
+tail is mapped to a finite interval with the substitution r = R/t, which
+integrates finite Laurent series in 1/r exactly.
 
 A rule's (M, N) nodes are column-major, one contiguous column per
 coordinate, so per-node broadcasts run over long contiguous runs instead
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -95,8 +96,10 @@ def _tail_edges(panels: int) -> np.ndarray:
     return np.concatenate([[0.0], 0.5 ** np.arange(panels - 1, -1.0, -1.0)])
 
 
+@lru_cache(maxsize=None)
 def _unit_sphere_rule(dimension: int, angular_order: int):
-    """Directions and weights integrating over the unit sphere S^{N-1}.
+    """Directions and weights integrating over the unit sphere S^{N-1},
+    read-only and computed once per (dimension, order).
 
     N = 2: offset uniform rule on the circle with 2*angular_order points;
     exact for trigonometric degree <= 2*angular_order - 1.  N = 3:
@@ -109,22 +112,35 @@ def _unit_sphere_rule(dimension: int, angular_order: int):
         theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
         dirs = np.stack([np.cos(theta), np.sin(theta)]).T
         wts = np.full(n, 2.0 * math.pi / n)
-        return dirs, wts
-    mu, wmu = _gauss_legendre(angular_order)
-    nphi = 2 * angular_order
-    phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi
-    wphi = 2.0 * math.pi / nphi
-    smu = np.sqrt(1.0 - mu**2)
-    dirs = np.empty((angular_order * nphi, 3), order="F")
-    wts = np.empty(angular_order * nphi)
-    k = 0
-    for i in range(angular_order):
-        dirs[k : k + nphi, 0] = smu[i] * np.cos(phi)
-        dirs[k : k + nphi, 1] = smu[i] * np.sin(phi)
-        dirs[k : k + nphi, 2] = mu[i]
-        wts[k : k + nphi] = wmu[i] * wphi
-        k += nphi
+    else:
+        mu, wmu = _gauss_legendre(angular_order)
+        nphi = 2 * angular_order
+        phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi
+        smu = np.sqrt(1.0 - mu**2)
+        # direction i * nphi + j has polar cosine mu_i and azimuth phi_j
+        dirs = np.stack([np.multiply.outer(smu, np.cos(phi)).ravel(),
+                         np.multiply.outer(smu, np.sin(phi)).ravel(), np.repeat(mu, nphi)]).T
+        wts = np.multiply.outer(wmu, np.full(nphi, 2.0 * math.pi / nphi)).ravel()
+    dirs.flags.writeable = wts.flags.writeable = False
     return dirs, wts
+
+
+class _Array:
+    """A ``QuadratureRule``'s ``nodes`` or ``weights``: the array it was
+    made with, or, made with None, the one ``_build`` makes on the first
+    read; either is kept in ``derived``."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, rule, owner=None):
+        if rule is None:
+            raise AttributeError(self.name)  # a field without a default
+        return rule.derived(self.name, lambda: rule._build(self.name))
+
+    def __set__(self, rule, value):
+        if value is not None:
+            rule._derived[self.name] = value
 
 
 @dataclass(frozen=True)
@@ -140,23 +156,42 @@ class QuadratureRule:
     live exactly as long as the rule.
 
     A rule that ``build_quadrature`` or ``whole_and_parts`` made is a
-    tensor rule and keeps its factors: ``radial`` holds the radial nodes
-    r_k and their weights W_k (w_k r_k^{N-1}, the radial rule's weight
-    times the Jacobian), ``angular`` the directions omega_j and their
-    weights, and node k * len(omega) + j is r_k omega_j with weight
-    W_k times the j-th angular weight.  A rule made otherwise has None,
-    and ``dataclasses.replace`` with other nodes must pass None for both."""
+    tensor rule, made with None for ``nodes`` and ``weights``, which it
+    builds on their first read from its factors: ``radial`` holds the
+    radial nodes r_k and their weights W_k (w_k r_k^{N-1}, the radial
+    rule's weight times the Jacobian), ``angular`` the directions omega_j
+    and their weights, and node k * len(omega) + j is r_k omega_j with
+    weight W_k times the j-th angular weight.  Its checks, ``len`` and
+    ``dimension`` read the factors only.  With ``rows`` = (rule, slice)
+    its arrays are those rows of that rule's.  A rule made otherwise has
+    None for both factors; ``dataclasses.replace`` reads (so builds)
+    every field, and with other nodes must pass None for both."""
 
-    nodes: np.ndarray  # (M, N), column-major
-    weights: np.ndarray  # (M,)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    nodes: np.ndarray | None = _Array()  # (M, N), column-major
+    weights: np.ndarray | None = _Array()  # (M,)
     radial_order: int
     angular_order: int
     shell_count: int
     radial: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
     angular: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    rows: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        for a in (self.radial or ()) + (self.angular or ()):
+            a.flags.writeable = False
+        if "nodes" not in self._derived:
+            if self.rows is not None:  # rows of a checked rule
+                return
+            # no factor is negative and rounding is monotone: the least and the
+            # largest factors (fmin skips NaN, max keeps it) give the extreme products
+            (r, wr), (dirs, wang) = self.radial, self.angular
+            if float(np.fmin.reduce(wr)) * float(wang.min()) <= 0.0:
+                raise QuadratureError("all quadrature weights must be positive")
+            if not (math.isfinite(float(wr.max()) * float(wang.max())) and math.isfinite(
+                    float(np.abs(r).max()) * float(np.abs(dirs).max()))):
+                raise QuadratureError("quadrature nodes and weights must be finite")
+            return
         nodes = np.asarray(np.atleast_2d(self.nodes), dtype=float)
         if nodes.strides[0] != nodes.itemsize:
             raise QuadratureError(
@@ -169,17 +204,29 @@ class QuadratureRule:
             raise QuadratureError("all quadrature weights must be positive")
         if not (np.isfinite(weights).all() and np.isfinite(nodes).all()):
             raise QuadratureError("quadrature nodes and weights must be finite")
-        for a in (nodes, weights) + (self.radial or ()) + (self.angular or ()):
-            a.flags.writeable = False
+        nodes.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
+    def _build(self, name: str) -> np.ndarray:
+        if self.rows is not None:
+            return getattr(self.rows[0], name)[self.rows[1]]
+        (r, wr), (dirs, wang) = self.radial, self.angular
+        if name == "weights":
+            return np.multiply.outer(wr, wang).reshape(-1)
+        # node k * len(dirs) + j is r[k] * dirs[j], written column by column
+        nodes = np.empty((dirs.shape[1], len(r) * len(dirs)))
+        for col, d in zip(nodes, dirs.T):
+            np.multiply.outer(r, d, out=col.reshape(len(r), len(d)))
+        return nodes.T
+
     @property
     def dimension(self) -> int:
-        return self.nodes.shape[1]
+        return self.nodes.shape[1] if self.angular is None else self.angular[0].shape[1]
 
     def __len__(self) -> int:
-        return self.nodes.shape[0]
+        return (self.nodes.shape[0] if self.radial is None
+                else len(self.radial[0]) * len(self.angular[0]))
 
     def derived(self, key, compute):
         """``compute()``, made read-only, computed on the first call for
@@ -315,12 +362,11 @@ def build_quadrature(
 
     n = domain.dimension
     dirs, wang = _unit_sphere_rule(n, angular_order)
-    # near the float limit a node or weight overflows, or an inf meets a
-    # zero: QuadratureRule rejects the non-finite values, so no warning
+    # near the float limit a factor or a product of two overflows, or an
+    # inf meets a zero: QuadratureRule rejects such factors, so no warning
     with np.errstate(over="ignore", invalid="ignore"):
         if region in ("sphere_gamma", "sphere_Gamma"):
             radius = domain.a if region == "sphere_gamma" else domain.R
-            nodes, weights = radius * dirs, radius ** (n - 1) * wang
             r, wr = np.array([radius]), np.array([radius ** (n - 1)])
         else:
             if region == "omega_i":
@@ -331,46 +377,27 @@ def build_quadrature(
                 )
                 r = domain.R / t
                 wr = wt * domain.R / t**2
-            # node k * len(dirs) + j is r[k] * dirs[j], written column by column
-            nodes = np.empty((len(r) * len(dirs), n), order="F")
-            for col, d in zip(nodes.T, dirs.T):
-                np.multiply.outer(r, d, out=col.reshape(len(r), len(d)))
             wr = wr * r ** (n - 1)
-            weights = (wr[:, None] * wang[None, :]).reshape(-1)
-    return QuadratureRule(
-        nodes=nodes,
-        weights=weights,
-        radial_order=radial_order,
-        angular_order=angular_order,
-        shell_count=shells,
-        radial=(r, wr),
-        angular=(dirs, wang),
-    )
+    return QuadratureRule(None, None, radial_order, angular_order, shells,
+                          radial=(r, wr), angular=(dirs, wang))
 
 
 def whole_and_parts(
     domain: ExteriorDomain, radial_order: int, angular_order: int, shells: int
 ) -> tuple[QuadratureRule, QuadratureRule, QuadratureRule]:
-    """The rule over the whole domain and its ``omega_i`` and ``omega_e``
-    rules, the last two as row views of the first one's arrays: the whole
-    rule lists the omega_i nodes, then the omega_e nodes."""
-    inner = build_quadrature(domain, radial_order, angular_order, shells, "omega_i")
-    outer = build_quadrature(domain, radial_order, angular_order, shells, "omega_e")
-    whole = replace(inner, nodes=stack_rows([inner.nodes, outer.nodes]),
-                    weights=np.concatenate([inner.weights, outer.weights]),
-                    radial=tuple(map(np.concatenate, zip(inner.radial, outer.radial))))
-    k = len(inner)
-    return (
-        whole,
-        replace(inner, nodes=whole.nodes[:k], weights=whole.weights[:k]),
-        replace(outer, nodes=whole.nodes[k:], weights=whole.weights[k:]),
-    )
-
-
-def stack_rows(parts) -> np.ndarray:
-    """The rows of the (M_k, N) arrays ``parts``, one array after another,
-    in one column-major array (``np.vstack`` makes a row-major one)."""
-    return np.concatenate([part.T for part in parts], axis=1).T
+    """The rule over the whole domain, the tensor rule over the radial nodes
+    of ``omega_i`` then those of ``omega_e``, and the rules over these two,
+    as row ranges of the first one's arrays."""
+    parts = [build_quadrature(domain, radial_order, angular_order, shells, region)
+             for region in ("omega_i", "omega_e")]
+    whole = QuadratureRule(None, None, radial_order, angular_order, shells,
+                           radial=tuple(map(np.concatenate, zip(*(p.radial for p in parts)))),
+                           angular=parts[0].angular)
+    k = len(parts[0])
+    return (whole,) + tuple(
+        QuadratureRule(None, None, radial_order, angular_order, shells, p.radial, p.angular,
+                       rows=(whole, rows))
+        for p, rows in zip(parts, (slice(0, k), slice(k, None))))
 
 
 def integrate(rule: QuadratureRule, integrand) -> float:

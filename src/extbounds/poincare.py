@@ -13,12 +13,18 @@ at r = 1.  The unit-factor comparison fails for every nonzero function
 (the weights are ordered the other way), so the chain link here carries
 the provable sqrt(2).  All headline constants are unaffected: they flow
 through the weight r, and rho >= r holds pointwise.
+
+The samples and the densities summed over them go into arrays kept per
+grid shape (``_grid``).  An N = 2 grid array is 221 KB, above glibc's
+128 KB mmap threshold: a new one per record would be mapped, or taken from
+a heap top that free trims back, and its pages faulted in anew each time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,6 +82,13 @@ class BumpFunction:
             )
 
 
+@lru_cache(maxsize=None)
+def _grid(shape: tuple) -> np.ndarray:
+    """Seven arrays of a grid shape, kept across records (one record at a
+    time): the samples' r, du/dr and weights, ln r and three densities."""
+    return np.empty((7,) + shape)
+
+
 def samples(u: BumpFunction) -> dict:
     """Quadrature samples of (r, u, radial derivative, gradient magnitude,
     weight) over the support of a test function, and its value u0 at the
@@ -86,20 +99,25 @@ def samples(u: BumpFunction) -> dict:
     angle) arrays, u and the gradient magnitude, which depend on the
     distance only, (distance, 1) columns.  A one-dimensional bump is
     sampled on its support's part of [0, inf) with the plain measure dr.
+
+    r, du/dr and the weights are arrays kept per shape (``_grid``): the
+    next call of the same dimension overwrites them.
     """
     n = u.dimension
     if n == 1:
         c, rad = u.center[0], u.radius
         r, wr = _composite_interval(max(c - rad, 0.0), max(c + rad, 0.0), ORDER, PANELS)
         t = (r - c) / rad
-        der = mollifier_deriv(t) / rad
+        kept = _grid(r.shape)
+        kept[0], kept[2] = r, wr
+        der = np.divide(mollifier_deriv(t), rad, out=kept[1])
         t0 = -c / rad
         return {
-            "r": r,
+            "r": kept[0],
             "u": mollifier(t),
             "du_r": der,
             "grad": np.abs(der),
-            "w": wr,
+            "w": kept[2],
             "u0": float(mollifier(np.array([t0]))[0]),
             "dimension": 1,
         }
@@ -117,11 +135,13 @@ def samples(u: BumpFunction) -> dict:
     t = s / u.radius
     val_s = mollifier(t)
     der_s = mollifier_deriv(t) / u.radius
-    r = np.sqrt(c**2 + s[:, None] ** 2 + 2.0 * c * s[:, None] * cos[None, :])
-    # radial derivative of u at x = center + s*omega:
-    #   (x/r) . grad u = u'(s) * (s + c cos) / r
-    du_r = der_s[:, None] * (s[:, None] + c * cos[None, :]) / r
-    weight = s[:, None] ** (n - 1) * ws[:, None] * wang[None, :]
+    s = s[:, None]
+    r, du_r, weight = _grid((len(s), len(cos)))[:3]
+    # r = sqrt(c^2 + s^2 + 2 c s cos), and the radial derivative of u at
+    # x = center + s*omega, (x/r) . grad u = u'(s) * (s + c cos) / r
+    np.sqrt(np.add(c**2 + s**2, np.multiply(2.0 * c * s, cos, out=r), out=r), out=r)
+    np.divide(np.multiply(der_s[:, None], np.add(s, c * cos, out=du_r), out=du_r), r, out=du_r)
+    np.multiply(s ** (n - 1) * ws[:, None], wang, out=weight)
     return {
         "r": r,
         "u": val_s[:, None],
@@ -135,34 +155,32 @@ def samples(u: BumpFunction) -> dict:
 
 def _integral(sm: dict, density: np.ndarray) -> float:
     """The exact sum of ``density`` times the weights over the samples."""
-    return exact_sum(np.ravel(density * sm["w"]))
+    return exact_sum(np.multiply(density, sm["w"], out=_grid(sm["w"].shape)[6]).ravel())
 
 
 def _norm(sm: dict, density: np.ndarray) -> float:
     return math.sqrt(max(_integral(sm, density), 0.0))
 
 
-def _power(w: np.ndarray, exponent: float):
-    """w ** exponent, or 1.0 for the exponent 0, where every power is 1.0."""
-    return 1.0 if exponent == 0.0 else w**exponent
-
-
 def _logs(sm: dict, what: str) -> np.ndarray:
     """ln r at the samples, for ``what``, which needs them all at r > 1."""
     if np.min(sm["r"]) <= 1.0:
         raise ValueError(f"{what} needs support at radius > 1")
-    return np.log(sm["r"])
+    return np.log(sm["r"], out=_grid(sm["r"].shape)[3])
 
 
 def _sides(sm: dict, const: float, w: np.ndarray, beta: float, logs=None):
     """The two sides of a weighted inequality: const ||w^{b-1} u|| (u
     divided by ``logs`` when given) and 2 ||w^b du/dr||."""
-    density = _power(w, 2 * beta - 2)
+    lhs, rhs, tmp = sides = _grid(sm["w"].shape)[4:]
+    np.power(w, 2 * beta - 2, out=lhs)
     if logs is not None:
-        density = density / logs**2
-    sides = [np.ravel(d * sm["w"]) for d in (density * sm["u"] ** 2,
-                                            _power(w, 2 * beta) * sm["du_r"] ** 2)]
-    lhs, rhs = np.sqrt(np.maximum(exact_sum(np.stack(sides)), 0.0))
+        lhs /= np.square(logs, out=tmp)
+    lhs *= sm["u"] ** 2
+    lhs *= sm["w"]
+    np.multiply(np.power(w, 2 * beta, out=rhs), np.square(sm["du_r"], out=tmp), out=rhs)
+    rhs *= sm["w"]
+    lhs, rhs = np.sqrt(np.maximum(exact_sum(sides[:2].reshape(2, -1)), 0.0))
     return const * float(lhs), 2.0 * float(rhs)
 
 
@@ -260,18 +278,19 @@ def verify_corollary_chain(domain: ExteriorDomain, u) -> list[VerificationRecord
     def link(name, lhs, rhs):
         return VerificationRecord(f"chain_{case}_{name}", n, 0.0, lhs, rhs)
 
-    n_dr = _norm(sm, sm["du_r"] ** 2)
+    r, u2, d = sm["r"], sm["u"] ** 2, _grid(sm["w"].shape)[4]
+    n_dr = _norm(sm, np.square(sm["du_r"], out=d))
     n_gr = _norm(sm, sm["grad"] ** 2)
 
     if n == 2:
         logs = _logs(sm, "chain case 'ii'")
-        n_log = _norm(sm, sm["u"] ** 2 / (sm["r"] * logs) ** 2)
+        n_log = _norm(sm, np.divide(u2, np.square(np.multiply(r, logs, out=d), out=d), out=d))
         return [link("log_vs_radial", n_log, 2.0 * n_dr),
                 link("radial_vs_gradient", 2.0 * n_dr, 2.0 * n_gr)]
 
-    n_rho = _norm(sm, sm["u"] ** 2 / (1.0 + sm["r"] ** 2))
-    n_opr = _norm(sm, sm["u"] ** 2 / (1.0 + sm["r"]) ** 2)
-    n_r = _norm(sm, sm["u"] ** 2 / sm["r"] ** 2)
+    n_rho = _norm(sm, np.divide(u2, np.add(1.0, np.square(r, out=d), out=d), out=d))
+    n_opr = _norm(sm, np.divide(u2, np.square(np.add(1.0, r, out=d), out=d), out=d))
+    n_r = _norm(sm, np.divide(u2, np.square(r, out=d), out=d))
     c_n = 2.0 / (n - 2.0)
     return [link("rho_vs_1plusr", n_rho, WEIGHT_EQUIV * n_opr),
             link("1plusr_vs_r", n_opr, n_r),
@@ -312,33 +331,33 @@ def partial_integration_identity(
     n = sm["dimension"]
     r, uu, dur = sm["r"], sm["u"], sm["du_r"]
     variant = {3: "power", 2: "log", 1: "halfline"}[n]
+    a, b = _grid(r.shape)[4:6]
+    logs = _logs(sm, "log identity") if n == 2 else None
+    weight = r if n != 1 else 1.0 + r
+    gh = 2.0 * beta + n - (3.0 if n == 2 else 2.0) if gamma_hat is None else gamma_hat
+    # combo = w^b du/dr + gh w^{b-1} u, with gh w^{b-1} divided by ln r for N = 2
+    np.multiply(gh, np.power(weight, beta - 1, out=b), out=b)
+    if logs is not None:
+        b /= logs
+    np.multiply(np.power(weight, beta, out=a), dur, out=a)
+    lhs = _integral(sm, np.square(np.add(a, np.multiply(b, uu, out=b), out=a), out=a))
+    np.multiply(np.power(weight, 2 * beta, out=a), np.square(dur, out=b), out=a)
+    grad_term = _integral(sm, a)
+
+    def u_term(logs_power):  # the integral of w^{2b-2} u^2 / (ln r)^logs_power
+        np.power(weight, 2 * beta - 2, out=a)
+        if logs_power:
+            np.divide(a, logs if logs_power == 1 else np.square(logs, out=b), out=a)
+        return _integral(sm, np.multiply(a, uu**2, out=a))
 
     if n == 2:
-        logs = _logs(sm, "log identity")
-        gh = 2.0 * beta + n - 3.0 if gamma_hat is None else gamma_hat
-        combo = _power(r, beta) * dur + gh * _power(r, beta - 1) / logs * uu
-        lhs = _integral(sm, combo**2)
-        rhs = (
-            _integral(sm, _power(r, 2 * beta) * dur**2)
-            + gh * (gh + 1.0) * _integral(sm, _power(r, 2 * beta - 2) / logs**2 * uu**2)
-            - gh
-            * (n + 2.0 * beta - 2.0)
-            * _integral(sm, _power(r, 2 * beta - 2) / logs * uu**2)
-        )
+        rhs = (grad_term + gh * (gh + 1.0) * u_term(2)
+               - gh * (n + 2.0 * beta - 2.0) * u_term(1))
     else:
-        weight = r if n == 3 else 1.0 + r
-        gh = 2.0 * beta + n - 2.0 if gamma_hat is None else gamma_hat
-        combo = _power(weight, beta) * dur + gh * _power(weight, beta - 1) * uu
-        lhs = _integral(sm, combo**2)
         # the boundary coefficient is -gh |u(0)|^2 per half line (u(0) is
         # 0 for N = 3); the two-sided whole-line form doubles it, but our
         # test functions live on [0, inf) extended by zero
-        rhs = (
-            _integral(sm, _power(weight, 2 * beta) * dur**2)
-            + gh * (gh - 2.0 * beta - n + 2.0)
-            * _integral(sm, _power(weight, 2 * beta - 2) * uu**2)
-            - gh * sm["u0"] ** 2
-        )
+        rhs = grad_term + gh * (gh - 2.0 * beta - n + 2.0) * u_term(0) - gh * sm["u0"] ** 2
     return IdentityRecord(variant, n, beta, gh, lhs, rhs)
 
 

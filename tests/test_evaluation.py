@@ -446,6 +446,7 @@ def harmonic8():
     v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
     whole = mp.problem.quads.whole
     gradient_on(v, whole)  # evaluated and kept before any measurement
+    whole.weights  # built on its first read, likewise before any
     return mp, v, whole
 
 

@@ -154,6 +154,77 @@ class TestBuild:
         assert len(rule) == sh * ro * ao * 2 * ao
 
 
+def eager_arrays(rule):
+    """A tensor rule's nodes and weights, built at once from its factors
+    with ``np.multiply.outer``."""
+    (r, wr), (dirs, wang) = rule.radial, rule.angular
+    nodes = np.stack([np.multiply.outer(r, d).ravel() for d in dirs.T], axis=1)
+    return nodes, np.multiply.outer(wr, wang).ravel()
+
+
+class TestLazyRules:
+    """A tensor rule builds its 3-D arrays on their first read only."""
+
+    @pytest.mark.parametrize("domain", [DOM2, DOM3, DOM3B])
+    @pytest.mark.parametrize("ro,ao,sh", [(12, 12, 8), (3, 5, 2), (1, 1, 1)])
+    def test_arrays_bit_equal_to_eager_ones(self, domain, ro, ao, sh):
+        rules = [build_quadrature(domain, ro, ao, sh, region) for region in geometry.REGIONS]
+        for rule in rules + list(whole_and_parts(domain, ro, ao, sh)):
+            assert "nodes" not in rule._derived and "weights" not in rule._derived
+            assert (len(rule), rule.dimension) == (len(rule.radial[0]) * len(rule.angular[0]),
+                                                   domain.dimension)
+            nodes, weights = eager_arrays(rule)
+            assert_bits_equal(rule.nodes, nodes)
+            assert_bits_equal(rule.weights, weights)
+            assert rule.nodes is rule.nodes and rule.weights is rule.weights
+
+    @pytest.mark.parametrize("domain", [DOM2, DOM3])
+    @pytest.mark.parametrize("first", ["omega_e", "whole"])
+    def test_parts_are_row_views_of_the_whole(self, domain, first):
+        rules = dict(zip(("whole", "omega_i", "omega_e"), whole_and_parts(domain, 4, 4, 2)))
+        rules[first].nodes  # either may be read first
+        whole, k = rules["whole"], len(rules["omega_i"])
+        for part, start in ((rules["omega_i"], 0), (rules["omega_e"], k)):
+            rows = slice(start, start + len(part))
+            assert part.nodes.base is whole.nodes.base
+            assert geometry._row_range(part.nodes, whole.nodes) == rows
+            assert np.shares_memory(part.weights, whole.weights)
+            assert_bits_equal(part.weights, whole.weights[rows])
+
+    @pytest.mark.parametrize("n,a,R,region,message", [
+        (2, 1.0, 1.0000000000000002, "omega_i", "weights must be positive"),  # underflow
+        (3, 5e-324, 1.0, "sphere_gamma", "weights must be positive"),  # a^2 is 0
+        (2, 1.0, 1e150, "omega_e", "must be finite"),  # overflowing weights
+        (3, 1.0, 1e308, "omega_i", "must be finite"),
+    ])
+    def test_near_the_float_limit_refused_at_build_time(self, n, a, R, region, message):
+        domain = ExteriorDomain(n, a, R)
+        with pytest.raises(QuadratureError, match=message):
+            build_quadrature(domain, 12, 12, 8, region)
+        if not region.startswith("sphere"):
+            with pytest.raises(QuadratureError, match=message):
+                whole_and_parts(domain, 12, 12, 8)
+
+    @pytest.mark.parametrize("command", ["majorant", "sandwich", "constants"])
+    def test_cold_command_builds_no_3d_array(self, command, tmp_path, monkeypatch):
+        import contextlib
+        import io
+
+        from extbounds import problems
+        from extbounds.cli import main
+
+        built, build = [], QuadratureRule._build
+        monkeypatch.setattr(problems, "_BUNDLE_CACHE", {})  # rules of its own
+        monkeypatch.setattr(QuadratureRule, "_build",
+                            lambda rule, name: built.append(rule) or build(rule, name))
+        (tmp_path / "config.json").write_text("{}")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--config", str(tmp_path / "config.json"),
+                         "--out", str(tmp_path)]) == 0
+        # at most the nodes of a sphere, which the trace check reads
+        assert all(len(rule.radial[0]) == 1 for rule in built)
+
+
 def special_rows(cols: int, seed: int) -> np.ndarray:
     """Random rows over a wide range, then rows of signed zeros,
     subnormals, infinities and NaN in every column position, and a row of

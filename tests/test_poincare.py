@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from extbounds import poincare
 from extbounds.geometry import ExteriorDomain
 from extbounds.poincare import (
     WEIGHT_EQUIV,
@@ -19,6 +21,13 @@ from extbounds.poincare import (
 
 DOM3 = ExteriorDomain(3, 1.0, 2.0)
 DOM2 = ExteriorDomain(2, 1.0, 2.0)
+
+
+def kept_samples(u):
+    """``samples(u)`` with its arrays copied: the next call of the same
+    dimension overwrites the ones it returns."""
+    return {key: np.copy(value) if isinstance(value, np.ndarray) else value
+            for key, value in samples(u).items()}
 
 
 class TestPowerWeight:
@@ -77,7 +86,7 @@ class TestHalfLine:
         assert rec.passed
         # without the origin allowance the inequality may not hold; check
         # the allowance is actually included
-        sm = samples(u)
+        sm = kept_samples(u)
         assert sm["u0"] == math.exp(-1.0)
         assert rec.rhs > 2.0 * math.sqrt(
             math.fsum(sm["du_r"] ** 2 * sm["w"])
@@ -87,7 +96,7 @@ class TestHalfLine:
     def test_bump_across_the_origin_is_cut_off(self, center):
         # sampled on [0, center + 1) only, with u(0) the profile at t = -center
         u = BumpFunction((center,), 1.0)
-        sm = samples(u)
+        sm = kept_samples(u)
         assert sm["r"].min() >= 0.0 and sm["r"].max() < center + 1.0
         assert sm["u0"] == pytest.approx(math.exp(-1.0 / (1.0 - center**2)), rel=1e-15)
         assert math.fsum(sm["w"]) == pytest.approx(center + 1.0, rel=1e-14)
@@ -98,7 +107,7 @@ class TestHalfLine:
     def test_zero_function(self):
         # a bump off the half line is the zero function on it
         u = BumpFunction((-3.0,), 1.0)
-        sm = samples(u)
+        sm = kept_samples(u)
         assert sm["u0"] == 0.0 and not sm["u"].any() and not sm["w"].any()
         for beta in (0.0, 1.0):
             rec = verify_halfline(u, beta)
@@ -210,3 +219,67 @@ class TestCsv:
         fields = lines[1].split(",")
         assert fields[0] == "power_weight" and fields[6] == "true"
         assert float(fields[4]) == recs[0].rhs
+
+
+def record_bits(rec):
+    return [np.float64(x).view(np.int64) for x in (rec.lhs, rec.rhs)]
+
+
+def one_of_each(k):
+    """One record of each kind for the k-th bump of each dimension: the
+    half line, N = 2 and N = 3, with an identity of each."""
+    u3, u2 = random_bumps(DOM3, 2, seed=41)[k], random_bumps(DOM2, 2, seed=42)[k]
+    u1 = BumpFunction((1.5 + k, ), 0.5 + 0.7 * k)
+    return [
+        lambda: verify_power_weight(DOM3, u3, 1.0),
+        lambda: verify_halfline(u1, 0.0),
+        lambda: verify_log_weight(DOM2, u2, 0.5),
+        lambda: partial_integration_identity(u2, 1.0),
+        *(lambda i=i: verify_corollary_chain(DOM3, u3)[i] for i in range(4)),
+        lambda: partial_integration_identity(u1, 1.0),
+        *(lambda i=i: verify_corollary_chain(DOM2, u2)[i] for i in range(2)),
+        lambda: partial_integration_identity(u3, 0.0, gamma_hat=0.7),
+        lambda: verify_log_weight(DOM2, u2, 0.0),
+    ]
+
+
+class TestKeptArrays:
+    """The samples and densities live in arrays kept per grid shape."""
+
+    def test_interleaved_records_bit_equal_to_lone_ones(self):
+        interleaved = [record_bits(run()) for k in (0, 1) for run in one_of_each(k)]
+        alone = []
+        for k in (0, 1):
+            for run in one_of_each(k):
+                poincare._grid.cache_clear()  # new arrays for this record alone
+                alone.append(record_bits(run()))
+        assert interleaved == alone
+
+    def test_samples_are_overwritten_by_the_next_call(self):
+        first, second = random_bumps(DOM2, 2, seed=43)
+        sm = samples(first)
+        kept = kept_samples(first)
+        again = samples(second)
+        for key in ("r", "du_r", "w"):
+            assert np.shares_memory(sm[key], again[key])
+            assert not np.array_equal(sm[key], kept[key])
+
+    def test_records_allocate_no_grid_array(self):
+        # after a warm-up record of each kind, N = 2 records allocate their
+        # small arrays and exact_sum's two 64 KB blocks; a new full-grid
+        # (576, 48) array would add 221 KB
+        for run in one_of_each(0):
+            run()
+        grid = poincare._grid((poincare.PANELS * poincare.ORDER, 2 * poincare.ANGULAR))
+        runs = [lambda: verify_log_weight(DOM2, u, beta) for u in random_bumps(DOM2, 1, 44)
+                for beta in (0.0, 1.0)]
+        runs += [lambda u=u: verify_corollary_chain(DOM2, u) for u in random_bumps(DOM2, 2, 45)]
+        runs.append(lambda: partial_integration_identity(random_bumps(DOM2, 1, 46)[0], 0.0))
+        tracemalloc.start()
+        try:
+            for run in runs:
+                run()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current < grid[0].nbytes

@@ -186,7 +186,9 @@ class TestSharedRules:
 
     def test_radius_sweep_holds_at_most_one_bundle(self):
         """Memory guard: a sweep that drops each moved problem ends holding
-        at most one bundle's rules and kept values, not one per radius."""
+        at most one bundle's rules and kept values, not one per radius.
+        The estimates read only the rules' factors, so ``run`` reads the
+        3-D arrays too: each bundle then holds them while it lives."""
         import gc
         import tracemalloc
 
@@ -198,6 +200,8 @@ class TestSharedRules:
             moved = xb.with_interface_radius(mp, radius)
             xb.estimate_I(moved.problem, v, mp.exact_flux)
             xb.true_error(moved, v)
+            for rule in (moved.problem.quads.whole, moved.problem.quads.omega_e_refined):
+                rule.nodes, rule.weights  # built on this first read, and kept
             return moved
 
         run(1.3)  # imports and the problem's own caches
