@@ -53,7 +53,8 @@ from .traces import sobolev_weight
 # annuli with R/a from 1.001 to 30
 OUTWARD_RTOL = 1e-12
 # steps of the scan for the first sign change of the Friedrichs root
-# function; only the step it ends in is searched further
+# function where its bracket may hold two roots (N = 2 with R > 8a), else
+# 1; only the step it ends in is searched further
 ROOT_SCAN_STEPS = 64
 # fixed-point bits of the first enclosure that proves a sign of the root
 # function, and the most bits tried, doubling, before giving up
@@ -232,25 +233,26 @@ def _proven(enclose, k: float) -> tuple[int, float]:
         f"sign of the root function at {k!r} not proven with {PROOF_BITS_MAX} bits")
 
 
-def _first_root(enclose, lo: float, hi: float, before: int) -> float:
+def _first_root(enclose, lo: float, hi: float, before: int, steps: int) -> float:
     """Left end of the pair of adjacent floats around the first root of
     the root function in (lo, hi), where its proven sign leaves
     ``before``, the sign it must have at ``lo``.
 
-    Every decision rests on a sign from :func:`_proven`.  A scan of
-    ``ROOT_SCAN_STEPS`` equal steps from ``lo`` stops at the first point
-    whose sign is not ``before``.  Illinois steps (regula falsi that
-    halves the value kept at an end that stayed twice in a row) on the
-    enclosures' midpoints then shrink that step down to adjacent floats;
-    each step is clamped into the open bracket, so each one shrinks it.
-    A wrong sign at ``lo``, as when ``lo`` was rounded past the root,
-    raises instead of finding a later root."""
+    Every decision rests on a sign from :func:`_proven`, so the floats
+    around a root alone in (lo, hi) do not depend on the path: one step,
+    to ``hi``, finds it.  A scan of ``steps`` equal steps from ``lo``
+    stops at the first point whose sign is not ``before``.  Illinois steps
+    (regula falsi that halves the value kept at an end that stayed twice
+    in a row) on the enclosures' midpoints then shrink that step down to
+    adjacent floats; each step is clamped into the open bracket, so each
+    one shrinks it.  A wrong sign at ``lo``, as when ``lo`` was rounded
+    past the root, raises instead of finding a later root."""
     sign, f_lo = _proven(enclose, lo)
     if sign != before:
         raise ConstantError(f"the root function has the wrong sign at {lo!r}")
-    start, step = lo, (hi - lo) / ROOT_SCAN_STEPS
-    for i in range(1, ROOT_SCAN_STEPS + 1):
-        right = hi if i == ROOT_SCAN_STEPS else start + i * step
+    start, step = lo, (hi - lo) / steps
+    for i in range(1, steps + 1):
+        right = hi if i == steps else start + i * step
         sign, f_right = _proven(enclose, right)
         if sign != before:
             break
@@ -297,14 +299,17 @@ def interior_friedrichs_constant(domain: ExteriorDomain) -> ConstantReport:
 
     For N = 3 the root is the only one below hi: with theta = k(R - a) the
     root function vanishes where tan theta = (R/(R - a)) theta, once in
-    (0, pi/2).  For N = 2 the frozen-weight bound puts the second root at
-    k_2 >= 3 sqrt(a/R) hi, above hi when R/a < 9; beyond that, the scan of
-    :func:`_first_root` is what picks the first sign change (the second
-    root lies at 2.5 hi or more up to R/a = 1e5, by 30-digit evaluation)."""
+    (0, pi/2), and next at k > 2 hi.  For N = 2 the frozen-weight bound
+    puts the second root at k_2 >= 3 sqrt(a/R) hi, which for R <= 8a (8a
+    is exact) is 1.06 hi or more, far beyond the rounding of hi.  These
+    brackets take one step; beyond, the scan of ``ROOT_SCAN_STEPS`` steps
+    picks the first sign change (the second root lies at 2.5 hi or more
+    up to R/a = 1e5, by 30-digit evaluation)."""
     n, a, R = domain.dimension, domain.a, domain.R
     hi = math.pi / (2.0 * (R - a))
     lo = (a / R) ** ((n - 1) / 2) * hi
-    k = _first_root(_friedrichs_function(n, a, R), lo, hi, 1 if n == 2 else -1)
+    steps = 1 if n == 3 or R <= 8.0 * a else ROOT_SCAN_STEPS
+    k = _first_root(_friedrichs_function(n, a, R), lo, hi, 1 if n == 2 else -1, steps)
     return _closed_form("interior_friedrichs", domain, [_outward(1.0 / k)], False)
 
 

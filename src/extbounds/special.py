@@ -13,7 +13,9 @@ it carries over, to ``error``.  The series below get each term from the
 one before by an exact rational factor, sum with guard bits, and add a
 proven bound of the neglected tail, so an enclosure's sign is proven
 once ``|value| > error``.  Their arguments are floats, hence exact
-dyadic rationals.
+dyadic rationals.  :func:`cos_sin` and :func:`bessel_series` carry their
+terms' values and errors as plain ints in these units, rounded as
+:meth:`Enclosure.times` rounds them, and enclose only the sums.
 """
 
 from __future__ import annotations
@@ -104,13 +106,15 @@ def cos_sin(theta: Fraction, bits: int) -> tuple[Enclosure, Enclosure]:
     most half the one before, so each series' neglected tail is below 2
     units."""
     n, d, w = theta.numerator, theta.denominator, bits + GUARD
-    sums = [_zero(w), _zero(w)]
-    term, j, j_min = _one(w), 0, -(-2 * abs(n) // d)  # j_min = ceil(2|theta|)
-    while j < j_min or not _negligible(term):
-        sums[j % 2] += term if j % 4 < 2 else -term
+    values, errors = [0, 0], [0, 0]  # of the cos and the sin sum
+    v, e, j, j_min = 1 << w, 0, 0, -(-2 * abs(n) // d)  # j_min = ceil(2|theta|)
+    while j < j_min or (abs(v) + e) >> GUARD:
+        values[j % 2] += v if j % 4 < 2 else -v
+        errors[j % 2] += e
         j += 1
-        term = term.times(n, d * j)
-    return _result(sums[0], 2), _result(sums[1], 2)
+        v, e = n * v // (d * j), -(-abs(n) * e // (d * j)) + 1
+    return (_result(Enclosure(values[0], errors[0], w), 2),
+            _result(Enclosure(values[1], errors[1], w), 2))
 
 
 def _atanh(n: int, d: int, bits: int) -> Enclosure:
@@ -159,20 +163,22 @@ def bessel_series(nu: int, x: Fraction, bits: int) -> tuple[Enclosure, Enclosure
     w = bits + guard
     n, d = x.numerator, x.denominator
     n2, d2 = n * n, d * d
-    u = Enclosure.of(n, 2 * d, w) if nu else _one(w)
+    uv, ue = ((n << w) // (2 * d), 1) if nu else (1 << w, 0)  # u_k
     hn, hd = 0, 1  # H_k
-    j_sum, s_sum, k = _zero(w), _zero(w), 0
+    jv = je = sv = se = k = 0  # the two sums
     while True:
         hn_nu, hd_nu = (hn * (k + 1) + hd, hd * (k + 1)) if nu else (hn, hd)
-        s_term = u.times(hn * hd_nu + hn_nu * hd, 2 * hd * hd_nu)
+        sn, sd = hn * hd_nu + hn_nu * hd, 2 * hd * hd_nu
+        tv, te = sn * uv // sd, -(-sn * ue // sd) + 1  # the k-th term of s_nu
         if (k > 0 and n2 <= (k + 1) * (k + 1 + nu) * d2
-                and _negligible(u, guard) and _negligible(s_term, guard)):
-            return _result(j_sum, 2, guard), _result(s_sum, 2, guard)
-        j_sum += u
-        s_sum += s_term
+                and (abs(uv) + ue) >> guard == 0 and (abs(tv) + te) >> guard == 0):
+            return (_result(Enclosure(jv, je, w), 2, guard),
+                    _result(Enclosure(sv, se, w), 2, guard))
+        jv, je, sv, se = jv + uv, je + ue, sv + tv, se + te
         k += 1
         hn, hd = hn * k + hd, hd * k
-        u = u.times(-n2, 4 * d2 * k * (k + nu))
+        dk = 4 * d2 * k * (k + nu)
+        uv, ue = -n2 * uv // dk, -(-n2 * ue // dk) + 1
 
 
 def hankel_pq(nu: int, x: Fraction, bits: int) -> tuple[Enclosure, Enclosure] | None:

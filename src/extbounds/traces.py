@@ -180,8 +180,12 @@ def _check_rule(rule: QuadratureRule, radius: float, degree: int) -> None:
             f"angular order {rule.angular_order} insufficient for degree "
             f"{degree}: need angular_order >= L + 1 for exact products"
         )
-    on_sphere = rule.derived(("on sphere", radius), lambda: np.array(
-        np.allclose(node_radii(rule.nodes), radius, rtol=1e-12, atol=0.0)))
+    if rule.radial is None:
+        on_sphere = rule.derived(("on sphere", radius), lambda: np.array(
+            np.allclose(node_radii(rule.nodes), radius, rtol=1e-12, atol=0.0)))
+    else:  # a tensor rule: unit directions times its radial nodes
+        radii = rule.radial[0]
+        on_sphere = len(radii) == 1 and abs(float(radii[0]) - radius) <= 1e-12 * abs(radius)
     if not on_sphere:
         raise TraceError("quadrature rule does not live on the requested sphere")
 

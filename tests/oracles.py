@@ -3,15 +3,20 @@ band-limited function of a trace, the pairing of two traces, the measure
 of an annulus, the inverse log-weighted norm, and reference builders of
 the analytic fields, each written out as its own closures, that the
 program's one separable builder must match bit for bit, and the minorant
-summed over every node of the whole rule.  The program never calls them."""
+summed over every node of the whole rule, and the cos, sin and Bessel
+series summed with :class:`~extbounds.special.Enclosure`'s operators,
+which the program's integer loops must match bit for bit.  The program
+never calls them."""
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from extbounds.fields import ScalarField, VectorField, require_finite
 from extbounds.geometry import ExteriorDomain, QuadratureRule, exact_dot, node_radii
+from extbounds.special import GUARD, Enclosure, _negligible, _one, _result, _zero
 from extbounds.traces import SphereTrace, _require_compatible, basis_matrix
 
 
@@ -342,3 +347,38 @@ def dense_minorant(p, v, basis) -> DenseMinorant:
     direct = float(exact_dot(np.sum(mixed * w_grads, axis=1), wts))
     return DenseMinorant(gram, rhs, max(min(float(rhs @ coeff), direct), 0.0), direct,
                          float(eigs[0]), coeff)
+
+
+def enclosure_cos_sin(theta: Fraction, bits: int) -> tuple[Enclosure, Enclosure]:
+    """``special.cos_sin`` on the operators of ``Enclosure``: the same
+    terms, rounded alike, summed by ``+`` and ``times``."""
+    n, d, w = theta.numerator, theta.denominator, bits + GUARD
+    sums = [_zero(w), _zero(w)]
+    term, j, j_min = _one(w), 0, -(-2 * abs(n) // d)
+    while j < j_min or not _negligible(term):
+        sums[j % 2] += term if j % 4 < 2 else -term
+        j += 1
+        term = term.times(n, d * j)
+    return _result(sums[0], 2), _result(sums[1], 2)
+
+
+def enclosure_bessel_series(nu: int, x: Fraction, bits: int) -> tuple[Enclosure, Enclosure]:
+    """``special.bessel_series`` on the operators of ``Enclosure``."""
+    guard = GUARD + int(1.45 * float(x))
+    w = bits + guard
+    n, d = x.numerator, x.denominator
+    n2, d2 = n * n, d * d
+    u = Enclosure.of(n, 2 * d, w) if nu else _one(w)
+    hn, hd = 0, 1
+    j_sum, s_sum, k = _zero(w), _zero(w), 0
+    while True:
+        hn_nu, hd_nu = (hn * (k + 1) + hd, hd * (k + 1)) if nu else (hn, hd)
+        s_term = u.times(hn * hd_nu + hn_nu * hd, 2 * hd * hd_nu)
+        if (k > 0 and n2 <= (k + 1) * (k + 1 + nu) * d2
+                and _negligible(u, guard) and _negligible(s_term, guard)):
+            return _result(j_sum, 2, guard), _result(s_sum, 2, guard)
+        j_sum += u
+        s_sum += s_term
+        k += 1
+        hn, hd = hn * k + hd, hd * k
+        u = u.times(-n2, 4 * d2 * k * (k + nu))

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import subprocess
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import j0, j1, y0, y1
@@ -175,10 +178,38 @@ def sign_before(dim):
     return 1 if dim == 2 else -1
 
 
-def program_root(dim, R, enclose=None):
-    """The program's k for a = 1, from ``enclose`` in place of its own."""
+def program_root(dim, R, enclose=None, steps=cs.ROOT_SCAN_STEPS):
+    """The program's k for a = 1, from ``enclose`` in place of its own,
+    found by a scan of ``steps`` steps."""
     enclose = enclose or cs._friedrichs_function(dim, 1.0, R)
-    return cs._first_root(enclose, *friedrichs_bracket(dim, R), sign_before(dim))
+    return cs._first_root(enclose, *friedrichs_bracket(dim, R), sign_before(dim), steps)
+
+
+def searched(domain):
+    """The steps of the program's search for ``domain``'s Friedrichs
+    constant, and what that search and the full scan of ``ROOT_SCAN_STEPS``
+    steps on the same bracket give: each the root it finds or the message
+    of the ``ConstantError`` it raises."""
+    calls, first_root = [], cs._first_root
+
+    def outcome(*args):
+        try:
+            return first_root(*args)
+        except cs.ConstantError as error:
+            return str(error)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cs, "_first_root", lambda *args: calls.append(args) or first_root(*args))
+        with contextlib.suppress(cs.ConstantError):
+            cs.interior_friedrichs_constant(domain)
+    (enclose, lo, hi, before, steps), = calls
+    return steps, outcome(*calls[0]), outcome(enclose, lo, hi, before, cs.ROOT_SCAN_STEPS)
+
+
+# brackets proven to hold one root: N = 3 at any R/a, N = 2 with R <= 8a
+ONE_ROOT_DOMAINS = st.one_of(
+    st.tuples(st.just(3), st.floats(0.2, 3.0), st.floats(1.0, 50.0, exclude_min=True)),
+    st.tuples(st.just(2), st.floats(1.0, 3.0), st.floats(1.0, 8.0, exclude_min=True)))
 
 
 def mpmath_multiple(dim, R, k, bits):
@@ -251,7 +282,30 @@ class TestProvenBracket:
             shift = round(fraction * e.error)
             return Enclosure(e.value + shift, e.error + abs(shift), bits)
 
-        assert program_root(dim, 2.0, moved) == program_root(dim, 2.0)
+        for steps in (1, cs.ROOT_SCAN_STEPS):
+            assert program_root(dim, 2.0, moved, steps) == program_root(dim, 2.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=ONE_ROOT_DOMAINS)
+    def test_skipped_scan_changes_no_bit(self, drawn):
+        # the same adjacent floats, or the same refusal where the bracket
+        # is narrower than a float step
+        dim, a, ratio = drawn
+        assume(a * ratio > a)
+        steps, found, full = searched(ExteriorDomain(dim, a, a * ratio))
+        assert steps == 1
+        assert found == full
+
+    @pytest.mark.parametrize("R,steps", [
+        (8.0, 1),  # the last radius that skips the scan
+        (math.nextafter(8.0, math.inf), cs.ROOT_SCAN_STEPS),
+        (8.5, cs.ROOT_SCAN_STEPS),
+        (30.0, cs.ROOT_SCAN_STEPS),
+    ])
+    def test_n2_steps_around_eight_radii(self, R, steps):
+        taken, found, full = searched(ExteriorDomain(2, 1.0, R))
+        assert taken == steps
+        assert found == full
 
     def test_unproven_sign_raises(self):
         from extbounds.special import Enclosure
@@ -263,7 +317,7 @@ class TestProvenBracket:
         # a lower end past the first root must not lead to a later root
         enclose = cs._friedrichs_function(3, 1.0, 2.0)
         with pytest.raises(cs.ConstantError, match="wrong sign"):
-            cs._first_root(enclose, *friedrichs_bracket(3, 2.0), +1)
+            cs._first_root(enclose, *friedrichs_bracket(3, 2.0), +1, 1)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("R", [2.0, 1.5, 1.75])
@@ -284,7 +338,7 @@ class TestProvenBracket:
 
         monkeypatch.setattr(cs, "_friedrichs_function", counted)
         cs.interior_friedrichs_constant(ExteriorDomain(dim, 1.0, R))
-        assert len(calls) <= 48
+        assert len(calls) <= 16
 
 
 def mode_multiplier(ell, dim, radius):

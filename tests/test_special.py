@@ -3,6 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import enclosure_bessel_series, enclosure_cos_sin
 
 from extbounds import special
 from extbounds.special import Enclosure, bessel_series, cos_sin, hankel_pq
@@ -46,6 +49,27 @@ def test_enclosures_contain_mpmath_values(bits):
             jm, ym, amp = mpmath.besselj(nu, xm), mpmath.bessely(nu, xm), mpmath.sqrt(mpmath.pi * xm / 2)
             assert_encloses(p, amp * (jm * mpmath.cos(w) + ym * mpmath.sin(w)), bits)
             assert_encloses(q, amp * (ym * mpmath.cos(w) - jm * mpmath.sin(w)), bits)
+
+
+def triples(pair):
+    return [(e.value, e.error, e.bits) for e in pair]
+
+
+BITS = st.sampled_from([64, 128, 256, 4096])
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(-8.0, 8.0), bits=BITS)
+def test_cos_sin_on_integers_matches_the_enclosure_series(theta, bits):
+    theta = Fraction(theta)
+    assert triples(cos_sin(theta, bits)) == triples(enclosure_cos_sin(theta, bits))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.floats(0.0, 40.0, exclude_min=True), nu=st.sampled_from([0, 1]), bits=BITS)
+def test_bessel_series_on_integers_matches_the_enclosure_series(x, nu, bits):
+    x = Fraction(x)
+    assert triples(bessel_series(nu, x, bits)) == triples(enclosure_bessel_series(nu, x, bits))
 
 
 def test_hankel_declines_where_its_terms_stay_large():

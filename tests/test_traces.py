@@ -8,7 +8,13 @@ from hypothesis.extra.numpy import arrays
 
 import extbounds as xb
 from extbounds.fields import ScalarField, VectorField, separable_field
-from extbounds.geometry import ExteriorDomain, build_quadrature, node_radii, row_sum
+from extbounds.geometry import (
+    ExteriorDomain,
+    QuadratureRule,
+    build_quadrature,
+    node_radii,
+    row_sum,
+)
 from extbounds.problems import _flux_bump, perturb
 from extbounds.traces import (
     SphereTrace,
@@ -29,6 +35,10 @@ DOM3 = ExteriorDomain(3, 1.0, 2.0)
 DOM2 = ExteriorDomain(2, 1.0, 2.0)
 GAMMA3 = build_quadrature(DOM3, 6, 12, 3, "sphere_Gamma")
 GAMMA2 = build_quadrature(DOM2, 6, 12, 3, "sphere_Gamma")
+# a tensor rule over the spheres of radius 2 and 3
+TWO_SPHERES = QuadratureRule(None, None, 6, 12, 3, radial=(np.array([2.0, 3.0]),
+                                                           np.array([4.0, 9.0])),
+                             angular=GAMMA3.angular)
 
 
 def coeffs(n=9):
@@ -186,9 +196,11 @@ class TestAnalyze:
     @pytest.mark.parametrize("radius,rule", [
         (1e-9, build_quadrature(ExteriorDomain(3, 1e-9, 2e-9), 6, 12, 3, "sphere_Gamma")),
         (2.0 + 1e-9, GAMMA3),
+        (2.0, TWO_SPHERES),
     ])
     def test_rule_off_the_sphere_rejected(self, radius, rule):
-        # both spheres lie within numpy's default absolute tolerance 1e-8
+        # the first two spheres lie within numpy's default absolute tolerance
+        # 1e-8; the third rule's first radial node is the requested radius
         one = ScalarField(value=lambda p: np.ones(len(p)), label="1")
         with pytest.raises(TraceError, match="requested sphere"):
             analyze(one, radius, 4, rule)
