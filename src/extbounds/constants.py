@@ -304,10 +304,17 @@ def interior_friedrichs_constant(domain: ExteriorDomain) -> ConstantReport:
     is exact) is 1.06 hi or more, far beyond the rounding of hi.  These
     brackets take one step; beyond, the scan of ``ROOT_SCAN_STEPS`` steps
     picks the first sign change (the second root lies at 2.5 hi or more
-    up to R/a = 1e5, by 30-digit evaluation)."""
+    up to R/a = 1e5, by 30-digit evaluation).  Where R is so close to a
+    that no float lies strictly between lo and hi, the search has no point
+    to prove a sign at, and the rounding of hi may have put the root above
+    it: ``ConstantError`` names a and R before any sign is proven."""
     n, a, R = domain.dimension, domain.a, domain.R
     hi = math.pi / (2.0 * (R - a))
     lo = (a / R) ** ((n - 1) / 2) * hi
+    if not math.nextafter(lo, hi) < hi:
+        raise ConstantError(
+            f"the bracket ({lo!r}, {hi!r}) of the Friedrichs root holds no float for "
+            f"a={a!r}, R={R!r}")
     steps = 1 if n == 3 or R <= 8.0 * a else ROOT_SCAN_STEPS
     k = _first_root(_friedrichs_function(n, a, R), lo, hi, 1 if n == 2 else -1, steps)
     return _closed_form("interior_friedrichs", domain, [_outward(1.0 / k)], False)

@@ -157,15 +157,16 @@ def merged(terms) -> tuple:
     for t in terms:
         key = (t.p, t.dp, t.support, t.direction)
         if key in out:
-            t = t._replace(angular=tuple(a + b for a, b in itertools.zip_longest(
-                out[key].angular, t.angular, fillvalue=0.0)))
+            t = Term(t.p, t.dp, tuple([a + b for a, b in itertools.zip_longest(
+                out[key].angular, t.angular, fillvalue=0.0)]), t.support, t.direction)
         out[key] = t
-    return tuple(t for t in out.values() if any(t.angular))
+    return tuple([t for t in out.values() if any(t.angular)])
 
 
 def scaled_terms(c: float, terms) -> tuple:
     """c times each term's coefficients."""
-    return merged(t._replace(angular=tuple(c * a for a in t.angular)) for t in terms)
+    return merged(Term(t.p, t.dp, tuple([c * a for a in t.angular]), t.support, t.direction)
+                  for t in terms)
 
 
 def difference(a, b) -> tuple:
@@ -180,7 +181,7 @@ def _held_to(t: Term, support) -> Term | None:
         return t
     if t.support is not None:
         support = (max(t.support[0], support[0]), min(t.support[1], support[1]))
-    return t._replace(support=support) if support[0] <= support[1] else None
+    return Term(t.p, t.dp, t.angular, support, t.direction) if support[0] <= support[1] else None
 
 
 class _Field:
@@ -555,15 +556,40 @@ def _sphere_moments(bits: bytes, shape: tuple) -> np.ndarray:
     return m
 
 
-def _profiles(rule: QuadratureRule, sets, labels, weight: str):
+@functools.lru_cache(maxsize=16)
+def _moment_entries(bits: bytes, shape: tuple) -> tuple:
+    """(columns, x, y), read-only, for the D with these bytes and shape: the
+    entries (x, y) that are not 0 in all four ``sphere_moments`` of D, and
+    the (4, len(x)) moments there."""
+    moments = sphere_moments(np.frombuffer(bits).reshape(shape))
+    x, y = np.nonzero(np.any(moments != 0.0, axis=0))
+    out = moments[:, x, y], x, y
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(count: int) -> tuple:
+    """``np.triu_indices(count)``, read-only: the pairs i <= j of
+    ``range(count)``."""
+    pairs = np.triu_indices(count)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
+_JOIN = 1 << 16  # term_products joins the pairs of terms in chunks of about this many
+
+
+def _profiles(rule: QuadratureRule, r: np.ndarray, sets, labels, weight: str):
     """(rows, values, bounds) of the profiles (p, dp, support) of the terms
-    of ``sets``: the row of each, p and p' at the rule's radial nodes, a row
-    each, 0.0 off the rows [lo, hi) that ``support_rows`` finds for its
-    support, and those (lo, hi).  A non-finite value raises
-    ``QuadratureErrorAt`` at the first node of its radius, named by the
-    label of its first set and ``weight``."""
-    r = rule.radial[0]
-    directions = len(rule.angular[0])
+    of ``sets``: the row of each, p and p' at the radial nodes ``r`` of the
+    tensor ``rule``, a row each, 0.0 off the rows [lo, hi) that
+    ``support_rows`` finds for its support, and those (lo, hi).  A
+    non-finite value raises ``QuadratureErrorAt`` at the first node of its
+    radius, p's before p''s, named by the label of its first set and
+    ``weight``."""
     profiles = {}  # (p, dp, support) -> (its row, its first set's label)
     for terms, label in zip(sets, labels):
         for t in terms:
@@ -572,22 +598,26 @@ def _profiles(rule: QuadratureRule, sets, labels, weight: str):
     bounds = np.zeros((len(profiles), 2), dtype=np.intp)
     for (fn, dfn, support), (i, label) in profiles.items():
         lo, hi = (0, len(r)) if support is None else support_rows(r, support)
-        for out, f in zip(values, (fn, dfn)):
-            out[i, lo:hi] = f(r[lo:hi])
-            bad = np.flatnonzero(~np.isfinite(out[i, lo:hi]))
-            if len(bad):
-                node = (lo + int(bad[0])) * directions
-                raise QuadratureErrorAt(node, rule.nodes[node], label, weight)
+        values[0, i, lo:hi] = fn(r[lo:hi])
+        values[1, i, lo:hi] = dfn(r[lo:hi])
+        if not np.isfinite(values[:, i, lo:hi]).all():
+            bad = np.flatnonzero(~np.isfinite(values[:, i, lo:hi]))[0] % (hi - lo)
+            node = (lo + int(bad)) * len(rule.angular[0])
+            raise QuadratureErrorAt(node, rule.nodes[node], label, weight)
         bounds[i] = lo, hi
     return {key: i for key, (i, _) in profiles.items()}, values, bounds
 
 
+# the rows of p (0) and p' (1) of the first and second profile of a pair
+# in its four densities, in the order of ``term_products``
+_LEFT = np.array([[1], [1], [0], [0]])
+_RIGHT = np.array([[1], [0], [1], [0]])
+
+
 def _coefficients(terms, n: int) -> np.ndarray:
     """The angular coefficients of ``terms``, a row of N + 1 each."""
-    coef = np.zeros((len(terms), n + 1))
-    for row, t in zip(coef, terms):
-        row[:len(t.angular)] = t.angular
-    return coef
+    return np.array([tuple(t.angular) + (0.0,) * (n + 1 - len(t.angular)) for t in terms],
+                    dtype=float).reshape(len(terms), n + 1)
 
 
 def term_products(rule: QuadratureRule, sets, labels, weight: str, radial=None):
@@ -608,41 +638,57 @@ def term_products(rule: QuadratureRule, sets, labels, weight: str, radial=None):
     ``products(term_sets, D)``, for a symmetric D (a 1-D D: the diagonal),
     gives (A, B, the products of a_D(s, t)), a row each, for each term s of
     set A and t of set B, A <= B, whose profiles share nodes, sorted by
-    (A, B), with the entries that are 0 in all four M left out (those off
-    the diagonal, for a diagonal D).  A non-finite profile value raises
-    ``QuadratureErrorAt`` (``_profiles``)."""
+    (A, B, the pair of profiles, s, t), with the entries that are 0 in all
+    four M left out (those off the diagonal, for a diagonal D).  A
+    non-finite profile value raises ``QuadratureErrorAt`` (``_profiles``).
+
+    The pairs of profiles come from ``np.triu_indices`` kept per count
+    (``_upper_pairs``), their four densities go into one array, and the
+    pairs of terms are joined in numpy, about ``_JOIN`` pairs at a time: a
+    few numpy operations per chunk, not Python steps per pair."""
     r, weights = rule.radial
     if radial is not None:
         weights = weights * radial(r)
-    rows, values, bounds = _profiles(rule, sets, labels, weight)
+    rows, values, bounds = _profiles(rule, r, sets, labels, weight)
     lo, hi = bounds.T
-    i, j = np.triu_indices(len(bounds))
+    i, j = _upper_pairs(len(bounds))
     shared = np.maximum(lo[i], lo[j]) < np.minimum(hi[i], hi[j])
-    pairs = np.column_stack([i[shared], j[shared]])  # the profiles sharing rows
-    (p_i, p_j), (d_i, d_j) = values[0][pairs.T], values[1][pairs.T]
-    dens = np.stack([d_i * d_j, d_i * p_j / r, p_i * d_j / r, p_i * p_j / (r * r)], axis=1)
+    i, j = i[shared], j[shared]  # the profiles sharing rows
+    # the densities p_i' p_j', p_i' p_j / r, p_i p_j' / r and p_i p_j / r^2
+    dens = np.empty((len(i), 4, len(r)))
+    np.multiply(values[_LEFT, i], values[_RIGHT, j], out=dens.transpose(1, 0, 2))
+    dens[:, 1:3] /= r
+    dens[:, 3] /= r * r
     # the radial sums per pair of profiles; a_D(s, t) is symmetric (so are
     # the M), so a pair serves both orders
     sums = exact_dot(dens.reshape(-1, len(r)), weights).reshape(-1, 4, 1)
-    index = {}  # (row, row) -> the pair's row in sums, in both orders
-    for k, (a, b) in enumerate(pairs.tolist()):
-        index[a, b] = index[b, a] = k
+    pair_of = np.full((len(bounds), len(bounds)), -1, dtype=np.intp)
+    pair_of[i, j] = pair_of[j, i] = np.arange(len(i))
 
     def products(term_sets, D):
-        moments = sphere_moments(D)
-        x, y = np.nonzero(np.any(moments != 0.0, axis=0))
-        flat = [(k, rows[t.p, t.dp, t.support], t) for k, terms in enumerate(term_sets)
-                for t in terms]
-        members = {}  # profile row -> its terms in flat
-        for m, (_, row, _) in enumerate(flat):
-            members.setdefault(row, []).append(m)
-        found = sorted((flat[s][0], flat[t][0], k, s, t) for (a, b), k in index.items()
-                       for s in members.get(a, ()) for t in members.get(b, ())
-                       if flat[s][0] <= flat[t][0])
-        first, second, pair, s, t = np.array(found, dtype=np.intp).reshape(-1, 5).T
-        coef = _coefficients([term for _, _, term in flat], moments.shape[-1] - 1)
-        prods = (sums[pair] * moments[:, x, y]) * (coef[s][:, x] * coef[t][:, y])[:, None, :]
-        return first, second, prods.reshape(len(pair), 4 * len(x))
+        D = np.asarray(D, dtype=float)
+        columns, x, y = _moment_entries(D.tobytes(), D.shape)
+        flat = [t for terms in term_sets for t in terms]
+        which, row = np.array([(k, rows[t.p, t.dp, t.support])
+                               for k, terms in enumerate(term_sets) for t in terms],
+                              dtype=np.intp).reshape(-1, 2).T
+        # the pairs (s, t) whose profiles meet, A <= B, s major, joined for
+        # chunks of s of about _JOIN pairs each
+        n, found = len(flat), []
+        chunk = max(1, _JOIN // max(n, 1))
+        for start in range(0, max(n, 1), chunk):
+            part = slice(start, start + chunk)
+            meet = pair_of[row[part, None], row]
+            s, t = np.nonzero((which[part, None] <= which) & (meet >= 0))
+            found.append((s + start, t, meet[s, t]))
+        s, t, pair = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
+        first, second = which[s], which[t]
+        # (s, t) ascend, and the sort is stable: sorted by (A, B, pair, s, t)
+        order = np.lexsort((pair, second, first))
+        s, t, pair = s[order, None], t[order, None], pair[order]
+        coef = _coefficients(flat, len(D))
+        prods = (sums[pair] * columns) * (coef[s, x] * coef[t, y])[:, None, :]
+        return first[order], second[order], prods.reshape(len(pair), 4 * len(x))
 
     return products
 
@@ -683,7 +729,7 @@ def bump_products(rule: QuadratureRule, grads, bumps, inverse: np.ndarray) -> np
     n = rule.dimension
     x1, x2, x3 = bump_moments(n)
     sets = [terms for terms, _ in grads] + [bumps]
-    rows, (p, dp), _ = _profiles(rule, sets, [""] * len(sets), "")
+    rows, (p, dp), _ = _profiles(rule, r, sets, [""] * len(sets), "")
     alpha = _coefficients(bumps, n)
     e = np.array([s.direction for s in bumps]).reshape(len(bumps), n)
     dens, factors = [], []
@@ -843,19 +889,37 @@ def profile(shape, dshape, centre: float, width: float):
 # where it vanishes identically, and so is its derivative where it is flat
 
 
+def _mollifier_parts(t: np.ndarray) -> tuple:
+    """(inside, t, 1 - t^2, exp(-1/(1 - t^2))): the mask of |t| < 1 - 1e-14
+    and the rest at the t it holds."""
+    inside = np.abs(t) < 1.0 - 1e-14
+    ti = t[inside]
+    gap = 1.0 - ti**2
+    return inside, ti, gap, np.exp(-1.0 / gap)
+
+
 def mollifier(t: np.ndarray) -> np.ndarray:
     out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0 - 1e-14
-    out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
+    inside, _, _, value = _mollifier_parts(t)
+    out[inside] = value
     return out
 
 
 def mollifier_deriv(t: np.ndarray) -> np.ndarray:
     out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0 - 1e-14
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti**2)) * (-2.0 * ti / (1.0 - ti**2) ** 2)
+    inside, ti, gap, value = _mollifier_parts(t)
+    out[inside] = value * (-2.0 * ti / gap**2)
     return out
+
+
+def mollifier_and_deriv(t: np.ndarray) -> tuple:
+    """(``mollifier(t)``, ``mollifier_deriv(t)``), the same bits from one
+    exp."""
+    out, deriv = np.zeros_like(t), np.zeros_like(t)
+    inside, ti, gap, value = _mollifier_parts(t)
+    out[inside] = value
+    deriv[inside] = value * (-2.0 * ti / gap**2)
+    return out, deriv
 
 
 def ramp(t: np.ndarray) -> np.ndarray:

@@ -17,9 +17,11 @@ All reductions go through ``exact_sum``, which returns the correctly
 rounded sum of its values, bit-equal to ``math.fsum``: integrals are
 bit-reproducible and independent of node ordering or any parallel
 evaluation strategy.  It extracts the values level by level with numpy,
-each level's sum exact, until the rounding of the total is fixed (the
-error-free extraction of Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
-2008), and sums each row of a 2-D array in one call.
+each level's sum exact (the error-free extraction of Rump, Ogita and
+Oishi, SIAM J. Sci. Comput. 31, 2008), and sums each row of a 2-D array
+in one call.  A first pass of one level, with a proven bound on the
+float sum of the rests, decides the rows at once; the rows it leaves
+open are extracted deeper until the rounding of their totals is fixed.
 """
 
 from __future__ import annotations
@@ -428,12 +430,12 @@ def exact_dot(values: np.ndarray, weights: np.ndarray):
     return exact_sum(np.asarray(values, dtype=float) * weights)
 
 
-# exact_sum hands 1-D arrays shorter than _SMALL to math.fsum, which is
-# faster there, and reads longer ones in blocks of at most _BLOCK values,
-# whose 64 KB temporaries stay in cache and on malloc's heap.  Values of
-# magnitude _BIG or more, where fsum can overflow on the way, non-finite
-# values and rows longer than _LONGEST go to fsum.
-_SMALL = 320
+# exact_sum hands 1-D arrays shorter than _SMALL to math.fsum, as a list
+# of floats, which is faster there, and reads longer ones in blocks of at
+# most _BLOCK values, whose 64 KB temporaries stay in cache and on malloc's
+# heap.  Values of magnitude _BIG or more, where fsum can overflow on the
+# way, non-finite values and rows longer than _LONGEST go to fsum.
+_SMALL = 512
 _BLOCK = 1 << 13
 _BIG = 2.0**960
 _LONGEST = 1 << 26  # keeps lead <= 27 in _extracted_sums
@@ -452,15 +454,42 @@ def _extracted_sums(x, k, lead):
     rests| too.  A rest that is not 0 is at least 2**-1074, so its sigma is
     a float above 0.
 
-    A pass extracts ``depth`` levels from each block of columns and adds
-    each level's row sums over the blocks.  With no rest left, fsum of the
-    level sums is the total; else, rounding being monotone, it is fixed once
-    fsum rounds the same with the rests' bound subtracted and added.  After
-    one level that bound is wider than the float spacing at the level sum,
-    so the first pass takes two; rows left open are read again with twice
-    the depth."""
-    out = np.empty(len(x))
-    rows = np.arange(len(x))
+    The first pass takes one level, whose sum tau is exact, and sums the
+    rests of each row in floats, to rho: in any order that sum is off by at
+    most gamma_{n-1} n 2**(k - 53) < 2**(k - 106 + 2 lead) = E, with gamma_m
+    = m u / (1 - m u) and u = 2**-53 (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2002, 4.2).  With s + e = tau + rho exactly
+    (TwoSum), the row's sum lies within |e| + E of s, so it rounds to s
+    where |e| + E is less than half the gap from s to its nearer neighbour,
+    the one toward 0.  That half gap h and E are powers of two (or 0), so
+    |e| < fl(h - E) gives |e| + E < h even where h - E rounds, which it does
+    up to h only when E is at most half a float step below h.  All rows are
+    decided at once.
+
+    The rows left open, near a rounding midpoint, with much cancellation or
+    with s = 0, are read again in passes that extract ``depth`` levels from
+    each block of columns and add each level's row sums over the blocks.
+    With no rest left, fsum of the level sums is the total; else, rounding
+    being monotone, it is fixed once fsum rounds the same with the rests'
+    bound subtracted and added.  After one level that bound is wider than
+    the float spacing at the level sum, so the first of these passes takes
+    two; rows left open are read again with twice the depth."""
+    width = max(1, _BLOCK // len(x))
+    sigma = math.ldexp(1.0, k)
+    taus, rhos = [], []
+    for start in range(0, x.shape[1], width):
+        src = x[:, start:start + width]
+        q = np.add(src, sigma)
+        q -= sigma
+        taus.append(q.sum(axis=1))
+        rhos.append(np.subtract(src, q, out=q).sum(axis=1))
+    tau, rho = sum(taus[1:], taus[0]), sum(rhos[1:], rhos[0])
+    out = tau + rho
+    back = out - tau
+    e = (tau - (out - back)) + (rho - back)
+    half = 0.5 * np.abs(out - np.nextafter(out, 0.0))
+    decided = np.abs(e) < half - math.ldexp(1.0, k - 106 + 2 * lead)
+    rows = np.flatnonzero(~decided)
     depth = 2
     while rows.size:
         part = x if rows.size == len(x) else x[rows]
@@ -501,8 +530,8 @@ def exact_sum(values):
     exact zero total is +0.0."""
     x = np.asarray(values, dtype=float)
     if x.ndim != 2 and (x.ndim != 1 or x.size < _SMALL):
-        return math.fsum(x)
-    rows = np.atleast_2d(x)
+        return math.fsum(x.tolist() if x.ndim == 1 else x)
+    rows = x if x.ndim == 2 else x[None]
     hi, lo = (x.max(), x.min()) if x.size else (0.0, 0.0)
     top = max(hi, -lo)
     if not (-_BIG < lo <= hi < _BIG and rows.shape[1] <= _LONGEST):  # a NaN fails too

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import mollifier, mollifier_deriv
+from .fields import mollifier, mollifier_and_deriv
 from .geometry import (
     ExteriorDomain,
     _composite_interval,
@@ -110,11 +110,12 @@ def samples(u: BumpFunction) -> dict:
         t = (r - c) / rad
         kept = _grid(r.shape)
         kept[0], kept[2] = r, wr
-        der = np.divide(mollifier_deriv(t), rad, out=kept[1])
+        val, der = mollifier_and_deriv(t)
+        der = np.divide(der, rad, out=kept[1])
         t0 = -c / rad
         return {
             "r": kept[0],
-            "u": mollifier(t),
+            "u": val,
             "du_r": der,
             "grad": np.abs(der),
             "w": kept[2],
@@ -133,8 +134,8 @@ def samples(u: BumpFunction) -> dict:
     c = u.center_radius
     s, ws = _composite_interval(0.0, u.radius, ORDER, PANELS)
     t = s / u.radius
-    val_s = mollifier(t)
-    der_s = mollifier_deriv(t) / u.radius
+    val_s, der_s = mollifier_and_deriv(t)
+    der_s = der_s / u.radius
     s = s[:, None]
     r, du_r, weight = _grid((len(s), len(cos)))[:3]
     # r = sqrt(c^2 + s^2 + 2 c s cos), and the radial derivative of u at
@@ -171,14 +172,18 @@ def _logs(sm: dict, what: str) -> np.ndarray:
 
 def _sides(sm: dict, const: float, w: np.ndarray, beta: float, logs=None):
     """The two sides of a weighted inequality: const ||w^{b-1} u|| (u
-    divided by ``logs`` when given) and 2 ||w^b du/dr||."""
+    divided by ``logs`` when given) and 2 ||w^b du/dr||.  A power w^0 is
+    not taken: it is 1 (pow(x, +-0) = 1, C99 F.9.4.4), and 1 x = x, so the
+    sides keep their bits."""
     lhs, rhs, tmp = sides = _grid(sm["w"].shape)[4:]
-    np.power(w, 2 * beta - 2, out=lhs)
+    factor = np.power(w, 2 * beta - 2, out=lhs) if 2 * beta - 2 else 1.0
     if logs is not None:
-        lhs /= np.square(logs, out=tmp)
-    lhs *= sm["u"] ** 2
+        factor = np.divide(factor, np.square(logs, out=tmp), out=lhs)
+    np.multiply(factor, sm["u"] ** 2, out=lhs)
     lhs *= sm["w"]
-    np.multiply(np.power(w, 2 * beta, out=rhs), np.square(sm["du_r"], out=tmp), out=rhs)
+    np.square(sm["du_r"], out=rhs)
+    if beta:
+        rhs *= np.power(w, 2 * beta, out=tmp)
     rhs *= sm["w"]
     lhs, rhs = np.sqrt(np.maximum(exact_sum(sides[:2].reshape(2, -1)), 0.0))
     return const * float(lhs), 2.0 * float(rhs)

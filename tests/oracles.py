@@ -3,10 +3,11 @@ band-limited function of a trace, the pairing of two traces, the measure
 of an annulus, the inverse log-weighted norm, and reference builders of
 the analytic fields, each written out as its own closures, that the
 program's one separable builder must match bit for bit, and the minorant
-summed over every node of the whole rule, and the cos, sin and Bessel
+summed over every node of the whole rule, the cos, sin and Bessel
 series summed with :class:`~extbounds.special.Enclosure`'s operators,
-which the program's integer loops must match bit for bit.  The program
-never calls them."""
+which the program's integer loops must match bit for bit, and the term
+kernel as a loop over the pairs of profiles and of terms, whose products
+the program's must match bit for bit.  The program never calls them."""
 
 import math
 from fractions import Fraction
@@ -14,7 +15,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from extbounds.fields import ScalarField, VectorField, require_finite
+from extbounds.fields import (
+    QuadratureErrorAt,
+    ScalarField,
+    VectorField,
+    require_finite,
+    sphere_moments,
+    support_rows,
+)
 from extbounds.geometry import ExteriorDomain, QuadratureRule, exact_dot, node_radii
 from extbounds.special import GUARD, Enclosure, _negligible, _one, _result, _zero
 from extbounds.traces import SphereTrace, _require_compatible, basis_matrix
@@ -382,3 +390,68 @@ def enclosure_bessel_series(nu: int, x: Fraction, bits: int) -> tuple[Enclosure,
         k += 1
         hn, hd = hn * k + hd, hd * k
         u = u.times(-n2, 4 * d2 * k * (k + nu))
+
+
+def _reference_profiles(rule, sets, labels, weight):
+    """(rows, values, bounds) of the profiles of the terms of ``sets``, as
+    ``fields._profiles`` gives them, each p and p' tested on its own."""
+    r = rule.radial[0]
+    directions = len(rule.angular[0])
+    profiles = {}  # (p, dp, support) -> (its row, its first set's label)
+    for terms, label in zip(sets, labels):
+        for t in terms:
+            profiles.setdefault((t.p, t.dp, t.support), (len(profiles), label))
+    values = np.zeros((2, len(profiles), len(r)))
+    bounds = np.zeros((len(profiles), 2), dtype=np.intp)
+    for (fn, dfn, support), (i, label) in profiles.items():
+        lo, hi = (0, len(r)) if support is None else support_rows(r, support)
+        for out, f in zip(values, (fn, dfn)):
+            out[i, lo:hi] = f(r[lo:hi])
+            bad = np.flatnonzero(~np.isfinite(out[i, lo:hi]))
+            if len(bad):
+                node = (lo + int(bad[0])) * directions
+                raise QuadratureErrorAt(node, rule.nodes[node], label, weight)
+        bounds[i] = lo, hi
+    return {key: i for key, (i, _) in profiles.items()}, values, bounds
+
+
+def reference_term_products(rule, sets, labels, weight, radial=None):
+    """``fields.term_products`` with its pairs found one by one: the pairs
+    of profiles from ``np.triu_indices``, the four densities stacked, each
+    radial sum by ``math.fsum``, and the pairs of terms found and sorted in
+    Python, each product computed as the program computes it."""
+    r, weights = rule.radial
+    if radial is not None:
+        weights = weights * radial(r)
+    rows, values, bounds = _reference_profiles(rule, sets, labels, weight)
+    lo, hi = bounds.T
+    i, j = np.triu_indices(len(bounds))
+    shared = np.maximum(lo[i], lo[j]) < np.minimum(hi[i], hi[j])
+    pairs = np.column_stack([i[shared], j[shared]])  # the profiles sharing rows
+    (p_i, p_j), (d_i, d_j) = values[0][pairs.T], values[1][pairs.T]
+    dens = np.stack([d_i * d_j, d_i * p_j / r, p_i * d_j / r, p_i * p_j / (r * r)], axis=1)
+    sums = np.array([math.fsum(row) for row in dens.reshape(-1, len(r)) * weights])
+    sums = sums.reshape(-1, 4, 1)
+    index = {}  # (row, row) -> the pair's row in sums, in both orders
+    for k, (a, b) in enumerate(pairs.tolist()):
+        index[a, b] = index[b, a] = k
+
+    def products(term_sets, D):
+        moments = sphere_moments(D)
+        x, y = np.nonzero(np.any(moments != 0.0, axis=0))
+        flat = [(k, rows[t.p, t.dp, t.support], t) for k, terms in enumerate(term_sets)
+                for t in terms]
+        members = {}  # profile row -> its terms in flat
+        for m, (_, row, _) in enumerate(flat):
+            members.setdefault(row, []).append(m)
+        found = sorted((flat[s][0], flat[t][0], k, s, t) for (a, b), k in index.items()
+                       for s in members.get(a, ()) for t in members.get(b, ())
+                       if flat[s][0] <= flat[t][0])
+        first, second, pair, s, t = np.array(found, dtype=np.intp).reshape(-1, 5).T
+        coef = np.zeros((len(flat), moments.shape[-1]))
+        for row, (_, _, term) in zip(coef, flat):
+            row[:len(term.angular)] = term.angular
+        prods = (sums[pair] * moments[:, x, y]) * (coef[s][:, x] * coef[t][:, y])[:, None, :]
+        return first, second, prods.reshape(len(pair), 4 * len(x))
+
+    return products

@@ -1,0 +1,147 @@
+"""Time the benchmark operations of two checkouts side by side in one
+process, and check that both give the same outputs.
+
+    python tests/paired_ops.py --parent SRC --change SRC --workload warm|cli --rounds N
+
+loads the ``extbounds`` package of each ``SRC`` (a checkout's ``src``
+directory) as its own set of modules, builds the workload's operations
+from ``perfbench/workloads.py`` (this checkout's, which it only imports)
+for each, and runs them interleaved: after an untimed warm-up round,
+each operation runs on the change and then on the parent in even
+rounds, the other way round in odd ones (ABBA).  Timing both sides in
+one process, operation by operation, leaves a shared machine's drift
+out of their ratio, which timings of separate processes do not.  Each
+operation's fingerprint (its report values, or a CLI command's exit
+code, stdout and output files; the exception of one that raises) must
+be the same on both sides in every round, the warm-up included; the
+first difference is printed and the exit code is 1.
+
+It prints, per operation, the median over the rounds of the change's
+time over the parent's and the rounds the change won, then the ratio of
+the round totals per round and the rounds it won.  The file name has no
+``test_`` prefix, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread, as perfbench/run.py sets before numpy is imported
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import argparse  # noqa: E402
+import importlib  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+from time import perf_counter  # noqa: E402
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SIDES = ("parent", "change")
+SEED = 4242
+
+
+def _package(name: str) -> bool:
+    return name == "extbounds" or name.startswith("extbounds.")
+
+
+def load(src: str) -> dict:
+    """The modules of the ``extbounds`` package under ``src``, every one
+    imported, and taken out of ``sys.modules`` again."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    try:
+        importlib.import_module("extbounds.cli")
+        for path in sorted((Path(src) / "extbounds").glob("*.py")):
+            if path.stem != "__init__":
+                importlib.import_module(f"extbounds.{path.stem}")
+    finally:
+        sys.path.pop(0)
+    modules = {name: mod for name, mod in sys.modules.items() if _package(name)}
+    for name in modules:
+        del sys.modules[name]
+    return modules
+
+
+def use(modules: dict) -> None:
+    """Make ``modules`` the ``extbounds`` package that imports find."""
+    for name in [n for n in sys.modules if _package(n)]:
+        del sys.modules[name]
+    sys.modules.update(modules)
+
+
+def operations(wl, workload: str) -> list:
+    """The workload's operations on the package in ``sys.modules``."""
+    if workload == "warm":
+        mps, _, _ = wl.warm_setup(wl.CATALOG)
+        return wl.majorant_ops(mps, SEED) + wl.sandwich_ops(mps, SEED)
+    return wl.cli_ops(SEED, wl.CliChecks())
+
+
+def run(op) -> tuple:
+    """(seconds, fingerprint) of one run of ``op``; a raising operation
+    has its exception's type and text as its fingerprint."""
+    start = perf_counter()
+    try:
+        out = op.run()
+    except Exception as exc:  # a failing operation fails on both sides alike
+        return perf_counter() - start, (type(exc).__name__, str(exc))
+    return perf_counter() - start, op.fingerprint(out)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="the src directory of the parent")
+    parser.add_argument("--change", required=True, help="the src directory of the change")
+    parser.add_argument("--workload", required=True, choices=("warm", "cli"))
+    parser.add_argument("--rounds", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    sys.path.insert(0, str(PERFBENCH))
+    wl = importlib.import_module("workloads")
+
+    packages = {side: load(src) for side, src in zip(SIDES, (args.parent, args.change))}
+    ops = {}
+    for side in SIDES:
+        use(packages[side])
+        ops[side] = operations(wl, args.workload)
+    labels = [op.label for op in ops["parent"]]
+    times = {side: [[0.0] * len(labels) for _ in range(args.rounds)] for side in SIDES}
+    first: list = [None] * len(labels)  # the parent's fingerprints of the warm-up round
+    try:
+        for rnd in range(-1, args.rounds):  # round -1 warms up and is not timed
+            order = SIDES if rnd % 2 else SIDES[::-1]  # the parent first in rounds -1, 1, ...
+            for i, label in enumerate(labels):
+                for side in order:
+                    use(packages[side])
+                    seconds, found = run(ops[side][i])
+                    if rnd >= 0:
+                        times[side][rnd][i] = seconds
+                    if first[i] is None:
+                        first[i] = found
+                    elif found != first[i]:
+                        print(f"round {rnd}, {label}: the {side}'s outputs differ from the "
+                              f"parent's in the warm-up round:\n  {found!r}\n  {first[i]!r}")
+                        return 1
+    finally:
+        wl.clean_work()
+
+    print(f"{args.workload}: {len(labels)} operations, {args.rounds} rounds, every "
+          "fingerprint equal on both sides")
+    print("change/parent  wins  parent ms  operation")
+    for i, label in enumerate(labels):
+        ratios = [times["change"][k][i] / times["parent"][k][i] for k in range(args.rounds)]
+        wins = sum(r < 1.0 for r in ratios)
+        parent_ms = 1000.0 * statistics.median(times["parent"][k][i] for k in range(args.rounds))
+        print(f"{statistics.median(ratios):13.3f}  {wins:2d}/{args.rounds}  {parent_ms:9.2f}"
+              f"  {label}")
+    rounds = [sum(times["change"][k]) / sum(times["parent"][k]) for k in range(args.rounds)]
+    print("per round: " + " ".join(f"{r:.3f}" for r in rounds))
+    print(f"round ratio median {statistics.median(rounds):.3f}, change better in "
+          f"{sum(r < 1.0 for r in rounds)} of {args.rounds}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

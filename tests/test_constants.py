@@ -1,4 +1,3 @@
-import contextlib
 import math
 import os
 import subprocess
@@ -189,7 +188,8 @@ def searched(domain):
     """The steps of the program's search for ``domain``'s Friedrichs
     constant, and what that search and the full scan of ``ROOT_SCAN_STEPS``
     steps on the same bracket give: each the root it finds or the message
-    of the ``ConstantError`` it raises."""
+    of the ``ConstantError`` it raises; (None, the message, None) where the
+    program refuses the bracket before it searches."""
     calls, first_root = [], cs._first_root
 
     def outcome(*args):
@@ -200,8 +200,11 @@ def searched(domain):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cs, "_first_root", lambda *args: calls.append(args) or first_root(*args))
-        with contextlib.suppress(cs.ConstantError):
+        try:
             cs.interior_friedrichs_constant(domain)
+        except cs.ConstantError as error:
+            if not calls:
+                return None, str(error), None
     (enclose, lo, hi, before, steps), = calls
     return steps, outcome(*calls[0]), outcome(enclose, lo, hi, before, cs.ROOT_SCAN_STEPS)
 
@@ -289,12 +292,32 @@ class TestProvenBracket:
     @given(drawn=ONE_ROOT_DOMAINS)
     def test_skipped_scan_changes_no_bit(self, drawn):
         # the same adjacent floats, or the same refusal where the bracket
-        # is narrower than a float step
+        # is narrower than a float step; a bracket with no float inside is
+        # refused before the search
         dim, a, ratio = drawn
         assume(a * ratio > a)
         steps, found, full = searched(ExteriorDomain(dim, a, a * ratio))
+        if steps is None:
+            assert "holds no float" in found
+            return
         assert steps == 1
         assert found == full
+
+    def test_bracket_without_a_float_is_refused(self, monkeypatch):
+        # N = 2 with R one float above a = 2.5: lo is the float below hi, so
+        # no float lies inside the bracket, and the rounding of hi put the
+        # root above it; the refusal names a and R before any sign is proven
+        proven = []
+        monkeypatch.setattr(cs, "_proven", lambda *args: proven.append(args))
+        domain = ExteriorDomain(2, 2.5, 2.5000000000000004)
+        with pytest.raises(cs.ConstantError, match=r"holds no float for a=2\.5, "
+                                                   r"R=2\.5000000000000004"):
+            cs.interior_friedrichs_constant(domain)
+        assert proven == []
+        monkeypatch.undo()
+        # N = 3 at the same radii: lo lies two floats below hi
+        rep = cs.interior_friedrichs_constant(ExteriorDomain(3, 2.5, 2.5000000000000004))
+        assert rep.value == 2.8271597168592875e-16
 
     @pytest.mark.parametrize("R,steps", [
         (8.0, 1),  # the last radius that skips the scan

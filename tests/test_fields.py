@@ -13,6 +13,7 @@ from extbounds.fields import (
     energy_norm,
     log_weighted_norm,
     mollifier,
+    mollifier_and_deriv,
     mollifier_deriv,
     profile,
     ratio_gradient,
@@ -86,6 +87,35 @@ class TestClosures:
         )
         with pytest.raises(AssertionError, match="deviates"):
             check_gradient(f, random_points_in_annulus(DOM3, 5, seed=4))
+
+
+def written_out_mollifier(t):
+    """exp(-1/(1 - t^2)) and its derivative on |t| < 1 - 1e-14, 0.0 off it,
+    each formula written out in full."""
+    value, deriv = np.zeros_like(t), np.zeros_like(t)
+    inside = np.abs(t) < 1.0 - 1e-14
+    ti = t[inside]
+    value[inside] = np.exp(-1.0 / (1.0 - ti**2))
+    deriv[inside] = np.exp(-1.0 / (1.0 - ti**2)) * (-2.0 * ti / (1.0 - ti**2) ** 2)
+    return value, deriv
+
+
+class TestMollifier:
+    EDGE = 1.0 - 1e-14
+
+    @pytest.mark.parametrize("t", [
+        np.array([0.0, 0.5, -0.5, EDGE, -EDGE, 1.0, -1.0, 2.0, -2.0, -0.0]),
+        np.array([np.nextafter(EDGE, 0.0), -np.nextafter(EDGE, 0.0), np.nextafter(EDGE, 1.0)]),
+        np.random.default_rng(3).uniform(-1.5, 1.5, 5000),
+        np.random.default_rng(4).uniform(-1.0, 1.0, (576, 24)),
+    ], ids=["points", "edge", "random", "grid"])
+    def test_value_and_derivative_from_one_exp(self, t):
+        # the Poincare samples take both from one exp, bit for bit the
+        # profiles' mollifier and mollifier_deriv
+        alone = mollifier(t), mollifier_deriv(t)
+        for got, ref, one in zip(mollifier_and_deriv(t), written_out_mollifier(t), alone):
+            assert got.shape == t.shape
+            assert got.tobytes() == ref.tobytes() == one.tobytes()
 
 
 class TestCoefficient:

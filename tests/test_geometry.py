@@ -513,7 +513,9 @@ class TestExactSum:
         assert exact_sum(x) == 2.0**-40
         assert_same_as_fsum(pad([0.75 + 2.0**-40, -0.75, 3.0 * 2.0**-60]))
 
-    @pytest.mark.parametrize("n", sorted({511, 512, 513, _SMALL - 1, _SMALL, _SMALL + 1}))
+    # lengths next to 320 and to 512; 1-D arrays shorter than _SMALL go to fsum
+    @pytest.mark.parametrize("n", sorted({319, 320, 321, 511, 512, 513,
+                                          _SMALL - 1, _SMALL, _SMALL + 1}))
     def test_lengths_around_the_cutoff(self, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-200, 200, n)
@@ -565,6 +567,51 @@ class TestExactSum:
             assert_rows_same_as_fsum(np.vstack([y, -y, tie, y[::-1]]))
             assert_rows_same_as_fsum(y[:5496].reshape(-1, 24))
 
+    @pytest.mark.parametrize("n", [13824, 27648])  # the Poincare grids, N = 3 and 2
+    def test_first_pass_decides_or_hands_on(self, monkeypatch, n):
+        # values of one sign are decided by the first pass, with no fsum; a
+        # total within the rests' bound of a rounding midpoint goes on to the
+        # deeper passes, and still rounds as fsum does
+        calls = []
+
+        class Counted:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def fsum(self, values):
+                calls.append(len(values))
+                return math.fsum(values)
+
+        monkeypatch.setattr(geometry, "math", Counted())
+        rng = np.random.default_rng(n)
+        for x in (rng.random(n), -rng.random(n) * 1e-300, rng.random(n) + 2.0**-1070):
+            assert_same_as_fsum(x)
+        assert not calls
+        for values in ([2.0**53, 1.0, 5e-324], [2.0**53, 1.0, -5e-324],
+                       [2.0**53 + 2.0, 1.0, -5e-324], [2.0**53, 0.5, 0.5],
+                       [1.0, 2.0**-53, 2.0**-105], [1.0, -(2.0**-54), 2.0**-300]):
+            calls.clear()
+            x = pad(values, n=n, seed=n)
+            assert_same_as_fsum(x)
+            assert calls, values
+            assert_rows_same_as_fsum(np.vstack([x, rng.random(n), x[::-1]]))
+
+    def test_rows_of_a_large_gram(self):
+        # 700 rows of 200 values, more than the 612 rows the sandwich sums
+        # at 6x1: exact-zero, subnormal and cancelling rows among others
+        rng = np.random.default_rng(12)
+        rows = rng.standard_normal((700, 200)) * 10.0 ** rng.integers(-8, 8, (700, 200))
+        rows[::7] = 0.0
+        rows[1::7] = np.ldexp(rng.integers(-9, 10, (100, 200)).astype(float), -1074)
+        rows[2::7, 100:] = -rows[2::7, :100]  # exact zero totals
+        rows[3::7, 100:] = -rows[3::7, :100]
+        rows[3::7, 0] += 2.0**-60  # a small remainder of a large cancellation
+        rows[4::7, :3] = [2.0**53, 1.0, 5e-324]  # just above a tie
+        rows[4::7, 3:] = 0.0
+        sums = exact_sum(rows)
+        assert_rows_same_as_fsum(rows)
+        assert not np.signbit(sums[::7]).any() and not np.signbit(sums[2::7]).any()
+
     @pytest.mark.parametrize("values,expected", [
         ([np.inf, -np.inf], ValueError),
         ([np.nan], None),
@@ -593,7 +640,7 @@ class TestExactSum:
 
     @settings(max_examples=100, deadline=None)
     @given(pool=st.lists(st.floats(width=64), min_size=1, max_size=30),
-           rows=st.integers(0, 40), cols=st.integers(0, 400),
+           rows=st.integers(0, 700), cols=st.integers(0, 400),
            seed=st.integers(0, 2**32 - 1))
     def test_rows_same_as_fsum(self, pool, rows, cols, seed):
         rng = np.random.default_rng(seed)

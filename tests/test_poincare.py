@@ -243,6 +243,27 @@ def one_of_each(k):
     ]
 
 
+class TestSides:
+    @pytest.mark.parametrize("beta", [0.0, 1.0, -0.4, 0.5])
+    def test_powers_zero_skipped_with_the_same_bits(self, beta):
+        # at beta = 0 and 1 one side has the power w^0, which _sides neither
+        # takes nor multiplies by: the sides are those of the formulas with it
+        cases = ((random_bumps(DOM3, 1, 50)[0], False), (random_bumps(DOM2, 1, 51)[0], True),
+                 (random_bumps(DOM2, 1, 52)[0], False), (BumpFunction((2.0,), 1.5), False))
+        for u, with_logs in cases:
+            sm = samples(u)
+            w = 1.0 + sm["r"] if sm["dimension"] == 1 else sm["r"]
+            logs = np.log(sm["r"]) if with_logs else None
+            lhs = np.power(w, 2 * beta - 2)
+            if with_logs:
+                lhs = lhs / logs**2
+            lhs = (lhs * sm["u"] ** 2) * sm["w"]
+            rhs = (np.power(w, 2 * beta) * sm["du_r"] ** 2) * sm["w"]
+            want = tuple(c * math.sqrt(max(math.fsum(side.ravel()), 0.0))
+                         for c, side in ((3.0, lhs), (2.0, rhs)))
+            assert poincare._sides(sm, 3.0, w, beta, logs) == want
+
+
 class TestKeptArrays:
     """The samples and densities live in arrays kept per grid shape."""
 
