@@ -50,7 +50,8 @@ radial nodes times closed-form sphere moments, which are the exact
 angular integrals at any angular order: the minorant's system
 (``term_products``), through ``term_norm`` the true error, the scale
 ||A^{1/2} grad v|| and the flux gap ||y - A grad v||_{A^{-1}} of a flux with
-terms (``bump_products`` adds a bump's cross and mass products), and
+terms (``bump_products`` adds a bump's cross and mass products, from the
+profiles of the same table), and
 through ``bump_residual_norm`` the weighted norm of the residual div(s e)
 of a flux bump.  The tensor rule's norms stay as the one path for fields
 without terms (fields built from bare closures, in the library), for the
@@ -62,9 +63,11 @@ function's result for the last pair of arguments: ``gradient_on`` the
 gradient of the last field on the last rule, and
 ``majorant.dirichlet_mismatch`` the trace mismatch of the last
 approximation, so that the users of one approximation share one
-evaluation; ``term_norm`` keeps its last two values the same way.  It
-holds both arguments only through weak references, and the entry goes
-when either is freed.  Its contract: fields, problems and rules are
+evaluation; ``term_norm`` keeps its last two values the same way, and its
+last term table with the rule it was built on: the flux gap, the scale
+and the true error of one approximation read one kernel pass.  It holds
+both arguments only through weak references, and the entry goes when
+either is freed.  Its contract: fields, problems and rules are
 immutable, closures are pure (the same nodes give the same values), and
 the package is used from one thread.  Arguments are matched by identity,
 so an equal but distinct field is evaluated anew.
@@ -641,6 +644,12 @@ def term_products(rule: QuadratureRule, sets, labels, weight: str, radial=None):
     (A, B, the pair of profiles, s, t), with the entries that are 0 in all
     four M left out (those off the diagonal, for a diagonal D).  A
     non-finite profile value raises ``QuadratureErrorAt`` (``_profiles``).
+    ``products.profiles`` is (rows, values) of ``_profiles``, which
+    ``bump_products`` reads.
+
+    A table over more profiles gives each a_D(s, t) the same products: a
+    pair of profiles stored in the other order swaps only its sums of
+    p' q / r and p q' / r, which multiply M_2 and M_2^T, and these are equal.
 
     The pairs of profiles come from ``np.triu_indices`` kept per count
     (``_upper_pairs``), their four densities go into one array, and the
@@ -690,6 +699,7 @@ def term_products(rule: QuadratureRule, sets, labels, weight: str, radial=None):
         prods = (sums[pair] * columns) * (coef[s, x] * coef[t, y])[:, None, :]
         return first[order], second[order], prods.reshape(len(pair), 4 * len(x))
 
+    products.profiles = rows, values
     return products
 
 
@@ -709,7 +719,8 @@ def bump_moments(n: int) -> tuple:
     return x1, x2, np.diag(np.r_[area, np.full(n, area / n)])
 
 
-def bump_products(rule: QuadratureRule, grads, bumps, inverse: np.ndarray) -> np.ndarray:
+def bump_products(rule: QuadratureRule, grads, bumps, inverse: np.ndarray,
+                  table) -> np.ndarray:
     """The products whose exact sum over the tensor ``rule`` is
 
         2 sum_(terms, g) sum_(t, s) int grad t . (g e) s + sum_(s, s') (e . inverse e') int s s'
@@ -723,13 +734,13 @@ def bump_products(rule: QuadratureRule, grads, bumps, inverse: np.ndarray) -> np
                                       + (q p / r) (alpha^T X_2 beta) . c],
         int s s' = sum_k W_k p p' alpha^T X_3 alpha'
 
-    over the rule's radial nodes r_k and weights W_k.  A non-finite
-    profile value raises ``QuadratureErrorAt`` (``_profiles``)."""
+    over the rule's radial nodes r_k and weights W_k.  p and p' are read
+    from ``table``, the ``term_products`` of ``rule`` over profiles that
+    include those of the terms and the bumps."""
     r, weights = rule.radial
     n = rule.dimension
     x1, x2, x3 = bump_moments(n)
-    sets = [terms for terms, _ in grads] + [bumps]
-    rows, (p, dp), _ = _profiles(rule, r, sets, [""] * len(sets), "")
+    rows, (p, dp) = table.profiles
     alpha = _coefficients(bumps, n)
     e = np.array([s.direction for s in bumps]).reshape(len(bumps), n)
     dens, factors = [], []
@@ -761,6 +772,25 @@ def _finite_sum(total) -> float | None:
 
 
 _NORMS: list = []  # the memo of term_norm: (weak references, bits, value), the last two
+_TABLE: list = []  # the kept table of term_norm: (weak reference to its rule, the table)
+
+
+def _table(rule: QuadratureRule, sets):
+    """``term_products`` of ``rule`` over the profiles of the term ``sets``:
+    the kept table where it is ``rule``'s and holds all of them, else a new
+    one, which is kept in its place while the rule lives (a weak reference,
+    as in ``last_call``)."""
+    if _TABLE and _TABLE[0]() is rule:
+        rows = _TABLE[1].profiles[0]
+        if all((t.p, t.dp, t.support) in rows for terms in sets for t in terms):
+            return _TABLE[1]
+    products = term_products(rule, sets, [""] * len(sets), "")
+
+    def forget(_):
+        _TABLE.clear()
+
+    _TABLE[:] = [weakref.ref(rule, forget), products]
+    return products
 
 
 def _norm_key(A: Coefficient, rule: QuadratureRule, s, gradients=(), bumps=()) -> tuple:
@@ -792,6 +822,13 @@ def term_norm(A: Coefficient, rule: QuadratureRule, sets, tensor, gradients=(),
     instead for a set that is empty (a field without terms) or a sum that
     is not finite, which the tensor rule names at its node.
 
+    The table is built over the profiles of all the inputs before they are
+    merged (both ``sets``, the ``gradients`` and the ``bumps``) and kept
+    with its rule (``_table``): a later call on the rule whose profiles it
+    holds reads it, as the scale reads the flux gap's, and the bump products
+    read p and p' from it.  The minorant and ``bump_residual_norm`` build
+    their own tables and leave the kept one.
+
     The last two values summed are kept, each for its A, rule and merged
     terms (``_norm_key``), while all of them live (weak references, as in
     ``last_call``): the flux gap of the exact flux, then the scale, then the
@@ -811,7 +848,7 @@ def term_norm(A: Coefficient, rule: QuadratureRule, sets, tensor, gradients=(),
     alone = []  # the sum of a_d(s, s), where the norm has more parts
 
     def total():
-        products = term_products(rule, [s, gradients], ["", ""], "")
+        products = _table(rule, [*sets, gradients, bumps])
         parts = [products([s], d)[2]]
         if gradients or bumps:
             alone.append(exact_sum(parts[0].ravel()))
@@ -821,7 +858,7 @@ def term_norm(A: Coefficient, rule: QuadratureRule, sets, tensor, gradients=(),
                       products([gradients], 1.0 / d)[2]]
         if bumps:
             parts.append(bump_products(rule, [(s, np.ones_like(d)), (gradients, 1.0 / d)],
-                                       bumps, 1.0 / d))
+                                       bumps, 1.0 / d, products))
         return exact_sum(np.concatenate([x.ravel() for x in parts]))
 
     value = _finite_sum(total)

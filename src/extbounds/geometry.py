@@ -464,7 +464,8 @@ def _extracted_sums(x, k, lead):
     the one toward 0.  That half gap h and E are powers of two (or 0), so
     |e| < fl(h - E) gives |e| + E < h even where h - E rounds, which it does
     up to h only when E is at most half a float step below h.  All rows are
-    decided at once.
+    decided at once.  A row of zeros of either sign has h = 0, and so is
+    decided apart: its q and tau are +0.0, so s = tau + rho is +0.0.
 
     The rows left open, near a rounding midpoint, with much cancellation or
     with s = 0, are read again in passes that extract ``depth`` levels from
@@ -490,6 +491,8 @@ def _extracted_sums(x, k, lead):
     half = 0.5 * np.abs(out - np.nextafter(out, 0.0))
     decided = np.abs(e) < half - math.ldexp(1.0, k - 106 + 2 * lead)
     rows = np.flatnonzero(~decided)
+    if rows.size:  # a row of +-0.0 sums to +0.0, which ``out`` holds
+        rows = rows[x[rows].any(axis=1)]
     depth = 2
     while rows.size:
         part = x if rows.size == len(x) else x[rows]

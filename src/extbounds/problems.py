@@ -371,15 +371,17 @@ def perturb(
         raise ValueError("eps must be >= 0")
     if mode not in PERTURB_MODES:
         raise ValueError(f"unknown perturbation mode {mode!r}")
-    if target in TARGET_MODES and mode not in TARGET_MODES[target]:
+    if target not in TARGET_MODES:
+        raise ValueError(f"unknown perturbation target {target!r}")
+    if mode not in TARGET_MODES[target]:
         raise ValueError(f"target {target!r} supports "
                          f"{' and '.join(TARGET_MODES[target])} only")
+    if eps == 0.0:  # the exact data, drawing nothing
+        return {"v": mp.exact_u, "y": mp.exact_flux}.get(target, (mp.exact_flux,) * 2)
     rng = np.random.default_rng(seed)
     dom = mp.domain
 
     if target == "v":
-        if eps == 0.0:
-            return mp.exact_u
         if mode == "interior_bump":
             return mp.exact_u + eps * _random_interior_bump(mp, rng)
         coeffs = _random_angular(mp, rng)
@@ -389,28 +391,21 @@ def perturb(
         return mp.exact_u + eps * ext
 
     if target == "y":
-        if eps == 0.0:
-            return mp.exact_flux
         bump = _random_interior_bump(mp, rng)
         direction = rng.normal(size=dom.dimension)
         direction /= np.linalg.norm(direction)
         return mp.exact_flux + eps * _flux_bump(bump, direction)
 
-    if target == "y_broken":
-        if eps == 0.0:
-            return mp.exact_flux, mp.exact_flux
-        # break the exterior side with a random combination of solenoidal
-        # harmonic gradients: the residual stays exactly equilibrated and
-        # only the normal-trace jump (linear in eps) is exercised
-        indices = (
-            range(dom.dimension + 1) if dom.dimension == 3
-            else range(1, dom.dimension + 1)
-        )
-        pieces = [solenoidal_harmonic_gradient(dom.dimension, i) for i in indices]
-        coeffs = rng.uniform(-1.0, 1.0, size=len(pieces))
-        jump_field = coeffs[0] * pieces[0]
-        for c, piece in zip(coeffs[1:], pieces[1:]):
-            jump_field = jump_field + c * piece
-        return mp.exact_flux, mp.exact_flux + eps * jump_field
-
-    raise ValueError(f"unknown perturbation target {target!r}")
+    # y_broken: break the exterior side with a random combination of
+    # solenoidal harmonic gradients: the residual stays exactly equilibrated
+    # and only the normal-trace jump (linear in eps) is exercised
+    indices = (
+        range(dom.dimension + 1) if dom.dimension == 3
+        else range(1, dom.dimension + 1)
+    )
+    pieces = [solenoidal_harmonic_gradient(dom.dimension, i) for i in indices]
+    coeffs = rng.uniform(-1.0, 1.0, size=len(pieces))
+    jump_field = coeffs[0] * pieces[0]
+    for c, piece in zip(coeffs[1:], pieces[1:]):
+        jump_field = jump_field + c * piece
+    return mp.exact_flux, mp.exact_flux + eps * jump_field

@@ -419,7 +419,8 @@ def reference_term_products(rule, sets, labels, weight, radial=None):
     """``fields.term_products`` with its pairs found one by one: the pairs
     of profiles from ``np.triu_indices``, the four densities stacked, each
     radial sum by ``math.fsum``, and the pairs of terms found and sorted in
-    Python, each product computed as the program computes it."""
+    Python, each product computed as the program computes it.  Its
+    ``profiles`` are the (rows, values) of ``_reference_profiles``."""
     r, weights = rule.radial
     if radial is not None:
         weights = weights * radial(r)
@@ -454,4 +455,5 @@ def reference_term_products(rule, sets, labels, weight, radial=None):
         prods = (sums[pair] * moments[:, x, y]) * (coef[s][:, x] * coef[t][:, y])[:, None, :]
         return first, second, prods.reshape(len(pair), 4 * len(x))
 
+    products.profiles = rows, values
     return products

@@ -2,6 +2,7 @@
 process, and check that both give the same outputs.
 
     python tests/paired_ops.py --parent SRC --change SRC --workload warm|cli --rounds N
+                               [--calibrate]
 
 loads the ``extbounds`` package of each ``SRC`` (a checkout's ``src``
 directory) as its own set of modules, builds the workload's operations
@@ -15,6 +16,12 @@ operation's fingerprint (its report values, or a CLI command's exit
 code, stdout and output files; the exception of one that raises) must
 be the same on both sides in every round, the warm-up included; the
 first difference is printed and the exit code is 1.
+
+With ``--calibrate`` each operation runs right after two samples of the
+benchmark's calibration loop (``perfbench/speed.py``'s ``sample``, which
+it only imports), as each timed step of ``perfbench/run.py`` does, so
+that the pairs see the benchmark's regime: an operation that runs back
+to back with the others finds its caches warmer than there.
 
 It prints, per operation, the median over the rounds of the change's
 time over the parent's and the rounds the change won, then the ratio of
@@ -95,11 +102,14 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="the src directory of the change")
     parser.add_argument("--workload", required=True, choices=("warm", "cli"))
     parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--calibrate", action="store_true",
+                        help="take two calibration samples before each operation")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     sys.path.insert(0, str(PERFBENCH))
     wl = importlib.import_module("workloads")
+    sample = importlib.import_module("speed").sample if args.calibrate else None
 
     packages = {side: load(src) for side, src in zip(SIDES, (args.parent, args.change))}
     ops = {}
@@ -115,6 +125,9 @@ def main(argv=None) -> int:
             for i, label in enumerate(labels):
                 for side in order:
                     use(packages[side])
+                    if sample:
+                        sample()
+                        sample()
                     seconds, found = run(ops[side][i])
                     if rnd >= 0:
                         times[side][rnd][i] = seconds

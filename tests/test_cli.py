@@ -19,10 +19,11 @@ import extbounds as xb
 from extbounds.cli import (
     FIELDS, GUARANTEE_SLACK, ConfigError, ScenarioConfig, guarantee_ok, load_config, main,
 )
-from extbounds.fields import energy_norm
-from extbounds.problems import TARGET_MODES, _random_interior_bump
+from extbounds.fields import QuadratureErrorAt, energy_norm
+from extbounds.problems import TARGET_MODES, _random_interior_bump, perturb
 
 from cli_outputs import RUNS as OUTPUT_RUNS
+from conftest import termless
 
 REPO = Path(__file__).resolve().parent.parent
 REPORT_SCHEMA = json.loads((REPO / "schemas" / "report.schema.json").read_text())
@@ -542,6 +543,27 @@ def test_overflow_reported_without_numpy_warning(tmp_path, command):
     assert out.returncode == 1
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("precondition violated: "), out.stderr
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("majorant", {}), ("majorant", {"estimate": "II"}), ("minorant", {}), ("sandwich", {}),
+    ("majorant", {"estimate": "III",
+                  "perturbation": {"target": "y_broken", "mode": "interface_jump"}}),
+])
+def test_huge_epsilon_names_the_true_errors_node(tmp_path, capsys, command, payload):
+    # at eps = 1e300 the term sums of u - v overflow, and each command exits
+    # 1 with the tensor rule's error for its first value, the true error:
+    # the text of the 1e300 runs of tests/cli_outputs.py.  The second run
+    # starts where the first left a term table kept on the same rules
+    perturbation = {"epsilons": [1e300], **payload.get("perturbation", {})}
+    cfg = write_config(tmp_path, {**payload, "perturbation": perturbation})
+    mp = xb.builtin("N3_harmonic", shells=8)
+    v = perturb(mp, "v", 1e300, "interior_bump", 0 if "target" not in perturbation else 1)
+    with pytest.raises(QuadratureErrorAt) as exc:
+        xb.true_error(mp, termless(v))
+    for _ in range(2):
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"precondition violated: {exc.value}\n"
 
 
 def test_cli_import_loads_no_scipy_linalg(tmp_path):

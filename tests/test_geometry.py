@@ -567,11 +567,9 @@ class TestExactSum:
             assert_rows_same_as_fsum(np.vstack([y, -y, tie, y[::-1]]))
             assert_rows_same_as_fsum(y[:5496].reshape(-1, 24))
 
-    @pytest.mark.parametrize("n", [13824, 27648])  # the Poincare grids, N = 3 and 2
-    def test_first_pass_decides_or_hands_on(self, monkeypatch, n):
-        # values of one sign are decided by the first pass, with no fsum; a
-        # total within the rests' bound of a rounding midpoint goes on to the
-        # deeper passes, and still rounds as fsum does
+    @pytest.fixture
+    def fsum_calls(self, monkeypatch):
+        """The lengths of the lists geometry hands to ``math.fsum``."""
         calls = []
 
         class Counted:
@@ -583,6 +581,14 @@ class TestExactSum:
                 return math.fsum(values)
 
         monkeypatch.setattr(geometry, "math", Counted())
+        return calls
+
+    @pytest.mark.parametrize("n", [13824, 27648])  # the Poincare grids, N = 3 and 2
+    def test_first_pass_decides_or_hands_on(self, fsum_calls, n):
+        # values of one sign are decided by the first pass, with no fsum; a
+        # total within the rests' bound of a rounding midpoint goes on to the
+        # deeper passes, and still rounds as fsum does
+        calls = fsum_calls
         rng = np.random.default_rng(n)
         for x in (rng.random(n), -rng.random(n) * 1e-300, rng.random(n) + 2.0**-1070):
             assert_same_as_fsum(x)
@@ -611,6 +617,26 @@ class TestExactSum:
         sums = exact_sum(rows)
         assert_rows_same_as_fsum(rows)
         assert not np.signbit(sums[::7]).any() and not np.signbit(sums[2::7]).any()
+
+    @pytest.mark.parametrize("cols", [24, 600, 5000])
+    def test_zero_rows_are_decided_by_the_first_pass(self, fsum_calls, cols):
+        # rows of +0.0, of -0.0 and of both, beside rows of one sign, sum to
+        # +0.0 as fsum does, and none of them reaches the per-row fsum
+        rng = np.random.default_rng(cols)
+        rows = rng.random((9, cols)) * 10.0 ** rng.integers(-8, 8, (9, cols))
+        rows[1] = 0.0
+        rows[3] = -0.0
+        rows[4] = np.where(rng.random(cols) < 0.5, 0.0, -0.0)
+        rows[6] = -0.0
+        rows[8] = 0.0
+        rows[7] *= -1.0
+        for x in (rows, rows[[1, 3, 4, 6]], rows[[3, 0]]):
+            sums = exact_sum(x)
+            assert not fsum_calls
+            expected = [math.fsum(row) for row in x]
+            fsum_calls.clear()
+            assert sums.tobytes() == np.array(expected).tobytes()
+        assert not np.signbit(exact_sum(rows)[[1, 3, 4, 6, 8]]).any()
 
     @pytest.mark.parametrize("values,expected", [
         ([np.inf, -np.inf], ValueError),

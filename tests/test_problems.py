@@ -293,6 +293,20 @@ class TestPerturb:
         with pytest.raises(ValueError):
             perturb(n3_harmonic, "y", 0.1, "boundary_mode", seed=1)
 
+    def test_eps_zero_draws_nothing(self, n3_harmonic, monkeypatch):
+        # the exact data come back without a generator; an unknown target
+        # or a mode its target does not support is refused at eps = 0 too
+        def no_generator(seed):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(problems.np.random, "default_rng", no_generator)
+        assert perturb(n3_harmonic, "v", 0.0, "boundary_mode", seed=1) is n3_harmonic.exact_u
+        assert perturb(n3_harmonic, "y", 0.0, "interior_bump", seed=1) is n3_harmonic.exact_flux
+        with pytest.raises(ValueError, match="unknown perturbation target 'q'"):
+            perturb(n3_harmonic, "q", 0.0, "interior_bump", seed=1)
+        with pytest.raises(ValueError, match="supports interface_jump only"):
+            perturb(n3_harmonic, "y_broken", 0.0, "interior_bump", seed=1)
+
     def test_deterministic(self, n3_harmonic):
         mp = n3_harmonic
         pts = random_points_in_annulus(mp.domain, 30, seed=2)

@@ -35,13 +35,15 @@ def by_key(first, second, prods):
 def compared(monkeypatch):
     """The program's kernel, each products table of which is checked
     against the reference's on the same arguments, as a multiset of rows
-    per (first, second) key, and for keys sorted; yields the number of
-    tables checked, in a list."""
+    per (first, second) key, and for keys sorted, and whose profiles are
+    the reference's bits; yields the number of tables checked, in a list."""
     build, checked = fields_module.term_products, [0]
 
     def kernel(rule, sets, labels, weight, radial=None):
         products = build(rule, sets, labels, weight, radial)
         reference = reference_term_products(rule, sets, labels, weight, radial)
+        (rows, values), (want_rows, want_values) = products.profiles, reference.profiles
+        assert rows == want_rows and values.tobytes() == want_values.tobytes()
 
         def both(term_sets, D):
             got, want = products(term_sets, D), reference(term_sets, D)
@@ -52,6 +54,7 @@ def compared(monkeypatch):
             checked[0] += 1
             return got
 
+        both.profiles = products.profiles
         return both
 
     for module in (fields_module, minorant_module):
@@ -59,16 +62,23 @@ def compared(monkeypatch):
     yield checked
 
 
+def forget_kept():
+    """Drop the norms and the table ``term_norm`` keeps."""
+    fields_module._NORMS.clear()
+    fields_module._TABLE.clear()
+
+
 def with_kernel(monkeypatch, kernel, compute):
-    """``compute()`` with ``kernel`` as the term kernel and no kept norm."""
+    """``compute()`` with ``kernel`` as the term kernel and no kept norm or
+    table: every table it reads is ``kernel``'s."""
     with monkeypatch.context() as patch:
         for module in (fields_module, minorant_module):
             patch.setattr(module, "term_products", kernel)
-        fields_module._NORMS.clear()
+        forget_kept()
         try:
             return compute()
         finally:
-            fields_module._NORMS.clear()
+            forget_kept()
 
 
 def bits(values):
@@ -99,11 +109,38 @@ class TestSameProducts:
         # products, each table of which equals the reference's
         mp = coarse[name]
         v = perturb(mp, "v", 0.1, mode, 3)
-        fields_module._NORMS.clear()
+        forget_kept()
         got = norms(mp, v, 4)
         assert compared[0] >= 8
         want = with_kernel(monkeypatch, reference_term_products, lambda: norms(mp, v, 4))
         assert bits(got) == bits(want)
+
+    def test_reference_fills_the_kept_table(self, coarse, monkeypatch):
+        # with the reference as the kernel, term_norm keeps the reference's
+        # table and the flux gap's bump products read its profiles: a flux
+        # bump estimate, the scale and the true error give the program's
+        # bits from one reference table on the whole rule
+        mp = coarse["N3_anisotropic"]
+        p = mp.problem
+        v = perturb(mp, "v", 0.1, "interior_bump", 3)
+        y = perturb(mp, "y", 0.1, "interior_bump", 4)
+        tables = []
+
+        def reference(rule, *args):
+            tables.append((rule, reference_term_products(rule, *args)))
+            return tables[-1][1]
+
+        def values():
+            report = xb.estimate_I(p, v, y)
+            return ([report.residual, report.flux, report.total, scale_of(p, v),
+                     xb.true_error(mp, v)], fields_module._TABLE[1])
+
+        forget_kept()
+        got, _ = values()
+        forget_kept()
+        want, kept = with_kernel(monkeypatch, reference, values)
+        assert bits(got) == bits(want)
+        assert [table for rule, table in tables if rule is p.quads.whole] == [kept]
 
     @pytest.mark.parametrize("error", [False, True])
     @pytest.mark.parametrize("size", [(4, 1), (6, 1)])

@@ -21,9 +21,7 @@ from extbounds.fields import (
     QuadratureErrorAt,
     bump_moments,
     cubic_bump,
-    merged,
     mollifier,
-    scaled_terms,
     separable_field,
     sphere_moments,
 )
@@ -510,39 +508,88 @@ class TestFluxTerms:
                 assert abs(small - large) <= 4 * np.spacing(large), (seed, target)
 
     def test_exact_flux_and_true_error_sum_once(self, coarse, monkeypatch):
-        # estimate I with the exact flux sums the terms of u - v for its flux
-        # gap, those of v for its scale, and the true error reads the kept
-        # sum of u - v: two term tables, not three
+        # estimate I with the exact flux builds one term table, over the
+        # profiles of u and v, for its flux gap; the scale reads it, and the
+        # true error the kept sum of u - v.  Estimate II builds it for the
+        # scale, over v's profiles, which hold u's; its flux gap reads it
         mp = coarse["N3_harmonic"]
         p = mp.problem
-        v = perturb(mp, "v", 0.1, "interior_bump", 3)
         builds = []
         build = fields_module.term_products
 
         def counted(rule, sets, *args):
-            builds.append(sets[0])
+            builds.append(list(sets))
             return build(rule, sets, *args)
 
         monkeypatch.setattr(fields_module, "term_products", counted)
-        report = xb.estimate_I(p, v, mp.exact_flux)
-        assert xb.true_error(mp, v) == report.flux
-        error = merged(mp.exact_u.terms + scaled_terms(-1.0, v.terms))
-        assert builds == [error, v.terms]
+        for seed, estimate, sets in ((3, xb.estimate_I, lambda v: [p.flux.potential, v.terms,
+                                                                   (), ()]),
+                                     (7, xb.estimate_II, lambda v: [v.terms, (), ()])):
+            v = perturb(mp, "v", 0.1, "interior_bump", seed)
+            builds.clear()
+            report = estimate(p, v, mp.exact_flux)
+            assert xb.true_error(mp, v) == report.flux
+            assert builds == [sets(v)]
         xb.true_error(mp, perturb(mp, "v", 0.1, "interior_bump", 4))
-        assert len(builds) == 3
-        # with a flux bump the flux gap also keeps the sum of a_d(u - v, u - v)
-        # alone, which the true error reads after the scale: one term table
-        # for u - v, and the bits of a sum of its own
+        assert len(builds) == 2
+        # with a flux bump the one table holds the bump's profile too, whose
+        # p and p' the flux gap's bump products read; the flux gap also keeps
+        # the sum of a_d(u - v, u - v) alone, which the true error reads after
+        # the scale, and without it the true error sums the kept table
         v = perturb(mp, "v", 0.1, "interior_bump", 5)
         y = perturb(mp, "y", 0.1, "interior_bump", 6)
         assert y.bumps
         builds.clear()
         xb.estimate_I(p, v, y)
         error = xb.true_error(mp, v)
-        error_terms = merged(mp.exact_u.terms + scaled_terms(-1.0, v.terms))
-        assert builds == [list(y.bumps), error_terms, v.terms]  # residual, flux gap, scale
+        # the residual, then the flux gap
+        assert builds == [[list(y.bumps)], [y.potential, v.terms, (), y.bumps]]
         fields_module._NORMS.clear()
-        assert xb.true_error(mp, v) == error and builds[3:] == [error_terms]
+        assert xb.true_error(mp, v) == error and len(builds) == 2
+        fields_module._NORMS.clear()
+        fields_module._TABLE.clear()
+        assert xb.true_error(mp, v) == error
+        assert builds[2:] == [[mp.exact_u.terms, v.terms, (), ()]]
+
+    def test_kept_table_is_read_for_its_rule_only(self, coarse, monkeypatch):
+        # the flux gap on the whole rule keeps its table, over the profiles
+        # of u, v and the bump.  A bump residual with a radial weight on the
+        # same rule builds its own and leaves the kept one; the scale reads
+        # it; the flux gap on omega_i builds its own and keeps it in its place
+        mp = coarse["N3_decay"]
+        p, quads = mp.problem, mp.problem.quads
+        v = perturb(mp, "v", 0.1, "interior_bump", 3)
+        y = perturb(mp, "y", 0.1, "interior_bump", 4)
+        norms = [lambda: _flux_term(p, v, y),
+                 lambda: fields_module.bump_residual_norm(quads.whole, y.bumps,
+                                                          lambda r: r * r + 1.0, None),
+                 lambda: scale_of(p, v), lambda: _flux_term(p, v, y, "omega_i")]
+        alone = []  # each value with nothing kept
+        for norm in norms:
+            fields_module._NORMS.clear()
+            fields_module._TABLE.clear()
+            alone.append(norm())
+        builds = []
+        build = fields_module.term_products
+
+        def counted(rule, sets, labels, weight, radial=None):
+            builds.append((rule, radial is not None))
+            return build(rule, sets, labels, weight, radial)
+
+        monkeypatch.setattr(fields_module, "term_products", counted)
+        fields_module._NORMS.clear()
+        fields_module._TABLE.clear()
+        got = [norms[0]()]
+        kept = fields_module._TABLE[1]
+        got.append(norms[1]())
+        assert builds == [(quads.whole, False), (quads.whole, True)]
+        assert fields_module._TABLE[1] is kept
+        got.append(norms[2]())
+        assert len(builds) == 2
+        got.append(norms[3]())
+        assert builds[2:] == [(quads.omega_i, False)]
+        assert fields_module._TABLE[0]() is quads.omega_i
+        assert got == alone and 0.0 not in got
 
     def test_non_finite_bump_raises_the_tensor_rules_error(self, coarse):
         # a bump profile that is NaN at one radius: the terms give no finite
