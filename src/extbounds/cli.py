@@ -307,19 +307,18 @@ def cmd_sweep(cfg: ScenarioConfig, out: str) -> int:
     rows = []
     for value in cfg.sweep_values:
         if cfg.sweep_kind == "epsilon":
-            row_mp, eps = mp, value
-        else:
-            if value <= mp.domain.a:
-                raise ConfigError(
-                    f"sweep.values: interface radius {value} must exceed the "
-                    f"inner radius {mp.domain.a}"
-                )
-            try:
-                row_mp = pb.with_interface_radius(mp, value)
-            except QuadratureError as exc:  # no rule at this radius
-                raise ConfigError(f"sweep.values: interface radius {value}: {exc}") from None
-            eps = cfg.epsilons[0]
-        rows.append((value, _scenario(cfg, row_mp, eps, "majorant")))
+            rows.append((value, _scenario(cfg, mp, value, "majorant")))
+            continue
+        if value <= mp.domain.a:
+            raise ConfigError(
+                f"sweep.values: interface radius {value} must exceed the "
+                f"inner radius {mp.domain.a}"
+            )
+        try:  # no rule at this radius: the bundle's, or the tail check's doubled-order one
+            row_mp = pb.with_interface_radius(mp, value)
+            rows.append((value, _scenario(cfg, row_mp, cfg.epsilons[0], "majorant")))
+        except QuadratureError as exc:
+            raise ConfigError(f"sweep.values: interface radius {value}: {exc}") from None
 
     _write_sweep_csv(f"{out}/sweep.csv", rows)
     bad = sum(not s.ok for _, s in rows)
@@ -330,7 +329,7 @@ def cmd_sweep(cfg: ScenarioConfig, out: str) -> int:
 def cmd_constants(cfg: ScenarioConfig, out: str) -> int:
     mp = _build(cfg)
     domain, A = mp.domain, mp.problem.A
-    bundle = mp.problem.constants
+    bundle = mp.problem.constants.derive_all()
     formulas = (("exterior_poincare", bundle.poincare, {"dimension": domain.dimension}),
                 ("interior_weight_formula", bundle.c_o_formula, {"c_A": A.c_A, "R": domain.R}))
     reports = [*(consts.ConstantReport(name, value, "formula", None, params, 0.0)

@@ -26,9 +26,10 @@ Every reported value, mode energies included, is rounded outward by the
 relative margin ``OUTWARD_RTOL`` (the reports' ``rel_accuracy``), which
 covers the floating-point error of evaluating the closed forms.  The
 extension and trace constants are maxima over degrees l <= ``modes``.
-:func:`compute_bundle`, from which each ``Problem`` takes its
-``constants`` once, sets ``modes`` to the trace degree L, the band onto
-which every trace in a bound is projected.  For the degrees above it the
+:class:`ConstantsBundle`, which each ``Problem`` takes as its
+``constants``, derives each constant on its first read, with ``modes``
+the trace degree L, the band onto which every trace in a bound is
+projected.  For the degrees above it the
 trace constant has a closed-form bound, ``params["above_band"]``.
 
 Reported constants are tied to the spectral H^{+-1/2} norms of
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -366,16 +368,52 @@ def interface_trace_constant(
 
 @dataclass(frozen=True)
 class ConstantsBundle:
-    """All constants one problem's estimates need, derived once."""
+    """Every constant of the bounds on ``domain`` with coefficient ``A``,
+    the extension and trace constants over the degrees l <= ``modes``,
+    each derived on its first read and kept: estimate I reads only
+    ``poincare`` and ``extension``, so a bound that does not read ``c_o``
+    proves no Friedrichs root.  Each constant is computed by this module's
+    function of its name, looked up when it runs.  :meth:`derive_all`
+    derives them all.  :func:`extbounds.majorant.boundary_term` reads one
+    mode energy per degree of the mismatch, and
+    :func:`extbounds.majorant.estimate_III` pairs the jump's projection
+    onto those degrees with the error's trace, and the rest of the jump
+    through the trace constant's ``above_band``."""
 
-    poincare: float
-    c_o_formula: float
-    c_o_eigen: float
-    friedrichs: ConstantReport
-    extension: ConstantReport
-    trace: ConstantReport
+    domain: ExteriorDomain
+    A: Coefficient
     modes: int
-    cutoff: float  # the extension's cutoff radius, always R (read by perfbench)
+
+    NAMES = ("poincare", "c_o_formula", "friedrichs", "c_o_eigen", "extension", "trace")
+
+    @property
+    def cutoff(self) -> float:
+        """The extension's cutoff radius, always R (read by perfbench)."""
+        return self.domain.R
+
+    @cached_property
+    def poincare(self) -> float:
+        return exterior_poincare_constant(self.domain.dimension)
+
+    @cached_property
+    def c_o_formula(self) -> float:
+        return interior_weight_constant(self.domain, self.A)
+
+    @cached_property
+    def friedrichs(self) -> ConstantReport:
+        return interior_friedrichs_constant(self.domain)
+
+    @cached_property
+    def c_o_eigen(self) -> float:
+        return self.friedrichs.value / math.sqrt(self.A.c_A)
+
+    @cached_property
+    def extension(self) -> ConstantReport:
+        return boundary_extension_constant(self.domain, self.A, self.modes)
+
+    @cached_property
+    def trace(self) -> ConstantReport:
+        return interface_trace_constant(self.domain, self.A, self.modes)
 
     @property
     def c_o(self) -> float:
@@ -388,22 +426,8 @@ class ConstantsBundle:
         C_F <= 2 R (R - a)/(a pi) <= 2 (R - a) <= 2 R ln R below."""
         return min(self.c_o_formula, self.c_o_eigen)
 
-
-def compute_bundle(domain: ExteriorDomain, A: Coefficient, modes: int) -> ConstantsBundle:
-    """Every constant of the bounds on ``domain`` with coefficient ``A``,
-    the extension and trace constants over the degrees l <= ``modes``:
-    :func:`extbounds.majorant.boundary_term` reads one mode energy per
-    degree of the mismatch, and :func:`extbounds.majorant.estimate_III`
-    pairs the jump's projection onto those degrees with the error's trace,
-    and the rest of the jump through the trace constant's ``above_band``."""
-    fried = interior_friedrichs_constant(domain)
-    return ConstantsBundle(
-        poincare=exterior_poincare_constant(domain.dimension),
-        c_o_formula=interior_weight_constant(domain, A),
-        c_o_eigen=fried.value / math.sqrt(A.c_A),
-        friedrichs=fried,
-        extension=boundary_extension_constant(domain, A, modes),
-        trace=interface_trace_constant(domain, A, modes),
-        modes=modes,
-        cutoff=domain.R,
-    )
+    def derive_all(self) -> "ConstantsBundle":
+        """This bundle, with every constant derived."""
+        for name in self.NAMES:
+            getattr(self, name)
+        return self

@@ -89,8 +89,8 @@ class MajorantReport:
 
 
 def constants_bundle(p: Problem) -> ConstantsBundle:
-    """The constants of ``p``'s bounds: ``p.constants``."""
-    return p.constants
+    """The constants of ``p``'s bounds, ``p.constants``, every one derived."""
+    return p.constants.derive_all()
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,10 @@ def _weighted_residual(p: Problem, res, rule: QuadratureRule, s: float = 1.0) ->
 
 def _residual_norm_tail(p: Problem, res) -> float:
     """Weighted residual norm over the tail, with a doubled-order
-    convergence check so a non-integrable residual cannot silently pass."""
+    convergence check so a non-integrable residual cannot silently pass;
+    0.0 for a zero residual (None), with neither tail rule read."""
+    if res is None:
+        return 0.0
     n1 = _weighted_residual(p, res, p.quads.omega_e)
     n2 = _weighted_residual(p, res, p.quads.omega_e_refined)
     denom = max(n1, n2)

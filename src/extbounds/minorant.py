@@ -92,7 +92,17 @@ def validate_zero_traces(p: Problem, basis: TestBasis) -> None:
     function that fails (a NaN fails too).  A function without terms has
     nothing to check here; ``minorant_report`` refuses it first."""
     a, n = p.domain.a, p.domain.dimension
-    profiles = {}  # (p or p', r) -> its value
+    radii = {}  # p or p' -> the radii it is checked at: a and the support ends
+    for t in (t for w in basis.fields for t in w.terms):
+        if t.support is None or t.support[0] <= a <= t.support[1]:
+            radii.setdefault(t.p, set()).add(a)
+        for r in (r for r in t.support or () if r > a):
+            radii.setdefault(t.p, set()).add(r)
+            radii.setdefault(t.dp, set()).add(r)
+    profiles = {}  # (p or p', r) -> its value, from one call of each closure
+    for fn, rs in radii.items():
+        rs = sorted(rs)
+        profiles.update(((fn, r), float(x)) for r, x in zip(rs, fn(np.array(rs))))
 
     def largest(signed, r, parts):
         """The largest |coefficient| of the sums of s q(r) c over the pairs
@@ -102,8 +112,6 @@ def validate_zero_traces(p: Problem, basis: TestBasis) -> None:
         out = [0.0] * (parts * (n + 1))
         for sign, t in signed:
             for j, fn in enumerate((t.p, t.dp)[:parts]):
-                if (fn, r) not in profiles:
-                    profiles[fn, r] = float(fn(np.array([r]))[0])
                 for i, c in enumerate(t.angular, j * (n + 1)):
                     out[i] += sign * profiles[fn, r] * c
         if all(abs(x) <= TRACE_ZERO_TOL for x in out):  # a NaN fails
@@ -245,7 +253,11 @@ def _term_system(p: Problem, v: ScalarField, basis: TestBasis):
     d = p.A.diagonal
     products = term_products(p.quads.whole, sets, labels, "minorant:terms")
     n = len(basis)
-    first, second, sums = _grouped_sums(*products(sets, d))
+    first, second, rows = products(sets, d)
+    # a row of +-0.0 adds nothing, and an entry left without rows keeps the
+    # +0.0 of np.zeros, which is exact_sum's sum of +-0.0 too
+    kept = rows.any(axis=1)
+    first, second, sums = _grouped_sums(first[kept], second[kept], rows[kept])
     system = np.zeros((n + 1, n + 1))
     system[first, second] = system[second, first] = sums
 

@@ -21,7 +21,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import traces
-from .constants import ConstantsBundle, compute_bundle
+from .constants import ConstantsBundle
 from .fields import (
     Coefficient,
     ScalarField,
@@ -51,15 +51,24 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class QuadratureBundle:
-    """All rules one problem needs, built once and shared.  ``omega_i``
-    and ``omega_e`` are the first and last rows of ``whole``."""
+    """All rules one problem needs over ``domain``, shared.  ``omega_i``
+    and ``omega_e`` are the first and last rows of ``whole``; the tail
+    rule at doubled radial order is built on its first read."""
 
     omega_i: QuadratureRule
     omega_e: QuadratureRule
     whole: QuadratureRule
     gamma: QuadratureRule
     Gamma: QuadratureRule
-    omega_e_refined: QuadratureRule  # doubled radial order, for tail checks
+    domain: ExteriorDomain
+
+    @cached_property
+    def omega_e_refined(self) -> QuadratureRule:
+        """``omega_e`` at doubled radial order, for the tail checks of a
+        residual that is not zero (``majorant._residual_norm_tail``)."""
+        e = self.omega_e
+        return build_quadrature(self.domain, 2 * e.radial_order, e.angular_order,
+                                e.shell_count, "omega_e")
 
 
 # (domain, radial order, angular order, shells) -> weak reference to the
@@ -94,18 +103,10 @@ def make_bundle(
 
 
 def _build_bundle(domain, radial_order, angular_order, shells) -> QuadratureBundle:
-    def build(region, ro=radial_order):
-        return build_quadrature(domain, ro, angular_order, shells, region)
-
     whole, omega_i, omega_e = whole_and_parts(domain, radial_order, angular_order, shells)
-    return QuadratureBundle(
-        omega_i=omega_i,
-        omega_e=omega_e,
-        whole=whole,
-        gamma=build("sphere_gamma"),
-        Gamma=build("sphere_Gamma"),
-        omega_e_refined=build("omega_e", ro=2 * radial_order),
-    )
+    gamma, Gamma = (build_quadrature(domain, radial_order, angular_order, shells, region)
+                    for region in ("sphere_gamma", "sphere_Gamma"))
+    return QuadratureBundle(omega_i, omega_e, whole, gamma, Gamma, domain)
 
 
 @dataclass(frozen=True)
@@ -128,11 +129,11 @@ class Problem:
 
     @cached_property
     def constants(self) -> ConstantsBundle:
-        """The constants of every bound on this problem, computed on first
-        use and kept: they depend on the domain, the coefficient's
+        """The constants of every bound on this problem, each derived on its
+        first read and kept: they depend on the domain, the coefficient's
         ellipticity bounds and the trace degree only, and
         ``dataclasses.replace`` builds a new problem without them."""
-        return compute_bundle(self.domain, self.A, self.trace_degree)
+        return ConstantsBundle(self.domain, self.A, self.trace_degree)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ summed over every node of the whole rule, the cos, sin and Bessel
 series summed with :class:`~extbounds.special.Enclosure`'s operators,
 which the program's integer loops must match bit for bit, and the term
 kernel as a loop over the pairs of profiles and of terms, whose products
-the program's must match bit for bit.  The program never calls them."""
+the program's must match bit for bit, and every constant of a bundle
+computed at once, which the constants derived on first read must match
+bit for bit.  The program never calls them."""
 
 import math
 from fractions import Fraction
@@ -15,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from extbounds import constants as cs
 from extbounds.fields import (
     QuadratureErrorAt,
     ScalarField,
@@ -457,3 +460,22 @@ def reference_term_products(rule, sets, labels, weight, radial=None):
 
     products.profiles = rows, values
     return products
+
+
+def eager_constants(domain: ExteriorDomain, A, modes: int) -> dict:
+    """Every constant a ``ConstantsBundle`` on ``domain`` with coefficient
+    ``A`` and ``modes`` reads, by name, computed at once in the order the
+    eager bundle computed them, Friedrichs root first."""
+    fried = cs.interior_friedrichs_constant(domain)
+    out = {
+        "poincare": cs.exterior_poincare_constant(domain.dimension),
+        "c_o_formula": cs.interior_weight_constant(domain, A),
+        "c_o_eigen": fried.value / math.sqrt(A.c_A),
+        "friedrichs": fried,
+        "extension": cs.boundary_extension_constant(domain, A, modes),
+        "trace": cs.interface_trace_constant(domain, A, modes),
+        "modes": modes,
+        "cutoff": domain.R,
+    }
+    out["c_o"] = min(out["c_o_formula"], out["c_o_eigen"])
+    return out

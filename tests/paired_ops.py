@@ -25,7 +25,9 @@ to back with the others finds its caches warmer than there.
 
 It prints, per operation, the median over the rounds of the change's
 time over the parent's and the rounds the change won, then the ratio of
-the round totals per round and the rounds it won.  The file name has no
+the round totals per round and the rounds it won, and each side's
+``op_p50``: the median of every operation time over the rounds, as
+``perfbench/run.py`` takes it (here unscaled).  The file name has no
 ``test_`` prefix, so pytest does not collect it.
 """
 
@@ -153,6 +155,10 @@ def main(argv=None) -> int:
     print("per round: " + " ".join(f"{r:.3f}" for r in rounds))
     print(f"round ratio median {statistics.median(rounds):.3f}, change better in "
           f"{sum(r < 1.0 for r in rounds)} of {args.rounds}")
+    p50 = {side: 1000.0 * statistics.median(t for row in times[side] for t in row)
+           for side in SIDES}
+    print(f"op_p50 parent {p50['parent']:.3f} ms, change {p50['change']:.3f} ms, "
+          f"change/parent {p50['change'] / p50['parent']:.3f}")
     return 0
 
 

@@ -20,6 +20,7 @@ from extbounds.cli import (
     FIELDS, GUARANTEE_SLACK, ConfigError, ScenarioConfig, guarantee_ok, load_config, main,
 )
 from extbounds.fields import QuadratureErrorAt, energy_norm
+from extbounds.geometry import QuadratureError
 from extbounds.problems import TARGET_MODES, _random_interior_bump, perturb
 
 from cli_outputs import RUNS as OUTPUT_RUNS
@@ -654,6 +655,74 @@ def test_sandwich_projects_the_trace_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, BASE)
     assert main(["sandwich", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert sum("interior-bump" in label for label in labels) == 1
+
+
+class TestColdCommands:
+    """A cold command derives only the constants and rules its bound reads:
+    the Friedrichs root for c_o (estimates II and III, ``constants``), and
+    the tail rule at doubled radial order for a residual with bumps."""
+
+    Y = {"perturbation": {"target": "y"}}
+    Y_BROKEN = {"estimate": "III",
+                "perturbation": {"target": "y_broken", "mode": "interface_jump"}}
+    RADII = {"sweep": {"kind": "radius", "values": [1.5, 3.0]}}
+
+    @pytest.mark.parametrize("command,payload,roots,refined", [
+        ("majorant", {}, 0, 0),
+        ("majorant", {"problem": "N2_log",
+                      "perturbation": {"target": "v", "mode": "boundary_mode"}}, 0, 0),
+        ("majorant", {"estimate": "II"}, 1, 0),
+        ("majorant", Y_BROKEN, 1, 0),
+        ("majorant", Y, 0, 1),
+        ("minorant", {}, 0, 0),
+        ("sandwich", {}, 0, 0),
+        ("sandwich", Y, 0, 1),
+        ("sweep", {}, 0, 0),
+        ("sweep", Y, 0, 1),  # one rule for every epsilon
+        ("sweep", RADII, 0, 0),
+        ("sweep", {**Y, **RADII}, 0, 2),  # one rule per radius
+        ("constants", {}, 1, 0),
+    ])
+    def test_derives_what_its_bound_reads(self, tmp_path, monkeypatch, command, payload,
+                                          roots, refined):
+        from extbounds import constants, problems
+
+        found, built = [], []
+        solve, build = constants.interior_friedrichs_constant, problems.build_quadrature
+        monkeypatch.setattr(problems, "_BUNDLE_CACHE", {})  # rules of its own
+        monkeypatch.setattr(constants, "interior_friedrichs_constant",
+                            lambda domain: found.append(domain) or solve(domain))
+        monkeypatch.setattr(problems, "build_quadrature", lambda domain, ro, *args: (
+            built.append(ro) or build(domain, ro, *args)))
+        cfg = write_config(tmp_path, payload)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(found) == roots
+        assert built.count(24) == refined  # the default radial order 12, doubled
+
+    @pytest.mark.parametrize("target,code", [("y", 2), ("v", 0)])
+    def test_radius_where_only_the_tail_check_rule_overflows(self, tmp_path, capsys,
+                                                             target, code):
+        # at R = 1e98 (N = 3, 8 shells) the rules at radial order 12 are
+        # finite and the one at 24 is not: a flux with bumps reads it and is
+        # refused as a radius without rules is; v's exact flux never does
+        domain = xb.ExteriorDomain(3, 1.0, 1e98)
+        xb.build_quadrature(domain, 12, 12, 8, "omega_e")
+        with pytest.raises(QuadratureError, match="must be finite"):
+            xb.build_quadrature(domain, 24, 12, 8, "omega_e")
+        cfg = write_config(tmp_path, {"perturbation": {"target": target},
+                                      "sweep": {"kind": "radius", "values": [1e98]}})
+        for _ in range(2):  # the refusal does not leave a rule behind
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == code
+            err = capsys.readouterr().err
+            if code:
+                assert err == ("config error: sweep.values: interface radius 1e+98: "
+                               "quadrature nodes and weights must be finite\n")
+                assert not (tmp_path / "sweep.csv").exists()
+            else:
+                assert err == ""
+                rows = (tmp_path / "sweep.csv").read_text().splitlines()
+                assert len(rows) == 2 and rows[1].startswith("1e+98,0,")
 
 
 @pytest.mark.parametrize("problem", xb.CATALOG)

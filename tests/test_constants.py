@@ -561,6 +561,51 @@ class TestInterfaceTrace:
             assert rep.rel_accuracy <= 1e-6
 
 
+def _bits(x) -> str:
+    """A float's bits, or every bit of a report's values, as text."""
+    return repr(x.as_dict()) if isinstance(x, cs.ConstantReport) else float(x).hex()
+
+
+class TestLazyBundle:
+    """A ``ConstantsBundle`` derives each constant on its first read."""
+
+    READ = cs.ConstantsBundle.NAMES + ("c_o", "cutoff", "modes")
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([2, 3]), a=st.floats(1.0, 3.0), ratio=st.floats(1.001, 20.0),
+           diag=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+           modes=st.integers(0, 16), order=st.permutations(READ))
+    def test_any_order_is_bit_equal_to_eager(self, n, a, ratio, diag, modes, order):
+        from oracles import eager_constants
+
+        domain = ExteriorDomain(n, a, a * ratio)
+        A = Coefficient(np.array(diag[:n]))
+        want = eager_constants(domain, A, modes)
+        bundle = cs.ConstantsBundle(domain, A, modes)
+        for name in order + order:  # a second read returns the kept value
+            assert _bits(getattr(bundle, name)) == _bits(want[name]), name
+
+    def test_each_constant_derived_once_when_read(self, monkeypatch):
+        calls = []
+        for fn in ("exterior_poincare_constant", "interior_weight_constant",
+                   "interior_friedrichs_constant", "boundary_extension_constant",
+                   "interface_trace_constant"):
+            original = getattr(cs, fn)
+            monkeypatch.setattr(cs, fn, lambda *args, fn=fn, original=original:
+                                calls.append(fn) or original(*args))
+        bundle = cs.ConstantsBundle(DOM3, A_ID3, 8)
+        assert calls == []
+        bundle.poincare, bundle.extension, bundle.poincare, bundle.cutoff
+        assert calls == ["exterior_poincare_constant", "boundary_extension_constant"]
+        bundle.c_o, bundle.c_o
+        assert "interface_trace_constant" not in calls
+        assert bundle.derive_all() is bundle and bundle.derive_all() is bundle
+        assert all(calls.count(fn) == 1 for fn in (
+            "interior_weight_constant", "interior_friedrichs_constant",
+            "boundary_extension_constant", "interface_trace_constant"))
+        assert all(name in vars(bundle) for name in cs.ConstantsBundle.NAMES)
+
+
 class TestReport:
     def test_positive_value_required(self):
         with pytest.raises(cs.ConstantError):

@@ -187,6 +187,62 @@ class TestZeroTraceCheck:
                 validate_zero_traces(p, TestBasis(fields=(constant(c),)))
 
 
+    def test_one_call_per_profile_closure(self, coarse):
+        # each p and p' is evaluated once, on every radius it is checked at
+        # (a and the support ends), with the bits of one call per radius
+        mp = coarse["N3_harmonic"]
+        v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
+        basis = default_basis(mp.domain, 4, 1).extended(mp.exact_u - v)
+        calls, wrapped = {}, {}
+
+        def counted(fn):
+            if fn not in wrapped:
+                wrapped[fn] = lambda r: calls.setdefault(fn, []).append(np.copy(r)) or fn(r)
+            return wrapped[fn]
+
+        fields = tuple(dataclasses.replace(w, terms=tuple(
+            t._replace(p=counted(t.p), dp=counted(t.dp)) for t in w.terms))
+            for w in basis.fields)
+        validate_zero_traces(mp.problem, TestBasis(fields=fields))
+        assert len(calls) > 8 and all(len(c) == 1 for c in calls.values())
+        a = mp.domain.a
+        for fn, [radii] in calls.items():
+            assert all(r == a or r > a for r in radii)
+            one_by_one = [fn(np.array([r]))[0] for r in radii]
+            assert fn(radii).tobytes() == np.array(one_by_one).tobytes()
+
+
+class TestZeroRows:
+    @pytest.mark.parametrize("name", xb.CATALOG)
+    def test_dropped_rows_keep_every_bit(self, coarse, monkeypatch, name):
+        # the rows of +-0.0 never reach the exact sums, and the system is
+        # bit-equal to the one summed from every row
+        from extbounds import minorant
+        from extbounds.fields import difference, term_products
+
+        mp = coarse[name]
+        p = mp.problem
+        v = perturb(mp, "v", 0.1, "interior_bump", seed=4)
+        basis = default_basis(mp.domain).extended(mp.exact_u - v)
+        grouped, seen = minorant._grouped_sums, []
+        monkeypatch.setattr(minorant, "_grouped_sums",
+                            lambda first, second, rows: seen.append(rows) or grouped(
+                                first, second, rows))
+        gram, rhs, _ = _term_system(p, v, basis)
+        assert len(seen) == 1 and seen[0].any(axis=1).all()
+
+        sets = [w.terms for w in basis.fields] + [difference(p.flux.potential, v.terms)]
+        products = term_products(p.quads.whole, sets, [""] * len(sets), "test")
+        first, second, rows = products(sets, p.A.diagonal)
+        assert not rows.any(axis=1).all()  # some rows are dropped
+        first, second, sums = grouped(first, second, rows)
+        n = len(basis)
+        system = np.zeros((n + 1, n + 1))
+        system[first, second] = system[second, first] = sums
+        assert gram.tobytes() == system[:n, :n].tobytes()
+        assert rhs.tobytes() == system[:n, n].tobytes()
+
+
 class TestSandwich:
     """The bracket ``sandwich`` reports: the root of the minorant below,
     estimate I above."""
