@@ -59,18 +59,13 @@ residual of bumps of several directions, and for a term sum that is not
 finite, where the tensor rule names the node.
 
 No memo outlives what it was computed from.  ``last_call`` keeps a
-function's result for the last pair of arguments: ``gradient_on`` the
-gradient of the last field on the last rule, and
-``majorant.dirichlet_mismatch`` the trace mismatch of the last
-approximation, so that the users of one approximation share one
-evaluation; ``term_norm`` keeps its last two values the same way, and its
-last term table with the rule it was built on: the flux gap, the scale
-and the true error of one approximation read one kernel pass.  It holds
-both arguments only through weak references, and the entry goes when
-either is freed.  Its contract: fields, problems and rules are
-immutable, closures are pure (the same nodes give the same values), and
-the package is used from one thread.  Arguments are matched by identity,
-so an equal but distinct field is evaluated anew.
+function's result for the last pair of arguments, which it holds through
+weak references only, so the entry goes when either is freed: the trace
+mismatch of the last approximation (``majorant.dirichlet_mismatch``).  Its
+contract: fields, problems and rules are immutable, closures are pure,
+and the package is used from one thread.  Arguments are matched by
+identity.  The term table ``term_norm`` reads is kept on the problem's
+rules (``problems.QuadratureBundle.table``) and goes with them.
 
 Node radii (``geometry.node_radii``) and a catalog problem's exact
 gradient grad u and flux divergence div F (wrapped by
@@ -357,19 +352,11 @@ def last_call(memo: list):
     return decorate
 
 
-_GRADIENT: list = []  # the memo of gradient_on
-
-
-@last_call(_GRADIENT)
 def gradient_on(v: ScalarField, rule: QuadratureRule) -> np.ndarray:
-    """grad v at the nodes of ``rule``: the array the closure returns,
-    made read-only, kept for the last (v, rule) pair (``last_call``), so
-    every user of one operation shares a single evaluation."""
+    """grad v at the nodes of ``rule``, as the closure returns it."""
     if v.gradient is None:
         raise CompositionError(f"field {v.label!r} has no gradient closure")
-    value = np.asarray(v.gradient(rule.nodes), dtype=float)
-    value.flags.writeable = False
-    return value
+    return np.asarray(v.gradient(rule.nodes), dtype=float)
 
 
 def residual_field(f: ScalarField, y: VectorField) -> ScalarField:
@@ -644,8 +631,13 @@ def term_products(rule: QuadratureRule, sets, labels, weight: str, radial=None):
     (A, B, the pair of profiles, s, t), with the entries that are 0 in all
     four M left out (those off the diagonal, for a diagonal D).  A
     non-finite profile value raises ``QuadratureErrorAt`` (``_profiles``).
-    ``products.profiles`` is (rows, values) of ``_profiles``, which
-    ``bump_products`` reads.
+    ``products.profiles`` is (rows, values) of ``_profiles``.
+
+    ``products(term_sets, D, rows)`` sums over the radial nodes of the
+    slice ``rows`` alone, each profile's rows cut to it, as a table on the
+    rule with those nodes does (``omega_i``'s and ``omega_e``'s are rows of
+    ``whole``'s), up to the sign of a zero sum of a support spanning R.
+    The pair sums of a slice are kept with the table from its first read.
 
     A table over more profiles gives each a_D(s, t) the same products: a
     pair of profiles stored in the other order swaps only its sums of
@@ -655,30 +647,38 @@ def term_products(rule: QuadratureRule, sets, labels, weight: str, radial=None):
     (``_upper_pairs``), their four densities go into one array, and the
     pairs of terms are joined in numpy, about ``_JOIN`` pairs at a time: a
     few numpy operations per chunk, not Python steps per pair."""
-    r, weights = rule.radial
+    radii, weights = rule.radial
     if radial is not None:
-        weights = weights * radial(r)
-    rows, values, bounds = _profiles(rule, r, sets, labels, weight)
-    lo, hi = bounds.T
-    i, j = _upper_pairs(len(bounds))
-    shared = np.maximum(lo[i], lo[j]) < np.minimum(hi[i], hi[j])
-    i, j = i[shared], j[shared]  # the profiles sharing rows
-    # the densities p_i' p_j', p_i' p_j / r, p_i p_j' / r and p_i p_j / r^2
-    dens = np.empty((len(i), 4, len(r)))
-    np.multiply(values[_LEFT, i], values[_RIGHT, j], out=dens.transpose(1, 0, 2))
-    dens[:, 1:3] /= r
-    dens[:, 3] /= r * r
-    # the radial sums per pair of profiles; a_D(s, t) is symmetric (so are
-    # the M), so a pair serves both orders
-    sums = exact_dot(dens.reshape(-1, len(r)), weights).reshape(-1, 4, 1)
-    pair_of = np.full((len(bounds), len(bounds)), -1, dtype=np.intp)
-    pair_of[i, j] = pair_of[j, i] = np.arange(len(i))
+        weights = weights * radial(radii)
+    index, values, bounds = _profiles(rule, radii, sets, labels, weight)
 
-    def products(term_sets, D):
+    @functools.cache
+    def pairs_on(start: int, stop: int) -> tuple:
+        """(each pair of profiles' row in ``sums``, -1 for a pair that shares
+        no row in [start, stop); ``sums``, the pairs' radial sums there)."""
+        r, part = radii[start:stop], values[:, :, start:stop]
+        lo, hi = (np.clip(bounds, start, stop) - start).T
+        i, j = _upper_pairs(len(bounds))
+        shared = np.maximum(lo[i], lo[j]) < np.minimum(hi[i], hi[j])
+        i, j = i[shared], j[shared]  # the profiles sharing rows
+        # the densities p_i' p_j', p_i' p_j / r, p_i p_j' / r and p_i p_j / r^2
+        dens = np.empty((len(i), 4, len(r)))
+        np.multiply(part[_LEFT, i], part[_RIGHT, j], out=dens.transpose(1, 0, 2))
+        dens[:, 1:3] /= r
+        dens[:, 3] /= r * r
+        # the radial sums per pair of profiles; a_D(s, t) is symmetric (so are
+        # the M), so a pair serves both orders
+        sums = exact_dot(dens.reshape(-1, len(r)), weights[start:stop]).reshape(-1, 4, 1)
+        pair_of = np.full((len(bounds), len(bounds)), -1, dtype=np.intp)
+        pair_of[i, j] = pair_of[j, i] = np.arange(len(i))
+        return pair_of, sums
+
+    def products(term_sets, D, rows=slice(None)):
+        pair_of, sums = pairs_on(*rows.indices(len(radii))[:2])
         D = np.asarray(D, dtype=float)
         columns, x, y = _moment_entries(D.tobytes(), D.shape)
         flat = [t for terms in term_sets for t in terms]
-        which, row = np.array([(k, rows[t.p, t.dp, t.support])
+        which, row = np.array([(k, index[t.p, t.dp, t.support])
                                for k, terms in enumerate(term_sets) for t in terms],
                               dtype=np.intp).reshape(-1, 2).T
         # the pairs (s, t) whose profiles meet, A <= B, s major, joined for
@@ -699,7 +699,7 @@ def term_products(rule: QuadratureRule, sets, labels, weight: str, radial=None):
         prods = (sums[pair] * columns) * (coef[s, x] * coef[t, y])[:, None, :]
         return first[order], second[order], prods.reshape(len(pair), 4 * len(x))
 
-    products.profiles = rows, values
+    products.profiles = index, values
     return products
 
 
@@ -720,7 +720,7 @@ def bump_moments(n: int) -> tuple:
 
 
 def bump_products(rule: QuadratureRule, grads, bumps, inverse: np.ndarray,
-                  table) -> np.ndarray:
+                  table, rows: slice) -> np.ndarray:
     """The products whose exact sum over the tensor ``rule`` is
 
         2 sum_(terms, g) sum_(t, s) int grad t . (g e) s + sum_(s, s') (e . inverse e') int s s'
@@ -735,26 +735,27 @@ def bump_products(rule: QuadratureRule, grads, bumps, inverse: np.ndarray,
         int s s' = sum_k W_k p p' alpha^T X_3 alpha'
 
     over the rule's radial nodes r_k and weights W_k.  p and p' are read
-    from ``table``, the ``term_products`` of ``rule`` over profiles that
-    include those of the terms and the bumps."""
+    from ``table``, a ``term_products`` over profiles that include those of
+    the terms and the bumps, on ``rule`` or on a rule whose radial rows
+    ``rows`` are ``rule``'s."""
     r, weights = rule.radial
     n = rule.dimension
     x1, x2, x3 = bump_moments(n)
-    rows, (p, dp) = table.profiles
+    index, (p, dp) = table.profiles[0], table.profiles[1][:, :, rows]
     alpha = _coefficients(bumps, n)
     e = np.array([s.direction for s in bumps]).reshape(len(bumps), n)
     dens, factors = [], []
     for terms, g in grads:
         for t, beta in zip(terms, _coefficients(terms, n)):
-            i = rows[t.p, t.dp, t.support]
+            i = index[t.p, t.dp, t.support]
             for s, a, c in zip(bumps, alpha, g * e):
-                j = rows[s.p, s.dp, s.support]
+                j = index[s.p, s.dp, s.support]
                 dens += [dp[i] * p[j], p[i] * p[j] / r]
                 factors += [2.0 * np.einsum("a,abk,b,k->", beta, x1, a, c),
                             2.0 * np.einsum("a,abk,b,k->", a, x2, beta, c)]
     for s, a, e_s in zip(bumps, alpha, e):
         for s2, b, e_2 in zip(bumps, alpha, e):
-            dens.append(p[rows[s.p, s.dp, s.support]] * p[rows[s2.p, s2.dp, s2.support]])
+            dens.append(p[index[s.p, s.dp, s.support]] * p[index[s2.p, s2.dp, s2.support]])
             factors.append((a @ x3 @ b) * (e_s @ (inverse * e_2)))
     return exact_dot(np.reshape(dens, (-1, len(r))), weights) * np.array(factors)
 
@@ -771,41 +772,7 @@ def _finite_sum(total) -> float | None:
     return value if math.isfinite(value) else None
 
 
-_NORMS: list = []  # the memo of term_norm: (weak references, bits, value), the last two
-_TABLE: list = []  # the kept table of term_norm: (weak reference to its rule, the table)
-
-
-def _table(rule: QuadratureRule, sets):
-    """``term_products`` of ``rule`` over the profiles of the term ``sets``:
-    the kept table where it is ``rule``'s and holds all of them, else a new
-    one, which is kept in its place while the rule lives (a weak reference,
-    as in ``last_call``)."""
-    if _TABLE and _TABLE[0]() is rule:
-        rows = _TABLE[1].profiles[0]
-        if all((t.p, t.dp, t.support) in rows for terms in sets for t in terms):
-            return _TABLE[1]
-    products = term_products(rule, sets, [""] * len(sets), "")
-
-    def forget(_):
-        _TABLE.clear()
-
-    _TABLE[:] = [weakref.ref(rule, forget), products]
-    return products
-
-
-def _norm_key(A: Coefficient, rule: QuadratureRule, s, gradients=(), bumps=()) -> tuple:
-    """(objects, bits): what ``term_norm`` matches a kept value by, the
-    objects by identity (the terms by their closures) and the rest by the
-    bits of the counts, supports, directions and coefficients."""
-    terms = s + gradients + bumps
-    objects = [A, rule] + [f for t in terms for f in (t.p, t.dp)]
-    bits = ((len(s), len(gradients)),
-            *((t.support, t.direction, np.array(t.angular, dtype=float).tobytes())
-              for t in terms))
-    return objects, bits
-
-
-def term_norm(A: Coefficient, rule: QuadratureRule, sets, tensor, gradients=(),
+def term_norm(A: Coefficient, table, rule: QuadratureRule, sets, tensor, gradients=(),
               bumps=()) -> float:
     """||A grad s + sum_k grad h_k + sum_j s_j e_j||_{A^{-1}} over ``rule``,
     for s = s_0 - s_1, the sums of the two term ``sets`` (s = s_0 for one
@@ -822,60 +789,34 @@ def term_norm(A: Coefficient, rule: QuadratureRule, sets, tensor, gradients=(),
     instead for a set that is empty (a field without terms) or a sum that
     is not finite, which the tensor rule names at its node.
 
-    The table is built over the profiles of all the inputs before they are
-    merged (both ``sets``, the ``gradients`` and the ``bumps``) and kept
-    with its rule (``_table``): a later call on the rule whose profiles it
-    holds reads it, as the scale reads the flux gap's, and the bump products
-    read p and p' from it.  The minorant and ``bump_residual_norm`` build
-    their own tables and leave the kept one.
-
-    The last two values summed are kept, each for its A, rule and merged
-    terms (``_norm_key``), while all of them live (weak references, as in
-    ``last_call``): the flux gap of the exact flux, then the scale, then the
-    true error, sum u - v once.  A norm with harmonic gradients or bumps
-    also keeps, last, the exact sum of the products of a_d(s, s) alone as
-    the norm of s, which is the value a call for s alone sums: after a
-    perturbed flux's gap and the scale, the true error reads it."""
+    ``table(term_sets)`` gives a ``term_products`` over the profiles of all
+    the inputs before they are merged, on the rule whose rows ``rule`` is
+    (``QuadratureRule.rows``; ``rule`` itself for a rule made otherwise),
+    summed on ``rule``'s radial rows: the norms of one approximation on
+    ``whole``, ``omega_i`` and ``omega_e`` can read one table
+    (``problems.QuadratureBundle.table``)."""
     if not all(sets):
         return tensor()
-    s = difference(sets[0], sets[1] if len(sets) > 1 else ())
-    key = _norm_key(A, rule, s, gradients, bumps)
-    for refs, bits, kept in _NORMS:
-        if bits == key[1] and len(refs) == len(key[0]) and all(
-                ref() is x for ref, x in zip(refs, key[0])):
-            return kept
-    d = A.diagonal
-    alone = []  # the sum of a_d(s, s), where the norm has more parts
+    s, d = difference(sets[0], sets[1] if len(sets) > 1 else ()), A.diagonal
+    rows = slice(None)
+    if rule.rows is not None:  # node k * directions + j of their rule is at radius k
+        whole, node_rows = rule.rows
+        rows = slice(*(k // len(rule.angular[0]) for k in node_rows.indices(len(whole))[:2]))
 
     def total():
-        products = _table(rule, [*sets, gradients, bumps])
-        parts = [products([s], d)[2]]
-        if gradients or bumps:
-            alone.append(exact_sum(parts[0].ravel()))
+        products = table([*sets, gradients, bumps])
+        parts = [products([s], d, rows)[2]]
         if gradients:
-            first, second, cross = products([s, gradients], np.ones_like(d))
+            first, second, cross = products([s, gradients], np.ones_like(d), rows)
             parts += [2.0 * cross[(first == 0) & (second == 1)],
-                      products([gradients], 1.0 / d)[2]]
+                      products([gradients], 1.0 / d, rows)[2]]
         if bumps:
             parts.append(bump_products(rule, [(s, np.ones_like(d)), (gradients, 1.0 / d)],
-                                       bumps, 1.0 / d, products))
+                                       bumps, 1.0 / d, products, rows))
         return exact_sum(np.concatenate([x.ravel() for x in parts]))
 
     value = _finite_sum(total)
-    if value is None:
-        return tensor()
-    sums = [(key, value)] + [(_norm_key(A, rule, s), x) for x in alone if math.isfinite(x)]
-
-    def forget(dead):
-        _NORMS[:] = [entry for entry in _NORMS if dead not in entry[0]]
-
-    for (objects, bits), x in sums:
-        try:
-            _NORMS[:] = _NORMS[-1:] + [([weakref.ref(o, forget) for o in objects], bits,
-                                        math.sqrt(max(x, 0.0)))]
-        except TypeError:  # an object without weak references is not kept
-            pass
-    return math.sqrt(max(value, 0.0))
+    return tensor() if value is None else math.sqrt(max(value, 0.0))
 
 
 def bump_residual_norm(rule: QuadratureRule, bumps, radial, tensor) -> float:

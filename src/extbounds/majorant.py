@@ -153,7 +153,7 @@ def scale_of(p: Problem, v: ScalarField) -> float:
     """||A^{1/2} grad v|| over the whole domain, from v's terms where they
     give it (``fields.term_norm``)."""
     rule = p.quads.whole
-    return term_norm(p.A, rule, (v.terms,), lambda: energy_norm(
+    return term_norm(p.A, p.quads.table, rule, (v.terms,), lambda: energy_norm(
         p.A, gradient_on(v, rule), "A", rule, label=f"grad({v.label})"))
 
 
@@ -220,13 +220,11 @@ def _flux_term(p: Problem, v: ScalarField, y: VectorField, part: str = "whole") 
     """||y - A grad v||_{A^{-1}} over the rule ``part`` of p's bundle: for
     y = A grad phi + sum grad h_k + sum s_j e_j, the norm of A grad(phi -
     v) + sum grad h_k + sum s_j e_j from the terms of y and of v where they
-    give it (``fields.term_norm``), else on the rule's nodes, with grad v
-    shared from the whole rule, whose first and last rows are omega_i's and
-    omega_e's."""
-    rule, k = getattr(p.quads, part), len(p.quads.omega_i)
-    rows = {"whole": slice(None), "omega_i": slice(None, k), "omega_e": slice(k, None)}[part]
-    return term_norm(p.A, rule, (y.potential, v.terms), lambda: _flux_gap_norm(
-        p, v, y, rule, gradient_on(v, p.quads.whole)[rows]), y.gradients, y.bumps)
+    give it (``fields.term_norm``, on the bundle's table), else on the
+    rule's nodes."""
+    rule = getattr(p.quads, part)
+    return term_norm(p.A, p.quads.table, rule, (y.potential, v.terms), lambda: _flux_gap_norm(
+        p, v, y, rule, gradient_on(v, rule)), y.gradients, y.bumps)
 
 
 def _report(p, v, roman, residual, flux, constants, metadata, interface=0.0, scale=None):
@@ -299,8 +297,10 @@ def estimate_III(
     factor = bundle.poincare / math.sqrt(p.A.c_A)
     residual = bundle.c_o * _weighted_residual(p, res_i, p.quads.omega_i, 0.0)
     residual += factor * _residual_norm_tail(p, res_e)
-    flux = math.sqrt(_flux_term(p, v, y_i, "omega_i") ** 2
-                     + _flux_term(p, v, y_e, "omega_e") ** 2)
+    # the exterior gap first: the table it leaves on the bundle holds y_e's
+    # harmonics, and the profiles of y_i = F and v too, for the interior gap
+    gap_e = _flux_term(p, v, y_e, "omega_e")
+    flux = math.sqrt(_flux_term(p, v, y_i, "omega_i") ** 2 + gap_e**2)
     L, R = p.trace_degree, p.domain.R
     jump = traces.normal_trace(y_e - y_i, R, L, p.quads.Gamma)
     jump_norm = traces.sobolev_norm(jump, -0.5)

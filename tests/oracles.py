@@ -418,12 +418,21 @@ def _reference_profiles(rule, sets, labels, weight):
     return {key: i for key, (i, _) in profiles.items()}, values, bounds
 
 
+def on_rows(rule, rows):
+    """The tensor rule over the radial nodes ``rows`` of ``rule``'s, as
+    ``omega_i`` and ``omega_e`` are over rows of ``whole``'s."""
+    return QuadratureRule(None, None, rule.radial_order, rule.angular_order, rule.shell_count,
+                          radial=tuple(a[rows] for a in rule.radial), angular=rule.angular)
+
+
 def reference_term_products(rule, sets, labels, weight, radial=None):
     """``fields.term_products`` with its pairs found one by one: the pairs
     of profiles from ``np.triu_indices``, the four densities stacked, each
     radial sum by ``math.fsum``, and the pairs of terms found and sorted in
     Python, each product computed as the program computes it.  Its
-    ``profiles`` are the (rows, values) of ``_reference_profiles``."""
+    ``profiles`` are the (rows, values) of ``_reference_profiles``.  The
+    products on the radial rows ``part`` are those of the reference on the
+    rule over those rows (``on_rows``)."""
     r, weights = rule.radial
     if radial is not None:
         weights = weights * radial(r)
@@ -440,7 +449,10 @@ def reference_term_products(rule, sets, labels, weight, radial=None):
     for k, (a, b) in enumerate(pairs.tolist()):
         index[a, b] = index[b, a] = k
 
-    def products(term_sets, D):
+    def products(term_sets, D, part=slice(None)):
+        if part.indices(len(r))[:2] != (0, len(r)):
+            return reference_term_products(on_rows(rule, part), sets, labels, weight,
+                                           radial)(term_sets, D)
         moments = sphere_moments(D)
         x, y = np.nonzero(np.any(moments != 0.0, axis=0))
         flat = [(k, rows[t.p, t.dp, t.support], t) for k, terms in enumerate(term_sets)

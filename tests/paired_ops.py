@@ -2,7 +2,7 @@
 process, and check that both give the same outputs.
 
     python tests/paired_ops.py --parent SRC --change SRC --workload warm|cli --rounds N
-                               [--calibrate]
+                               [--calibrate] [--count MODULE.FUNCTION]
 
 loads the ``extbounds`` package of each ``SRC`` (a checkout's ``src``
 directory) as its own set of modules, builds the workload's operations
@@ -27,7 +27,13 @@ It prints, per operation, the median over the rounds of the change's
 time over the parent's and the rounds the change won, then the ratio of
 the round totals per round and the rounds it won, and each side's
 ``op_p50``: the median of every operation time over the rounds, as
-``perfbench/run.py`` takes it (here unscaled).  The file name has no
+``perfbench/run.py`` takes it (here unscaled).
+
+With ``--count MODULE.FUNCTION`` (a function of the package, such as
+``fields.term_products``) each side's function is wrapped wherever a
+module of its package binds it, and each operation's line also gives the
+calls one run of it made on each side, the mean over the timed rounds;
+both sides then pay the wrapper in their times.  The file name has no
 ``test_`` prefix, so pytest does not collect it.
 """
 
@@ -79,6 +85,24 @@ def use(modules: dict) -> None:
     sys.modules.update(modules)
 
 
+def counter(modules: dict, name: str) -> list:
+    """Count the calls of the package function ``name`` ("module.function")
+    of ``modules``: it is replaced by a counting wrapper wherever a module
+    binds it.  Returns the one-item list that holds the count."""
+    module, _, attr = name.rpartition(".")
+    fn, count = getattr(modules[f"extbounds.{module}"], attr), [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return fn(*args, **kwargs)
+
+    for mod in modules.values():
+        for key, value in list(vars(mod).items()):
+            if value is fn:
+                setattr(mod, key, counted)
+    return count
+
+
 def operations(wl, workload: str) -> list:
     """The workload's operations on the package in ``sys.modules``."""
     if workload == "warm":
@@ -106,6 +130,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--calibrate", action="store_true",
                         help="take two calibration samples before each operation")
+    parser.add_argument("--count", metavar="MODULE.FUNCTION",
+                        help="count each operation's calls of this package function")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -114,12 +140,15 @@ def main(argv=None) -> int:
     sample = importlib.import_module("speed").sample if args.calibrate else None
 
     packages = {side: load(src) for side, src in zip(SIDES, (args.parent, args.change))}
+    counts = {side: counter(packages[side], args.count) if args.count else [0]
+              for side in SIDES}
     ops = {}
     for side in SIDES:
         use(packages[side])
         ops[side] = operations(wl, args.workload)
     labels = [op.label for op in ops["parent"]]
     times = {side: [[0.0] * len(labels) for _ in range(args.rounds)] for side in SIDES}
+    calls = {side: [0] * len(labels) for side in SIDES}  # over the timed rounds
     first: list = [None] * len(labels)  # the parent's fingerprints of the warm-up round
     try:
         for rnd in range(-1, args.rounds):  # round -1 warms up and is not timed
@@ -130,9 +159,11 @@ def main(argv=None) -> int:
                     if sample:
                         sample()
                         sample()
+                    before = counts[side][0]
                     seconds, found = run(ops[side][i])
                     if rnd >= 0:
                         times[side][rnd][i] = seconds
+                        calls[side][i] += counts[side][0] - before
                     if first[i] is None:
                         first[i] = found
                     elif found != first[i]:
@@ -144,13 +175,15 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}: {len(labels)} operations, {args.rounds} rounds, every "
           "fingerprint equal on both sides")
-    print("change/parent  wins  parent ms  operation")
+    print("change/parent  wins  parent ms  " + (f"{args.count} parent change  " if args.count
+                                                else "") + "operation")
     for i, label in enumerate(labels):
         ratios = [times["change"][k][i] / times["parent"][k][i] for k in range(args.rounds)]
         wins = sum(r < 1.0 for r in ratios)
         parent_ms = 1000.0 * statistics.median(times["parent"][k][i] for k in range(args.rounds))
-        print(f"{statistics.median(ratios):13.3f}  {wins:2d}/{args.rounds}  {parent_ms:9.2f}"
-              f"  {label}")
+        counted = "".join(f"{calls[side][i] / args.rounds:6.2f} " for side in SIDES)
+        print(f"{statistics.median(ratios):13.3f}  {wins:2d}/{args.rounds}  {parent_ms:9.2f}  "
+              + (f"{counted:>{len(args.count) + 15}} " if args.count else "") + label)
     rounds = [sum(times["change"][k]) / sum(times["parent"][k]) for k in range(args.rounds)]
     print("per round: " + " ".join(f"{r:.3f}" for r in rounds))
     print(f"round ratio median {statistics.median(rounds):.3f}, change better in "

@@ -531,19 +531,38 @@ class TestOutDirectory:
         assert not missing.exists()
 
 
+def cli_process(command, cfg, out):
+    """``command`` run by ``python -m extbounds.cli`` in a fresh process,
+    with numpy's warnings printed as they are outside pytest."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "extbounds.cli", command, "--config", cfg,
+                           "--out", str(out)], capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("command", ["majorant", "minorant", "sandwich", "sweep"])
 def test_overflow_reported_without_numpy_warning(tmp_path, command):
     # a huge epsilon overflows the integrands: stderr holds the one message
     cfg = write_config(tmp_path, {"perturbation": {"epsilons": [1e300]},
                                   "sweep": {"kind": "epsilon", "values": [1e300]}})
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-m", "extbounds.cli", command, "--config", cfg,
-                          "--out", str(tmp_path)], capture_output=True, text=True, env=env)
+    out = cli_process(command, cfg, tmp_path)
     assert out.returncode == 1
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("precondition violated: "), out.stderr
+
+
+def test_huge_radius_n2_log_divergence_prints_nothing(tmp_path):
+    # N2_log's div F = 1 / r^3 is 0.0 where r^3 overflows (r > 5.6e102),
+    # with no numpy warning on stderr; the row keeps its values
+    cfg = write_config(tmp_path, {"problem": "N2_log", "perturbation": {"target": "y"},
+                                  "sweep": {"kind": "radius", "values": [1e149]}})
+    out = cli_process("sweep", cfg, tmp_path)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert (tmp_path / "sweep.csv").read_text().splitlines() == [
+        "epsilon_or_R,residual,flux,interface,boundary,total,true_error,efficiency_index",
+        "1e+149,8.6039650827925652e+150,3.5518839849839709e+147,0,0,8.6075169667775486e+150,"
+        "0.22056246542260996,3.9025302651949721e+151"]
 
 
 @pytest.mark.parametrize("command,payload", [

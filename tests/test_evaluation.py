@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import extbounds as xb
-import extbounds.fields as fields_module
 from extbounds.fields import (
     Coefficient,
     CompositionError,
@@ -154,19 +153,16 @@ def counting(v, rule):
 
 
 class TestGradientOnce:
-    """An operation evaluates grad v on the whole rule at most once: never
-    when its norms come from the terms, once for a v without terms."""
+    """An operation whose norms come from the terms never evaluates grad v,
+    and nothing keeps grad v once its caller drops it."""
 
     @staticmethod
     def evaluations(mp, v, operation):
-        """The calls of the gradient closure of v and of its copy without
-        terms during ``operation(w)``, on the whole rule and on any nodes."""
-        counts = []
-        for w in (v, termless(v)):
-            w, calls = counting(w, mp.problem.quads.whole)
-            operation(w)
-            counts.append(calls)
-        return counts
+        """The calls of the gradient closure of v during ``operation(v)``,
+        on the whole rule and on any nodes."""
+        v, calls = counting(v, mp.problem.quads.whole)
+        operation(v)
+        return calls
 
     def test_estimate_then_true_error(self, n3_harmonic):
         mp = n3_harmonic
@@ -177,12 +173,10 @@ class TestGradientOnce:
             xb.true_error(mp, v)
 
         assert self.evaluations(mp, perturb(mp, "v", 0.05, "interior_bump", seed=4),
-                                operation) == [{"rule": 0, "all": 0}, {"rule": 1, "all": 1}]
+                                operation) == {"rule": 0, "all": 0}
 
     @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
     def test_broken_estimate_then_true_error(self, name, catalog):
-        # estimate III's two part rules are row blocks of the whole rule,
-        # whose one evaluation it slices
         mp = catalog[name]
         y_i, y_e = perturb(mp, "y_broken", 0.05, "interface_jump", seed=5)
 
@@ -191,66 +185,49 @@ class TestGradientOnce:
             xb.true_error(mp, v)
 
         assert self.evaluations(mp, perturb(mp, "v", 0.05, "interior_bump", seed=4),
-                                operation) == [{"rule": 0, "all": 0}, {"rule": 1, "all": 1}]
+                                operation) == {"rule": 0, "all": 0}
 
     def test_minorant_estimate_then_true_error(self, n2_log):
         mp = n2_log
         y = perturb(mp, "y", 0.05, "interior_bump", seed=5)
 
         def operation(v):
-            if v.terms:
-                xb.minorant_report(mp.problem, v, xb.default_basis(mp.domain))
-            else:  # refused before anything is evaluated
-                with pytest.raises(ValueError, match="has no terms"):
-                    xb.minorant_report(mp.problem, v, xb.default_basis(mp.domain))
+            xb.minorant_report(mp.problem, v, xb.default_basis(mp.domain))
             xb.estimate_I(mp.problem, v, y)
             xb.true_error(mp, v)
 
         assert self.evaluations(mp, perturb(mp, "v", 0.05, "interior_bump", seed=4),
-                                operation) == [{"rule": 0, "all": 0}, {"rule": 1, "all": 1}]
+                                operation) == {"rule": 0, "all": 0}
 
     def test_reevaluates_for_another_field_or_rule(self, n2_log):
+        # each call evaluates the closure: for the same field and rule too,
+        # with the same bits
         mp = n2_log
         quads = mp.problem.quads
         v, calls = counting(perturb(mp, "v", 0.05, "interior_bump", seed=4), quads.whole)
         first = gradient_on(v, quads.whole)
-        assert not first.flags.writeable
-        assert gradient_on(v, quads.whole) is first
-        assert calls["all"] == 1
-
-        same = dataclasses.replace(v)  # equal, but a distinct object
-        assert same == v and same is not v
-        np.testing.assert_array_equal(gradient_on(same, quads.whole), first)
-        assert calls["all"] == 2
-
+        np.testing.assert_array_equal(gradient_on(v, quads.whole), first)
+        assert bits(gradient_on(dataclasses.replace(v), quads.whole)).tobytes() == \
+            bits(first).tobytes()
+        assert calls["all"] == 3
         other, other_calls = counting(perturb(mp, "v", 0.05, "interior_bump", seed=5),
                                       quads.whole)
         gradient_on(other, quads.whole)
         assert other_calls["all"] == 1
-        gradient_on(v, quads.whole)
-        assert calls["all"] == 3
-
-        gradient_on(v, quads.omega_i)
-        assert calls["all"] == 4
+        assert bits(gradient_on(v, quads.omega_i)).tobytes() == \
+            bits(first[:len(quads.omega_i)]).tobytes()
         moved = with_interface_radius(mp, 1.5).problem.quads.whole
         assert gradient_on(v, moved).shape == moved.nodes.shape
-        assert calls["all"] == 5
-        assert calls["rule"] == 3
+        assert (calls["all"], calls["rule"]) == (5, 3)
 
     def test_entry_goes_with_the_field_or_the_rule(self, n2_log):
-        # the memo holds v and the rule weakly: freeing either drops grad v
+        # no store holds grad v: the array goes when its caller drops it,
+        # while v and the rule live
         mp = n2_log
         v = perturb(mp, "v", 0.05, "interior_bump", seed=4)
         held = weakref.ref(gradient_on(v, mp.problem.quads.whole))
-        del v
         gc.collect()
-        assert held() is None and not fields_module._GRADIENT
-        v = perturb(mp, "v", 0.05, "interior_bump", seed=4)
-        rule = dataclasses.replace(mp.problem.quads.whole)
-        held = weakref.ref(gradient_on(v, rule))
-        del rule
-        gc.collect()
-        assert held() is None and not fields_module._GRADIENT
+        assert held() is None and v.terms
 
     def test_needs_gradient_closure(self, n2_log):
         no_grad = ScalarField(value=lambda p: np.ones(len(p)), label="flat")
@@ -419,7 +396,7 @@ def test_energy_gap_and_true_error_bit_equal_to_old_formulas(n, order, kind):
 
     u = ScalarField(value=v.value, gradient=lambda pts: q)
     mp = types.SimpleNamespace(exact_u=u, problem=types.SimpleNamespace(
-        A=A, quads=types.SimpleNamespace(whole=rule)))
+        A=A, quads=types.SimpleNamespace(whole=rule, table=None)))
     results.append((new_outcome(xb.true_error, mp, v),
                     old_outcome(old_energy, A, q - g, "A", rule)))
     for new, old in results:
@@ -445,7 +422,7 @@ def harmonic8():
     mp = xb.builtin("N3_harmonic", shells=8)
     v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
     whole = mp.problem.quads.whole
-    gradient_on(v, whole)  # evaluated and kept before any measurement
+    mp.exact_u.gradient(whole.nodes)  # kept per node array (NodeMemo) before any measurement
     whole.weights  # built on its first read, likewise before any
     return mp, v, whole
 

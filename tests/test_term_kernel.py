@@ -9,6 +9,7 @@ import pytest
 import extbounds as xb
 import extbounds.fields as fields_module
 import extbounds.minorant as minorant_module
+import extbounds.problems as problems_module
 from extbounds.majorant import scale_of
 from extbounds.minorant import _term_system, default_basis
 from extbounds.problems import perturb
@@ -16,6 +17,7 @@ from extbounds.problems import perturb
 from oracles import reference_term_products
 
 MODES = ("interior_bump", "boundary_mode")
+KERNEL_USERS = (fields_module, minorant_module, problems_module)
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +38,9 @@ def compared(monkeypatch):
     """The program's kernel, each products table of which is checked
     against the reference's on the same arguments, as a multiset of rows
     per (first, second) key, and for keys sorted, and whose profiles are
-    the reference's bits; yields the number of tables checked, in a list."""
+    the reference's bits, also for the products on some radial rows
+    (which the reference sums on the rule over those rows); yields the
+    number of tables checked, in a list."""
     build, checked = fields_module.term_products, [0]
 
     def kernel(rule, sets, labels, weight, radial=None):
@@ -45,8 +49,8 @@ def compared(monkeypatch):
         (rows, values), (want_rows, want_values) = products.profiles, reference.profiles
         assert rows == want_rows and values.tobytes() == want_values.tobytes()
 
-        def both(term_sets, D):
-            got, want = products(term_sets, D), reference(term_sets, D)
+        def both(term_sets, D, rows=slice(None)):
+            got, want = products(term_sets, D, rows), reference(term_sets, D, rows)
             keys = list(zip(got[0].tolist(), got[1].tolist()))
             assert keys == sorted(keys)  # the minorant sums runs of equal keys
             assert got[2].shape == want[2].shape
@@ -57,28 +61,27 @@ def compared(monkeypatch):
         both.profiles = products.profiles
         return both
 
-    for module in (fields_module, minorant_module):
+    for module in KERNEL_USERS:
         monkeypatch.setattr(module, "term_products", kernel)
     yield checked
 
 
-def forget_kept():
-    """Drop the norms and the table ``term_norm`` keeps."""
-    fields_module._NORMS.clear()
-    fields_module._TABLE.clear()
+def forget_kept(p):
+    """Empty the slot of the table that ``p``'s bundle keeps."""
+    object.__setattr__(p.quads, "_table", None)
 
 
-def with_kernel(monkeypatch, kernel, compute):
-    """``compute()`` with ``kernel`` as the term kernel and no kept norm or
-    table: every table it reads is ``kernel``'s."""
+def with_kernel(monkeypatch, p, kernel, compute):
+    """``compute()`` with ``kernel`` as the term kernel and no table kept on
+    ``p``'s bundle: every table it reads is ``kernel``'s."""
     with monkeypatch.context() as patch:
-        for module in (fields_module, minorant_module):
+        for module in KERNEL_USERS:
             patch.setattr(module, "term_products", kernel)
-        forget_kept()
+        forget_kept(p)
         try:
             return compute()
         finally:
-            forget_kept()
+            forget_kept(p)
 
 
 def bits(values):
@@ -109,14 +112,15 @@ class TestSameProducts:
         # products, each table of which equals the reference's
         mp = coarse[name]
         v = perturb(mp, "v", 0.1, mode, 3)
-        forget_kept()
+        forget_kept(mp.problem)
         got = norms(mp, v, 4)
         assert compared[0] >= 8
-        want = with_kernel(monkeypatch, reference_term_products, lambda: norms(mp, v, 4))
+        want = with_kernel(monkeypatch, mp.problem, reference_term_products,
+                           lambda: norms(mp, v, 4))
         assert bits(got) == bits(want)
 
     def test_reference_fills_the_kept_table(self, coarse, monkeypatch):
-        # with the reference as the kernel, term_norm keeps the reference's
+        # with the reference as the kernel, the bundle keeps the reference's
         # table and the flux gap's bump products read its profiles: a flux
         # bump estimate, the scale and the true error give the program's
         # bits from one reference table on the whole rule
@@ -133,12 +137,12 @@ class TestSameProducts:
         def values():
             report = xb.estimate_I(p, v, y)
             return ([report.residual, report.flux, report.total, scale_of(p, v),
-                     xb.true_error(mp, v)], fields_module._TABLE[1])
+                     xb.true_error(mp, v)], p.quads._table)
 
-        forget_kept()
+        forget_kept(p)
         got, _ = values()
-        forget_kept()
-        want, kept = with_kernel(monkeypatch, reference, values)
+        forget_kept(p)
+        want, kept = with_kernel(monkeypatch, p, reference, values)
         assert bits(got) == bits(want)
         assert [table for rule, table in tables if rule is p.quads.whole] == [kept]
 
@@ -162,7 +166,7 @@ class TestSameProducts:
 
         got = system()
         assert compared[0] == 2
-        want = with_kernel(monkeypatch, reference_term_products, system)
+        want = with_kernel(monkeypatch, mp.problem, reference_term_products, system)
         assert [bits(x) for x in got] == [bits(x) for x in want]
 
     @pytest.mark.parametrize("join", [fields_module._JOIN, 7])

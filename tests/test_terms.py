@@ -5,9 +5,11 @@ functions as the closures, and the sums must give the tensor rule's values
 up to rounding where its directions integrate the moments exactly."""
 
 import dataclasses
+import gc
 import inspect
 import math
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -16,6 +18,8 @@ import pytest
 import extbounds as xb
 import extbounds.fields as fields_module
 import extbounds.majorant as majorant_module
+import extbounds.minorant as minorant_module
+import extbounds.problems as problems_module
 from extbounds.cli import guarantee_ok
 from extbounds.fields import (
     QuadratureErrorAt,
@@ -25,6 +29,7 @@ from extbounds.fields import (
     separable_field,
     sphere_moments,
 )
+from extbounds.geometry import build_quadrature
 from extbounds.minorant import (
     NonzeroTraceError,
     SingularGramError,
@@ -38,7 +43,7 @@ from extbounds.majorant import _flux_term, _residual, _weighted_residual, scale_
 from extbounds.problems import _flux_bump, _random_interior_bump, perturb
 
 from conftest import termless
-from oracles import dense_minorant, term_values
+from oracles import dense_minorant, reference_term_products, term_values
 
 RULES = ("whole", "gamma", "Gamma")
 MODES = ("interior_bump", "boundary_mode")
@@ -509,19 +514,12 @@ class TestFluxTerms:
 
     def test_exact_flux_and_true_error_sum_once(self, coarse, monkeypatch):
         # estimate I with the exact flux builds one term table, over the
-        # profiles of u and v, for its flux gap; the scale reads it, and the
-        # true error the kept sum of u - v.  Estimate II builds it for the
+        # profiles of u and v, for its flux gap; the scale and the true error
+        # read the one the bundle keeps.  Estimate II builds it for the
         # scale, over v's profiles, which hold u's; its flux gap reads it
         mp = coarse["N3_harmonic"]
         p = mp.problem
-        builds = []
-        build = fields_module.term_products
-
-        def counted(rule, sets, *args):
-            builds.append(list(sets))
-            return build(rule, sets, *args)
-
-        monkeypatch.setattr(fields_module, "term_products", counted)
+        builds = counted_builds(monkeypatch, lambda rule, sets, *args: list(sets))
         for seed, estimate, sets in ((3, xb.estimate_I, lambda v: [p.flux.potential, v.terms,
                                                                    (), ()]),
                                      (7, xb.estimate_II, lambda v: [v.terms, (), ()])):
@@ -533,9 +531,9 @@ class TestFluxTerms:
         xb.true_error(mp, perturb(mp, "v", 0.1, "interior_bump", 4))
         assert len(builds) == 2
         # with a flux bump the one table holds the bump's profile too, whose
-        # p and p' the flux gap's bump products read; the flux gap also keeps
-        # the sum of a_d(u - v, u - v) alone, which the true error reads after
-        # the scale, and without it the true error sums the kept table
+        # p and p' the flux gap's bump products read; the scale and the true
+        # error read it, and with the slot emptied the true error builds its
+        # own table and sums the same value
         v = perturb(mp, "v", 0.1, "interior_bump", 5)
         y = perturb(mp, "y", 0.1, "interior_bump", 6)
         assert y.bumps
@@ -544,18 +542,18 @@ class TestFluxTerms:
         error = xb.true_error(mp, v)
         # the residual, then the flux gap
         assert builds == [[list(y.bumps)], [y.potential, v.terms, (), y.bumps]]
-        fields_module._NORMS.clear()
-        assert xb.true_error(mp, v) == error and len(builds) == 2
-        fields_module._NORMS.clear()
-        fields_module._TABLE.clear()
+        kept = p.quads._table
+        assert scale_of(p, v) > 0.0 and p.quads._table is kept and len(builds) == 2
+        object.__setattr__(p.quads, "_table", None)
         assert xb.true_error(mp, v) == error
         assert builds[2:] == [[mp.exact_u.terms, v.terms, (), ()]]
 
     def test_kept_table_is_read_for_its_rule_only(self, coarse, monkeypatch):
-        # the flux gap on the whole rule keeps its table, over the profiles
-        # of u, v and the bump.  A bump residual with a radial weight on the
-        # same rule builds its own and leaves the kept one; the scale reads
-        # it; the flux gap on omega_i builds its own and keeps it in its place
+        # the flux gap on the whole rule keeps its table on the bundle, over
+        # the profiles of u, v and the bump.  A bump residual with a radial
+        # weight on the same rule builds its own and leaves the kept one;
+        # the scale and the flux gap on omega_i read the kept one, the
+        # latter on omega_i's radial rows of it
         mp = coarse["N3_decay"]
         p, quads = mp.problem, mp.problem.quads
         v = perturb(mp, "v", 0.1, "interior_bump", 3)
@@ -566,29 +564,17 @@ class TestFluxTerms:
                  lambda: scale_of(p, v), lambda: _flux_term(p, v, y, "omega_i")]
         alone = []  # each value with nothing kept
         for norm in norms:
-            fields_module._NORMS.clear()
-            fields_module._TABLE.clear()
+            object.__setattr__(quads, "_table", None)
             alone.append(norm())
-        builds = []
-        build = fields_module.term_products
-
-        def counted(rule, sets, labels, weight, radial=None):
-            builds.append((rule, radial is not None))
-            return build(rule, sets, labels, weight, radial)
-
-        monkeypatch.setattr(fields_module, "term_products", counted)
-        fields_module._NORMS.clear()
-        fields_module._TABLE.clear()
+        builds = counted_builds(monkeypatch, lambda rule, sets, labels, weight, radial=None: (
+            rule, radial is not None))
+        object.__setattr__(quads, "_table", None)
         got = [norms[0]()]
-        kept = fields_module._TABLE[1]
+        kept = quads._table
         got.append(norms[1]())
         assert builds == [(quads.whole, False), (quads.whole, True)]
-        assert fields_module._TABLE[1] is kept
-        got.append(norms[2]())
-        assert len(builds) == 2
-        got.append(norms[3]())
-        assert builds[2:] == [(quads.omega_i, False)]
-        assert fields_module._TABLE[0]() is quads.omega_i
+        got += [norms[2](), norms[3]()]
+        assert len(builds) == 2 and quads._table is kept
         assert got == alone and 0.0 not in got
 
     def test_non_finite_bump_raises_the_tensor_rules_error(self, coarse):
@@ -643,6 +629,100 @@ class TestFluxTerms:
                 values.append([flux_values(p, v, flux_of(mp, target, 0.1, seed))
                                for target in ("y", "y_broken")])
             assert values[0] == values[1], seed
+
+
+class TestBundleTable:
+    """The one term table a problem's bundle keeps
+    (``problems.QuadratureBundle.table``): the norms of the problems on the
+    bundle read it on ``whole`` and on the radial rows of ``omega_i`` and
+    ``omega_e``, those of no other bundle do, and it goes with the bundle."""
+
+    def test_freed_with_the_bundle(self):
+        # a resolution no other test builds, so that this problem alone
+        # holds its bundle
+        mp = xb.builtin("N3_decay", radial_order=5, angular_order=9, shells=3)
+        v = perturb(mp, "v", 0.1, "interior_bump", 3)
+        xb.estimate_III(mp.problem, v, *perturb(mp, "y_broken", 0.1, "interface_jump", 5))
+        table = weakref.ref(mp.problem.quads._table)
+        assert table() is not None
+        del mp, v
+        gc.collect()
+        assert table() is None
+
+    def test_another_bundle_never_reads_the_slot(self, coarse):
+        class Unreadable:
+            @property
+            def profiles(self):
+                raise AssertionError("another bundle's table was read")
+
+        n3, n2 = coarse["N3_harmonic"], coarse["N2_log"]
+        assert n3.problem.quads is not n2.problem.quads
+        held = n3.problem.quads._table
+        object.__setattr__(n3.problem.quads, "_table", Unreadable())
+        try:
+            v = perturb(n2, "v", 0.1, "interior_bump", 3)
+            y = perturb(n2, "y", 0.1, "interior_bump", 4)
+            broken = perturb(n2, "y_broken", 0.1, "interface_jump", 5)
+            for report in (xb.estimate_I(n2.problem, v, y), xb.estimate_II(n2.problem, v, y),
+                           xb.estimate_III(n2.problem, v, *broken)):
+                assert math.isfinite(report.total)
+            assert xb.true_error(n2, v) > 0.0
+            profiles = {(t.p, t.dp, t.support) for f in (v.terms, y.bumps, broken[1].gradients,
+                                                         n2.exact_u.terms) for t in f}
+            assert set(n2.problem.quads._table.profiles[0]) <= profiles
+        finally:
+            object.__setattr__(n3.problem.quads, "_table", held)
+
+    @pytest.mark.parametrize("name", xb.CATALOG)
+    def test_estimate_III_and_true_error_build_one_table(self, coarse, monkeypatch, name):
+        # the exterior flux gap builds it on whole, over the profiles of u,
+        # v and the harmonics; the interior gap, the scale and the true
+        # error read it
+        mp = coarse[name]
+        p = mp.problem
+        v = perturb(mp, "v", 0.1, "interior_bump", 3)
+        y_i, y_e = perturb(mp, "y_broken", 0.1, "interface_jump", 5)
+        builds = counted_builds(monkeypatch, lambda rule, sets, *args: (rule, list(sets)))
+        xb.estimate_III(p, v, y_i, y_e)
+        xb.true_error(mp, v)
+        assert builds == [(p.quads.whole, [y_e.potential, v.terms, y_e.gradients, ()])]
+
+    @pytest.mark.parametrize("name", xb.CATALOG)
+    def test_flux_parts_bit_equal_to_the_reference_on_their_rules(self, coarse, name):
+        # each flux gap on omega_i and omega_e, summed on its radial rows of
+        # the table on whole, has the bits of the gap summed from the
+        # reference's table on a rule over that part alone
+        mp = coarse[name]
+        p = mp.problem
+        v = perturb(mp, "v", 0.1, "interior_bump", 3)
+        y = perturb(mp, "y", 0.1, "interior_bump", 4)
+        y_i, y_e = perturb(mp, "y_broken", 0.1, "interface_jump", 5)
+        for part, flux in (("omega_i", y_i), ("omega_e", y_e), ("omega_i", y), ("omega_e", y)):
+            own = getattr(p.quads, part)
+            rule = build_quadrature(p.domain, own.radial_order, own.angular_order,
+                                    own.shell_count, part)
+            assert rule.rows is None and own.rows is not None
+
+            def table(sets, rule=rule):
+                return reference_term_products(rule, sets, [""] * len(sets), "")
+
+            want = fields_module.term_norm(p.A, table, rule, (flux.potential, v.terms), None,
+                                           flux.gradients, flux.bumps)
+            assert _flux_term(p, v, flux, part).hex() == want.hex(), (part, flux.label)
+
+
+def counted_builds(monkeypatch, record):
+    """The list that gets ``record(*arguments)`` of each ``term_products``
+    call, wherever the package calls it, while ``monkeypatch`` holds."""
+    builds, build = [], fields_module.term_products
+
+    def counted(*args, **kwargs):
+        builds.append(record(*args, **kwargs))
+        return build(*args, **kwargs)
+
+    for module in (fields_module, problems_module, minorant_module):
+        monkeypatch.setattr(module, "term_products", counted)
+    return builds
 
 
 def flux_of(mp, target, eps, seed):
