@@ -17,7 +17,6 @@ from .fields import (
     VectorField,
     energy_norm,
     log_weighted_norm,
-    residual_field,
     weighted_norm,
 )
 from .geometry import ExteriorDomain, QuadratureRule, build_quadrature, integrate
@@ -81,7 +80,6 @@ __all__ = [
     "minorant_report",
     "normal_trace",
     "perturb",
-    "residual_field",
     "sobolev_norm",
     "true_error",
     "weighted_norm",

@@ -1,5 +1,5 @@
-"""Analytic scalar/vector fields, the diffusion coefficient, and the
-weighted norms used by the error bounds.
+"""Analytic scalar/vector fields, the diffusion coefficient, the term
+sums of the error bounds and the weighted norms on a rule's nodes.
 
 Fields carry their derivative closures (gradient for scalars, divergence
 for vectors) analytically; nothing in the bound evaluation differentiates
@@ -14,7 +14,7 @@ a closure fills per node takes the layout of its input, and the one
 kernel that rounds by layout, the BLAS product of the perturbed flux's
 divergence (``problems.perturb``), gets a C-order operand.
 
-A norm on the tensor rule sums a pointwise density that ``density``
+A norm on a rule's nodes sums a pointwise density that ``density``
 builds one column at a time in a single M-vector, with at most one more
 scratch column: sum_k (a_k o d_k) b_k, o the product or the quotient by
 the coefficient's diagonal d (or a_k b_k without it).  Each node takes
@@ -22,9 +22,8 @@ the IEEE operations of ``row_sum((a o d) * b)`` over the (M, N) arrays in
 the same order, term by term and added left to right; that ``row_sum``
 starts from +0.0 only turns a density of -0.0 into +0.0, which no exact
 sum tells apart.  So no (M, N) temporary is built and every sum keeps its
-bits.  A norm checks
-its density with ``require_finite`` and sums it with the rule's weights in
-one ``exact_dot``.
+bits.  A norm checks its density with ``require_finite`` and sums it
+with the rule's weights in one ``exact_dot``.
 
 Two radial weights coexist and are never interchanged silently:
 ``rho = (1 + r^2)^{1/2}`` in the norms (``weighted_norm``), and the plain
@@ -42,21 +41,21 @@ its derivative, angular coefficients c and a support, the function
 p(r) (c_0 + c . x/r)).  ``separable_field`` records one, ``c * w`` scales
 them, ``a + b`` and ``a - b`` join them when both operands have terms,
 and like terms merge (``merged``), so u - (u + eps s) has exactly the
-terms of -eps s.  A vector field keeps the terms of A grad phi
-(``potential``), of harmonic gradients grad h (``gradients``) and of
-bumps s e (``bumps``, terms with a direction e).  The integrals of fields
-with terms are summed from the terms, radial sums on a tensor rule's
-radial nodes times closed-form sphere moments, which are the exact
-angular integrals at any angular order: the minorant's system
-(``term_products``), through ``term_norm`` the true error, the scale
-||A^{1/2} grad v|| and the flux gap ||y - A grad v||_{A^{-1}} of a flux with
-terms (``bump_products`` adds a bump's cross and mass products, from the
-profiles of the same table), and
-through ``bump_residual_norm`` the weighted norm of the residual div(s e)
-of a flux bump.  The tensor rule's norms stay as the one path for fields
-without terms (fields built from bare closures, in the library), for the
-residual of bumps of several directions, and for a term sum that is not
-finite, where the tensor rule names the node.
+terms of -eps s.  ``None`` marks a field without terms (built from bare
+closures) and ``()`` the zero sum, so u - u is the zero field.  A vector
+field keeps the terms of A grad phi (``potential``), of harmonic
+gradients grad h (``gradients``) and of bumps s e (``bumps``, terms with
+a direction e).  Every integral of the bounds is summed from the terms,
+radial sums on a tensor rule's radial nodes times closed-form sphere
+moments, the exact angular integrals at any angular order: the
+minorant's system (``term_products``), through ``term_norm`` the true
+error, the scale ||A^{1/2} grad v|| and the flux gap ||y - A grad v||_{A^{-1}}
+(``bump_products`` adds a bump's cross and mass products), and through
+``bump_residual_norm`` the weighted norm of the residual div(s e) of
+bumps of one direction.  A bound refuses a field without terms, and a
+term sum that is not finite raises ``OverflowError``.  No bound calls the
+norms on a rule's nodes (``weighted_norm``, ``log_weighted_norm``,
+``energy_norm``), which name the node of a non-finite density.
 
 No memo outlives what it was computed from.  ``last_call`` keeps a
 function's result for the last pair of arguments, which it holds through
@@ -72,7 +71,7 @@ gradient grad u and flux divergence div F (wrapped by
 ``problems.builtin``) are kept per read-only node array
 (``geometry.NodeMemo``) while the array that owns the nodes lives: the
 first call on a rule evaluates them, and every later call, through
-grad v = grad u + eps grad b, the true error or f = -div F, returns the
+grad v = grad u + eps grad b or div(F + eps p), returns the
 same read-only values or a row slice of them, and a sum may return
 them as they are.  So no caller may write into a closure's result; a
 write raises ``ValueError``.
@@ -91,10 +90,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import QuadratureRule, exact_dot, exact_sum, node_radii
-
-
-class CompositionError(TypeError):
-    """A field combination needs a derivative closure that is missing."""
 
 
 def _scaled(c: float, fn):
@@ -186,8 +181,8 @@ class _Field:
     """The support, terms and arithmetic of ``ScalarField`` and
     ``VectorField``: each names its derivative closure (``_derivative``),
     the shapes of the two closures' values at nodes ``pts`` (``_shapes``)
-    and its lists of terms (``_terms``).  A field with a term in any list
-    is the sum its lists describe; one with none has no terms."""
+    and its lists of terms (``_terms``): all None for a field without
+    terms, else the sum they describe."""
 
     def __post_init__(self):
         if self.support is not None:  # formula() unwraps a closure restricted before
@@ -195,9 +190,10 @@ class _Field:
             for name, fn, shape in zip(names, self.formula(), self._shapes):
                 if fn is not None:
                     object.__setattr__(self, name, _on_support(fn, self.support, shape))
-        for name in self._terms:
-            terms = (_held_to(Term(*t), self.support) for t in getattr(self, name))
-            object.__setattr__(self, name, merged(t for t in terms if t is not None))
+        if any(getattr(self, name) is not None for name in self._terms):
+            for name in self._terms:
+                held = (_held_to(Term(*t), self.support) for t in getattr(self, name) or ())
+                object.__setattr__(self, name, merged(t for t in held if t is not None))
 
     def formula(self) -> tuple:
         """(value, derivative): the closures as given, before the support
@@ -211,13 +207,13 @@ class _Field:
         own = (self.value, getattr(self, self._derivative))
         mine = [getattr(self, name) for name in self._terms]
         theirs = [getattr(other, name) for name in self._terms]
-        if op is np.subtract:
+        both = mine[0] is not None and theirs[0] is not None
+        if both and op is np.subtract:
             theirs = [scaled_terms(-1.0, terms) for terms in theirs]
-        both = any(mine) and any(theirs)
         return type(self)(
             *(_combined(a, b, op, other.support) for a, b in zip(own, other.formula())),
             label=f"({self.label}{sign}{other.label})",
-            **{name: a + b if both else () for name, a, b in zip(self._terms, mine, theirs)})
+            **{name: a + b if both else None for name, a, b in zip(self._terms, mine, theirs)})
 
     def __add__(self, other):
         return self._sum(other, np.add, "+")
@@ -229,7 +225,17 @@ class _Field:
         c = float(c)
         return type(self)(*(_scaled(c, fn) for fn in self.formula()),
                           label=f"{c}*{self.label}", support=self.support,
-                          **{name: scaled_terms(c, getattr(self, name)) for name in self._terms})
+                          **{name: scaled_terms(c, getattr(self, name)) for name in self._terms
+                             if getattr(self, name) is not None})
+
+
+def terms_of(f: _Field, role: str) -> tuple:
+    """The terms (a vector field's ``potential``) of ``f``, which a
+    ``ValueError`` names as ``role`` where it has none."""
+    terms = getattr(f, f._terms[0])
+    if terms is None:
+        raise ValueError(f"{role} ({f.label!r}) has no terms; every bound is summed from terms")
+    return terms
 
 
 @dataclass(frozen=True)
@@ -248,19 +254,19 @@ class ScalarField(_Field):
     b's closures only on the rows of b's support, and give a's values
     themselves on the others.
 
-    ``terms`` is empty, or the ``Term``s whose sum the field is, as
-    ``separable_field`` records them; the minorant and the norms read them
-    in place of the closures.  They are held to the support and merged
-    (``merged``), scaled by ``c * w``, and joined by ``a + b`` and
-    ``a - b`` when both operands have terms.  ``dataclasses.replace``
-    keeps them too, so a replace that gives closures of another function
-    must pass ``terms=()``."""
+    ``terms`` is None for a field without terms, or the ``Term``s whose
+    sum the field is (``()`` for the zero field); every bound reads them in
+    place of the closures.  They are held to the support and merged
+    (``merged``), scaled by ``c * w``, and joined by ``a + b`` and ``a - b``
+    when both operands have terms (else the result has none).  A
+    ``dataclasses.replace`` that gives closures of another function must
+    pass ``terms=None``."""
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
     support: tuple[float, float] | None = None
-    terms: tuple = field(default=(), repr=False, compare=False)
+    terms: tuple | None = field(default=None, repr=False, compare=False)
 
     _derivative = "gradient"
     _shapes = (len, np.shape)
@@ -273,21 +279,21 @@ class VectorField(_Field):
     analytic ``divergence`` (M,N)->(M,), and a ``support`` held to as a
     ``ScalarField``'s is.
 
-    Its terms are three lists, all empty for a field without terms: the
+    Its terms are three lists, all None for a field without terms: the
     field is A grad phi + sum_k grad h_k + sum_j s_j e_j for the terms of
     phi (``potential``), for the coefficient A of the problem that holds
     it, the harmonic h_k (``gradients``: Laplace h_k = 0, so div grad h_k
-    = 0) and the bumps s_j e_j (``bumps``: terms with a ``direction``).
-    They are kept as a ``ScalarField``'s terms are, so a replace that gives
-    closures of another field must pass all three empty."""
+    = 0) and the bumps s_j e_j (``bumps``: terms with a ``direction``); a
+    list left None beside one given is ``()``.  They are kept as a
+    ``ScalarField``'s terms are."""
 
     value: Callable[[np.ndarray], np.ndarray]
     divergence: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
     support: tuple[float, float] | None = None
-    potential: tuple = field(default=(), repr=False, compare=False)
-    gradients: tuple = field(default=(), repr=False, compare=False)
-    bumps: tuple = field(default=(), repr=False, compare=False)
+    potential: tuple | None = field(default=None, repr=False, compare=False)
+    gradients: tuple | None = field(default=None, repr=False, compare=False)
+    bumps: tuple | None = field(default=None, repr=False, compare=False)
 
     _derivative = "divergence"
     _shapes = (np.shape, len)
@@ -350,25 +356,6 @@ def last_call(memo: list):
         return kept
 
     return decorate
-
-
-def gradient_on(v: ScalarField, rule: QuadratureRule) -> np.ndarray:
-    """grad v at the nodes of ``rule``, as the closure returns it."""
-    if v.gradient is None:
-        raise CompositionError(f"field {v.label!r} has no gradient closure")
-    return np.asarray(v.gradient(rule.nodes), dtype=float)
-
-
-def residual_field(f: ScalarField, y: VectorField) -> ScalarField:
-    """f + div y, the equilibrium residual. Requires the divergence closure."""
-    if y.divergence is None:
-        raise CompositionError(f"vector field {y.label!r} has no divergence closure")
-    div = y.divergence
-    return ScalarField(
-        value=lambda pts: f.value(pts) + div(pts),
-        gradient=None,
-        label=f"({f.label}+div {y.label})",
-    )
 
 
 def density(out: np.ndarray, pairs, d: np.ndarray | None = None, *,
@@ -479,19 +466,15 @@ class QuadratureErrorAt(ArithmeticError):
         self.point = point
 
 
-def require_finite(
-    vals: np.ndarray, pts: np.ndarray, label: str, weight: str, *, start: int = 0
-) -> None:
+def require_finite(vals: np.ndarray, pts: np.ndarray, label: str, weight: str) -> None:
     """Raise ``QuadratureErrorAt`` at the first node where ``vals`` (one
-    value or one row per node) is not finite.  ``pts`` are the rule's
-    nodes from number ``start`` on, and the error names the rule's node
-    number."""
+    value or one row per node, at the rule's nodes ``pts``) is not finite."""
     ok = np.isfinite(vals)
     if not ok.all():
         if ok.ndim > 1:
             ok = ok.all(axis=1)
         bad = int(np.flatnonzero(~ok)[0])
-        raise QuadratureErrorAt(start + bad, pts[bad], label, weight)
+        raise QuadratureErrorAt(bad, pts[bad], label, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -760,19 +743,21 @@ def bump_products(rule: QuadratureRule, grads, bumps, inverse: np.ndarray,
     return exact_dot(np.reshape(dens, (-1, len(r))), weights) * np.array(factors)
 
 
-def _finite_sum(total) -> float | None:
-    """``total()``, or None where it is not finite or raises, as a
-    non-finite profile value or an fsum of inf and -inf does; numpy's
-    overflow warnings are silenced on the way."""
+def _finite_root(total, label) -> float:
+    """The root of ``total()``, clamped at 0.0, with numpy's overflow
+    warnings silenced.  Where ``total()`` is not finite or raises, as for a
+    non-finite profile value, ``OverflowError`` names ``label()``."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             value = total()
         except (ArithmeticError, ValueError):
-            return None
-    return value if math.isfinite(value) else None
+            value = math.nan
+    if not math.isfinite(value):
+        raise OverflowError("non-finite term sum for field {!r} (weight {})".format(*label()))
+    return math.sqrt(max(value, 0.0))
 
 
-def term_norm(A: Coefficient, table, rule: QuadratureRule, sets, tensor, gradients=(),
+def term_norm(A: Coefficient, table, rule: QuadratureRule, sets, label, gradients=(),
               bumps=()) -> float:
     """||A grad s + sum_k grad h_k + sum_j s_j e_j||_{A^{-1}} over ``rule``,
     for s = s_0 - s_1, the sums of the two term ``sets`` (s = s_0 for one
@@ -785,9 +770,8 @@ def term_norm(A: Coefficient, table, rule: QuadratureRule, sets, tensor, gradien
         + 2 int grad h . d^{-1} e_j s_j + (e_j . d^{-1} e_l) int s_j s_l,
 
     the exact sum of the products of the merged terms (``term_products``,
-    ``bump_products``).  ``tensor()``, the tensor rule's value, is returned
-    instead for a set that is empty (a field without terms) or a sum that
-    is not finite, which the tensor rule names at its node.
+    ``bump_products``); a set may be ``()``, the zero field.  A sum that is
+    not finite raises ``OverflowError`` naming ``label()``'s field and weight.
 
     ``table(term_sets)`` gives a ``term_products`` over the profiles of all
     the inputs before they are merged, on the rule whose rows ``rule`` is
@@ -795,8 +779,6 @@ def term_norm(A: Coefficient, table, rule: QuadratureRule, sets, tensor, gradien
     summed on ``rule``'s radial rows: the norms of one approximation on
     ``whole``, ``omega_i`` and ``omega_e`` can read one table
     (``problems.QuadratureBundle.table``)."""
-    if not all(sets):
-        return tensor()
     s, d = difference(sets[0], sets[1] if len(sets) > 1 else ()), A.diagonal
     rows = slice(None)
     if rule.rows is not None:  # node k * directions + j of their rule is at radius k
@@ -815,33 +797,42 @@ def term_norm(A: Coefficient, table, rule: QuadratureRule, sets, tensor, gradien
                                        bumps, 1.0 / d, products, rows))
         return exact_sum(np.concatenate([x.ravel() for x in parts]))
 
-    value = _finite_sum(total)
-    return tensor() if value is None else math.sqrt(max(value, 0.0))
+    return _finite_root(total, label)
 
 
-def bump_residual_norm(rule: QuadratureRule, bumps, radial, tensor) -> float:
+def bump_residual_norm(rule: QuadratureRule, bumps, radial, label) -> float:
     """(int w (grad s . e)^2)^{1/2} over ``rule``, the norm of div(s e) with
     the radial weight w (``radial``, a function of r; 1 for None), for the
     bumps of ``bumps``, all with the direction e, whose sum is s: the root
     of the exact sum of the products of a_D(s, s), D = e e^T
     (``term_products``, with the weight); 0.0 where no bump's support has
-    rows in the rule.  ``tensor()``, the tensor rule's value, is returned
-    instead for a residual without bumps, for bumps of several directions
-    and for a sum that is not finite."""
-    if not bumps or len({t.direction for t in bumps}) > 1:
-        return tensor()
-    bumps = [t for t in bumps
-             if t.support is None or np.subtract(*support_rows(rule.radial[0], t.support))]
+    rows in the rule.  Where a weight W_k w(r_k) passes the float range, w
+    is scaled by a power of two, which is exact, and the sum scaled back.
+    Bumps of several directions, whose cross integrands are no a_D of a
+    symmetric D, raise ``ValueError``, and a sum that is not finite
+    ``OverflowError``, with the name and weight ``label()`` gives."""
+    if len({t.direction for t in bumps}) > 1:
+        raise ValueError("the residual {!r} (weight {}) has bumps of several directions, "
+                         "which its terms cannot sum".format(*label()))
+    r, weights = rule.radial
+    bumps = [t for t in bumps if t.support is None or np.subtract(*support_rows(r, t.support))]
     if not bumps:
         return 0.0
     e = np.array(bumps[0].direction)
 
-    def total():
-        products = term_products(rule, [bumps], [""], "", radial)
-        return exact_sum(products([bumps], np.outer(e, e))[2].ravel())
+    def total(shift=0):
+        scaled = (lambda r: np.ldexp(radial(r), -shift)) if shift else radial
+        products = term_products(rule, [bumps], [""], "", scaled)
+        return math.ldexp(exact_sum(products([bumps], np.outer(e, e))[2].ravel()), shift)
 
-    value = _finite_sum(total)
-    return tensor() if value is None else math.sqrt(max(value, 0.0))
+    try:
+        return _finite_root(total, label)
+    except OverflowError:
+        if radial is None:
+            raise
+    with np.errstate(over="ignore"):  # the largest weight to about 2^1000
+        shift = sum(math.frexp(float(np.max(x)))[1] for x in (weights, radial(r))) - 1000
+    return _finite_root(lambda: total(max(shift, 0)), label)
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,11 @@ from .fields import (
     VectorField,
     bump_residual_norm,
     difference,
-    energy_norm,
-    gradient_on,
     last_call,
-    log_weighted_norm,
-    residual_field,
     term_norm,
-    weighted_norm,
+    terms_of,
 )
-from .geometry import QuadratureRule
+from .geometry import QuadratureError, QuadratureRule
 from .problems import Problem
 
 EQUILIBRATION_RTOL = 1e-10
@@ -98,36 +94,32 @@ def constants_bundle(p: Problem) -> ConstantsBundle:
 
 
 def _residual(p: Problem, y: VectorField):
-    """The residual f + div y with the bumps it is the divergence of, or
-    None when it is 0.  Both come from y's terms when y's potential merges
-    with the load flux's to nothing: then y is F + sum grad h_k + sum s_j
-    e_j, and f + div y = -div F + div F + sum grad s_j . e_j, since the h_k
-    are harmonic; it is None without bumps.  Otherwise the bumps are ()."""
-    if p.flux.potential and not difference(y.potential, p.flux.potential):
-        return (residual_field(p.f, y), y.bumps) if y.bumps else None
-    return residual_field(p.f, y), ()
-
-
-def _log_weight(r):
-    """(r ln r)^2 at the radii r > 1; NaN where r <= 1, which the tensor
-    rule's weight refuses, so that the norm goes there."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(r > 1.0, (r * np.log(r)) ** 2, np.nan)
+    """(y, its bumps s_j e_j), whose divergences sum to the residual f + div
+    y, or None when it is 0: y's potential merges with the load flux F's to
+    nothing, so y = F + sum grad h_k + sum s_j e_j with harmonic h_k.  A
+    flux without terms, or with another potential, whose residual needs
+    second derivatives that terms do not carry, raises ``ValueError``."""
+    if p.flux.potential is None or difference(terms_of(y, "the flux"), p.flux.potential):
+        raise ValueError(f"the flux ({y.label!r}) has a potential other than the load flux's, "
+                         "whose residual needs second derivatives that its terms do not carry")
+    return (y, y.bumps) if y.bumps else None
 
 
 def _weighted_residual(p: Problem, res, rule: QuadratureRule, s: float = 1.0) -> float:
     """||r ln r * res|| over ``rule`` in 2D, ||rho^s * res|| in 3D (||res||
     in both at s = 0), for the residual ``res`` of ``_residual``; 0.0 for
-    None.  A residual of bumps is summed from their terms where they give
-    it (``fields.bump_residual_norm``), with the radial weight."""
+    None, from the bumps' terms (``fields.bump_residual_norm``).  The r ln r
+    weight needs every radial node at r > 1, or ``QuadratureError`` is raised."""
     if res is None:
         return 0.0
-    field, bumps = res
-    if p.domain.dimension == 2 and s:
-        return bump_residual_norm(rule, bumps, _log_weight,
-                                  lambda: log_weighted_norm(field, rule))
-    rho = None if s == 0.0 else (lambda r: (r * r + 1.0) ** s)  # rho^{2s}
-    return bump_residual_norm(rule, bumps, rho, lambda: weighted_norm(field, s, rule))
+    (y, bumps), log = res, p.domain.dimension == 2 and s
+    if log and rule.radial[0].min() <= 1.0:  # ln r <= 0 there
+        raise QuadratureError(f"the r ln r weight needs every radial node at radius > 1, "
+                              f"and one is at {float(rule.radial[0].min())!r}")
+    weight = ((lambda r: (r * np.log(r)) ** 2) if log  # (r ln r)^2, or rho^{2s}
+              else None if s == 0.0 else (lambda r: (r * r + 1.0) ** s))
+    return bump_residual_norm(rule, bumps, weight, lambda: (
+        f"f+div {y.label}", "times_rlnr" if log else f"rho^{2 * s}"))
 
 
 def _residual_norm_tail(p: Problem, res) -> float:
@@ -150,11 +142,10 @@ def _residual_norm_tail(p: Problem, res) -> float:
 
 
 def scale_of(p: Problem, v: ScalarField) -> float:
-    """||A^{1/2} grad v|| over the whole domain, from v's terms where they
-    give it (``fields.term_norm``)."""
-    rule = p.quads.whole
-    return term_norm(p.A, p.quads.table, rule, (v.terms,), lambda: energy_norm(
-        p.A, gradient_on(v, rule), "A", rule, label=f"grad({v.label})"))
+    """||A^{1/2} grad v|| over the whole domain, from v's terms
+    (``fields.term_norm``)."""
+    return term_norm(p.A, p.quads.table, p.quads.whole, (terms_of(v, "v"),),
+                     lambda: (f"grad({v.label})", "energy:A"))
 
 
 # ---------------------------------------------------------------------------
@@ -206,32 +197,23 @@ def boundary_term(p: Problem, v: ScalarField) -> float:
 # the three estimates
 
 
-def _flux_gap_norm(
-    p: Problem, v: ScalarField, y: VectorField, rule: QuadratureRule,
-    grad_v: np.ndarray,
-) -> float:
-    """||y - A grad v||_{A^{-1}} over ``rule``, the flux mismatch entering
-    every upper bound; ``grad_v`` holds grad v at the rule's nodes."""
-    return energy_norm(p.A, y.value(rule.nodes), "A_inverse", rule,
-                       label=f"({y.label}-A*grad({v.label}))", minus_gradient=grad_v)
-
-
 def _flux_term(p: Problem, v: ScalarField, y: VectorField, part: str = "whole") -> float:
-    """||y - A grad v||_{A^{-1}} over the rule ``part`` of p's bundle: for
-    y = A grad phi + sum grad h_k + sum s_j e_j, the norm of A grad(phi -
-    v) + sum grad h_k + sum s_j e_j from the terms of y and of v where they
-    give it (``fields.term_norm``, on the bundle's table), else on the
-    rule's nodes."""
-    rule = getattr(p.quads, part)
-    return term_norm(p.A, p.quads.table, rule, (y.potential, v.terms), lambda: _flux_gap_norm(
-        p, v, y, rule, gradient_on(v, rule)), y.gradients, y.bumps)
+    """||y - A grad v||_{A^{-1}} over the rule ``part`` of p's bundle, the
+    flux mismatch entering every upper bound: for y = A grad phi + sum
+    grad h_k + sum s_j e_j, the norm of A grad(phi - v) + sum grad h_k +
+    sum s_j e_j from the terms of y and of v (``fields.term_norm``, on the
+    bundle's table)."""
+    return term_norm(p.A, p.quads.table, getattr(p.quads, part),
+                     (terms_of(y, "the flux"), terms_of(v, "v")),
+                     lambda: (f"({y.label}-A*grad({v.label}))", "energy:A_inverse"),
+                     y.gradients, y.bumps)
 
 
-def _report(p, v, roman, residual, flux, constants, metadata, interface=0.0, scale=None):
+def _report(p, v, roman, boundary, residual, flux, constants, metadata, interface=0.0, scale=None):
     """The report of estimate ``roman`` ("-2D" appended in 2D) from its own
-    terms: the boundary term of ``v`` and then, unless given, the scale are
-    computed here, and ``constants`` gains the extension constant."""
-    boundary = boundary_term(p, v)
+    terms: unless given, the scale is computed here, and ``constants``
+    gains the extension constant.  Each estimate takes its boundary term
+    first, so that a trace of ``v`` above the band is named first."""
     if scale is None:
         scale = scale_of(p, v)
     return MajorantReport(
@@ -250,13 +232,13 @@ def _report(p, v, roman, residual, flux, constants, metadata, interface=0.0, sca
 def estimate_I(p: Problem, v: ScalarField, y: VectorField) -> MajorantReport:
     """Upper bound for an arbitrary flux with integrable weighted residual:
     weighted residual term + dual-norm flux gap + boundary mismatch."""
-    bundle = p.constants
+    boundary, bundle = boundary_term(p, v), p.constants
     res = _residual(p, y)
     factor = bundle.poincare / math.sqrt(p.A.c_A)
     n_int = _weighted_residual(p, res, p.quads.omega_i)
     n_tail = _residual_norm_tail(p, res)
     residual = factor * math.sqrt(n_int**2 + n_tail**2)
-    return _report(p, v, "I", residual, _flux_term(p, v, y),
+    return _report(p, v, "I", boundary, residual, _flux_term(p, v, y),
                    {"poincare": bundle.poincare}, {})
 
 
@@ -265,7 +247,7 @@ def estimate_II(p: Problem, v: ScalarField, y: VectorField) -> MajorantReport:
     interface).  The equilibration is enforced numerically: a tail
     residual above 1e-10 * scale is rejected, and anything below it is
     still added to the bound so validity never rests on the tolerance."""
-    bundle = p.constants
+    boundary, bundle = boundary_term(p, v), p.constants
     res = _residual(p, y)
     scale = scale_of(p, v)
     tail = _residual_norm_tail(p, res)
@@ -278,8 +260,19 @@ def estimate_II(p: Problem, v: ScalarField, y: VectorField) -> MajorantReport:
         )
     factor = bundle.poincare / math.sqrt(p.A.c_A)
     residual = bundle.c_o * _weighted_residual(p, res, p.quads.omega_i, 0.0) + factor * tail
-    return _report(p, v, "II", residual, _flux_term(p, v, y), {"c_o": bundle.c_o},
+    return _report(p, v, "II", boundary, residual, _flux_term(p, v, y), {"c_o": bundle.c_o},
                    {"tail_residual": tail}, scale=scale)
+
+
+def _interface_term(p: Problem, y_i: VectorField, y_e: VectorField) -> tuple:
+    """(estimate III's penalty of the normal-trace jump j of y_e - y_i on
+    the interface, ||P_L j||_{-1/2}); see ``estimate_III``."""
+    bundle, L, R = p.constants, p.trace_degree, p.domain.R
+    jump = traces.normal_trace(y_e - y_i, R, L, p.quads.Gamma)
+    jump_norm = traces.sobolev_norm(jump, -0.5)
+    above = jump.above_band / math.sqrt(traces.sobolev_weight(L + 1, p.domain.dimension, R))
+    return (bundle.trace.value * jump_norm
+            + bundle.trace.params["above_band"] * math.sqrt(above)), jump_norm
 
 
 def estimate_III(
@@ -291,7 +284,7 @@ def estimate_III(
     degree: C ||P_L j||_{-1/2} for the degrees l <= L, and for the others
     C_above (w_{L+1}^{-1/2} (int j^2 - sum_{l<=L} c_l^2))^{1/2}, since the
     multipliers w_l^{-1/2} fall with l."""
-    bundle = p.constants
+    boundary, bundle = boundary_term(p, v), p.constants
     res_i = _residual(p, y_i)
     res_e = _residual(p, y_e)
     factor = bundle.poincare / math.sqrt(p.A.c_A)
@@ -301,13 +294,8 @@ def estimate_III(
     # harmonics, and the profiles of y_i = F and v too, for the interior gap
     gap_e = _flux_term(p, v, y_e, "omega_e")
     flux = math.sqrt(_flux_term(p, v, y_i, "omega_i") ** 2 + gap_e**2)
-    L, R = p.trace_degree, p.domain.R
-    jump = traces.normal_trace(y_e - y_i, R, L, p.quads.Gamma)
-    jump_norm = traces.sobolev_norm(jump, -0.5)
-    above = jump.above_band / math.sqrt(traces.sobolev_weight(L + 1, p.domain.dimension, R))
-    interface = (bundle.trace.value * jump_norm
-                 + bundle.trace.params["above_band"] * math.sqrt(above))
-    return _report(p, v, "III", residual, flux,
+    interface, jump_norm = _interface_term(p, y_i, y_e)
+    return _report(p, v, "III", boundary, residual, flux,
                    {"c_o": bundle.c_o, "poincare": bundle.poincare,
                     "interface_trace": bundle.trace.value},
                    {"jump_h_minus_half": jump_norm}, interface=interface)

@@ -23,10 +23,9 @@ Every basis function, v and the flux (its ``potential``) must have terms
 ``default_basis``: each integral is a sum over pairs of terms of radial
 sums on the whole rule's radial nodes times closed-form sphere moments
 (``_term_system``, on the kernel ``fields.term_products`` that also sums
-the true error, the scale and the flux gaps the bounds are checked
-against).  The moments are the exact angular integrals, at any
-angular_order.  The zero-trace check reads the same terms, so no closure
-of a basis function is evaluated.
+the true error, the scale and the flux gaps).  The moments are the exact
+angular integrals, at any angular_order.  The zero-trace check reads the
+same terms, so no closure of a basis function is evaluated.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from .fields import (
     profile,
     separable_field,
     term_products,
+    terms_of,
 )
 from .geometry import exact_sum
 from .problems import Problem
@@ -89,8 +89,8 @@ def validate_zero_traces(p: Problem, basis: TestBasis) -> None:
     meet at rho may cancel; each coefficient must be at most
     ``TRACE_ZERO_TOL``, or the function would be cut off where it is not
     zero and not lie in H^1.  Raises ``NonzeroTraceError`` for the first
-    function that fails (a NaN fails too).  A function without terms has
-    nothing to check here; ``minorant_report`` refuses it first."""
+    function that fails (a NaN fails too).  Every function must have
+    terms, which ``minorant_report`` checks first."""
     a, n = p.domain.a, p.domain.dimension
     radii = {}  # p or p' -> the radii it is checked at: a and the support ends
     for t in (t for w in basis.fields for t in w.terms):
@@ -189,23 +189,18 @@ def minorant_report(p: Problem, v: ScalarField, basis: TestBasis) -> MinorantRep
     :func:`validate_zero_traces` checks: M bounds the error only over
     such functions.  The Gram matrix G, the right-hand side and M(w_c)
     are summed from the terms (``_term_system``), so v, every basis
-    function and the flux's potential must have terms.  The first of them
-    without raises ``ValueError``: for a basis function, the
-    ``SingularGramError`` of a function of zero energy, which is what the
-    term sums make of it.  The value is the smaller of rhs . c and M(w_c)
-    summed directly.  A product of finite values that overflows raises
-    ``FloatingPointError``."""
+    function and the flux must have terms; the first of them without
+    raises ``ValueError`` (``fields.terms_of``).  A zero field, such as
+    v = u - u, has terms: ``()``.  A basis function of zero energy, such
+    as u - v at eps = 0, raises ``SingularGramError``.  The value is the
+    smaller of rhs . c and M(w_c) summed directly.  A product of finite
+    values that overflows raises ``FloatingPointError``."""
     if len(basis) == 0:
         raise ValueError("basis must be nonempty")
-    if not v.terms:
-        raise ValueError(f"v ({v.label!r}) has no terms; the minorant is summed from terms")
+    terms_of(v, "v")
     for k, w in enumerate(basis.fields):
-        if not w.terms:  # u - v at eps = 0, say, whose terms merge to none
-            raise SingularGramError(
-                f"basis function {k} ({w.label!r}) has no terms, so zero energy in the term sums")
-    if not p.flux.potential:
-        raise ValueError(f"the flux ({p.flux.label!r}) has no potential terms; the minorant "
-                         "is summed from terms")
+        terms_of(w, f"basis function {k}")
+    terms_of(p.flux, "the flux")
     gram, rhs, direct_value = _term_system(p, v, basis)
     n = len(basis)
 

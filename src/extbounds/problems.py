@@ -1,8 +1,8 @@
 """Manufactured exterior-domain problems with exact solutions and fluxes.
 
-A ``Problem`` holds the flux F of its load, with an analytic divergence
-closure, and derives f := -div F from it, so the two can never drift
-apart; the minorant reads F alone.  Every catalog entry takes the exact
+A ``Problem`` holds the flux F of its load f = -div F, with an analytic
+divergence closure, and no f apart from it, so the two can never drift
+apart; the bounds read F's terms alone.  Every catalog entry takes the exact
 flux F = A grad u, so the data cannot drift out of sync with the
 solution either, and the flux records u's terms as its ``potential``.
 The perturbed fluxes keep their terms too: a flux bump records its bump
@@ -27,8 +27,6 @@ from .fields import (
     ScalarField,
     Term,
     VectorField,
-    energy_norm,
-    gradient_on,
     mollifier,
     mollifier_deriv,
     profile,
@@ -38,6 +36,7 @@ from .fields import (
     separable_field,
     term_norm,
     term_products,
+    terms_of,
 )
 from .geometry import (
     ExteriorDomain,
@@ -125,7 +124,7 @@ def _build_bundle(domain, radial_order, angular_order, shells) -> QuadratureBund
 @dataclass(frozen=True)
 class Problem:
     """Data of one exterior boundary value problem -div(A grad u) = f,
-    f = -div F, with Dirichlet trace g on the inner sphere."""
+    f = -div F for the load flux F, with Dirichlet trace g on the sphere r = a."""
 
     domain: ExteriorDomain
     A: Coefficient
@@ -133,12 +132,6 @@ class Problem:
     g: traces.SphereTrace
     quads: QuadratureBundle
     trace_degree: int
-
-    @cached_property
-    def f(self) -> ScalarField:
-        """The load -div F."""
-        div = self.flux.divergence
-        return ScalarField(value=lambda pts: -div(pts), label="-div flux")
 
     @cached_property
     def constants(self) -> ConstantsBundle:
@@ -244,8 +237,8 @@ def builtin(
                            divergence=inverse_cube)
 
     # the exact data are kept per node array: grad v = grad u + eps grad b
-    # and the true error read the kept grad u, and f = -div F and div y,
-    # y = F + eps p, the kept div F.  F = A grad u records u's terms
+    # reads the kept grad u, and div y, y = F + eps p, the kept div F.
+    # F = A grad u records u's terms
     u = replace(u, gradient=NodeMemo(u.gradient))
     flux = replace(flux, divergence=NodeMemo(flux.divergence), potential=u.terms)
     quads = make_bundle(domain, radial_order, angular_order, shells)
@@ -278,13 +271,11 @@ def with_interface_radius(
 
 
 def true_error(mp: ManufacturedProblem, v: ScalarField) -> float:
-    """The energy-norm error ||A^{1/2} grad(u - v)|| on the whole rule: from
-    the merged terms of u - v where they give it (``fields.term_norm``),
-    else on the rule's nodes."""
-    u, A, rule = mp.exact_u, mp.problem.A, mp.problem.quads.whole
-    return term_norm(A, mp.problem.quads.table, rule, (u.terms, v.terms), lambda: energy_norm(
-        A, u.gradient(rule.nodes), "A", rule, label=f"grad(({u.label}-{v.label}))",
-        minus_gradient=gradient_on(v, rule)))
+    """The energy-norm error ||A^{1/2} grad(u - v)|| on the whole rule, from
+    the merged terms of u - v (``fields.term_norm``)."""
+    u, quads = mp.exact_u, mp.problem.quads
+    return term_norm(mp.problem.A, quads.table, quads.whole, (terms_of(u, "u"), terms_of(v, "v")),
+                     lambda: (f"grad(({u.label}-{v.label}))", "energy:A"))
 
 
 # ---------------------------------------------------------------------------

@@ -259,7 +259,7 @@ def analyze(f: ScalarField, radius: float, degree: int, rule: QuadratureRule) ->
     """Expand ``f`` restricted to the sphere of ``radius`` in the surface
     basis up to ``degree``: in closed form from its terms, else (or where
     their sum is not finite) by quadrature of the projection integrals."""
-    trace = _from_terms(f.terms, lambda t: t.p, radius, degree, rule) if f.terms else None
+    trace = None if f.terms is None else _from_terms(f.terms, lambda t: t.p, radius, degree, rule)
     if trace is None:
         trace = _project(np.asarray(f.value(rule.nodes), dtype=float), radius, degree, rule)
     return trace

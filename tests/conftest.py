@@ -70,11 +70,11 @@ def unrestricted():
 
 
 def termless(x):
-    """The field or basis ``x`` with the same closures and no terms: the
-    true error, the scale, the flux gap and the residual norms sum such a
-    field on the tensor rule, and the minorant refuses it."""
+    """The field or basis ``x`` with the same closures and no terms (None):
+    every bound refuses such a field, and ``oracles``' tensor reference sums
+    it on the rule's nodes."""
     import dataclasses
 
     if hasattr(x, "fields"):
         return dataclasses.replace(x, fields=tuple(termless(w) for w in x.fields))
-    return dataclasses.replace(x, **dict.fromkeys(x._terms, ()))
+    return dataclasses.replace(x, **dict.fromkeys(x._terms, None))

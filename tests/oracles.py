@@ -7,9 +7,12 @@ summed over every node of the whole rule, the cos, sin and Bessel
 series summed with :class:`~extbounds.special.Enclosure`'s operators,
 which the program's integer loops must match bit for bit, and the term
 kernel as a loop over the pairs of profiles and of terms, whose products
-the program's must match bit for bit, and every constant of a bundle
+the program's must match bit for bit, every constant of a bundle
 computed at once, which the constants derived on first read must match
-bit for bit.  The program never calls them."""
+bit for bit, and the tensor reference: the true error, the scale, the
+flux gap and the weighted residual summed on a rule's nodes from the
+closures, by the norms of ``fields`` that no bound calls, against which
+the term sums are checked.  The program never calls them."""
 
 import math
 from fractions import Fraction
@@ -22,9 +25,12 @@ from extbounds.fields import (
     QuadratureErrorAt,
     ScalarField,
     VectorField,
+    energy_norm,
+    log_weighted_norm,
     require_finite,
     sphere_moments,
     support_rows,
+    weighted_norm,
 )
 from extbounds.geometry import ExteriorDomain, QuadratureRule, exact_dot, node_radii
 from extbounds.special import GUARD, Enclosure, _negligible, _one, _result, _zero
@@ -472,6 +478,57 @@ def reference_term_products(rule, sets, labels, weight, radial=None):
 
     products.profiles = rows, values
     return products
+
+
+# ---------------------------------------------------------------------------
+# the tensor reference: each norm of the bounds summed on a rule's nodes from
+# the closures, as the bounds summed a field without terms before they came
+# to read terms only
+
+
+def load(p) -> ScalarField:
+    """The load f = -div F of the problem ``p``, from its flux's divergence
+    closure."""
+    div = p.flux.divergence
+    return ScalarField(value=lambda pts: -div(pts), label="-div flux")
+
+
+def residual_field(f: ScalarField, y: VectorField) -> ScalarField:
+    """f + div y, the equilibrium residual, from y's divergence closure."""
+    div = y.divergence
+    return ScalarField(value=lambda pts: f.value(pts) + div(pts),
+                       label=f"({f.label}+div {y.label})")
+
+
+def tensor_true_error(mp, v) -> float:
+    """||A^{1/2} grad(u - v)|| on the nodes of the whole rule."""
+    u, A, rule = mp.exact_u, mp.problem.A, mp.problem.quads.whole
+    return energy_norm(A, u.gradient(rule.nodes), "A", rule, label=f"grad(({u.label}-{v.label}))",
+                       minus_gradient=np.asarray(v.gradient(rule.nodes), dtype=float))
+
+
+def tensor_scale(p, v) -> float:
+    """||A^{1/2} grad v|| on the nodes of the whole rule."""
+    rule = p.quads.whole
+    return energy_norm(p.A, np.asarray(v.gradient(rule.nodes), dtype=float), "A", rule,
+                       label=f"grad({v.label})")
+
+
+def tensor_flux_gap(p, v, y, part: str = "whole") -> float:
+    """||y - A grad v||_{A^{-1}} on the nodes of the rule ``part``."""
+    rule = getattr(p.quads, part)
+    return energy_norm(p.A, y.value(rule.nodes), "A_inverse", rule,
+                       label=f"({y.label}-A*grad({v.label}))",
+                       minus_gradient=np.asarray(v.gradient(rule.nodes), dtype=float))
+
+
+def tensor_residual(p, y, rule, s: float = 1.0) -> float:
+    """||r ln r (f + div y)|| on the nodes of ``rule`` in 2D, ||rho^s (f +
+    div y)|| in 3D (both unweighted at s = 0)."""
+    res = residual_field(load(p), y)
+    if p.domain.dimension == 2 and s:
+        return log_weighted_norm(res, rule)
+    return weighted_norm(res, s, rule)
 
 
 def eager_constants(domain: ExteriorDomain, A, modes: int) -> dict:

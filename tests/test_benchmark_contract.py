@@ -139,10 +139,12 @@ def test_names_perfbench_reads_exist():
 def test_tracer_reads_the_calls_it_wraps():
     # the tracer's span attributes read positional arguments (energy_norm's
     # mode and rule, minorant_report's problem and basis): a change of those
-    # signatures must fail here, not in a traced benchmark run
+    # signatures must fail here, not in a traced benchmark run.  No bound
+    # calls the norms on a rule's nodes, so they are called here directly
     import importlib.util
 
     import extbounds as xb
+    import extbounds.fields as fields
     from extbounds.problems import perturb
 
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
@@ -152,26 +154,35 @@ def test_tracer_reads_the_calls_it_wraps():
     p = mp.problem
     v = perturb(mp, "v", 0.1, "interior_bump", seed=1)
     y_i, y_e = perturb(mp, "y_broken", 0.1, "interface_jump", seed=2)
+    n2 = xb.builtin("N2_log", shells=1)
+    whole, plane = p.quads.whole, n2.problem.quads.omega_e
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
         xb.estimate_I(p, v, mp.exact_flux)
         xb.estimate_II(p, v, mp.exact_flux)
-        # a v without terms, whose flux gaps the tensor rule sums
-        xb.estimate_III(p, termless(v), y_i, y_e)
+        xb.estimate_III(p, v, y_i, y_e)
         # a basis with terms, which the assembly and the zero-trace check
         # read in place of the closures: no basis node is counted
         xb.minorant_report(p, v, xb.default_basis(mp.domain))
+        fields.energy_norm(p.A, v.gradient(whole.nodes), "A", whole)
+        fields.weighted_norm(v, 1.0, whole)
+        fields.log_weighted_norm(n2.exact_u, plane)
     finally:
         tracer.uninstall()
-    metrics = tracer_module.layer_metrics(tracer.take())
+    spans = tracer.take()
+    metrics = tracer_module.layer_metrics(spans)
     assert metrics["majorant.estimate.calls"] == 3
-    # the closed-form traces count as projections too: v's in I (II shares
-    # it), termless(v)'s and the jump's in III, and v's again in the
-    # minorant, since III's termless v took the mismatch memo
-    assert metrics["traces.project.calls"] == 4
+    # the closed-form traces count as projections too: v's in I (II and III
+    # share it) and the jump's in III; the minorant shares v's
+    assert metrics["traces.project.calls"] == 2
     assert metrics["minorant.report.calls"] == 1
-    assert metrics["minorant.basis_nodes"] == 0 and metrics["fields.norm.nodes"] > 0
+    assert metrics["minorant.basis_nodes"] == 0
+    norms = [s.attrs for s in spans if s.name == "fields.norm"]
+    assert norms == [{"nodes": len(whole), "mode": "A"}, {"nodes": len(whole), "mode": None},
+                     {"nodes": len(plane), "mode": None}]
+    assert metrics["fields.norm.calls"] == 3
+    assert metrics["fields.norm.nodes"] == 2 * len(whole) + len(plane)
 
 
 def test_cleared_caches_build_new_rules(monkeypatch):
@@ -216,6 +227,6 @@ def test_cold_estimates_on_term_fields_build_no_trace_basis(monkeypatch):
     assert calls == []
     for name in ("N3_harmonic", "N2_log"):
         p = held[name].problem
-        xb.estimate_I(p, termless(perturb(held[name], "v", 0.1, "boundary_mode", 2)),
-                      held[name].exact_flux)
+        traces.analyze(termless(perturb(held[name], "v", 0.1, "boundary_mode", 2)),
+                       p.domain.a, p.trace_degree, p.quads.gamma)
         assert calls.pop() == (p.domain.dimension, p.trace_degree, p.domain.a) and not calls

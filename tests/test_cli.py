@@ -19,12 +19,11 @@ import extbounds as xb
 from extbounds.cli import (
     FIELDS, GUARANTEE_SLACK, ConfigError, ScenarioConfig, guarantee_ok, load_config, main,
 )
-from extbounds.fields import QuadratureErrorAt, energy_norm
+from extbounds.fields import energy_norm
 from extbounds.geometry import QuadratureError
 from extbounds.problems import TARGET_MODES, _random_interior_bump, perturb
 
 from cli_outputs import RUNS as OUTPUT_RUNS
-from conftest import termless
 
 REPO = Path(__file__).resolve().parent.parent
 REPORT_SCHEMA = json.loads((REPO / "schemas" / "report.schema.json").read_text())
@@ -554,15 +553,35 @@ def test_overflow_reported_without_numpy_warning(tmp_path, command):
 
 def test_huge_radius_n2_log_divergence_prints_nothing(tmp_path):
     # N2_log's div F = 1 / r^3 is 0.0 where r^3 overflows (r > 5.6e102),
-    # with no numpy warning on stderr; the row keeps its values
+    # with no numpy warning on stderr; the row keeps its values.  The
+    # residual's weights W_k (r_k ln r_k)^2 pass the float range there, and
+    # its term sum takes them scaled by a power of two.  The closures'
+    # residual, projected on the rule's nodes, read 8.6039650827925652e+150:
+    # their grad(x_i / r) takes x_i x / r^3, which is 0.0 where r^3
+    # overflows; with that term summed as (x_i / r)(x / r) / r it agrees
+    # with the row to 1e-15 (8.7104492176591055e+150)
     cfg = write_config(tmp_path, {"problem": "N2_log", "perturbation": {"target": "y"},
                                   "sweep": {"kind": "radius", "values": [1e149]}})
     out = cli_process("sweep", cfg, tmp_path)
     assert (out.returncode, out.stderr) == (0, "")
     assert (tmp_path / "sweep.csv").read_text().splitlines() == [
         "epsilon_or_R,residual,flux,interface,boundary,total,true_error,efficiency_index",
-        "1e+149,8.6039650827925652e+150,3.5518839849839709e+147,0,0,8.6075169667775486e+150,"
-        "0.22056246542260996,3.9025302651949721e+151"]
+        "1e+149,8.710449217659104e+150,3.5518839849839709e+147,0,0,8.7140011016440874e+150,"
+        "0.22056246542260996,3.9508087130544069e+151"]
+
+
+def test_radius_where_a_log_weight_node_rounds_to_one(tmp_path):
+    # R = 1 + 2^-45: a radial node of omega_i rounds to r = 1.0, where the
+    # r ln r weight vanishes; the radius is refused as a radius without
+    # rules is, before any sum
+    cfg = write_config(tmp_path, {"problem": "N2_log", "perturbation": {"target": "y"},
+                                  "sweep": {"kind": "radius", "values": [1.0000000000000284]}})
+    out = cli_process("sweep", cfg, tmp_path)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == ("config error: sweep.values: interface radius 1.0000000000000284: "
+                          "the r ln r weight needs every radial node at radius > 1, and one "
+                          "is at 1.0\n")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("command,payload", [
@@ -572,15 +591,18 @@ def test_huge_radius_n2_log_divergence_prints_nothing(tmp_path):
 ])
 def test_huge_epsilon_names_the_true_errors_node(tmp_path, capsys, command, payload):
     # at eps = 1e300 the term sums of u - v overflow, and each command exits
-    # 1 with the tensor rule's error for its first value, the true error:
-    # the text of the 1e300 runs of tests/cli_outputs.py.  The second run
-    # starts where the first left a term table kept on the same rules
+    # 1 with the OverflowError of its first value, the true error, which
+    # names its field and weight: the text of the 1e300 runs of
+    # tests/cli_outputs.py.  The second run starts where the first left a
+    # term table kept on the same rules
     perturbation = {"epsilons": [1e300], **payload.get("perturbation", {})}
     cfg = write_config(tmp_path, {**payload, "perturbation": perturbation})
     mp = xb.builtin("N3_harmonic", shells=8)
     v = perturb(mp, "v", 1e300, "interior_bump", 0 if "target" not in perturbation else 1)
-    with pytest.raises(QuadratureErrorAt) as exc:
-        xb.true_error(mp, termless(v))
+    with pytest.raises(OverflowError) as exc:
+        xb.true_error(mp, v)
+    assert str(exc.value) == ("non-finite term sum for field "
+                              f"'grad(({mp.exact_u.label}-{v.label}))' (weight energy:A)")
     for _ in range(2):
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"precondition violated: {exc.value}\n"

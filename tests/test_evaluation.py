@@ -1,8 +1,9 @@
-"""Each field is evaluated once per operation: the coefficient's
-column-wise densities (equal to the einsum and the batched solve over its
-matrices, which leaves every energy bit-equal), the shared gradient of the
-approximation, and the estimates, norms and true error that use it,
-bit-equal to the formulas they replace, with no (M, N) temporary."""
+"""The norms on a rule's nodes: the coefficient's column-wise densities
+(equal to the einsum and the batched solve over its matrices, which
+leaves every energy bit-equal), bit-equal to the formulas they replace,
+with no (M, N) temporary.  The tensor reference built on them
+(``oracles``) keeps the old formulas' bits, and the bounds, summed from
+terms, call no closure of the approximation."""
 
 import dataclasses
 import gc
@@ -18,22 +19,21 @@ import pytest
 import extbounds as xb
 from extbounds.fields import (
     Coefficient,
-    CompositionError,
     QuadratureErrorAt,
     ScalarField,
     VectorField,
     density,
     energy_norm,
-    gradient_on,
     log_weighted_norm,
     require_finite,
     weighted_norm,
 )
 from extbounds.geometry import build_quadrature, exact_dot, node_radii, row_sum
-from extbounds.majorant import _flux_gap_norm
+from extbounds.majorant import scale_of
 from extbounds.problems import perturb, with_interface_radius
 
 from conftest import termless
+from oracles import tensor_flux_gap, tensor_scale, tensor_true_error
 
 DIAGONALS = [np.ones(3), np.ones(2), 2.0 * np.ones(3), 2.0 * np.ones(2),
              np.array([1.0, 2.0, 4.0]), np.array([1.0, 2.0]),
@@ -139,27 +139,29 @@ class TestApplySolve:
 
 
 def counting(v, rule):
-    """v with a gradient closure that counts its calls on ``rule``'s nodes
-    and on any nodes."""
+    """v with value and gradient closures that count their calls on
+    ``rule``'s nodes and on any nodes."""
     calls = {"rule": 0, "all": 0}
-    grad = v.gradient
 
-    def gradient(pts):
-        calls["all"] += 1
-        calls["rule"] += pts is rule.nodes
-        return grad(pts)
+    def counted(fn):
+        def closure(pts):
+            calls["all"] += 1
+            calls["rule"] += pts is rule.nodes
+            return fn(pts)
 
-    return dataclasses.replace(v, gradient=gradient), calls
+        return closure
+
+    return dataclasses.replace(v, value=counted(v.value), gradient=counted(v.gradient)), calls
 
 
 class TestGradientOnce:
-    """An operation whose norms come from the terms never evaluates grad v,
-    and nothing keeps grad v once its caller drops it."""
+    """No bound calls a closure of v: every norm comes from the terms, and
+    nothing keeps v once its caller drops it."""
 
     @staticmethod
     def evaluations(mp, v, operation):
-        """The calls of the gradient closure of v during ``operation(v)``,
-        on the whole rule and on any nodes."""
+        """The calls of the closures of v during ``operation(v)``, on the
+        whole rule and on any nodes."""
         v, calls = counting(v, mp.problem.quads.whole)
         operation(v)
         return calls
@@ -200,39 +202,56 @@ class TestGradientOnce:
                                 operation) == {"rule": 0, "all": 0}
 
     def test_reevaluates_for_another_field_or_rule(self, n2_log):
-        # each call evaluates the closure: for the same field and rule too,
-        # with the same bits
+        # another field, or the same on another rule, is summed again from
+        # its terms, with the same bits for a copy of the field: no closure
+        # of either field is called
         mp = n2_log
         quads = mp.problem.quads
         v, calls = counting(perturb(mp, "v", 0.05, "interior_bump", seed=4), quads.whole)
-        first = gradient_on(v, quads.whole)
-        np.testing.assert_array_equal(gradient_on(v, quads.whole), first)
-        assert bits(gradient_on(dataclasses.replace(v), quads.whole)).tobytes() == \
-            bits(first).tobytes()
-        assert calls["all"] == 3
         other, other_calls = counting(perturb(mp, "v", 0.05, "interior_bump", seed=5),
                                       quads.whole)
-        gradient_on(other, quads.whole)
-        assert other_calls["all"] == 1
-        assert bits(gradient_on(v, quads.omega_i)).tobytes() == \
-            bits(first[:len(quads.omega_i)]).tobytes()
-        moved = with_interface_radius(mp, 1.5).problem.quads.whole
-        assert gradient_on(v, moved).shape == moved.nodes.shape
-        assert (calls["all"], calls["rule"]) == (5, 3)
+        first = xb.true_error(mp, v)
+        assert xb.true_error(mp, dataclasses.replace(v)).hex() == first.hex()
+        assert xb.true_error(mp, other) != first
+        moved = with_interface_radius(mp, 1.5)
+        assert moved.problem.quads is not quads
+        assert xb.true_error(moved, v) > 0.0 and scale_of(moved.problem, v) > 0.0
+        assert calls == other_calls == {"rule": 0, "all": 0}
 
     def test_entry_goes_with_the_field_or_the_rule(self, n2_log):
-        # no store holds grad v: the array goes when its caller drops it,
-        # while v and the rule live
+        # no store holds v: it goes when its caller drops it, while the
+        # rule and the term table kept on its bundle live
         mp = n2_log
         v = perturb(mp, "v", 0.05, "interior_bump", seed=4)
-        held = weakref.ref(gradient_on(v, mp.problem.quads.whole))
+        xb.estimate_I(mp.problem, v, perturb(mp, "y", 0.05, "interior_bump", seed=5))
+        assert xb.true_error(mp, v) > 0.0
+        held = weakref.ref(v)
+        del v
         gc.collect()
-        assert held() is None and v.terms
+        assert held() is None and mp.problem.quads._table is not None
 
-    def test_needs_gradient_closure(self, n2_log):
-        no_grad = ScalarField(value=lambda p: np.ones(len(p)), label="flat")
-        with pytest.raises(CompositionError):
-            gradient_on(no_grad, n2_log.problem.quads.whole)
+    def test_bounds_call_no_closure_of_v(self, n2_log):
+        # v's closures may be missing: every bound reads its terms, with the
+        # bits of the same v with closures
+        mp = n2_log
+        p = mp.problem
+        v = perturb(mp, "v", 0.05, "interior_bump", seed=4)
+        y = perturb(mp, "y", 0.05, "interior_bump", seed=5)
+        y_i, y_e = perturb(mp, "y_broken", 0.05, "interface_jump", seed=6)
+
+        def missing(pts):
+            raise AssertionError("a closure of v was called")
+
+        bare = dataclasses.replace(v, value=missing, gradient=missing)
+        basis = xb.default_basis(mp.domain)
+
+        def results(w):
+            return [xb.estimate_I(p, w, y).as_dict(),
+                    xb.estimate_II(p, w, mp.exact_flux).as_dict(),
+                    xb.estimate_III(p, w, y_i, y_e).as_dict(), scale_of(p, w),
+                    xb.true_error(mp, w), xb.minorant_report(p, w, basis).value]
+
+        assert results(bare) == results(v)
 
 
 # ---------------------------------------------------------------------------
@@ -264,37 +283,34 @@ def old_gap(A, y, v, rule):
 
 @pytest.mark.parametrize("name", xb.CATALOG)
 def test_estimates_and_true_error_bit_equal_to_old_formulas(name, catalog):
-    # a v without terms takes the tensor rule, bit-equal to the old formulas;
-    # with its terms the flux gap of the exact flux, the scale and the true
-    # error come from them (fields.term_norm), within 1e-15 of the formulas
+    # the tensor reference of a v without terms is bit-equal to the old
+    # formulas; the bounds, which refuse that v, take the flux gaps, the
+    # scale and the true error from v's terms (fields.term_norm), within
+    # 1e-15 of the formulas
     mp = catalog[name]
     p, quads, A = mp.problem, mp.problem.quads, mp.problem.A
     y = perturb(mp, "y", 0.07, "interior_bump", seed=4)
     y_i, y_e = perturb(mp, "y_broken", 0.07, "interface_jump", seed=5)
-    for tensor in (True, False):
-        v_bump = perturb(mp, "v", 0.07, "interior_bump", seed=2)
-        v_mode = perturb(mp, "v", 0.07, "boundary_mode", seed=3)
-        if tensor:
-            v_bump, v_mode = termless(v_bump), termless(v_mode)
-
-        def same(a, b):
-            return a == b if tensor else abs(a - b) <= 1e-15 * abs(b)
-
-        cases = [
-            (xb.estimate_I(p, v_bump, y), v_bump,
-             old_gap(A, y, v_bump, quads.whole)),
-            (xb.estimate_II(p, v_mode, mp.exact_flux), v_mode,
-             old_gap(A, mp.exact_flux, v_mode, quads.whole)),
-            (xb.estimate_III(p, v_bump, y_i, y_e), v_bump,
-             math.sqrt(old_gap(A, y_i, v_bump, quads.omega_i) ** 2
-                       + old_gap(A, y_e, v_bump, quads.omega_e) ** 2)),
-        ]
-        for report, v, flux in cases:
-            assert same(report.flux, flux), (tensor, report.estimate_id)
-            pts = quads.whole.nodes
-            assert same(report.scale, old_energy(A, v.gradient(pts), "A", quads.whole))
-            assert same(xb.true_error(mp, v), old_energy(
-                A, (mp.exact_u - v).gradient(pts), "A", quads.whole))
+    v_bump = perturb(mp, "v", 0.07, "interior_bump", seed=2)
+    v_mode = perturb(mp, "v", 0.07, "boundary_mode", seed=3)
+    pts = quads.whole.nodes
+    for v, estimate, fluxes in ((v_bump, xb.estimate_I, (y,)),
+                                (v_mode, xb.estimate_II, (mp.exact_flux,)),
+                                (v_bump, xb.estimate_III, (y_i, y_e))):
+        parts = ("whole",) if len(fluxes) == 1 else ("omega_i", "omega_e")
+        gaps = [old_gap(A, f, v, getattr(quads, part)) for f, part in zip(fluxes, parts)]
+        flux = math.sqrt(sum(g**2 for g in gaps)) if len(gaps) > 1 else gaps[0]
+        scale = old_energy(A, v.gradient(pts), "A", quads.whole)
+        error = old_energy(A, (mp.exact_u - v).gradient(pts), "A", quads.whole)
+        bare = termless(v)
+        assert [tensor_flux_gap(p, bare, f, part) for f, part in zip(fluxes, parts)] == gaps
+        assert (tensor_scale(p, bare), tensor_true_error(mp, bare)) == (scale, error)
+        with pytest.raises(ValueError, match=r"^v \('.*'\) has no terms"):
+            estimate(p, bare, *fluxes)
+        report = estimate(p, v, *fluxes)
+        for got, want in ((report.flux, flux), (report.scale, scale),
+                          (xb.true_error(mp, v), error)):
+            assert abs(got - want) <= 1e-15 * abs(want), report.estimate_id
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +404,17 @@ def test_energy_gap_and_true_error_bit_equal_to_old_formulas(n, order, kind):
     results = [(new_outcome(energy_norm, A, q, mode, rule), old_outcome(old_energy, A, q, mode, rule))
                for mode in ("A", "A_inverse")]
 
+    # the tensor reference's flux gap and true error, the formulas the
+    # bounds used for a field without terms
     v = ScalarField(value=lambda pts: np.zeros(len(pts)), gradient=lambda pts: g.copy())
     y = VectorField(value=lambda pts: q)
-    p = types.SimpleNamespace(A=A)
-    results.append((new_outcome(_flux_gap_norm, p, v, y, rule, g),
+    p = types.SimpleNamespace(A=A, quads=types.SimpleNamespace(whole=rule))
+    results.append((new_outcome(tensor_flux_gap, p, v, y),
                     old_outcome(old_energy, A, q - a_g, "A_inverse", rule)))
 
     u = ScalarField(value=v.value, gradient=lambda pts: q)
-    mp = types.SimpleNamespace(exact_u=u, problem=types.SimpleNamespace(
-        A=A, quads=types.SimpleNamespace(whole=rule, table=None)))
-    results.append((new_outcome(xb.true_error, mp, v),
+    mp = types.SimpleNamespace(exact_u=u, problem=p)
+    results.append((new_outcome(tensor_true_error, mp, v),
                     old_outcome(old_energy, A, q - g, "A", rule)))
     for new, old in results:
         assert new == old
@@ -445,9 +462,11 @@ class TestAllocations:
         assert peak_values(lambda: xb.true_error(fixed, v)) <= 3.1 * len(whole)
 
     def test_flux_term_beyond_closures(self, harmonic8):
+        # the tensor reference's flux gap, with both closures' values made
+        # beforehand
         mp, v, whole = harmonic8
         y_vals = perturb(mp, "y", 0.1, "interior_bump", seed=4).value(whole.nodes)
         y = VectorField(value=lambda pts: y_vals)
-        grad_v = gradient_on(v, whole)
-        assert peak_values(
-            lambda: _flux_gap_norm(mp.problem, v, y, whole, grad_v)) <= 3.1 * len(whole)
+        grad_v = v.gradient(whole.nodes)
+        fixed = dataclasses.replace(v, gradient=lambda pts: grad_v)
+        assert peak_values(lambda: tensor_flux_gap(mp.problem, fixed, y)) <= 3.1 * len(whole)

@@ -17,6 +17,8 @@ from extbounds.geometry import node_radii
 from extbounds.minorant import default_basis
 from extbounds.problems import CATALOG, TARGET_MODES, _flux_bump, _random_interior_bump, perturb
 
+from oracles import load
+
 SEEDS = range(3)
 
 
@@ -89,7 +91,7 @@ class TestCatalog:
         for closure, where in ((mp.exact_u.value, "u"), (mp.exact_u.gradient, "grad u"),
                                (mp.exact_flux.value, "flux"),
                                (mp.exact_flux.divergence, "div flux"),
-                               (mp.problem.f.value, "f")):
+                               (load(mp.problem).value, "f")):
             assert_layout_independent(closure, pts, where)
 
     def test_perturbations(self, coarse, name):

@@ -6,11 +6,12 @@ import pytest
 
 import extbounds as xb
 from extbounds import traces
-from extbounds.fields import Coefficient, VectorField, energy_norm
+from extbounds.fields import Coefficient, Term, VectorField, energy_norm
 from extbounds.geometry import exact_dot, node_radii
 from extbounds.majorant import (
     DivergentNormError,
     EquilibrationError,
+    _flux_term,
     boundary_term,
     estimate_I,
     estimate_II,
@@ -216,52 +217,37 @@ class TestBoundaryTerm:
 
 class TestFluxTermPaths:
     def test_flux_term_zero_for_matching_flux(self, catalog):
-        # y := A grad v for a perturbed v (with the matching analytic
-        # divergence) makes the flux term vanish and leaves residual+boundary
+        # y := A grad v for a perturbed v makes the flux term vanish: y's
+        # potential, v's terms, merges with them to nothing.  Its residual
+        # f + div(A grad v) needs the second derivatives of v, which the
+        # terms do not carry, so estimate I refuses y by name
         mp = catalog["N3_harmonic"]
         p = mp.problem
-        eps = 0.05
         from extbounds.fields import mollifier, mollifier_deriv, profile, separable_field
 
         prof, dprof = profile(mollifier, mollifier_deriv, 1.5, 0.25)
-        s = separable_field(prof, dprof, (0.0, 0.0, 0.0, 1.0))  # x3/r is a degree-1 harmonic
-        v = mp.exact_u + eps * s
-
-        def lap_s(pts):
-            r = node_radii(pts)
-            t = (r - 1.5) / 0.25
-            inside = np.abs(t) < 1.0 - 1e-14
-            val = np.zeros(len(r))
-            ti = t[inside]
-            e = np.exp(-1.0 / (1.0 - ti**2))
-            d1 = e * (-2.0 * ti / (1.0 - ti**2) ** 2) / 0.25
-            d2 = e * (
-                (4.0 * ti**2 / (1.0 - ti**2) ** 4)
-                - (2.0 + 6.0 * ti**2) / (1.0 - ti**2) ** 3
-            ) / 0.25**2
-            # radial part of the Laplacian acting on prof(r) Y_1:
-            # prof'' + 2 prof'/r - 2 prof/r^2
-            val[inside] = d2 + 2.0 * d1 / r[inside] - 2.0 * e / r[inside] ** 2
-            return val * (pts[:, 2] / r)
-
-        grad_s = s.gradient
-        y = mp.exact_flux + eps * VectorField(
-            value=lambda pts: np.asarray(grad_s(pts)), divergence=lap_s, label="grad s"
-        )
-        rep = estimate_I(p, v, y)
-        assert rep.flux <= 1e-13 * rep.scale
-        assert rep.total == pytest.approx(rep.residual + rep.boundary, abs=1e-13)
-        assert rep.residual > 0.0
+        s = separable_field(prof, dprof, (0.0, 0.0, 0.0, 1.0), support=(1.25, 1.75))
+        v = mp.exact_u + 0.05 * s
+        y = VectorField(value=v.gradient, label="grad v", potential=v.terms)
+        assert _flux_term(p, v, y) == 0.0 < _flux_term(p, mp.exact_u, y)
+        with pytest.raises(ValueError, match=r"^the flux \('grad v'\) has a potential other"):
+            estimate_I(p, v, y)
 
     def test_divergent_tail_residual_detected(self, catalog):
+        # the bump (1/r) e_3, whose divergence -x_3/r^3 is not square
+        # integrable against rho^2 on the tail
         mp = catalog["N3_harmonic"]
-        bad = VectorField(
-            value=lambda p: np.zeros_like(np.atleast_2d(p), dtype=float),
-            divergence=lambda p: node_radii(p) ** -2.0,
-            label="slow-decay",
-        )
+        bad = tail_bump(lambda r: 1.0 / r, lambda r: -1.0 / r**2, "slow-decay")
         with pytest.raises(DivergentNormError, match="tail"):
             estimate_I(mp.problem, mp.exact_u, mp.exact_flux + bad)
+
+
+def tail_bump(p, dp, label):
+    """The flux bump p(r) e_3 on every radius, with the closure of its
+    value."""
+    e = np.array([0.0, 0.0, 1.0])
+    return VectorField(value=lambda pts: p(node_radii(pts))[:, None] * e, label=label,
+                       bumps=(Term(p, dp, (1.0,), None, tuple(e)),))
 
 
 class TestEquilibrationGate:
@@ -272,12 +258,9 @@ class TestEquilibrationGate:
             assert rep.total <= 1e-10 * max(rep.scale, 1.0)
 
     def test_rejects_unbalanced_tail(self, catalog):
+        # the bump r^-4 e_3, whose divergence -4 x_3 / r^6 is a tail source
         mp = catalog["N3_harmonic"]
-        bad = VectorField(
-            value=lambda p: np.zeros_like(np.atleast_2d(p), dtype=float),
-            divergence=lambda p: node_radii(p) ** -5.0,
-            label="r^-5 source",
-        )
+        bad = tail_bump(lambda r: r**-4.0, lambda r: -4.0 * r**-5.0, "r^-4 bump")
         with pytest.raises(EquilibrationError, match="div y \\+ f = 0"):
             estimate_II(mp.problem, mp.exact_u, mp.exact_flux + bad)
 

@@ -10,7 +10,7 @@ from extbounds.problems import CATALOG, _build_bundle, perturb, solenoidal_harmo
 from extbounds.traces import analyze, difference, normal_trace, sobolev_norm
 
 from conftest import random_points_in_annulus
-from oracles import check_divergence, check_gradient, over_rlnr_norm
+from oracles import check_divergence, check_gradient, load, over_rlnr_norm
 
 
 class TestCatalog:
@@ -26,7 +26,7 @@ class TestCatalog:
         pts = random_points_in_annulus(mp.domain, 100, seed=11)
         assert check_gradient(mp.exact_u, pts, step=1e-6, rtol=1e-6) < 1e-6
         assert check_divergence(mp.exact_flux, pts, step=1e-6, rtol=1e-6) < 1e-6
-        res = np.asarray(mp.problem.f.value(pts)) + np.asarray(
+        res = np.asarray(load(mp.problem).value(pts)) + np.asarray(
             mp.exact_flux.divergence(pts)
         )
         assert np.max(np.abs(res)) == 0.0
@@ -59,9 +59,9 @@ class TestCatalog:
     def test_load_membership(self, name, catalog):
         mp = catalog[name]
         if mp.domain.dimension >= 3:
-            val = weighted_norm(mp.problem.f, 1.0, mp.problem.quads.whole)
+            val = weighted_norm(load(mp.problem), 1.0, mp.problem.quads.whole)
         else:
-            val = log_weighted_norm(mp.problem.f, mp.problem.quads.whole)
+            val = log_weighted_norm(load(mp.problem), mp.problem.quads.whole)
         assert math.isfinite(val)
 
     @pytest.mark.parametrize("name", CATALOG)
@@ -80,7 +80,7 @@ class TestCatalog:
 
     def test_harmonic_has_zero_load(self, n3_harmonic):
         pts = random_points_in_annulus(n3_harmonic.domain, 50, seed=13)
-        assert np.all(np.asarray(n3_harmonic.problem.f.value(pts)) == 0.0)
+        assert np.all(np.asarray(load(n3_harmonic.problem).value(pts)) == 0.0)
         assert np.all(np.asarray(n3_harmonic.exact_flux.divergence(pts)) == 0.0)
 
 
@@ -145,10 +145,10 @@ class TestKeptExactData:
     def test_load_reads_the_kept_divergence(self, n3_decay):
         p = n3_decay.problem
         nodes = p.quads.omega_e.nodes
-        f = p.f.value(nodes)
+        f = load(p).value(nodes)
         assert f.tobytes() == (-n3_decay.exact_flux.divergence.fn(nodes)).tobytes()
         f[0] = 1.0  # f = -div F is a new array, div F stays as kept
-        assert n3_decay.exact_flux.divergence(nodes).tobytes() == (-p.f.value(nodes)).tobytes()
+        assert n3_decay.exact_flux.divergence(nodes).tobytes() == (-load(p).value(nodes)).tobytes()
 
     def test_writing_into_a_kept_gradient_fails(self, n3_harmonic):
         nodes = n3_harmonic.problem.quads.whole.nodes
@@ -263,10 +263,11 @@ class TestTrueError:
             assert xb.true_error(mp, v) == pytest.approx(eps * base, rel=1e-12)
 
     def test_zero_approximation(self, n3_harmonic):
+        # the zero field's terms are the empty sum
         zero = xb.ScalarField(
             value=lambda p: np.zeros(len(p)),
             gradient=lambda p: np.zeros_like(np.atleast_2d(p), dtype=float),
-            label="0",
+            label="0", terms=(),
         )
         assert xb.true_error(n3_harmonic, zero) == pytest.approx(
             math.sqrt(4 * math.pi), rel=1e-12
@@ -345,7 +346,7 @@ class TestPerturb:
         mp = n3_harmonic
         _, y_e = perturb(mp, "y_broken", 0.5, "interface_jump", seed=6)
         pts = random_points_in_annulus(mp.domain, 20, seed=7) * 1.7  # outside R
-        res = np.asarray(mp.problem.f.value(pts)) + np.asarray(y_e.divergence(pts))
+        res = np.asarray(load(mp.problem).value(pts)) + np.asarray(y_e.divergence(pts))
         assert np.max(np.abs(res)) == 0.0
 
     def test_harmonic_gradient_requires_valid_index(self):

@@ -1,13 +1,16 @@
 """Fields keep their terms (``fields.Term``), and the minorant and the norms
 are summed from them: radial sums over the whole rule's radial nodes
 times closed-form sphere moments.  The terms must describe the same
-functions as the closures, and the sums must give the tensor rule's values
-up to rounding where its directions integrate the moments exactly."""
+functions as the closures, and the sums must give the values of the
+tensor reference (``oracles``), summed on the rule's nodes from the
+closures, up to rounding where its directions integrate the moments
+exactly.  Every bound refuses a field without terms."""
 
 import dataclasses
 import gc
 import inspect
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -17,7 +20,6 @@ import pytest
 
 import extbounds as xb
 import extbounds.fields as fields_module
-import extbounds.majorant as majorant_module
 import extbounds.minorant as minorant_module
 import extbounds.problems as problems_module
 from extbounds.cli import guarantee_ok
@@ -43,7 +45,15 @@ from extbounds.majorant import _flux_term, _residual, _weighted_residual, scale_
 from extbounds.problems import _flux_bump, _random_interior_bump, perturb
 
 from conftest import termless
-from oracles import dense_minorant, reference_term_products, term_values
+from oracles import (
+    dense_minorant,
+    reference_term_products,
+    tensor_flux_gap,
+    tensor_residual,
+    tensor_scale,
+    tensor_true_error,
+    term_values,
+)
 
 RULES = ("whole", "gamma", "Gamma")
 MODES = ("interior_bump", "boundary_mode")
@@ -296,8 +306,9 @@ class TestTermAssembly:
 
     def test_minorant_refuses_fields_without_terms(self, coarse):
         # the first of v, a basis function and the flux's potential without
-        # terms is named; a basis function without terms is the zero
-        # function to the term sums, so its error is the Gram's
+        # terms is named.  A function without terms (None) is not the zero
+        # function (terms ()): the latter has zero energy, which the Gram
+        # names, and the zero v is a valid approximation
         mp = coarse["N3_harmonic"]
         p = mp.problem
         v = perturb(mp, "v", 0.1, "interior_bump", 3)
@@ -307,11 +318,17 @@ class TestTermAssembly:
                 (termless_flux, termless(v), termless(basis), r"^v \('.*'\) has no terms"),
                 (termless_flux, v, basis.extended(termless(basis.fields[0])),
                  r"^basis function 2 \('basis\[r0,a0\]'\) has no terms"),
-                (termless_flux, v, basis, r"^the flux \('.*'\) has no potential terms")):
-            with pytest.raises(ValueError, match=message):
+                (p, v, basis.extended(termless(basis.fields[0])),
+                 r"^basis function 2 \('basis\[r0,a0\]'\) has no terms"),
+                (termless_flux, v, basis, r"^the flux \('.*'\) has no terms")):
+            with pytest.raises(ValueError, match=message) as exc:
                 minorant_report(problem, approx, b)
-        with pytest.raises(SingularGramError):
-            minorant_report(p, v, basis.extended(termless(basis.fields[0])))
+            assert not isinstance(exc.value, SingularGramError)
+        zero = mp.exact_u - mp.exact_u
+        assert zero.terms == ()
+        with pytest.raises(SingularGramError, match=r"basis function 2 .* zero energy"):
+            minorant_report(p, v, basis.extended(zero))
+        assert minorant_report(p, zero, basis).value >= 0.0
 
     @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
     def test_zero_trace_check_rejects_the_boundary_mode_error(self, coarse, name):
@@ -374,10 +391,17 @@ def norms(mp, v, y=None):
     return xb.true_error(mp, v), scale_of(p, v), _flux_term(p, v, y or mp.exact_flux)
 
 
+def tensor_norms(mp, v):
+    """``norms`` of the exact flux from the tensor reference."""
+    p = mp.problem
+    return tensor_true_error(mp, v), tensor_scale(p, v), tensor_flux_gap(p, v, mp.exact_flux)
+
+
 class TestTermNorms:
     """The true error, the scale and the flux gap of a flux with a potential
-    are summed from the terms (``fields.term_norm``) where the rule's
-    directions integrate the sphere moments exactly."""
+    are summed from the terms (``fields.term_norm``), and agree with the
+    tensor reference where the rule's directions integrate the sphere
+    moments exactly."""
 
     @pytest.mark.parametrize("name", xb.CATALOG)
     def test_agree_with_the_tensor_rule(self, coarse, name):
@@ -386,7 +410,7 @@ class TestTermNorms:
             for seed in (0, 3, 4, 10):
                 for eps in (1e-3, 0.1, 1.0):
                     v = perturb(mp, "v", eps, mode, seed)
-                    for term, tensor in zip(norms(mp, v), norms(mp, termless(v))):
+                    for term, tensor in zip(norms(mp, v), tensor_norms(mp, v)):
                         assert abs(term - tensor) <= 4e-15 * tensor, (mode, seed, eps)
 
     @pytest.mark.parametrize("name", xb.CATALOG)
@@ -425,20 +449,24 @@ class TestTermNorms:
             assert values[0] == values[1], seed
 
     @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
-    def test_overflow_raises_the_tensor_rules_error(self, coarse, name):
-        # the products overflow to inf: the tensor rule names its node, and
-        # no RuntimeWarning (an error under pytest) escapes on the way
+    def test_overflow_raises_overflow_error_naming_the_field(self, coarse, name):
+        # the products overflow to inf: OverflowError names the field and
+        # its weight, and no RuntimeWarning (an error under pytest) escapes
+        # on the way; without terms, v is refused by name
         mp = coarse[name]
         p = mp.problem
         v = perturb(mp, "v", 1e300, "interior_bump", 3)
-        for norm in (lambda w: xb.true_error(mp, w), lambda w: scale_of(p, w),
-                     lambda w: _flux_term(p, w, mp.exact_flux)):
-            messages = []
-            for w in (v, termless(v)):
-                with pytest.raises(QuadratureErrorAt) as exc:
-                    norm(w)
-                messages.append(str(exc.value))
-            assert messages[0] == messages[1]
+        for norm, field, weight in (
+                (lambda w: xb.true_error(mp, w), f"grad(({mp.exact_u.label}-{v.label}))",
+                 "energy:A"),
+                (lambda w: scale_of(p, w), f"grad({v.label})", "energy:A"),
+                (lambda w: _flux_term(p, w, mp.exact_flux),
+                 f"({mp.exact_flux.label}-A*grad({v.label}))", "energy:A_inverse")):
+            with pytest.raises(OverflowError) as exc:
+                norm(v)
+            assert str(exc.value) == f"non-finite term sum for field {field!r} (weight {weight})"
+            with pytest.raises(ValueError, match=r"^v \('.*'\) has no terms"):
+                norm(termless(v))
 
     def test_perturbed_fluxes_keep_their_terms(self, coarse):
         # y = F + eps b d records b's terms as its bumps, and y_broken's
@@ -455,7 +483,59 @@ class TestTermNorms:
         assert mp.domain.a < a < b < mp.domain.R
         assert np.linalg.norm(y.bumps[0].direction) == pytest.approx(1.0, rel=1e-15)
         assert _residual(p, y)[1] == y.bumps
-        assert _residual(p, y_e) is None and _residual(p, termless(y_e))[1] == ()
+        assert _residual(p, y_e) is None
+        with pytest.raises(ValueError, match=r"^the flux \('.*'\) has no terms"):
+            _residual(p, termless(y_e))
+
+
+class TestRefusals:
+    """Every bound refuses what its terms cannot sum, with a ``ValueError``
+    that names the field, and takes u - u, whose terms are (), as the zero
+    approximation."""
+
+    @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
+    def test_each_refusal_names_its_field(self, coarse, name):
+        mp = coarse[name]
+        p = mp.problem
+        v = perturb(mp, "v", 0.1, "interior_bump", 3)
+        y = perturb(mp, "y", 0.1, "interior_bump", 4)
+        e = np.eye(mp.domain.dimension)[0]
+        two = y + 0.1 * _flux_bump(_random_interior_bump(mp, np.random.default_rng(7)), e)
+        other = xb.VectorField(value=v.gradient, label="grad v", potential=v.terms)
+
+        def estimates(w, flux):
+            return [lambda: xb.estimate_I(p, w, flux), lambda: xb.estimate_II(p, w, flux),
+                    lambda: xb.estimate_III(p, w, flux, flux)]
+
+        bare = termless(v)
+        cases = [(bound, rf"^v \('{re.escape(v.label)}'\) has no terms")
+                 for bound in estimates(bare, y) + [lambda: scale_of(p, bare),
+                                                    lambda: xb.true_error(mp, bare)]]
+        cases += [(bound, rf"^the flux \('{re.escape(y.label)}'\) has no terms")
+                  for bound in estimates(v, termless(y))]
+        cases += [(bound, r"^the flux \('grad v'\) has a potential other than the load flux's")
+                  for bound in estimates(v, other)]
+        cases += [(bound, rf"^the residual 'f\+div {re.escape(two.label)}' \(weight [^)]*\) "
+                          "has bumps of several directions") for bound in estimates(v, two)]
+        assert len(cases) == 14
+        for bound, message in cases:
+            with pytest.raises(ValueError, match=message):
+                bound()
+
+    @pytest.mark.parametrize("name", xb.CATALOG)
+    def test_u_minus_u_is_the_zero_approximation(self, coarse, name):
+        # its scale is 0.0, its true error has the bits of the scale of u,
+        # and the bounds and the minorant take it
+        mp = coarse[name]
+        p = mp.problem
+        zero = mp.exact_u - mp.exact_u
+        assert zero.terms == ()
+        assert scale_of(p, zero) == 0.0
+        error = xb.true_error(mp, zero)
+        assert error.hex() == scale_of(p, mp.exact_u).hex() and error > 0.0
+        assert xb.estimate_I(p, zero, mp.exact_flux).flux == error
+        report = minorant_report(p, zero, default_basis(mp.domain))
+        assert report.boundary_caveat and 0.0 <= math.sqrt(report.value) <= error
 
 
 class TestFluxTerms:
@@ -465,34 +545,33 @@ class TestFluxTerms:
 
     @pytest.mark.parametrize("name", xb.CATALOG)
     def test_agree_with_the_tensor_rule(self, coarse, name):
-        # the tensor rule sums the same discrete integrals with the
+        # the tensor reference sums the same discrete integrals with the
         # cancellation of F - A grad u and -div F + div F: within 1e-13 of
         # the larger of the value and the flux gap on the whole rule
         mp = coarse[name]
-        p, quads = mp.problem, mp.problem.quads
+        p = mp.problem
         for seed in (3, 4, 10):
             v = perturb(mp, "v", 0.1, "interior_bump", seed)
             for eps in (1e-3, 0.1, 1.0):
                 y = perturb(mp, "y", eps, "interior_bump", seed)
                 y_e = perturb(mp, "y_broken", eps, "interface_jump", seed)[1]
                 for flux in (y, y_e):
-                    term, tensor = (flux_values(p, v, f) for f in (flux, termless(flux)))
+                    term, tensor = flux_values(p, v, flux), tensor_flux_values(p, v, flux)
                     for a, b in zip(term, tensor):
                         assert abs(a - b) <= 1e-13 * max(b, tensor[0]), (seed, eps, flux.label)
 
     @pytest.mark.parametrize("name", xb.CATALOG)
     def test_no_closure_on_the_tensor_rule(self, coarse, name, monkeypatch):
-        # at the defaults an estimate with a perturbed flux evaluates no
-        # closure of v or y on the whole rule: the tensor norms are not used
+        # an estimate with a perturbed flux calls none of the norms on a
+        # rule's nodes (``TestGradientOnce`` in test_evaluation.py: nor any
+        # closure of v)
         mp = coarse[name]
         p = mp.problem
         v = perturb(mp, "v", 0.1, "interior_bump", 3)
         y = perturb(mp, "y", 0.1, "interior_bump", 4)
         y_i, y_e = perturb(mp, "y_broken", 0.1, "interface_jump", 5)
         calls = []
-        for fn in ("_norm", "gradient_on"):
-            monkeypatch.setattr(fields_module, fn, lambda *a, fn=fn: calls.append(fn))
-        monkeypatch.setattr(majorant_module, "gradient_on", fields_module.gradient_on)
+        monkeypatch.setattr(fields_module, "_norm", lambda *a, **k: calls.append(a))
         for report in (xb.estimate_I(p, v, y), xb.estimate_II(p, v, y),
                        xb.estimate_III(p, v, y_i, y_e)):
             assert math.isfinite(report.total)
@@ -577,11 +656,12 @@ class TestFluxTerms:
         assert len(builds) == 2 and quads._table is kept
         assert got == alone and 0.0 not in got
 
-    def test_non_finite_bump_raises_the_tensor_rules_error(self, coarse):
-        # a bump profile that is NaN at one radius: the terms give no finite
-        # sum, and the tensor rule names its node, as for the flux without
-        # terms; its residual is evaluated first, then, at eps = 1e300, the
-        # flux gap, whose products overflow
+    def test_non_finite_bump_raises_overflow_error_naming_the_field(self, coarse):
+        # a bump profile that is NaN at one radius, and a bump at eps =
+        # 1e300 whose products overflow: the residual, evaluated first,
+        # raises OverflowError with its field and weight, rho^2 for the
+        # interior residual of estimate I, unweighted for estimate II's;
+        # without terms, the flux is refused by name
         mp = coarse["N3_anisotropic"]
         p = mp.problem
         r = p.quads.omega_i.radial[0]
@@ -592,18 +672,19 @@ class TestFluxTerms:
         huge = perturb(mp, "y", 1e300, "interior_bump", 4)
         for y in (mp.exact_flux + 0.1 * _flux_bump(bad, np.array([0.6, 0.0, 0.8])), huge):
             assert y.bumps
-            messages = []
-            for flux in (y, termless(y)):
-                for estimate in (xb.estimate_I, xb.estimate_II):
-                    with pytest.raises(QuadratureErrorAt) as exc:
-                        estimate(p, v, flux)
-                    messages.append(str(exc.value))
-            assert messages[0] == messages[2] and messages[1] == messages[3]
+            for estimate, weight in ((xb.estimate_I, "rho^2.0"), (xb.estimate_II, "rho^0.0")):
+                with pytest.raises(OverflowError) as exc:
+                    estimate(p, v, y)
+                assert str(exc.value) == (f"non-finite term sum for field 'f+div {y.label}' "
+                                          f"(weight {weight})")
+                with pytest.raises(ValueError, match=r"^the flux \('.*'\) has no terms"):
+                    estimate(p, v, termless(y))
 
     @pytest.mark.parametrize("name", xb.CATALOG)
     def test_bumps_of_two_directions(self, coarse, name):
-        # the flux gap of two bumps sums their cross and mass products; the
-        # residual of bumps of two directions is the tensor rule's
+        # the flux gap of two bumps sums their cross and mass products, as
+        # the tensor reference does; the residual of bumps of two directions,
+        # whose cross integrand is no a_D of a symmetric D, is refused
         mp = coarse[name]
         p, n = mp.problem, mp.domain.dimension
         rng = np.random.default_rng(7)
@@ -612,10 +693,16 @@ class TestFluxTerms:
         for e in np.eye(n)[:2]:
             y = y + 0.1 * _flux_bump(_random_interior_bump(mp, rng), e)
         assert len({t.direction for t in y.bumps}) == 2
-        term, tensor = (flux_values(p, v, f) for f in (y, termless(y)))
-        for a, b in zip(term[:3], tensor[:3]):
+        term = [_flux_term(p, v, y, part) for part in ("whole", "omega_i", "omega_e")]
+        tensor = [tensor_flux_gap(p, v, y, part) for part in ("whole", "omega_i", "omega_e")]
+        for a, b in zip(term, tensor):
             assert abs(a - b) <= 1e-13 * max(b, tensor[0])
-        assert term[3:] == tensor[3:]
+        message = (rf"^the residual 'f\+div {re.escape(y.label)}' \(weight .*\) has bumps of "
+                   "several directions")
+        for bound in (lambda: xb.estimate_I(p, v, y), lambda: xb.estimate_II(p, v, y),
+                      lambda: xb.estimate_III(p, v, y, y)):
+            with pytest.raises(ValueError, match=message):
+                bound()
 
     @pytest.mark.parametrize("name", FEW_DIRECTIONS)
     def test_few_directions_sum_the_exact_moments(self, name):
@@ -740,6 +827,14 @@ def flux_values(p, v, y):
             + [_weighted_residual(p, res, quads.omega_i, s) for s in (1.0, 0.0)]
             + [_weighted_residual(p, res, rule) for rule in (quads.omega_e,
                                                              quads.omega_e_refined)])
+
+
+def tensor_flux_values(p, v, y):
+    """``flux_values`` from the tensor reference."""
+    quads = p.quads
+    return ([tensor_flux_gap(p, v, y, part) for part in ("whole", "omega_i", "omega_e")]
+            + [tensor_residual(p, y, quads.omega_i, s) for s in (1.0, 0.0)]
+            + [tensor_residual(p, y, rule) for rule in (quads.omega_e, quads.omega_e_refined)])
 
 
 def reference_system(p, terms, error, digits=50):
