@@ -31,10 +31,10 @@ radius r (with a logarithm in 2D) in the inequality machinery
 (``log_weighted_norm``).
 
 A scalar or vector field may declare a radial ``support``: the closed
-interval of radii outside which it and its derivative are exactly 0.
-The field holds to it: its closures run only on the rows of the nodes
-that ``support_rows`` finds for it and write 0.0 on the others, and so
-does a sum with it (off them, the other operand's values as they are).
+interval of radii outside which it and its derivative are exactly 0.  It
+holds the field's terms (``_held_to``); the closures are the formulas as
+given, which the shapes ``profile`` places make 0.0 off the support (up to
+the sign of zero).
 
 A separable field also keeps its terms (``Term``: a radial profile p with
 its derivative, angular coefficients c and a support, the function
@@ -65,16 +65,6 @@ contract: fields, problems and rules are immutable, closures are pure,
 and the package is used from one thread.  Arguments are matched by
 identity.  The term table ``term_norm`` reads is kept on the problem's
 rules (``problems.QuadratureBundle.table``) and goes with them.
-
-Node radii (``geometry.node_radii``) and a catalog problem's exact
-gradient grad u and flux divergence div F (wrapped by
-``problems.builtin``) are kept per read-only node array
-(``geometry.NodeMemo``) while the array that owns the nodes lives: the
-first call on a rule evaluates them, and every later call, through
-grad v = grad u + eps grad b or div(F + eps p), returns the
-same read-only values or a row slice of them, and a sum may return
-them as they are.  So no caller may write into a closure's result; a
-write raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -105,24 +95,13 @@ def _scaled(c: float, fn):
     return scaled
 
 
-def _combined(a, b, op, support):
-    """op(a(pts), b(pts)), or None without both, for the formula ``b`` of a
-    field with ``support``: b runs on the rows of ``support`` only, and off
-    them the result is a's values (see ``ScalarField``)."""
+def _combined(a, b, op):
+    """op(a(pts), b(pts)), or None without both."""
     if a is None or b is None:
         return None
 
     def combined(pts):
-        pts = np.atleast_2d(pts)
-        values = a(pts)
-        start, stop, rows = cut(pts, support)
-        if stop - start == len(pts):
-            return op(values, b(pts))
-        if start == stop:
-            return values
-        out = np.array(values, dtype=float, order="K")
-        op(out[start:stop], b(rows), out=out[start:stop])
-        return out
+        return op(a(pts), b(pts))
 
     return combined
 
@@ -179,39 +158,28 @@ def _held_to(t: Term, support) -> Term | None:
 
 class _Field:
     """The support, terms and arithmetic of ``ScalarField`` and
-    ``VectorField``: each names its derivative closure (``_derivative``),
-    the shapes of the two closures' values at nodes ``pts`` (``_shapes``)
+    ``VectorField``: each names its derivative closure (``_derivative``)
     and its lists of terms (``_terms``): all None for a field without
     terms, else the sum they describe."""
 
     def __post_init__(self):
-        if self.support is not None:  # formula() unwraps a closure restricted before
-            names = ("value", self._derivative)
-            for name, fn, shape in zip(names, self.formula(), self._shapes):
-                if fn is not None:
-                    object.__setattr__(self, name, _on_support(fn, self.support, shape))
         if any(getattr(self, name) is not None for name in self._terms):
             for name in self._terms:
                 held = (_held_to(Term(*t), self.support) for t in getattr(self, name) or ())
                 object.__setattr__(self, name, merged(t for t in held if t is not None))
 
-    def formula(self) -> tuple:
-        """(value, derivative): the closures as given, before the support
-        restricted them, which run on any rows given to them."""
-        fns = (self.value, getattr(self, self._derivative))
-        if self.support is None:
-            return fns
-        return tuple(getattr(fn, "evaluate", fn) for fn in fns)
+    def _closures(self) -> tuple:
+        """(value, derivative)."""
+        return self.value, getattr(self, self._derivative)
 
     def _sum(self, other, op, sign):
-        own = (self.value, getattr(self, self._derivative))
         mine = [getattr(self, name) for name in self._terms]
         theirs = [getattr(other, name) for name in self._terms]
         both = mine[0] is not None and theirs[0] is not None
         if both and op is np.subtract:
             theirs = [scaled_terms(-1.0, terms) for terms in theirs]
         return type(self)(
-            *(_combined(a, b, op, other.support) for a, b in zip(own, other.formula())),
+            *(_combined(a, b, op) for a, b in zip(self._closures(), other._closures())),
             label=f"({self.label}{sign}{other.label})",
             **{name: a + b if both else None for name, a, b in zip(self._terms, mine, theirs)})
 
@@ -223,7 +191,7 @@ class _Field:
 
     def __rmul__(self, c: float):
         c = float(c)
-        return type(self)(*(_scaled(c, fn) for fn in self.formula()),
+        return type(self)(*(_scaled(c, fn) for fn in self._closures()),
                           label=f"{c}*{self.label}", support=self.support,
                           **{name: scaled_terms(c, getattr(self, name)) for name in self._terms
                              if getattr(self, name) is not None})
@@ -245,14 +213,10 @@ class ScalarField(_Field):
 
     ``support`` is ``None`` or a closed radial interval ``(r_lo, r_hi)``
     outside which the value and the gradient are exactly 0 (up to the
-    sign of zero).  The field enforces it: the closures given are run only
-    on the rows ``support_rows`` gives for it, all on one read-only view of
-    them (which shares its radii), and 0.0 is written on the other rows; on
-    a range covering every row they run on the array itself.  So a field
-    made by ``dataclasses.replace`` with another support holds to that one.
-    ``c * w`` keeps the support.  ``a + b`` and ``a - b`` drop it: they run
-    b's closures only on the rows of b's support, and give a's values
-    themselves on the others.
+    sign of zero).  It holds the terms only: each is cut to it, so a field
+    made by ``dataclasses.replace`` with another support sums its terms on
+    that one, while the closures are run as given, on every row.  ``c * w``
+    keeps the support, and ``a + b`` and ``a - b`` drop it.
 
     ``terms`` is None for a field without terms, or the ``Term``s whose
     sum the field is (``()`` for the zero field); every bound reads them in
@@ -269,15 +233,14 @@ class ScalarField(_Field):
     terms: tuple | None = field(default=None, repr=False, compare=False)
 
     _derivative = "gradient"
-    _shapes = (len, np.shape)
     _terms = ("terms",)
 
 
 @dataclass(frozen=True)
 class VectorField(_Field):
     """Vector field with vectorized ``value`` (M,N)->(M,N) and optional
-    analytic ``divergence`` (M,N)->(M,), and a ``support`` held to as a
-    ``ScalarField``'s is.
+    analytic ``divergence`` (M,N)->(M,), and a ``support`` that holds its
+    terms as a ``ScalarField``'s does.
 
     Its terms are three lists, all None for a field without terms: the
     field is A grad phi + sum_k grad h_k + sum_j s_j e_j for the terms of
@@ -296,7 +259,6 @@ class VectorField(_Field):
     bumps: tuple | None = field(default=None, repr=False, compare=False)
 
     _derivative = "divergence"
-    _shapes = (np.shape, len)
     _terms = ("potential", "gradients", "bumps")
 
 
@@ -954,40 +916,6 @@ def support_rows(radii: np.ndarray, support: tuple[float, float]) -> tuple[int, 
     pad = 1e-12 * abs(support[1])
     rows = np.flatnonzero((radii >= support[0] - pad) & (radii <= support[1] + pad))
     return (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
-
-
-def cut(pts: np.ndarray, support) -> tuple:
-    """(start, stop, rows): the rows of the (M, N) nodes ``pts`` that
-    ``support_rows`` gives for ``support`` (all without one), and one
-    read-only view of them, so that the closures run on it share its radii."""
-    if support is None:
-        return 0, len(pts), pts
-    start, stop = support_rows(node_radii(pts), support)
-    rows = pts[start:stop]
-    rows.flags.writeable = False
-    return start, stop, rows
-
-
-def _on_support(evaluate, support: tuple[float, float], shape):
-    """``evaluate`` run only on the rows ``support_rows`` gives for
-    ``support``, with 0.0 on the others, in an array of the nodes' layout
-    (see ``ScalarField``); the closure keeps ``evaluate`` as an attribute
-    for ``formula``.  Each value is computed elementwise, so the rows of
-    the range keep their bits, and the skipped ones differ from the
-    formula at most in the sign of zero."""
-
-    def restricted(pts):
-        pts = np.atleast_2d(pts)
-        start, stop, rows = cut(pts, support)
-        if stop - start == len(pts):
-            return evaluate(pts)
-        out = np.zeros_like(pts, dtype=float, shape=shape(pts))
-        if start < stop:
-            out[start:stop] = evaluate(rows)
-        return out
-
-    restricted.evaluate = evaluate
-    return restricted
 
 
 def separable_field(

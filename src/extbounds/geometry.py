@@ -11,7 +11,8 @@ integrates finite Laurent series in 1/r exactly.
 A rule's (M, N) nodes are column-major, one contiguous column per
 coordinate, so per-node broadcasts run over long contiguous runs instead
 of rows of N floats; closures must be elementwise and give the same bits
-for any layout (see ``fields``).
+for any layout (see ``fields``).  Nothing is kept per node array:
+``node_radii`` computes each radius from its own row on every call.
 
 All reductions go through ``exact_sum``, which returns the correctly
 rounded sum of its values, bit-equal to ``math.fsum``: integrals are
@@ -27,7 +28,6 @@ open are extracted deeper until the rounding of their totals is fixed.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -252,93 +252,14 @@ def row_sum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _radii(pts: np.ndarray) -> np.ndarray:
+def node_radii(points) -> np.ndarray:
+    """|x| per node, each radius from its own row, bit-equal to
+    ``np.sqrt(np.sum(points**2, axis=1))``."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = pts[:, 0] * pts[:, 0]
     for k in range(1, pts.shape[1]):
         out += pts[:, k] * pts[:, k]
     return np.sqrt(out, out=out)
-
-
-def _layout(a: np.ndarray) -> tuple:
-    """(address, strides, shape): where the rows of ``a`` lie, with no
-    reference to ``a``."""
-    return a.__array_interface__["data"][0], a.strides, a.shape
-
-
-def _row_range(view: np.ndarray, held) -> slice | None:
-    """The rows of ``held``, an array or the ``_layout`` of one, that
-    ``view`` is, when it is a contiguous row range of the same memory with
-    the same layout; else None."""
-    address, strides, shape = _layout(held) if isinstance(held, np.ndarray) else held
-    if view.strides != strides or view.shape[1:] != shape[1:]:
-        return None
-    start, rest = divmod(view.__array_interface__["data"][0] - address, strides[0])
-    if rest or not 0 <= start <= start + len(view) <= shape[0]:
-        return None
-    return slice(start, start + len(view))
-
-
-class NodeMemo:
-    """``fn`` over (M, N) node arrays, its value on read-only ones kept.
-
-    The value is computed once per array that owns the nodes' memory, on
-    all of its rows in the layout of the nodes passed (the owner or its
-    transpose), and kept read-only; the nodes, and any other read-only row
-    range of the owner, get the matching rows of it, so a rule's
-    ``omega_i`` and ``omega_e`` share the value of its ``whole``.  ``fn``
-    must compute each row from its own node only (see ``fields``), so the
-    rows have the bits of a call on them alone, and must return a new
-    array.  No entry holds a reference to the nodes: a weak reference
-    drops it when the owning array is freed.  Writable arrays, and nodes
-    that are no row range of their owner, go to ``fn`` on every call.
-    Lookups are one dict access.  Its callers take read-only nodes to be
-    immutable, and use it from one thread."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self._held = {}  # id(owner) -> (weak reference to it, _layout of the rows, value)
-
-    def __call__(self, pts):
-        if not isinstance(pts, np.ndarray) or pts.ndim != 2 or pts.flags.writeable:
-            return self.fn(pts)
-        owner = pts
-        while isinstance(owner.base, np.ndarray):
-            owner = owner.base
-        entry = self._held.get(id(owner)) or self._keep(pts, owner)
-        rows = None if entry is None else _row_range(pts, entry[1])
-        return self.fn(pts) if rows is None else entry[2][rows]
-
-    def _keep(self, pts: np.ndarray, owner: np.ndarray) -> tuple | None:
-        full = next((a for a in (owner, owner.T) if _row_range(pts, a) is not None), None)
-        if full is None:
-            return None
-        full = full.view()
-        full.flags.writeable = False
-        value = np.asarray(self.fn(full))
-        value.flags.writeable = False
-        memo, key = weakref.ref(self), id(owner)
-
-        def forget(_):
-            held = memo()
-            if held is not None:
-                del held._held[key]
-
-        self._held[key] = entry = (weakref.ref(owner, forget), _layout(full), value)
-        return entry
-
-
-_KEPT_RADII = NodeMemo(_radii)
-
-
-def node_radii(points) -> np.ndarray:
-    """|x| per node.  The radii of a read-only array, such as a rule's
-    nodes, are kept by ``_KEPT_RADII`` (a ``NodeMemo``) while the array
-    that owns its memory lives: one computation per rule, and the rows of a
-    field's support or of ``omega_i`` get the matching slice of its
-    ``whole`` radii, with the same bits, since each radius is computed from
-    its own row.  A writable array may change between calls, so its radii
-    are computed anew."""
-    return _KEPT_RADII(np.atleast_2d(np.asarray(points, dtype=float)))
 
 
 def build_quadrature(

@@ -163,8 +163,8 @@ def dirichlet_mismatch(p: Problem, v: ScalarField) -> traces.SphereTrace | None:
     H^{1/2} norm, so a trace of ``v`` with more than ``BAND_LIMIT_RTOL`` of
     its energy above the band raises ``BandLimitError``.  The result for
     the last (p, v) is kept (``fields.last_call``): the minorant's caveat
-    and the boundary term of one approximation share one projection."""
-    tv = traces.analyze(v, p.domain.a, p.trace_degree, p.quads.gamma)
+    and the boundary term of one approximation share one expansion."""
+    tv = traces.analyze(v, p.domain.a, p.trace_degree, p.quads.gamma, "v")
     energy = tv.above_band + float(np.sum(tv.coefficients**2))
     if tv.above_band > BAND_LIMIT_RTOL * energy:
         raise traces.BandLimitError(
@@ -264,11 +264,10 @@ def estimate_II(p: Problem, v: ScalarField, y: VectorField) -> MajorantReport:
                    {"tail_residual": tail}, scale=scale)
 
 
-def _interface_term(p: Problem, y_i: VectorField, y_e: VectorField) -> tuple:
-    """(estimate III's penalty of the normal-trace jump j of y_e - y_i on
-    the interface, ||P_L j||_{-1/2}); see ``estimate_III``."""
+def _interface_term(p: Problem, jump: traces.SphereTrace) -> tuple:
+    """(estimate III's penalty of the normal-trace jump j, ``jump``, on the
+    interface, ||P_L j||_{-1/2}); see ``estimate_III``."""
     bundle, L, R = p.constants, p.trace_degree, p.domain.R
-    jump = traces.normal_trace(y_e - y_i, R, L, p.quads.Gamma)
     jump_norm = traces.sobolev_norm(jump, -0.5)
     above = jump.above_band / math.sqrt(traces.sobolev_weight(L + 1, p.domain.dimension, R))
     return (bundle.trace.value * jump_norm
@@ -294,7 +293,8 @@ def estimate_III(
     # harmonics, and the profiles of y_i = F and v too, for the interior gap
     gap_e = _flux_term(p, v, y_e, "omega_e")
     flux = math.sqrt(_flux_term(p, v, y_i, "omega_i") ** 2 + gap_e**2)
-    interface, jump_norm = _interface_term(p, y_i, y_e)
+    jump = traces.normal_trace(y_e - y_i, p.domain.R, p.trace_degree, p.quads.Gamma)
+    interface, jump_norm = _interface_term(p, jump)
     return _report(p, v, "III", boundary, residual, flux,
                    {"c_o": bundle.c_o, "poincare": bundle.poincare,
                     "interface_trace": bundle.trace.value},

@@ -1,10 +1,12 @@
 """Manufactured exterior-domain problems with exact solutions and fluxes.
 
-A ``Problem`` holds the flux F of its load f = -div F, with an analytic
-divergence closure, and no f apart from it, so the two can never drift
-apart; the bounds read F's terms alone.  Every catalog entry takes the exact
-flux F = A grad u, so the data cannot drift out of sync with the
-solution either, and the flux records u's terms as its ``potential``.
+A ``Problem`` holds the flux F of its load f = -div F, and no f apart
+from it, so the two can never drift apart; the bounds read F's terms
+alone, and no bound evaluates its closures, the divergence among them
+(the benchmark's reference and the tests' oracles do).  Every catalog
+entry takes the exact flux F = A grad u, so the data cannot drift out
+of sync with the solution either, and the flux records u's terms as its
+``potential``.
 The perturbed fluxes keep their terms too: a flux bump records its bump
 and a harmonic gradient its harmonic (``fields.VectorField``).
 Perturbation generators produce the test inputs for the upper/lower bound
@@ -40,7 +42,6 @@ from .fields import (
 )
 from .geometry import (
     ExteriorDomain,
-    NodeMemo,
     QuadratureRule,
     build_quadrature,
     node_radii,
@@ -97,8 +98,8 @@ def make_bundle(
     """The rules over ``domain`` at this resolution, shared while held:
     while some caller still holds the bundle built for the same arguments,
     that bundle is returned, so problems on one domain share their rules
-    and the values kept per rule (``QuadratureRule.derived``,
-    ``geometry.NodeMemo``).  The store holds weak references only: a
+    and the values kept per rule (``QuadratureRule.derived``, the term
+    table).  The store holds weak references only: a
     bundle no one holds is freed, and the next call builds it anew."""
     key = (domain, radial_order, angular_order, shells)
     ref = _BUNDLE_CACHE.get(key)
@@ -236,11 +237,7 @@ def builtin(
         flux = VectorField(value=_grad_inverse_r, label="grad(1/r) (2D)",
                            divergence=inverse_cube)
 
-    # the exact data are kept per node array: grad v = grad u + eps grad b
-    # reads the kept grad u, and div y, y = F + eps p, the kept div F.
-    # F = A grad u records u's terms
-    u = replace(u, gradient=NodeMemo(u.gradient))
-    flux = replace(flux, divergence=NodeMemo(flux.divergence), potential=u.terms)
+    flux = replace(flux, potential=u.terms)  # F = A grad u records u's terms
     quads = make_bundle(domain, radial_order, angular_order, shells)
     g = traces.analyze(u, domain.a, trace_degree, quads.gamma)
     problem = Problem(
@@ -314,7 +311,7 @@ def _random_angular(mp: ManufacturedProblem, rng) -> np.ndarray:
 def _flux_bump(bump: ScalarField, direction: np.ndarray) -> VectorField:
     """b d for a unit vector d, with divergence grad b . d, on b's support;
     it records b's terms as its bumps, with the direction d."""
-    value, grad = bump.formula()
+    value, grad = bump.value, bump.gradient
     return VectorField(
         value=lambda pts: np.asarray(value(pts))[:, None] * direction,
         # a BLAS product rounds by layout: C order keeps one set of bits

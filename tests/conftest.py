@@ -1,11 +1,8 @@
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import extbounds as xb
-import extbounds.fields as fields_module
 
 # the same examples on every run, and no failures replayed from a database:
 # a run's result depends on the code alone
@@ -58,15 +55,6 @@ def random_points_in_annulus(domain, count, seed):
     dirs = rng.normal(size=(count, domain.dimension))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     return np.asfortranarray(radii[:, None] * dirs)
-
-
-@contextmanager
-def unrestricted():
-    """Separable fields evaluated by their formula on every row, as if
-    ``fields.support_rows`` always gave the whole array."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fields_module, "support_rows", lambda radii, support: (0, len(radii)))
-        yield
 
 
 def termless(x):

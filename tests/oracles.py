@@ -12,7 +12,9 @@ computed at once, which the constants derived on first read must match
 bit for bit, and the tensor reference: the true error, the scale, the
 flux gap and the weighted residual summed on a rule's nodes from the
 closures, by the norms of ``fields`` that no bound calls, against which
-the term sums are checked.  The program never calls them."""
+the term sums are checked, and the trace basis and the projection of
+sampled values onto it, against which the closed-form traces are checked.
+The program never calls them."""
 
 import math
 from fractions import Fraction
@@ -32,9 +34,16 @@ from extbounds.fields import (
     support_rows,
     weighted_norm,
 )
-from extbounds.geometry import ExteriorDomain, QuadratureRule, exact_dot, node_radii
+from extbounds.geometry import (
+    ExteriorDomain,
+    QuadratureRule,
+    exact_dot,
+    exact_sum,
+    node_radii,
+    row_sum,
+)
 from extbounds.special import GUARD, Enclosure, _negligible, _one, _result, _zero
-from extbounds.traces import SphereTrace, _require_compatible, basis_matrix
+from extbounds.traces import SphereTrace, TraceError, _check_rule, _require_compatible
 
 
 def check_gradient(
@@ -91,6 +100,102 @@ def check_divergence(
             f"by {dev:.3e} (tolerance {rtol:.1e})"
         )
     return dev
+
+
+def _legendre_rows(degree: int, mu: np.ndarray) -> np.ndarray:
+    """Associated Legendre functions with the Condon-Shortley phase of
+    ``scipy.special.lpmv``, normalized to mean square 1 over the sphere:
+    row l^2 + l + m (m >= 0) holds sqrt((2l+1) (l-m)!/(l+m)!) P_l^m(mu).
+
+    Built by the standard recurrences for fully normalized functions
+    (Holmes & Featherstone, J. Geodesy 76, 2002): along the diagonal from
+    P_0^0, then up in l at fixed m, with no factorial ratios.  They run in
+    numpy's longdouble, which on x86 carries 11 bits more than float64:
+    near the zeros of a function, where the recurrence cancels, its float64
+    rounding then stays within a few ulps of the value."""
+    x = np.asarray(mu, dtype=np.longdouble)
+    sin_theta = np.sqrt((1 - x) * (1 + x))
+    rows = np.zeros(((degree + 1) ** 2, len(x)), dtype=np.longdouble)
+    diag = np.ones(len(x), dtype=np.longdouble)
+    for m in range(degree + 1):
+        if m > 0:
+            diag = -np.sqrt(np.longdouble(2 * m + 1) / (2 * m)) * sin_theta * diag
+        rows[m * m + 2 * m] = prev = diag
+        if m < degree:
+            rows[(m + 1) ** 2 + 2 * m + 1] = cur = np.sqrt(np.longdouble(2 * m + 3)) * x * diag
+        for l in range(m + 2, degree + 1):
+            a = np.sqrt(np.longdouble(4 * l * l - 1) / (l * l - m * m))
+            b = np.sqrt(np.longdouble((2 * l + 1) * ((l - 1) ** 2 - m * m))
+                        / ((2 * l - 3) * (l * l - m * m)))
+            prev, cur = cur, a * x * cur - b * prev
+            rows[l * l + l + m] = cur
+    return rows.astype(float)
+
+
+def basis_matrix(
+    dimension: int, degree: int, radius: float, points: np.ndarray
+) -> np.ndarray:
+    """The orthonormal surface basis of ``extbounds.traces``, (n_basis,
+    n_points), at points on the sphere of ``radius``, in the slot layout
+    that module's docstring gives."""
+    pts = np.atleast_2d(points)
+    r = node_radii(pts)
+    if dimension == 3:
+        mu = pts[:, 2] / r
+        phi = np.arctan2(pts[:, 1], pts[:, 0])
+        rows = _legendre_rows(degree, mu)
+        for l in range(degree + 1):
+            rows[l * l + l] *= 0.5 / math.sqrt(math.pi)
+            for m in range(1, l + 1):
+                p = rows[l * l + l + m] / math.sqrt(2.0 * math.pi)
+                rows[l * l + l + m] = p * np.cos(m * phi)
+                rows[l * l + l - m] = p * np.sin(m * phi)
+        # orthonormal w.r.t. the surface measure: divide by radius^{(N-1)/2}
+        return rows / radius
+    if dimension == 2:
+        theta = np.arctan2(pts[:, 1], pts[:, 0])
+        rows = np.empty((2 * degree + 1, len(pts)))
+        rows[0] = 1.0 / math.sqrt(2.0 * math.pi * radius)
+        for k in range(1, degree + 1):
+            rows[2 * k - 1] = np.cos(k * theta) / math.sqrt(math.pi * radius)
+            rows[2 * k] = np.sin(k * theta) / math.sqrt(math.pi * radius)
+        return rows
+    raise TraceError(f"traces require dimension 2 or 3, got {dimension}")
+
+
+def project(values, radius, degree, rule) -> SphereTrace:
+    """The trace whose coefficients are the exact sums of ``values``,
+    sampled on the sphere rule ``rule``, times the weights against each
+    basis function (``basis_matrix``, built once per rule, degree and
+    radius).  Its ``above_band`` integrates the square of what the
+    projection leaves: the integral of values^2 less the sum of the squared
+    coefficients."""
+    _check_rule(rule, radius, degree)
+    dimension = rule.dimension
+    basis = rule.derived(("trace basis", degree, radius),
+                         lambda: basis_matrix(dimension, degree, radius, rule.nodes))
+    coeffs = exact_dot(basis, values * rule.weights)
+    rest = values - coeffs @ basis
+    with np.errstate(over="ignore"):  # an energy past the float range raises below
+        above_band = exact_sum(rest * rest * rule.weights)
+        if np.isinf(above_band + coeffs @ coeffs):  # a NaN stays for the callers' checks
+            raise OverflowError(
+                f"the trace on the sphere of radius {radius} has an L^2 energy "
+                "beyond the float range")
+    return SphereTrace(radius, dimension, degree, coeffs, above_band=above_band)
+
+
+def sampled_trace(f: ScalarField, radius, degree, rule) -> SphereTrace:
+    """The trace of ``f`` sampled on ``rule`` and projected (``project``)."""
+    return project(np.asarray(f.value(rule.nodes), dtype=float), radius, degree, rule)
+
+
+def sampled_normal_trace(y: VectorField, radius, degree, rule) -> SphereTrace:
+    """The normal trace of ``y`` sampled on ``rule`` and projected."""
+    pts = rule.nodes
+    normal = pts / node_radii(pts)[:, None]
+    return project(row_sum(np.asarray(y.value(pts), dtype=float) * normal), radius, degree,
+                   rule)
 
 
 def reconstruct(t: SphereTrace) -> ScalarField:

@@ -1,6 +1,11 @@
 """Traces with energy above the band ``trace.L``: estimate III bounds an
 interface jump there, and a Dirichlet mismatch or a minorant basis function
-there is rejected rather than measured as zero."""
+there is rejected rather than measured as zero.
+
+A term has degree at most 1, so at L = 0 its degree-1 part lies above the
+band, and the closed-form trace shows it.  A function of higher degree has
+no terms, which every bound refuses by name; its trace is sampled and
+projected by the tests' reference projection."""
 
 import math
 
@@ -10,12 +15,20 @@ import pytest
 import extbounds as xb
 from extbounds.fields import VectorField, profile, ramp, ramp_deriv
 from extbounds.geometry import node_radii
-from extbounds.majorant import _interface_term, boundary_term
+from extbounds.majorant import BAND_LIMIT_RTOL, _interface_term, boundary_term
 from extbounds.minorant import TestBasis, minorant_report
-from extbounds.traces import BandLimitError
+from extbounds.problems import perturb
+from extbounds.traces import BandLimitError, normal_trace
 
 from conftest import random_points_in_annulus
-from oracles import check_gradient, separable_closures, tensor_flux_gap, tensor_true_error
+from oracles import (
+    check_gradient,
+    sampled_normal_trace,
+    sampled_trace,
+    separable_closures,
+    tensor_flux_gap,
+    tensor_true_error,
+)
 
 EPS = 0.1
 CASES = [(name, L, L + k) for name in ("N3_harmonic", "N2_log")
@@ -82,9 +95,10 @@ def test_interface_jump_above_band_is_bounded(name, L, ell):
     # With y_i = grad v inside and the exact flux outside, both equilibrated,
     # the normal-trace jump is -eps psi'(R) Y_l, all of it above the band.
     # A degree-l field has no terms, which every bound refuses: estimate
-    # III is summed here from its interface penalty and boundary term and
-    # the tensor reference's flux gaps (both residuals are 0), and bounds
-    # the tensor reference's true error
+    # III is summed here from its interface penalty on the jump's sampled
+    # trace and the tensor reference's flux gaps (both residuals are 0, and
+    # so is the boundary term, since psi(a) = 0), and bounds the tensor
+    # reference's true error
     mp = problem(name, L, ell)
     dom = mp.domain
     ang = angular(dom.dimension, ell)
@@ -96,26 +110,73 @@ def test_interface_jump_above_band_is_bounded(name, L, ell):
     y_i = mp.exact_flux + EPS * VectorField(value=inner.gradient,
                                             divergence=lambda p: np.zeros(len(p)))
     p, y_e = mp.problem, mp.exact_flux
-    with pytest.raises(ValueError, match=r"^the flux \('.*'\) has no terms"):
-        xb.estimate_III(p, v, y_i, y_e)
     with pytest.raises(ValueError, match=r"^v \('.*'\) has no terms"):
-        xb.estimate_III(p, v, y_e, y_e)
-    interface = _interface_term(p, y_i, y_e)[0]
+        xb.estimate_III(p, v, y_i, y_e)
+    with pytest.raises(ValueError, match=r"^the flux \('.*'\) has no terms"):
+        normal_trace(y_e - y_i, dom.R, L, p.quads.Gamma)
+    jump = sampled_normal_trace(y_e - y_i, dom.R, L, p.quads.Gamma)
+    interface = _interface_term(p, jump)[0]
     flux = math.sqrt(tensor_flux_gap(p, v, y_i, "omega_i") ** 2
                      + tensor_flux_gap(p, v, y_e, "omega_e") ** 2)
-    assert interface > 0.0
-    assert flux + interface + boundary_term(p, v) >= tensor_true_error(mp, v)
+    assert interface > 0.0 and jump.above_band > 0.0
+    assert flux + interface >= tensor_true_error(mp, v)
+
+
+def bounds(p, v, y):
+    """boundary_term and estimates I, II and III of ``v`` with the flux
+    ``y``, each to be called."""
+    return (lambda: boundary_term(p, v), lambda: xb.estimate_I(p, v, y),
+            lambda: xb.estimate_II(p, v, y), lambda: xb.estimate_III(p, v, y, y))
 
 
 @pytest.mark.parametrize("name,L,ell", CASES)
 def test_dirichlet_mismatch_above_band_raises(name, L, ell):
+    # the degree-ell mismatch has no terms, which every bound refuses by
+    # name before it could measure a trace above the band
     mp = problem(name, L, ell)
     p, y = mp.problem, mp.exact_flux
     v = mp.exact_u + EPS * ramp_mismatch(mp, ell)
-    match = f"above trace.L = {L}"
-    for bound in (lambda: boundary_term(p, v), lambda: xb.estimate_I(p, v, y),
-                  lambda: xb.estimate_II(p, v, y), lambda: xb.estimate_III(p, v, y, y)):
-        with pytest.raises(BandLimitError, match=match):
+    for bound in bounds(p, v, y):
+        with pytest.raises(ValueError, match=r"^v \('.*'\) has no terms"):
+            bound()
+    trace = sampled_trace(v, mp.domain.a, L, p.quads.gamma)
+    assert trace.above_band > BAND_LIMIT_RTOL * float(trace.coefficients @ trace.coefficients)
+
+
+def degree_zero(name):
+    """The catalog problem ``name`` at trace.L = 0, where the degree-1 part
+    of a term's trace lies above the band."""
+    return xb.builtin(name, radial_order=12, angular_order=4, shells=4, trace_degree=0)
+
+
+@pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
+def test_interface_jump_of_terms_above_band_is_bounded(name):
+    # the jump of the harmonic gradients, sum_k p_k'(R) (c_k . phi), has a
+    # degree-1 part, all of it above the band L = 0 (N2_log's has no
+    # constant part: its H^{-1/2} norm in the band is 0.0)
+    mp = degree_zero(name)
+    p = mp.problem
+    v = perturb(mp, "v", EPS, "interior_bump", 4)
+    y_i, y_e = perturb(mp, "y_broken", EPS, "interface_jump", 4)
+    jump = normal_trace(y_e - y_i, mp.domain.R, 0, p.quads.Gamma)
+    report = xb.estimate_III(p, v, y_i, y_e)
+    assert jump.above_band > 0.0
+    assert report.interface == _interface_term(p, jump)[0] > 0.0
+    assert report.metadata["jump_h_minus_half"] == xb.sobolev_norm(jump, -0.5)
+    if name == "N2_log":
+        assert report.metadata["jump_h_minus_half"] == 0.0
+        assert report.interface == pytest.approx(0.0910, abs=5e-5)
+    assert report.total >= xb.true_error(mp, v)
+
+
+@pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
+def test_dirichlet_mismatch_of_terms_above_band_raises(name):
+    # a boundary mode's mismatch has a degree-1 part, above the band L = 0
+    mp = degree_zero(name)
+    p, y = mp.problem, mp.exact_flux
+    v = perturb(mp, "v", EPS, "boundary_mode", 4)
+    for bound in bounds(p, v, y):
+        with pytest.raises(BandLimitError, match="above trace.L = 0"):
             bound()
 
 

@@ -686,7 +686,7 @@ def test_sandwich_computes_the_scale_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_sandwich_projects_the_trace_once(tmp_path, monkeypatch):
+def test_sandwich_expands_the_trace_once(tmp_path, monkeypatch):
     # the minorant's boundary caveat and estimate I's boundary term share
     # the mismatch of v that majorant.dirichlet_mismatch keeps
     labels = []

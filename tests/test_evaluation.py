@@ -230,28 +230,35 @@ class TestGradientOnce:
         gc.collect()
         assert held() is None and mp.problem.quads._table is not None
 
-    def test_bounds_call_no_closure_of_v(self, n2_log):
-        # v's closures may be missing: every bound reads its terms, with the
-        # bits of the same v with closures
-        mp = n2_log
-        p = mp.problem
-        v = perturb(mp, "v", 0.05, "interior_bump", seed=4)
-        y = perturb(mp, "y", 0.05, "interior_bump", seed=5)
-        y_i, y_e = perturb(mp, "y_broken", 0.05, "interface_jump", seed=6)
-
+    def test_bounds_call_no_closure_of_v(self, catalog):
+        # no closure is called: those of v, u, the load flux F, every
+        # perturbed flux and the basis may be missing, and every bound, the
+        # minorant and the true error read the terms, with the bits of the
+        # same fields with closures; estimate III takes the broken pair and
+        # an unbroken flux, y or F, on both sides
         def missing(pts):
-            raise AssertionError("a closure of v was called")
+            raise AssertionError("a closure was called")
 
-        bare = dataclasses.replace(v, value=missing, gradient=missing)
-        basis = xb.default_basis(mp.domain)
+        def bare(f):
+            return dataclasses.replace(f, **dict.fromkeys(("value", f._derivative), missing))
 
-        def results(w):
-            return [xb.estimate_I(p, w, y).as_dict(),
-                    xb.estimate_II(p, w, mp.exact_flux).as_dict(),
-                    xb.estimate_III(p, w, y_i, y_e).as_dict(), scale_of(p, w),
-                    xb.true_error(mp, w), xb.minorant_report(p, w, basis).value]
+        def results(mp, v, y, y_i, y_e, basis):
+            p, F = mp.problem, mp.problem.flux
+            return [xb.estimate_I(p, v, y).as_dict(), xb.estimate_II(p, v, F).as_dict(),
+                    xb.estimate_III(p, v, y_i, y_e).as_dict(),
+                    xb.estimate_III(p, v, y, y).as_dict(), xb.estimate_III(p, v, F, F).as_dict(),
+                    scale_of(p, v), xb.true_error(mp, v), xb.minorant_report(p, v, basis).value]
 
-        assert results(bare) == results(v)
+        for mp in catalog.values():
+            fields = (perturb(mp, "v", 0.05, "interior_bump", seed=4),
+                      perturb(mp, "y", 0.05, "interior_bump", seed=5),
+                      *perturb(mp, "y_broken", 0.05, "interface_jump", seed=6))
+            basis = xb.default_basis(mp.domain)
+            without = dataclasses.replace(
+                mp, exact_u=bare(mp.exact_u),
+                problem=dataclasses.replace(mp.problem, flux=bare(mp.problem.flux)))
+            assert results(without, *map(bare, fields), dataclasses.replace(
+                basis, fields=tuple(map(bare, basis.fields)))) == results(mp, *fields, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +446,7 @@ def harmonic8():
     mp = xb.builtin("N3_harmonic", shells=8)
     v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
     whole = mp.problem.quads.whole
-    mp.exact_u.gradient(whole.nodes)  # kept per node array (NodeMemo) before any measurement
-    whole.weights  # built on its first read, likewise before any
+    whole.weights  # built on its first read, before any measurement
     return mp, v, whole
 
 

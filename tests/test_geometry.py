@@ -24,7 +24,6 @@ from extbounds.geometry import (
     whole_and_parts,
 )
 
-from extbounds.fields import support_rows
 from extbounds.problems import make_bundle
 
 from oracles import shell_volume, unit_sphere_area
@@ -187,7 +186,9 @@ class TestLazyRules:
         for part, start in ((rules["omega_i"], 0), (rules["omega_e"], k)):
             rows = slice(start, start + len(part))
             assert part.nodes.base is whole.nodes.base
-            assert geometry._row_range(part.nodes, whole.nodes) == rows
+            assert part.nodes.strides == whole.nodes.strides
+            assert_bits_equal(part.nodes, whole.nodes[rows])
+            assert np.shares_memory(part.nodes, whole.nodes[rows])
             assert np.shares_memory(part.weights, whole.weights)
             assert_bits_equal(part.weights, whole.weights[rows])
 
@@ -260,46 +261,6 @@ class TestRowSum:
                 assert_bits_equal(node_radii(arr), np.sqrt(np.sum(arr**2, axis=1)))
         assert node_radii(np.array([3, 4])).tolist() == [5.0]  # one integer point
 
-    def test_node_radii_kept_for_read_only_nodes(self):
-        # kept per array: another rule's radii do not evict the first's
-        rule = whole_and_parts(DOM3, 4, 4, 2)[0]
-        other = whole_and_parts(DOM2, 4, 4, 2)[0]
-        first = node_radii(rule.nodes)
-        assert not first.flags.writeable
-        assert np.shares_memory(node_radii(rule.nodes), first)
-        assert_bits_equal(first, np.sqrt(np.sum(rule.nodes**2, axis=1)))
-        assert_bits_equal(node_radii(other.nodes),
-                          np.sqrt(np.sum(other.nodes**2, axis=1)))
-        again = node_radii(rule.nodes)
-        assert np.shares_memory(again, first)
-        assert_bits_equal(again, first)
-        # a writable array may change between calls: always computed anew
-        pts = np.array(rule.nodes)
-        r = node_radii(pts)
-        assert r.flags.writeable and node_radii(pts) is not r
-        pts *= 2.0
-        assert_bits_equal(node_radii(pts), 2.0 * r)
-
-    def test_row_view_of_kept_nodes_gets_a_slice(self):
-        # a support's rows, or omega_i as a view of the whole rule, keep the
-        # whole rule's radii: no second radius computation, same bits
-        whole, inner, _ = geometry.whole_and_parts(DOM3, 4, 4, 2)
-        kept = node_radii(whole.nodes)
-        for view in (whole.nodes[5:40], inner.nodes, inner.nodes[3:9], whole.nodes[7:7]):
-            radii = node_radii(view)
-            assert np.shares_memory(radii, kept) or len(view) == 0
-            assert not radii.flags.writeable
-            assert_bits_equal(radii, np.sqrt(np.sum(view**2, axis=1)))
-        assert np.shares_memory(node_radii(whole.nodes), kept)
-        # a strided view is not a row range: computed on each call, and the
-        # whole rule's radii stay kept
-        strided = whole.nodes[::2]
-        assert not np.shares_memory(node_radii(strided), kept)
-        assert_bits_equal(node_radii(strided), kept[::2])
-        again = node_radii(whole.nodes)
-        assert np.shares_memory(again, kept)
-        assert_bits_equal(again, kept)
-
 
 class TestLayout:
     @pytest.mark.parametrize("domain", [DOM2, DOM3])
@@ -313,28 +274,6 @@ class TestLayout:
             assert np.shares_memory(part.nodes, quads.whole.nodes)
             assert np.shares_memory(part.weights, quads.whole.weights)
 
-    def test_parts_and_support_rows_get_slices_of_held_radii(self):
-        quads = make_bundle(DOM3, 4, 4, 2)
-        whole = quads.whole.nodes
-        kept = node_radii(whole)
-        start, stop = support_rows(kept, (1.2, 1.6))
-        support = whole[start:stop]
-        assert 0 < len(support) < len(quads.omega_i)
-        for view in (quads.omega_i.nodes, quads.omega_e.nodes, support):
-            radii = node_radii(view)
-            assert np.shares_memory(radii, kept) and not radii.flags.writeable
-            assert_bits_equal(radii, np.sqrt(np.sum(view**2, axis=1)))
-        again = node_radii(whole)
-        assert np.shares_memory(again, kept)
-        assert_bits_equal(again, kept)
-
-    def test_row_range_rejects_column_subsets_and_strides(self):
-        held = make_bundle(DOM3, 4, 4, 2).whole.nodes
-        assert geometry._row_range(held[5:40], held) == slice(5, 40)
-        for view in (held[:, :2], held[:, 1:], held[:, ::2], held[::2], held[1::3]):
-            assert geometry._row_range(view, held) is None
-        assert geometry._row_range(np.ascontiguousarray(held[5:40]), held) is None
-
     def test_row_major_nodes_are_rejected(self):
         nodes = np.random.default_rng(3).normal(size=(50, 3))
         with pytest.raises(QuadratureError, match="column-major"):
@@ -347,83 +286,6 @@ class TestLayout:
         view = dataclasses.replace(rule, nodes=rule.nodes[5:20], weights=rule.weights[5:20])
         assert np.shares_memory(view.nodes, rule.nodes)
         assert view.nodes.strides == rule.nodes.strides
-
-
-
-class TestNodeMemo:
-    """``NodeMemo`` keeps a closure's value per node array: once per array
-    that owns the nodes, sliced for its row ranges, and dropped with it."""
-
-    @staticmethod
-    def counted(fn):
-        calls = []
-
-        def closure(pts):
-            calls.append(len(pts))
-            return fn(pts)
-
-        return geometry.NodeMemo(closure), calls
-
-    @staticmethod
-    def radial(pts):
-        # a closure of the catalog's form, each row from its own node; its
-        # radii bypass node_radii, so only the memo under test keeps values
-        r = np.sqrt(row_sum(pts * pts))
-        return (-1.0 / r**3)[:, None] * pts
-
-    def test_parts_get_slices_of_the_whole_value(self):
-        whole, inner, outer = whole_and_parts(DOM3, 4, 4, 2)
-        memo, calls = self.counted(self.radial)
-        first = memo(inner.nodes)  # computed on every row of whole, once
-        kept = memo(whole.nodes)
-        assert calls == [len(whole)] and not kept.flags.writeable
-        for rule, got in ((inner, first), (outer, memo(outer.nodes)), (whole, kept)):
-            assert np.shares_memory(got, kept) and not got.flags.writeable
-            fresh = self.radial(np.asfortranarray(rule.nodes))
-            assert_bits_equal(got, fresh)
-        sub = whole.nodes[5:40]
-        assert np.shares_memory(memo(sub), kept)
-        assert calls == [len(whole)]
-
-    def test_writable_arrays_are_never_kept(self):
-        nodes = np.array(whole_and_parts(DOM3, 4, 4, 2)[0].nodes, order="F")
-        assert nodes.flags.writeable
-        memo, calls = self.counted(self.radial)
-        got = [memo(nodes), memo(nodes), memo(nodes[3:9])]
-        assert calls == [len(nodes), len(nodes), 6] and not memo._held
-        assert all(a.flags.writeable for a in got)
-
-    def test_no_row_range_goes_to_the_closure(self):
-        whole = whole_and_parts(DOM3, 4, 4, 2)[0]
-        memo, calls = self.counted(lambda pts: pts[:, 0] * 2.0)
-        kept = memo(whole.nodes)
-        for view in (whole.nodes[::2], whole.nodes[:, :2]):
-            assert not np.shares_memory(memo(view), kept)
-        assert calls == [len(whole)] + [len(whole.nodes[::2]), len(whole)]
-
-    def test_entry_goes_with_the_owning_array(self):
-        import gc
-        import weakref
-
-        whole, inner, outer = whole_and_parts(DOM3, 4, 4, 2)
-        memo, _ = self.counted(self.radial)
-        value = weakref.ref(memo(outer.nodes).base)
-        owner = weakref.ref(whole.nodes.base)
-        assert len(memo._held) == 1 and value() is not None
-        del whole, inner, outer
-        gc.collect()
-        assert owner() is None and value() is None and not memo._held
-
-    def test_writing_into_a_kept_value_fails(self):
-        whole, inner, _ = whole_and_parts(DOM3, 4, 4, 2)
-        memo, _ = self.counted(self.radial)
-        got = memo(inner.nodes)
-        before = got.copy()
-        with pytest.raises(ValueError, match="read-only"):
-            got[0, 0] = 7.0
-        with pytest.raises(ValueError, match="read-only"):
-            got += 1.0
-        assert_bits_equal(memo(inner.nodes), before)
 
 
 def fsum_outcome(fn, x):

@@ -6,7 +6,7 @@ import pytest
 
 import extbounds as xb
 from extbounds import traces
-from extbounds.fields import Coefficient, Term, VectorField, energy_norm
+from extbounds.fields import Coefficient, Term, VectorField, energy_norm, separable_field
 from extbounds.geometry import exact_dot, node_radii
 from extbounds.majorant import (
     DivergentNormError,
@@ -200,19 +200,23 @@ class TestBoundaryTerm:
         xb.minorant_report(p, v, xb.default_basis(mp.domain))
         assert calls == [p.domain]
 
-    def test_band_limit_gate(self, n3_harmonic):
-        # (x3/r)^k has degree k: at the band L = 8 a mismatch of degree 7 is
-        # measured, one of degree 9 is not and raises, naming the band
-        def v(k):
-            return n3_harmonic.exact_u + 1.0 * xb.ScalarField(
-                value=lambda p: (p[:, 2] / node_radii(p)) ** k,
-                gradient=lambda p: np.zeros_like(np.atleast_2d(p), dtype=float),
-                label=f"degree {k}",
-            )
+    def test_band_limit_gate(self):
+        # (x3/r)^k has degree k: at the band L = 0 a mismatch of degree 0 is
+        # measured, one of degree 1 is not and raises, naming the band; a
+        # degree above 1 has no terms, which is refused by name
+        mp = xb.builtin("N3_harmonic", shells=4, trace_degree=0)
 
-        assert boundary_term(n3_harmonic.problem, v(7)) > 0.0
-        with pytest.raises(BandLimitError, match="above trace.L = 8"):
-            boundary_term(n3_harmonic.problem, v(9))
+        def v(angular):
+            return mp.exact_u + 1.0 * separable_field(
+                lambda r: 1.0 / r, lambda r: -1.0 / r**2, angular, label=f"degree {angular}")
+
+        assert boundary_term(mp.problem, v((1.0,))) > 0.0
+        with pytest.raises(BandLimitError, match="above trace.L = 0"):
+            boundary_term(mp.problem, v((0.0, 0.0, 0.0, 1.0)))
+        high = mp.exact_u + xb.ScalarField(value=lambda p: (p[:, 2] / node_radii(p)) ** 9,
+                                           label="degree 9")
+        with pytest.raises(ValueError, match=r"^v \('.*'\) has no terms"):
+            boundary_term(mp.problem, high)
 
 
 class TestFluxTermPaths:
@@ -223,7 +227,7 @@ class TestFluxTermPaths:
         # terms do not carry, so estimate I refuses y by name
         mp = catalog["N3_harmonic"]
         p = mp.problem
-        from extbounds.fields import mollifier, mollifier_deriv, profile, separable_field
+        from extbounds.fields import mollifier, mollifier_deriv, profile
 
         prof, dprof = profile(mollifier, mollifier_deriv, 1.5, 0.25)
         s = separable_field(prof, dprof, (0.0, 0.0, 0.0, 1.0), support=(1.25, 1.75))

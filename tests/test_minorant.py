@@ -18,7 +18,6 @@ from extbounds.minorant import (
 )
 from extbounds.problems import perturb
 
-from conftest import unrestricted
 from oracles import dense_minorant
 
 
@@ -359,9 +358,8 @@ class TestSupports:
                     for w in basis.fields:
                         start, stop = support_rows(node_radii(pts), w.support)
                         sub = pts[start:stop]
-                        with unrestricted():
-                            dense = _span(w.value(pts), w.gradient(pts))
-                            found = _span(w.value(sub), w.gradient(sub), start)
+                        dense = _span(w.value(pts), w.gradient(pts))
+                        found = _span(w.value(sub), w.gradient(sub), start)
                         assert found == dense, (shells, n_radial, degree, w.label)
                         assert dense == (0, 0) or start <= dense[0] < dense[1] <= stop
 

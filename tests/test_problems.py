@@ -113,50 +113,6 @@ class TestQuadratureBundle:
                 assert not part.nodes.flags.writeable
 
 
-RULES = ("whole", "omega_i", "omega_e", "omega_e_refined", "gamma", "Gamma")
-
-
-class TestKeptExactData:
-    """grad u and div F are kept per node array (``geometry.NodeMemo``)."""
-
-    @pytest.mark.parametrize("name", CATALOG)
-    def test_kept_values_equal_fresh_calls(self, name, catalog):
-        mp = catalog[name]
-        quads = mp.problem.quads
-        for closure in (mp.exact_u.gradient, mp.exact_flux.divergence):
-            for region in RULES:
-                nodes = getattr(quads, region).nodes
-                kept = closure(nodes)
-                fresh = np.asarray(closure.fn(nodes))
-                assert kept.shape == fresh.shape, region
-                assert kept.tobytes() == fresh.tobytes(), region
-                assert not kept.flags.writeable, region
-                assert closure._held, region
-
-    @pytest.mark.parametrize("name", CATALOG)
-    def test_parts_share_the_whole_value(self, name, catalog):
-        mp = catalog[name]
-        quads = mp.problem.quads
-        for closure in (mp.exact_u.gradient, mp.exact_flux.divergence):
-            whole = closure(quads.whole.nodes)
-            for part in (quads.omega_i, quads.omega_e):
-                assert np.shares_memory(closure(part.nodes), whole)
-
-    def test_load_reads_the_kept_divergence(self, n3_decay):
-        p = n3_decay.problem
-        nodes = p.quads.omega_e.nodes
-        f = load(p).value(nodes)
-        assert f.tobytes() == (-n3_decay.exact_flux.divergence.fn(nodes)).tobytes()
-        f[0] = 1.0  # f = -div F is a new array, div F stays as kept
-        assert n3_decay.exact_flux.divergence(nodes).tobytes() == (-load(p).value(nodes)).tobytes()
-
-    def test_writing_into_a_kept_gradient_fails(self, n3_harmonic):
-        nodes = n3_harmonic.problem.quads.whole.nodes
-        grad = n3_harmonic.exact_u.gradient(nodes)
-        with pytest.raises(ValueError, match="read-only"):
-            grad *= 2.0
-
-
 class TestSharedRules:
     def test_one_bundle_per_domain_and_resolution(self):
         kw = dict(radial_order=5, angular_order=6, shells=3, trace_degree=4)
@@ -336,9 +292,9 @@ class TestPerturb:
         norms = []
         for eps in (0.1, 0.01, 0.001):
             y_i, y_e = perturb(mp, "y_broken", eps, "interface_jump", seed=5)
-            t_i = normal_trace(y_i, mp.domain.R, p.trace_degree, p.quads.Gamma)
-            t_e = normal_trace(y_e, mp.domain.R, p.trace_degree, p.quads.Gamma)
-            norms.append(sobolev_norm(difference(t_e, t_i), -0.5))
+            # each flux alone has the potential of F: the trace is the jump's
+            jump = normal_trace(y_e - y_i, mp.domain.R, p.trace_degree, p.quads.Gamma)
+            norms.append(sobolev_norm(jump, -0.5))
         assert norms[0] == pytest.approx(10 * norms[1], rel=1e-10)
         assert norms[1] == pytest.approx(10 * norms[2], rel=1e-10)
 

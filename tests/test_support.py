@@ -1,20 +1,19 @@
-"""Fields with a radial support are evaluated only on the rows it covers:
-the same values as their formula there, and exact zeros elsewhere."""
+"""A field's radial support holds its terms, which the term sums read on
+the rows of the support alone; its closures are the formulas, each row
+from its own node, which the shapes make exact zeros off the support."""
 
 import dataclasses
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
 
 import extbounds as xb
 import extbounds.fields as fields_module
-from extbounds.fields import ScalarField, VectorField, support_rows
+from extbounds.fields import ScalarField, Term, VectorField, support_rows
 from extbounds.geometry import node_radii
+from extbounds.majorant import scale_of
 from extbounds.minorant import NonzeroTraceError, default_basis, minorant_report
 from extbounds.problems import perturb
-
-from conftest import unrestricted
 
 RULES = ("whole", "omega_i", "omega_e", "omega_e_refined", "gamma", "Gamma")
 SEEDS = range(5)
@@ -56,12 +55,15 @@ def bare(mp):
 
 
 def assert_matches_formula(value, derivative, pts, where):
-    """The closures as restricted give the values of the formula on every row."""
-    restricted = value(pts), derivative(pts)
-    with unrestricted():
-        formula = value(pts), derivative(pts)
-    for got, want in zip(restricted, formula):
-        assert_array_equal(got, want, err_msg=where)
+    """The closures give every row the bits of the formula at its node
+    alone: those of a call on the half of the rows that holds it, and of a
+    call on a row-major copy."""
+    half = len(pts) // 2
+    for fn in (value, derivative):
+        whole = np.asarray(fn(pts))
+        for got in (np.concatenate([fn(pts[:half]), fn(pts[half:])]),
+                    fn(np.ascontiguousarray(pts))):
+            assert np.asarray(got).tobytes() == whole.tobytes(), where
 
 
 class TestMatchesFormula:
@@ -99,16 +101,12 @@ class TestZerosOutside:
         mp = coarse[name]
         for w in default_basis(mp.domain, 4, 1).fields:
             for where, pts in point_sets(mp):
-                start, stop = support_rows(node_radii(pts), w.support)
-                skipped = np.ones(len(pts), dtype=bool)
-                skipped[start:stop] = False
+                # the cubic bump and its derivative are 0.0 off the support,
+                # up to the sign the angular factor gives a zero
                 val, grad = w.value(pts), w.gradient(pts)
                 r = node_radii(pts)
                 off = (r < w.support[0]) | (r > w.support[1])
                 assert np.all(val[off] == 0.0) and np.all(grad[off] == 0.0), where
-                # the rows never evaluated hold +0.0
-                assert not np.signbit(val[skipped]).any(), where
-                assert not np.signbit(grad[skipped]).any(), where
 
     @pytest.mark.parametrize("mode", MODES)
     def test_approximation_is_exact_outside(self, coarse, mode):
@@ -128,37 +126,6 @@ class TestZerosOutside:
                 assert v.gradient(pts)[off].tobytes() == u.gradient(pts)[off].tobytes(), where
 
 
-class TestRowsSeen:
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
-    def test_angular_closures_skip_the_exterior(self, coarse, monkeypatch, name, mode):
-        mp = coarse[name]
-        quads = mp.problem.quads
-        seen = []
-        original = fields_module.ratio_gradient
-
-        def counted(pts, i, m):
-            seen.append(len(pts))
-            return original(pts, i, m)
-
-        monkeypatch.setattr(fields_module, "ratio_gradient", counted)
-        for seed in SEEDS:
-            v = perturb(mp, "v", 0.1, mode, seed)
-            for rule in ("omega_e", "omega_e_refined"):
-                seen.clear()
-                v.gradient(getattr(quads, rule).nodes)
-                assert sum(seen) == 0, rule
-            seen.clear()
-            v.gradient(quads.omega_i.nodes)
-            rows = set(seen)
-            assert len(rows) == 1, rows  # one view for every angular closure
-            share = rows.pop() / len(quads.omega_i)
-            if mode == "boundary_mode":
-                assert share == 0.5
-            else:
-                assert 0.25 < share < 0.6
-
-
 class TestArithmetic:
     def test_scaling_keeps_support_and_sums_drop_it(self, coarse):
         mp = coarse["N3_harmonic"]
@@ -170,19 +137,8 @@ class TestArithmetic:
 
 
 class TestOnlyTheRows:
-    """A supported operand costs its rows: a sum returns the other
-    operand's own values off them, and each support is cut once."""
-
-    @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
-    def test_sums_return_the_kept_values_off_the_support(self, coarse, name):
-        mp = coarse[name]
-        tail = mp.problem.quads.omega_e.nodes
-        for seed in SEEDS:
-            y = perturb(mp, "y", 0.1, "interior_bump", seed)
-            assert np.shares_memory(y.divergence(tail), mp.exact_flux.divergence(tail))
-            for mode in MODES:
-                v = perturb(mp, "v", 0.1, mode, seed)
-                assert np.shares_memory(v.gradient(tail), mp.exact_u.gradient(tail)), mode
+    """A supported term costs the radial rows of its support: the term
+    kernel cuts each distinct support once."""
 
     @staticmethod
     def recorded(monkeypatch):
@@ -195,16 +151,6 @@ class TestOnlyTheRows:
 
         monkeypatch.setattr(fields_module, "support_rows", recording)
         return calls
-
-    def test_scaling_cuts_once_per_call(self, coarse, monkeypatch):
-        mp = coarse["N3_harmonic"]
-        w = 0.5 * default_basis(mp.domain, 4, 1).fields[5]
-        calls = self.recorded(monkeypatch)
-        for pts in (mp.problem.quads.whole.nodes, mp.problem.quads.omega_i.nodes):
-            for closure in (w.value, w.gradient):
-                calls.clear()
-                closure(pts)
-                assert calls == [(len(pts), w.support)]
 
     @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
     def test_minorant_cuts_each_distinct_support_once(self, coarse, monkeypatch, name):
@@ -222,25 +168,26 @@ class TestOnlyTheRows:
 
 
 class TestEnforced:
-    """A declared support is held to, however the field was made, and a
-    field cut off where it is not zero cannot lower-bound the error."""
+    """A declared support holds the terms, however the field was made, and
+    a field cut off where it is not zero cannot lower-bound the error."""
 
     def test_any_field_holds_to_its_support(self, coarse):
+        # each term is cut to the support, or dropped where the two do not
+        # meet; the closures are left as given
         mp = coarse["N3_harmonic"]
         w = default_basis(mp.domain, 4, 1).fields[5]
         lo, hi = w.support
         narrow = (lo, 0.5 * (lo + hi))
-        made = ScalarField(value=lambda pts: np.ones(len(pts)),
-                           gradient=lambda pts: np.ones(np.shape(pts)), support=narrow)
+        t = w.terms[0]
+        made = ScalarField(value=lambda pts: np.ones(len(pts)), support=narrow,
+                           terms=(Term(t.p, t.dp, (1.0,), None),))
         for field in (dataclasses.replace(w, support=narrow), made):
-            for where, pts in point_sets(mp):
-                r = node_radii(pts)
-                off = (r < narrow[0] * (1 - 1e-9)) | (r > narrow[1] * (1 + 1e-9))
-                assert not field.value(pts)[off].any(), where
-                assert not field.gradient(pts)[off].any(), where
-        inside = mp.problem.quads.whole.nodes
-        assert_array_equal(dataclasses.replace(w, support=(lo - 1.0, hi + 1.0)).value(inside),
-                           w.value(inside))
+            assert [u.support for u in field.terms] == [narrow]
+        assert dataclasses.replace(w, support=narrow).value is w.value
+        assert dataclasses.replace(w, support=(lo - 1.0, hi + 1.0)).terms == w.terms
+        assert dataclasses.replace(w, support=(hi + 1.0, hi + 2.0)).terms == ()
+        assert 0.0 < scale_of(mp.problem, dataclasses.replace(w, support=narrow)) < scale_of(
+            mp.problem, w)
 
     def test_minorant_rejects_a_support_cut_where_the_field_is_not_zero(self, coarse):
         # declaring each bump's support half as wide lifted the lower bound

@@ -13,23 +13,29 @@ from extbounds.geometry import (
     QuadratureRule,
     build_quadrature,
     node_radii,
-    row_sum,
 )
-from extbounds.problems import _flux_bump, perturb
+from extbounds.problems import _flux_bump, perturb, solenoidal_harmonic_gradient
 from extbounds.traces import (
     SphereTrace,
     TraceError,
-    _project,
     analyze,
-    basis_matrix,
     coefficient_count,
     difference,
     normal_trace,
     sobolev_norm,
 )
 
+import oracles
 from conftest import termless
-from oracles import duality_pairing, reconstruct, surface_l2_norm
+from oracles import (
+    basis_matrix,
+    duality_pairing,
+    project,
+    reconstruct,
+    sampled_normal_trace,
+    sampled_trace,
+    surface_l2_norm,
+)
 
 DOM3 = ExteriorDomain(3, 1.0, 2.0)
 DOM2 = ExteriorDomain(2, 1.0, 2.0)
@@ -39,6 +45,9 @@ GAMMA2 = build_quadrature(DOM2, 6, 12, 3, "sphere_Gamma")
 TWO_SPHERES = QuadratureRule(None, None, 6, 12, 3, radial=(np.array([2.0, 3.0]),
                                                            np.array([4.0, 9.0])),
                              angular=GAMMA3.angular)
+# the constant 1 and the zero field, each with its terms
+ONE = separable_field(np.ones_like, np.zeros_like, label="1")
+ZERO = ScalarField(value=lambda p: np.zeros(len(p)), label="0", terms=())
 
 
 def coeffs(n=9):
@@ -67,7 +76,7 @@ def legendre_oracle(l, m, x):
 
 def oracle_basis(L, pts):
     """The N = 3 basis on the unit sphere at 40 digits, from the float
-    polar cosine and azimuth that ``basis_matrix`` computes."""
+    polar cosine and azimuth that ``oracles.basis_matrix`` computes."""
     import mpmath
 
     mpmath.mp.dps = 40
@@ -143,19 +152,18 @@ class TestBasis:
                 assert abs(legendre_oracle(l, m, x) - want) <= 1e-30 * (1 + abs(want))
 
     def test_built_once_per_rule_and_degree(self, monkeypatch):
-        import extbounds.traces as tr
-
+        # the reference projection keeps its basis on the rule
         calls = []
-        real = tr.basis_matrix
-        monkeypatch.setattr(tr, "basis_matrix", lambda *a: calls.append(a[:3]) or real(*a))
+        real = oracles.basis_matrix
+        monkeypatch.setattr(oracles, "basis_matrix", lambda *a: calls.append(a[:3]) or real(*a))
         rule = build_quadrature(DOM3, 6, 12, 3, "sphere_Gamma")
-        one = ScalarField(value=lambda p: np.ones(len(p)), label="1")
-        first = analyze(one, 2.0, 8, rule)
+        ones = np.ones(len(rule))
+        first = project(ones, 2.0, 8, rule)
         for _ in range(2):
-            assert np.array_equal(analyze(one, 2.0, 8, rule).coefficients, first.coefficients)
-            analyze(one, 2.0, 6, rule)
+            assert np.array_equal(project(ones, 2.0, 8, rule).coefficients, first.coefficients)
+            project(ones, 2.0, 6, rule)
         assert calls == [(3, 8, 2.0), (3, 6, 2.0)]
-        analyze(one, 2.0, 8, build_quadrature(DOM3, 6, 12, 3, "sphere_Gamma"))
+        project(ones, 2.0, 8, build_quadrature(DOM3, 6, 12, 3, "sphere_Gamma"))
         assert len(calls) == 3  # a new rule builds its own
 
     def test_counts(self):
@@ -167,19 +175,17 @@ class TestBasis:
 
 class TestAnalyze:
     def test_constant_is_pure_constant_mode(self):
-        one = ScalarField(value=lambda p: np.ones(len(p)), label="1")
-        t = analyze(one, 2.0, 8, GAMMA3)
+        t = analyze(ONE, 2.0, 8, GAMMA3)
         assert t.coefficients[0] == pytest.approx(4 * math.sqrt(math.pi), rel=1e-13)
         assert np.max(np.abs(t.coefficients[1:])) < 1e-13
 
     def test_zero(self):
-        z = ScalarField(value=lambda p: np.zeros(len(p)), label="0")
-        t = analyze(z, 2.0, 6, GAMMA3)
+        t = analyze(ZERO, 2.0, 6, GAMMA3)
         assert np.all(t.coefficients == 0.0)
 
     def test_single_degree_one_mode(self):
         rule = build_quadrature(ExteriorDomain(3, 0.5, 1.0), 6, 12, 3, "sphere_Gamma")
-        f = ScalarField(value=lambda p: p[:, 2] / node_radii(p), label="x3/r")
+        f = separable_field(np.ones_like, np.zeros_like, (0.0, 0.0, 0.0, 1.0), label="x3/r")
         t = analyze(f, 1.0, 6, rule)
         ell = t.degrees()
         assert np.max(np.abs(t.coefficients[ell != 1])) < 1e-13
@@ -189,9 +195,8 @@ class TestAnalyze:
         assert np.allclose(t.coefficients, t2.coefficients, atol=1e-13)
 
     def test_insufficient_angular_order(self):
-        one = ScalarField(value=lambda p: np.ones(len(p)), label="1")
         with pytest.raises(TraceError, match="angular order"):
-            analyze(one, 2.0, 14, GAMMA3)
+            analyze(ONE, 2.0, 14, GAMMA3)
 
     @pytest.mark.parametrize("radius,rule", [
         (1e-9, build_quadrature(ExteriorDomain(3, 1e-9, 2e-9), 6, 12, 3, "sphere_Gamma")),
@@ -201,15 +206,13 @@ class TestAnalyze:
     def test_rule_off_the_sphere_rejected(self, radius, rule):
         # the first two spheres lie within numpy's default absolute tolerance
         # 1e-8; the third rule's first radial node is the requested radius
-        one = ScalarField(value=lambda p: np.ones(len(p)), label="1")
         with pytest.raises(TraceError, match="requested sphere"):
-            analyze(one, radius, 4, rule)
+            analyze(ONE, radius, 4, rule)
 
     def test_parseval(self):
-        f = ScalarField(
-            value=lambda p: 1.0 + p[:, 0] / node_radii(p) + 0.3 * p[:, 2] ** 2,
-            label="mix",
-        )
+        # the closed-form coefficients against the quadrature of the square
+        # of the function they expand
+        f = separable_field(np.ones_like, np.zeros_like, (1.0, 1.0, 0.0, 0.3), label="mix")
         t = analyze(f, 2.0, 8, GAMMA3)
         from extbounds.geometry import integrate
 
@@ -218,33 +221,32 @@ class TestAnalyze:
         assert surf == pytest.approx(float(np.sum(t.coefficients**2)), rel=1e-12)
 
     def test_idempotent(self):
+        # the reference projection of a degree-2 function, projected again
         f = ScalarField(
             value=lambda p: p[:, 0] * p[:, 1] / node_radii(p) ** 2 + 2.0,
             label="mix",
         )
-        t1 = analyze(f, 2.0, 8, GAMMA3)
-        t2 = analyze(reconstruct(t1), 2.0, 8, GAMMA3)
+        t1 = sampled_trace(f, 2.0, 8, GAMMA3)
+        t2 = sampled_trace(reconstruct(t1), 2.0, 8, GAMMA3)
         assert np.allclose(t1.coefficients, t2.coefficients, atol=1e-13)
 
     def test_energy_above_band(self):
-        # (x3/r)^7 against a band of 6: the projection drops its degree-7
-        # part, whose energy the trace keeps; a band of 7 drops nothing
+        # (x3/r)^7 against a band of 6: the reference projection drops its
+        # degree-7 part, whose energy the trace keeps; a band of 7 drops
+        # nothing, and a closed form of degree at most 1 nothing either
         f = ScalarField(value=lambda p: (p[:, 2] / node_radii(p)) ** 7, label="hi")
-        t6, t7 = analyze(f, 2.0, 6, GAMMA3), analyze(f, 2.0, 7, GAMMA3)
+        t6, t7 = sampled_trace(f, 2.0, 6, GAMMA3), sampled_trace(f, 2.0, 7, GAMMA3)
         total = float(np.sum(t7.coefficients**2))
         top = float(np.sum(t7.coefficients[t7.degrees() == 7] ** 2))
         assert top > 1e-3 * total
         assert t6.above_band == pytest.approx(top, rel=1e-10)
         assert t7.above_band <= 1e-14 * total
-        assert analyze(ScalarField(value=lambda p: np.zeros(len(p))), 2.0, 6,
-                       GAMMA3).above_band == 0.0
+        assert analyze(ZERO, 2.0, 6, GAMMA3).above_band == 0.0
 
 
 class TestNormalTrace:
     def test_radial_gradient(self):
-        y = VectorField(
-            value=lambda p: -p / node_radii(p)[:, None] ** 3, label="grad 1/r"
-        )
+        y = solenoidal_harmonic_gradient(3, 0)  # grad(1/r)
         t = normal_trace(y, 2.0, 6, GAMMA3)
         ell = t.degrees()
         assert np.max(np.abs(t.coefficients[ell != 0])) < 1e-14
@@ -253,39 +255,35 @@ class TestNormalTrace:
         assert val == pytest.approx(-1.0 / 4.0, rel=1e-13)
 
     def test_tangential_field(self):
+        # it has no terms, which the trace refuses; its sampled normal
+        # component projects to zero
         y = VectorField(
             value=lambda p: np.stack([-p[:, 1], p[:, 0], np.zeros(len(p))], axis=1),
             label="tangential",
         )
-        t = normal_trace(y, 2.0, 6, GAMMA3)
+        with pytest.raises(ValueError, match=r"^the flux \('tangential'\) has no terms"):
+            normal_trace(y, 2.0, 6, GAMMA3)
+        t = sampled_normal_trace(y, 2.0, 6, GAMMA3)
         assert np.max(np.abs(t.coefficients)) < 1e-13
 
     def test_two_sided_continuity(self, n3_anisotropic):
+        # the jump of the exact flux across the interface is the zero field,
+        # whose trace is 0; the flux alone has a potential, which is refused
         mp = n3_anisotropic
         rule = mp.problem.quads.Gamma
-        t1 = normal_trace(mp.exact_flux, 2.0, 8, rule)
-        t2 = normal_trace(mp.exact_flux, 2.0, 8, rule)
-        assert np.array_equal(t1.coefficients, t2.coefficients)
-        assert sobolev_norm(difference(t2, t1), -0.5) == 0.0
-
-
-def projected(f, radius, degree, rule):
-    """The trace of ``f`` sampled on ``rule`` and projected, as every field
-    was expanded before fields with terms took the closed form."""
-    return _project(np.asarray(f.value(rule.nodes), dtype=float), radius, degree, rule)
-
-
-def projected_normal(y, radius, degree, rule):
-    """The normal trace of ``y`` sampled on ``rule`` and projected."""
-    pts = rule.nodes
-    normal = pts / node_radii(pts)[:, None]
-    return _project(row_sum(np.asarray(y.value(pts), dtype=float) * normal), radius, degree,
-                    rule)
+        jump = mp.exact_flux - mp.exact_flux
+        assert jump.potential == jump.gradients == jump.bumps == ()
+        t = normal_trace(jump, 2.0, 8, rule)
+        assert np.all(t.coefficients == 0.0) and t.above_band == 0.0
+        assert sobolev_norm(t, -0.5) == 0.0
+        with pytest.raises(ValueError, match="has a potential"):
+            normal_trace(mp.exact_flux, 2.0, 8, rule)
 
 
 class TestTermPath:
-    """A field with terms, and a jump of harmonic gradients, take the
-    closed-form trace; every other function keeps the projection."""
+    """A field with terms, and a jump of harmonic gradients and bumps off
+    the sphere, take the closed-form trace, which the reference projection
+    of their samples checks; what the terms cannot give is refused."""
 
     @pytest.mark.parametrize("name", xb.CATALOG)
     def test_agrees_with_the_projection(self, catalog, name):
@@ -300,7 +298,7 @@ class TestTermPath:
             for eps in (1e-3, 0.1, 1.0):
                 for mode in ("interior_bump", "boundary_mode"):
                     v = perturb(mp, "v", eps, mode, seed)
-                    term, sampled = analyze(v, a, L, gamma), projected(v, a, L, gamma)
+                    term, sampled = analyze(v, a, L, gamma), sampled_trace(v, a, L, gamma)
                     assert term.above_band == 0.0
                     scale = np.max(np.abs(sampled.coefficients))
                     assert np.max(np.abs(term.coefficients - sampled.coefficients)) <= (
@@ -309,51 +307,48 @@ class TestTermPath:
                 jump = y_e - y_i
                 assert jump.gradients and not jump.potential and not jump.bumps
                 term = normal_trace(jump, R, L, Gamma)
-                sampled = projected_normal(jump, R, L, Gamma)
+                sampled = sampled_normal_trace(jump, R, L, Gamma)
                 assert term.above_band == 0.0
                 scale = max(np.max(np.abs(sampled.coefficients)),
-                            np.max(np.abs(projected_normal(y_e, R, L, Gamma).coefficients)))
+                            np.max(np.abs(sampled_normal_trace(y_e, R, L, Gamma).coefficients)))
                 assert np.max(np.abs(term.coefficients - sampled.coefficients)) <= (
                     1e-14 * scale), ("jump", seed, eps)
 
-    def test_builds_no_basis(self, n3_decay, monkeypatch):
-        import extbounds.traces as tr
-
-        monkeypatch.setattr(tr, "basis_matrix", lambda *a: pytest.fail("basis built"))
+    def test_builds_no_basis(self, n3_decay):
+        # a closed-form trace reads its rule's factors, not its nodes
         p = n3_decay.problem
         v = perturb(n3_decay, "v", 0.1, "boundary_mode", 3)
         y_i, y_e = perturb(n3_decay, "y_broken", 0.1, "interface_jump", 3)
-        rule = build_quadrature(p.domain, 6, 12, 3, "sphere_gamma")  # a new rule
-        analyze(v, p.domain.a, 8, rule)
-        normal_trace(y_e - y_i, p.domain.R, 8,
-                     build_quadrature(p.domain, 6, 12, 3, "sphere_Gamma"))
+        rules = [build_quadrature(p.domain, 6, 12, 3, region)  # new rules
+                 for region in ("sphere_gamma", "sphere_Gamma")]
+        analyze(v, p.domain.a, 8, rules[0])
+        normal_trace(y_e - y_i, p.domain.R, 8, rules[1])
+        assert [rule._derived for rule in rules] == [{}, {}]
 
-    def test_termless_copies_keep_the_projection(self, catalog):
-        # a field without terms, a flux with a potential and a bump on the
-        # sphere are sampled and projected, bit for bit
+    def test_what_the_terms_cannot_give_is_refused(self, catalog):
+        # a field without terms, a flux with a potential (whose normal trace
+        # has degree up to 3) and a bump whose support holds the sphere (whose
+        # normal trace (e . omega)(c . phi) has degree 2)
         for mp in catalog.values():
             p = mp.problem
             a, R, L = p.domain.a, p.domain.R, p.trace_degree
             v = perturb(mp, "v", 0.1, "boundary_mode", 4)
             y_i, y_e = perturb(mp, "y_broken", 0.1, "interface_jump", 4)
-            for got, want in (
-                    (analyze(termless(v), a, L, p.quads.gamma),
-                     projected(v, a, L, p.quads.gamma)),
-                    (normal_trace(termless(y_e - y_i), R, L, p.quads.Gamma),
-                     projected_normal(y_e - y_i, R, L, p.quads.Gamma)),
-                    (normal_trace(y_e, R, L, p.quads.Gamma),
-                     projected_normal(y_e, R, L, p.quads.Gamma))):
-                assert got.coefficients.tobytes() == want.coefficients.tobytes()
-                assert got.above_band == want.above_band
-
-    def test_bump_on_the_sphere_is_projected(self):
+            with pytest.raises(ValueError, match=r"^v \('.*'\) has no terms"):
+                analyze(termless(v), a, L, p.quads.gamma, "v")
+            with pytest.raises(ValueError, match=r"^the flux \('.*'\) has no terms"):
+                normal_trace(termless(y_e - y_i), R, L, p.quads.Gamma)
+            with pytest.raises(ValueError, match=r"^the flux \('.*'\) has a potential"):
+                normal_trace(y_e, R, L, p.quads.Gamma)
         bump = separable_field(lambda r: np.cos(r - 2.0), lambda r: -np.sin(r - 2.0),
                                (0.3, -0.2, 0.5, 0.1), label="on-sphere", support=(1.5, 2.5))
         y = _flux_bump(bump, np.array([0.0, 0.6, 0.8]))
-        assert y.bumps
-        got, want = normal_trace(y, 2.0, 6, GAMMA3), projected_normal(y, 2.0, 6, GAMMA3)
-        assert got.coefficients.tobytes() == want.coefficients.tobytes()
-        assert got.above_band == want.above_band > 0.0  # (e . omega)(c . phi) has degree 2
+        with pytest.raises(ValueError, match="bump whose support holds the sphere of radius 2.0"):
+            normal_trace(y, 2.0, 6, GAMMA3)
+        assert sampled_normal_trace(y, 2.0, 6, GAMMA3).above_band > 0.0
+        # off the sphere the bump adds nothing
+        outside = build_quadrature(ExteriorDomain(3, 1.0, 3.0), 6, 12, 3, "sphere_Gamma")
+        assert not normal_trace(y, 3.0, 6, outside).coefficients.any()
 
     @pytest.mark.parametrize("dim,rule", [(3, GAMMA3), (2, GAMMA2)])
     def test_degree_zero_keeps_the_degree_one_energy(self, dim, rule):
@@ -363,7 +358,8 @@ class TestTermPath:
         assert zero.coefficients[0] == full.coefficients[0]
         ones = full.coefficients[1:]
         assert zero.above_band == pytest.approx(float(ones @ ones), rel=1e-15)
-        assert zero.above_band == pytest.approx(projected(f, 2.0, 0, rule).above_band, rel=1e-12)
+        assert zero.above_band == pytest.approx(sampled_trace(f, 2.0, 0, rule).above_band,
+                                                rel=1e-12)
 
     def test_rule_refusals_stay(self):
         f = separable_field(lambda r: 1.0 / r, lambda r: -1.0 / r**2, (1.0, 0.0, 0.0, 1.0))
@@ -371,16 +367,20 @@ class TestTermPath:
             analyze(f, 2.0, 14, GAMMA3)
         with pytest.raises(TraceError, match="requested sphere"):
             analyze(f, 2.0 + 1e-9, 4, GAMMA3)
+        # a rule made from nodes and weights has no radial factor to check
+        made = QuadratureRule(GAMMA3.nodes, GAMMA3.weights, 6, 12, 3)
+        with pytest.raises(TraceError, match="has no radial factor"):
+            analyze(f, 2.0, 4, made)
 
     def test_overflow_keeps_its_message(self, n3_harmonic):
-        # a term sum past the float range is sampled and projected, which
-        # names the overflow as before
+        # a term sum past the float range raises the text that the projection
+        # of its samples raises
         p = n3_harmonic.problem
         v = perturb(n3_harmonic, "v", 1e300, "boundary_mode", 0)
         messages = []
-        for f in (v, termless(v)):
+        for expand in (analyze, sampled_trace):
             with pytest.raises(OverflowError) as exc:
-                analyze(f, p.domain.a, p.trace_degree, p.quads.gamma)
+                expand(v, p.domain.a, p.trace_degree, p.quads.gamma)
             messages.append(str(exc.value))
         assert messages[0] == messages[1] and "beyond the float range" in messages[0]
 
@@ -431,12 +431,8 @@ class TestJump:
     def test_broken_pair_oracle(self):
         # y_i = 0 against y_e = grad(1/r): the jump is the pure constant
         # mode with value -1/R^2
-        zero = VectorField(
-            value=lambda p: np.zeros_like(np.atleast_2d(p), dtype=float), label="0"
-        )
-        ge = VectorField(
-            value=lambda p: -p / node_radii(p)[:, None] ** 3, label="grad 1/r"
-        )
+        ge = solenoidal_harmonic_gradient(3, 0)
+        zero = 0.0 * ge
         ti = normal_trace(zero, 2.0, 6, GAMMA3)
         te = normal_trace(ge, 2.0, 6, GAMMA3)
         j = difference(te, ti)
