@@ -325,10 +325,11 @@ class TestTermPath:
         normal_trace(y_e - y_i, p.domain.R, 8, rules[1])
         assert [rule._derived for rule in rules] == [{}, {}]
 
-    def test_what_the_terms_cannot_give_is_refused(self, catalog):
-        # a field without terms, a flux with a potential (whose normal trace
-        # has degree up to 3) and a bump whose support holds the sphere (whose
-        # normal trace (e . omega)(c . phi) has degree 2)
+    def test_termless_copies_keep_the_projection(self, catalog):
+        # the closed form refuses a field without terms and a flux with a
+        # potential (whose normal trace has degree up to 3); the reference
+        # projection of their samples still expands them, a termless copy bit
+        # for bit as its field
         for mp in catalog.values():
             p = mp.problem
             a, R, L = p.domain.a, p.domain.R, p.trace_degree
@@ -340,9 +341,22 @@ class TestTermPath:
                 normal_trace(termless(y_e - y_i), R, L, p.quads.Gamma)
             with pytest.raises(ValueError, match=r"^the flux \('.*'\) has a potential"):
                 normal_trace(y_e, R, L, p.quads.Gamma)
+            for got, want in (
+                    (sampled_trace(termless(v), a, L, p.quads.gamma),
+                     sampled_trace(v, a, L, p.quads.gamma)),
+                    (sampled_normal_trace(termless(y_e - y_i), R, L, p.quads.Gamma),
+                     sampled_normal_trace(y_e - y_i, R, L, p.quads.Gamma))):
+                assert got.coefficients.tobytes() == want.coefficients.tobytes()
+                assert got.above_band == want.above_band
+
+    def test_bump_on_the_sphere_is_projected(self):
+        # the closed form refuses a bump whose support holds the sphere; the
+        # reference projection of its samples has energy above the band, as
+        # its normal trace (e . omega)(c . phi) has degree 2
         bump = separable_field(lambda r: np.cos(r - 2.0), lambda r: -np.sin(r - 2.0),
                                (0.3, -0.2, 0.5, 0.1), label="on-sphere", support=(1.5, 2.5))
         y = _flux_bump(bump, np.array([0.0, 0.6, 0.8]))
+        assert y.bumps
         with pytest.raises(ValueError, match="bump whose support holds the sphere of radius 2.0"):
             normal_trace(y, 2.0, 6, GAMMA3)
         assert sampled_normal_trace(y, 2.0, 6, GAMMA3).above_band > 0.0
