@@ -353,25 +353,21 @@ def cmd_verify_poincare(cfg: ScenarioConfig, out: str) -> int:
 
     dom3 = pc.ExteriorDomain(3, 1.0, 2.0)
     for beta in (0.0, 1.0, 1.0 - 3 / 2 + 0.1):
-        for u in pc.random_bumps(dom3, count, seed):
-            records.append(pc.verify_power_weight(dom3, u, beta))
+        records += pc.verify_power_weight(dom3, pc.random_bumps(dom3, count, seed), beta)
         seed += 1
     dom2 = pc.ExteriorDomain(2, 1.0, 2.0)
     for beta in (0.0, 0.5, 1.0):
-        for u in pc.random_bumps(dom2, count, seed):
-            records.append(pc.verify_log_weight(dom2, u, beta))
+        records += pc.verify_log_weight(dom2, pc.random_bumps(dom2, count, seed), beta)
         seed += 1
     rng = np.random.default_rng(seed)
     for beta in (0.0, 1.0):
+        bumps = []
         for _ in range(count):
             c = rng.uniform(0.5, 6.0)
-            rad = rng.uniform(0.1, 0.9) * c
-            records.append(pc.verify_halfline(pc.BumpFunction((c,), rad), beta))
-        records.append(pc.verify_halfline(pc.BumpFunction((0.0,), 2.0), beta))
-    for u in pc.random_bumps(dom3, count, seed + 17):
-        records.extend(pc.verify_corollary_chain(dom3, u))
-    for u in pc.random_bumps(dom2, count, seed + 18):
-        records.extend(pc.verify_corollary_chain(dom2, u))
+            bumps.append(pc.BumpFunction((c,), rng.uniform(0.1, 0.9) * c))
+        records += pc.verify_halfline(bumps + [pc.BumpFunction((0.0,), 2.0)], beta)
+    records += pc.verify_corollary_chain(dom3, pc.random_bumps(dom3, count, seed + 17))
+    records += pc.verify_corollary_chain(dom2, pc.random_bumps(dom2, count, seed + 18))
 
     identities = []
     for u in pc.random_bumps(dom3, max(10, count // 10), seed + 19):

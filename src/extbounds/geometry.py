@@ -81,14 +81,20 @@ def _gauss_legendre(order: int):
 
 def _composite_interval(lo: float, hi: float, order: int, panels: int,
                         edges: np.ndarray | None = None):
-    """Composite Gauss-Legendre nodes/weights on [lo, hi], fixed ordering."""
+    """Composite Gauss-Legendre nodes/weights on [lo, hi], fixed ordering;
+    for arrays of ends, one row per interval, with np.linspace's steps taken
+    for each (np.linspace of arrays scales all rows another way once one is
+    empty)."""
     x, w = _gauss_legendre(order)
     if edges is None:
-        edges = np.linspace(lo, hi, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
+        step = (np.asarray(hi, dtype=float) - lo) / panels
+        edges = np.multiply.outer(step, np.arange(panels + 1.0)) + np.expand_dims(lo, -1)
+        edges[..., -1] = hi
+    mids = 0.5 * (edges[..., :-1] + edges[..., 1:])
     halfs = 0.5 * np.diff(edges)
-    return ((mids[:, None] + halfs[:, None] * x).ravel(),
-            (halfs[:, None] * w).ravel())
+    rows = mids.shape[:-1] + (-1,)
+    return ((mids[..., None] + halfs[..., None] * x).reshape(rows),
+            (halfs[..., None] * w).reshape(rows))
 
 
 def _tail_edges(panels: int) -> np.ndarray:
@@ -353,11 +359,11 @@ def exact_dot(values: np.ndarray, weights: np.ndarray):
 
 # exact_sum hands 1-D arrays shorter than _SMALL to math.fsum, as a list
 # of floats, which is faster there, and reads longer ones in blocks of at
-# most _BLOCK values, whose 64 KB temporaries stay in cache and on malloc's
-# heap.  Values of magnitude _BIG or more, where fsum can overflow on the
+# most _BLOCK values, through one 128 KB buffer per call, which stays in
+# cache.  Values of magnitude _BIG or more, where fsum can overflow on the
 # way, non-finite values and rows longer than _LONGEST go to fsum.
 _SMALL = 512
-_BLOCK = 1 << 13
+_BLOCK = 1 << 14
 _BIG = 2.0**960
 _LONGEST = 1 << 26  # keeps lead <= 27 in _extracted_sums
 
@@ -399,9 +405,10 @@ def _extracted_sums(x, k, lead):
     width = max(1, _BLOCK // len(x))
     sigma = math.ldexp(1.0, k)
     taus, rhos = [], []
+    block = np.empty((len(x), min(width, x.shape[1])))
     for start in range(0, x.shape[1], width):
         src = x[:, start:start + width]
-        q = np.add(src, sigma)
+        q = np.add(src, sigma, out=block[:, :src.shape[1]])
         q -= sigma
         taus.append(q.sum(axis=1))
         rhos.append(np.subtract(src, q, out=q).sum(axis=1))

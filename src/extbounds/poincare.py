@@ -14,17 +14,23 @@ at r = 1.  The unit-factor comparison fails for every nonzero function
 the provable sqrt(2).  All headline constants are unaffected: they flow
 through the weight r, and rho >= r holds pointwise.
 
-The samples and the densities summed over them go into arrays kept per
-grid shape (``_grid``).  An N = 2 grid array is 221 KB, above glibc's
-128 KB mmap threshold: a new one per record would be mapped, or taken from
-a heap top that free trims back, and its pages faulted in anew each time.
+Each check takes a batch of bumps of one dimension and returns their
+records in order.  The radial factors of up to BATCH bumps (distance
+nodes and weights, u and du/ds) are computed as one (bumps, nodes) array
+each; the half line's records are summed with them, a row each, and an
+off-center bump's (distance, angle) grid is built in arrays kept per grid
+shape (``_grid``).  An N = 2 grid array is 221 KB, above glibc's 128 KB mmap
+threshold: a new one per record would be mapped, or taken from a heap top
+that free trims back, and its pages faulted in anew each time.  Every
+record sums all its densities in one ``exact_sum``; exact sums do not
+depend on order, so a record has the same bits in any batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,6 +53,9 @@ IDENTITY_RTOL = 1e-9
 PANELS = 48
 ORDER = 12
 ANGULAR = 24
+# bumps sampled at once: a (16, 576) array is 74 KB, below glibc's 128 KB
+# mmap threshold, so a batch's radial arrays come from the heap
+BATCH = 16
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +74,7 @@ class BumpFunction:
     def dimension(self) -> int:
         return len(self.center)
 
-    @property
+    @cached_property
     def center_radius(self) -> float:
         return float(np.linalg.norm(self.center))
 
@@ -85,14 +94,17 @@ class BumpFunction:
 @lru_cache(maxsize=None)
 def _grid(shape: tuple) -> np.ndarray:
     """Seven arrays of a grid shape, kept across records (one record at a
-    time): the samples' r, du/dr and weights, ln r and three densities."""
+    time): the samples' r, weights and du/dr, then four for densities."""
     return np.empty((7,) + shape)
 
 
-def samples(u: BumpFunction) -> dict:
+def samples(bumps):
     """Quadrature samples of (r, u, radial derivative, gradient magnitude,
-    weight) over the support of a test function, and its value u0 at the
-    origin of the half line (0 off the half line).
+    weight) over the supports of a batch of test functions of one
+    dimension, and their values u0 at the origin of the half line (0 off
+    the half line), BATCH bumps at a time.  Every array has one row per
+    record: the half line yields one dict per BATCH bumps, a row each; an
+    off-center ball bump yields a dict of its own, with one row.
 
     Off-center ball bumps reduce to a 2D (distance, angle) integral by
     axial symmetry around the center direction: the samples are (distance,
@@ -100,93 +112,84 @@ def samples(u: BumpFunction) -> dict:
     distance only, (distance, 1) columns.  A one-dimensional bump is
     sampled on its support's part of [0, inf) with the plain measure dr.
 
-    r, du/dr and the weights are arrays kept per shape (``_grid``): the
-    next call of the same dimension overwrites them.
+    Each dict's ``kept`` holds seven arrays of its samples' shape, the
+    last four free for densities.  Off the half line they are the arrays
+    kept per shape (``_grid``), r, the weights and du/dr the first three:
+    the next dict of the same dimension overwrites them.
     """
-    n = u.dimension
-    if n == 1:
-        c, rad = u.center[0], u.radius
-        r, wr = _composite_interval(max(c - rad, 0.0), max(c + rad, 0.0), ORDER, PANELS)
-        t = (r - c) / rad
-        kept = _grid(r.shape)
-        kept[0], kept[2] = r, wr
-        val, der = mollifier_and_deriv(t)
-        der = np.divide(der, rad, out=kept[1])
-        t0 = -c / rad
-        return {
-            "r": kept[0],
-            "u": val,
-            "du_r": der,
-            "grad": np.abs(der),
-            "w": kept[2],
-            "u0": float(mollifier(np.array([t0]))[0]),
-            "dimension": 1,
-        }
+    if not bumps:
+        return
+    n = bumps[0].dimension
     if n == 3:
-        cos, wmu = _gauss_legendre(ANGULAR)
-        wang = 2.0 * math.pi * wmu
+        cos, wang = _gauss_legendre(ANGULAR)
+        wang = 2.0 * math.pi * wang
     elif n == 2:
         dirs, wang = _unit_sphere_rule(2, ANGULAR)
         cos = dirs[:, 0]
-    else:
+    elif n != 1:
         raise ValueError("off-center bumps support dimensions 1-3")
+    for start in range(0, len(bumps), BATCH):
+        batch = bumps[start:start + BATCH]
+        rad = np.array([u.radius for u in batch])
+        c = np.array([u.center[0] if n == 1 else 0.0 for u in batch])
+        s, ws = _composite_interval(np.maximum(c - rad, 0.0), np.maximum(c + rad, 0.0),
+                                    ORDER, PANELS)
+        val, der = mollifier_and_deriv((s - c[:, None]) / rad[:, None])
+        der /= rad[:, None]
+        grad = np.abs(der)
+        if n == 1:
+            yield {"r": s, "u": val, "du_r": der, "grad": grad, "w": ws,
+                   "u0": mollifier(-c / rad), "kept": np.empty((7,) + s.shape)}
+            continue
+        kept = _grid((1, s.shape[1], len(cos)))
+        r, weight, du_r = kept[:3]
+        s2, sw = s**2, s ** (n - 1) * ws
+        s, val, der, grad = s[:, :, None], val[:, :, None], der[:, :, None], grad[:, :, None]
+        for i, u in enumerate(batch):
+            cr, si = u.center_radius, s[i]
+            # r = sqrt(c^2 + s^2 + 2 c s cos), and the radial derivative of u at
+            # x = center + s*omega, (x/r) . grad u = u'(s) * (s + c cos) / r
+            np.sqrt(np.add(cr**2 + s2[i][:, None], np.multiply(2.0 * cr * si, cos, out=r), out=r),
+                    out=r)
+            np.divide(np.multiply(der[i], np.add(si, cr * cos, out=du_r), out=du_r), r, out=du_r)
+            np.multiply(sw[i][:, None], wang, out=weight)
+            yield {"r": kept[0], "u": val[i:i + 1], "du_r": kept[2], "grad": grad[i:i + 1],
+                   "w": kept[1], "u0": np.zeros(1), "kept": kept}
 
-    c = u.center_radius
-    s, ws = _composite_interval(0.0, u.radius, ORDER, PANELS)
-    t = s / u.radius
-    val_s, der_s = mollifier_and_deriv(t)
-    der_s = der_s / u.radius
-    s = s[:, None]
-    r, du_r, weight = _grid((len(s), len(cos)))[:3]
-    # r = sqrt(c^2 + s^2 + 2 c s cos), and the radial derivative of u at
-    # x = center + s*omega, (x/r) . grad u = u'(s) * (s + c cos) / r
-    np.sqrt(np.add(c**2 + s**2, np.multiply(2.0 * c * s, cos, out=r), out=r), out=r)
-    np.divide(np.multiply(der_s[:, None], np.add(s, c * cos, out=du_r), out=du_r), r, out=du_r)
-    np.multiply(s ** (n - 1) * ws[:, None], wang, out=weight)
-    return {
-        "r": r,
-        "u": val_s[:, None],
-        "du_r": du_r,
-        "grad": np.abs(der_s)[:, None],
-        "w": weight,
-        "u0": 0.0,
-        "dimension": n,
-    }
 
-
-def _integral(sm: dict, density: np.ndarray) -> float:
-    """The exact sum of ``density`` times the weights over the samples."""
-    return exact_sum(np.multiply(density, sm["w"], out=_grid(sm["w"].shape)[6]).ravel())
-
-
-def _norm(sm: dict, density: np.ndarray) -> float:
-    return math.sqrt(max(_integral(sm, density), 0.0))
+def _integrals(sm: dict, first: int, count: int) -> np.ndarray:
+    """The integrals of the ``count`` densities ``kept[first:first + count]``
+    of a samples dict over each of its records, the densities multiplied
+    by the weights in place and summed in one ``exact_sum``: a (count,
+    records) array."""
+    dens = sm["kept"][first:first + count]
+    dens *= sm["w"]
+    return exact_sum(dens.reshape(count * len(dens[0]), -1)).reshape(count, -1)
 
 
 def _logs(sm: dict, what: str) -> np.ndarray:
     """ln r at the samples, for ``what``, which needs them all at r > 1."""
     if np.min(sm["r"]) <= 1.0:
         raise ValueError(f"{what} needs support at radius > 1")
-    return np.log(sm["r"], out=_grid(sm["r"].shape)[3])
+    return np.log(sm["r"], out=sm["kept"][6])
 
 
 def _sides(sm: dict, const: float, w: np.ndarray, beta: float, logs=None):
-    """The two sides of a weighted inequality: const ||w^{b-1} u|| (u
-    divided by ``logs`` when given) and 2 ||w^b du/dr||.  A power w^0 is
-    not taken: it is 1 (pow(x, +-0) = 1, C99 F.9.4.4), and 1 x = x, so the
-    sides keep their bits."""
-    lhs, rhs, tmp = sides = _grid(sm["w"].shape)[4:]
+    """The two sides of a weighted inequality for each record: const
+    ||w^{b-1} u|| (u divided by ``logs`` when given) and 2 ||w^b du/dr||,
+    as two arrays.  A power w^0 is not taken: it is 1 (pow(x, +-0) = 1,
+    C99 F.9.4.4), and 1 x = x, so the sides keep their bits."""
+    kept = sm["kept"]
+    lhs, rhs, tmp = kept[3:6]
     factor = np.power(w, 2 * beta - 2, out=lhs) if 2 * beta - 2 else 1.0
     if logs is not None:
         factor = np.divide(factor, np.square(logs, out=tmp), out=lhs)
     np.multiply(factor, sm["u"] ** 2, out=lhs)
-    lhs *= sm["w"]
     np.square(sm["du_r"], out=rhs)
     if beta:
         rhs *= np.power(w, 2 * beta, out=tmp)
-    rhs *= sm["w"]
-    lhs, rhs = np.sqrt(np.maximum(exact_sum(sides[:2].reshape(2, -1)), 0.0))
-    return const * float(lhs), 2.0 * float(rhs)
+    lhs, rhs = np.sqrt(np.maximum(_integrals(sm, 3, 2), 0.0))
+    return const * lhs, 2.0 * rhs
 
 
 # ---------------------------------------------------------------------------
@@ -221,26 +224,31 @@ def records_to_csv(records, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _records(inequality_id: str, n: int, beta: float, lhs, rhs) -> list:
+    return [VerificationRecord(inequality_id, n, beta, left, right)
+            for left, right in zip(lhs.tolist(), rhs.tolist())]
+
+
 # ---------------------------------------------------------------------------
-# the inequalities
+# the inequalities (each on a batch of bumps, validated whole before any is
+# sampled)
 
 
-def verify_power_weight(domain: ExteriorDomain, u, beta: float) -> VerificationRecord:
+def verify_power_weight(domain: ExteriorDomain, bumps, beta: float) -> list:
     """(2b + N - 2) ||r^{b-1} u|| <= 2 ||r^b du/dr|| for b > 1 - N/2."""
-    sm = samples(u)
-    n = sm["dimension"]
+    n = domain.dimension
     if beta <= 1.0 - n / 2.0:
         raise ValueError(f"beta must exceed 1 - N/2 = {1 - n / 2}, got {beta}")
-    u.check_inside(domain)
-    lhs, rhs = _sides(sm, 2.0 * beta + n - 2.0, sm["r"], beta)
-    return VerificationRecord("power_weight", n, beta, lhs, rhs)
+    for u in bumps:
+        u.check_inside(domain)
+    return [rec for sm in samples(bumps) for rec in _records(
+        "power_weight", n, beta, *_sides(sm, 2.0 * beta + n - 2.0, sm["r"], beta))]
 
 
-def verify_log_weight(domain: ExteriorDomain, u, beta: float) -> VerificationRecord:
+def verify_log_weight(domain: ExteriorDomain, bumps, beta: float) -> list:
     """|2b + N - 3| ||r^{b-1} u / ln r|| <= 2 ||r^b du/dr|| for supports at
     radius > 1 and b outside the band (1 - N/2, (3 - N)/2)."""
-    sm = samples(u)
-    n = sm["dimension"]
+    n = domain.dimension
     lo, hi = 1.0 - n / 2.0, (3.0 - n) / 2.0
     if lo < beta < hi:
         raise ValueError(
@@ -248,59 +256,73 @@ def verify_log_weight(domain: ExteriorDomain, u, beta: float) -> VerificationRec
         )
     if domain.a < 1.0:
         raise ValueError("log-weight inequality needs inner radius >= 1")
-    u.check_inside(domain)
-    logs = _logs(sm, "log-weight inequality")
-    lhs, rhs = _sides(sm, abs(2.0 * beta + n - 3.0), sm["r"], beta, logs)
-    return VerificationRecord("log_weight", n, beta, lhs, rhs)
+    for u in bumps:
+        u.check_inside(domain)
+    return [rec for sm in samples(bumps) for rec in _records(
+        "log_weight", n, beta, *_sides(sm, abs(2.0 * beta + n - 3.0), sm["r"], beta,
+                                       _logs(sm, "log-weight inequality")))]
 
 
-def verify_halfline(u, beta: float) -> VerificationRecord:
+def verify_halfline(bumps, beta: float) -> list:
     """|2b - 1| ||(1+r)^{b-1} u|| <= 2 ||(1+r)^b u'|| + |2 min(0, 2b-1)|^{1/2} |u(0)|
     on the half line, u extended by zero."""
-    sm = samples(u)
-    if sm["dimension"] != 1:
+    if any(u.dimension != 1 for u in bumps):
         raise ValueError("half-line inequality is one-dimensional")
     gamma_hat = 2.0 * beta - 1.0
-    lhs, rhs = _sides(sm, abs(gamma_hat), 1.0 + sm["r"], beta)
-    rhs += math.sqrt(abs(2.0 * min(0.0, gamma_hat))) * abs(sm["u0"])
-    return VerificationRecord("halfline", 1, beta, lhs, rhs)
+    records = []
+    for sm in samples(bumps):
+        lhs, rhs = _sides(sm, abs(gamma_hat), 1.0 + sm["r"], beta)
+        rhs += math.sqrt(abs(2.0 * min(0.0, gamma_hat))) * np.abs(sm["u0"])
+        records += _records("halfline", 1, beta, lhs, rhs)
+    return records
 
 
-def verify_corollary_chain(domain: ExteriorDomain, u) -> list[VerificationRecord]:
+def verify_corollary_chain(domain: ExteriorDomain, bumps) -> list:
     """Check every link of the norm chains implied by the inequalities at
-    beta = 0, one record per link; the domain's dimension picks the chain.
+    beta = 0, one record per link and bump; the domain's dimension picks
+    the chain.
 
     case "i" (N = 3): rho-weighted <= sqrt(2) (1+r)-weighted <= sqrt(2)
     r-weighted <= sqrt(2) c_N radial derivative <= ... full gradient; the
     four links are recorded with the sqrt(2) on the first.
     case "ii" (N = 2): log-weighted <= 2 radial <= 2 full.
     """
-    u.check_inside(domain)
-    sm = samples(u)
-    n = sm["dimension"]
+    for u in bumps:
+        u.check_inside(domain)
+    n = domain.dimension
     case = "i" if n == 3 else "ii"
 
     def link(name, lhs, rhs):
         return VerificationRecord(f"chain_{case}_{name}", n, 0.0, lhs, rhs)
 
-    r, u2, d = sm["r"], sm["u"] ** 2, _grid(sm["w"].shape)[4]
-    n_dr = _norm(sm, np.square(sm["du_r"], out=d))
-    n_gr = _norm(sm, sm["grad"] ** 2)
-
-    if n == 2:
-        logs = _logs(sm, "chain case 'ii'")
-        n_log = _norm(sm, np.divide(u2, np.square(np.multiply(r, logs, out=d), out=d), out=d))
-        return [link("log_vs_radial", n_log, 2.0 * n_dr),
-                link("radial_vs_gradient", 2.0 * n_dr, 2.0 * n_gr)]
-
-    n_rho = _norm(sm, np.divide(u2, np.add(1.0, np.square(r, out=d), out=d), out=d))
-    n_opr = _norm(sm, np.divide(u2, np.square(np.add(1.0, r, out=d), out=d), out=d))
-    n_r = _norm(sm, np.divide(u2, np.square(r, out=d), out=d))
-    c_n = 2.0 / (n - 2.0)
-    return [link("rho_vs_1plusr", n_rho, WEIGHT_EQUIV * n_opr),
-            link("1plusr_vs_r", n_opr, n_r),
-            link("r_vs_radial", n_r, c_n * n_dr),
-            link("radial_vs_gradient", c_n * n_dr, c_n * n_gr)]
+    records = []
+    for sm in samples(bumps):
+        # the weighted densities in kept[2:]: (du/dr)^2 over du/dr, |grad u|^2,
+        # then u^2 over (r ln r)^2 (N = 2) or over 1 + r^2, (1 + r)^2 and r^2
+        r, u2, kept = sm["r"], sm["u"] ** 2, sm["kept"]
+        np.square(sm["du_r"], out=kept[2])
+        kept[3] = sm["grad"] ** 2
+        if n == 2:
+            d = np.multiply(r, _logs(sm, "chain case 'ii'"), out=kept[4])
+            np.divide(u2, np.square(d, out=d), out=d)
+        else:
+            d = kept[4:7]
+            np.divide(u2, np.add(1.0, np.square(r, out=d[0]), out=d[0]), out=d[0])
+            np.divide(u2, np.square(np.add(1.0, r, out=d[1]), out=d[1]), out=d[1])
+            np.divide(u2, np.square(r, out=d[2]), out=d[2])
+        norms = np.sqrt(np.maximum(_integrals(sm, 2, 3 if n == 2 else 5)[:, 0], 0.0)).tolist()
+        n_dr, n_gr = norms[:2]
+        if n == 2:
+            records += [link("log_vs_radial", norms[2], 2.0 * n_dr),
+                        link("radial_vs_gradient", 2.0 * n_dr, 2.0 * n_gr)]
+            continue
+        n_rho, n_opr, n_r = norms[2:]
+        c_n = 2.0 / (n - 2.0)
+        records += [link("rho_vs_1plusr", n_rho, WEIGHT_EQUIV * n_opr),
+                    link("1plusr_vs_r", n_opr, n_r),
+                    link("r_vs_radial", n_r, c_n * n_dr),
+                    link("radial_vs_gradient", c_n * n_dr, c_n * n_gr)]
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -331,38 +353,46 @@ def partial_integration_identity(
     """Quadrature check of the exact expansion of
     ||w^b du/dr + gamma_hat w^{b-1} u||^2 used to prove each inequality;
     the dimension of u picks the weight w: r (N = 3), r with a log (N = 2)
-    or 1 + r (the half line)."""
-    sm = samples(u)
-    n = sm["dimension"]
-    r, uu, dur = sm["r"], sm["u"], sm["du_r"]
+    or 1 + r (the half line).  Its densities are summed in one
+    ``exact_sum``; a power w^0 is not taken, as in ``_sides``."""
+    (sm,) = samples([u])
+    n = u.dimension
+    r, uu, dur, kept = sm["r"], sm["u"], sm["du_r"], sm["kept"]
     variant = {3: "power", 2: "log", 1: "halfline"}[n]
-    a, b = _grid(r.shape)[4:6]
+    # the densities, in kept[3:]: the combination's square, the gradient
+    # term's and the u terms' w^{2b-2} u^2 over (ln r)^2 and ln r (N = 2)
+    # or alone; the log (N = 2) is taken into kept[6]
+    combo, grad, u_a, u_b = kept[3:7]
     logs = _logs(sm, "log identity") if n == 2 else None
     weight = r if n != 1 else 1.0 + r
     gh = 2.0 * beta + n - (3.0 if n == 2 else 2.0) if gamma_hat is None else gamma_hat
     # combo = w^b du/dr + gh w^{b-1} u, with gh w^{b-1} divided by ln r for N = 2
-    np.multiply(gh, np.power(weight, beta - 1, out=b), out=b)
+    b = np.multiply(gh, np.power(weight, beta - 1, out=grad), out=grad) if beta != 1 else gh
     if logs is not None:
-        b /= logs
-    np.multiply(np.power(weight, beta, out=a), dur, out=a)
-    lhs = _integral(sm, np.square(np.add(a, np.multiply(b, uu, out=b), out=a), out=a))
-    np.multiply(np.power(weight, 2 * beta, out=a), np.square(dur, out=b), out=a)
-    grad_term = _integral(sm, a)
-
-    def u_term(logs_power):  # the integral of w^{2b-2} u^2 / (ln r)^logs_power
-        np.power(weight, 2 * beta - 2, out=a)
-        if logs_power:
-            np.divide(a, logs if logs_power == 1 else np.square(logs, out=b), out=a)
-        return _integral(sm, np.multiply(a, uu**2, out=a))
+        b = np.divide(b, logs, out=grad)
+    a = np.multiply(np.power(weight, beta, out=combo), dur, out=combo) if beta else dur
+    np.square(np.add(a, np.multiply(b, uu, out=grad), out=combo), out=combo)
+    np.square(dur, out=grad)
+    if beta:
+        grad *= np.power(weight, 2 * beta, out=u_a)
+    power = np.power(weight, 2 * beta - 2, out=kept[2]) if 2 * beta - 2 else 1.0
+    if logs is not None:
+        np.divide(power, np.square(logs, out=u_a), out=u_a)
+        np.divide(power, logs, out=u_b)
+        kept[5:7] *= uu**2
+    else:
+        np.multiply(power, uu**2, out=u_a)
+    lhs, grad_term, *u_terms = _integrals(sm, 3, 4 if n == 2 else 3)[:, 0].tolist()
 
     if n == 2:
-        rhs = (grad_term + gh * (gh + 1.0) * u_term(2)
-               - gh * (n + 2.0 * beta - 2.0) * u_term(1))
+        rhs = (grad_term + gh * (gh + 1.0) * u_terms[0]
+               - gh * (n + 2.0 * beta - 2.0) * u_terms[1])
     else:
         # the boundary coefficient is -gh |u(0)|^2 per half line (u(0) is
         # 0 for N = 3); the two-sided whole-line form doubles it, but our
         # test functions live on [0, inf) extended by zero
-        rhs = grad_term + gh * (gh - 2.0 * beta - n + 2.0) * u_term(0) - gh * sm["u0"] ** 2
+        u0 = float(sm["u0"][0])
+        rhs = grad_term + gh * (gh - 2.0 * beta - n + 2.0) * u_terms[0] - gh * u0**2
     return IdentityRecord(variant, n, beta, gh, lhs, rhs)
 
 
@@ -384,4 +414,3 @@ def random_bumps(domain: ExteriorDomain, count: int,
         direction /= np.linalg.norm(direction)
         out.append(BumpFunction(tuple(cr * direction), rad))
     return out
-

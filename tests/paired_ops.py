@@ -2,7 +2,7 @@
 process, and check that both give the same outputs.
 
     python tests/paired_ops.py --parent SRC --change SRC --workload warm|cli --rounds N
-                               [--calibrate] [--count MODULE.FUNCTION]
+                               [--calibrate] [--count MODULE.FUNCTION] [--only TEXT]
 
 loads the ``extbounds`` package of each ``SRC`` (a checkout's ``src``
 directory) as its own set of modules, builds the workload's operations
@@ -33,8 +33,11 @@ With ``--count MODULE.FUNCTION`` (a function of the package, such as
 ``fields.term_products``) each side's function is wrapped wherever a
 module of its package binds it, and each operation's line also gives the
 calls one run of it made on each side, the mean over the timed rounds;
-both sides then pay the wrapper in their times.  The file name has no
-``test_`` prefix, so pytest does not collect it.
+both sides then pay the wrapper in their times.
+
+With ``--only TEXT`` only the operations whose label contains TEXT are
+paired (and warmed up), so that one command can be compared in seconds.
+The file name has no ``test_`` prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -132,6 +135,8 @@ def main(argv=None) -> int:
                         help="take two calibration samples before each operation")
     parser.add_argument("--count", metavar="MODULE.FUNCTION",
                         help="count each operation's calls of this package function")
+    parser.add_argument("--only", metavar="TEXT", default="",
+                        help="pair only the operations whose label contains TEXT")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -145,8 +150,10 @@ def main(argv=None) -> int:
     ops = {}
     for side in SIDES:
         use(packages[side])
-        ops[side] = operations(wl, args.workload)
+        ops[side] = [op for op in operations(wl, args.workload) if args.only in op.label]
     labels = [op.label for op in ops["parent"]]
+    if not labels:
+        parser.error(f"no {args.workload} operation's label contains {args.only!r}")
     times = {side: [[0.0] * len(labels) for _ in range(args.rounds)] for side in SIDES}
     calls = {side: [0] * len(labels) for side in SIDES}  # over the timed rounds
     first: list = [None] * len(labels)  # the parent's fingerprints of the warm-up round

@@ -139,29 +139,28 @@ def test_acceptance_4_poincare_suite():
     checks = 0
 
     for beta in (0.0, 1.0, 1.0 - 3 / 2 + 0.1):
-        for u in pc.random_bumps(dom3, 100, seed=101 + int(10 * beta)):
-            assert verify_and_count(pc.verify_power_weight(dom3, u, beta))
-            checks += 1
+        recs = pc.verify_power_weight(dom3, pc.random_bumps(dom3, 100, seed=101 + int(10 * beta)),
+                                      beta)
+        assert len(recs) == 100 and all(map(verify_and_count, recs)), recs
+        checks += 100
     for beta in (0.0, 0.5, 1.0):
-        for u in pc.random_bumps(dom2, 100, seed=211 + int(10 * beta)):
-            assert verify_and_count(pc.verify_log_weight(dom2, u, beta))
-            checks += 1
+        recs = pc.verify_log_weight(dom2, pc.random_bumps(dom2, 100, seed=211 + int(10 * beta)),
+                                    beta)
+        assert len(recs) == 100 and all(map(verify_and_count, recs)), recs
+        checks += 100
     rng = np.random.default_rng(307)
     for beta in (0.0, 1.0):
+        bumps = []
         for _ in range(100):
             c = rng.uniform(0.5, 6.0)
-            rad = rng.uniform(0.1, 0.9) * c
-            assert verify_and_count(
-                pc.verify_halfline(pc.BumpFunction((c,), rad), beta)
-            )
-            checks += 1
-        assert pc.verify_halfline(pc.BumpFunction((0.0,), 2.0), beta).passed
-        checks += 1
+            bumps.append(pc.BumpFunction((c,), rng.uniform(0.1, 0.9) * c))
+        recs = pc.verify_halfline(bumps + [pc.BumpFunction((0.0,), 2.0)], beta)
+        assert len(recs) == 101 and all(map(verify_and_count, recs)), recs
+        checks += 101
 
-    for u in pc.random_bumps(dom3, 100, seed=401):
-        recs = pc.verify_corollary_chain(dom3, u)
-        assert len(recs) == 4 and all(r.passed for r in recs), recs
-        checks += 4
+    recs = pc.verify_corollary_chain(dom3, pc.random_bumps(dom3, 100, seed=401))
+    assert len(recs) == 400 and all(r.passed for r in recs), recs
+    checks += 400
 
     id_worst = 0.0
     for u in pc.random_bumps(dom3, 20, seed=503):

@@ -84,6 +84,17 @@ class TestBuild:
         assert np.array_equal(got[0], np.concatenate(nodes))
         assert np.array_equal(got[1], np.concatenate(weights))
 
+    def test_composite_interval_rows_match_lone_calls(self):
+        # arrays of ends give one row per interval, each with the bits of
+        # its own call, and a zero-length interval changes no other row
+        lo, hi = np.array([0.3, 0.0, 1.0, 2.0]), np.array([2.9, 0.0, 1.5, 2.0 + 1e-9])
+        nodes, weights = _composite_interval(lo, hi, 12, 48)
+        assert nodes.shape == weights.shape == (4, 12 * 48)
+        for k in range(len(lo)):
+            want = _composite_interval(float(lo[k]), float(hi[k]), 12, 48)
+            assert nodes[k].tobytes() == want[0].tobytes()
+            assert weights[k].tobytes() == want[1].tobytes()
+
     def test_invalid_region(self):
         with pytest.raises(QuadratureError, match="unknown region"):
             build_quadrature(DOM3, 4, 4, 2, "nowhere")
