@@ -872,10 +872,12 @@ def cubic_bump_deriv(t: np.ndarray) -> np.ndarray:
 
 
 def ratio_gradient(pts: np.ndarray, i: int, m: int) -> np.ndarray:
-    """grad(x_i / r^m) = e_i / r^m - m x_i x / r^(m + 2) at the (M, N)
-    nodes ``pts``."""
+    """grad(x_i / r^m) = e_i / r^m - m (x_i / r)(x / r) / r^m at the (M, N)
+    nodes ``pts``; r^m is the one power taken, so the gradient stays finite
+    wherever 1 / r^m does (r^(m + 2) overflows above r ~ 5.6e102 at m = 1)."""
     r = node_radii(pts)
-    out = -m * pts * (pts[:, i] / r ** (m + 2))[:, None]
+    unit = pts / r[:, None]
+    out = -m * unit * (unit[:, i] / r**m)[:, None]
     out[:, i] += 1.0 / r**m
     return out
 

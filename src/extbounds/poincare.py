@@ -19,11 +19,13 @@ records in order.  The radial factors of up to BATCH bumps (distance
 nodes and weights, u and du/ds) are computed as one (bumps, nodes) array
 each; the half line's records are summed with them, a row each, and an
 off-center bump's (distance, angle) grid is built in arrays kept per grid
-shape (``_grid``).  An N = 2 grid array is 221 KB, above glibc's 128 KB mmap
-threshold: a new one per record would be mapped, or taken from a heap top
-that free trims back, and its pages faulted in anew each time.  Every
-record sums all its densities in one ``exact_sum``; exact sums do not
-depend on order, so a record has the same bits in any batch.
+shape (``_grid``), 288 distances by 16 polar cosines (N = 3) or 32 ring
+points (N = 2): the angular integrand is analytic away from r = 0 (and
+ln r = 0), and ``random_bumps`` keeps radius / |center| <= 0.36, so the
+records lie within 1e-15 of a finer reference rule
+(``tests/poincare_convergence.py``).  Every record sums all its densities
+in one ``exact_sum``; exact sums do not depend on order, so a record has
+the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -47,14 +49,16 @@ from .geometry import (
 WEIGHT_EQUIV = math.sqrt(2.0)
 PASS_RTOL = 1e-10
 IDENTITY_RTOL = 1e-9
-# sampling resolution: Gauss-Legendre panels and order along every radial
-# or distance interval, and angular nodes (polar cosines for N = 3, a ring
-# of twice as many points for N = 2)
+# sampling resolution: Gauss-Legendre panels and order along the half line's
+# intervals (an off-center bump's distance interval [0, radius], half its
+# diameter, takes half as many panels of the same width), and angular nodes
+# (polar cosines for N = 3, a ring of twice as many points for N = 2)
 PANELS = 48
 ORDER = 12
-ANGULAR = 24
-# bumps sampled at once: a (16, 576) array is 74 KB, below glibc's 128 KB
-# mmap threshold, so a batch's radial arrays come from the heap
+ANGULAR = 16
+# bumps sampled at once: a half-line (16, 576) array is 74 KB and an
+# off-center (16, 288) one 37 KB, below glibc's 128 KB mmap threshold, so a
+# batch's radial arrays come from the heap
 BATCH = 16
 
 
@@ -94,7 +98,9 @@ class BumpFunction:
 @lru_cache(maxsize=None)
 def _grid(shape: tuple) -> np.ndarray:
     """Seven arrays of a grid shape, kept across records (one record at a
-    time): the samples' r, weights and du/dr, then four for densities."""
+    time): the samples' r, weights and du/dr, then four for densities.
+    The seven of an N = 2 grid take 516 KB, above glibc's 128 KB mmap
+    threshold: a new set per record would be mapped and faulted in anew."""
     return np.empty((7,) + shape)
 
 
@@ -133,7 +139,7 @@ def samples(bumps):
         rad = np.array([u.radius for u in batch])
         c = np.array([u.center[0] if n == 1 else 0.0 for u in batch])
         s, ws = _composite_interval(np.maximum(c - rad, 0.0), np.maximum(c + rad, 0.0),
-                                    ORDER, PANELS)
+                                    ORDER, PANELS if n == 1 else PANELS // 2)
         val, der = mollifier_and_deriv((s - c[:, None]) / rad[:, None])
         der /= rad[:, None]
         grad = np.abs(der)

@@ -360,7 +360,8 @@ def angular_monomial(dimension: int, index: int):
     def gradient(pts):
         pts = np.atleast_2d(pts)
         r = node_radii(pts)
-        out = -pts * (pts[:, i] / r**3)[:, None]
+        unit = pts / r[:, None]
+        out = -unit * (unit[:, i] / r)[:, None]
         out[:, i] += 1.0 / r
         return out
 
@@ -400,7 +401,8 @@ def harmonic_gradient(dimension: int, index: int):
     def value(pts):
         pts = np.atleast_2d(pts)
         r = node_radii(pts)
-        out = -n * pts * (pts[:, i] / r ** (n + 2))[:, None]
+        unit = pts / r[:, None]
+        out = -n * unit * (unit[:, i] / r**n)[:, None]
         out[:, i] += 1.0 / r**n
         return out
 

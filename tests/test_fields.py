@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,25 @@ class TestClosures:
             f = ScalarField(value=lambda p, i=i: p[:, i] / node_radii(p) ** m,
                             gradient=lambda p, i=i: ratio_gradient(p, i, m), label="x_i/r^m")
             assert check_gradient(f, pts) < 1e-6
+
+    @pytest.mark.parametrize("dim,m,radius", [(3, 1, 1e149), (2, 1, 1e149), (3, 2, 1e149),
+                                              (3, 3, 1e100), (2, 2, 1e150)])
+    def test_ratio_gradient_far_out(self, dim, m, radius):
+        # where r^(m + 2) overflows and r^m does not, the gradient keeps its
+        # second term: each component within 1e-14 of the largest, in mpmath
+        rng = np.random.default_rng(60 + dim + m)
+        dirs = rng.normal(size=(8, dim))
+        pts = radius * (dirs / np.linalg.norm(dirs, axis=1)[:, None])
+        for i in range(dim):
+            got = ratio_gradient(pts, i, m)
+            with mpmath.workdps(30):
+                for x, row in zip(pts, got):
+                    xs = [mpmath.mpf(float(c)) for c in x]
+                    r = mpmath.sqrt(mpmath.fsum(c * c for c in xs))
+                    want = [float((k == i) / r**m - m * xs[i] * c / r ** (m + 2))
+                            for k, c in enumerate(xs)]
+                    assert np.all(np.isfinite(row))
+                    assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_bad_gradient_caught(self):
         f = ScalarField(

@@ -417,11 +417,12 @@ class TestKeptArrays:
 
     def test_records_allocate_no_grid_array(self):
         # after a warm-up record of each kind, N = 2 records allocate their
-        # small arrays and exact_sum's one 128 KB buffer; a new full-grid
-        # (576, 48) array would add 221 KB
+        # small arrays and exact_sum's buffers (128 KB in its first pass,
+        # less than 240 KB in all); a new set of the seven (288, 32) grid
+        # arrays, which _grid keeps, would add 516 KB
         for run in one_of_each(0):
             run()
-        grid = poincare._grid((1, poincare.PANELS * poincare.ORDER, 2 * poincare.ANGULAR))
+        grid = one_sample(random_bumps(DOM2, 1, 44)[0])["kept"]
         runs = [lambda u=u, beta=beta: verify_log_weight(DOM2, [u], beta)
                 for u in random_bumps(DOM2, 1, 44) for beta in (0.0, 1.0)]
         runs += [lambda u=u: verify_corollary_chain(DOM2, [u]) for u in random_bumps(DOM2, 2, 45)]
@@ -433,4 +434,55 @@ class TestKeptArrays:
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - current < grid[0].nbytes
+        assert peak - current < grid.nbytes
+
+
+def extreme_bumps(domain):
+    """The widest draw of ``random_bumps`` (radius 0.45 (|c| - a) at |c| =
+    2.5 R), the draw closest to the inner sphere (the same radius fraction
+    at the least |c|, 1.05 a + 0.05) and two drawn ones: the records depend
+    on |c| and the radius alone."""
+    a, axis = domain.a, np.eye(domain.dimension)[0]
+    ends = [BumpFunction(tuple(cr * axis), 0.45 * (cr - a))
+            for cr in (2.5 * domain.R, 1.05 * a + 0.05)]
+    return ends + random_bumps(domain, 2, seed=61)
+
+
+# the half line's widest and narrowest draws of verify-poincare, its origin
+# bump and one across 0
+HALF_LINE = [BumpFunction((6.0,), 5.4), BumpFunction((0.5,), 0.05), BumpFunction((0.0,), 2.0),
+             BumpFunction((0.5,), 1.0)]
+
+
+class TestConvergence:
+    """Every check on the default rule agrees to 1e-13 relative with the
+    same check on four times the panels and 48 angular nodes, at the
+    extreme draws: the angular integrand of an off-center bump is analytic
+    away from r = 0 (and ln r = 0), so Gauss-Legendre converges
+    geometrically in rad / |c| <= 0.36 there."""
+
+    @pytest.mark.parametrize("check", [
+        lambda: [rec for beta in (0.0, 1.0, -0.4)
+                 for rec in verify_power_weight(DOM3, extreme_bumps(DOM3), beta)],
+        lambda: [rec for beta in (0.0, 0.5, 1.0)
+                 for rec in verify_log_weight(DOM2, extreme_bumps(DOM2), beta)],
+        lambda: [rec for beta in (0.0, 1.0) for rec in verify_halfline(HALF_LINE, beta)],
+        lambda: verify_corollary_chain(DOM3, extreme_bumps(DOM3)),
+        lambda: verify_corollary_chain(DOM2, extreme_bumps(DOM2)),
+        lambda: [partial_integration_identity(u, beta) for beta in (0.0, 1.0)
+                 for u in extreme_bumps(DOM3) + extreme_bumps(DOM2) + HALF_LINE],
+    ], ids=["power_weight", "log_weight", "halfline", "chain_i", "chain_ii", "identities"])
+    def test_default_rule_agrees_with_a_finer_one(self, monkeypatch, check):
+        default = check()
+        composite = poincare._composite_interval
+        monkeypatch.setattr(poincare, "_composite_interval",
+                            lambda lo, hi, order, panels: composite(lo, hi, order, 4 * panels))
+        monkeypatch.setattr(poincare, "ANGULAR", 48)
+        try:
+            fine = check()
+        finally:
+            poincare._grid.cache_clear()  # the finer grids' arrays go
+        assert len(default) == len(fine)
+        for rec, ref in zip(default, fine):
+            for got, want in ((rec.lhs, ref.lhs), (rec.rhs, ref.rhs)):
+                assert abs(got - want) <= 1e-13 * abs(want), (rec, ref)
