@@ -33,15 +33,15 @@ radius r (with a logarithm in 2D) in the inequality machinery
 A scalar or vector field may declare a radial ``support``: the closed
 interval of radii outside which it and its derivative are exactly 0.  It
 holds the field's terms (``_held_to``); the closures are the formulas as
-given, which the shapes ``profile`` places make 0.0 off the support (up to
-the sign of zero).
+given, which the shapes a ``Profile`` places make 0.0 off the support (up
+to the sign of zero).
 
-A separable field also keeps its terms (``Term``: a radial profile p with
-its derivative, angular coefficients c and a support, the function
+A separable field also keeps its terms (``Term``: a radial profile p, a
+``Profile`` value, angular coefficients c and a support, the function
 p(r) (c_0 + c . x/r)).  ``separable_field`` records one, ``c * w`` scales
 them, ``a + b`` and ``a - b`` join them when both operands have terms,
-and like terms merge (``merged``), so u - (u + eps s) has exactly the
-terms of -eps s.  ``None`` marks a field without terms (built from bare
+and like terms, with equal profiles, merge (``merged``), so u - (u + eps
+s) has exactly the terms of -eps s.  ``None`` marks a field without terms (built from bare
 closures) and ``()`` the zero sum, so u - u is the zero field.  A vector
 field keeps the terms of A grad phi (``potential``), of harmonic
 gradients grad h (``gradients``) and of bumps s e (``bumps``, terms with
@@ -107,29 +107,32 @@ def _combined(a, b, op):
 
 
 class Term(NamedTuple):
-    """p(r) (c . phi) with phi = (1, x_1/r, ..., x_N/r): the radial profile
-    p with its derivative dp, the angular coefficients c = (c_0, ..., c_N)
-    and the radial ``support`` (None: every radius) outside which p and dp
-    vanish.  A term with a ``direction`` e is the vector field
-    p(r) (c . phi) e, a bump of a flux (``VectorField.bumps``)."""
+    """p(r) (c . phi) with phi = (1, x_1/r, ..., x_N/r): the radial
+    ``profile`` p (a hashable value with ``p``, ``dp`` and ``decay``, as
+    ``Profile``), the coefficients c = (c_0, ..., c_N) and the ``support``
+    (None: every radius) outside which p and p' vanish.  A term with a
+    ``direction`` e is the vector field p(r) (c . phi) e, a bump of a flux
+    (``VectorField.bumps``).  ``key``, (profile, support), names its row in
+    a term table (``term_products``) and, with the direction, its like
+    terms (``merged``)."""
 
-    p: Callable
-    dp: Callable
+    profile: Profile
     angular: tuple
     support: tuple[float, float] | None
     direction: tuple | None = None
+    key = property(lambda self: (self.profile, self.support))
 
 
 def merged(terms) -> tuple:
-    """``terms`` with like terms merged: those with the same closures p and
-    dp, the same support and the same direction become one, at the first
-    one's place, whose coefficients are the sum of theirs, added in order; a
-    term whose coefficients are all 0.0 is dropped."""
+    """``terms`` with like terms merged: those with the same ``key`` and
+    the same direction become one, at the first one's place, whose
+    coefficients are the sum of theirs, added in order; a term whose
+    coefficients are all 0.0 is dropped."""
     out = {}
     for t in terms:
-        key = (t.p, t.dp, t.support, t.direction)
+        key = t.key, t.direction
         if key in out:
-            t = Term(t.p, t.dp, tuple([a + b for a, b in itertools.zip_longest(
+            t = Term(t.profile, tuple([a + b for a, b in itertools.zip_longest(
                 out[key].angular, t.angular, fillvalue=0.0)]), t.support, t.direction)
         out[key] = t
     return tuple([t for t in out.values() if any(t.angular)])
@@ -137,7 +140,7 @@ def merged(terms) -> tuple:
 
 def scaled_terms(c: float, terms) -> tuple:
     """c times each term's coefficients."""
-    return merged(Term(t.p, t.dp, tuple([c * a for a in t.angular]), t.support, t.direction)
+    return merged(Term(t.profile, tuple([c * a for a in t.angular]), t.support, t.direction)
                   for t in terms)
 
 
@@ -153,7 +156,7 @@ def _held_to(t: Term, support) -> Term | None:
         return t
     if t.support is not None:
         support = (max(t.support[0], support[0]), min(t.support[1], support[1]))
-    return Term(t.p, t.dp, t.angular, support, t.direction) if support[0] <= support[1] else None
+    return Term(t.profile, t.angular, support, t.direction) if support[0] <= support[1] else None
 
 
 class _Field:
@@ -518,23 +521,23 @@ _JOIN = 1 << 16  # term_products joins the pairs of terms in chunks of about thi
 
 
 def _profiles(rule: QuadratureRule, r: np.ndarray, sets, labels, weight: str):
-    """(rows, values, bounds) of the profiles (p, dp, support) of the terms
-    of ``sets``: the row of each, p and p' at the radial nodes ``r`` of the
-    tensor ``rule``, a row each, 0.0 off the rows [lo, hi) that
+    """(rows, values, bounds) of the keys (profile, support) of the terms of
+    ``sets`` (``Term.key``): the row of each, p and p' at the radial nodes
+    ``r`` of the tensor ``rule``, a row each, 0.0 off the rows [lo, hi) that
     ``support_rows`` finds for its support, and those (lo, hi).  A
     non-finite value raises ``QuadratureErrorAt`` at the first node of its
     radius, p's before p''s, named by the label of its first set and
     ``weight``."""
-    profiles = {}  # (p, dp, support) -> (its row, its first set's label)
+    profiles = {}  # (profile, support) -> (its row, its first set's label)
     for terms, label in zip(sets, labels):
         for t in terms:
-            profiles.setdefault((t.p, t.dp, t.support), (len(profiles), label))
+            profiles.setdefault(t.key, (len(profiles), label))
     values = np.zeros((2, len(profiles), len(r)))
     bounds = np.zeros((len(profiles), 2), dtype=np.intp)
-    for (fn, dfn, support), (i, label) in profiles.items():
+    for (profile, support), (i, label) in profiles.items():
         lo, hi = (0, len(r)) if support is None else support_rows(r, support)
-        values[0, i, lo:hi] = fn(r[lo:hi])
-        values[1, i, lo:hi] = dfn(r[lo:hi])
+        values[0, i, lo:hi] = profile.p(r[lo:hi])
+        values[1, i, lo:hi] = profile.dp(r[lo:hi])
         if not np.isfinite(values[:, i, lo:hi]).all():
             bad = np.flatnonzero(~np.isfinite(values[:, i, lo:hi]))[0] % (hi - lo)
             node = (lo + int(bad)) * len(rule.angular[0])
@@ -623,7 +626,7 @@ def term_products(rule: QuadratureRule, sets, labels, weight: str, radial=None):
         D = np.asarray(D, dtype=float)
         columns, x, y = _moment_entries(D.tobytes(), D.shape)
         flat = [t for terms in term_sets for t in terms]
-        which, row = np.array([(k, index[t.p, t.dp, t.support])
+        which, row = np.array([(k, index[t.key])
                                for k, terms in enumerate(term_sets) for t in terms],
                               dtype=np.intp).reshape(-1, 2).T
         # the pairs (s, t) whose profiles meet, A <= B, s major, joined for
@@ -692,15 +695,15 @@ def bump_products(rule: QuadratureRule, grads, bumps, inverse: np.ndarray,
     dens, factors = [], []
     for terms, g in grads:
         for t, beta in zip(terms, _coefficients(terms, n)):
-            i = index[t.p, t.dp, t.support]
+            i = index[t.key]
             for s, a, c in zip(bumps, alpha, g * e):
-                j = index[s.p, s.dp, s.support]
+                j = index[s.key]
                 dens += [dp[i] * p[j], p[i] * p[j] / r]
                 factors += [2.0 * np.einsum("a,abk,b,k->", beta, x1, a, c),
                             2.0 * np.einsum("a,abk,b,k->", a, x2, beta, c)]
     for s, a, e_s in zip(bumps, alpha, e):
         for s2, b, e_2 in zip(bumps, alpha, e):
-            dens.append(p[index[s.p, s.dp, s.support]] * p[index[s2.p, s2.dp, s2.support]])
+            dens.append(p[index[s.key]] * p[index[s2.key]])
             factors.append((a @ x3 @ b) * (e_s @ (inverse * e_2)))
     return exact_dot(np.reshape(dens, (-1, len(r))), weights) * np.array(factors)
 
@@ -798,23 +801,10 @@ def bump_residual_norm(rule: QuadratureRule, bumps, radial, label) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closure builders for the analytic fields used throughout
+# radial profiles and the closures of the analytic fields used throughout
 
 
-def profile(shape, dshape, centre: float, width: float):
-    """(p, dp): the profile p(r) = shape(t) and its derivative
-    dp(r) = dshape(t) / width, at t = (r - centre) / width."""
-
-    def p(r):
-        return shape((np.asarray(r, dtype=float) - centre) / width)
-
-    def dp(r):
-        return dshape((np.asarray(r, dtype=float) - centre) / width) / width
-
-    return p, dp
-
-
-# the shapes ``profile`` places, each with its derivative: a C-infinity
+# the shapes a ``Profile`` places, each with its derivative: a C-infinity
 # mollifier exp(-1/(1 - t^2)) on |t| < 1, a C^2 ramp from 1 at t <= 0 to 0
 # at t >= 1, and the C^2 bump (1 - t^2)^3 on |t| < 1, each exactly 0.0
 # where it vanishes identically, and so is its derivative where it is flat
@@ -871,6 +861,49 @@ def cubic_bump_deriv(t: np.ndarray) -> np.ndarray:
     return np.where(np.abs(t) < 1.0, -6.0 * t * (1.0 - t**2) ** 2, 0.0)
 
 
+class Profile(tuple):
+    """A radial profile p as a value, the tuple (kind, *parameters), equal
+    and hashed as that tuple, so that terms with equal profiles merge
+    wherever they were built: (shape, c, w), "mollifier", "ramp" or
+    "cubic_bump" placed at a centre c with a width w; ("r^-m", m); and
+    ("1/(1+r^2)",).  ``p(r)`` and ``dp(r)`` give p and p' at an array of
+    radii (``_FORMULAS``), and ``decay`` the m with p = O(r^-m) and
+    p' = O(r^(-m-1)) as r grows: inf for a shape, 0.0 from c + w on."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, *parameters):
+        if kind not in _FORMULAS:
+            raise ValueError(f"unknown profile kind {kind!r}")
+        return super().__new__(cls, (kind, *parameters))
+
+    @property
+    def decay(self) -> float:
+        return self[1] if self[0] == "r^-m" else 2 if self[0] == "1/(1+r^2)" else math.inf
+
+    def p(self, r):
+        return _FORMULAS[self[0]][0](np.asarray(r, dtype=float), *self[1:])
+
+    def dp(self, r):
+        return _FORMULAS[self[0]][1](np.asarray(r, dtype=float), *self[1:])
+
+
+def _placed(shape, dshape) -> tuple:
+    """p and p' of ``shape``, with the derivative ``dshape``, placed at a
+    centre c with a width w: shape(t) and dshape(t) / w at t = (r - c) / w."""
+    return (lambda r, c, w: shape((r - c) / w)), (lambda r, c, w: dshape((r - c) / w) / w)
+
+
+# each kind of ``Profile``: the formulas of p and p', functions of r and its parameters
+_FORMULAS = {
+    "mollifier": _placed(mollifier, mollifier_deriv),
+    "ramp": _placed(ramp, ramp_deriv),
+    "cubic_bump": _placed(cubic_bump, cubic_bump_deriv),
+    "r^-m": ((lambda r, m: 1.0 / r**m), (lambda r, m: -m / r ** (m + 1))),
+    "1/(1+r^2)": ((lambda r: 1.0 / (1.0 + r**2)), (lambda r: -2.0 * r / (1.0 + r**2) ** 2)),
+}
+
+
 def ratio_gradient(pts: np.ndarray, i: int, m: int) -> np.ndarray:
     """grad(x_i / r^m) = e_i / r^m - m (x_i / r)(x / r) / r^m at the (M, N)
     nodes ``pts``; r^m is the one power taken, so the gradient stays finite
@@ -921,13 +954,15 @@ def support_rows(radii: np.ndarray, support: tuple[float, float]) -> tuple[int, 
 
 
 def separable_field(
-    p, dp, angular=None, label: str = "separable",
+    profile: Profile, angular=None, label: str = "separable",
     support: tuple[float, float] | None = None,
 ) -> ScalarField:
-    """p(r) q(x) for the angular factor q of the coefficients ``angular``
-    (``angular_factor``), homogeneous of degree zero (so x . grad q = 0),
-    or p(r) alone without them.  With a ``support``, p and dp must vanish
-    at radii outside it.  The field records itself as one ``Term``."""
+    """p(r) q(x) for the radial ``profile`` p and the angular factor q of the
+    coefficients ``angular`` (``angular_factor``), homogeneous of degree
+    zero (so x . grad q = 0), or p(r) alone without them.  With a
+    ``support``, p and p' must vanish at radii outside it.  The field
+    records itself as one ``Term``."""
+    p, dp = profile.p, profile.dp
     q, grad_q = (None, None) if angular is None else angular_factor(angular)
 
     def value(pts):
@@ -945,4 +980,4 @@ def separable_field(
 
     coeffs = (1.0,) if angular is None else tuple(map(float, angular))
     return ScalarField(value=value, gradient=gradient, label=label, support=support,
-                       terms=(Term(p, dp, coeffs, support),))
+                       terms=(Term(profile, coeffs, support),))

@@ -35,12 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    Profile,
     ScalarField,
-    cubic_bump,
-    cubic_bump_deriv,
     difference,
     merged,
-    profile,
     separable_field,
     term_products,
     terms_of,
@@ -92,17 +90,18 @@ def validate_zero_traces(p: Problem, basis: TestBasis) -> None:
     function that fails (a NaN fails too).  Every function must have
     terms, which ``minorant_report`` checks first."""
     a, n = p.domain.a, p.domain.dimension
-    radii = {}  # p or p' -> the radii it is checked at: a and the support ends
+    radii = {}  # (profile, 0 for p or 1 for p') -> the radii it is checked at: a and the ends
     for t in (t for w in basis.fields for t in w.terms):
         if t.support is None or t.support[0] <= a <= t.support[1]:
-            radii.setdefault(t.p, set()).add(a)
+            radii.setdefault((t.profile, 0), set()).add(a)
         for r in (r for r in t.support or () if r > a):
-            radii.setdefault(t.p, set()).add(r)
-            radii.setdefault(t.dp, set()).add(r)
-    profiles = {}  # (p or p', r) -> its value, from one call of each closure
-    for fn, rs in radii.items():
+            radii.setdefault((t.profile, 0), set()).add(r)
+            radii.setdefault((t.profile, 1), set()).add(r)
+    values = {}  # (profile, 0 or 1, r) -> p or p' there, from one call of each per profile
+    for (profile, j), rs in radii.items():
         rs = sorted(rs)
-        profiles.update(((fn, r), float(x)) for r, x in zip(rs, fn(np.array(rs))))
+        fn = profile.dp if j else profile.p
+        values.update(((profile, j, r), float(x)) for r, x in zip(rs, fn(np.array(rs))))
 
     def largest(signed, r, parts):
         """The largest |coefficient| of the sums of s q(r) c over the pairs
@@ -111,9 +110,9 @@ def validate_zero_traces(p: Problem, basis: TestBasis) -> None:
         ``TRACE_ZERO_TOL``."""
         out = [0.0] * (parts * (n + 1))
         for sign, t in signed:
-            for j, fn in enumerate((t.p, t.dp)[:parts]):
+            for j in range(parts):
                 for i, c in enumerate(t.angular, j * (n + 1)):
-                    out[i] += sign * profiles[fn, r] * c
+                    out[i] += sign * values[t.profile, j, r] * c
         if all(abs(x) <= TRACE_ZERO_TOL for x in out):  # a NaN fails
             return None
         return float(np.max(np.abs(out)))
@@ -152,10 +151,10 @@ def default_basis(domain, n_radial: int = 4, degree: int = 1) -> TestBasis:
     for k in range(n_radial):
         center = 0.5 * (edges[k] + edges[k + 1])
         half = 0.5 * (edges[k + 1] - edges[k])
-        p, dp = profile(cubic_bump, cubic_bump_deriv, center, half)
+        profile = Profile("cubic_bump", center, half)
         for j in range(n_ang):
             fields.append(separable_field(
-                p, dp, np.eye(domain.dimension + 1)[j], label=f"basis[r{k},a{j}]",
+                profile, np.eye(domain.dimension + 1)[j], label=f"basis[r{k},a{j}]",
                 support=(float(center - half), float(center + half)),
             ))
     return TestBasis(fields=tuple(fields))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -26,14 +26,10 @@ from . import traces
 from .constants import ConstantsBundle
 from .fields import (
     Coefficient,
+    Profile,
     ScalarField,
     Term,
     VectorField,
-    mollifier,
-    mollifier_deriv,
-    profile,
-    ramp,
-    ramp_deriv,
     ratio_gradient,
     separable_field,
     term_norm,
@@ -53,8 +49,7 @@ from .geometry import (
 @dataclass(frozen=True)
 class QuadratureBundle:
     """All rules one problem needs over ``domain``, shared.  ``omega_i``
-    and ``omega_e`` are the first and last rows of ``whole``; the tail
-    rule at doubled radial order is built on its first read."""
+    and ``omega_e`` are the first and last rows of ``whole``."""
 
     omega_i: QuadratureRule
     omega_e: QuadratureRule
@@ -69,19 +64,11 @@ class QuadratureBundle:
         ``sets``, for ``fields.term_norm``: the one table the bundle keeps
         where it holds them all, else a new one, kept in its place while the
         bundle lives.  The minorant and ``bump_residual_norm`` build their own."""
-        if self._table is None or not all((t.p, t.dp, t.support) in self._table.profiles[0]
+        if self._table is None or not all(t.key in self._table.profiles[0]
                                           for terms in sets for t in terms):
             object.__setattr__(self, "_table",
                                term_products(self.whole, sets, [""] * len(sets), ""))
         return self._table
-
-    @cached_property
-    def omega_e_refined(self) -> QuadratureRule:
-        """``omega_e`` at doubled radial order, for the tail checks of a
-        residual that is not zero (``majorant._residual_norm_tail``)."""
-        e = self.omega_e
-        return build_quadrature(self.domain, 2 * e.radial_order, e.angular_order,
-                                e.shell_count, "omega_e")
 
 
 # (domain, radial order, angular order, shells) -> weak reference to the
@@ -160,11 +147,6 @@ class ManufacturedProblem:
 CATALOG = ("N3_harmonic", "N3_decay", "N3_anisotropic", "N2_log")
 
 
-def _inverse_r(label: str) -> ScalarField:
-    """u = 1/r."""
-    return separable_field(lambda r: 1.0 / r, lambda r: -1.0 / r**2, label=label)
-
-
 def _grad_inverse_r(pts):
     """grad(1/r) = -x / r^3."""
     pts = np.atleast_2d(pts)
@@ -190,16 +172,12 @@ def builtin(
     if name == "N3_harmonic":
         domain = ExteriorDomain(3, 1.0, 2.0)
         A = Coefficient.identity(3)
-        u = _inverse_r("1/r")
+        u = separable_field(Profile("r^-m", 1), label="1/r")
         flux = VectorField(value=_grad_inverse_r, divergence=_zero, label="grad(1/r)")
     elif name == "N3_decay":
         domain = ExteriorDomain(3, 1.0, 2.0)
         A = Coefficient(np.full(3, 2.0), label="2I")
-        u = separable_field(
-            lambda r: 1.0 / (1.0 + r**2),
-            lambda r: -2.0 * r / (1.0 + r**2) ** 2,
-            label="1/(1+r^2)",
-        )
+        u = separable_field(Profile("1/(1+r^2)"), label="1/(1+r^2)")
 
         def flux_value(pts):
             pts = np.atleast_2d(pts)
@@ -215,7 +193,7 @@ def builtin(
         domain = ExteriorDomain(3, 1.0, 2.0)
         A = Coefficient(np.array([1.0, 2.0, 4.0]), label="diag(1,2,4)")
         diag = A.diagonal
-        u = _inverse_r("1/r")
+        u = separable_field(Profile("r^-m", 1), label="1/r")
 
         def aniso_value(pts):
             pts = np.atleast_2d(pts)
@@ -231,7 +209,7 @@ def builtin(
     else:  # N2_log
         domain = ExteriorDomain(2, 1.0, 2.0)
         A = Coefficient.identity(2)
-        u = _inverse_r("1/r (2D)")
+        u = separable_field(Profile("r^-m", 1), label="1/r (2D)")
         # 1 / r^3 is 0.0 where r^3 overflows, which is no error
         inverse_cube = np.errstate(over="ignore")(lambda pts: 1.0 / node_radii(pts) ** 3)
         flux = VectorField(value=_grad_inverse_r, label="grad(1/r) (2D)",
@@ -298,9 +276,8 @@ def _random_interior_bump(mp: ManufacturedProblem, rng) -> ScalarField:
     center_r = dom.a + gap * rng.uniform(0.35, 0.65)
     width = gap * rng.uniform(0.15, 0.28)
     width = min(width, 0.95 * (center_r - dom.a), 0.95 * (dom.R - center_r))
-    p, dp = profile(mollifier, mollifier_deriv, center_r, width)
-    return separable_field(p, dp, _random_angular(mp, rng), label="interior-bump",
-                           support=(center_r - width, center_r + width))
+    return separable_field(Profile("mollifier", center_r, width), _random_angular(mp, rng),
+                           label="interior-bump", support=(center_r - width, center_r + width))
 
 
 def _random_angular(mp: ManufacturedProblem, rng) -> np.ndarray:
@@ -322,13 +299,6 @@ def _flux_bump(bump: ScalarField, direction: np.ndarray) -> VectorField:
     )
 
 
-@cache
-def _decay(m: int):
-    """(p, dp) of the profile p(r) = r^{-m}, one pair per m, so that the
-    terms of harmonic gradients with it merge."""
-    return (lambda r: 1.0 / r**m), (lambda r: -m / r ** (m + 1))
-
-
 def solenoidal_harmonic_gradient(dimension: int, index: int) -> VectorField:
     """Gradient of a decaying exterior harmonic; divergence-free, so adding
     it to a flux never disturbs the equilibrium residual.
@@ -343,7 +313,7 @@ def solenoidal_harmonic_gradient(dimension: int, index: int) -> VectorField:
             raise ValueError("index 0 requires dimension 3")
 
         value = _grad_inverse_r
-        h = Term(*_decay(1), (1.0,), None)
+        h = Term(Profile("r^-m", 1), (1.0,), None)
     else:
         if index > dimension:
             raise ValueError(f"index {index} out of range for dimension {dimension}")
@@ -351,8 +321,8 @@ def solenoidal_harmonic_gradient(dimension: int, index: int) -> VectorField:
         def value(pts):
             return ratio_gradient(np.atleast_2d(pts), index - 1, dimension)
 
-        h = Term(*_decay(dimension - 1), tuple(float(i == index) for i in range(index + 1)),
-                 None)
+        h = Term(Profile("r^-m", dimension - 1),
+                 tuple(float(i == index) for i in range(index + 1)), None)
     return VectorField(value=value, divergence=_zero, label=f"harmonic-gradient[{index}]",
                        gradients=(h,))
 
@@ -389,8 +359,8 @@ def perturb(
             return mp.exact_u + eps * _random_interior_bump(mp, rng)
         coeffs = _random_angular(mp, rng)
         r_zero = dom.a + 0.5 * (dom.R - dom.a)
-        p, dp = profile(ramp, ramp_deriv, dom.a, r_zero - dom.a)
-        ext = separable_field(p, dp, coeffs, label="boundary-mode", support=(0.0, r_zero))
+        ext = separable_field(Profile("ramp", dom.a, r_zero - dom.a), coeffs,
+                              label="boundary-mode", support=(0.0, r_zero))
         return mp.exact_u + eps * ext
 
     if target == "y":

@@ -133,10 +133,10 @@ def _holds(support, radius: float) -> bool:
     return support is None or support_rows(np.array([radius]), support) == (0, 1)
 
 
-def _from_terms(terms, profile, radius, degree, rule) -> SphereTrace:
+def _from_terms(terms, part, radius, degree, rule) -> SphereTrace:
     """The trace of sum_k P_k(radius) (c_k . phi) on the sphere of
-    ``radius``, P_k = ``profile(t_k)`` (p or p') for the terms t_k of
-    ``terms`` whose support holds it.  With c the sum of the c_k, its
+    ``radius``, P_k the ``part`` ("p" or "dp") of the profile of each term
+    t_k of ``terms`` whose support holds it.  With c the sum of the c_k, its
     coefficients are c . Phi for the projections Phi of phi onto the basis:
     |S|^{1/2} radius^{(N-1)/2} for 1 in the constant slot, and
     (|S|/N)^{1/2} radius^{(N-1)/2} for omega_i in the degree-1 slot
@@ -150,7 +150,7 @@ def _from_terms(terms, profile, radius, degree, rule) -> SphereTrace:
     with np.errstate(over="ignore", invalid="ignore"):
         for t in terms:
             if _holds(t.support, radius):
-                c[:len(t.angular)] += float(profile(t)(at)[0]) * np.array(t.angular)
+                c[:len(t.angular)] += float(getattr(t.profile, part)(at)[0]) * np.array(t.angular)
         area = _sphere_area(n) * radius ** (n - 1)
         coeffs = np.zeros(coefficient_count(n, degree))
         coeffs[0] = math.sqrt(area) * c[0]
@@ -170,7 +170,7 @@ def analyze(f: ScalarField, radius: float, degree: int, rule: QuadratureRule,
     """Expand ``f`` restricted to the sphere of ``radius`` in the surface
     basis up to ``degree``, in closed form from its terms; a field without
     terms is refused, named as ``role``."""
-    return _from_terms(terms_of(f, role), lambda t: t.p, radius, degree, rule)
+    return _from_terms(terms_of(f, role), "p", radius, degree, rule)
 
 
 def normal_trace(
@@ -187,7 +187,7 @@ def normal_trace(
     if any(_holds(t.support, radius) for t in y.bumps):
         raise ValueError(f"the flux ({y.label!r}) has a bump whose support holds the sphere "
                          f"of radius {radius}, whose normal trace its terms do not give")
-    return _from_terms(y.gradients, lambda t: t.dp, radius, degree, rule)
+    return _from_terms(y.gradients, "dp", radius, degree, rule)
 
 
 def sobolev_weight(ell, dimension: int, radius: float):

@@ -18,7 +18,7 @@ The program never calls them."""
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -242,6 +242,19 @@ def over_rlnr_norm(f: ScalarField, rule: QuadratureRule) -> float:
     return math.sqrt(max(exact_dot(vals, rule.weights), 0.0))
 
 
+class ClosureProfile(NamedTuple):
+    """A radial profile value made of two closures, for the tests that give
+    a term a profile of no ``fields.Profile`` kind: p and its derivative dp,
+    equal and hashed by their identity and ``label``.  ``decay`` is read as
+    ``fields.Profile.decay``; 0.0 says nothing of the tail, where a flux
+    bump with it and no bounded support is refused."""
+
+    label: str
+    p: Callable
+    dp: Callable
+    decay: float = 0.0
+
+
 # ---------------------------------------------------------------------------
 # reference field builders: every profile, angular factor and gradient of
 # x_i / r^m written out on its own, with the operations the program's
@@ -424,7 +437,7 @@ def term_values(terms, pts):
         c[:len(t.angular)] = t.angular
         q = c[0] + omega @ c[1:]
         grad_q = (c[1:] - (omega @ c[1:])[:, None] * omega) / r[:, None]
-        p, dp = t.p(r), t.dp(r)
+        p, dp = t.profile.p(r), t.profile.dp(r)
         value += p * q
         gradient += (dp * q)[:, None] * omega + p[:, None] * grad_q
         total = np.sum(np.abs(c))
@@ -513,15 +526,15 @@ def _reference_profiles(rule, sets, labels, weight):
     ``fields._profiles`` gives them, each p and p' tested on its own."""
     r = rule.radial[0]
     directions = len(rule.angular[0])
-    profiles = {}  # (p, dp, support) -> (its row, its first set's label)
+    profiles = {}  # (profile, support) -> (its row, its first set's label)
     for terms, label in zip(sets, labels):
         for t in terms:
-            profiles.setdefault((t.p, t.dp, t.support), (len(profiles), label))
+            profiles.setdefault((t.profile, t.support), (len(profiles), label))
     values = np.zeros((2, len(profiles), len(r)))
     bounds = np.zeros((len(profiles), 2), dtype=np.intp)
-    for (fn, dfn, support), (i, label) in profiles.items():
+    for (profile, support), (i, label) in profiles.items():
         lo, hi = (0, len(r)) if support is None else support_rows(r, support)
-        for out, f in zip(values, (fn, dfn)):
+        for out, f in zip(values, (profile.p, profile.dp)):
             out[i, lo:hi] = f(r[lo:hi])
             bad = np.flatnonzero(~np.isfinite(out[i, lo:hi]))
             if len(bad):
@@ -568,7 +581,7 @@ def reference_term_products(rule, sets, labels, weight, radial=None):
                                            radial)(term_sets, D)
         moments = sphere_moments(D)
         x, y = np.nonzero(np.any(moments != 0.0, axis=0))
-        flat = [(k, rows[t.p, t.dp, t.support], t) for k, terms in enumerate(term_sets)
+        flat = [(k, rows[t.profile, t.support], t) for k, terms in enumerate(term_sets)
                 for t in terms]
         members = {}  # profile row -> its terms in flat
         for m, (_, row, _) in enumerate(flat):

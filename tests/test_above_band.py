@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import extbounds as xb
-from extbounds.fields import VectorField, profile, ramp, ramp_deriv
+from extbounds.fields import Profile, VectorField
 from extbounds.geometry import node_radii
 from extbounds.majorant import BAND_LIMIT_RTOL, _interface_term, boundary_term
 from extbounds.minorant import TestBasis, minorant_report
@@ -84,8 +84,8 @@ def ramp_mismatch(mp, ell):
     at the middle of the annulus."""
     dom = mp.domain
     r_zero = 0.5 * (dom.a + dom.R)
-    return separable_closures(*profile(ramp, ramp_deriv, dom.a, r_zero - dom.a),
-                              *angular(dom.dimension, ell),
+    ramp = Profile("ramp", dom.a, r_zero - dom.a)
+    return separable_closures(ramp.p, ramp.dp, *angular(dom.dimension, ell),
                               label=f"ramp-degree-{ell}", support=(0.0, r_zero))
 
 

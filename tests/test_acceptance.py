@@ -282,7 +282,7 @@ def test_acceptance_7_equilibration_gate(catalog):
     """Estimate II accepts the equilibrated catalog flux and rejects a
     flux with a tail residual: the bump r^-4 e_3, whose divergence
     -4 x_3 / r^6 is a source on the tail."""
-    from extbounds.fields import Term, VectorField
+    from extbounds.fields import Profile, Term, VectorField
     from extbounds.geometry import node_radii
 
     mp = catalog["N3_harmonic"]
@@ -293,7 +293,7 @@ def test_acceptance_7_equilibration_gate(catalog):
     bad = VectorField(
         value=lambda pts: (node_radii(pts) ** -4.0)[:, None] * e,
         label="tail source",
-        bumps=(Term(lambda r: r**-4.0, lambda r: -4.0 * r**-5.0, (1.0,), None, tuple(e)),),
+        bumps=(Term(Profile("r^-m", 4), (1.0,), None, tuple(e)),),
     )
     with pytest.raises(EquilibrationError):
         estimate_II(mp.problem, mp.exact_u, mp.exact_flux + bad)

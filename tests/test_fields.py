@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 
 from extbounds.fields import (
     Coefficient,
+    Profile,
     ScalarField,
     VectorField,
+    cubic_bump,
+    cubic_bump_deriv,
     energy_norm,
     log_weighted_norm,
     mollifier,
     mollifier_and_deriv,
     mollifier_deriv,
-    profile,
+    ramp,
+    ramp_deriv,
     ratio_gradient,
     separable_field,
     weighted_norm,
@@ -23,10 +27,17 @@ from extbounds.fields import (
 from extbounds.geometry import (
     ExteriorDomain, build_quadrature, node_radii, whole_and_parts,
 )
-from extbounds.problems import CATALOG
+from extbounds.problems import CATALOG, builtin, solenoidal_harmonic_gradient
 
 from conftest import random_points_in_annulus
-from oracles import check_divergence, check_gradient, load, over_rlnr_norm, residual_field
+from oracles import (
+    ClosureProfile,
+    check_divergence,
+    check_gradient,
+    load,
+    over_rlnr_norm,
+    residual_field,
+)
 
 DOM3 = ExteriorDomain(3, 1.0, 2.0)
 WHOLE3 = whole_and_parts(DOM3, 12, 8, 8)[0]
@@ -34,16 +45,16 @@ SMALL3 = build_quadrature(DOM3, 4, 4, 3, "omega_i")
 
 
 def inv_r_field():
-    return separable_field(lambda r: 1.0 / r, lambda r: -1.0 / r**2, label="1/r")
+    return separable_field(Profile("r^-m", 1), label="1/r")
 
 
 def shell_bump():
     """exp(-1/(1-t^2)) in t = (r - 1.5)/0.3, times x_3/r."""
-    return separable_field(*profile(mollifier, mollifier_deriv, 1.5, 0.3), (0.0, 0.0, 0.0, 1.0))
+    return separable_field(Profile("mollifier", 1.5, 0.3), (0.0, 0.0, 0.0, 1.0))
 
 
 def inv_r2_field():
-    return separable_field(lambda r: r**-2.0, lambda r: -2.0 * r**-3.0, label="1/r^2")
+    return separable_field(Profile("r^-m", 2), label="1/r^2")
 
 
 class TestClosures:
@@ -62,12 +73,12 @@ class TestClosures:
         assert check_divergence(y, pts) < 1e-6
 
     def test_separable_field_gradient(self):
-        p, dp = profile(mollifier, mollifier_deriv, 1.5, 0.3)
+        profile = Profile("mollifier", 1.5, 0.3)
         for idx in range(4):
-            f = separable_field(p, dp, np.eye(4)[idx])
+            f = separable_field(profile, np.eye(4)[idx])
             pts = random_points_in_annulus(DOM3, 20, seed=3 + idx)
             assert check_gradient(f, pts, step=1e-6) < 1e-6
-        mixed = separable_field(p, dp, (0.5, -1.0, 0.0, 2.0))
+        mixed = separable_field(profile, (0.5, -1.0, 0.0, 2.0))
         assert check_gradient(mixed, random_points_in_annulus(DOM3, 20, seed=7), step=1e-6) < 1e-6
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -116,6 +127,60 @@ def written_out_mollifier(t):
     value[inside] = np.exp(-1.0 / (1.0 - ti**2))
     deriv[inside] = np.exp(-1.0 / (1.0 - ti**2)) * (-2.0 * ti / (1.0 - ti**2) ** 2)
     return value, deriv
+
+
+class TestProfiles:
+    """A profile is a value: each kind gives the bits of the closures it
+    replaced, written out here, and equal values made apart merge."""
+
+    RADII = [whole_and_parts(ExteriorDomain(n, 1.0, 2.0), 12, 4, 8)[0].radial[0] for n in (3, 2)]
+    PLACED = [("mollifier", 1.5, 0.3), ("mollifier", 1.4137, 0.2291), ("ramp", 1.0, 0.5),
+              ("cubic_bump", 1.125, 0.125), ("cubic_bump", 1.875, 0.125)]
+
+    @staticmethod
+    def assert_bits(profile, p, dp, r):
+        assert profile.p(r).tobytes() == p.tobytes()
+        assert profile.dp(r).tobytes() == dp.tobytes()
+
+    @pytest.mark.parametrize("r", RADII, ids=["N3", "N2"])
+    def test_placed_shapes(self, r):
+        shapes = {"mollifier": (mollifier, mollifier_deriv), "ramp": (ramp, ramp_deriv),
+                  "cubic_bump": (cubic_bump, cubic_bump_deriv)}
+        for name, centre, width in self.PLACED:
+            shape, dshape = shapes[name]
+            self.assert_bits(Profile(name, centre, width), shape((r - centre) / width),
+                             dshape((r - centre) / width) / width, r)
+            assert Profile(name, centre, width).decay == math.inf
+
+    @pytest.mark.parametrize("r", RADII, ids=["N3", "N2"])
+    def test_algebraic_kinds(self, r):
+        self.assert_bits(Profile("r^-m", 1), 1.0 / r, -1.0 / r**2, r)  # u = 1/r
+        for m in (1, 2, 3, 4):  # the harmonic gradients' r^(1-N), and tail bumps
+            self.assert_bits(Profile("r^-m", m), 1.0 / r**m, -m / r ** (m + 1), r)
+            assert Profile("r^-m", m).decay == m
+        self.assert_bits(Profile("1/(1+r^2)"), 1.0 / (1.0 + r**2),
+                         -2.0 * r / (1.0 + r**2) ** 2, r)
+        assert Profile("1/(1+r^2)").decay == 2
+
+    def test_equal_values_merge(self):
+        made = [(Profile("r^-m", 2), Profile("r^-m", 2)),
+                (Profile("mollifier", 1.5, 0.3), Profile("mollifier", np.float64(1.5), 0.3)),
+                (Profile("1/(1+r^2)"), Profile("1/(1+r^2)"))]
+        for one, other in made:
+            assert one is not other and one == other and hash(one) == hash(other)
+            both = separable_field(one, (1.0, 2.0)) + separable_field(other, (0.5,))
+            assert both.terms == ((one, (1.5, 2.0), None, None),)
+        kinds = [Profile("r^-m", 2), Profile("1/(1+r^2)"), Profile("mollifier", 1.5, 0.3),
+                 Profile("cubic_bump", 1.5, 0.3), ClosureProfile("mollifier", None, None)]
+        assert len(set(kinds)) == len(kinds)
+        # harmonic gradients built apart share one term, and so do the
+        # catalog's u = 1/r of two problems
+        h = solenoidal_harmonic_gradient(3, 1) + solenoidal_harmonic_gradient(3, 2)
+        assert h.gradients == ((Profile("r^-m", 2), (0.0, 1.0, 1.0), None, None),)
+        assert (builtin("N3_harmonic", shells=1).exact_u
+                - builtin("N3_anisotropic", shells=1).exact_u).terms == ()
+        with pytest.raises(ValueError, match="unknown profile kind 'r\\^-2'"):
+            Profile("r^-2")
 
 
 class TestMollifier:
@@ -318,10 +383,10 @@ scalar_or_zero = st.one_of(
     s=st.sampled_from([-1.0, 0.0, 1.0]),
 )
 def test_norm_triangle_and_homogeneity(c1, c2, p1, p2, s):
-    f = separable_field(lambda r, c=c1, p=p1: c * r**p,
-                        lambda r, c=c1, p=p1: c * p * r ** (p - 1), label="f")
-    g = separable_field(lambda r, c=c2, p=p2: c * r**p,
-                        lambda r, c=c2, p=p2: c * p * r ** (p - 1), label="g")
+    f = separable_field(ClosureProfile("c1 r^p1", lambda r, c=c1, p=p1: c * r**p,
+                                       lambda r, c=c1, p=p1: c * p * r ** (p - 1)), label="f")
+    g = separable_field(ClosureProfile("c2 r^p2", lambda r, c=c2, p=p2: c * r**p,
+                                       lambda r, c=c2, p=p2: c * p * r ** (p - 1)), label="g")
     nf, ng = weighted_norm(f, s, SMALL3), weighted_norm(g, s, SMALL3)
     nsum = weighted_norm(f + g, s, SMALL3)
     assert nsum <= nf + ng + 1e-12 * max(nf + ng, 1.0)

@@ -70,7 +70,7 @@ def test_flux_bump_divergence_on_its_rows(name):
     # the BLAS product runs on the support rows only, and gives there the
     # bits of the product over the whole rule with zeros off the support
     mp = xb.builtin(name, shells=8)
-    for rule in ("whole", "omega_i", "omega_e_refined"):
+    for rule in ("whole", "omega_i", "omega_e"):
         pts = getattr(mp.problem.quads, rule).nodes
         for seed in range(40):
             rng = np.random.default_rng(seed)

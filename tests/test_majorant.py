@@ -1,17 +1,19 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import extbounds as xb
 from extbounds import traces
-from extbounds.fields import Coefficient, Term, VectorField, energy_norm, separable_field
+from extbounds.fields import Coefficient, Profile, Term, VectorField, energy_norm, separable_field
 from extbounds.geometry import exact_dot, node_radii
 from extbounds.majorant import (
-    DivergentNormError,
     EquilibrationError,
     _flux_term,
+    _residual,
+    _residual_norm_tail,
     boundary_term,
     estimate_I,
     estimate_II,
@@ -208,7 +210,7 @@ class TestBoundaryTerm:
 
         def v(angular):
             return mp.exact_u + 1.0 * separable_field(
-                lambda r: 1.0 / r, lambda r: -1.0 / r**2, angular, label=f"degree {angular}")
+                Profile("r^-m", 1), angular, label=f"degree {angular}")
 
         assert boundary_term(mp.problem, v((1.0,))) > 0.0
         with pytest.raises(BandLimitError, match="above trace.L = 0"):
@@ -227,10 +229,8 @@ class TestFluxTermPaths:
         # terms do not carry, so estimate I refuses y by name
         mp = catalog["N3_harmonic"]
         p = mp.problem
-        from extbounds.fields import mollifier, mollifier_deriv, profile
-
-        prof, dprof = profile(mollifier, mollifier_deriv, 1.5, 0.25)
-        s = separable_field(prof, dprof, (0.0, 0.0, 0.0, 1.0), support=(1.25, 1.75))
+        s = separable_field(Profile("mollifier", 1.5, 0.25), (0.0, 0.0, 0.0, 1.0),
+                            support=(1.25, 1.75))
         v = mp.exact_u + 0.05 * s
         y = VectorField(value=v.gradient, label="grad v", potential=v.terms)
         assert _flux_term(p, v, y) == 0.0 < _flux_term(p, mp.exact_u, y)
@@ -239,19 +239,74 @@ class TestFluxTermPaths:
 
     def test_divergent_tail_residual_detected(self, catalog):
         # the bump (1/r) e_3, whose divergence -x_3/r^3 is not square
-        # integrable against rho^2 on the tail
+        # integrable against rho^2 on the tail, is refused by its decay
         mp = catalog["N3_harmonic"]
-        bad = tail_bump(lambda r: 1.0 / r, lambda r: -1.0 / r**2, "slow-decay")
-        with pytest.raises(DivergentNormError, match="tail"):
+        bad = tail_bump(Profile("r^-m", 1), 3, "slow-decay")
+        with pytest.raises(ValueError, match=r"f\+div \(grad\(1/r\)\+slow-decay\) is not square "
+                                             r"integrable against rho\^2 over the tail"):
             estimate_I(mp.problem, mp.exact_u, mp.exact_flux + bad)
 
 
-def tail_bump(p, dp, label):
-    """The flux bump p(r) e_3 on every radius, with the closure of its
-    value."""
-    e = np.array([0.0, 0.0, 1.0])
-    return VectorField(value=lambda pts: p(node_radii(pts))[:, None] * e, label=label,
-                       bumps=(Term(p, dp, (1.0,), None, tuple(e)),))
+def tail_bump(profile, dimension, label, support=None):
+    """The flux bump p(r) e_N of the radial ``profile`` p on ``support``
+    (None: every radius), with the closure of its value."""
+    e = np.eye(dimension)[-1]
+    return VectorField(value=lambda pts: profile.p(node_radii(pts))[:, None] * e, label=label,
+                       support=support, bumps=(Term(profile, (1.0,), support, tuple(e)),))
+
+
+class TestTailRule:
+    """The tail residual of a bump is summed on omega_e when it is square
+    integrable against the weight (rho^2, (r ln r)^2 in 2D), which its
+    profile's decay m decides exactly: m > N/2.  Any other bump is refused
+    by name, through every estimate that sums the tail."""
+
+    @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
+    def test_r_to_the_minus_one_refused_by_name(self, catalog, name):
+        mp = catalog[name]
+        p, n = mp.problem, mp.domain.dimension
+        bad = mp.exact_flux + tail_bump(Profile("r^-m", 1), n, "r^-1 bump")
+        weight = "rho\\^2" if n == 3 else "\\(r ln r\\)\\^2"
+        message = (rf"^the residual f\+div \(.*\+r\^-1 bump\) is not square integrable "
+                   rf"against {weight} over the tail: its bump with the profile "
+                   rf"\('r\^-m', 1\) falls like r\^-1, and N = {n} needs a decay above {n / 2}$")
+        with pytest.raises(ValueError, match=message):
+            estimate_I(p, mp.exact_u, bad)
+        with pytest.raises(ValueError, match=message):
+            estimate_II(p, mp.exact_u, bad)
+        with pytest.raises(ValueError, match=message):  # the exterior flux's tail
+            estimate_III(p, mp.exact_u, mp.exact_flux, bad)
+
+    @pytest.mark.parametrize("name", ["N3_harmonic", "N2_log"])
+    def test_faster_decay_accepted(self, catalog, name):
+        mp = catalog[name]
+        p, n = mp.problem, mp.domain.dimension
+        for profile, support in ((Profile("r^-m", 2), None),
+                                 (Profile("mollifier", 2.0, 0.5), (1.5, 2.5))):  # straddles R
+            y = mp.exact_flux + tail_bump(profile, n, "bump", support)
+            tail = _residual_norm_tail(p, _residual(p, y))
+            assert 0.0 < tail < math.inf
+            rep = estimate_I(p, mp.exact_u, y)
+            assert rep.residual > 0.0 and math.isfinite(rep.total)
+
+    def test_compact_kind_passes_on_every_radius(self, catalog):
+        # a mollifier profile vanishes beyond c + w whatever its term's support
+        mp = catalog["N2_log"]
+        y = mp.exact_flux + tail_bump(Profile("mollifier", 2.1, 0.5), 2, "bump")
+        assert _residual_norm_tail(mp.problem, _residual(mp.problem, y)) > 0.0
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_tail_sum_is_the_closed_form(self, catalog, m):
+        # div(r^-m e_3) = -m r^(-m-2) x_3, so the tail norm squared is
+        # m^2 (4 pi / 3) int_R^inf (r^-2m + r^(2-2m)) dr
+        mp = catalog["N3_harmonic"]
+        p = mp.problem
+        y = mp.exact_flux + tail_bump(Profile("r^-m", m), 3, f"r^-{m} bump")
+        with mpmath.workdps(30):
+            R = mpmath.mpf(p.domain.R)
+            want = float(mpmath.sqrt(m * m * (4 * mpmath.pi / 3) * (
+                R ** (1 - 2 * m) / (2 * m - 1) + R ** (3 - 2 * m) / (2 * m - 3))))
+        assert abs(_residual_norm_tail(p, _residual(p, y)) - want) <= 2 * math.ulp(want)
 
 
 class TestEquilibrationGate:
@@ -264,7 +319,7 @@ class TestEquilibrationGate:
     def test_rejects_unbalanced_tail(self, catalog):
         # the bump r^-4 e_3, whose divergence -4 x_3 / r^6 is a tail source
         mp = catalog["N3_harmonic"]
-        bad = tail_bump(lambda r: r**-4.0, lambda r: -4.0 * r**-5.0, "r^-4 bump")
+        bad = tail_bump(Profile("r^-m", 4), 3, "r^-4 bump")
         with pytest.raises(EquilibrationError, match="div y \\+ f = 0"):
             estimate_II(mp.problem, mp.exact_u, mp.exact_flux + bad)
 

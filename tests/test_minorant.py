@@ -18,7 +18,7 @@ from extbounds.minorant import (
 )
 from extbounds.problems import perturb
 
-from oracles import dense_minorant
+from oracles import ClosureProfile, dense_minorant
 
 
 class TestDefaultBasis:
@@ -178,7 +178,8 @@ class TestZeroTraceCheck:
         p = coarse["N3_harmonic"].problem
 
         def constant(c):
-            return separable_field(lambda r: np.full_like(r, c), np.zeros_like, label=f"{c}")
+            return separable_field(ClosureProfile(f"{c}", lambda r: np.full_like(r, c),
+                                                  np.zeros_like), label=f"{c}")
 
         validate_zero_traces(p, TestBasis(fields=(constant(1e-20),)))
         for c in (1e-6, np.nan):
@@ -187,20 +188,26 @@ class TestZeroTraceCheck:
 
 
     def test_one_call_per_profile_closure(self, coarse):
-        # each p and p' is evaluated once, on every radius it is checked at
-        # (a and the support ends), with the bits of one call per radius
+        # each profile's p and p' is evaluated once, on every radius it is
+        # checked at (a and the support ends), with the bits of one call per
+        # radius
         mp = coarse["N3_harmonic"]
         v = perturb(mp, "v", 0.1, "interior_bump", seed=3)
         basis = default_basis(mp.domain, 4, 1).extended(mp.exact_u - v)
         calls, wrapped = {}, {}
 
-        def counted(fn):
-            if fn not in wrapped:
-                wrapped[fn] = lambda r: calls.setdefault(fn, []).append(np.copy(r)) or fn(r)
-            return wrapped[fn]
+        def counted(profile):
+            """``profile`` as a value whose p and p' record each call."""
+            def recorded(fn):
+                return lambda r: calls.setdefault(fn, []).append(np.copy(r)) or fn(r)
+
+            if profile not in wrapped:
+                wrapped[profile] = ClosureProfile(repr(profile), recorded(profile.p),
+                                                  recorded(profile.dp))
+            return wrapped[profile]
 
         fields = tuple(dataclasses.replace(w, terms=tuple(
-            t._replace(p=counted(t.p), dp=counted(t.dp)) for t in w.terms))
+            t._replace(profile=counted(t.profile)) for t in w.terms))
             for w in basis.fields)
         validate_zero_traces(mp.problem, TestBasis(fields=fields))
         assert len(calls) > 8 and all(len(c) == 1 for c in calls.values())
@@ -396,16 +403,19 @@ class TestSupports:
 class TestNonFinite:
     @staticmethod
     def poisoned(terms, r, bad=np.inf, part="p"):
-        """``terms`` with the profile ``part`` (p or dp) of the first one
-        replaced by one that is ``bad`` at the radius ``r``."""
-        fn = getattr(terms[0], part)
+        """``terms`` with the profile of the first one replaced by one whose
+        ``part`` (p or dp) is ``bad`` at the radius ``r``."""
+        profile = terms[0].profile
+        fn = getattr(profile, part)
 
         def out(s):
             vals = np.array(fn(s), dtype=float)
             vals[s == r] = bad
             return vals
 
-        return (terms[0]._replace(**{part: out}),) + terms[1:]
+        closures = {"p": profile.p, "dp": profile.dp, part: out}
+        poisoned = ClosureProfile(f"poisoned {profile!r}", closures["p"], closures["dp"])
+        return (terms[0]._replace(profile=poisoned),) + terms[1:]
 
     @pytest.mark.parametrize("where", ["f", "grad v", "basis gradient"])
     def test_rejected_naming_node_and_field(self, coarse, where):

@@ -103,9 +103,6 @@ class TestQuadratureBundle:
             assert quads.whole.nodes.tobytes() == np.vstack([q.nodes for q in parts]).tobytes()
             assert quads.whole.weights.tobytes() == np.concatenate(
                 [q.weights for q in parts]).tobytes()
-            want = xb.build_quadrature(domain, 24, 12, shells, "omega_e")
-            assert quads.omega_e_refined.nodes.tobytes() == want.nodes.tobytes()
-            assert quads.omega_e_refined.weights.tobytes() == want.weights.tobytes()
             # one copy of the nodes: both parts are row views of the whole rule
             for part in (quads.omega_i, quads.omega_e):
                 assert np.shares_memory(part.nodes, quads.whole.nodes)
@@ -156,8 +153,8 @@ class TestSharedRules:
             moved = xb.with_interface_radius(mp, radius)
             xb.estimate_I(moved.problem, v, mp.exact_flux)
             xb.true_error(moved, v)
-            for rule in (moved.problem.quads.whole, moved.problem.quads.omega_e_refined):
-                rule.nodes, rule.weights  # built on this first read, and kept
+            rule = moved.problem.quads.whole
+            rule.nodes, rule.weights  # built on this first read, and kept
             return moved
 
         run(1.3)  # imports and the problem's own caches
@@ -177,7 +174,7 @@ class TestSharedRules:
             tracemalloc.stop()
         quads = mp.problem.quads
         rules = sum(getattr(quads, r).nodes.nbytes + getattr(quads, r).weights.nbytes
-                    for r in ("whole", "omega_e_refined", "gamma", "Gamma"))
+                    for r in ("whole", "gamma", "Gamma"))
         assert one > rules  # the held problem's rules and kept values
         assert after <= one + 0.1 * rules
 
@@ -190,8 +187,7 @@ class TestInterfaceRadius:
         assert moved.domain == xb.ExteriorDomain(3, 1.0, 3.0)
         assert xb.make_bundle(moved.domain, 6, 7, 3) is moved.problem.quads
         ref = _build_bundle(moved.domain, 6, 7, 3)
-        for region in ("omega_i", "omega_e", "whole", "gamma", "Gamma",
-                       "omega_e_refined"):
+        for region in ("omega_i", "omega_e", "whole", "gamma", "Gamma"):
             rule, want = getattr(moved.problem.quads, region), getattr(ref, region)
             np.testing.assert_array_equal(rule.nodes, want.nodes)
             np.testing.assert_array_equal(rule.weights, want.weights)

@@ -13,6 +13,8 @@ import extbounds
 ALLOWED = {
     "cli.FIELDS": "the config fields by name, built from ScenarioConfig at import; never written",
     "cli.SECTIONS": "the config keys that hold a JSON object, from FIELDS; never written",
+    "fields._FORMULAS": "the formulas of p and p' of each kind of Profile, by name; never "
+                        "written",
     "majorant._MISMATCH": "the last_call memo of dirichlet_mismatch: weak references to the "
                           "last (p, v) and its trace mismatch, shared by a sandwich's two reads",
     "problems._BUNDLE_CACHE": "weak references to the bundles some problem holds, so problems "

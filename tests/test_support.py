@@ -15,7 +15,7 @@ from extbounds.majorant import scale_of
 from extbounds.minorant import NonzeroTraceError, default_basis, minorant_report
 from extbounds.problems import perturb
 
-RULES = ("whole", "omega_i", "omega_e", "omega_e_refined", "gamma", "Gamma")
+RULES = ("whole", "omega_i", "omega_e", "gamma", "Gamma")
 SEEDS = range(5)
 MODES = ("interior_bump", "boundary_mode")
 
@@ -180,7 +180,7 @@ class TestEnforced:
         narrow = (lo, 0.5 * (lo + hi))
         t = w.terms[0]
         made = ScalarField(value=lambda pts: np.ones(len(pts)), support=narrow,
-                           terms=(Term(t.p, t.dp, (1.0,), None),))
+                           terms=(Term(t.profile, (1.0,), None),))
         for field in (dataclasses.replace(w, support=narrow), made):
             assert [u.support for u in field.terms] == [narrow]
         assert dataclasses.replace(w, support=narrow).value is w.value

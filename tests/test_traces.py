@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import extbounds as xb
-from extbounds.fields import ScalarField, VectorField, separable_field
+from extbounds.fields import Profile, ScalarField, VectorField, separable_field
 from extbounds.geometry import (
     ExteriorDomain,
     QuadratureRule,
@@ -28,6 +28,7 @@ from extbounds.traces import (
 import oracles
 from conftest import termless
 from oracles import (
+    ClosureProfile,
     basis_matrix,
     duality_pairing,
     project,
@@ -46,7 +47,8 @@ TWO_SPHERES = QuadratureRule(None, None, 6, 12, 3, radial=(np.array([2.0, 3.0]),
                                                            np.array([4.0, 9.0])),
                              angular=GAMMA3.angular)
 # the constant 1 and the zero field, each with its terms
-ONE = separable_field(np.ones_like, np.zeros_like, label="1")
+CONSTANT = ClosureProfile("1", np.ones_like, np.zeros_like)
+ONE = separable_field(CONSTANT, label="1")
 ZERO = ScalarField(value=lambda p: np.zeros(len(p)), label="0", terms=())
 
 
@@ -185,7 +187,7 @@ class TestAnalyze:
 
     def test_single_degree_one_mode(self):
         rule = build_quadrature(ExteriorDomain(3, 0.5, 1.0), 6, 12, 3, "sphere_Gamma")
-        f = separable_field(np.ones_like, np.zeros_like, (0.0, 0.0, 0.0, 1.0), label="x3/r")
+        f = separable_field(CONSTANT, (0.0, 0.0, 0.0, 1.0), label="x3/r")
         t = analyze(f, 1.0, 6, rule)
         ell = t.degrees()
         assert np.max(np.abs(t.coefficients[ell != 1])) < 1e-13
@@ -212,7 +214,7 @@ class TestAnalyze:
     def test_parseval(self):
         # the closed-form coefficients against the quadrature of the square
         # of the function they expand
-        f = separable_field(np.ones_like, np.zeros_like, (1.0, 1.0, 0.0, 0.3), label="mix")
+        f = separable_field(CONSTANT, (1.0, 1.0, 0.0, 0.3), label="mix")
         t = analyze(f, 2.0, 8, GAMMA3)
         from extbounds.geometry import integrate
 
@@ -353,7 +355,8 @@ class TestTermPath:
         # the closed form refuses a bump whose support holds the sphere; the
         # reference projection of its samples has energy above the band, as
         # its normal trace (e . omega)(c . phi) has degree 2
-        bump = separable_field(lambda r: np.cos(r - 2.0), lambda r: -np.sin(r - 2.0),
+        bump = separable_field(ClosureProfile("cos(r - 2)", lambda r: np.cos(r - 2.0),
+                                              lambda r: -np.sin(r - 2.0)),
                                (0.3, -0.2, 0.5, 0.1), label="on-sphere", support=(1.5, 2.5))
         y = _flux_bump(bump, np.array([0.0, 0.6, 0.8]))
         assert y.bumps
@@ -367,7 +370,7 @@ class TestTermPath:
     @pytest.mark.parametrize("dim,rule", [(3, GAMMA3), (2, GAMMA2)])
     def test_degree_zero_keeps_the_degree_one_energy(self, dim, rule):
         coeffs = (0.5, -1.0, 2.0, 0.25)[:dim + 1]
-        f = separable_field(lambda r: 1.0 / r, lambda r: -1.0 / r**2, coeffs)
+        f = separable_field(Profile("r^-m", 1), coeffs)
         full, zero = analyze(f, 2.0, 1, rule), analyze(f, 2.0, 0, rule)
         assert zero.coefficients[0] == full.coefficients[0]
         ones = full.coefficients[1:]
@@ -376,7 +379,7 @@ class TestTermPath:
                                                 rel=1e-12)
 
     def test_rule_refusals_stay(self):
-        f = separable_field(lambda r: 1.0 / r, lambda r: -1.0 / r**2, (1.0, 0.0, 0.0, 1.0))
+        f = separable_field(Profile("r^-m", 1), (1.0, 0.0, 0.0, 1.0))
         with pytest.raises(TraceError, match="angular order"):
             analyze(f, 2.0, 14, GAMMA3)
         with pytest.raises(TraceError, match="requested sphere"):
