@@ -369,12 +369,11 @@ def cmd_verify_poincare(cfg: ScenarioConfig, out: str) -> int:
     records += pc.verify_corollary_chain(dom3, pc.random_bumps(dom3, count, seed + 17))
     records += pc.verify_corollary_chain(dom2, pc.random_bumps(dom2, count, seed + 18))
 
-    identities = []
-    for u in pc.random_bumps(dom3, max(10, count // 10), seed + 19):
-        identities.append(pc.partial_integration_identity(u, 0.0))
-    for u in pc.random_bumps(dom2, max(10, count // 10), seed + 20):
-        identities.append(pc.partial_integration_identity(u, 0.0))
-    identities.append(pc.partial_integration_identity(pc.BumpFunction((0.0,), 2.0), 0.0))
+    identities = pc.partial_integration_identity(
+        pc.random_bumps(dom3, max(10, count // 10), seed + 19), 0.0)
+    identities += pc.partial_integration_identity(
+        pc.random_bumps(dom2, max(10, count // 10), seed + 20), 0.0)
+    identities += pc.partial_integration_identity([pc.BumpFunction((0.0,), 2.0)], 0.0)
 
     pc.records_to_csv(records, f"{out}/poincare.csv")
     failures = [r for r in records if not r.passed]

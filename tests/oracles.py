@@ -13,13 +13,19 @@ bit for bit, and the tensor reference: the true error, the scale, the
 flux gap and the weighted residual summed on a rule's nodes from the
 closures, by the norms of ``fields`` that no bound calls, against which
 the term sums are checked, and the trace basis and the projection of
-sampled values onto it, against which the closed-form traces are checked.
+sampled values onto it, against which the closed-form traces are checked,
+and two references of the N = 3 Poincare records: their shell integrals
+in closed form at 40 digits and summed in mpmath on the program's
+distance rule, and the records summed on a (distance, polar cosine) grid
+from the densities, which shares no closed form with the program.
 The program never calls them."""
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
+import mpmath
 import numpy as np
 
 from extbounds import constants as cs
@@ -42,6 +48,9 @@ from extbounds.geometry import (
     node_radii,
     row_sum,
 )
+from extbounds.fields import mollifier_and_deriv
+from extbounds.geometry import _composite_interval, _gauss_legendre
+from extbounds.poincare import ORDER, PANELS
 from extbounds.special import GUARD, Enclosure, _negligible, _one, _result, _zero
 from extbounds.traces import SphereTrace, TraceError, _check_rule, _require_compatible
 
@@ -667,4 +676,125 @@ def eager_constants(domain: ExteriorDomain, A, modes: int) -> dict:
         "cutoff": domain.R,
     }
     out["c_o"] = min(out["c_o_formula"], out["c_o_eigen"])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# N = 3 Poincare records
+
+
+def distance_samples(u, panels: int = PANELS // 2):
+    """An N = 3 bump's distances s from its center on ``panels`` panels of
+    the program's order over [0, radius], their weights, and u and u'(s)
+    there, as ``extbounds.poincare.samples`` takes them: four 1-D arrays."""
+    rad = np.array([u.radius])
+    s, ws = _composite_interval(np.zeros(1), rad, ORDER, panels)
+    val, der = mollifier_and_deriv(s / rad[:, None])
+    return s[0], ws[0], val[0], der[0] / u.radius
+
+
+@lru_cache(maxsize=None)
+def shell_integrals(u, k: float, panels: int = PANELS // 2) -> dict:
+    """The integrals over R^3 of the N = 3 densities of a bump on the
+    program's distance rule, each shell integral in closed form at 40
+    digits and every sum in mpmath: mpf values of r^(k-2) u^2 ("u2"),
+    r^k (du/dr)^2 ("du2"), 2 r^(k-1) u du/dr ("cross"), u^2 over 1 + r^2,
+    (1 + r)^2 and r^2 ("rho", "opr", "r") and |grad u|^2 ("grad").
+
+    At the distance s the shell theorem gives the integral of G(r) over
+    the sphere about the center c as 2 pi / (|c| s) int_a^b G(r) r dr, a,
+    b = |c| -+ s, and du/dr = u'(s) (r^2 - D) / (2 s r), D = ab; the
+    antiderivatives are the plain powers and logs, whose cancellation the
+    40 digits absorb."""
+    s_nodes, ws, val, der = distance_samples(u, panels)
+    sums = dict.fromkeys(("u2", "du2", "cross", "rho", "opr", "r", "grad"), mpmath.mpf(0))
+    with mpmath.workdps(40):
+        # k + 2 and k + 4 exactly: the cancellation of du2 and cross needs them
+        c, k = mpmath.mpf(u.center_radius), mpmath.mpf(k)
+        for s, w, uu, du in zip(s_nodes.tolist(), ws.tolist(), val.tolist(), der.tolist()):
+            s, uu, du = mpmath.mpf(s), mpmath.mpf(uu), mpmath.mpf(du)
+            a, b = c - s, c + s
+            d, la, lb = a * b, mpmath.log(a), mpmath.log(b)
+
+            def power(m):
+                # int_a^b r^(m-1) dr
+                return (mpmath.exp(m * lb) - mpmath.exp(m * la)) / m if m else lb - la
+
+            weight = 2 * mpmath.pi * s * w / c
+            i0, i2 = power(k), power(k + 2)
+            i4 = power(k + 4)
+            sums["u2"] += weight * uu**2 * i0
+            sums["cross"] += weight * 2 * uu * du * (i2 - d * i0) / (2 * s)
+            sums["du2"] += weight * du**2 * (i4 - 2 * d * i2 + d * d * i0) / (4 * s * s)
+            sums["rho"] += weight * uu**2 * (mpmath.log(1 + b * b) - mpmath.log(1 + a * a)) / 2
+            sums["opr"] += weight * uu**2 * (mpmath.log((1 + b) / (1 + a))
+                                             - 2 * s / ((1 + a) * (1 + b)))
+            sums["r"] += weight * uu**2 * (lb - la)
+            sums["grad"] += weight * du**2 * 2 * c * s
+    return sums
+
+
+def shell_records(u, beta: float, gamma_hat=None, panels: int = PANELS // 2) -> dict:
+    """The N = 3 records of a bump from ``shell_integrals``, each side an
+    mpf rounded once: "power" the power-weight sides at beta, "chain" the
+    four links of chain i (at beta = 0 whatever beta is) and "identity"
+    the identity's sides at beta and gamma_hat (2 beta + 1 if None)."""
+    at, zero = shell_integrals(u, 2.0 * beta, panels), shell_integrals(u, 0.0, panels)
+    # the power weight's constant and gamma_hat as the program rounds them
+    const = 2.0 * beta + 3.0 - 2.0
+    gh = const if gamma_hat is None else gamma_hat
+    with mpmath.workdps(40):
+        root = mpmath.sqrt
+        n_dr, n_gr, n_rho, n_opr, n_r = (root(zero[key]) for key in ("du2", "grad", "rho",
+                                                                         "opr", "r"))
+        out = {
+            "power": (const * root(at["u2"]), 2 * root(at["du2"])),
+            "chain": [(n_rho, mpmath.sqrt(2) * n_opr), (n_opr, n_r), (n_r, 2 * n_dr),
+                      (2 * n_dr, 2 * n_gr)],
+            "identity": (at["du2"] + gh * at["cross"] + gh**2 * at["u2"],
+                         at["du2"] + gh * (gh - 2.0 * beta - 3.0 + 2.0) * at["u2"]),
+        }
+        return {key: [tuple(float(x) for x in pair) for pair in value] if key == "chain"
+                else tuple(float(x) for x in value) for key, value in out.items()}
+
+
+def polar_grid_records(check: str, bumps, beta: float = 0.0, gamma_hat=None,
+                       panels: int = PANELS // 2, angular: int = 16, rule=_gauss_legendre):
+    """The N = 3 records of ``check`` ("power_weight", "chain" or
+    "identity") for each bump, in the program's order, summed from their
+    densities on a (distance, polar cosine) grid: ``panels`` panels of the
+    program's order over [0, radius] by the ``angular`` nodes of ``rule``
+    in the polar cosine of the center direction, one ``exact_sum`` per
+    integral.  The densities are those of the inequalities at x = c + s
+    omega, r = |x| and du/dr = u'(s) (s + |c| cos) / r; no shell integral is
+    taken in closed form, so this is the reference of
+    ``tests/poincare_convergence.py`` for N = 3.  A (lhs, rhs) pair per
+    record."""
+    cos, wang = rule(angular)
+    out = []
+    for u in bumps:
+        s, ws, val, der = (x[:, None] for x in distance_samples(u, panels))
+        c = u.center_radius
+        r = np.sqrt(c**2 + s**2 + 2.0 * c * s * cos)
+        du_r = der * (s + c * cos) / r
+        weight = s**2 * ws * (2.0 * math.pi * wang)
+
+        def integral(density):
+            return exact_sum((density * weight).ravel())
+
+        const = 2.0 * beta + 3.0 - 2.0
+        if check == "power_weight":
+            out.append((const * math.sqrt(integral(r ** (2 * beta - 2) * val**2)),
+                        2.0 * math.sqrt(integral(r ** (2 * beta) * du_r**2))))
+        elif check == "chain":
+            n_dr, n_gr, n_rho, n_opr, n_r = (math.sqrt(integral(d)) for d in (
+                du_r**2, der**2, val**2 / (1.0 + r**2), val**2 / (1.0 + r) ** 2, val**2 / r**2))
+            out += [(n_rho, math.sqrt(2.0) * n_opr), (n_opr, n_r), (n_r, 2.0 * n_dr),
+                    (2.0 * n_dr, 2.0 * n_gr)]
+        else:
+            gh = const if gamma_hat is None else gamma_hat
+            u_term = integral(r ** (2 * beta - 2) * val**2)
+            grad = integral(r ** (2 * beta) * du_r**2)
+            out.append((integral((r**beta * du_r + gh * r ** (beta - 1) * val) ** 2),
+                        grad + gh * (gh - 2.0 * beta - 3.0 + 2.0) * u_term))
     return out

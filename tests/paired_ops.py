@@ -14,8 +14,10 @@ one process, operation by operation, leaves a shared machine's drift
 out of their ratio, which timings of separate processes do not.  Each
 operation's fingerprint (its report values, or a CLI command's exit
 code, stdout and output files; the exception of one that raises) must
-be the same on both sides in every round, the warm-up included; the
-first difference is printed and the exit code is 1.
+be the same in every round on each side, the warm-up included, or the
+run stops; and the same on both sides: the first operation whose sides
+differ is printed, and after the timings the exit code is 1, so that a
+change that moves output bytes on purpose can still be timed.
 
 With ``--calibrate`` each operation runs right after two samples of the
 benchmark's calibration loop (``perfbench/speed.py``'s ``sample``, which
@@ -156,7 +158,8 @@ def main(argv=None) -> int:
         parser.error(f"no {args.workload} operation's label contains {args.only!r}")
     times = {side: [[0.0] * len(labels) for _ in range(args.rounds)] for side in SIDES}
     calls = {side: [0] * len(labels) for side in SIDES}  # over the timed rounds
-    first: list = [None] * len(labels)  # the parent's fingerprints of the warm-up round
+    # each side's fingerprints of the warm-up round
+    first: dict = {side: [None] * len(labels) for side in SIDES}
     try:
         for rnd in range(-1, args.rounds):  # round -1 warms up and is not timed
             order = SIDES if rnd % 2 else SIDES[::-1]  # the parent first in rounds -1, 1, ...
@@ -171,17 +174,22 @@ def main(argv=None) -> int:
                     if rnd >= 0:
                         times[side][rnd][i] = seconds
                         calls[side][i] += counts[side][0] - before
-                    if first[i] is None:
-                        first[i] = found
-                    elif found != first[i]:
-                        print(f"round {rnd}, {label}: the {side}'s outputs differ from the "
-                              f"parent's in the warm-up round:\n  {found!r}\n  {first[i]!r}")
+                    if first[side][i] is None:
+                        first[side][i] = found
+                    elif found != first[side][i]:
+                        print(f"round {rnd}, {label}: the {side}'s outputs differ from its "
+                              f"own in the warm-up round:\n  {found!r}\n  {first[side][i]!r}")
                         return 1
     finally:
         wl.clean_work()
 
-    print(f"{args.workload}: {len(labels)} operations, {args.rounds} rounds, every "
-          "fingerprint equal on both sides")
+    differ = [i for i in range(len(labels)) if first["change"][i] != first["parent"][i]]
+    for i in differ[:1]:
+        print(f"{labels[i]}: the change's outputs differ from the parent's:\n  "
+              f"{first['change'][i]!r}\n  {first['parent'][i]!r}")
+    print(f"{args.workload}: {len(labels)} operations, {args.rounds} rounds, "
+          + (f"{len(differ)} with outputs that differ between the sides" if differ
+             else "every fingerprint equal on both sides"))
     print("change/parent  wins  parent ms  " + (f"{args.count} parent change  " if args.count
                                                 else "") + "operation")
     for i, label in enumerate(labels):
@@ -199,7 +207,7 @@ def main(argv=None) -> int:
            for side in SIDES}
     print(f"op_p50 parent {p50['parent']:.3f} ms, change {p50['change']:.3f} ms, "
           f"change/parent {p50['change'] / p50['parent']:.3f}")
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

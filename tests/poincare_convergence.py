@@ -9,12 +9,17 @@ runs ``verify-poincare`` in this process at ``poincare.count`` N (default
 each call again on the reference rule: REF_PANELS Gauss-Legendre panels on
 every distance interval (4 times the half line's 48) and REF_ANGULAR
 angular nodes, every Gauss node and weight and the N = 2 ring's directions
-correctly rounded (Newton in mpmath at 40 digits).  The reference does not
-depend on the checkout's own sizes, so two checkouts are measured against
-the same values.  It prints, per check kind (record id and N, or identity
-variant and N), the number of records and the worst relative deviation of
-any lhs or rhs from the reference, then the smallest relative margin,
-margin / rhs, of the inequality records.
+correctly rounded (Newton in mpmath at 40 digits).  The N = 1 and N = 2
+calls run the checkout's own checks on that rule.  The N = 3 calls (power
+weight, chain i and the power identity) are summed by
+``oracles.polar_grid_records`` from their densities on the (distance,
+polar cosine) grid of REF_PANELS panels by REF_ANGULAR polar cosines, which
+shares no closed form with the checkout's shell integrals.  The reference
+does not depend on the checkout's own sizes or code, so two checkouts are
+measured against the same values.  It prints, per check kind (record id
+and N, or identity variant and N), the number of records and the worst
+relative deviation of any lhs or rhs from the reference, then the
+smallest relative margin, margin / rhs, of the inequality records.
 
 The file name has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -97,6 +102,27 @@ def use_reference_rule(geometry, poincare) -> None:
     poincare.ANGULAR = REF_ANGULAR
 
 
+def shell_reference(check, args, kwargs):
+    """The reference (lhs, rhs) pairs of an N = 3 call, from its densities
+    on the (distance, polar cosine) grid at the reference sizes; None for
+    the other calls.  An identity takes a bump or, since the identity took
+    a batch, a list of them."""
+    from oracles import polar_grid_records
+
+    grid = {"panels": REF_PANELS, "angular": REF_ANGULAR, "rule": legendre_rule}
+    name = check.__name__
+    if name == "partial_integration_identity":
+        bumps = args[0] if isinstance(args[0], list) else [args[0]]
+        gamma_hat = kwargs.get("gamma_hat", args[2] if len(args) > 2 else None)
+        if bumps[0].dimension == 3:
+            return polar_grid_records("identity", bumps, args[1], gamma_hat, **grid)
+    elif name == "verify_power_weight" and args[0].dimension == 3:
+        return polar_grid_records("power_weight", args[1], args[2], **grid)
+    elif name == "verify_corollary_chain" and args[0].dimension == 3:
+        return polar_grid_records("chain", args[1], **grid)
+    return None
+
+
 def kind(rec) -> str:
     if hasattr(rec, "variant"):
         return f"identity_{rec.variant} N={rec.dimension}"
@@ -125,7 +151,7 @@ def main(argv=None) -> int:
 
         def call(*a, **kw):
             out = check(*a, **kw)
-            calls.append((check, a, kw, out if isinstance(out, list) else [out]))
+            calls.append((check, a, kw, list(out) if isinstance(out, list) else [out]))
             return out
 
         return call
@@ -145,15 +171,20 @@ def main(argv=None) -> int:
     use_reference_rule(geometry, poincare)
     worst, counts, margin = {}, {}, float("inf")
     for check, a, kw, records in calls:
-        refs = check(*a, **kw)
-        for rec, ref in zip(records, refs if isinstance(refs, list) else [refs]):
+        refs = shell_reference(check, a, kw)
+        if refs is None:
+            refs = check(*a, **kw)
+            refs = [(ref.lhs, ref.rhs) for ref in (refs if isinstance(refs, list) else [refs])]
+        assert len(refs) == len(records), check.__name__
+        for rec, (lhs, rhs) in zip(records, refs):
             key = kind(rec)
-            dev = max(deviation(rec.lhs, ref.lhs), deviation(rec.rhs, ref.rhs))
+            dev = max(deviation(rec.lhs, lhs), deviation(rec.rhs, rhs))
             worst[key] = max(worst.get(key, 0.0), dev)
             counts[key] = counts.get(key, 0) + 1
             if not hasattr(rec, "variant") and rec.rhs:
                 margin = min(margin, rec.margin / rec.rhs)
-    print(f"reference: {REF_PANELS} panels per distance interval, {REF_ANGULAR} angular nodes")
+    print(f"reference: {REF_PANELS} panels per distance interval, {REF_ANGULAR} angular nodes "
+          f"(N = 3: polar cosines of the densities' grid)")
     print(f"{'kind':40s} {'records':>7s} {'worst rel. dev.':>15s}")
     for key in sorted(worst):
         print(f"{key:40s} {counts[key]:7d} {worst[key]:15.2e}")

@@ -163,18 +163,13 @@ def test_acceptance_4_poincare_suite():
     checks += 400
 
     id_worst = 0.0
-    for u in pc.random_bumps(dom3, 20, seed=503):
-        rec = pc.partial_integration_identity(u, 0.0)
-        assert rec.rel_deviation <= 1e-9
-        id_worst = max(id_worst, rec.rel_deviation)
-    for u in pc.random_bumps(dom2, 20, seed=509):
-        rec = pc.partial_integration_identity(u, 0.0)
-        assert rec.rel_deviation <= 1e-9
-        id_worst = max(id_worst, rec.rel_deviation)
-    for u in (pc.BumpFunction((0.0,), 2.0), pc.BumpFunction((2.5,), 1.5)):
-        rec = pc.partial_integration_identity(u, 0.0)
-        assert rec.rel_deviation <= 1e-9
-        id_worst = max(id_worst, rec.rel_deviation)
+    for bumps in (pc.random_bumps(dom3, 20, seed=503), pc.random_bumps(dom2, 20, seed=509),
+                  [pc.BumpFunction((0.0,), 2.0), pc.BumpFunction((2.5,), 1.5)]):
+        recs = pc.partial_integration_identity(bumps, 0.0)
+        assert len(recs) == len(bumps)
+        for rec in recs:
+            assert rec.rel_deviation <= 1e-9
+            id_worst = max(id_worst, rec.rel_deviation)
     print(f"ACCEPTANCE 4 (poincare suite): PASS ({checks} inequality checks, "
           f"worst identity deviation {id_worst:.2e})")
 
